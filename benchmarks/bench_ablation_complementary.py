@@ -16,7 +16,7 @@ from repro.circuits.complementary import build_complementary_lattice_circuit
 from repro.circuits.lattice_netlist import build_lattice_circuit
 from repro.circuits.testbench import InputSequence
 from repro.core.library import xor3_lattice_3x3
-from repro.spice import dc_operating_point, transient_analysis
+from repro.spice import get_engine
 
 
 def _static_currents(bench_builder, switch_model):
@@ -25,13 +25,13 @@ def _static_currents(bench_builder, switch_model):
     for bits in itertools.product([False, True], repeat=3):
         assignment = dict(zip("abc", bits))
         bench = bench_builder(lattice, assignment, switch_model)
-        op = dc_operating_point(bench.circuit)
+        op = get_engine(bench.circuit).solve_dc()
         currents.append(abs(op.source_current("vdd_supply")))
     return max(currents)
 
 
 def _edges(circuit, output_node, sequence):
-    result = transient_analysis(circuit, sequence.total_duration_s, 1e-9)
+    result = get_engine(circuit).solve_transient(sequence.total_duration_s, 1e-9)
     waveform = result.voltage(output_node)
     levels = steady_state_levels(result.time_s, waveform)
     rises, falls = edge_times(result.time_s, waveform, levels)

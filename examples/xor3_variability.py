@@ -36,11 +36,10 @@ SMOKE = os.environ.get("EXAMPLES_SMOKE", "").lower() not in ("", "0", "false", "
 
 def main() -> None:
     trials = 60 if SMOKE else 500
-    # workers=None routes the study through the lockstep-batched
+    # The fixed-step study runs as one lockstep-batched
     # MonteCarlo(base=Transient(...)) spec — the fastest path on any core
-    # count (pass workers=4 to fan per-trial solves across processes
-    # instead; the records are bit-identical either way).
-    result = run_variability_xor3(trials=trials, seed=2019, workers=None)
+    # count; the records are bit-identical to the serial per-trial loop.
+    result = run_variability_xor3(trials=trials, seed=2019)
     print(result.report())
 
     session = default_session()

@@ -43,9 +43,9 @@ Quickstart::
     session.run(Transient(circuit=bench, timestep_s=1e-9))   # cache hit:
     assert session.last_stats.newton_iterations == 0          # zero Newton work
 
-The legacy frontends (``dc_operating_point``, ``dc_sweep``,
-``transient_analysis``) remain as thin delegating wrappers and emit
-:class:`DeprecationWarning` pointing here; see the README migration table.
+Code that already holds a :class:`~repro.spice.netlist.Circuit` calls the
+engine methods directly (``get_engine(circuit).solve_dc()`` and friends);
+see the README migration table.
 """
 
 from repro.api.codec import SpecDecodeError, spec_from_dict, spec_to_dict
@@ -87,7 +87,6 @@ __all__ = [
     "resolve_factory",
     "Result",
     "ResultSet",
-    "ResultCache",
     "Store",
     "MemoryStore",
     "JSONDirectoryStore",
@@ -113,15 +112,10 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # Lazy: the distributed runner pulls in multiprocessing machinery and
-    # the ResultCache shim is deprecated — neither should tax plain
-    # ``import repro.api``.
+    # Lazy: the distributed runner pulls in multiprocessing machinery that
+    # should not tax plain ``import repro.api``.
     if name == "DistributedExecutor":
         from repro.api.distributed import DistributedExecutor
 
         return DistributedExecutor
-    if name == "ResultCache":
-        from repro.api.cache import ResultCache
-
-        return ResultCache
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -110,7 +110,6 @@ def _worker_main(
     message_conn: "mp_connection.Connection",
     store: Optional[Store],
     prebuilt_blob: bytes,
-    chaos: Optional[Mapping[str, Any]],
     beat_s: float = 0.0,
 ) -> None:
     """One worker process: pull tasks, dedupe through the store, solve.
@@ -154,25 +153,21 @@ def _worker_main(
 
     session = Session(store=None)
     session.adopt_circuits(pickle.loads(prebuilt_blob))
-    claims = 0
     send((_READY, worker_id, None, None))
     while True:
         task = task_queue.get()
         if task is None:  # shutdown sentinel
             return
-        task_id, content, spec = task
-        claims += 1
-        if chaos and chaos.get("die_worker") == worker_id:
-            if claims >= int(chaos.get("on_claim", 1)):
+        task_id, content, spec, fault = task
+        if fault is not None:
+            if fault["fault"] == "die":
                 # Simulated hard crash for the requeue tests: no cleanup,
                 # no message — exactly what a SIGKILL'd worker looks like.
                 os._exit(1)
-        if chaos and chaos.get("stall_worker") == worker_id:
-            if claims >= int(chaos.get("on_claim", 1)):
-                # Simulated hang for the lease tests: the process stays
-                # alive (heartbeats keep flowing) but the claimed task
-                # never finishes — only a lease timeout can catch this.
-                time.sleep(float(chaos.get("stall_s", 3600.0)))
+            # Simulated hang for the lease tests: the process stays alive
+            # (heartbeats keep flowing) but the claimed task never
+            # finishes — only a lease timeout can catch this.
+            time.sleep(float(fault.get("stall_s", 3600.0)))
         try:
             cached = store.get(content) if store is not None else None
             if cached is not None:
@@ -289,7 +284,6 @@ class StudyCoordinator:
                 writer,
                 self.store.worker_view(),
                 prebuilt_blob,
-                self._chaos,
                 self.heartbeat_s,
             ),
             daemon=True,
@@ -336,6 +330,7 @@ class StudyCoordinator:
         idle: List[int] = []
         respawn_budget = self.workers  # replacements, not a license to leak
         next_worker_id = 0
+        dispatches = 0
 
         width = min(self.workers, len(tasks))
 
@@ -365,6 +360,7 @@ class StudyCoordinator:
             spawn_worker()
 
         def dispatch(worker_id: int) -> None:
+            nonlocal dispatches
             task_id = pending.pop(0)
             # Record the claim BEFORE the task can reach the worker: a
             # death between these lines then still counts as assigned,
@@ -374,7 +370,13 @@ class StudyCoordinator:
             if self.lease_timeout_s is not None:
                 leases[task_id] = time.monotonic() + self.lease_timeout_s
             content, spec = tasks[task_id]
-            task_queues[worker_id].put((task_id, content, spec))
+            # The chaos hook picks the Nth dispatch, whichever worker
+            # takes it, so the fault fires exactly once on every run.
+            dispatches += 1
+            fault = None
+            if self._chaos and dispatches == int(self._chaos.get("on_dispatch", 1)):
+                fault = self._chaos
+            task_queues[worker_id].put((task_id, content, spec, fault))
 
         def requeue_from(worker_id: int) -> None:
             for task_id, owner in list(assigned.items()):

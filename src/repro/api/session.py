@@ -8,9 +8,8 @@ A :class:`Session` takes :mod:`repro.api.specs` specs and returns
   many analysis specs reference it;
 * **dispatch** — every spec kind routes through the same
   :class:`~repro.spice.engine.AnalysisEngine` /
-  :class:`~repro.spice.montecarlo.MonteCarloEngine` machinery as the
-  legacy entry points, with the same defaults, so results are
-  bit-identical to the calls they replace;
+  :class:`~repro.spice.montecarlo.MonteCarloEngine` methods, with the same
+  defaults, so results are bit-identical to calling them directly;
 * **caching** — results are stored under the spec's content hash in the
   session's pluggable :class:`~repro.api.stores.Store`
   (:class:`~repro.api.stores.MemoryStore` by default; pass
@@ -52,7 +51,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import subprocess
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
@@ -192,24 +190,8 @@ class RunStats:
 CACHE_POLICIES = ("use", "refresh", "off")
 
 
-def _normalize_cache_policy(cache: Any, use_cache: Optional[bool]) -> str:
-    """Resolve the (possibly legacy-spelled) per-call cache policy."""
-    if use_cache is not None:
-        warnings.warn(
-            "use_cache= is deprecated; pass cache='use' or cache='off' "
-            "(or cache='refresh' to force recomputation) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return "use" if use_cache else "off"
-    if cache is None or isinstance(cache, bool):
-        warnings.warn(
-            "a boolean cache= is deprecated; pass cache='use', "
-            "cache='refresh' or cache='off' instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return "use" if cache else "off"
+def _normalize_cache_policy(cache: Any) -> str:
+    """Validate the per-call cache policy."""
     if cache not in CACHE_POLICIES:
         raise ValueError(
             f"unknown cache policy {cache!r}; expected one of {CACHE_POLICIES}"
@@ -240,51 +222,17 @@ class Session:
     executor:
         Default :class:`~repro.api.executors.Executor` for
         :meth:`run_many` (serial when omitted).
-    cache, cache_dir:
-        Deprecated spellings of ``store=`` (the pre-store constructor
-        knobs); they map onto the equivalent store with a
-        ``DeprecationWarning``.
     """
 
-    def __init__(
-        self,
-        store: Any = _UNSET,
-        executor: Optional[Executor] = None,
-        cache: Any = _UNSET,
-        cache_dir: Any = _UNSET,
-    ):
-        self.store: Optional[Store] = self._resolve_store(store, cache, cache_dir)
+    def __init__(self, store: Any = _UNSET, executor: Optional[Executor] = None):
+        self.store: Optional[Store] = self._resolve_store(store)
         self.executor: Executor = executor or SerialExecutor()
         self._built: Dict[str, Any] = {}
         self.last_stats = RunStats()
         self.total_stats = RunStats()
 
     @staticmethod
-    def _resolve_store(store: Any, cache: Any, cache_dir: Any) -> Optional[Store]:
-        if cache is not _UNSET or cache_dir is not _UNSET:
-            if store is not _UNSET:
-                raise TypeError(
-                    "pass store= alone; cache=/cache_dir= are its "
-                    "deprecated spellings"
-                )
-            warnings.warn(
-                "Session(cache=..., cache_dir=...) is deprecated; pass "
-                "store=... instead — a repro.api.stores.Store instance, a "
-                "directory path, or None to disable caching",
-                DeprecationWarning,
-                stacklevel=4,
-            )
-            cache = True if cache is _UNSET else cache
-            cache_dir = None if cache_dir is _UNSET else cache_dir
-            if isinstance(cache, Store):
-                return cache
-            if not cache:
-                # An explicit opt-out wins even when a cache_dir is
-                # configured: cache=False/None must force recomputation.
-                return None
-            if cache_dir is not None:
-                return TieredStore(MemoryStore(), JSONDirectoryStore(cache_dir))
-            return MemoryStore()
+    def _resolve_store(store: Any) -> Optional[Store]:
         if store is _UNSET:
             return MemoryStore()
         if store is None:
@@ -311,16 +259,6 @@ class Session:
     def total_stats_snapshot(self) -> RunStatsSnapshot:
         """A read-only copy of :attr:`total_stats` (lifetime counters)."""
         return self.total_stats.snapshot()
-
-    @property
-    def cache(self) -> Optional[Store]:
-        """Deprecated alias of :attr:`store`."""
-        warnings.warn(
-            "Session.cache is deprecated; read Session.store instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.store
 
     # ------------------------------------------------------------------ #
     # circuits
@@ -367,21 +305,16 @@ class Session:
     # running specs
     # ------------------------------------------------------------------ #
 
-    def run(
-        self,
-        spec: AnalysisSpec,
-        cache: str = "use",
-        use_cache: Optional[bool] = None,
-    ) -> Result:
+    def run(self, spec: AnalysisSpec, cache: str = "use") -> Result:
         """Run one spec (through the store); returns its :class:`Result`.
 
         ``cache`` is the per-call policy: ``"use"`` (read and write the
         store — the default), ``"refresh"`` (skip the read, recompute and
         overwrite the stored entry) or ``"off"`` (bypass the store in both
-        directions).  ``use_cache=`` is the deprecated boolean spelling.
+        directions).
         """
         self.last_stats = RunStats()
-        policy = _normalize_cache_policy(cache, use_cache)
+        policy = _normalize_cache_policy(cache)
         result = self._run_one(spec, policy)
         return result
 
@@ -390,7 +323,6 @@ class Session:
         specs: Sequence[AnalysisSpec],
         executor: Optional[Executor] = None,
         cache: str = "use",
-        use_cache: Optional[bool] = None,
     ) -> ResultSet:
         """Run many specs; store misses fan out through the executor seam.
 
@@ -401,7 +333,7 @@ class Session:
         forced re-run no longer requires manually evicting hashes.
         """
         self.last_stats = RunStats()
-        policy = _normalize_cache_policy(cache, use_cache)
+        policy = _normalize_cache_policy(cache)
         executor = executor or self.executor
         hashes = [spec_hash(spec) for spec in specs]
 

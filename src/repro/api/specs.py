@@ -23,8 +23,8 @@ The variants mirror the engine's analyses one to one:
                           any of the above
 ========================  =================================================
 
-Every knob keeps the default of its legacy entry point, so a spec built
-with defaults is bit-identical to the corresponding legacy call.
+Every knob keeps the default of its engine method, so a spec built with
+defaults is bit-identical to the corresponding engine call.
 """
 
 from __future__ import annotations
@@ -139,8 +139,8 @@ def _check_solver(solver: Any) -> None:
         raise TypeError(
             "spec solver must be a backend name (e.g. 'auto', 'dense', "
             "'sparse', 'batched', 'sparse-batched') or None; solver "
-            "*instances* are not content-hashable — use the legacy entry "
-            "points for one-off instances"
+            "*instances* are not content-hashable — call the engine methods "
+            "directly for one-off instances"
         )
 
 
@@ -164,7 +164,7 @@ def _check_threads(threads: Any) -> None:
 
 @dataclass(frozen=True)
 class DCOp(AnalysisSpec):
-    """DC operating point (legacy: ``dc_operating_point``)."""
+    """DC operating point (engine: ``AnalysisEngine.solve_dc``)."""
 
     kind = "dcop"
 
@@ -184,7 +184,7 @@ class DCOp(AnalysisSpec):
 
 @dataclass(frozen=True)
 class DCSweep(AnalysisSpec):
-    """DC sweep of one independent source (legacy: ``dc_sweep``)."""
+    """DC sweep of one independent source (engine: ``AnalysisEngine.dc_sweep``)."""
 
     kind = "dcsweep"
 
@@ -209,7 +209,7 @@ class DCSweep(AnalysisSpec):
 
 @dataclass(frozen=True)
 class Transient(AnalysisSpec):
-    """Transient analysis, fixed-step or adaptive (legacy: ``transient_analysis``).
+    """Transient analysis, fixed-step or adaptive (engine: ``solve_transient``).
 
     ``stop_time_s=None`` means "the bench's input-sequence duration": valid
     only when the circuit factory returns a bench object exposing an
@@ -242,7 +242,7 @@ class Transient(AnalysisSpec):
 
 @dataclass(frozen=True)
 class MonteCarlo(AnalysisSpec):
-    """Monte-Carlo variability study (legacy: ``MonteCarloEngine``).
+    """Monte-Carlo variability study (engine: ``MonteCarloEngine``).
 
     ``perturbations`` maps compiled parameter names (see
     :data:`repro.spice.engine.PERTURBABLE_PARAMETERS`) to the frozen
@@ -359,7 +359,7 @@ class MonteCarlo(AnalysisSpec):
 
 @dataclass(frozen=True)
 class Corners(AnalysisSpec):
-    """Process-corner sweep of another analysis (legacy: ``run_corners``).
+    """Process-corner sweep of another analysis (engine: ``run_corners``).
 
     Runs ``base`` (a :class:`DCOp`, :class:`DCSweep` or :class:`Transient`)
     once per corner with the corner's parameter overlay applied, sharing one

@@ -19,8 +19,7 @@ invalidation — with three backends plus a composition:
   store of the distributed runner (:mod:`repro.api.distributed`);
 * :class:`TieredStore` — a fast front (usually memory) over a persistent
   back, reads populating the front; ``Session(store="some/dir")`` builds
-  ``TieredStore(MemoryStore(), JSONDirectoryStore("some/dir"))``, which is
-  exactly the old ``cache_dir=`` behaviour.
+  ``TieredStore(MemoryStore(), JSONDirectoryStore("some/dir"))``.
 
 Every store keys on the spec content hash
 (:func:`repro.api.hashing.spec_hash`), so the dedupe guarantee of the
@@ -323,13 +322,12 @@ class MemoryStore(Store):
 
 
 class JSONDirectoryStore(Store):
-    """One ``<hash>.json`` per result — the PR 4 on-disk cache format.
+    """One ``<hash>.json`` per result — the on-disk cache format.
 
-    The serialization (``json.dump(result.to_jsonable(), sort_keys=True)``
-    behind an atomic ``os.replace``) is byte-for-byte the old
-    ``ResultCache`` layout, so existing cache directories keep working and
-    files written by either code path are interchangeable.  Atomic
-    replacement also makes concurrent writers safe: a reader sees either
+    The serialization is ``json.dump(result.to_jsonable(), sort_keys=True)``
+    behind an atomic ``os.replace``, unchanged since the first on-disk
+    cache, so existing cache directories keep working.  Atomic replacement
+    also makes concurrent writers safe: a reader sees either
     the old complete file or the new complete file, never a torn mix.
 
     A file that exists but does not parse is *quarantined* — renamed to
@@ -686,7 +684,7 @@ class TieredStore(Store):
 
     Reads check the front first and populate it from the back on a hit;
     writes and deletes go to both.  ``TieredStore(MemoryStore(),
-    JSONDirectoryStore(dir))`` is exactly the old ``ResultCache`` shape:
+    JSONDirectoryStore(dir))`` is what ``Session(store=dir)`` builds:
     LRU-bounded memory over durable JSON files.
     """
 

@@ -20,16 +20,16 @@ compiled once, every trial's parameter stacks are sampled from
 deterministic per-trial seed substreams, and all trials march their
 transients in *lockstep* through the batched engine — each Newton round
 one stacked LAPACK call, waveforms evaluated once per step.  The records
-are bit-identical to the historical per-trial path (still available via
-``workers > 1`` for process fan-out, or ``adaptive=True`` for per-trial
-adaptive grids), and an identical re-run replays from the session's
-content-hash cache with zero Newton iterations.
+are bit-identical to the per-trial path (which ``adaptive=True`` takes,
+since per-trial adaptive grids cannot march in lockstep), and an identical
+re-run replays from the session's content-hash cache with zero Newton
+iterations.
 
 Example — the end-to-end 500-trial study::
 
     from repro.experiments.variability_xor3 import run_variability_xor3
 
-    result = run_variability_xor3(trials=500, seed=2019, workers=4)
+    result = run_variability_xor3(trials=500, seed=2019)
     print(result.report())
     print(result.rise_summary.percentiles[95.0])   # 95th-percentile rise time
 """
@@ -145,10 +145,11 @@ def delay_metrics_trial(
 ) -> Dict[str, float]:
     """One Monte-Carlo trial: transient solve plus edge/level extraction.
 
-    Module-level (and driven through :func:`functools.partial`) so the
-    process-pool workers can unpickle it.  Returns the metrics the study
-    aggregates; a waveform that never completes an edge reports ``nan`` for
-    that delay, which the aggregation layer counts against yield.
+    Driven through :func:`functools.partial` by
+    :meth:`~repro.spice.montecarlo.MonteCarloEngine.run`.  Returns the
+    metrics the study aggregates; a waveform that never completes an edge
+    reports ``nan`` for that delay, which the aggregation layer counts
+    against yield.
 
     ``adaptive=True`` routes the per-trial transient through the engine's
     LTE step-size controller, which cuts the step count on the long settled
@@ -276,7 +277,6 @@ def run_variability_xor3(
     sigma_vth_v: float = DEFAULT_SIGMA_VTH_V,
     sigma_beta: float = DEFAULT_SIGMA_BETA,
     correlated_beta: bool = False,
-    workers: Optional[int] = None,
     lattice: Optional[Lattice] = None,
     model: Optional[FourTerminalSwitchModel] = None,
     supply_v: float = 1.2,
@@ -292,22 +292,14 @@ def run_variability_xor3(
     ----------
     trials / seed:
         Monte-Carlo trial count and root seed.  Results are bit-identical
-        for a given seed, whatever ``workers`` is — and whichever of the
-        lockstep-batched or per-trial paths runs the study.
+        for a given seed, whichever of the lockstep-batched or per-trial
+        paths runs the study.
     sigma_vth_v:
         Absolute per-transistor threshold spread [V].
     sigma_beta:
         Relative per-transistor beta spread; ``correlated_beta=True`` turns
         it into a single global (process-wide) draw per trial instead of
         local mismatch.
-    workers:
-        ``None``/1 (the default) runs the study as one declarative
-        ``MonteCarlo(base=Transient(...))`` spec through the shared
-        session: all trials march in lockstep through the batched engine
-        (:meth:`~repro.spice.montecarlo.MonteCarloEngine.run_batched_transient`)
-        and an identical re-run replays from the content-hash cache with
-        zero Newton iterations.  Larger values keep the historical
-        process-pool fan-out of per-trial solves (bit-identical records).
     lattice / model / supply_v / pullup_ohm:
         Circuit configuration (paper defaults).
     step_duration_s / timestep_s:
@@ -317,8 +309,15 @@ def run_variability_xor3(
         Route every per-trial transient through the engine's adaptive step
         controller (``timestep_s`` becomes the initial step); cuts the
         per-trial step count on the settled stretches of the stimulus.
-        Adaptive grids differ per trial, so this disables the lockstep
-        batched path.
+        Adaptive grids differ per trial, so this runs the serial
+        :meth:`~repro.spice.montecarlo.MonteCarloEngine.run` loop instead
+        of the lockstep batched path.  Fixed-step studies (the default)
+        run as one declarative ``MonteCarlo(base=Transient(...))`` spec
+        through the shared session: all trials march in lockstep through
+        the batched engine
+        (:meth:`~repro.spice.montecarlo.MonteCarloEngine.run_batched_transient`)
+        and an identical re-run replays from the content-hash cache with
+        zero Newton iterations.
     """
     from repro.api import MonteCarlo, Transient, default_session
 
@@ -364,13 +363,11 @@ def run_variability_xor3(
             sigma=sigma_beta, relative=True, correlated=correlated_beta
         ),
     }
-    if adaptive or (workers is not None and workers > 1):
-        # Adaptive per-trial grids cannot march in lockstep, and an explicit
-        # pool request keeps the historical process fan-out; both produce
-        # records bit-identical to the batched path on the same fixed grid.
+    if adaptive:
+        # Adaptive per-trial grids cannot march in lockstep.
         montecarlo = MonteCarloEngine(
             bench.circuit, perturbations=perturbations, seed=seed
-        ).run(analysis, trials=trials, workers=workers)
+        ).run(analysis, trials=trials)
     else:
         # The flagship path: the whole study is one declarative
         # MonteCarlo(base=Transient(...)) spec — all trials march in

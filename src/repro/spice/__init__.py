@@ -27,10 +27,9 @@ analysis engine:
   (with breakpoint reporting for the adaptive transient controller);
 * :mod:`repro.spice.montecarlo` — Monte-Carlo variability analysis on the
   compiled engine: seeded distributions perturb the compiled parameter
-  arrays in place (no netlist re-walk per trial), trials shard across a
-  process pool with deterministic per-trial substreams, and same-pattern
-  trials solve as one stacked batch through the batched backend — DC
-  operating points
+  arrays in place (no netlist re-walk per trial) with deterministic
+  per-trial substreams, and same-pattern trials solve as one stacked batch
+  through the batched backend — DC operating points
   (:meth:`~repro.spice.montecarlo.MonteCarloEngine.run_batched_dc`) and
   lockstep fixed-step transients
   (:meth:`~repro.spice.montecarlo.MonteCarloEngine.run_batched_transient`),
@@ -38,35 +37,35 @@ analysis engine:
 
 The preferred way to *run* analyses is the declarative layer in
 :mod:`repro.api` (specs + ``Session`` with content-hash caching and
-executor fan-out); the module-level frontends below remain as thin
-delegating wrappers and now emit ``DeprecationWarning``:
+executor fan-out).  Code that already holds a :class:`Circuit` calls the
+methods of its cached :class:`~repro.spice.engine.AnalysisEngine`:
 
-* :func:`~repro.spice.dcop.dc_operating_point` — Newton-Raphson DC solve
-  with automatic convergence fallbacks, returning an
+* :meth:`~repro.spice.engine.AnalysisEngine.solve_dc` — Newton-Raphson DC
+  solve with automatic convergence fallbacks, returning an
   :class:`~repro.spice.dcop.OperatingPoint`;
-* :func:`~repro.spice.dcsweep.dc_sweep` — DC sweeps with warm-start
-  continuation over one compiled structure, returning a
+* :meth:`~repro.spice.engine.AnalysisEngine.dc_sweep` — DC sweeps with
+  warm-start continuation over one compiled structure, returning a
   :class:`~repro.spice.dcsweep.DCSweepResult`;
 * :func:`~repro.spice.engine.sweep_many` — a *family* of sweeps (e.g. one
   per gate voltage of a drive study) batched through one compiled circuit
   with per-point continuation;
-* :func:`~repro.spice.transient.transient_analysis` — backward-Euler /
-  trapezoidal transient with per-step Newton iteration, returning a
-  :class:`~repro.spice.transient.TransientResult`; ``adaptive=True``
-  switches the fixed-step march to an LTE-controlled step-size controller
-  (accept/reject with min/max clamps, stimulus breakpoints never skipped),
-  with per-run step-acceptance statistics on the result's
-  :class:`~repro.spice.transient.TransientConvergenceInfo`.
+* :meth:`~repro.spice.engine.AnalysisEngine.solve_transient` —
+  backward-Euler / trapezoidal transient with per-step Newton iteration,
+  returning a :class:`~repro.spice.transient.TransientResult`;
+  ``adaptive=True`` switches the fixed-step march to an LTE-controlled
+  step-size controller (accept/reject with min/max clamps, stimulus
+  breakpoints never skipped), with per-run step-acceptance statistics on
+  the result's :class:`~repro.spice.transient.TransientConvergenceInfo`.
 
 Typical use::
 
-    from repro.spice import Circuit, Resistor, VoltageSource, dc_operating_point
+    from repro.spice import Circuit, Resistor, VoltageSource, get_engine
 
     circuit = Circuit()
     VoltageSource(circuit, "vin", "in", "0", 1.2)
     Resistor(circuit, "r1", "in", "out", 1e3)
     Resistor(circuit, "r2", "out", "0", 1e3)
-    print(dc_operating_point(circuit).voltage("out"))
+    print(get_engine(circuit).solve_dc().voltage("out"))
 
 Repeated analyses on one circuit (sweeps, parameter studies, Monte Carlo)
 share the compiled structure automatically — :func:`~repro.spice.engine.get_engine`
@@ -100,18 +99,12 @@ from repro.spice.solvers import (
     available_backends,
     get_solver,
 )
-from repro.spice.dcop import (
-    BatchedOperatingPoints,
-    ConvergenceInfo,
-    OperatingPoint,
-    dc_operating_point,
-)
-from repro.spice.dcsweep import DCSweepResult, dc_sweep
+from repro.spice.dcop import BatchedOperatingPoints, ConvergenceInfo, OperatingPoint
+from repro.spice.dcsweep import DCSweepResult
 from repro.spice.transient import (
     BatchedTransientResult,
     TransientConvergenceInfo,
     TransientResult,
-    transient_analysis,
 )
 from repro.spice.montecarlo import (
     Distribution,
@@ -120,7 +113,6 @@ from repro.spice.montecarlo import (
     MonteCarloEngine,
     MonteCarloResult,
     Uniform,
-    parallel_sweep_many,
 )
 
 __all__ = [
@@ -159,15 +151,11 @@ __all__ = [
     "Lognormal",
     "MonteCarloEngine",
     "MonteCarloResult",
-    "parallel_sweep_many",
     "ConvergenceInfo",
     "OperatingPoint",
     "BatchedOperatingPoints",
-    "dc_operating_point",
     "DCSweepResult",
-    "dc_sweep",
     "TransientResult",
     "TransientConvergenceInfo",
     "BatchedTransientResult",
-    "transient_analysis",
 ]

@@ -1,22 +1,20 @@
-"""DC operating-point analysis (thin frontend over the analysis engine).
+"""DC operating-point result types.
 
 The Newton iteration, gmin stepping and source stepping all live in
-:class:`repro.spice.engine.AnalysisEngine`; this module keeps the stable
-:func:`dc_operating_point` entry point and the :class:`OperatingPoint`
-result type.
+:class:`repro.spice.engine.AnalysisEngine`
+(:meth:`~repro.spice.engine.AnalysisEngine.solve_dc`); this module keeps
+the :class:`OperatingPoint` result type it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.spice.netlist import AnalysisState, Circuit
 from repro.spice.elements.sources import VoltageSource
-from repro.spice.engine import get_engine
-from repro.spice.solvers import LinearSolver
 
 
 @dataclass(frozen=True)
@@ -181,70 +179,3 @@ class BatchedOperatingPoints:
                 final_max_update_v=float(self.max_residuals[trial]),
             ),
         )
-
-
-def dc_operating_point(
-    circuit: Circuit,
-    initial_guess: Optional[np.ndarray] = None,
-    max_iterations: int = 300,
-    tolerance_v: float = 1e-7,
-    gmin: float = 1e-9,
-    damping_v: float = 0.6,
-    time_s: float = 0.0,
-    solver: Union[None, str, LinearSolver] = None,
-) -> OperatingPoint:
-    """Solve the DC operating point of ``circuit`` by Newton-Raphson iteration.
-
-    Delegates to the circuit's cached :class:`~repro.spice.engine.AnalysisEngine`:
-    a plain damped Newton iteration is tried first, then gmin stepping (the
-    node-to-ground conductance is strongly increased and relaxed decade by
-    decade) and finally source stepping (all independent sources ramp from
-    10 % to full drive with solution continuation).
-
-    Parameters
-    ----------
-    circuit:
-        The circuit to solve.
-    initial_guess:
-        Optional starting solution (e.g. the previous point of a DC sweep);
-        zeros otherwise.
-    max_iterations / tolerance_v:
-        Newton controls.  Convergence is declared when the largest update of
-        any unknown is below ``tolerance_v``.
-    gmin:
-        Conductance added from every node to ground.
-    damping_v:
-        Maximum per-iteration change of any unknown; larger Newton steps are
-        clamped, which keeps the square-law devices from overshooting.
-    time_s:
-        Time at which time-dependent sources are evaluated (used by the
-        transient analysis to reuse this routine for its initial point).
-    solver:
-        Linear-solver backend for the Newton solves (a name such as
-        ``"sparse"`` or a :class:`~repro.spice.solvers.LinearSolver`
-        instance; the engine default when omitted).
-
-    .. deprecated::
-        Build a :class:`repro.api.DCOp` spec and run it through
-        :meth:`repro.api.Session.run` instead (see the README migration
-        table); this wrapper remains for compatibility and will keep
-        delegating to the engine.
-    """
-    import warnings
-
-    warnings.warn(
-        "dc_operating_point() is deprecated: build a repro.api.DCOp spec and "
-        "run it through repro.api.Session.run() (see the README migration "
-        "table)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return get_engine(circuit).solve_dc(
-        initial_guess=initial_guess,
-        max_iterations=max_iterations,
-        tolerance_v=tolerance_v,
-        gmin=gmin,
-        damping_v=damping_v,
-        time_s=time_s,
-        solver=solver,
-    )

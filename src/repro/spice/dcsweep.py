@@ -1,21 +1,21 @@
-"""DC sweep analysis (thin frontend over the analysis engine).
+"""DC sweep result type.
 
 The per-point Newton solves and the warm-start continuation live in
-:class:`repro.spice.engine.AnalysisEngine`; this module keeps the stable
-:func:`dc_sweep` entry point, the :class:`DCSweepResult` type (with
-vectorized waveform extraction) and the crossing interpolation helper.
+:class:`repro.spice.engine.AnalysisEngine`
+(:meth:`~repro.spice.engine.AnalysisEngine.dc_sweep`); this module keeps
+the :class:`DCSweepResult` type it returns (with vectorized waveform
+extraction) and the crossing interpolation helper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
 from repro.spice.dcop import OperatingPoint
-from repro.spice.elements.sources import CurrentSource, VoltageSource
-from repro.spice.engine import get_engine
+from repro.spice.elements.sources import VoltageSource
 from repro.spice.netlist import Circuit
 
 
@@ -105,47 +105,3 @@ def interpolate_crossing(xs: np.ndarray, ys: np.ndarray, target: float) -> float
     i = int(indices[0])
     fraction = (target - ys[i]) / (ys[i + 1] - ys[i])
     return float(xs[i] + fraction * (xs[i + 1] - xs[i]))
-
-
-#: Backwards-compatible alias (the helper predates its public export).
-_interpolate_crossing = interpolate_crossing
-
-
-def dc_sweep(
-    circuit: Circuit,
-    source: Union[VoltageSource, CurrentSource, str],
-    values: Sequence[float],
-    gmin: float = 1e-12,
-    max_iterations: int = 200,
-    solver=None,
-) -> DCSweepResult:
-    """Sweep an independent source and solve the operating point at each value.
-
-    Delegates to the circuit's cached :class:`~repro.spice.engine.AnalysisEngine`:
-    the compiled assembly structure is shared across all points and each
-    point starts the Newton iteration from the previous point's solution
-    (continuation), which is both faster and more robust than starting from
-    zero for every value.  See :func:`repro.spice.engine.sweep_many` for
-    running a whole family of sweeps through one compiled circuit.
-
-    ``solver`` selects the linear-solver backend for every point (a name
-    such as ``"sparse"`` or a :class:`~repro.spice.solvers.LinearSolver`
-    instance; the engine default when omitted).
-
-    .. deprecated::
-        Build a :class:`repro.api.DCSweep` spec and run it through
-        :meth:`repro.api.Session.run` instead (see the README migration
-        table); this wrapper remains for compatibility and will keep
-        delegating to the engine.
-    """
-    import warnings
-
-    warnings.warn(
-        "dc_sweep() is deprecated: build a repro.api.DCSweep spec and run it "
-        "through repro.api.Session.run() (see the README migration table)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return get_engine(circuit).dc_sweep(
-        source, values, gmin=gmin, max_iterations=max_iterations, solver=solver
-    )

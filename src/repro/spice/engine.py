@@ -29,9 +29,10 @@ Compilation notes
   :attr:`~repro.spice.netlist.Circuit.revision` and recompiles transparently
   when elements or nodes are added.
 
-Use :func:`get_engine` to obtain the engine cached on a circuit; the
-``dc_operating_point`` / ``dc_sweep`` / ``transient_analysis`` frontends are
-thin wrappers over it and remain the stable public API.
+Use :func:`get_engine` to obtain the engine cached on a circuit; its
+:meth:`~AnalysisEngine.solve_dc` / :meth:`~AnalysisEngine.dc_sweep` /
+:meth:`~AnalysisEngine.solve_transient` methods are the public analysis
+calls for code holding a circuit (:mod:`repro.api` specs run through them).
 
 Solver seam
 -----------

@@ -17,23 +17,17 @@ Every trial draws from its own :class:`numpy.random.SeedSequence` substream,
 constructed as ``SeedSequence(entropy=seed, spawn_key=(trial,))`` — exactly
 the child that ``SeedSequence(seed).spawn(...)`` would hand out for that
 trial index.  Trial randomness therefore depends only on ``(seed, trial)``,
-never on how trials are chunked across workers, so a serial run and a
-4-worker process-pool run produce bit-identical results.
+never on which path runs the trial, so the per-trial
+:meth:`MonteCarloEngine.run` loop and the batched solves below produce
+bit-identical results.
 
 Parallelism
 -----------
-:meth:`MonteCarloEngine.run` shards trials across a
-:class:`~concurrent.futures.ProcessPoolExecutor` in contiguous chunks.  The
-circuit — including its compiled state — is pickled to each worker once (at
-pool start-up, through the initializer), so workers skip compilation
-entirely and each chunk only pays the overlay swap plus the solve.  The
-``analysis`` callable must be picklable: a module-level function or a
-:func:`functools.partial` over one.
-
-:func:`parallel_sweep_many` applies the same sharding to independent
-``sweep_many`` families: each family is an independent DC sweep after the
-seed handoff, so families fan out across processes and the parent
-reassembles ordinary :class:`~repro.spice.dcsweep.DCSweepResult` objects.
+:meth:`MonteCarloEngine.run` is a serial per-trial loop in this process.
+Process fan-out happens one level up: a ``MonteCarlo`` spec (or a grid of
+them) runs through :meth:`repro.api.Session.run_many` with a
+:class:`~repro.api.executors.ProcessExecutor` or
+:class:`~repro.api.distributed.DistributedExecutor`.
 
 Batched solves
 --------------
@@ -73,7 +67,7 @@ Example — a 500-trial XOR3 variability study end to end::
         },
         seed=2019,
     )
-    result = mc.run(settled_low, trials=500, workers=4)
+    result = mc.run(settled_low, trials=500)
     print(result.summary("out_v").percentiles[50.0])
 
 (The full transient version of this study — delay distributions of the
@@ -83,21 +77,8 @@ paper's Fig. 11 circuit — lives in
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Hashable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -215,8 +196,7 @@ class MonteCarloResult:
     trials / seed:
         Run configuration (kept so results are self-describing).
     records:
-        One metrics mapping per trial, in trial order — identical regardless
-        of how the run was sharded across workers.
+        One metrics mapping per trial, in trial order.
     """
 
     trials: int
@@ -257,7 +237,7 @@ class MonteCarloResult:
 
 
 # ---------------------------------------------------------------------- #
-# trial execution (shared by the serial path and the pool workers)
+# trial sampling
 # ---------------------------------------------------------------------- #
 
 
@@ -265,8 +245,8 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
     """The dedicated random generator of one trial.
 
     Equivalent to child ``trial`` of ``SeedSequence(seed).spawn(...)`` but
-    constructed directly, so a worker handling trials ``[100, 150)`` never
-    has to spawn (or even know about) the first hundred children.
+    constructed directly, so trial ``100`` never has to spawn (or even know
+    about) the first hundred children.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
@@ -297,69 +277,6 @@ def _effective_nominal(compiled) -> Tuple[Dict[str, np.ndarray], Dict[str, np.nd
     return nominal, base_overlay
 
 
-def _run_trial_block(
-    circuit: Circuit,
-    perturbations: Mapping[str, Distribution],
-    seed: int,
-    analysis: TrialAnalysis,
-    start: int,
-    count: int,
-) -> List[Dict[str, float]]:
-    """Run trials ``[start, start + count)`` on one (compiled) circuit."""
-    engine = get_engine(circuit)
-    compiled = engine.compiled
-    compiled.refresh_values()
-    nominal, base_overlay = _effective_nominal(compiled)
-    records: List[Dict[str, float]] = []
-    try:
-        for trial in range(start, start + count):
-            rng = trial_generator(seed, trial)
-            overlay = sample_overlay(perturbations, nominal, rng)
-            try:
-                compiled.set_parameter_overlay({**base_overlay, **overlay})
-            except ValueError as error:
-                raise ValueError(
-                    f"trial {trial} sampled an invalid parameter set ({error}); "
-                    "additive distributions can cross zero on positive-only "
-                    "parameters — use Lognormal for resistor_ohm/cap_c, or "
-                    "shrink the spread"
-                ) from error
-            metrics = analysis(engine, trial)
-            if not isinstance(metrics, Mapping):
-                raise TypeError(
-                    "a trial analysis must return a mapping of metric name to value, "
-                    f"got {type(metrics).__name__}"
-                )
-            records.append(dict(metrics))
-    finally:
-        if base_overlay:
-            compiled.set_parameter_overlay(base_overlay)
-        else:
-            compiled.clear_parameter_overlay()
-    return records
-
-
-_WORKER_STATE: Optional[Tuple[Circuit, Mapping[str, Distribution], int, TrialAnalysis]] = None
-
-
-def _worker_init(payload) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = payload
-
-
-def _worker_run_block(block: Tuple[int, int]) -> List[Dict[str, float]]:
-    circuit, perturbations, seed, analysis = _WORKER_STATE
-    return _run_trial_block(circuit, perturbations, seed, analysis, block[0], block[1])
-
-
-def _chunk_blocks(trials: int, workers: int, chunksize: Optional[int]) -> List[Tuple[int, int]]:
-    if chunksize is None:
-        # A few chunks per worker balances load without drowning the pool
-        # in tiny tasks.
-        chunksize = max(1, math.ceil(trials / (workers * 4)))
-    return [(start, min(chunksize, trials - start)) for start in range(0, trials, chunksize)]
-
-
 # ---------------------------------------------------------------------- #
 # the Monte Carlo engine
 # ---------------------------------------------------------------------- #
@@ -380,7 +297,7 @@ class MonteCarloEngine:
         :class:`Distribution` perturbing it.
     seed:
         Root entropy of the per-trial substreams.  Two runs with the same
-        seed and trial count are bit-identical, whatever the worker count.
+        seed and trial count are bit-identical.
 
     Runs compose with an active parameter overlay: inside an
     :func:`repro.circuits.corners.applied_corner` block, trials sample
@@ -635,173 +552,47 @@ class MonteCarloEngine:
             factorization_reuses=reuses,
         )
 
-    def run(
-        self,
-        analysis: TrialAnalysis,
-        trials: int,
-        workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
-    ) -> MonteCarloResult:
+    def run(self, analysis: TrialAnalysis, trials: int) -> MonteCarloResult:
         """Run ``trials`` perturbed solves and collect the metric records.
 
         Parameters
         ----------
         analysis:
             ``(engine, trial_index) -> {metric: value}``; called with the
-            overlay already applied.  Must be picklable when ``workers > 1``.
+            overlay already applied.
         trials:
-            Number of trials.
-        workers:
-            ``None``/``0``/``1`` runs serially in this process; larger
-            values shard trial chunks across a process pool, shipping the
-            compiled circuit to each worker once.
-        chunksize:
-            Trials per pool task (defaults to about four chunks per worker).
+            Number of trials, run serially in this process.
         """
         if trials <= 0:
             raise ValueError("at least one trial is required")
-        if workers is None or workers <= 1:
-            records = _run_trial_block(
-                self.circuit, self.perturbations, self.seed, analysis, 0, trials
-            )
-        else:
-            # Compile before pickling so every worker inherits the compiled
-            # index arrays instead of rebuilding them.
-            get_engine(self.circuit).compiled.refresh_values()
-            payload = (self.circuit, self.perturbations, self.seed, analysis)
-            blocks = _chunk_blocks(trials, workers, chunksize)
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(blocks)),
-                initializer=_worker_init,
-                initargs=(payload,),
-            ) as pool:
-                records = [
-                    record
-                    for block_records in pool.map(_worker_run_block, blocks)
-                    for record in block_records
-                ]
-        return MonteCarloResult(trials=trials, seed=self.seed, records=records)
-
-
-# ---------------------------------------------------------------------- #
-# parallel sweep families
-# ---------------------------------------------------------------------- #
-
-_SWEEP_STATE = None
-
-
-def _sweep_worker_init(payload) -> None:
-    global _SWEEP_STATE
-    _SWEEP_STATE = payload
-
-
-def _run_sweep_family(state, item):
-    label, values = item
-    circuit, source_name, configure, gmin, max_iterations = state
-    if configure is not None:
-        configure(circuit, label)
-    sweep = get_engine(circuit).dc_sweep(
-        source_name, values, gmin=gmin, max_iterations=max_iterations
-    )
-    return (
-        label,
-        sweep.values,
-        sweep.solutions,
-        [point.iterations for point in sweep.points],
-        [point.converged for point in sweep.points],
-        [point.max_residual for point in sweep.points],
-        [point.convergence_info for point in sweep.points],
-    )
-
-
-def _sweep_worker_run(item):
-    return _run_sweep_family(_SWEEP_STATE, item)
-
-
-def parallel_sweep_many(
-    circuit: Circuit,
-    source: Union[str, Any],
-    families: Mapping[Hashable, Sequence[float]],
-    configure: Optional[Callable[[Circuit, Hashable], None]] = None,
-    workers: int = 2,
-    gmin: float = 1e-12,
-    max_iterations: int = 200,
-) -> Dict[Hashable, Any]:
-    """Fan a family of DC sweeps out across worker processes.
-
-    The serial :func:`repro.spice.engine.sweep_many` chains families through
-    one compiled circuit with continuation seeding; after that seed handoff
-    the families are independent, so this variant ships the compiled circuit
-    to a process pool and runs one family per task.  Families cold-start
-    (no cross-family seeding), which may cost a few extra Newton iterations
-    per first point but returns the same converged solutions.
-
-    ``configure(circuit, label)`` — note the explicit circuit argument,
-    unlike the serial version's closure — must fully reconfigure the
-    circuit copy it is handed for a family and be picklable.  It always
-    operates on a pickled copy (even with ``workers=1``), so the caller's
-    circuit is never reconfigured behind its back, whatever the worker
-    count.
-
-    Returns an ordered dict of :class:`~repro.spice.dcsweep.DCSweepResult`
-    keyed by label, all bound to the *parent's* circuit.
-    """
-    import inspect
-    import pickle
-
-    from repro.spice.dcop import OperatingPoint
-    from repro.spice.dcsweep import DCSweepResult
-
-    if configure is not None:
-        # Fail at the call site, not inside a worker: a serial sweep_many
-        # closure (one ``label`` argument) is the likely mistake here.
+        engine = get_engine(self.circuit)
+        compiled = engine.compiled
+        compiled.refresh_values()
+        nominal, base_overlay = _effective_nominal(compiled)
+        records: List[Dict[str, float]] = []
         try:
-            signature = inspect.signature(configure)
-            signature.bind(None, None)
-        except TypeError:
-            raise TypeError(
-                "parallel_sweep_many's configure takes (circuit, label) — "
-                "unlike the serial sweep_many closure, which only takes the "
-                "label — and must be a picklable module-level callable"
-            ) from None
-        except ValueError:
-            pass  # no introspectable signature (builtins); let it run
-
-    source_name = source if isinstance(source, str) else source.name
-    get_engine(circuit).compiled.refresh_values()
-    payload = (circuit, source_name, configure, gmin, max_iterations)
-    items = [
-        (label, np.asarray(list(values), dtype=float)) for label, values in families.items()
-    ]
-    if not items:
-        return {}
-
-    if workers <= 1:
-        local_state = None
-        if configure is not None:
-            # Same isolation as the pooled path: configure() runs on a copy.
-            local_state = pickle.loads(pickle.dumps(payload))
-        raw = [_run_sweep_family(local_state or payload, item) for item in items]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(items)),
-            initializer=_sweep_worker_init,
-            initargs=(payload,),
-        ) as pool:
-            raw = list(pool.map(_sweep_worker_run, items))
-
-    results: Dict[Hashable, Any] = {}
-    for label, values, solutions, iterations, converged, residuals, infos in raw:
-        points = [
-            OperatingPoint(
-                circuit=circuit,
-                solution=solutions[i],
-                iterations=iterations[i],
-                converged=converged[i],
-                max_residual=residuals[i],
-                convergence_info=infos[i],
-            )
-            for i in range(len(values))
-        ]
-        results[label] = DCSweepResult(circuit=circuit, values=values, points=points)
-    return results
+            for trial in range(trials):
+                rng = trial_generator(self.seed, trial)
+                overlay = sample_overlay(self.perturbations, nominal, rng)
+                try:
+                    compiled.set_parameter_overlay({**base_overlay, **overlay})
+                except ValueError as error:
+                    raise ValueError(
+                        f"trial {trial} sampled an invalid parameter set ({error}); "
+                        "additive distributions can cross zero on positive-only "
+                        "parameters — use Lognormal for resistor_ohm/cap_c, or "
+                        "shrink the spread"
+                    ) from error
+                metrics = analysis(engine, trial)
+                if not isinstance(metrics, Mapping):
+                    raise TypeError(
+                        "a trial analysis must return a mapping of metric name to value, "
+                        f"got {type(metrics).__name__}"
+                    )
+                records.append(dict(metrics))
+        finally:
+            if base_overlay:
+                compiled.set_parameter_overlay(base_overlay)
+            else:
+                compiled.clear_parameter_overlay()
+        return MonteCarloResult(trials=trials, seed=self.seed, records=records)

@@ -35,10 +35,10 @@ iteration logic:
   recorded in ``BENCH_solvers.json``.  Degrades gracefully to dense (with
   an actionable warning) when SciPy is unavailable.
 
-Select a backend by name through any analysis frontend::
+Select a backend by name through any analysis method::
 
-    dc_operating_point(circuit, solver="sparse")
-    transient_analysis(circuit, 1e-6, 1e-9, solver="auto")
+    get_engine(circuit).solve_dc(solver="sparse")
+    get_engine(circuit).solve_transient(1e-6, 1e-9, solver="auto")
 
 or hand a configured instance to ``get_solver`` / the engine directly.
 Backends signal a numerically singular system uniformly by raising

@@ -1,10 +1,11 @@
-"""Transient analysis (thin frontend over the analysis engine).
+"""Transient analysis result types.
 
 The time-marching loop, the per-step Newton iteration and the vectorized
 capacitor companion-history updates live in
-:class:`repro.spice.engine.AnalysisEngine`; this module keeps the stable
-:func:`transient_analysis` entry point, the :class:`TransientResult` type
-and the :class:`TransientConvergenceInfo` step/Newton statistics record.
+:class:`repro.spice.engine.AnalysisEngine`
+(:meth:`~repro.spice.engine.AnalysisEngine.solve_transient`); this module
+keeps the :class:`TransientResult` type and the
+:class:`TransientConvergenceInfo` step/Newton statistics record.
 
 Backward-Euler and trapezoidal integration are offered with either a fixed
 timestep (bit-compatible with the historical behaviour, and entirely
@@ -18,14 +19,12 @@ Monte-Carlo transient study.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.spice.elements.sources import VoltageSource
-from repro.spice.engine import get_engine
 from repro.spice.netlist import Circuit
-from repro.spice.solvers import LinearSolver
 
 
 @dataclass(frozen=True)
@@ -213,87 +212,3 @@ class BatchedTransientResult:
                 max_step_s=float(self.time_s[1] - self.time_s[0]) if steps else 0.0,
             ),
         )
-
-
-def transient_analysis(
-    circuit: Circuit,
-    stop_time_s: float,
-    timestep_s: float,
-    integration: str = "be",
-    max_newton_iterations: int = 100,
-    tolerance_v: float = 1e-6,
-    gmin: float = 1e-9,
-    use_initial_conditions: bool = False,
-    adaptive: bool = False,
-    lte_tolerance_v: float = 2e-3,
-    min_timestep_s: Optional[float] = None,
-    max_timestep_s: Optional[float] = None,
-    solver: Union[None, str, LinearSolver] = None,
-) -> TransientResult:
-    """Run a transient analysis (fixed-step by default, adaptive on request).
-
-    Delegates to the circuit's cached :class:`~repro.spice.engine.AnalysisEngine`,
-    which starts from a DC operating point at ``t = 0`` (all capacitors open)
-    and then marches forward in time, re-solving the nonlinear system at
-    every step by Newton iteration with the capacitor companion models of
-    the selected integration method.
-
-    Parameters
-    ----------
-    circuit:
-        The circuit to simulate.
-    stop_time_s / timestep_s:
-        Simulation span and step size (the fixed step, or the adaptive
-        controller's initial step).
-    integration:
-        ``"be"`` (backward Euler, default — very robust) or ``"trap"``
-        (trapezoidal, second order).
-    max_newton_iterations / tolerance_v:
-        Per-step Newton controls.
-    gmin:
-        Node-to-ground minimum conductance.
-    use_initial_conditions:
-        When True the analysis starts from all-zero node voltages (plus the
-        capacitor initial conditions) instead of the DC operating point at
-        ``t = 0`` — the equivalent of SPICE's ``UIC``.
-    adaptive / lte_tolerance_v / min_timestep_s / max_timestep_s:
-        Step-size controller: with ``adaptive=True`` each step's local
-        truncation error is estimated and the step accepted/rejected
-        against ``lte_tolerance_v``, with the step clamped to
-        ``[min_timestep_s, max_timestep_s]`` (defaults ``timestep_s / 64``
-        and ``timestep_s * 64``).  Stimulus-waveform breakpoints are never
-        stepped over.
-    solver:
-        Linear-solver backend for the per-step Newton solves (a name such
-        as ``"sparse"`` or a :class:`~repro.spice.solvers.LinearSolver`
-        instance; the engine default when omitted).
-
-    .. deprecated::
-        Build a :class:`repro.api.Transient` spec and run it through
-        :meth:`repro.api.Session.run` instead (see the README migration
-        table); this wrapper remains for compatibility and will keep
-        delegating to the engine.
-    """
-    import warnings
-
-    warnings.warn(
-        "transient_analysis() is deprecated: build a repro.api.Transient spec "
-        "and run it through repro.api.Session.run() (see the README migration "
-        "table)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return get_engine(circuit).solve_transient(
-        stop_time_s,
-        timestep_s,
-        integration=integration,
-        max_newton_iterations=max_newton_iterations,
-        tolerance_v=tolerance_v,
-        gmin=gmin,
-        use_initial_conditions=use_initial_conditions,
-        adaptive=adaptive,
-        lte_tolerance_v=lte_tolerance_v,
-        min_timestep_s=min_timestep_s,
-        max_timestep_s=max_timestep_s,
-        solver=solver,
-    )

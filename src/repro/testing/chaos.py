@@ -26,7 +26,9 @@ store operation fails:
 Store`.  The worker-side chaos (hard kill, stall) that
 :mod:`repro.api.distributed` injects through its ``_chaos`` hook lives
 here too (:func:`kill_worker`, :func:`stall_worker`), so every fault the
-suite can inject has one home.
+suite can inject has one home.  The coordinator attaches a worker fault
+to its Nth task dispatch, whichever worker takes it, so it fires exactly
+once on every run.
 """
 
 from __future__ import annotations
@@ -275,19 +277,19 @@ class FaultyStore(Store):
 # ---------------------------------------------------------------------- #
 
 
-def kill_worker(worker_id: int = 0, on_claim: int = 1) -> Mapping[str, Any]:
-    """A ``_chaos`` mapping hard-killing one worker (``os._exit``) on its
-    Nth task claim — indistinguishable from a SIGKILL mid-task."""
-    return {"die_worker": worker_id, "on_claim": on_claim}
+def kill_worker(on_dispatch: int = 1) -> Mapping[str, Any]:
+    """A ``_chaos`` mapping hard-killing (``os._exit``) the worker that
+    receives the coordinator's Nth task dispatch — indistinguishable from
+    a SIGKILL mid-task."""
+    return {"fault": "die", "on_dispatch": on_dispatch}
 
 
-def stall_worker(
-    worker_id: int = 0, on_claim: int = 1, stall_s: float = 3600.0
-) -> Mapping[str, Any]:
-    """A ``_chaos`` mapping stalling one worker on its Nth task claim.
+def stall_worker(on_dispatch: int = 1, stall_s: float = 3600.0) -> Mapping[str, Any]:
+    """A ``_chaos`` mapping stalling the worker that receives the
+    coordinator's Nth task dispatch.
 
     The process stays alive (its heartbeat thread keeps beating) but the
     claimed task never finishes — the hung-worker shape only a lease
     timeout can detect.
     """
-    return {"stall_worker": worker_id, "on_claim": on_claim, "stall_s": stall_s}
+    return {"fault": "stall", "on_dispatch": on_dispatch, "stall_s": stall_s}

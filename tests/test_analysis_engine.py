@@ -17,14 +17,11 @@ from repro.spice import (
     MOSFET,
     Resistor,
     VoltageSource,
-    dc_operating_point,
-    dc_sweep,
     get_engine,
     sweep_many,
-    transient_analysis,
 )
-from repro.spice.dcsweep import _interpolate_crossing
-from repro.spice.engine import AnalysisEngine, CompiledCircuit
+from repro.spice.dcsweep import interpolate_crossing
+from repro.spice.engine import CompiledCircuit
 from repro.spice.netlist import AnalysisState
 
 NMOS = Level1Parameters(
@@ -94,8 +91,8 @@ class TestCompiledAssemblyParity:
         TwoKilohm(custom, "out", "0")
         assert len(get_engine(custom).compiled.custom_elements) == 1
 
-        expected = dc_operating_point(reference)
-        got = dc_operating_point(custom)
+        expected = get_engine(reference).solve_dc()
+        got = get_engine(custom).solve_dc()
         assert got.converged
         assert got.voltage("out") == pytest.approx(expected.voltage("out"), rel=1e-9)
 
@@ -110,7 +107,7 @@ class TestCompiledAssemblyParity:
         Resistor(circuit, "r2", "out", "0", 1e3)
         compiled = get_engine(circuit).compiled
         assert len(compiled.custom_elements) == 1
-        op = dc_operating_point(circuit)
+        op = get_engine(circuit).solve_dc()
         # The subclass behaves as 500 ohm, so the divider sits at 2/3 V.
         assert op.voltage("out") == pytest.approx(2.0 / 3.0, abs=1e-4)
 
@@ -124,7 +121,7 @@ class TestCompiledAssemblyParity:
         Resistor(circuit, "r2", "in", "0", 1e3)
         second = engine.compiled
         assert second is not first
-        op = dc_operating_point(circuit)
+        op = get_engine(circuit).solve_dc()
         assert op.source_current("v1") == pytest.approx(-2e-3, rel=1e-6)
 
     def test_in_place_parameter_mutation_is_picked_up(self):
@@ -134,11 +131,11 @@ class TestCompiledAssemblyParity:
         circuit = Circuit()
         VoltageSource(circuit, "v1", "in", "0", 1.0)
         resistor = Resistor(circuit, "r1", "in", "0", 1e3)
-        assert dc_operating_point(circuit).source_current("v1") == pytest.approx(
+        assert get_engine(circuit).solve_dc().source_current("v1") == pytest.approx(
             -1e-3, rel=1e-4
         )
         resistor.resistance_ohm = 2e3
-        assert dc_operating_point(circuit).source_current("v1") == pytest.approx(
+        assert get_engine(circuit).solve_dc().source_current("v1") == pytest.approx(
             -0.5e-3, rel=1e-4
         )
 
@@ -147,15 +144,17 @@ class TestCompiledAssemblyParity:
         VoltageSource(circuit, "vd", "d", "0", 1.0)
         VoltageSource(circuit, "vg", "g", "0", 1.2)
         mosfet = MOSFET(circuit, "m1", "d", "g", "0", NMOS)
-        before = abs(dc_operating_point(circuit).source_current("vd"))
+        before = abs(get_engine(circuit).solve_dc().source_current("vd"))
         mosfet.parameters = NMOS.scaled(width_m=2 * NMOS.width_m, length_m=NMOS.length_m)
-        after = abs(dc_operating_point(circuit).source_current("vd"))
+        after = abs(get_engine(circuit).solve_dc().source_current("vd"))
         assert after == pytest.approx(2.0 * before, rel=0.01)
 
     def test_capacitance_mutation_invalidates_transient_base(self):
         def run(circuit, capacitor, value):
             capacitor.capacitance_f = value
-            result = transient_analysis(circuit, 2e-6, 2e-8, use_initial_conditions=True)
+            result = get_engine(circuit).solve_transient(
+                2e-6, 2e-8, use_initial_conditions=True
+            )
             return result.sample_voltage("out", 1e-6)
 
         circuit = Circuit()
@@ -173,7 +172,7 @@ class TestCompiledAssemblyParity:
         VoltageSource(circuit, "v1", "a", "0", 1.0)
         VoltageSource(circuit, "v2", "a", "0", 2.0)
         engine = get_engine(circuit)
-        op = dc_operating_point(circuit, max_iterations=50)
+        op = get_engine(circuit).solve_dc(max_iterations=50)
         assert not op.converged
         # Only the caller-requested gmin contexts are retained; the
         # bumped-gmin retry matrices are built uncached.
@@ -204,7 +203,7 @@ class TestSolverFallbacks:
         Resistor(circuit, "r1", "in", "mid", 1e3)
         Resistor(circuit, "r2", "mid", "0", 3e3)
         bad_guess = np.full(circuit.system_size, 1e6)
-        op = dc_operating_point(circuit, initial_guess=bad_guess)
+        op = get_engine(circuit).solve_dc(initial_guess=bad_guess)
         assert op.converged
         assert op.voltage("mid") == pytest.approx(1.5, abs=1e-3)
         # The fallback's iterations are accounted on top of the failed run.
@@ -217,7 +216,7 @@ class TestSolverFallbacks:
         circuit = Circuit()
         VoltageSource(circuit, "v1", "a", "0", 1.0)
         VoltageSource(circuit, "v2", "a", "0", 2.0)
-        op = dc_operating_point(circuit, max_iterations=30)
+        op = get_engine(circuit).solve_dc(max_iterations=30)
         assert not op.converged
         assert not np.isfinite(op.max_residual) or op.max_residual > 0.0
 
@@ -226,7 +225,7 @@ class TestSolverFallbacks:
         VoltageSource(circuit, "v1", "in", "0", 2.0)
         Resistor(circuit, "r1", "in", "mid", 1e3)
         Resistor(circuit, "r2", "mid", "0", 3e3)
-        op = dc_operating_point(circuit)
+        op = get_engine(circuit).solve_dc()
         info = op.convergence_info
         assert info is not None
         assert info.strategy == "newton"
@@ -244,7 +243,7 @@ class TestSolverFallbacks:
         Resistor(circuit, "r1", "in", "mid", 1e3)
         Resistor(circuit, "r2", "mid", "0", 3e3)
         bad_guess = np.full(circuit.system_size, 1e6)
-        op = dc_operating_point(circuit, initial_guess=bad_guess)
+        op = get_engine(circuit).solve_dc(initial_guess=bad_guess)
         assert op.converged
         info = op.convergence_info
         assert info.strategy == "gmin-stepping"
@@ -257,7 +256,7 @@ class TestSolverFallbacks:
         circuit = Circuit()
         VoltageSource(circuit, "v1", "a", "0", 1.0)
         VoltageSource(circuit, "v2", "a", "0", 2.0)
-        op = dc_operating_point(circuit, max_iterations=30)
+        op = get_engine(circuit).solve_dc(max_iterations=30)
         assert not op.converged
         assert op.convergence_info.strategy == "failed"
         assert op.convergence_info.used_fallback
@@ -283,7 +282,7 @@ class TestSolverFallbacks:
                 source_scale=scale,
             )
         assert converged
-        reference = dc_operating_point(circuit)
+        reference = get_engine(circuit).solve_dc()
         assert solution[circuit.node_index("d")] == pytest.approx(
             reference.voltage("d"), abs=1e-5
         )
@@ -326,14 +325,14 @@ class TestSweepContinuation:
         for supply_v in supplies:
             fresh_circuit, fresh_gate = self._transfer_circuit()
             fresh_circuit.element("vdd").set_level(supply_v)
-            single = dc_sweep(fresh_circuit, fresh_gate, values)
+            single = get_engine(fresh_circuit).dc_sweep(fresh_gate, values)
             assert np.allclose(
                 family[supply_v].voltage("d"), single.voltage("d"), atol=1e-5
             )
 
     def test_sweep_result_vectorized_extraction(self):
         circuit, gate = self._transfer_circuit()
-        sweep = dc_sweep(circuit, gate, np.linspace(0.0, 1.2, 5))
+        sweep = get_engine(circuit).dc_sweep(gate, np.linspace(0.0, 1.2, 5))
         # Column slices must agree with the per-point accessors.
         per_point_v = np.array([p.voltage("d") for p in sweep.points])
         per_point_i = np.array([p.source_current("vdd") for p in sweep.points])
@@ -347,7 +346,7 @@ class TestSweepContinuation:
         circuit, gate = self._transfer_circuit()
         gate.waveform = DC(0.7)
         with pytest.raises(ValueError):
-            dc_sweep(circuit, gate, [])
+            get_engine(circuit).dc_sweep(gate, [])
         assert gate.value_at(0.0) == 0.7
 
 
@@ -356,30 +355,30 @@ class TestInterpolateCrossing:
         xs = np.array([0.0, 1.0, 2.0])
         ys = np.array([5.0, 5.0, 7.0])
         # The loop-based version skipped the flat start and reported x=1.
-        assert _interpolate_crossing(xs, ys, 5.0) == 0.0
+        assert interpolate_crossing(xs, ys, 5.0) == 0.0
 
     def test_flat_curve_on_target_everywhere(self):
         xs = np.array([0.0, 1.0])
         ys = np.array([3.0, 3.0])
-        assert _interpolate_crossing(xs, ys, 3.0) == 0.0
+        assert interpolate_crossing(xs, ys, 3.0) == 0.0
 
     def test_interior_crossing_interpolates(self):
         xs = np.array([0.0, 1.0, 2.0])
         ys = np.array([0.0, 1.0, 3.0])
-        assert _interpolate_crossing(xs, ys, 2.0) == pytest.approx(1.5)
+        assert interpolate_crossing(xs, ys, 2.0) == pytest.approx(1.5)
 
     def test_no_crossing_is_nan(self):
         xs = np.array([0.0, 1.0])
         ys = np.array([0.0, 1.0])
-        assert np.isnan(_interpolate_crossing(xs, ys, 5.0))
+        assert np.isnan(interpolate_crossing(xs, ys, 5.0))
 
     def test_empty_input_is_nan(self):
-        assert np.isnan(_interpolate_crossing(np.array([]), np.array([]), 1.0))
+        assert np.isnan(interpolate_crossing(np.array([]), np.array([]), 1.0))
 
     def test_descending_crossing(self):
         xs = np.array([0.0, 1.0, 2.0])
         ys = np.array([4.0, 2.0, 0.0])
-        assert _interpolate_crossing(xs, ys, 3.0) == pytest.approx(0.5)
+        assert interpolate_crossing(xs, ys, 3.0) == pytest.approx(0.5)
 
 
 class TestBranchPositionCache:
@@ -413,8 +412,8 @@ class TestEngineTransient:
         VoltageSource(circuit, "v1", "in", "0", 1.0)
         Resistor(circuit, "r1", "in", "out", 1e3)
         Capacitor(circuit, "c1", "out", "0", 1e-9)
-        result = transient_analysis(
-            circuit, 2e-6, 2e-8, integration="trap", use_initial_conditions=True
+        result = get_engine(circuit).solve_transient(
+            2e-6, 2e-8, integration="trap", use_initial_conditions=True
         )
         exact = 1.0 - np.exp(-1.0)
         assert result.sample_voltage("out", 1e-6) == pytest.approx(exact, abs=0.01)
@@ -428,8 +427,8 @@ class TestEngineTransient:
             VoltageSource(circuit, "v1", "in", "0", 1.0)
             Resistor(circuit, "r1", "in", "out", 1e3)
             capacitor = Capacitor(circuit, "c1", "out", "0", 1e-9)
-            result = transient_analysis(
-                circuit, 1e-7, 1e-8, integration=integration, use_initial_conditions=True
+            result = get_engine(circuit).solve_transient(
+                1e-7, 1e-8, integration=integration, use_initial_conditions=True
             )
             v_now = result.solutions[-1, circuit.node_index("out")]
             v_prev = result.solutions[-2, circuit.node_index("out")]
@@ -441,15 +440,3 @@ class TestEngineTransient:
                 assert capacitor._previous_current == pytest.approx(
                     g * (v_now - v_prev), rel=1e-9
                 )
-
-    def test_engine_solve_transient_equals_frontend(self):
-        def build():
-            circuit = Circuit()
-            VoltageSource(circuit, "v1", "in", "0", 1.0)
-            Resistor(circuit, "r1", "in", "out", 1e3)
-            Capacitor(circuit, "c1", "out", "0", 1e-9)
-            return circuit
-
-        via_frontend = transient_analysis(build(), 1e-6, 1e-8)
-        via_engine = AnalysisEngine(build()).solve_transient(1e-6, 1e-8)
-        assert np.allclose(via_frontend.solutions, via_engine.solutions)

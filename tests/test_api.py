@@ -4,7 +4,7 @@ Covers the acceptance criteria of the API redesign:
 
 * every analysis kind (DC op, DC sweep, transient incl. adaptive,
   Monte-Carlo DC incl. batched, corners) runs through ``Session.run`` /
-  ``run_many`` with results bit-identical to the legacy entry points;
+  ``run_many`` with results bit-identical to the engine methods;
 * content hashing is semantic (kwarg order, default-vs-explicit,
   sequence-type normalization) — property-tested with hypothesis;
 * the content-hash cache serves unchanged specs with zero Newton
@@ -12,8 +12,7 @@ Covers the acceptance criteria of the API redesign:
 * ``ResultSet`` JSON round-trips bitwise, including a transient result
   with its ``TransientConvergenceInfo`` attached;
 * the executor seam fans any spec kind across processes with bit-identical
-  results;
-* the deprecated frontends warn and name the replacement API.
+  results.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.api import (
     MonteCarlo,
     ProcessExecutor,
     Result,
-    ResultCache,
     ResultSet,
     Session,
     Transient,
@@ -44,7 +42,7 @@ from repro.api import (
 from repro.circuits.corners import run_corners
 from repro.circuits.series_chain import build_series_chain
 from repro.experiments.variability_xor3 import build_variability_bench
-from repro.spice import Circuit, Resistor, VoltageSource, MonteCarloEngine, Gaussian
+from repro.spice import MonteCarloEngine, Gaussian
 from repro.spice.engine import get_engine
 from repro.spice.transient import TransientConvergenceInfo
 
@@ -64,14 +62,6 @@ def bench_spec(switch_model):
         build_variability_bench,
         params={"model": switch_model, "step_duration_s": 20e-9},
     )
-
-
-def _divider():
-    circuit = Circuit("divider")
-    VoltageSource(circuit, "vin", "in", "0", 1.2)
-    Resistor(circuit, "r1", "in", "out", 1e3)
-    Resistor(circuit, "r2", "out", "0", 1e3)
-    return circuit
 
 
 # ---------------------------------------------------------------------- #
@@ -336,17 +326,6 @@ class TestSessionCaching:
         np.testing.assert_array_equal(again.arrays["solution"], pristine)
         assert again.scalars["strategy"] != "tampered"
 
-    def test_legacy_cache_false_disables_caching_even_with_a_directory(
-        self, chain_spec, tmp_path
-    ):
-        with pytest.warns(DeprecationWarning, match="store="):
-            session = Session(cache=False, cache_dir=str(tmp_path))
-        assert session.store is None
-        session.run(DCOp(circuit=chain_spec))
-        rerun = session.run(DCOp(circuit=chain_spec))
-        assert not rerun.from_cache
-        assert not list(tmp_path.glob("*.json"))
-
     def test_cache_off_policy_bypasses_the_store(self, chain_spec):
         session = Session()
         spec = DCOp(circuit=chain_spec)
@@ -374,30 +353,14 @@ class TestSessionCaching:
         assert session.last_stats.cached == 0
 
     def test_unknown_cache_policy_is_rejected(self, chain_spec):
-        with pytest.raises(ValueError, match="cache policy"):
-            Session().run(DCOp(circuit=chain_spec), cache="sometimes")
-
-    def test_legacy_use_cache_boolean_still_works_with_warning(self, chain_spec):
-        session = Session()
-        spec = DCOp(circuit=chain_spec)
-        session.run(spec)
-        with pytest.warns(DeprecationWarning, match="use_cache"):
-            rerun = session.run(spec, use_cache=True)
-        assert rerun.from_cache
-        with pytest.warns(DeprecationWarning, match="use_cache"):
-            bypassed = session.run(spec, use_cache=False)
-        assert not bypassed.from_cache
-        with pytest.warns(DeprecationWarning, match="cache="):
-            mapped = session.run(spec, cache=True)
-        assert mapped.from_cache
-
-    def test_session_cache_attribute_is_a_deprecated_alias(self):
-        session = Session()
-        with pytest.warns(DeprecationWarning, match="Session.store"):
-            assert session.cache is session.store
+        for policy in ("sometimes", True, None):
+            with pytest.raises(ValueError, match="cache policy"):
+                Session().run(DCOp(circuit=chain_spec), cache=policy)
 
     def test_store_rejects_mixing_new_and_legacy_knobs(self, tmp_path):
-        with pytest.raises(TypeError, match="store= alone"):
+        with pytest.raises(TypeError, match="cache_dir"):
+            Session(cache_dir=str(tmp_path))
+        with pytest.raises(TypeError, match="cache_dir"):
             Session(store=None, cache_dir=str(tmp_path))
 
     def test_changed_spec_misses_the_cache(self, chain_spec):
@@ -452,15 +415,6 @@ class TestSessionCaching:
         pristine = study[1].arrays["solution"].copy()
         study[0].arrays["solution"][:] = -1.0
         np.testing.assert_array_equal(study[1].arrays["solution"], pristine)
-
-    def test_memory_cache_is_lru_bounded(self, chain_spec):
-        with pytest.warns(DeprecationWarning, match="repro.api.stores"):
-            cache = ResultCache(max_memory_entries=2)
-        for index in range(4):
-            cache.put(f"hash-{index}", Result(kind="x", spec_hash=f"hash-{index}"))
-        assert len(cache) == 2
-        assert cache.get("hash-0") is None
-        assert cache.get("hash-3") is not None
 
     def test_unknown_node_raises_instead_of_reading_zero(self, chain_spec):
         result = Session(store=None).run(DCOp(circuit=chain_spec))
@@ -600,49 +554,3 @@ class TestResultSerialization:
         columns = study.columns(["iterations", "converged"])
         assert columns["iterations"].shape == (2,)
         assert bool(columns["converged"].all())
-
-    def test_cache_roundtrip_is_exact(self, chain_spec, tmp_path):
-        with pytest.warns(DeprecationWarning, match="Session\\(store=...\\)"):
-            cache = ResultCache(directory=str(tmp_path))
-        original = Session(store=None).run(DCOp(circuit=chain_spec))
-        cache.put(original.spec_hash, original)
-        cache._memory.clear()
-        revived = cache.get(original.spec_hash)
-        np.testing.assert_array_equal(
-            revived.arrays["solution"].view(np.uint64),
-            original.arrays["solution"].view(np.uint64),
-        )
-
-
-# ---------------------------------------------------------------------- #
-# deprecated frontends
-# ---------------------------------------------------------------------- #
-
-
-class TestDeprecatedFrontends:
-    def test_dc_operating_point_warns_and_names_replacement(self):
-        from repro.spice import dc_operating_point
-
-        with pytest.warns(DeprecationWarning, match=r"repro\.api\.DCOp"):
-            point = dc_operating_point(_divider())
-        assert point.voltage("out") == pytest.approx(0.6)
-
-    def test_dc_sweep_warns_and_names_replacement(self):
-        from repro.spice import dc_sweep
-
-        with pytest.warns(DeprecationWarning, match=r"repro\.api\.DCSweep"):
-            sweep = dc_sweep(_divider(), "vin", [0.0, 1.0])
-        assert sweep.all_converged
-
-    def test_transient_analysis_warns_and_names_replacement(self):
-        from repro.spice import transient_analysis
-
-        with pytest.warns(DeprecationWarning, match=r"repro\.api\.Transient"):
-            result = transient_analysis(_divider(), 1e-8, 1e-9)
-        assert result.converged
-
-    def test_warning_points_at_session(self):
-        from repro.spice import dc_operating_point
-
-        with pytest.warns(DeprecationWarning, match=r"repro\.api\.Session\.run"):
-            dc_operating_point(_divider())

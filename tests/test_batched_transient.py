@@ -429,7 +429,14 @@ class TestMonteCarloTransientSpec:
 
 class TestVariabilityStudyOnSpecPath:
     def test_batched_default_matches_pooled_legacy_path(self, switch_model):
-        from repro.experiments.variability_xor3 import run_variability_xor3
+        from functools import partial
+
+        from repro.experiments.variability_xor3 import (
+            DEFAULT_SIGMA_BETA,
+            DEFAULT_SIGMA_VTH_V,
+            delay_metrics_trial,
+            run_variability_xor3,
+        )
 
         kwargs = dict(
             trials=4,
@@ -438,8 +445,24 @@ class TestVariabilityStudyOnSpecPath:
             timestep_s=2e-9,
             step_duration_s=30e-9,
         )
-        batched = run_variability_xor3(workers=None, **kwargs)  # lockstep spec path
-        pooled = run_variability_xor3(workers=2, **kwargs)  # legacy process pool
+        batched = run_variability_xor3(**kwargs)  # lockstep spec path
+
+        # The reference oracle: the serial per-trial loop on a fresh bench.
+        bench = build_variability_bench(model=switch_model, step_duration_s=30e-9)
+        analysis = partial(
+            delay_metrics_trial,
+            output_index=bench.circuit.node_index(bench.output_node),
+            stop_time_s=bench.input_sequence.total_duration_s,
+            timestep_s=2e-9,
+        )
+        serial = MonteCarloEngine(
+            bench.circuit,
+            perturbations={
+                "mos_vth": Gaussian(sigma=DEFAULT_SIGMA_VTH_V),
+                "mos_beta": Gaussian(sigma=DEFAULT_SIGMA_BETA, relative=True),
+            },
+            seed=7,
+        ).run(analysis, trials=4)
 
         def comparable(records):
             return [
@@ -447,9 +470,7 @@ class TestVariabilityStudyOnSpecPath:
                 for record in records
             ]
 
-        assert comparable(batched.montecarlo.records) == comparable(
-            pooled.montecarlo.records
-        )
+        assert comparable(batched.montecarlo.records) == comparable(serial.records)
 
     def test_cached_rerun_of_the_study_does_zero_newton(self, switch_model):
         from repro.api import default_session

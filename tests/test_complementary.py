@@ -12,7 +12,7 @@ from repro.circuits.lattice_netlist import build_lattice_circuit
 from repro.circuits.testbench import InputSequence
 from repro.core.evaluation import evaluate_lattice, implements, lattice_function
 from repro.core.lattice import Lattice
-from repro.spice import dc_operating_point, transient_analysis
+from repro.spice import get_engine
 
 
 class TestComplementLattice:
@@ -44,7 +44,7 @@ class TestComplementaryCircuitDC:
             bench = build_complementary_lattice_circuit(
                 pulldown, model=model, static_assignment=assignment
             )
-            op = dc_operating_point(bench.circuit)
+            op = get_engine(bench.circuit).solve_dc()
             assert op.converged
             voltage = op.voltage(bench.output_node)
             if bench.expected_output_level(assignment):
@@ -62,11 +62,11 @@ class TestComplementaryCircuitDC:
             complementary = build_complementary_lattice_circuit(
                 pulldown, model=model, static_assignment=assignment
             )
-            op = dc_operating_point(complementary.circuit)
+            op = get_engine(complementary.circuit).solve_dc()
             complementary_currents.append(abs(op.source_current("vdd_supply")))
 
             resistive = build_lattice_circuit(pulldown, model=model, static_assignment=assignment)
-            op_r = dc_operating_point(resistive.circuit)
+            op_r = get_engine(resistive.circuit).solve_dc()
             resistive_currents.append(abs(op_r.source_current("vdd_supply")))
 
         # The headline benefit claimed in Section VI-A: the complementary
@@ -79,7 +79,7 @@ class TestComplementaryCircuitDC:
         bench = build_complementary_lattice_circuit(
             xor3_3x3, model=switch_model, static_assignment=assignment
         )
-        op = dc_operating_point(bench.circuit)
+        op = get_engine(bench.circuit).solve_dc()
         assert op.converged
         assert op.voltage(bench.output_node) < 0.2
 
@@ -122,8 +122,12 @@ class TestComplementaryCircuitTransient:
         )
         resistive = build_lattice_circuit(pulldown, model=switch_model, input_sequence=sequence)
 
-        result_c = transient_analysis(complementary.circuit, sequence.total_duration_s, 1e-9)
-        result_r = transient_analysis(resistive.circuit, sequence.total_duration_s, 1e-9)
+        result_c = get_engine(complementary.circuit).solve_transient(
+            sequence.total_duration_s, 1e-9
+        )
+        result_r = get_engine(resistive.circuit).solve_transient(
+            sequence.total_duration_s, 1e-9
+        )
 
         def first_rise(result, node):
             waveform = result.voltage(node)
@@ -143,7 +147,7 @@ class TestComplementaryCircuitTransient:
         bench = build_complementary_lattice_circuit(
             pulldown, model=switch_model, input_sequence=sequence
         )
-        result = transient_analysis(bench.circuit, sequence.total_duration_s, 1e-9)
+        result = get_engine(bench.circuit).solve_transient(sequence.total_duration_s, 1e-9)
         for step in range(len(sequence.vectors)):
             assignment = sequence.assignment_at_step(step)
             voltage = result.sample_voltage(bench.output_node, sequence.sample_window(step))

@@ -123,7 +123,7 @@ class TestDistributedParity:
         executor = DistributedExecutor(
             workers=2,
             store=store,
-            _chaos={"die_worker": 0, "on_claim": 1},  # hard-kill on first task
+            _chaos={"fault": "die", "on_dispatch": 1},  # hard-kill on first task
         )
         distributed = Session(store=None).run_many(mc64_specs, executor=executor)
         assert_bitwise_equal(serial, distributed)
@@ -244,9 +244,9 @@ class TestFaultTolerance:
             workers=2,
             store=store,
             lease_timeout_s=1.0,
-            # worker 0 stalls forever on its first claim; its heartbeat
-            # keeps beating, so only the lease can catch it
-            _chaos=stall_worker(worker_id=0, on_claim=1),
+            # the worker given the first task stalls forever; its
+            # heartbeat keeps beating, so only the lease can catch it
+            _chaos=stall_worker(on_dispatch=1),
         )
         distributed = Session(store=None).run_many(
             chain_grid, executor=executor
@@ -270,7 +270,7 @@ class TestFaultTolerance:
             workers=2,
             store=store,
             respawn_backoff_s=0.05,
-            _chaos=kill_worker(worker_id=0, on_claim=1),
+            _chaos=kill_worker(on_dispatch=1),
         )
         distributed = Session(store=None).run_many(
             chain_grid, executor=executor

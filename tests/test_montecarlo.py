@@ -1,4 +1,4 @@
-"""Tests for the Monte-Carlo subsystem: distributions, overlays, pools, corners."""
+"""Tests for the Monte-Carlo subsystem: distributions, overlays, corners."""
 
 import numpy as np
 import pytest
@@ -23,11 +23,8 @@ from repro.spice import (
     Resistor,
     Uniform,
     VoltageSource,
-    dc_operating_point,
     get_engine,
-    parallel_sweep_many,
 )
-from repro.spice.engine import sweep_many
 from repro.spice.montecarlo import sample_overlay, trial_generator
 from repro.spice.solvers import scipy_available
 
@@ -53,17 +50,12 @@ def common_source_circuit():
 
 
 def drain_metrics(engine, trial):
-    """Module-level trial analysis so process-pool workers can unpickle it."""
+    """Trial analysis: the drain voltage and the convergence flag."""
     op = engine.solve_dc(refresh=False)
     return {
         "d_v": op.solution[engine.circuit.node_index("d")],
         "converged": float(op.converged),
     }
-
-
-def configure_gate(circuit, label):
-    """Module-level sweep-family configure hook (picklable)."""
-    circuit.element("vg").set_level(float(label))
 
 
 class TestDistributions:
@@ -149,13 +141,13 @@ class TestParameterOverlay:
     def test_vth_overlay_changes_solution_and_clear_restores(self):
         circuit = common_source_circuit()
         compiled = get_engine(circuit).compiled
-        nominal = dc_operating_point(circuit).voltage("d")
+        nominal = get_engine(circuit).solve_dc().voltage("d")
         compiled.set_parameter_overlay({"mos_vth": [NMOS.vth_v + 0.9]})
-        raised_vth = dc_operating_point(circuit).voltage("d")
+        raised_vth = get_engine(circuit).solve_dc().voltage("d")
         # A near-cutoff threshold weakens the pull-down: the drain rises.
         assert raised_vth > nominal + 0.1
         compiled.clear_parameter_overlay()
-        assert dc_operating_point(circuit).voltage("d") == nominal
+        assert get_engine(circuit).solve_dc().voltage("d") == nominal
 
     def test_overlay_survives_per_solve_refresh(self):
         # The analyses refresh element values before every solve; an active
@@ -163,8 +155,8 @@ class TestParameterOverlay:
         circuit = common_source_circuit()
         compiled = get_engine(circuit).compiled
         compiled.set_parameter_overlay({"mos_vth": [NMOS.vth_v + 0.3]})
-        first = dc_operating_point(circuit).voltage("d")
-        second = dc_operating_point(circuit).voltage("d")
+        first = get_engine(circuit).solve_dc().voltage("d")
+        second = get_engine(circuit).solve_dc().voltage("d")
         assert first == second
         compiled.clear_parameter_overlay()
 
@@ -182,8 +174,8 @@ class TestParameterOverlay:
         )
         mutated = divider()
         mutated.element("r2").resistance_ohm = 1e3
-        assert dc_operating_point(overlaid).voltage("mid") == pytest.approx(
-            dc_operating_point(mutated).voltage("mid"), abs=1e-9
+        assert get_engine(overlaid).solve_dc().voltage("mid") == pytest.approx(
+            get_engine(mutated).solve_dc().voltage("mid"), abs=1e-9
         )
 
     def test_vsource_scale_halves_the_divider(self):
@@ -193,12 +185,12 @@ class TestParameterOverlay:
         Resistor(circuit, "r2", "mid", "0", 1e3)
         compiled = get_engine(circuit).compiled
         compiled.set_parameter_overlay({"vsource_scale": [0.5]})
-        assert dc_operating_point(circuit).voltage("in") == pytest.approx(1.0, abs=1e-4)
+        assert get_engine(circuit).solve_dc().voltage("in") == pytest.approx(1.0, abs=1e-4)
         compiled.clear_parameter_overlay()
-        assert dc_operating_point(circuit).voltage("in") == pytest.approx(2.0, abs=1e-4)
+        assert get_engine(circuit).solve_dc().voltage("in") == pytest.approx(2.0, abs=1e-4)
 
     def test_capacitance_overlay_slows_rc_charging(self):
-        from repro.spice import Capacitor, transient_analysis
+        from repro.spice import Capacitor
 
         circuit = Circuit()
         VoltageSource(circuit, "v1", "in", "0", 1.0)
@@ -206,7 +198,9 @@ class TestParameterOverlay:
         Capacitor(circuit, "c1", "out", "0", 1e-9)
         compiled = get_engine(circuit).compiled
         compiled.set_parameter_overlay({"cap_c": [2e-9]})
-        result = transient_analysis(circuit, 2e-6, 2e-8, use_initial_conditions=True)
+        result = get_engine(circuit).solve_transient(
+            2e-6, 2e-8, use_initial_conditions=True
+        )
         # Doubled C doubles tau: at t = tau/2 the curve sits at 1 - e^-0.5.
         assert result.sample_voltage("out", 1e-6) == pytest.approx(
             1.0 - np.exp(-0.5), abs=0.02
@@ -223,11 +217,11 @@ class TestParameterOverlay:
         compiled.set_parameter_overlay({"mos_vth": [NMOS.vth_v + 0.1]})
         Resistor(circuit, "r_probe", "d", "0", 1e9)
         with pytest.raises(RuntimeError, match="overlay"):
-            dc_operating_point(circuit)
+            get_engine(circuit).solve_dc()
         # The engine-level clear is the public recovery path (the compiled
         # property itself raises while the stale overlay is active).
         get_engine(circuit).clear_parameter_overlay()
-        assert dc_operating_point(circuit).converged
+        assert get_engine(circuit).solve_dc().converged
 
     def test_pickling_drops_rebuildable_caches(self):
         import pickle
@@ -287,11 +281,11 @@ class TestMonteCarloEngine:
 
     def test_nominal_restored_after_run(self):
         circuit = common_source_circuit()
-        nominal = dc_operating_point(circuit).voltage("d")
+        nominal = get_engine(circuit).solve_dc().voltage("d")
         MonteCarloEngine(circuit, {"mos_vth": Gaussian(0.05)}, seed=3).run(
             drain_metrics, trials=4
         )
-        assert dc_operating_point(circuit).voltage("d") == nominal
+        assert get_engine(circuit).solve_dc().voltage("d") == nominal
 
     def test_trial_overlay_matches_direct_sampling(self):
         circuit = common_source_circuit()
@@ -316,7 +310,7 @@ class TestMonteCarloEngine:
         # engine result bit for bit: same overlay values, same assembly,
         # same solve.
         circuit = common_source_circuit()
-        nominal = dc_operating_point(circuit).solution.copy()
+        nominal = get_engine(circuit).solve_dc().solution.copy()
         index = circuit.node_index("d")
         mc = MonteCarloEngine(
             circuit,
@@ -345,24 +339,8 @@ class TestMonteCarloEngine:
             assert all(record["d_v"] == corner_value for record in result.records)
             # The corner overlay is restored for the rest of the block.
             assert engine.solve_dc().solution[index] == corner_value
-        nominal = dc_operating_point(circuit).solution[index]
+        nominal = get_engine(circuit).solve_dc().solution[index]
         assert nominal != corner_value
-
-    def test_pool_sizes_agree_bitwise(self):
-        # The acceptance property of the sharding design: per-trial seed
-        # substreams depend only on (seed, trial), so serial and any-width
-        # process pools produce identical records.
-        circuit = common_source_circuit()
-        mc = MonteCarloEngine(
-            circuit,
-            {"mos_vth": Gaussian(0.03), "mos_beta": Gaussian(0.05, relative=True)},
-            seed=1234,
-        )
-        serial = mc.run(drain_metrics, trials=8)
-        two = mc.run(drain_metrics, trials=8, workers=2)
-        four = mc.run(drain_metrics, trials=8, workers=4, chunksize=1)
-        assert serial.records == two.records
-        assert serial.records == four.records
 
     def test_result_accessors(self):
         circuit = common_source_circuit()
@@ -375,66 +353,6 @@ class TestMonteCarloEngine:
         assert summary.count == 16
         assert summary.minimum <= summary.median <= summary.maximum
         assert result.yield_fraction("converged", lower=0.5) == 1.0
-
-
-class TestParallelSweepMany:
-    def test_matches_serial_sweep_many(self):
-        values = np.linspace(0.0, 1.2, 7)
-        families = {0.4: values, 0.8: values, 1.2: values}
-
-        serial_circuit = common_source_circuit()
-        serial = sweep_many(
-            serial_circuit,
-            "vdd",
-            families,
-            configure=lambda label: serial_circuit.element("vg").set_level(label),
-        )
-
-        pooled_circuit = common_source_circuit()
-        pooled = parallel_sweep_many(
-            pooled_circuit, "vdd", families, configure=configure_gate, workers=2
-        )
-
-        assert set(serial) == set(pooled)
-        for label in families:
-            assert pooled[label].all_converged
-            assert np.allclose(
-                serial[label].voltage("d"), pooled[label].voltage("d"), atol=1e-6
-            )
-            # The reassembled results are bound to the parent's circuit and
-            # keep their per-point convergence reporting.
-            assert pooled[label].circuit is pooled_circuit
-            assert all(
-                point.convergence_info is not None for point in pooled[label].points
-            )
-
-    def test_serial_fallback_path_leaves_caller_circuit_untouched(self):
-        circuit = common_source_circuit()
-        results = parallel_sweep_many(
-            circuit,
-            "vdd",
-            {0.6: np.linspace(0.0, 1.2, 5)},
-            configure=configure_gate,
-            workers=1,
-        )
-        assert results[0.6].all_converged
-        assert all(point.convergence_info is not None for point in results[0.6].points)
-        # configure() ran on a copy: the caller's gate source still sits at
-        # its original level, exactly as in the pooled path.
-        assert circuit.element("vg").value_at(0.0) == 1.2
-
-    def test_serial_style_configure_rejected_at_call_site(self):
-        # A serial sweep_many closure takes only the label; passing one here
-        # must fail immediately, not inside a worker process.
-        circuit = common_source_circuit()
-        with pytest.raises(TypeError, match="circuit, label"):
-            parallel_sweep_many(
-                circuit,
-                "vdd",
-                {0.6: [0.0, 1.2]},
-                configure=lambda label: None,
-                workers=2,
-            )
 
 
 class TestCorners:
@@ -453,12 +371,12 @@ class TestCorners:
 
     def test_applied_corner_restores_on_exit(self):
         circuit = common_source_circuit()
-        nominal = dc_operating_point(circuit).voltage("d")
+        nominal = get_engine(circuit).solve_dc().voltage("d")
         with applied_corner(circuit, Corner("SS", 0.9, +0.045)) as engine:
             slow = engine.solve_dc().solution[circuit.node_index("d")]
         # The slow corner conducts less: the drain sits higher.
         assert slow > nominal
-        assert dc_operating_point(circuit).voltage("d") == nominal
+        assert get_engine(circuit).solve_dc().voltage("d") == nominal
 
     def test_run_corners_orders_results_physically(self):
         circuit = common_source_circuit()
@@ -517,7 +435,7 @@ class TestVariabilityExperiment:
         from repro.experiments.variability_xor3 import run_variability_xor3
 
         result = run_variability_xor3(
-            trials=4, seed=99, workers=None, timestep_s=2e-9, step_duration_s=30e-9
+            trials=4, seed=99, timestep_s=2e-9, step_duration_s=30e-9
         )
         assert result.montecarlo.trials == 4
         assert np.all(np.isfinite(result.montecarlo.samples("fall_time_s")))
@@ -526,14 +444,3 @@ class TestVariabilityExperiment:
         assert "rise time" in report and "functional yield" in report
         # The nominal reference reproduces the unperturbed fall time.
         assert result.nominal["fall_time_s"] > 0.0
-
-    def test_study_is_seed_reproducible_across_workers(self):
-        from repro.experiments.variability_xor3 import run_variability_xor3
-
-        serial = run_variability_xor3(
-            trials=4, seed=7, workers=None, timestep_s=2e-9, step_duration_s=30e-9
-        )
-        pooled = run_variability_xor3(
-            trials=4, seed=7, workers=2, timestep_s=2e-9, step_duration_s=30e-9
-        )
-        assert serial.montecarlo.records == pooled.montecarlo.records

@@ -33,10 +33,8 @@ from repro.spice import (
     SparseSolver,
     VoltageSource,
     available_backends,
-    dc_operating_point,
     get_engine,
     get_solver,
-    transient_analysis,
 )
 from repro.spice import solvers as solvers_module
 from repro.spice.netlist import AnalysisState
@@ -146,8 +144,8 @@ class TestSparseBackendParity:
             model=switch_model,
             static_assignment={"a": True, "b": False, "c": False},
         )
-        dense = dc_operating_point(bench.circuit, solver="dense")
-        sparse = dc_operating_point(bench.circuit, solver="sparse")
+        dense = get_engine(bench.circuit).solve_dc(solver="dense")
+        sparse = get_engine(bench.circuit).solve_dc(solver="sparse")
         assert dense.converged and sparse.converged
         assert np.allclose(dense.solution, sparse.solution, rtol=1e-10, atol=1e-12)
 
@@ -168,11 +166,11 @@ class TestSparseBackendParity:
             Capacitor(circuit, "c1", "out", "0", 1e-9)
             return circuit
 
-        dense = transient_analysis(
-            build(), 1e-6, 1e-8, integration="trap", solver="dense"
+        dense = get_engine(build()).solve_transient(
+            1e-6, 1e-8, integration="trap", solver="dense"
         )
-        sparse = transient_analysis(
-            build(), 1e-6, 1e-8, integration="trap", solver="sparse"
+        sparse = get_engine(build()).solve_transient(
+            1e-6, 1e-8, integration="trap", solver="sparse"
         )
         assert np.allclose(dense.solutions, sparse.solutions, rtol=1e-10, atol=1e-12)
 
@@ -209,11 +207,11 @@ class TestSparseBackendParity:
         VoltageSource(circuit, "v1", "in", "0", 1.0)
         Resistor(circuit, "r1", "in", "out", 1e3)
         TwoKilohm(circuit, "out", "0")
-        op = dc_operating_point(circuit, solver="sparse")
+        op = get_engine(circuit).solve_dc(solver="sparse")
         assert op.converged
         # gmin (1e-9 S per node) pulls the ideal 2/3 V divider down by a
         # few hundred nanovolts; dense and sparse must agree exactly there.
-        dense = dc_operating_point(circuit, solver="dense")
+        dense = get_engine(circuit).solve_dc(solver="dense")
         assert op.voltage("out") == pytest.approx(2.0 / 3.0, abs=1e-5)
         assert op.voltage("out") == pytest.approx(dense.voltage("out"), abs=1e-12)
 
@@ -221,7 +219,7 @@ class TestSparseBackendParity:
         circuit = Circuit()
         VoltageSource(circuit, "v1", "a", "0", 1.0)
         VoltageSource(circuit, "v2", "a", "0", 2.0)
-        op = dc_operating_point(circuit, max_iterations=30, solver="sparse")
+        op = get_engine(circuit).solve_dc(max_iterations=30, solver="sparse")
         assert not op.converged
         assert op.convergence_info.strategy == "failed"
 
@@ -407,8 +405,8 @@ class TestAdaptiveTransient:
         VoltageSource(circuit, "v1", "in", "0", 1.0)
         Resistor(circuit, "r1", "in", "out", 1e3)
         Capacitor(circuit, "c1", "out", "0", 1e-9)
-        result = transient_analysis(
-            circuit, 2e-6, 2e-8, use_initial_conditions=True, adaptive=True,
+        result = get_engine(circuit).solve_transient(
+            2e-6, 2e-8, use_initial_conditions=True, adaptive=True,
             lte_tolerance_v=1e-3,
         )
         assert result.converged
@@ -426,7 +424,9 @@ class TestAdaptiveTransient:
         VoltageSource(circuit, "v1", "in", "0", 1.0)
         Resistor(circuit, "r1", "in", "out", 1e3)
         Capacitor(circuit, "c1", "out", "0", 1e-9)
-        result = transient_analysis(circuit, 1e-6, 1e-8, use_initial_conditions=True)
+        result = get_engine(circuit).solve_transient(
+            1e-6, 1e-8, use_initial_conditions=True
+        )
         info = result.convergence_info
         assert info.strategy == "fixed-step"
         assert info.accepted_steps == 100
@@ -499,8 +499,8 @@ class TestAdaptiveTransient:
         VoltageSource(circuit, "v1", "in", "0", 1.0)
         Resistor(circuit, "r1", "in", "out", 1e3)
         Capacitor(circuit, "c1", "out", "0", 1e-9)
-        result = transient_analysis(
-            circuit, 1e-6, 1e-8, use_initial_conditions=True, adaptive=True,
+        result = get_engine(circuit).solve_transient(
+            1e-6, 1e-8, use_initial_conditions=True, adaptive=True,
             lte_tolerance_v=1e-3, min_timestep_s=5e-9, max_timestep_s=4e-8,
         )
         info = result.convergence_info
@@ -513,9 +513,13 @@ class TestAdaptiveTransient:
         Resistor(circuit, "r1", "in", "out", 1e3)
         Capacitor(circuit, "c1", "out", "0", 1e-9)
         with pytest.raises(ValueError, match="lte_tolerance_v"):
-            transient_analysis(circuit, 1e-6, 1e-8, adaptive=True, lte_tolerance_v=0.0)
+            get_engine(circuit).solve_transient(
+                1e-6, 1e-8, adaptive=True, lte_tolerance_v=0.0
+            )
         with pytest.raises(ValueError, match="min_timestep_s"):
-            transient_analysis(circuit, 1e-6, 1e-8, adaptive=True, min_timestep_s=0.0)
+            get_engine(circuit).solve_transient(
+                1e-6, 1e-8, adaptive=True, min_timestep_s=0.0
+            )
 
     @requires_scipy
     def test_adaptive_with_sparse_backend(self):
@@ -523,8 +527,8 @@ class TestAdaptiveTransient:
         VoltageSource(circuit, "v1", "in", "0", 1.0)
         Resistor(circuit, "r1", "in", "out", 1e3)
         Capacitor(circuit, "c1", "out", "0", 1e-9)
-        result = transient_analysis(
-            circuit, 2e-6, 2e-8, use_initial_conditions=True, adaptive=True,
+        result = get_engine(circuit).solve_transient(
+            2e-6, 2e-8, use_initial_conditions=True, adaptive=True,
             solver="sparse",
         )
         assert result.converged

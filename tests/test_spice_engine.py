@@ -14,9 +14,7 @@ from repro.spice import (
     Pulse,
     Resistor,
     VoltageSource,
-    dc_operating_point,
-    dc_sweep,
-    transient_analysis,
+    get_engine,
 )
 from repro.spice.netlist import AnalysisState
 
@@ -122,7 +120,7 @@ class TestLinearCircuits:
         VoltageSource(circuit, "v1", "in", "0", 2.0)
         Resistor(circuit, "r1", "in", "mid", 1e3)
         Resistor(circuit, "r2", "mid", "0", 3e3)
-        op = dc_operating_point(circuit)
+        op = get_engine(circuit).solve_dc()
         assert op.converged
         # gmin (1 nS to ground on every node) perturbs the ideal divider by
         # a few microvolts at most.
@@ -132,7 +130,7 @@ class TestLinearCircuits:
         circuit = Circuit()
         VoltageSource(circuit, "v1", "in", "0", 1.0)
         Resistor(circuit, "r1", "in", "0", 1e3)
-        op = dc_operating_point(circuit)
+        op = get_engine(circuit).solve_dc()
         # The supply sources 1 mA, so the branch current is -1 mA.
         assert op.source_current("v1") == pytest.approx(-1e-3, rel=1e-6)
 
@@ -140,7 +138,7 @@ class TestLinearCircuits:
         circuit = Circuit()
         CurrentSource(circuit, "i1", "0", "a", 1e-3)
         Resistor(circuit, "r1", "a", "0", 1e3)
-        op = dc_operating_point(circuit)
+        op = get_engine(circuit).solve_dc()
         assert op.voltage("a") == pytest.approx(1.0, rel=1e-6)
 
     def test_resistor_validation(self):
@@ -158,7 +156,7 @@ class TestLinearCircuits:
         VoltageSource(circuit, "v1", "in", "0", 1.0)
         Resistor(circuit, "r1", "in", "out", 1e3)
         Capacitor(circuit, "c1", "out", "0", 1e-12)
-        op = dc_operating_point(circuit)
+        op = get_engine(circuit).solve_dc()
         assert op.voltage("out") == pytest.approx(1.0, abs=1e-3)
 
     def test_voltages_dict(self):
@@ -166,7 +164,7 @@ class TestLinearCircuits:
         VoltageSource(circuit, "v1", "a", "0", 1.0)
         Resistor(circuit, "r1", "a", "b", 1e3)
         Resistor(circuit, "r2", "b", "0", 1e3)
-        op = dc_operating_point(circuit)
+        op = get_engine(circuit).solve_dc()
         voltages = op.voltages()
         assert set(voltages) == {"a", "b"}
 
@@ -176,7 +174,7 @@ class TestLinearCircuits:
         VoltageSource(circuit, "v2", "c", "0", 1.0)
         Resistor(circuit, "r1", "a", "b", 1e3)
         Resistor(circuit, "r2", "b", "c", 1e3)
-        op = dc_operating_point(circuit)
+        op = get_engine(circuit).solve_dc()
         assert op.voltage("b") == pytest.approx(1.5, abs=1e-6)
 
 
@@ -190,12 +188,12 @@ class TestMOSFETElement:
         return circuit
 
     def test_off_state_output_high(self):
-        op = dc_operating_point(self._common_source(vgs=0.0))
+        op = get_engine(self._common_source(vgs=0.0)).solve_dc()
         assert op.converged
         assert op.voltage("d") > 1.15
 
     def test_on_state_output_low(self):
-        op = dc_operating_point(self._common_source(vgs=1.2))
+        op = get_engine(self._common_source(vgs=1.2)).solve_dc()
         assert op.converged
         assert op.voltage("d") < 0.1
 
@@ -205,7 +203,7 @@ class TestMOSFETElement:
         VoltageSource(circuit, "vd", "d", "0", 3.0)
         VoltageSource(circuit, "vg", "g", "0", 2.0)
         mosfet = MOSFET(circuit, "m1", "d", "g", "0", NMOS)
-        op = dc_operating_point(circuit)
+        op = get_engine(circuit).solve_dc()
         measured = -op.source_current("vd")
         from repro.fitting.level1 import level1_current
 
@@ -222,13 +220,13 @@ class TestMOSFETElement:
                 MOSFET(circuit, "m1", "0", "g", "a", NMOS)
             else:
                 MOSFET(circuit, "m1", "a", "g", "0", NMOS)
-            return abs(dc_operating_point(circuit).source_current("vin"))
+            return abs(get_engine(circuit).solve_dc().source_current("vin"))
 
         assert chain(False) == pytest.approx(chain(True), rel=1e-6)
 
     def test_channel_current_reporting(self):
         circuit = self._common_source(vgs=1.2)
-        op = dc_operating_point(circuit)
+        op = get_engine(circuit).solve_dc()
         mosfet = circuit.element("m1")
         current = mosfet.channel_current(AnalysisState(solution=op.solution))
         # Must equal the pull-up resistor current at the operating point.
@@ -250,7 +248,7 @@ class TestDCSweep:
         circuit = Circuit()
         source = VoltageSource(circuit, "v1", "a", "0", 0.0)
         Resistor(circuit, "r1", "a", "0", 1e3)
-        sweep = dc_sweep(circuit, source, np.linspace(0, 1, 6))
+        sweep = get_engine(circuit).dc_sweep(source, np.linspace(0, 1, 6))
         assert sweep.all_converged
         currents = -sweep.source_current("v1")
         assert np.allclose(currents, sweep.values / 1e3, rtol=1e-6)
@@ -259,7 +257,7 @@ class TestDCSweep:
         circuit = Circuit()
         source = VoltageSource(circuit, "v1", "a", "0", DC(5.0))
         Resistor(circuit, "r1", "a", "0", 1e3)
-        dc_sweep(circuit, "v1", [0.0, 1.0])
+        get_engine(circuit).dc_sweep("v1", [0.0, 1.0])
         assert source.value_at(0.0) == 5.0
 
     def test_find_value_for_voltage(self):
@@ -267,21 +265,21 @@ class TestDCSweep:
         VoltageSource(circuit, "vin", "in", "0", 0.0)
         Resistor(circuit, "r1", "in", "out", 1e3)
         Resistor(circuit, "r2", "out", "0", 1e3)
-        sweep = dc_sweep(circuit, "vin", np.linspace(0, 2, 21))
+        sweep = get_engine(circuit).dc_sweep("vin", np.linspace(0, 2, 21))
         assert sweep.find_value_for_voltage("out", 0.5) == pytest.approx(1.0, abs=0.01)
 
     def test_find_value_never_crossing_is_nan(self):
         circuit = Circuit()
         VoltageSource(circuit, "vin", "in", "0", 0.0)
         Resistor(circuit, "r1", "in", "0", 1e3)
-        sweep = dc_sweep(circuit, "vin", np.linspace(0, 1, 5))
+        sweep = get_engine(circuit).dc_sweep("vin", np.linspace(0, 1, 5))
         assert np.isnan(sweep.find_value_for_voltage("in", 5.0))
 
     def test_sweep_requires_source(self):
         circuit = Circuit()
         Resistor(circuit, "r1", "a", "0", 1e3)
         with pytest.raises(TypeError):
-            dc_sweep(circuit, "r1", [0.0, 1.0])
+            get_engine(circuit).dc_sweep("r1", [0.0, 1.0])
 
     def test_nmos_transfer_sweep_monotone(self):
         circuit = Circuit()
@@ -289,7 +287,7 @@ class TestDCSweep:
         gate = VoltageSource(circuit, "vg", "g", "0", 0.0)
         Resistor(circuit, "rl", "vdd", "d", 100e3)
         MOSFET(circuit, "m1", "d", "g", "0", NMOS)
-        sweep = dc_sweep(circuit, gate, np.linspace(0, 1.2, 13))
+        sweep = get_engine(circuit).dc_sweep(gate, np.linspace(0, 1.2, 13))
         vout = sweep.voltage("d")
         assert np.all(np.diff(vout) <= 1e-9)
 
@@ -300,7 +298,7 @@ class TestTransient:
         VoltageSource(circuit, "v1", "in", "0", Pulse(0.0, 1.0, delay_s=0.0, rise_s=1e-12, width_s=1.0))
         Resistor(circuit, "r1", "in", "out", 1e3)
         Capacitor(circuit, "c1", "out", "0", 1e-9)
-        result = transient_analysis(circuit, 5e-6, 1e-8)
+        result = get_engine(circuit).solve_transient(5e-6, 1e-8)
         tau_value = result.sample_voltage("out", 1e-6)
         assert tau_value == pytest.approx(1.0 - np.exp(-1.0), abs=0.02)
         assert result.voltage("out")[-1] == pytest.approx(1.0, abs=0.01)
@@ -311,8 +309,8 @@ class TestTransient:
             VoltageSource(circuit, "v1", "in", "0", DC(1.0))
             Resistor(circuit, "r1", "in", "out", 1e3)
             Capacitor(circuit, "c1", "out", "0", 1e-9)
-            result = transient_analysis(
-                circuit, 2e-6, 5e-8, integration=integration, use_initial_conditions=True
+            result = get_engine(circuit).solve_transient(
+                2e-6, 5e-8, integration=integration, use_initial_conditions=True
             )
             return result.sample_voltage("out", 1e-6)
 
@@ -325,7 +323,7 @@ class TestTransient:
         VoltageSource(circuit, "v1", "in", "0", 1.0)
         Resistor(circuit, "r1", "in", "out", 1e3)
         Capacitor(circuit, "c1", "out", "0", 1e-12)
-        result = transient_analysis(circuit, 1e-8, 1e-10)
+        result = get_engine(circuit).solve_transient(1e-8, 1e-10)
         assert result.voltage("out")[0] == pytest.approx(1.0, abs=1e-3)
 
     def test_use_initial_conditions_starts_at_zero(self):
@@ -333,7 +331,9 @@ class TestTransient:
         VoltageSource(circuit, "v1", "in", "0", 1.0)
         Resistor(circuit, "r1", "in", "out", 1e3)
         Capacitor(circuit, "c1", "out", "0", 1e-9)
-        result = transient_analysis(circuit, 1e-7, 1e-9, use_initial_conditions=True)
+        result = get_engine(circuit).solve_transient(
+            1e-7, 1e-9, use_initial_conditions=True
+        )
         assert result.voltage("out")[0] == pytest.approx(0.0, abs=1e-6)
         assert result.voltage("out")[-1] > 0.05
 
@@ -342,17 +342,17 @@ class TestTransient:
         VoltageSource(circuit, "v1", "in", "0", 1.0)
         Resistor(circuit, "r1", "in", "0", 1e3)
         with pytest.raises(ValueError):
-            transient_analysis(circuit, -1.0, 1e-9)
+            get_engine(circuit).solve_transient(-1.0, 1e-9)
         with pytest.raises(ValueError):
-            transient_analysis(circuit, 1e-9, 1e-6)
+            get_engine(circuit).solve_transient(1e-9, 1e-6)
         with pytest.raises(ValueError):
-            transient_analysis(circuit, 1e-6, 1e-9, integration="gear")
+            get_engine(circuit).solve_transient(1e-6, 1e-9, integration="gear")
 
     def test_source_current_waveform(self):
         circuit = Circuit()
         VoltageSource(circuit, "v1", "in", "0", 1.0)
         Resistor(circuit, "r1", "in", "0", 1e3)
-        result = transient_analysis(circuit, 1e-8, 1e-9)
+        result = get_engine(circuit).solve_transient(1e-8, 1e-9)
         assert np.allclose(result.source_current("v1"), -1e-3, rtol=1e-6)
 
     def test_final_voltages(self):
@@ -360,5 +360,5 @@ class TestTransient:
         VoltageSource(circuit, "v1", "in", "0", 1.0)
         Resistor(circuit, "r1", "in", "out", 1e3)
         Resistor(circuit, "r2", "out", "0", 1e3)
-        result = transient_analysis(circuit, 1e-8, 1e-9)
+        result = get_engine(circuit).solve_transient(1e-8, 1e-9)
         assert result.final_voltages()["out"] == pytest.approx(0.5, abs=1e-6)

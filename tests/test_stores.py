@@ -12,14 +12,11 @@ Covers the store redesign's acceptance criteria:
   first detection with a one-time warning (the SQLite equivalent drops
   the row);
 * provenance-aware invalidation keeps entries the current build would
-  reproduce and drops the rest;
-* the ``ResultCache`` shim preserves the historical behaviour behind a
-  ``DeprecationWarning`` naming the replacement.
+  reproduce and drops the rest.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import sqlite3
@@ -582,48 +579,6 @@ class TestFromStorePagination:
             ResultSet.from_store(store, limit=-1)
         with pytest.raises(ValueError, match="offset"):
             ResultSet.from_store(store, offset=-1)
-
-
-# ---------------------------------------------------------------------- #
-# the deprecated ResultCache shim
-# ---------------------------------------------------------------------- #
-
-
-class TestResultCacheShim:
-    def test_warns_and_names_replacement(self):
-        from repro.api.cache import ResultCache
-
-        with pytest.warns(DeprecationWarning, match=r"Session\(store=\.\.\.\)"):
-            ResultCache()
-
-    def test_preserves_historical_surface(self, tmp_path):
-        from repro.api.cache import ResultCache
-
-        with pytest.warns(DeprecationWarning):
-            cache = ResultCache(directory=str(tmp_path), max_memory_entries=2)
-        assert cache.directory == str(tmp_path)
-        cache.put("k", make_result(tag="x"))
-        assert len(cache) == 1
-        cache._memory.clear()
-        assert len(cache) == 0  # historical __len__ counts memory only
-        assert cache.get("k").scalars["tag"] == "x"  # revived from disk
-        cache.clear(disk=True)
-        assert cache.get("k") is None
-
-    def test_disk_format_is_bitwise_compatible_with_jsondir_store(
-        self, tmp_path
-    ):
-        from repro.api.cache import ResultCache
-
-        result = make_result(tag="compat")
-        with pytest.warns(DeprecationWarning):
-            cache = ResultCache(directory=str(tmp_path))
-        cache.put("k", result)
-        direct = JSONDirectoryStore(str(tmp_path))
-        with open(direct._path("k"), encoding="utf-8") as handle:
-            on_disk = handle.read()
-        assert on_disk == json.dumps(result.to_jsonable(), sort_keys=True)
-        assert direct.get("k").to_json() == result.to_json()
 
 
 # ---------------------------------------------------------------------- #

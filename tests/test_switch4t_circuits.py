@@ -19,7 +19,7 @@ from repro.circuits.testbench import (
 from repro.core.evaluation import evaluate_lattice
 from repro.core.lattice import Lattice
 from repro.core.library import xor3_lattice_3x3
-from repro.spice import Circuit, MOSFET, VoltageSource, dc_operating_point, transient_analysis
+from repro.spice import Circuit, MOSFET, VoltageSource, get_engine
 from repro.spice.elements.switch4t import (
     FourTerminalSwitchModel,
     TYPE_A_PAIRS,
@@ -94,7 +94,7 @@ class TestSwitchBehaviour:
         nodes[pair[0]] = "drive"
         nodes[pair[1]] = GROUND
         add_four_terminal_switch(circuit, "sw", nodes, "gate", switch_model, add_terminal_capacitors=False)
-        return abs(dc_operating_point(circuit).source_current("vb"))
+        return abs(get_engine(circuit).solve_dc().source_current("vb"))
 
     def test_all_pairs_conduct_when_on(self, switch_model):
         for pair in list(TYPE_A_PAIRS) + list(TYPE_B_PAIRS):
@@ -185,7 +185,7 @@ class TestLatticeCircuits:
         for bits in itertools.product([False, True], repeat=3):
             assignment = dict(zip("abc", bits))
             bench = build_lattice_circuit(xor3_3x3, model=switch_model, static_assignment=assignment)
-            op = dc_operating_point(bench.circuit)
+            op = get_engine(bench.circuit).solve_dc()
             assert op.converged
             expect_high = bench.expected_output_level(assignment)
             voltage = op.voltage(bench.output_node)
@@ -197,7 +197,7 @@ class TestLatticeCircuits:
     def test_constant_one_cell_ties_gate_to_supply(self, switch_model):
         lattice = Lattice.from_strings(["1", "a"])
         bench = build_lattice_circuit(lattice, model=switch_model, static_assignment={"a": True})
-        op = dc_operating_point(bench.circuit)
+        op = get_engine(bench.circuit).solve_dc()
         assert op.voltage(bench.output_node) < 0.3  # path of constant-1 and ON switch pulls down
 
     def test_constant_zero_cells_omitted(self, switch_model):
@@ -227,7 +227,7 @@ class TestLatticeCircuits:
         lattice = Lattice.from_strings(["a", "b"])  # AND gate pull-down
         sequence = InputSequence.exhaustive(("a", "b"), step_duration_s=50e-9)
         bench = build_lattice_circuit(lattice, model=switch_model, input_sequence=sequence)
-        result = transient_analysis(bench.circuit, sequence.total_duration_s, 1e-9)
+        result = get_engine(bench.circuit).solve_transient(sequence.total_duration_s, 1e-9)
         # Output is NAND of the inputs.
         for step in range(4):
             assignment = sequence.assignment_at_step(step)
