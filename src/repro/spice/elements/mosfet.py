@@ -36,7 +36,8 @@ def evaluate_level1_arrays(vgs, vds, beta, vth_v, lambda_per_v, smoothing_v):
     arrays, matching :meth:`MOSFET._evaluate` element-wise — including the
     smooth sub-threshold transition and its large-|x| guard branches.
     """
-    x = (vgs - vth_v) / smoothing_v
+    overdrive = vgs - vth_v
+    x = overdrive / smoothing_v
     # exp() is only ever taken of a clamped-from-above argument: beyond the
     # x > 40 guard the exact linear branch is used, so clamping cannot leak
     # into the result; below -40 exp underflows harmlessly to 0.  The scalar
@@ -44,22 +45,23 @@ def evaluate_level1_arrays(vgs, vds, beta, vth_v, lambda_per_v, smoothing_v):
     # ~4e-18, log1p(ex) and ex/(1+ex) round to exactly ex in doubles, so the
     # smooth branch already reproduces it bit-for-bit.
     ex = np.exp(np.minimum(x, 45.0))
+    veff = smoothing_v * np.log1p(ex)
+    dveff = ex / (1.0 + ex)
     linear = x > 40.0
-    veff = np.where(linear, vgs - vth_v, smoothing_v * np.log1p(ex))
-    dveff = np.where(linear, 1.0, ex / (1.0 + ex))
+    if linear.any():
+        veff = np.where(linear, overdrive, veff)
+        dveff = np.where(linear, 1.0, dveff)
 
     clm = 1.0 + lambda_per_v * vds
     triode = vds <= veff
-    body_triode = veff * vds - 0.5 * vds * vds
-    body_sat = 0.5 * veff * veff
-    body = np.where(triode, body_triode, body_sat)
-    ids = beta * body * clm
+    body = np.where(triode, veff * vds - 0.5 * vds * vds, 0.5 * veff * veff)
+    beta_body = beta * body
+    ids = beta_body * clm
     gm = beta * np.where(triode, vds, veff) * clm * dveff
-    gds = np.where(
-        triode,
-        beta * (veff - vds) * clm + beta * body_triode * lambda_per_v,
-        beta * body_sat * lambda_per_v,
-    )
+    # beta * body * lambda is the whole saturation gds and the CLM term of
+    # the triode gds (the scalar path's two branches).
+    body_clm = beta_body * lambda_per_v
+    gds = np.where(triode, beta * (veff - vds) * clm + body_clm, body_clm)
     return ids, gm, gds
 
 

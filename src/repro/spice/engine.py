@@ -5,26 +5,29 @@ All analyses (DC operating point, DC sweeps, transient) run through one
 convergence fallbacks (gmin stepping, source stepping).  The engine compiles
 a :class:`~repro.spice.netlist.Circuit` once into per-element-class index
 arrays (:class:`CompiledCircuit`) so each Newton iteration assembles the
-Jacobian and right-hand side with vectorized ``np.add.at`` scatter instead of
-per-element Python ``stamp()`` calls.
+Jacobian and right-hand side with one vectorized scatter into the CSC data
+of a :class:`SparsityPattern` instead of per-element Python ``stamp()``
+calls.  The sparse solvers take that data as is; the dense ones get it
+placed into a zeroed ``(n, n)`` matrix.
 
 Compilation notes
 -----------------
-* **Ghost row/column.**  The assembly arrays carry one extra trailing row,
-  column and solution slot for the ground node.  Node index ``-1`` (ground)
-  then addresses the ghost slot through ordinary NumPy indexing, so stamps
-  and gathers need no per-entry ground checks; the ghost row/column is simply
-  dropped before the linear solve.
+* **Ghost slot.**  The solution and right-hand-side arrays carry one extra
+  trailing slot for the ground node, and the pattern data one trailing
+  trash slot.  Node index ``-1`` (ground) then addresses the ghost slot
+  through ordinary NumPy indexing, so stamps and gathers need no per-entry
+  ground checks; the ghost slot is simply dropped before the linear solve.
 * **Static stamps.**  Resistor conductances and the structural +/-1 entries
-  of voltage-source branches never change, so they are accumulated into a
-  base matrix once per ``(gmin, timestep, integration)`` context; capacitor
-  companion conductances join them during transient analysis.  Each Newton
-  iteration copies the base and adds only the nonlinear (MOSFET) stamps.
+  of voltage-source branches never change, so they are accumulated into
+  base pattern data once per ``(gmin, timestep, integration)`` context;
+  capacitor companion conductances join them during transient analysis.
+  Each Newton iteration copies the base and adds only the nonlinear
+  (MOSFET) stamps.
 * **Compatibility path.**  Elements whose exact type the compiler does not
   recognize (including subclasses of the built-in elements that override
   ``stamp()``) keep working: their ``stamp()`` is called per iteration
-  against an :class:`~repro.spice.netlist.MNASystem` view of the engine's
-  assembly buffers.
+  against an :class:`~repro.spice.netlist.MNASystem` view of the placed
+  dense matrix and right-hand side.
 * **Invalidation.**  The compiled structure caches the circuit's
   :attr:`~repro.spice.netlist.Circuit.revision` and recompiles transparently
   when elements or nodes are added.
@@ -52,7 +55,7 @@ import numpy as np
 
 from repro.spice.netlist import AnalysisState, Circuit, MNASystem
 from repro.spice.elements.capacitor import Capacitor
-from repro.spice.elements.mosfet import MOSFET
+from repro.spice.elements.mosfet import MOSFET, evaluate_level1_arrays
 from repro.spice.elements.resistor import Resistor
 from repro.spice.elements.sources import CurrentSource, VoltageSource
 from repro.spice.solvers import FactorizationCache, LinearSolver, get_solver
@@ -174,14 +177,15 @@ class SparsityPattern:
     the MOSFET conductance positions of *both* channel orientations — as a
     canonical (column-major, deduplicated) CSC pattern.  On top of the raw
     structure (:attr:`indices`/:attr:`indptr`) it precomputes the CSC data
-    position of each stamp group, so :meth:`CompiledCircuit.assemble_sparse`
-    scatters values straight into a ``(nnz,)`` data array with no dense
-    intermediate and no per-iteration structure analysis.
+    position of each stamp group, so every assembly scatters values
+    straight into a ``(nnz,)`` data array with no per-iteration structure
+    analysis, and the flat ``(n, n)`` position of each entry
+    (:attr:`dense_pos`), so a dense assembly is that data placed into a
+    zeroed matrix.
 
     Ghost (ground) entries map to a trash slot at position :attr:`nnz`; the
-    assembly routines allocate data arrays of length ``nnz + 1`` and return
-    the ``[:nnz]`` prefix, mirroring how the dense path trims the ghost
-    row/column before the solve.
+    assembly routines allocate data arrays of length ``nnz + 1`` and use
+    only the ``[:nnz]`` prefix.
     """
 
     def __init__(self, compiled: "CompiledCircuit"):
@@ -217,6 +221,8 @@ class SparsityPattern:
         np.cumsum(np.bincount(self.cols, minlength=size), out=indptr[1:])
         self.indptr = indptr.astype(np.int32)
         self._keys = self.cols * size + self.rows  # ascending by construction
+        #: Row-major flat position of every entry in an ``(n, n)`` matrix.
+        self.dense_pos = self.rows * size + self.cols
 
         # Per-stamp-group position maps into the CSC data array.
         self.static_pos = self.positions(compiled._static_rows, compiled._static_cols)
@@ -276,18 +282,25 @@ class CompiledCircuit:
     Walks the circuit's elements once, grouping them by exact type:
 
     * resistors and voltage-source branch structure become a static COO
-      triplet folded into cached base matrices;
+      triplet folded into cached base pattern data;
     * capacitors become index/value arrays for companion-model stamping;
     * MOSFETs become terminal-index and parameter arrays evaluated with the
       vectorized level-1 model of :func:`repro.spice.elements.mosfet.evaluate_level1_arrays`;
     * independent sources become row/node arrays plus waveform references
       (re-read on every assembly, so ``set_level`` during sweeps is honoured);
     * everything else falls back to the per-element ``stamp()`` path.
+
+    Every assembly runs one scatter over the compiled stamps — serial
+    (:meth:`_scatter`) or stacked (:meth:`_scatter_batched`) — into the
+    CSC data of the topology's :class:`SparsityPattern`.  The sparse
+    assemblies return that data; the dense ones place it into a zeroed
+    matrix (custom elements then stamp onto the placed matrix), so dense
+    and sparse results are bit-identical by construction.
     """
 
-    #: Dense base matrices retained per (gmin, timestep, integration)
-    #: context; LRU-bounded so gmin/timestep studies on large circuits do
-    #: not accumulate O(size^2) memory per visited context.
+    #: Base pattern data retained per (gmin, timestep, integration)
+    #: context; LRU-bounded so gmin/timestep studies do not accumulate
+    #: memory per visited context.
     BASE_CACHE_LIMIT = 8
 
     def __init__(self, circuit: Circuit):
@@ -364,11 +377,17 @@ class CompiledCircuit:
         self.mos_lambda = np.array([m.parameters.lambda_per_v for m in mosfets], dtype=float)
         self.mos_gmin = np.array([m.CHANNEL_GMIN for m in mosfets], dtype=float)
         self.mos_w = np.array([m.SMOOTHING_V for m in mosfets], dtype=float)
+        #: ``(3, M)`` drain/gate/source rows: one gather reads every
+        #: terminal voltage.
+        self._mos_terminals = np.stack((self.mos_d, self.mos_g, self.mos_s))
+        #: ``(2, M)`` RHS rows of the companion current, per channel
+        #: orientation (oriented drain first, then oriented source).
+        self._mos_rhs_forward = np.stack((self.mos_d, self.mos_s))
+        self._mos_rhs_reverse = np.stack((self.mos_s, self.mos_d))
 
         self.num_mosfets = len(mosfets)
         self.num_capacitors = len(capacitors)
         self._ghost = ghost
-        self._base_cache: Dict[Hashable, np.ndarray] = {}
         self._base_data_cache: Dict[Hashable, np.ndarray] = {}
         #: Preallocated per-round scratch buffers of the batched assemblies
         #: (see :meth:`_workspace`); keyed by buffer role.
@@ -453,11 +472,10 @@ class CompiledCircuit:
             self.refresh_values()
 
     def __getstate__(self):
-        # The base-matrix LRU and the source-value memo are lazily rebuilt
-        # and can hold O(size^2) dense matrices; shipping them to process-
-        # pool workers is pure dead weight, so pickling drops them.
+        # The base-data LRU, the pattern, the workspaces and the source-value
+        # memo are lazily rebuilt; shipping them to process-pool workers is
+        # pure dead weight, so pickling drops them.
         state = self.__dict__.copy()
-        state["_base_cache"] = {}
         state["_base_data_cache"] = {}
         state["_pattern"] = None
         state["_source_value_cache"] = None
@@ -494,7 +512,7 @@ class CompiledCircuit:
         ``resistor.resistance_ohm = ...`` between runs) is not.  The
         analyses therefore call this once per solve: it rebuilds the value
         arrays (cheap — a few reads per element) and drops the cached base
-        matrices only when something actually changed.  An active parameter
+        data only when something actually changed.  An active parameter
         overlay (:meth:`set_parameter_overlay`) takes precedence over the
         element values it covers, so Monte-Carlo trials survive the refresh.
         """
@@ -515,7 +533,6 @@ class CompiledCircuit:
             new_vals[3::4] = -conductances
             if not np.array_equal(new_vals, self._static_vals[:n4]):
                 self._static_vals = np.concatenate((new_vals, self._static_vals[n4:]))
-                self._base_cache.clear()
                 self._base_data_cache.clear()
         if self.capacitors:
             new_c = overlay.get("cap_c")
@@ -523,7 +540,6 @@ class CompiledCircuit:
                 new_c = np.array([c.capacitance_f for c in self.capacitors], dtype=float)
             if not np.array_equal(new_c, self.cap_c):
                 self.cap_c = new_c
-                self._base_cache.clear()
                 self._base_data_cache.clear()
             if not overlay:
                 self.cap_v0 = np.array(
@@ -588,48 +604,6 @@ class CompiledCircuit:
         factor = 2.0 if integration == "trap" else 1.0
         return factor * np.asarray(cap_c, dtype=float) / timestep_s
 
-    def _base_matrix(
-        self,
-        gmin: float,
-        timestep_s: Optional[float],
-        integration: str,
-        cache: bool = True,
-    ) -> np.ndarray:
-        """The cached linear part of the Jacobian for one analysis context.
-
-        ``cache=False`` builds the base without retaining it — used for the
-        one-off bumped-gmin retries after a singular solve, which would
-        otherwise grow the cache with matrices that are never reused.
-        """
-        key = (gmin, timestep_s, integration if timestep_s is not None else "dc")
-        base = self._base_cache.get(key)
-        if base is not None:
-            # LRU touch: re-insert so timestep/gmin studies evict the
-            # least-recently-used context first.
-            self._base_cache.pop(key)
-            self._base_cache[key] = base
-        else:
-            base = np.zeros((self._ghost, self._ghost))
-            if self._static_rows.size:
-                np.add.at(base, (self._static_rows, self._static_cols), self._static_vals)
-            node_diag = np.arange(self.num_nodes)
-            base[node_diag, node_diag] += gmin
-            if timestep_s is not None and self.num_capacitors:
-                g = self._capacitor_conductance(timestep_s, integration)
-                np.add.at(
-                    base,
-                    (
-                        np.concatenate((self.cap_a, self.cap_b, self.cap_a, self.cap_b)),
-                        np.concatenate((self.cap_a, self.cap_b, self.cap_b, self.cap_a)),
-                    ),
-                    np.concatenate((g, g, -g, -g)),
-                )
-            if cache:
-                if len(self._base_cache) >= self.BASE_CACHE_LIMIT:
-                    self._base_cache.pop(next(iter(self._base_cache)))
-                self._base_cache[key] = base
-        return base
-
     def sparsity_pattern(self) -> Optional["SparsityPattern"]:
         """The shared CSC pattern of this topology, built once and cached.
 
@@ -639,6 +613,14 @@ class CompiledCircuit:
         """
         if self.custom_elements:
             return None
+        return self._stamp_pattern()
+
+    def _stamp_pattern(self) -> "SparsityPattern":
+        """The pattern over the compiled stamps, custom elements or not.
+
+        Every assembly scatters into it; custom elements then stamp onto
+        the placed dense matrix, outside the pattern's guarantees.
+        """
         if self._pattern is None:
             self._pattern = SparsityPattern(self)
         return self._pattern
@@ -652,17 +634,22 @@ class CompiledCircuit:
     ) -> np.ndarray:
         """The cached linear part of the Jacobian as CSC pattern data.
 
-        The sparse twin of :meth:`_base_matrix`: a ``(nnz + 1,)`` array
-        (trailing trash slot for ghost entries) whose stamp accumulation
-        order — static entries, then the gmin diagonal, then the capacitor
-        companions — mirrors the dense base matrix operation for operation,
-        so each entry is bit-identical to the dense base gathered at the
-        pattern's (row, col) position.
+        A ``(nnz + 1,)`` array (trailing trash slot for ghost entries)
+        accumulated in a fixed order: static entries, then the gmin
+        diagonal, then the capacitor companions.  The batched scatter's
+        perturbed-parameter path repeats that order per trial, so a trial's
+        linear part is bit-identical to this base under its overlay.
+
+        ``cache=False`` builds the base without retaining it — used for the
+        one-off bumped-gmin retries after a singular solve, which would
+        otherwise grow the cache with contexts that are never reused.
         """
-        pattern = self.sparsity_pattern()
+        pattern = self._stamp_pattern()
         key = (gmin, timestep_s, integration if timestep_s is not None else "dc")
         data = self._base_data_cache.get(key)
         if data is not None:
+            # LRU touch: re-insert so timestep/gmin studies evict the
+            # least-recently-used context first.
             self._base_data_cache.pop(key)
             self._base_data_cache[key] = data
         else:
@@ -752,63 +739,122 @@ class CompiledCircuit:
         source_scale: float = 1.0,
         cap_history: Optional[np.ndarray] = None,
         cache_base: bool = True,
-        source_values: Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]] = None,
-        cap_g: Optional[np.ndarray] = None,
+        linear_rhs: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Assemble the linearized system at ``state``.
+        """Assemble the linearized system at ``state`` as a dense matrix.
 
-        Returns views of the matrix and right-hand side with the ghost
-        row/column already trimmed, ready for ``np.linalg.solve``.
+        Returns the ``(n, n)`` matrix and the ghost-trimmed right-hand side,
+        ready for ``np.linalg.solve``.  The matrix is the pattern data of
+        :meth:`_scatter` placed into a zeroed matrix: every entry on the
+        pattern is bit-identical to :meth:`assemble_sparse`, every entry off
+        it is exactly zero.  Custom (compatibility-path) elements then stamp
+        onto the placed matrix and right-hand side.
 
         ``source_scale`` scales every independent source (used by the
         source-stepping fallback).  ``cap_history`` supplies the trapezoidal
         capacitor history currents; when omitted they are read from the
-        elements, matching the legacy stamp path.
+        elements, matching the legacy stamp path.  ``cache_base=False``
+        builds the linear base without caching it (one-off gmin retries).
 
-        ``source_values`` and ``cap_g`` let the Newton loop hand in the
-        per-solve invariants — the scaled independent-source values at
-        ``state.time_s`` and the capacitor companion conductances — computed
-        once per solve instead of once per iteration; when omitted they are
-        derived here as before (identical values either way).
+        ``linear_rhs`` lets the Newton loop hand in the per-solve invariant
+        part of the right-hand side — sources plus capacitor history, as
+        :meth:`_linear_rhs` builds it (ghost slot included) — computed once
+        per solve instead of once per iteration.  The assembly accumulates
+        the device currents into it in place; when omitted it is built here
+        (identical values either way).
         """
-        matrix = self._base_matrix(
-            state.gmin, state.timestep_s, state.integration, cache=cache_base
-        ).copy()
-        rhs = self._linear_rhs(state, source_scale, cap_history, source_values, cap_g)
-
-        if self.num_mosfets:
-            self._stamp_mosfets(matrix, rhs, self._pad(state.solution))
-
+        data, rhs = self._scatter(state, source_scale, cap_history, cache_base, linear_rhs)
+        pattern = self._stamp_pattern()
+        matrix = np.zeros((self.size, self.size))
+        matrix.reshape(-1)[pattern.dense_pos] = data[: pattern.nnz]
+        rhs = rhs[: self.size]
         if self.custom_elements:
             system = MNASystem(
-                self.num_nodes,
-                self.size - self.num_nodes,
-                matrix=matrix[: self.size, : self.size],
-                rhs=rhs[: self.size],
+                self.num_nodes, self.size - self.num_nodes, matrix=matrix, rhs=rhs
             )
             for element in self.custom_elements:
                 element.stamp(system, state)
+        return matrix, rhs
 
-        return matrix[: self.size, : self.size], rhs[: self.size]
+    def assemble_sparse(
+        self,
+        state: AnalysisState,
+        source_scale: float = 1.0,
+        cap_history: Optional[np.ndarray] = None,
+        cache_base: bool = True,
+        linear_rhs: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Assemble the linearized system at ``state`` as CSC pattern data.
+
+        Same arguments as :meth:`assemble`, but no ``(n, n)`` matrix is ever
+        formed: returns ``(data, rhs)`` where ``data`` is the ``(nnz,)``
+        value array of :meth:`sparsity_pattern` and ``rhs`` the
+        ghost-trimmed right-hand side.
+
+        Circuits with custom (compatibility-path) elements are rejected:
+        their ``stamp()`` needs the dense matrix view.
+        """
+        pattern = self.sparsity_pattern()
+        if pattern is None:
+            raise ValueError(
+                "sparse assembly does not support custom (stamp-path) elements; "
+                "assemble these circuits densely"
+            )
+        data, rhs = self._scatter(state, source_scale, cap_history, cache_base, linear_rhs)
+        return data[: pattern.nnz], rhs[: self.size]
+
+    def _scatter(
+        self,
+        state: AnalysisState,
+        source_scale: float,
+        cap_history: Optional[np.ndarray],
+        cache_base: bool,
+        linear_rhs: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The serial assembly kernel: ``(nnz + 1,)`` data and ``(n + 1,)`` RHS.
+
+        Copies the base data, takes (or builds) the linear right-hand side,
+        then adds the MOSFET companion stamps at the positions of the
+        channel orientation each device takes at ``state.solution``.
+        """
+        pattern = self._stamp_pattern()
+        data = self._base_data(
+            state.gmin, state.timestep_s, state.integration, cache=cache_base
+        ).copy()
+        rhs = (
+            linear_rhs
+            if linear_rhs is not None
+            else self._linear_rhs(state, source_scale, cap_history)
+        )
+        if self.num_mosfets:
+            forward, gds, gm, i_eq = self._mosfet_companion(
+                self._pad(state.solution), self.mos_beta, self.mos_vth, self.mos_lambda
+            )
+            pos = np.where(forward, pattern.mos_pos_forward, pattern.mos_pos_reverse)
+            vals = np.concatenate((gds, gds, -gds, -gds, gm, -gm, -gm, gm))
+            # The (8, M) position rows ravel group-major, so the stamps that
+            # share a cell accumulate in one fixed order on every path.
+            data += np.bincount(pos.ravel(), weights=vals, minlength=pattern.nnz + 1)
+            rows = np.where(forward, self._mos_rhs_forward, self._mos_rhs_reverse)
+            rhs += np.bincount(
+                rows.ravel(), weights=np.concatenate((-i_eq, i_eq)), minlength=self._ghost
+            )
+        return data, rhs
 
     def _linear_rhs(
         self,
         state: AnalysisState,
         source_scale: float,
         cap_history: Optional[np.ndarray],
-        source_values: Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]],
-        cap_g: Optional[np.ndarray],
     ) -> np.ndarray:
         """The linear right-hand side at ``state`` (sources + cap history).
 
-        Shared by the dense and the sparse serial assembly — everything but
-        the MOSFET companion currents, in the serial accumulation order.
+        Everything but the MOSFET companion currents, in the serial
+        accumulation order; independent of the iterate and of gmin, so the
+        Newton loop builds it once per solve.
         """
         rhs = np.zeros(self._ghost)
-        if source_values is None:
-            v_values, i_values = self._source_values(state.time_s, source_scale)
-        else:
-            v_values, i_values = source_values
+        v_values, i_values = self._source_values(state.time_s, source_scale)
         if v_values is not None:
             rhs[self.vs_rows] += v_values
         if i_values is not None:
@@ -816,11 +862,7 @@ class CompiledCircuit:
             np.add.at(rhs, self.is_minus, i_values)
 
         if state.timestep_s is not None and self.num_capacitors:
-            g = (
-                cap_g
-                if cap_g is not None
-                else self._capacitor_conductance(state.timestep_s, state.integration)
-            )
+            g = self._capacitor_conductance(state.timestep_s, state.integration)
             if state.previous_solution is not None:
                 prev = self._pad(state.previous_solution)
                 v_prev = prev[self.cap_a] - prev[self.cap_b]
@@ -843,107 +885,28 @@ class CompiledCircuit:
         beta: np.ndarray,
         vth: np.ndarray,
         lam: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-device linearized channel quantities at the padded iterate(s).
 
         ``padded`` is ``(size + 1,)`` serial or ``(trials, size + 1)``
-        batched; returns ``(forward, drain, source, gds, gm, i_eq)`` with
-        matching leading shape.  Every float operation is shared by all four
-        assembly paths, which is what keeps dense/sparse and serial/batched
-        results bit-identical.
+        batched; returns ``(forward, gds, gm, i_eq)`` with matching leading
+        shape.  Both scatter kernels share every float operation here, which
+        is what keeps serial and batched results bit-identical.
         """
-        from repro.spice.elements.mosfet import evaluate_level1_arrays
-
-        vd = padded[..., self.mos_d]
-        vg = padded[..., self.mos_g]
-        vs = padded[..., self.mos_s]
+        terminals = padded[..., self._mos_terminals]
+        vd = terminals[..., 0, :]
+        vg = terminals[..., 1, :]
+        vs = terminals[..., 2, :]
         # Orient every channel so its higher diffusion terminal is the drain
         # (the element does the same; the conduction is symmetric).
         forward = vd >= vs
-        drain = np.where(forward, self.mos_d, self.mos_s)
-        source = np.where(forward, self.mos_s, self.mos_d)
-        v_source = np.where(forward, vs, vd)
-        vgs = vg - v_source
+        vgs = vg - np.where(forward, vs, vd)
         vds = np.abs(vd - vs)
 
         ids, gm, gds = evaluate_level1_arrays(vgs, vds, beta, vth, lam, self.mos_w)
         gds = gds + self.mos_gmin
         i_eq = ids - gm * vgs - gds * vds
-        return forward, drain, source, gds, gm, i_eq
-
-    def _stamp_mosfets(self, matrix: np.ndarray, rhs: np.ndarray, solution: np.ndarray) -> None:
-        """Vectorized level-1 companion-model stamps for every MOSFET."""
-        forward, drain, source, gds, gm, i_eq = self._mosfet_companion(
-            solution, self.mos_beta, self.mos_vth, self.mos_lambda
-        )
-        gate = self.mos_g
-        rows = np.concatenate((drain, source, drain, source, drain, drain, source, source))
-        cols = np.concatenate((drain, source, source, drain, gate, source, gate, source))
-        vals = np.concatenate((gds, gds, -gds, -gds, gm, -gm, -gm, gm))
-        # bincount over the raveled matrix is markedly faster than np.add.at
-        # for this many entries (duplicates are accumulated either way).
-        ghost = self._ghost
-        flat = matrix.reshape(-1)
-        flat += np.bincount(rows * ghost + cols, weights=vals, minlength=ghost * ghost)
-        rhs += np.bincount(
-            np.concatenate((drain, source)),
-            weights=np.concatenate((-i_eq, i_eq)),
-            minlength=ghost,
-        )
-
-    # ------------------------------------------------------------------ #
-    # sparse assembly (CSC pattern data, no dense intermediate)
-    # ------------------------------------------------------------------ #
-
-    def assemble_sparse(
-        self,
-        state: AnalysisState,
-        source_scale: float = 1.0,
-        cap_history: Optional[np.ndarray] = None,
-        cache_base: bool = True,
-        source_values: Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]] = None,
-        cap_g: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Assemble the linearized system at ``state`` as CSC pattern data.
-
-        The sparse twin of :meth:`assemble`: element stamps scatter straight
-        into the precomputed CSC positions of :meth:`sparsity_pattern`, so no
-        ``(n, n)`` matrix is ever formed.  Returns ``(data, rhs)`` where
-        ``data`` is the ``(nnz,)`` value array of the pattern — each entry
-        bit-identical to the dense assembly gathered at the pattern's
-        (row, col) position — and ``rhs`` the ghost-trimmed right-hand side.
-
-        Circuits with custom (compatibility-path) elements are rejected:
-        their ``stamp()`` needs the dense matrix view.
-        """
-        pattern = self.sparsity_pattern()
-        if pattern is None:
-            raise ValueError(
-                "sparse assembly does not support custom (stamp-path) elements; "
-                "assemble these circuits densely"
-            )
-        data = self._base_data(
-            state.gmin, state.timestep_s, state.integration, cache=cache_base
-        ).copy()
-        rhs = self._linear_rhs(state, source_scale, cap_history, source_values, cap_g)
-
-        if self.num_mosfets:
-            forward, drain, source, gds, gm, i_eq = self._mosfet_companion(
-                self._pad(state.solution), self.mos_beta, self.mos_vth, self.mos_lambda
-            )
-            pos = np.where(forward, pattern.mos_pos_forward, pattern.mos_pos_reverse)
-            vals = np.concatenate((gds, gds, -gds, -gds, gm, -gm, -gm, gm))
-            # Same bincount accumulation as the dense stamp — the (8, M)
-            # position rows ravel in the dense path's group-major entry
-            # order, so shared cells accumulate in the identical sequence.
-            data += np.bincount(pos.ravel(), weights=vals, minlength=pattern.nnz + 1)
-            rhs += np.bincount(
-                np.concatenate((drain, source)),
-                weights=np.concatenate((-i_eq, i_eq)),
-                minlength=self._ghost,
-            )
-
-        return data[: pattern.nnz], rhs[: self.size]
+        return forward, gds, gm, i_eq
 
     # ------------------------------------------------------------------ #
     # batched assembly (stacked Monte-Carlo trials)
@@ -960,8 +923,9 @@ class CompiledCircuit:
         integration: str = "be",
         previous_solutions: Optional[np.ndarray] = None,
         cap_history: Optional[np.ndarray] = None,
-        source_values: Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]] = None,
+        linear_rhs: Optional[np.ndarray] = None,
         cap_g_rows: Optional[np.ndarray] = None,
+        reuse_workspace: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Assemble ``(trials, n, n)`` systems for stacked parameter sets.
 
@@ -969,23 +933,30 @@ class CompiledCircuit:
         ``params`` maps perturbable parameter names (see
         :data:`PERTURBABLE_PARAMETERS`) to ``(trials, count)`` stacks — any
         parameter not given uses the compiled (possibly overlaid) value
-        vector for every trial.  The per-trial arithmetic mirrors
-        :meth:`assemble` operation for operation — including the sequential
-        ``np.add.at`` accumulation order of entries that share a matrix
-        cell — so a trial's assembled system is bit-identical to a serial
-        assembly with the same parameters; this is what makes the batched
-        Monte-Carlo path reproduce the per-trial path exactly.
+        vector for every trial.  The matrices are the ``(trials, nnz)``
+        pattern data of :meth:`_scatter_batched` placed into zeroed
+        matrices, so row ``t`` is bit-identical to a serial
+        :meth:`assemble` with trial ``t``'s parameters; this is what makes
+        the batched Monte-Carlo path reproduce the per-trial path exactly.
 
         With ``timestep_s`` set the assembly includes the capacitor
         companion models of the selected ``integration``:
         ``previous_solutions`` is the ``(trials, n)`` stack of the last
         accepted time point (``cap_v0`` when omitted, matching the serial
         path's first-step semantics) and ``cap_history`` the ``(trials,
-        num_capacitors)`` trapezoidal history currents.  ``source_values``
-        optionally hands in the (already ``source_scale``-scaled) raw
-        waveform values so a lockstep march evaluates each waveform once
-        per timestep instead of once per Newton round; per-trial
-        ``vsource_scale``/``isource_scale`` stacks still compose on top.
+        num_capacitors)`` trapezoidal history currents.  ``linear_rhs``
+        optionally hands in the ``(trials, n + 1)`` linear right-hand side
+        (:meth:`_linear_rhs_batched`) that a Newton loop builds once per
+        call; the assembly accumulates into it in place and then ignores
+        ``time_s``, ``source_scale``, ``previous_solutions`` and
+        ``cap_history``.  ``cap_g_rows`` optionally hands in the per-trial
+        capacitor companion conductances.
+
+        ``reuse_workspace`` (the batched Newton hot path) assembles into
+        preallocated per-compiled scratch buffers instead of fresh arrays —
+        same bits, no per-round allocation churn — at the price that the
+        returned arrays are only valid until the next workspace-mode
+        assembly.  Direct callers keep the allocating default.
 
         Circuits with custom (compatibility-path) elements are rejected —
         their ``stamp()`` cannot be vectorized across trials.
@@ -995,115 +966,19 @@ class CompiledCircuit:
                 "batched assembly does not support custom (stamp-path) elements; "
                 "run these circuits through the per-trial path"
             )
-        params = dict(params or {})
-        solutions = self._check_solution_stack(solutions)
-        trials = solutions.shape[0]
-        ghost = self._ghost
-        cells = ghost * ghost
-        trial_offsets = np.arange(trials)[:, None]
-
-        # Linear (trial-independent) part first.  When no stack perturbs the
-        # static stamps — no resistor_ohm rows, and no cap_c rows if this is
-        # a transient assembly — every trial's linear part is exactly the
-        # serial cached base matrix, so broadcast-copy it instead of
-        # re-accumulating it per round (the lockstep-march fast path).
-        resistance = params.get("resistor_ohm")
-        cap_c = params.get("cap_c") if timestep_s is not None else None
-        cap_g_rows = self._batched_cap_g_rows(
-            trials, cap_c, timestep_s, integration, cap_g_rows
+        data, rhs = self._scatter_batched(
+            solutions, params, gmin, time_s, source_scale, timestep_s, integration,
+            previous_solutions, cap_history, linear_rhs, cap_g_rows, reuse_workspace,
         )
-        if resistance is None and cap_c is None:
-            matrices = np.empty((trials, ghost, ghost))
-            matrices[:] = self._base_matrix(gmin, timestep_s, integration)
-            flat_all = matrices.reshape(-1)
+        pattern = self._stamp_pattern()
+        trials = data.shape[0]
+        cells = self.size * self.size
+        if reuse_workspace:
+            matrices = self._workspace("dense_matrices", trials, cells, zero=True)
         else:
-            # Static part: resistors + voltage-source branch structure,
-            # exactly the accumulation order of the serial base matrix.
-            matrices = np.zeros((trials, ghost, ghost))
-            flat_all = matrices.reshape(-1)
-            static_idx = self._static_rows * ghost + self._static_cols
-            if static_idx.size:
-                if resistance is None:
-                    matrices += np.bincount(
-                        static_idx, weights=self._static_vals, minlength=cells
-                    ).reshape(ghost, ghost)
-                else:
-                    conductance = 1.0 / np.asarray(resistance, dtype=float)
-                    n4 = 4 * len(self.resistors)
-                    vals = np.broadcast_to(
-                        self._static_vals, (trials, self._static_vals.size)
-                    ).copy()
-                    vals[:, 0:n4:4] = conductance
-                    vals[:, 1:n4:4] = conductance
-                    vals[:, 2:n4:4] = -conductance
-                    vals[:, 3:n4:4] = -conductance
-                    flat_all += np.bincount(
-                        (trial_offsets * cells + static_idx[None, :]).ravel(),
-                        weights=vals.ravel(),
-                        minlength=trials * cells,
-                    )
-            node_diag = np.arange(self.num_nodes)
-            matrices[:, node_diag, node_diag] += gmin
-
-            # Capacitor companion conductances (transient only), stamped
-            # after the gmin diagonal exactly like the serial base matrix.
-            # np.add.at (not bincount) because capacitor entries may share
-            # cells with the static stamps (a pull-up resistor in parallel
-            # with the load capacitor) and the serial path accumulates
-            # those sequentially.
-            if cap_g_rows is not None:
-                cap_cells = (
-                    np.concatenate((self.cap_a, self.cap_b, self.cap_a, self.cap_b))
-                    * ghost
-                    + np.concatenate((self.cap_a, self.cap_b, self.cap_b, self.cap_a))
-                )
-                np.add.at(
-                    flat_all,
-                    (trial_offsets * cells + cap_cells[None, :]).ravel(),
-                    np.concatenate(
-                        (cap_g_rows, cap_g_rows, -cap_g_rows, -cap_g_rows), axis=1
-                    ).ravel(),
-                )
-
-        rhs = self._linear_rhs_batched(
-            trials,
-            params,
-            time_s,
-            source_scale,
-            integration,
-            previous_solutions,
-            cap_history,
-            source_values,
-            cap_g_rows,
-        )
-        rhs_flat = rhs.reshape(-1)
-
-        # MOSFET companion stamps, vectorized over (trials, devices).
-        if self.num_mosfets:
-            forward, drain, source, gds, gm, i_eq = self._mosfet_companion_batched(
-                solutions, params
-            )
-            gate = np.broadcast_to(self.mos_g, drain.shape)
-            rows = np.concatenate(
-                (drain, source, drain, source, drain, drain, source, source), axis=1
-            )
-            cols = np.concatenate(
-                (drain, source, source, drain, gate, source, gate, source), axis=1
-            )
-            vals = np.concatenate((gds, gds, -gds, -gds, gm, -gm, -gm, gm), axis=1)
-            flat_all += np.bincount(
-                (trial_offsets * cells + rows * ghost + cols).ravel(),
-                weights=vals.ravel(),
-                minlength=trials * cells,
-            )
-            rhs_rows = np.concatenate((drain, source), axis=1)
-            rhs_flat += np.bincount(
-                (trial_offsets * ghost + rhs_rows).ravel(),
-                weights=np.concatenate((-i_eq, i_eq), axis=1).ravel(),
-                minlength=trials * ghost,
-            )
-
-        return matrices[:, : self.size, : self.size], rhs[:, : self.size]
+            matrices = np.zeros((trials, cells))
+        matrices[:, pattern.dense_pos] = data[:, : pattern.nnz]
+        return matrices.reshape(trials, self.size, self.size), rhs[:, : self.size]
 
     def _check_solution_stack(self, solutions: np.ndarray) -> np.ndarray:
         solutions = np.asarray(solutions, dtype=float)
@@ -1150,24 +1025,19 @@ class CompiledCircuit:
         cap_history: Optional[np.ndarray],
         source_values: Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]],
         cap_g_rows: Optional[np.ndarray],
-        reuse_workspace: bool = False,
     ) -> np.ndarray:
         """The stacked linear right-hand side (sources + cap history).
 
-        Shared by the dense and the sparse batched assembly; the per-trial
-        arithmetic mirrors :meth:`_linear_rhs` operation for operation.
-        With ``reuse_workspace`` the returned stack lives in a per-compiled
-        scratch buffer that the next workspace-mode assembly overwrites
-        (the Newton hot path consumes it within the round).
+        The per-trial arithmetic mirrors :meth:`_linear_rhs` operation for
+        operation, and a row never depends on the other rows of the stack,
+        so the batched Newton loop builds it once per call for the whole
+        stack and gathers the active rows each round.
         """
         ghost = self._ghost
         trial_offsets = np.arange(trials)[:, None]
         # Independent sources (per-trial scale stacks compose exactly like
         # the serial vs_scale/is_scale overlay multipliers).
-        if reuse_workspace:
-            rhs = self._workspace("batched_rhs", trials, ghost, zero=True)
-        else:
-            rhs = np.zeros((trials, ghost))
+        rhs = np.zeros((trials, ghost))
         rhs_flat = rhs.reshape(-1)
         raw_v, raw_i = source_values if source_values is not None else (None, None)
         if self.voltage_sources:
@@ -1243,7 +1113,7 @@ class CompiledCircuit:
 
     def _mosfet_companion_batched(
         self, solutions: np.ndarray, params: Mapping[str, np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Stacked :meth:`_mosfet_companion` with per-trial parameter stacks."""
         trials = solutions.shape[0]
         # Scratch only: _mosfet_companion gathers (copies) from the padded
@@ -1269,31 +1139,17 @@ class CompiledCircuit:
         integration: str = "be",
         previous_solutions: Optional[np.ndarray] = None,
         cap_history: Optional[np.ndarray] = None,
-        source_values: Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]] = None,
+        linear_rhs: Optional[np.ndarray] = None,
         cap_g_rows: Optional[np.ndarray] = None,
         reuse_workspace: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Assemble ``(trials, nnz)`` CSC data stacks for stacked trials.
 
-        The sparse twin of :meth:`assemble_batched`: same signature, same
-        per-trial arithmetic, but element stamps scatter into the shared CSC
-        pattern of :meth:`sparsity_pattern` instead of dense ``(n, n)``
-        matrices, so the memory footprint is ``trials * nnz`` rather than
-        ``trials * n^2``.  Row ``t`` of the returned ``data`` is
-        bit-identical to :meth:`assemble_sparse` with trial ``t``'s
-        parameters — and therefore to the dense batched assembly gathered at
-        the pattern positions.
-
-        The shared-base fast path is kept: when no parameter stack perturbs
-        the linear part (no ``resistor_ohm`` rows, and no ``cap_c`` rows if
-        this is a transient assembly), every trial's linear data is a
-        broadcast copy of the cached nominal :meth:`_base_data`.
-
-        ``reuse_workspace`` (the batched Newton hot path) assembles into
-        preallocated per-compiled scratch buffers instead of fresh arrays —
-        same bits, no per-round allocation churn — at the price that the
-        returned arrays are only valid until the next workspace-mode
-        assembly.  Direct callers keep the allocating default.
+        Same arguments as :meth:`assemble_batched`, but returns the pattern
+        data itself instead of placing it, so the memory footprint is
+        ``trials * nnz`` rather than ``trials * n^2``.  Row ``t`` of the
+        returned ``data`` is bit-identical to :meth:`assemble_sparse` with
+        trial ``t``'s parameters.
         """
         pattern = self.sparsity_pattern()
         if pattern is None:
@@ -1301,6 +1157,37 @@ class CompiledCircuit:
                 "sparse assembly does not support custom (stamp-path) elements; "
                 "assemble these circuits densely"
             )
+        data, rhs = self._scatter_batched(
+            solutions, params, gmin, time_s, source_scale, timestep_s, integration,
+            previous_solutions, cap_history, linear_rhs, cap_g_rows, reuse_workspace,
+        )
+        return data[:, : pattern.nnz], rhs[:, : self.size]
+
+    def _scatter_batched(
+        self,
+        solutions: np.ndarray,
+        params: Optional[Mapping[str, np.ndarray]],
+        gmin: float,
+        time_s: float,
+        source_scale: float,
+        timestep_s: Optional[float],
+        integration: str,
+        previous_solutions: Optional[np.ndarray],
+        cap_history: Optional[np.ndarray],
+        linear_rhs: Optional[np.ndarray],
+        cap_g_rows: Optional[np.ndarray],
+        reuse_workspace: bool,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The stacked assembly kernel: ``(trials, nnz + 1)`` data, ``(trials, n + 1)`` RHS.
+
+        :meth:`_scatter` over a stack, with per-trial parameter stacks.
+        When no stack perturbs the linear part (no ``resistor_ohm`` rows,
+        and no ``cap_c`` rows if this is a transient assembly), every
+        trial's linear data is a broadcast copy of the cached nominal
+        :meth:`_base_data`; otherwise it is re-accumulated per trial in the
+        base data's order.
+        """
+        pattern = self._stamp_pattern()
         params = dict(params or {})
         solutions = self._check_solution_stack(solutions)
         trials = solutions.shape[0]
@@ -1314,11 +1201,10 @@ class CompiledCircuit:
         )
         if resistance is None and cap_c is None:
             if reuse_workspace:
-                data = self._workspace("sparse_data", trials, slots)
+                data = self._workspace("batched_data", trials, slots)
             else:
                 data = np.empty((trials, slots))
             data[:] = self._base_data(gmin, timestep_s, integration)
-            data_flat = data.reshape(-1)
         else:
             # Static part in the serial base-data accumulation order:
             # static entries, then the gmin diagonal, then the capacitor
@@ -1326,7 +1212,7 @@ class CompiledCircuit:
             # positions with the static stamps, and the serial path
             # accumulates those sequentially).
             if reuse_workspace:
-                data = self._workspace("sparse_data", trials, slots, zero=True)
+                data = self._workspace("batched_data", trials, slots, zero=True)
             else:
                 data = np.zeros((trials, slots))
             data_flat = data.reshape(-1)
@@ -1361,42 +1247,42 @@ class CompiledCircuit:
                 )
             data[:, pattern.nnz] = 0.0
 
-        rhs = self._linear_rhs_batched(
-            trials,
-            params,
-            time_s,
-            source_scale,
-            integration,
-            previous_solutions,
-            cap_history,
-            source_values,
-            cap_g_rows,
-            reuse_workspace=reuse_workspace,
-        )
+        if linear_rhs is not None:
+            rhs = linear_rhs
+        else:
+            rhs = self._linear_rhs_batched(
+                trials,
+                params,
+                time_s,
+                source_scale,
+                integration,
+                previous_solutions,
+                cap_history,
+                None,
+                cap_g_rows,
+            )
 
         if self.num_mosfets:
-            forward, drain, source, gds, gm, i_eq = self._mosfet_companion_batched(
-                solutions, params
-            )
+            forward, gds, gm, i_eq = self._mosfet_companion_batched(solutions, params)
             pos = np.where(
-                forward[:, None, :],
-                pattern.mos_pos_forward[None, :, :],
-                pattern.mos_pos_reverse[None, :, :],
+                forward[:, None, :], pattern.mos_pos_forward, pattern.mos_pos_reverse
             )
             vals = np.concatenate((gds, gds, -gds, -gds, gm, -gm, -gm, gm), axis=1)
-            data_flat += np.bincount(
-                (np.arange(trials)[:, None, None] * slots + pos).ravel(),
+            data += np.bincount(
+                (trial_offsets[:, :, None] * slots + pos).ravel(),
                 weights=vals.ravel(),
                 minlength=trials * slots,
+            ).reshape(trials, slots)
+            rows = np.where(
+                forward[:, None, :], self._mos_rhs_forward, self._mos_rhs_reverse
             )
-            rhs_rows = np.concatenate((drain, source), axis=1)
-            rhs.reshape(-1)[:] += np.bincount(
-                (trial_offsets * self._ghost + rhs_rows).ravel(),
+            rhs += np.bincount(
+                (trial_offsets[:, :, None] * self._ghost + rows).ravel(),
                 weights=np.concatenate((-i_eq, i_eq), axis=1).ravel(),
                 minlength=trials * self._ghost,
-            )
+            ).reshape(trials, self._ghost)
 
-        return data[:, : pattern.nnz], rhs[:, : self.size]
+        return data, rhs
 
 
 class AnalysisEngine:
@@ -1556,14 +1442,19 @@ class AnalysisEngine:
         max_update = float("inf")
         iteration = 0
         gmin_bumped = False
-        # Per-solve invariants, hoisted out of the iteration loop: the
-        # source waveform values (constant at one time point) and the
-        # capacitor companion conductances (set by the timestep alone).
-        source_values = compiled._source_values(time_s, source_scale)
-        cap_g = (
-            compiled._capacitor_conductance(timestep_s, integration)
-            if timestep_s is not None and compiled.num_capacitors
-            else None
+        # Per-solve invariant, hoisted out of the iteration loop: the linear
+        # right-hand side (sources and capacitor history) depends on neither
+        # the iterate nor gmin.  Each round assembles into a copy of it.
+        linear_rhs = compiled._linear_rhs(
+            AnalysisState(
+                solution=solution,
+                time_s=time_s,
+                timestep_s=timestep_s,
+                previous_solution=previous_solution,
+                integration=integration,
+            ),
+            source_scale,
+            cap_history,
         )
         for iteration in range(1, max_iterations + 1):
             state = AnalysisState(
@@ -1578,12 +1469,7 @@ class AnalysisEngine:
             try:
                 if pattern is not None:
                     data, rhs = compiled.assemble_sparse(
-                        state,
-                        source_scale,
-                        cap_history,
-                        cache_base=not gmin_bumped,
-                        source_values=source_values,
-                        cap_g=cap_g,
+                        state, cache_base=not gmin_bumped, linear_rhs=linear_rhs.copy()
                     )
                     if reuse_state is None:
                         new_solution = solver.solve_pattern(data, rhs)
@@ -1593,12 +1479,7 @@ class AnalysisEngine:
                         )
                 else:
                     matrix, rhs = compiled.assemble(
-                        state,
-                        source_scale,
-                        cap_history,
-                        cache_base=not gmin_bumped,
-                        source_values=source_values,
-                        cap_g=cap_g,
+                        state, cache_base=not gmin_bumped, linear_rhs=linear_rhs.copy()
                     )
                     if reuse_state is None:
                         new_solution = solver.solve(matrix, rhs)
@@ -1614,10 +1495,10 @@ class AnalysisEngine:
                 continue
 
             update = new_solution - solution
-            max_update = float(np.max(np.abs(update))) if update.size else 0.0
+            max_update = float(np.abs(update).max()) if update.size else 0.0
             # Per-unknown clamp: a runaway node (e.g. a floating terminal
             # hanging off a cut-off transistor) must not stall the rest.
-            update = np.clip(update, -damping_v, damping_v)
+            update = np.minimum(np.maximum(update, -damping_v), damping_v)
             solution = solution + update
             if reuse_state is not None:
                 reuse_state.observe(bypassed, max_update, tolerance_v)
@@ -1872,13 +1753,33 @@ class AnalysisEngine:
             if pattern is not None
             else compiled.assemble_batched
         )
-        # The hot path owns the assembled arrays for exactly one round, so
-        # the sparse assembly may recycle its scratch buffers.
-        assemble_kwargs = {"reuse_workspace": True} if pattern is not None else {}
         use_reuse = (
             reuse_states is not None
             and pattern is not None
             and hasattr(solver, "factorize_pattern_batched")
+        )
+        # Per-call invariant, hoisted out of the rounds: the linear RHS stack
+        # (sources and capacitor history) depends on neither the iterates nor
+        # gmin, and each of its rows only on its own trial.  Every round
+        # assembles into a copy of the rows it needs, and recycles the
+        # assembly's scratch buffers (the hot path owns the assembled arrays
+        # for exactly one round).
+        linear_rhs = compiled._linear_rhs_batched(
+            trials,
+            params,
+            time_s,
+            source_scale,
+            integration,
+            previous_solutions,
+            cap_history,
+            source_values,
+            compiled._batched_cap_g_rows(
+                trials,
+                params.get("cap_c") if timestep_s is not None else None,
+                timestep_s,
+                integration,
+                cap_g_rows,
+            ),
         )
         for iteration in range(1, max_iterations + 1):
             index = np.flatnonzero(active)
@@ -1893,15 +1794,11 @@ class AnalysisEngine:
                     solutions,
                     params,
                     gmin=gmin,
-                    time_s=time_s,
                     timestep_s=timestep_s,
                     integration=integration,
-                    previous_solutions=previous_solutions,
-                    cap_history=cap_history,
-                    source_values=source_values,
+                    linear_rhs=linear_rhs.copy(),
                     cap_g_rows=cap_g_rows,
-                    source_scale=source_scale,
-                    **assemble_kwargs,
+                    reuse_workspace=True,
                 )
                 new_solutions, index, bypassed = self._reuse_round_batched(
                     solver, reuse_states, solutions, matrices, rhs, index,
@@ -1915,17 +1812,11 @@ class AnalysisEngine:
                     solutions[index],
                     subset,
                     gmin=gmin,
-                    time_s=time_s,
                     timestep_s=timestep_s,
                     integration=integration,
-                    previous_solutions=(
-                        None if previous_solutions is None else previous_solutions[index]
-                    ),
-                    cap_history=None if cap_history is None else cap_history[index],
-                    source_values=source_values,
+                    linear_rhs=linear_rhs[index],
                     cap_g_rows=None if cap_g_rows is None else cap_g_rows[index],
-                    source_scale=source_scale,
-                    **assemble_kwargs,
+                    reuse_workspace=True,
                 )
                 try:
                     if pattern is not None:
@@ -1962,7 +1853,7 @@ class AnalysisEngine:
             updates_max = (
                 np.max(np.abs(update), axis=1) if update.size else np.zeros(len(index))
             )
-            update = np.clip(update, -damping_v, damping_v)
+            update = np.minimum(np.maximum(update, -damping_v), damping_v)
             solutions[index] = solutions[index] + update
             iterations[index] = iteration
             max_updates[index] = updates_max

@@ -15,6 +15,7 @@ from repro.spice import (
     Circuit,
     CurrentSource,
     MOSFET,
+    Pulse,
     Resistor,
     VoltageSource,
     get_engine,
@@ -175,8 +176,8 @@ class TestCompiledAssemblyParity:
         op = get_engine(circuit).solve_dc(max_iterations=50)
         assert not op.converged
         # Only the caller-requested gmin contexts are retained; the
-        # bumped-gmin retry matrices are built uncached.
-        assert len(engine.compiled._base_cache) <= len((1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)) + 1
+        # bumped-gmin retry bases are built uncached.
+        assert len(engine.compiled._base_data_cache) <= len((1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)) + 1
 
     def test_get_engine_is_cached_on_circuit(self):
         circuit = Circuit()
@@ -191,6 +192,56 @@ class TestCompiledAssemblyParity:
         assert len(compiled.voltage_sources) == 2
         assert len(compiled.current_sources) == 1
         assert not compiled.custom_elements
+
+
+RC_OHM = 1e3
+RC_FARAD = 1e-9
+RC_TAU_S = RC_OHM * RC_FARAD
+
+
+def rc_ramp_exact(time_s):
+    """Capacitor voltage of the RC low-pass driven by a 0 -> 1 V ramp over tau.
+
+    ``v = (t - tau (1 - e^{-t/tau})) / tau`` during the ramp, then the
+    exponential approach to 1 V from ``v(tau) = e^{-1}``.
+    """
+    t = np.asarray(time_s)
+    ramp = (t - RC_TAU_S * (1.0 - np.exp(-t / RC_TAU_S))) / RC_TAU_S
+    tail = 1.0 - (1.0 - np.exp(-1.0)) * np.exp(-(t - RC_TAU_S) / RC_TAU_S)
+    return np.where(t <= RC_TAU_S, ramp, tail)
+
+
+class TestIntegrationOrder:
+    """Observed convergence order of the fixed-step transient on an analytic RC.
+
+    The RC starts at rest (so the zero initial trapezoidal history is
+    exact) and the ramp's corner at ``t = tau`` lies on every grid of the
+    ladder, so the global error must halve (BE) or quarter (trap) with each
+    halving of the step.  ``gmin=0`` keeps the analytic solution exact.
+    """
+
+    @staticmethod
+    def max_error(integration, timestep_s):
+        circuit = Circuit("rc")
+        VoltageSource(
+            circuit, "vin", "in", "0", Pulse(0.0, 1.0, rise_s=RC_TAU_S, width_s=10 * RC_TAU_S)
+        )
+        Resistor(circuit, "r", "in", "out", RC_OHM)
+        Capacitor(circuit, "c", "out", "0", RC_FARAD)
+        result = get_engine(circuit).solve_transient(
+            3 * RC_TAU_S, timestep_s, integration=integration, gmin=0.0
+        )
+        assert result.converged
+        return float(np.max(np.abs(result.voltage("out") - rc_ramp_exact(result.time_s))))
+
+    @pytest.mark.parametrize(
+        "integration, low, high", [("be", 0.9, 1.1), ("trap", 1.8, 2.2)]
+    )
+    def test_observed_order_over_four_halvings(self, integration, low, high):
+        steps = [RC_TAU_S / 10 / 2**k for k in range(5)]
+        errors = [self.max_error(integration, step) for step in steps]
+        orders = [np.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+        assert all(low <= order <= high for order in orders), orders
 
 
 class TestSolverFallbacks:

@@ -1,9 +1,11 @@
-"""Tests for sparse pattern assembly and the sparse-batched solver path.
+"""Tests for pattern assembly, dense placement and the sparse-batched path.
 
-The dense assembly is the reference: scattering element stamps straight
-into the precomputed CSC pattern (serial ``(nnz,)`` or stacked
-``(trials, nnz)``) must reproduce the dense matrices *bit for bit* — same
-accumulation order, same arithmetic — at zero and nonzero sigma, for DC
+Every assembly scatters element stamps into the precomputed CSC pattern
+(serial ``(nnz,)`` or stacked ``(trials, nnz)``); the dense assemblies
+place that data into zeroed matrices.  The per-element ``stamp()`` path
+(``Circuit.assemble``) is the oracle for the placed matrices, every dense
+entry off the pattern must be exactly zero, and dense, sparse, serial and
+batched results must agree *bit for bit* at zero and nonzero sigma, for DC
 and transient companion states.  At the solve level the sparse-batched
 backend must match the serial sparse backend bit for bit (identical data,
 identical per-trial factorizations) and the dense-batched reference to
@@ -16,6 +18,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.circuits import build_scalability_bench
+from repro.experiments.fig11_xor3_transient import build_fig11_bench
 from repro.fitting.level1 import Level1Parameters
 from repro.spice import (
     Capacitor,
@@ -120,6 +123,149 @@ class TestSparsityPattern:
             compiled.assemble_sparse(op_state)
         with pytest.raises(ValueError, match="custom"):
             compiled.assemble_sparse_batched(np.zeros((2, circuit.system_size)))
+
+
+class TwoKilohm:
+    """A custom element only implementing the legacy stamp protocol."""
+
+    name = "x_custom"
+
+    def __init__(self, circuit, node_a, node_b):
+        self._a = circuit.node(node_a)
+        self._b = circuit.node(node_b)
+        circuit.add(self)
+
+    def stamp(self, system, state):
+        system.add_conductance(self._a, self._b, 1.0 / 2e3)
+
+
+def custom_divider():
+    circuit = Circuit()
+    VoltageSource(circuit, "v1", "in", "0", 1.0)
+    Resistor(circuit, "r1", "in", "out", 1e3)
+    TwoKilohm(circuit, "out", "0")
+    Capacitor(circuit, "c1", "out", "0", 1e-12)
+    return circuit
+
+
+def analysis_state(circuit, kind, rng):
+    """A DC, backward-Euler or trapezoidal state at a random iterate."""
+    solution = rng.uniform(-0.2, 1.4, circuit.system_size)
+    if kind == "dc":
+        return AnalysisState(solution=solution, time_s=150e-9, gmin=1e-9)
+    return AnalysisState(
+        solution=solution,
+        time_s=150e-9,
+        timestep_s=1e-9,
+        previous_solution=rng.uniform(-0.2, 1.4, circuit.system_size),
+        integration=kind,
+        gmin=1e-9,
+    )
+
+
+def with_cap_history(circuit, rng):
+    """Give every capacitor a nonzero trapezoidal history current."""
+    for element in circuit.elements:
+        if isinstance(element, Capacitor):
+            element._previous_current = float(rng.uniform(-1e-6, 1e-6))
+    return circuit
+
+
+class TestDensePlacement:
+    @pytest.mark.parametrize("kind", ["dc", "be", "trap"])
+    def test_fig11_placement_matches_stamp_oracle(self, switch_model, kind):
+        rng = np.random.default_rng(5)
+        circuit = with_cap_history(build_fig11_bench(model=switch_model).circuit, rng)
+        compiled = get_engine(circuit).compiled
+        state = analysis_state(circuit, kind, rng)
+        matrix, rhs = compiled.assemble(state)
+        oracle = circuit.assemble(state)
+        assert np.allclose(matrix, oracle.matrix, rtol=1e-12, atol=1e-18)
+        assert np.allclose(rhs, oracle.rhs, rtol=1e-12, atol=1e-18)
+        # Off the pattern the placed matrix is exactly zero.
+        pattern = compiled.sparsity_pattern()
+        on_pattern = np.zeros(matrix.shape, dtype=bool)
+        on_pattern[pattern.rows, pattern.cols] = True
+        assert np.all(matrix[~on_pattern] == 0.0)
+        # On it, the placed entries are the sparse assembly bit for bit.
+        data, sparse_rhs = compiled.assemble_sparse(state)
+        assert np.array_equal(matrix[pattern.rows, pattern.cols], data)
+        assert np.array_equal(rhs, sparse_rhs)
+
+    @pytest.mark.parametrize("kind", ["dc", "be", "trap"])
+    def test_custom_element_placement_matches_stamp_oracle(self, kind):
+        rng = np.random.default_rng(8)
+        circuit = with_cap_history(custom_divider(), rng)
+        compiled = get_engine(circuit).compiled
+        assert compiled.sparsity_pattern() is None
+        state = analysis_state(circuit, kind, rng)
+        matrix, rhs = compiled.assemble(state)
+        oracle = circuit.assemble(state)
+        assert np.allclose(matrix, oracle.matrix, rtol=1e-12, atol=1e-18)
+        assert np.allclose(rhs, oracle.rhs, rtol=1e-12, atol=1e-18)
+        # Off the compiled stamps' pattern and off the custom element's
+        # cells ((out, out) for a conductance to ground) it is exactly zero.
+        pattern = compiled._stamp_pattern()
+        covered = np.zeros(matrix.shape, dtype=bool)
+        covered[pattern.rows, pattern.cols] = True
+        out = circuit.node_index("out")
+        covered[out, out] = True
+        assert np.all(matrix[~covered] == 0.0)
+
+    @pytest.mark.parametrize("kind", ["dc", "be", "trap"])
+    def test_batched_rows_match_serial_dense_assembly(self, switch_model, kind):
+        # Row t of the placed stack == the serial dense assembly with trial
+        # t's overlay, bit for bit, with a linear overlay (resistor_ohm) in
+        # play so the per-trial base path is taken too.
+        rng = np.random.default_rng(13)
+        circuit = build_fig11_bench(model=switch_model).circuit
+        mc = MonteCarloEngine(
+            circuit,
+            {
+                "mos_vth": Gaussian(0.03),
+                "mos_beta": Gaussian(0.05, relative=True),
+                "resistor_ohm": Gaussian(0.05, relative=True),
+            },
+            seed=17,
+        )
+        compiled = get_engine(circuit).compiled
+        stacks = mc.sample_stacked_overlays(3)
+        state = analysis_state(circuit, kind, rng)
+        solutions = state.solution + rng.uniform(-0.05, 0.05, (3, circuit.system_size))
+        history = rng.uniform(-1e-6, 1e-6, (3, compiled.num_capacitors))
+        transient = kind != "dc"
+        matrices, rhs = compiled.assemble_batched(
+            solutions,
+            stacks,
+            gmin=state.gmin,
+            time_s=state.time_s,
+            timestep_s=state.timestep_s,
+            integration=state.integration,
+            previous_solutions=(
+                np.tile(state.previous_solution, (3, 1)) if transient else None
+            ),
+            cap_history=history if transient else None,
+        )
+        try:
+            for trial in range(3):
+                compiled.set_parameter_overlay(
+                    {name: stack[trial] for name, stack in stacks.items()}
+                )
+                trial_state = AnalysisState(
+                    solution=solutions[trial],
+                    time_s=state.time_s,
+                    timestep_s=state.timestep_s,
+                    previous_solution=state.previous_solution,
+                    integration=state.integration,
+                    gmin=state.gmin,
+                )
+                serial, serial_rhs = compiled.assemble(
+                    trial_state, cap_history=history[trial], cache_base=False
+                )
+                assert np.array_equal(serial, matrices[trial])
+                assert np.array_equal(serial_rhs, rhs[trial])
+        finally:
+            compiled.clear_parameter_overlay()
 
 
 class TestSparseBatchedAssembly:

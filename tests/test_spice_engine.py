@@ -16,6 +16,7 @@ from repro.spice import (
     VoltageSource,
     get_engine,
 )
+from repro.spice.elements.mosfet import evaluate_level1_arrays
 from repro.spice.netlist import AnalysisState
 
 NMOS = Level1Parameters(kp_a_per_v2=4e-5, vth_v=0.18, lambda_per_v=0.05, width_m=0.7e-6, length_m=0.35e-6)
@@ -241,6 +242,33 @@ class TestMOSFETElement:
         just_below, _, _ = element._evaluate(mosfet_params.vth_v - 1e-6, 1.0)
         just_above, _, _ = element._evaluate(mosfet_params.vth_v + 1e-6, 1.0)
         assert just_below == pytest.approx(just_above, rel=1e-3)
+
+    @pytest.mark.parametrize("max_overdrive_v", [1.0, 4.0])
+    def test_vectorized_model_matches_scalar_reference(self, max_overdrive_v):
+        # The engine's array evaluation against the element's scalar model,
+        # from deep cutoff (x < -40) through the smooth transition, in triode
+        # and saturation; with 4 V of overdrive some devices pass the x > 40
+        # guard (overdrive > 40 * SMOOTHING_V) and take the exact linear
+        # branch, with 1 V none does.
+        circuit = Circuit()
+        element = MOSFET(circuit, "m1", "d", "g", "0", NMOS)
+        rng = np.random.default_rng(3)
+        vgs = NMOS.vth_v + rng.uniform(-3.0, max_overdrive_v, 400)
+        vds = rng.uniform(0.0, 3.0, 400)
+        count = vgs.size
+        ids, gm, gds = evaluate_level1_arrays(
+            vgs,
+            vds,
+            np.full(count, NMOS.beta),
+            np.full(count, NMOS.vth_v),
+            np.full(count, NMOS.lambda_per_v),
+            np.full(count, MOSFET.SMOOTHING_V),
+        )
+        reference = np.array([element._evaluate(g, d) for g, d in zip(vgs, vds)])
+        linear = (vgs - NMOS.vth_v) / MOSFET.SMOOTHING_V > 40.0
+        assert linear.any() == (max_overdrive_v > 40.0 * MOSFET.SMOOTHING_V)
+        for got, expected in zip((ids, gm, gds), reference.T):
+            assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
 class TestDCSweep:
