@@ -62,10 +62,10 @@ class Store(abc.ABC):
     """spec hash -> :class:`Result` storage seam (see the module docstring).
 
     Subclasses implement the five primitives (``get``/``put``/``delete``/
-    ``keys``/``__len__``); iteration, membership, :meth:`query`,
-    :meth:`invalidate` and :meth:`clear` are derived.  ``get`` must return
-    ``None`` on any miss — absent, expired or unreadable — never raise for
-    a missing entry.
+    ``keys``/``__len__``); iteration, membership, :meth:`get_json`,
+    :meth:`query`, :meth:`invalidate` and :meth:`clear` are derived.
+    ``get`` must return ``None`` on any miss — absent, expired or
+    unreadable — never raise for a missing entry.
 
     Eviction is cooperative: ``ttl_s`` bounds entry age (an expired entry
     reads as a miss and is dropped), ``max_entries`` bounds the entry
@@ -102,6 +102,19 @@ class Store(abc.ABC):
     @abc.abstractmethod
     def get(self, key: str) -> Optional[Result]:
         """The stored result for a key, or ``None`` on any kind of miss."""
+
+    def get_json(self, key: str) -> Optional[str]:
+        """The stored result's canonical JSON text, or ``None`` on any miss.
+
+        The text is :meth:`Result.to_json` of what :meth:`get` returns, and
+        this default computes exactly that.  Backends that keep the
+        canonical text (:class:`SQLiteStore`, :class:`JSONDirectoryStore`)
+        override it to return the stored text after the same validation
+        ``get`` runs, so a reader that only forwards the JSON skips the
+        re-encode.
+        """
+        result = self.get(key)
+        return None if result is None else result.to_json()
 
     @abc.abstractmethod
     def put(self, key: str, result: Result) -> None:
@@ -325,6 +338,7 @@ class JSONDirectoryStore(Store):
     """One ``<hash>.json`` per result — the on-disk cache format.
 
     The serialization is ``json.dump(result.to_jsonable(), sort_keys=True)``
+    — the :meth:`Result.to_json` text, which :meth:`get_json` serves —
     behind an atomic ``os.replace``, unchanged since the first on-disk
     cache, so existing cache directories keep working.  Atomic replacement
     also makes concurrent writers safe: a reader sees either
@@ -366,6 +380,23 @@ class JSONDirectoryStore(Store):
         return os.path.join(self.directory, f"{_check_key(key)}.json")
 
     def get(self, key: str) -> Optional[Result]:
+        loaded = self._load(key)
+        return None if loaded is None else loaded[1]
+
+    def get_json(self, key: str) -> Optional[str]:
+        """The file's text, once it has parsed into a valid :class:`Result`.
+
+        ``put`` writes the canonical :meth:`Result.to_json` text, so this
+        equals ``get(key).to_json()`` without the re-encode.  Expiry and
+        quarantine are those of :meth:`get` (one shared loader).  A file
+        placed in the directory by other means is served as written once
+        it validates; only ``put`` guarantees the canonical form.
+        """
+        loaded = self._load(key)
+        return None if loaded is None else loaded[0]
+
+    def _load(self, key: str) -> Optional[Tuple[str, Result]]:
+        """``(text, result)`` of a live, parseable entry, else ``None``."""
         path = self._path(key)
         try:
             stat = os.stat(path)
@@ -379,7 +410,8 @@ class JSONDirectoryStore(Store):
             return None
         try:
             with open(path, encoding="utf-8") as handle:
-                return Result.from_jsonable(json.load(handle))
+                text = handle.read()
+            return text, Result.from_json(text)
         except OSError:
             return None
         except (ValueError, KeyError, TypeError):
@@ -400,7 +432,7 @@ class JSONDirectoryStore(Store):
                 "Further corrupt files in this store are quarantined "
                 "without a warning.",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
 
     def put(self, key: str, result: Result) -> None:
@@ -555,6 +587,22 @@ class SQLiteStore(Store):
     # -- the Store interface ------------------------------------------- #
 
     def get(self, key: str) -> Optional[Result]:
+        loaded = self._load(key)
+        return None if loaded is None else loaded[1]
+
+    def get_json(self, key: str) -> Optional[str]:
+        """The payload column, once it has parsed into a valid :class:`Result`.
+
+        ``put`` stores :meth:`Result.to_json`, so this equals
+        ``get(key).to_json()`` without the re-encode.  TTL expiry, the
+        corrupt-row drop and the LRU touch are those of :meth:`get` (one
+        shared loader).
+        """
+        loaded = self._load(key)
+        return None if loaded is None else loaded[0]
+
+    def _load(self, key: str) -> Optional[Tuple[str, Result]]:
+        """``(payload, result)`` of a live, parseable row, else ``None``."""
         connection = self._connection()
         row = connection.execute(
             "SELECT payload, created FROM results WHERE key = ?", (key,)
@@ -577,7 +625,7 @@ class SQLiteStore(Store):
                     f"corrupt result row {key!r} dropped from {self.path!r}; "
                     "further corrupt rows are dropped without a warning.",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
             return None
         if self.max_entries is not None:
@@ -589,7 +637,7 @@ class SQLiteStore(Store):
                     "UPDATE results SET accessed = ? WHERE key = ?",
                     (time.time(), key),
                 )
-        return result
+        return payload, result
 
     def put(self, key: str, result: Result) -> None:
         _check_key(key)
@@ -1023,6 +1071,11 @@ class ResilientStore(Store):
 
     def get(self, key: str) -> Optional[Result]:
         return self._call("get", lambda: self.inner.get(key), None)
+
+    def get_json(self, key: str) -> Optional[str]:
+        # The same read as get (retries, deadline, breaker, degraded-get
+        # counter), returning the inner store's text.
+        return self._call("get", lambda: self.inner.get_json(key), None)
 
     def put(self, key: str, result: Result) -> None:
         self._call("put", lambda: self.inner.put(key, result), None)

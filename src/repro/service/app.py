@@ -16,8 +16,10 @@ POST   ``/studies``                 submit a spec (:func:`repro.api.spec_from_di
                                     the id is the spec content hash, so
                                     identical submissions share one job
 GET    ``/studies/{id}``            job status + read-only RunStats counters
-GET    ``/studies/{id}/result``     the Result JSON, with sparse field
-                                    selection via ``?fields=scalars,meta``
+GET    ``/studies/{id}/result``     the Result JSON (the store's validated
+                                    canonical text, served as-is), with
+                                    sparse field selection via
+                                    ``?fields=scalars,meta``
 GET    ``/results``                 paginated store listing
                                     (``?kind=&limit=&offset=&fields=``)
 GET    ``/healthz``                 liveness + worker/queue snapshot
@@ -37,7 +39,7 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.codec import SpecDecodeError, spec_from_dict
@@ -63,6 +65,14 @@ MAX_BODY_BYTES = 2 * 1024 * 1024
 
 #: Hard ceiling on one ``GET /results`` page.
 MAX_PAGE_LIMIT = 500
+
+
+class _RawJSON(str):
+    """A response payload that is already canonical JSON text.
+
+    The full-result route returns the stored text in this wrapper; the
+    HTTP shell writes it as-is instead of passing it to ``json.dumps``.
+    """
 
 
 class _HTTPError(Exception):
@@ -142,16 +152,20 @@ class StudyService:
         ``{"error": ...}`` payload.
         """
         status, payload, _headers = self.handle_request(method, target, body)
+        if isinstance(payload, _RawJSON):
+            payload = json.loads(payload)
         return status, payload
 
     def handle_request(
         self, method: str, target: str, body: bytes = b""
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    ) -> Tuple[int, Union[Dict[str, Any], str], Dict[str, str]]:
         """Like :meth:`handle`, plus the extra response headers.
 
         The third element carries response headers beyond Content-Type —
         today that is ``Retry-After`` on shed submissions (503 when the
-        queue is past ``max_queue_depth``).
+        queue is past ``max_queue_depth``).  Unlike :meth:`handle`, a full
+        ``GET /studies/{id}/result`` payload comes back as the stored
+        canonical JSON text (a ``str``), not decoded into a dict.
         """
         split = urlsplit(target)
         path = split.path.rstrip("/") or "/"
@@ -165,7 +179,7 @@ class StudyService:
 
     def _dispatch(
         self, method: str, path: str, query: Dict[str, str], body: bytes
-    ) -> Tuple[str, int, Dict[str, Any], Dict[str, str]]:
+    ) -> Tuple[str, int, Union[Dict[str, Any], str], Dict[str, str]]:
         # Resolve the route *template* before handling: the request
         # counters must key on '/studies/{id}', never the raw path, or a
         # long-running server leaks one counter entry per distinct path
@@ -288,10 +302,14 @@ class StudyService:
 
     def _get_study_result(
         self, job_id: str, query: Dict[str, str]
-    ) -> Tuple[int, Dict[str, Any]]:
+    ) -> Tuple[int, Union[Dict[str, Any], str]]:
         fields = self._parse_fields(query)
         self._reject_unknown_query(query, {"fields"})
         try:
+            if fields is None:
+                # The whole result: the store's validated canonical text,
+                # byte-equal to json.dumps(to_jsonable(), sort_keys=True).
+                return 200, _RawJSON(self.manager.result_json(job_id))
             result = self.manager.result(job_id)
         except UnknownJob as error:
             raise _HTTPError(404, str(error.args[0])) from None
@@ -431,6 +449,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle on, a keep-alive
+    # client's delayed ACK holds the body back for about 40 ms.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> StudyService:
@@ -442,10 +463,13 @@ class _Handler(BaseHTTPRequestHandler):
     def _respond(
         self,
         status: int,
-        payload: Dict[str, Any],
+        payload: Union[Dict[str, Any], str],
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        if isinstance(payload, _RawJSON):
+            body = payload.encode("utf-8")
+        else:
+            body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

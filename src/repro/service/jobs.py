@@ -333,17 +333,31 @@ class JobManager:
         :class:`JobNotDone` for a job that is still queued/running or has
         failed (the exception carries the state and error).
         """
+        return self._stored(job_id, self.store.get)
+
+    def result_json(self, job_id: str) -> str:
+        """The finished job's result as canonical JSON text.
+
+        The text equals ``result(job_id).to_json()``; it comes from
+        :meth:`Store.get_json <repro.api.stores.Store.get_json>`, so a
+        store that keeps the canonical text hands it over without a decode
+        and re-encode.  Raises exactly what :meth:`result` raises.
+        """
+        return self._stored(job_id, self.store.get_json)
+
+    def _stored(self, job_id: str, read: Callable[[str], Any]) -> Any:
+        """``read(job_id)`` for a done job, or the error :meth:`result` names."""
         view = self.status(job_id)
         if view.state != "done":
             raise JobNotDone(job_id, view.state, view.error)
-        result = self.store.get(job_id)
-        if result is None:
+        stored = read(job_id)
+        if stored is None:
             # Evicted/expired between completion and the fetch: honest 410
             # material, not a silent recompute.
             raise JobNotDone(
                 job_id, "done", "result evicted from the store; resubmit the spec"
             )
-        return result
+        return stored
 
     @property
     def queue_depth(self) -> int:

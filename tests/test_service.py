@@ -6,9 +6,15 @@ produce a Result bitwise-JSON-equal to the same spec through
 zero new Newton iterations.
 """
 
+import hashlib
+import http.client
 import json
+import os
+import sqlite3
+import statistics
 import threading
 import time
+import urllib.request
 
 import pytest
 
@@ -676,6 +682,94 @@ class TestHTTPEndToEnd:
             assert response.status == 411
         finally:
             connection.close()
+
+
+class TestVerbatimResultRoute:
+    """The full result route serves the store's validated canonical text."""
+
+    @pytest.fixture()
+    def server(self, tmp_path):
+        from repro.api.stores import SQLiteStore
+
+        self.db_path = os.path.join(str(tmp_path), "results.db")
+        instance = serve(store=SQLiteStore(self.db_path), workers=1)
+        yield instance
+        instance.close(drain=False)
+
+    def finished(self, server, spec):
+        client = ServiceClient(server.url)
+        job_id = client.submit(spec)["id"]
+        client.wait(job_id, timeout_s=60)
+        return job_id
+
+    def fetch(self, server, path):
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            connection.request("GET", path)
+            response = connection.getresponse()
+            return response.status, response.read()
+        finally:
+            connection.close()
+
+    def test_body_is_byte_equal_to_session_run(self, server):
+        spec = chain_spec(num_switches=3)
+        job_id = self.finished(server, spec)
+        with urllib.request.urlopen(f"{server.url}/studies/{job_id}/result") as reply:
+            body = reply.read()
+        reference = Session(store=None).run(spec).to_json().encode("utf-8")
+        assert hashlib.sha256(body).hexdigest() == hashlib.sha256(reference).hexdigest()
+
+    def test_handle_still_returns_the_decoded_dict(self, server):
+        job_id = self.finished(server, chain_spec(num_switches=3))
+        status, body = self.fetch(server, f"/studies/{job_id}/result")
+        assert status == 200
+        status, payload = server.service.handle("GET", f"/studies/{job_id}/result")
+        assert status == 200
+        assert isinstance(payload, dict)
+        assert payload == json.loads(body)
+
+    def test_field_selection_is_unchanged(self, server):
+        spec = chain_spec(num_switches=3)
+        job_id = self.finished(server, spec)
+        status, body = self.fetch(server, f"/studies/{job_id}/result?fields=scalars")
+        assert status == 200
+        full = Session(store=None).run(spec).to_jsonable()
+        expected = {
+            name: full[name]
+            for name in ("schema_version", "kind", "spec_hash", "scalars")
+        }
+        assert body == json.dumps(expected, sort_keys=True).encode("utf-8")
+
+    def test_row_corrupted_after_completion_is_410(self, server):
+        job_id = self.finished(server, chain_spec(num_switches=3))
+        with sqlite3.connect(self.db_path) as connection:
+            connection.execute("UPDATE results SET payload = '{torn'")
+        with pytest.warns(RuntimeWarning, match="corrupt result row"):
+            status, body = self.fetch(server, f"/studies/{job_id}/result")
+        assert status == 410
+        assert "evicted" in json.loads(body)["error"]
+
+
+def test_keep_alive_responses_do_not_stall():
+    # Headers and body are separate writes; with Nagle's algorithm on, the
+    # body of every response after the first waits for the client's
+    # delayed ACK (about 40 ms on Linux).
+    with serve(workers=1) as server:
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        elapsed_ms = []
+        try:
+            for _ in range(15):
+                start = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                elapsed_ms.append((time.perf_counter() - start) * 1e3)
+                assert response.status == 200
+        finally:
+            connection.close()
+    assert statistics.median(elapsed_ms[1:]) < 20.0, elapsed_ms
 
 
 # ---------------------------------------------------------------------- #

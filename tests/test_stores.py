@@ -12,7 +12,9 @@ Covers the store redesign's acceptance criteria:
   first detection with a one-time warning (the SQLite equivalent drops
   the row);
 * provenance-aware invalidation keeps entries the current build would
-  reproduce and drops the rest.
+  reproduce and drops the rest;
+* ``get_json`` returns exactly ``get(key).to_json()`` on every backend and
+  wrapper, misses the same way, and never hands out a corrupt entry.
 """
 
 from __future__ import annotations
@@ -33,10 +35,12 @@ from repro.api.results import Result, ResultSet
 from repro.api.stores import (
     JSONDirectoryStore,
     MemoryStore,
+    ResilientStore,
     SQLiteStore,
     Store,
     TieredStore,
 )
+from repro.testing.chaos import FaultPlan, FaultyStore
 
 BACKENDS = ("memory", "jsondir", "sqlite", "tiered")
 
@@ -225,6 +229,7 @@ def test_put_get_is_bitwise_roundtrip(
     # The serialized form is the bitwise contract: every backend must
     # reproduce it byte for byte.
     assert revived.to_json() == reference
+    assert store.get_json("prop-key") == reference
     # And the payload bits round-trip exactly — NaN excepted, whose sign/
     # payload bits Python's json collapses to one canonical NaN (the
     # pre-existing Result schema behaviour, identical across backends).
@@ -363,6 +368,173 @@ class TestCorruption:
             warnings.simplefilter("error")
             assert store.get("k2") is None
         assert len(store) == 0
+
+    def test_jsondir_get_json_quarantines_corrupt_file_once(self, tmp_path):
+        store = JSONDirectoryStore(str(tmp_path))
+        store.put("k1", make_result(tag="a"))
+        store.put("k2", make_result(tag="b"))
+        for key in ("k1", "k2"):
+            with open(store._path(key), "w", encoding="utf-8") as handle:
+                handle.write("{torn")
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert store.get_json("k1") is None
+        assert os.path.exists(store._path("k1") + ".corrupt")
+        assert not os.path.exists(store._path("k1"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert store.get_json("k2") is None
+        assert os.path.exists(store._path("k2") + ".corrupt")
+        assert len(store) == 0 and list(store.keys()) == []
+
+    def test_jsondir_get_json_rejects_valid_json_that_is_no_result(self, tmp_path):
+        # The text parses as JSON but fails Result validation (wrong
+        # schema version): it must be quarantined, not served.
+        store = JSONDirectoryStore(str(tmp_path))
+        store.put("k", make_result())
+        with open(store._path("k"), "w", encoding="utf-8") as handle:
+            handle.write('{"schema_version": -1}')
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert store.get_json("k") is None
+        assert os.path.exists(store._path("k") + ".corrupt")
+
+    def test_sqlite_get_json_drops_corrupt_row_once(self, tmp_path):
+        path = os.path.join(str(tmp_path), "r.db")
+        store = SQLiteStore(path)
+        store.put("k1", make_result(tag="a"))
+        store.put("k2", make_result(tag="b"))
+        with sqlite3.connect(path) as connection:
+            connection.execute("UPDATE results SET payload = '{torn'")
+        with pytest.warns(RuntimeWarning, match="corrupt result row"):
+            assert store.get_json("k1") is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert store.get_json("k2") is None
+        assert len(store) == 0
+
+    def test_get_and_get_json_share_one_warning(self, tmp_path):
+        # One loader behind both reads: a corrupt row found by get_json
+        # uses up the warning a later get would otherwise give.
+        path = os.path.join(str(tmp_path), "r.db")
+        store = SQLiteStore(path)
+        store.put("k1", make_result(tag="a"))
+        store.put("k2", make_result(tag="b"))
+        with sqlite3.connect(path) as connection:
+            connection.execute("UPDATE results SET payload = '{torn'")
+        with pytest.warns(RuntimeWarning, match="corrupt result row"):
+            assert store.get_json("k1") is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert store.get("k2") is None
+
+    @pytest.mark.parametrize("backend", ["jsondir", "sqlite"])
+    def test_torn_write_is_never_served_as_text(self, backend, tmp_path):
+        store = FaultyStore(
+            build_store(backend, tmp_path),
+            FaultPlan(ops=("put",), torn_write_on=(1,)),
+        )
+        store.put("k", make_result())
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            assert store.get_json("k") is None
+        assert store.inner.get_json("k") is None  # dropped, not re-parsed
+
+
+# ---------------------------------------------------------------------- #
+# raw canonical-text reads (get_json)
+# ---------------------------------------------------------------------- #
+
+GET_JSON_BACKENDS = BACKENDS + ("resilient", "faulty")
+
+
+def build_get_json_store(backend: str, root) -> Store:
+    if backend == "resilient":
+        return ResilientStore(build_store("sqlite", root))
+    if backend == "faulty":
+        return FaultyStore(build_store("jsondir", root), FaultPlan(ops=()))
+    return build_store(backend, root)
+
+
+@pytest.mark.parametrize("backend", GET_JSON_BACKENDS)
+class TestGetJson:
+    def test_text_equals_to_json_of_the_stored_result(self, backend, tmp_path):
+        store = build_get_json_store(backend, tmp_path)
+        result = make_result(kind="transient", tag="x", value=-2.5e-17)
+        store.put("k", result)
+        text = store.get_json("k")
+        assert isinstance(text, str)
+        assert text == result.to_json()
+        assert text == store.get("k").to_json()
+        # A second read (LRU touch, tiered front fill) serves the same text.
+        assert store.get_json("k") == text
+
+    def test_miss_is_none(self, backend, tmp_path):
+        store = build_get_json_store(backend, tmp_path)
+        assert store.get_json("absent") is None
+        store.put("k", make_result())
+        store.delete("k")
+        assert store.get_json("k") is None
+
+
+class TestGetJsonExpiry:
+    def test_memory(self):
+        store = MemoryStore(ttl_s=5.0)
+        store.put("k", make_result())
+        result, _ = store._entries["k"]
+        store._entries["k"] = (result, time.time() - 10.0)
+        assert store.get_json("k") is None
+        assert len(store) == 0
+
+    def test_jsondir(self, tmp_path):
+        store = JSONDirectoryStore(str(tmp_path), ttl_s=5.0)
+        store.put("k", make_result())
+        past = time.time() - 10.0
+        os.utime(store._path("k"), (past, past))
+        assert store.get_json("k") is None
+        assert not os.path.exists(store._path("k"))
+
+    def test_sqlite(self, tmp_path):
+        store = SQLiteStore(os.path.join(str(tmp_path), "r.db"), ttl_s=5.0)
+        store.put("k", make_result())
+        with store._connection() as connection:
+            connection.execute(
+                "UPDATE results SET created = ?", (time.time() - 10.0,)
+            )
+        assert store.get_json("k") is None
+        assert len(store) == 0
+
+    def test_sqlite_get_json_touches_the_lru_stamp(self, tmp_path):
+        store = SQLiteStore(os.path.join(str(tmp_path), "r.db"), max_entries=2)
+        for key in ("a", "b", "c"):
+            store.put(key, make_result(tag=key))
+            time.sleep(0.02)
+        assert store.get_json("a") is not None  # touch the oldest entry
+        assert store.prune() == 1
+        assert store.get_json("b") is None  # least recently accessed
+        assert store.get_json("a") is not None
+
+
+class TestResilientGetJson:
+    def test_faulting_inner_read_degrades_to_a_miss(self, tmp_path):
+        faulty = FaultyStore(
+            build_store("sqlite", tmp_path), FaultPlan(ops=("get",), fail_from=1)
+        )
+        store = ResilientStore(faulty, retries=1, backoff_s=0.0, _sleep=lambda _: None)
+        store.put("k", make_result())
+        assert store.get_json("k") is None
+        metrics = store.metrics()
+        assert metrics["degraded_gets"] == 1
+        assert metrics["degraded_other"] == 0
+        assert metrics["failures"] == 2 and metrics["retries"] == 1
+
+    def test_retry_heals_an_intermittent_fault(self, tmp_path):
+        faulty = FaultyStore(
+            build_store("sqlite", tmp_path), FaultPlan(ops=("get",), fail_on=(1,))
+        )
+        store = ResilientStore(faulty, backoff_s=0.0, _sleep=lambda _: None)
+        result = make_result()
+        store.put("k", result)
+        assert store.get_json("k") == result.to_json()
+        assert store.metrics()["degraded_gets"] == 0
+        assert store.metrics()["retries"] == 1
 
 
 # ---------------------------------------------------------------------- #
