@@ -13,10 +13,13 @@ iteration logic:
   :class:`~repro.spice.engine.SparsityPattern`.  A pattern-assembly backend
   (:attr:`LinearSolver.wants_pattern_assembly`): the engine hands it the
   ``(nnz,)`` CSC data array of ``CompiledCircuit.assemble_sparse`` directly,
-  so no dense matrix is ever formed.  Pays off on large lattices, where the
-  MNA matrix is overwhelmingly empty.  Requires the optional ``scipy``
-  dependency — install it directly or through this package's ``[sparse]``
-  extra.
+  so no dense matrix is ever formed.  The fill-reducing column order
+  (COLAMD) is computed once per bound pattern, by its first factorization;
+  every later factorization gathers the data into that column order and
+  skips the ordering step, with factors bit-identical to a plain ``splu``.
+  Pays off on large lattices, where the MNA matrix is overwhelmingly
+  empty.  Requires the optional ``scipy`` dependency — install it directly
+  or through this package's ``[sparse]`` extra.
 * :class:`BatchedDenseSolver` — stacks ``(trials, n, n)`` systems and
   solves them in a single vectorized LAPACK call.  The Monte-Carlo engine
   runs same-pattern trials through this backend
@@ -24,11 +27,12 @@ iteration logic:
   per-system results are bit-identical to :class:`DenseSolver` on the same
   matrices.
 * :class:`BatchedSparseSolver` — the sparse twin of the batched backend:
-  the CSC *structure* (canonical ordering, position maps, ghost trimming)
-  is analyzed once per topology and shared by every trial, then each trial
-  of the ``(trials, nnz)`` data stack is numerically factorized and solved
-  through SuperLU over that shared structure.  Memory scales as
-  ``trials * nnz`` instead of the dense stack's ``trials * n^2``.
+  the CSC *structure* (canonical ordering, position maps, ghost trimming,
+  fill-reducing column order) is analyzed once per topology and shared by
+  every trial, then each trial of the ``(trials, nnz)`` data stack is
+  numerically factorized and solved through SuperLU over that shared
+  structure.  Memory scales as ``trials * nnz`` instead of the dense
+  stack's ``trials * n^2``.
 * :class:`AutoSolver` — a *policy* backend (``solver="auto"``, the default
   spec value): picks dense vs sparse — and their batched variants — from
   the system size, the trial count and the measured dense/sparse crossover
@@ -72,7 +76,7 @@ import warnings
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple, Type, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -142,6 +146,20 @@ def _import_scipy_sparse():
             "extra (pip install scipy, or this package's [sparse] extra) or use solver='dense'"
         ) from error
     return scipy.sparse, scipy.sparse.linalg
+
+
+def _splu(system, **options):
+    """``splu`` of one CSC matrix, a singular factor raised as ``LinAlgError``.
+
+    SuperLU reports an exactly singular factor as RuntimeError; normalizing
+    it to the dense backend's exception keeps the engine's gmin-bump retry
+    backend-agnostic.
+    """
+    _, sparse_linalg = _import_scipy_sparse()
+    try:
+        return sparse_linalg.splu(system, **options)
+    except RuntimeError as error:
+        raise np.linalg.LinAlgError(str(error)) from error
 
 
 def scipy_available() -> bool:
@@ -439,6 +457,70 @@ class BatchedDenseSolver(DenseSolver):
         return np.linalg.solve(matrices, rhs[..., np.newaxis])[..., 0]
 
 
+class _OrderedLU:
+    """SuperLU factors of ``A[:, order]`` that solve ``A x = b``."""
+
+    __slots__ = ("_lu", "_perm_c")
+
+    def __init__(self, lu, perm_c: np.ndarray):
+        self._lu = lu
+        self._perm_c = perm_c
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        # The factored matrix's column j is A's column inv[j]
+        # (inv[perm_c] = arange(n)), so x[inv] = y, i.e. x = y[perm_c].
+        return self._lu.solve(rhs)[self._perm_c]
+
+
+class _ColumnOrder(NamedTuple):
+    """A pattern's fill-reducing column order, fixed by one factorization.
+
+    SuperLU's COLAMD ordering depends only on the CSC structure, which the
+    bound :class:`~repro.spice.engine.SparsityPattern` fixes per topology.
+    Built once from the ``perm_c`` of the pattern's first (plain ``splu``)
+    factorization, it lets every later factorization skip the ordering:
+    the data is gathered straight into the column-permuted CSC and handed
+    to ``splu(..., permc_spec="NATURAL")``.  Only columns are permuted —
+    rows stay in pattern order — and that reproduces the COLAMD path's
+    factors bit for bit.  An immutable tuple, so threads racing on a
+    pattern's first factorization publish equal values.
+    """
+
+    perm_c: np.ndarray   # SuperLU's column permutation of the pattern
+    gather: np.ndarray   # pattern data position of each permuted CSC entry
+    indices: np.ndarray  # int32 row indices of the permuted CSC
+    indptr: np.ndarray   # int32 column pointers of the permuted CSC
+    size: int
+
+    @classmethod
+    def of(cls, pattern, perm_c: np.ndarray) -> "_ColumnOrder":
+        perm_c = np.asarray(perm_c, dtype=np.int64)
+        inv = np.empty_like(perm_c)
+        inv[perm_c] = np.arange(perm_c.size)
+        # Column j of the permuted matrix is the pattern's column inv[j],
+        # its data run copied whole (row order unchanged).
+        starts = pattern.indptr[inv].astype(np.int64)
+        counts = np.diff(pattern.indptr)[inv].astype(np.int64)
+        indptr = np.zeros(pattern.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        gather = np.repeat(starts - indptr[:-1], counts) + np.arange(pattern.nnz)
+        return cls(
+            perm_c,
+            gather,
+            pattern.indices[gather],
+            indptr.astype(np.int32),
+            pattern.size,
+        )
+
+    def factorize(self, data: np.ndarray) -> _OrderedLU:
+        sparse, _ = _import_scipy_sparse()
+        system = sparse.csc_matrix(
+            (data[self.gather], self.indices, self.indptr),
+            shape=(self.size, self.size),
+        )
+        return _OrderedLU(_splu(system, permc_spec="NATURAL"), self.perm_c)
+
+
 class SparseSolver(LinearSolver):
     """SciPy SuperLU backend over the compiled circuit's sparsity pattern.
 
@@ -446,7 +528,9 @@ class SparseSolver(LinearSolver):
     :class:`~repro.spice.engine.SparsityPattern` (built once per topology);
     the engine then assembles straight into that pattern's CSC data array
     (:meth:`solve_pattern`) — no dense matrix, no per-iteration structure
-    analysis.
+    analysis.  The bound pattern's first factorization runs plain ``splu``
+    and records its COLAMD column order; later ones reuse it instead of
+    reordering (:class:`_ColumnOrder`), bit-identically.
 
     Circuits with custom (compatibility-path) elements have no precomputed
     pattern and still assemble densely; :meth:`solve` then probes the CSC
@@ -468,6 +552,9 @@ class SparseSolver(LinearSolver):
         self._probed: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]] = None
         #: LU cache over the bound pattern (cleared on every rebind).
         self.factorization_cache = FactorizationCache(cache_capacity)
+        # Fill-reducing column order of the bound pattern, from its first
+        # factorization (reset on every rebind).
+        self._column_order: Optional[_ColumnOrder] = None
         self._custom_types: Tuple[str, ...] = ()
         self._warned_reprobe = False
 
@@ -478,6 +565,7 @@ class SparseSolver(LinearSolver):
         self._bound_key = key
         self._pattern = compiled.sparsity_pattern()  # None for custom elements
         self._probed = None
+        self._column_order = None
         self.factorization_cache.clear()
         self._custom_types = tuple(
             sorted({type(e).__name__ for e in compiled.custom_elements})
@@ -535,20 +623,10 @@ class SparseSolver(LinearSolver):
         self._probed = (indices.astype(np.int64), cols, indices, indptr, n)
         return system
 
-    def _splu_solve(self, system, rhs: np.ndarray) -> np.ndarray:
-        _, sparse_linalg = _import_scipy_sparse()
-        try:
-            lu = sparse_linalg.splu(system)
-        except RuntimeError as error:
-            # SuperLU reports an exactly singular factor as RuntimeError;
-            # normalize to the dense backend's exception so the engine's
-            # gmin-bump retry is backend-agnostic.
-            raise np.linalg.LinAlgError(str(error)) from error
+    def solve(self, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        lu = _splu(self._csc_from_dense(matrix))
         self._count_factorizations(1)
         return lu.solve(rhs)
-
-    def solve(self, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return self._splu_solve(self._csc_from_dense(matrix), rhs)
 
     def _require_pattern(self, caller: str):
         pattern = self._pattern
@@ -564,8 +642,12 @@ class SparseSolver(LinearSolver):
 
         Consults the :class:`FactorizationCache` first — a bitwise-unchanged
         data array reuses the existing LU, which is bit-identical to
-        refactorizing.  ``count=False`` defers the counter updates to the
-        caller (the threaded batched path tallies in the main thread).
+        refactorizing.  Otherwise the bound pattern's first factorization
+        runs plain ``splu`` (COLAMD) and records its column order; every
+        later one factorizes the pre-permuted matrix under that order (see
+        :class:`_ColumnOrder`).  ``count=False`` defers the counter updates
+        to the caller (the threaded batched path tallies in the main
+        thread).
         """
         pattern = self._require_pattern("solve_pattern")
         fingerprint = FactorizationCache.fingerprint(data)
@@ -575,14 +657,20 @@ class SparseSolver(LinearSolver):
             if count:
                 self._count_reuses(1)
             return lu, fingerprint, True
-        sparse, sparse_linalg = _import_scipy_sparse()
-        system = sparse.csc_matrix(
-            (data, pattern.indices, pattern.indptr), shape=(pattern.size, pattern.size)
-        )
-        try:
-            lu = sparse_linalg.splu(system)
-        except RuntimeError as error:
-            raise np.linalg.LinAlgError(str(error)) from error
+        # Read once: racing threads of the batched path may each run the
+        # first COLAMD factorization; they publish identical orders.
+        order = self._column_order
+        if order is None:
+            sparse, _ = _import_scipy_sparse()
+            lu = _splu(
+                sparse.csc_matrix(
+                    (data, pattern.indices, pattern.indptr),
+                    shape=(pattern.size, pattern.size),
+                )
+            )
+            self._column_order = _ColumnOrder.of(pattern, lu.perm_c)
+        else:
+            lu = order.factorize(data)
         if count:
             self._count_factorizations(1)
         self.factorization_cache.put(structure, fingerprint, lu)
@@ -608,16 +696,18 @@ class SparseSolver(LinearSolver):
 class BatchedSparseSolver(SparseSolver):
     """Sparse backend for stacked trials over one shared CSC structure.
 
-    The *symbolic* work — canonical CSC ordering, stamp-position maps,
+    The structural work — canonical CSC ordering, stamp-position maps,
     ghost trimming — happens once per topology in the shared
-    :class:`~repro.spice.engine.SparsityPattern`; every trial of a
-    ``(trials, nnz)`` data stack then reuses that structure and only pays
-    the per-trial *numeric* factorization and triangular solves (SciPy's
-    SuperLU binding exposes no cross-factorization symbolic reuse, so each
-    trial runs a full ``splu`` over the shared index arrays).  A singular
-    trial anywhere in the stack raises ``LinAlgError`` for the whole stack,
-    exactly like the batched dense backend, so the engine's per-trial
-    isolation and gmin/source-stepping ladders work unchanged.
+    :class:`~repro.spice.engine.SparsityPattern`, and the fill-reducing
+    column order once per bound pattern (the first factorization's COLAMD
+    permutation, see :class:`_ColumnOrder`).  Every trial of a
+    ``(trials, nnz)`` data stack then reuses both and pays ``splu`` without
+    the ordering step: SciPy's SuperLU binding keeps no other symbolic
+    state between factorizations, so the elimination tree and pivoting
+    still run per trial.  A singular trial anywhere in the stack raises
+    ``LinAlgError`` for the whole stack, exactly like the batched dense
+    backend, so the engine's per-trial isolation and gmin/source-stepping
+    ladders work unchanged.
     """
 
     name = "sparse-batched"

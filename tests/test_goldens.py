@@ -6,14 +6,19 @@ physics alone proves it here instead of asserting it.  A deliberate change
 of the numerics updates the constants below, and the diff is reviewed.
 """
 
+import json
+import os
+
 import numpy as np
 import pytest
 
 from repro.analysis.waveform_metrics import edge_times, steady_state_levels
-from repro.api import CircuitSpec, Session, Transient
+from repro.api import CircuitSpec, DCOp, Session, Transient
 from repro.core.evaluation import evaluate_lattice
+from repro.spice.solvers import scipy_available
 
 FIG11_FACTORY = "repro.experiments.fig11_xor3_transient:build_fig11_bench"
+LATTICE_FACTORY = "repro.circuits.lattice_netlist:build_scalability_bench"
 
 #: Fig. 11 (default bench, 1 ns fixed backward-Euler step): Newton
 #: iterations of the whole march and the output's first rise (10-90 %) and
@@ -24,6 +29,21 @@ FIG11_FALL_TIME_S = 1.7431238086836106e-09
 #: Bitwise on one host, with room for last-bit differences between BLAS
 #: builds.
 FIG11_EDGE_RTOL = 1e-9
+
+#: Scalability DC (14-row identity lattice, n=399, auto -> sparse SuperLU):
+#: plain Newton exhausts its 300 iterations, then the gmin ladder converges;
+#: every Newton iteration pays one factorization.  The solution vector
+#: lives next to this file, one float per unknown.
+LATTICE_ROWS = 14
+LATTICE_UNKNOWNS = 399
+LATTICE_STRATEGY = "gmin-stepping"
+LATTICE_NEWTON_ITERATIONS = 520
+LATTICE_FACTORIZATIONS = 520
+LATTICE_SOLUTION_PATH = os.path.join(
+    os.path.dirname(__file__), "goldens", "lattice400_dc_solution.json"
+)
+#: Bitwise on one host, with room for last-bit differences between builds.
+LATTICE_SOLUTION_RTOL = 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +82,26 @@ class TestFig11Golden:
         rises, falls = edge_times(time_s, vout, steady_state_levels(time_s, vout))
         assert rises[0] == pytest.approx(FIG11_RISE_TIME_S, rel=FIG11_EDGE_RTOL, abs=0.0)
         assert falls[0] == pytest.approx(FIG11_FALL_TIME_S, rel=FIG11_EDGE_RTOL, abs=0.0)
+
+
+@pytest.mark.skipif(
+    not scipy_available(), reason="the golden was recorded on the sparse backend"
+)
+class TestScalabilityDCGolden:
+    @pytest.fixture(scope="class")
+    def lattice_dc(self):
+        spec = DCOp(circuit=CircuitSpec(LATTICE_FACTORY, params={"rows": LATTICE_ROWS}))
+        return Session(store=None).run(spec)
+
+    def test_fallback_story(self, lattice_dc):
+        assert lattice_dc.converged
+        assert lattice_dc.scalars["strategy"] == LATTICE_STRATEGY
+        assert lattice_dc.newton_iterations == LATTICE_NEWTON_ITERATIONS
+        assert lattice_dc.factorizations == LATTICE_FACTORIZATIONS
+
+    def test_solution(self, lattice_dc):
+        with open(LATTICE_SOLUTION_PATH, encoding="utf-8") as handle:
+            golden = np.array(json.load(handle))
+        solution = lattice_dc.arrays["solution"]
+        assert solution.shape == golden.shape == (LATTICE_UNKNOWNS,)
+        assert solution == pytest.approx(golden, rel=LATTICE_SOLUTION_RTOL, abs=0.0)

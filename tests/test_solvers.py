@@ -844,3 +844,296 @@ class TestActiveTrialMask:
         reference = solver.solve_pattern_batched(data, rhs)
         for trial in (1, 3):
             assert np.array_equal(handles[trial].solve(rhs[trial]), reference[trial])
+
+
+# ---------------------------------------------------------------------- #
+# one column order per topology, checked against plain splu
+# ---------------------------------------------------------------------- #
+
+
+class _RecordingLU:
+    """An LU wrapper that logs ``(data, rhs, solution)`` for every solve."""
+
+    def __init__(self, lu, data, log):
+        self._lu = lu
+        self._data = data
+        self._log = log
+
+    def solve(self, rhs):
+        solution = self._lu.solve(rhs)
+        self._log.append((self._data, np.array(rhs, copy=True), solution))
+        return solution
+
+
+def record_sparse_solves(solver):
+    """Log every solve through ``solver``'s factorizations.
+
+    Returns a list that fills with ``(data, rhs, solution)`` triples — the
+    pattern data the LU was factorized from, the right-hand side and the
+    solver's answer — covering plain solves, reuse handles (bypass steps
+    included) and the threaded batched fan-out alike.
+    """
+    solves = []
+    factorize = solver._factorize
+
+    def recording(data, count=True):
+        lu, fingerprint, hit = factorize(data, count)
+        return _RecordingLU(lu, np.array(data, copy=True), solves), fingerprint, hit
+
+    solver._factorize = recording
+    return solves
+
+
+def plain_splu_solve(pattern, data, rhs):
+    """The oracle: SciPy's ``splu`` (COLAMD) on the pattern's CSC data."""
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
+    shape = (pattern.size, pattern.size)
+    return splu(csc_matrix((data, pattern.indices, pattern.indptr), shape=shape)).solve(rhs)
+
+
+def splu_mismatches(pattern, solves):
+    """How many logged solves differ, bit for bit, from plain ``splu``."""
+    return sum(
+        not np.array_equal(plain_splu_solve(pattern, data, rhs), solution)
+        for data, rhs, solution in solves
+    )
+
+
+def zero_state_data(compiled):
+    data, _ = compiled.assemble_sparse(
+        AnalysisState(solution=np.zeros(compiled.size), gmin=1e-9)
+    )
+    return data
+
+
+@requires_scipy
+class TestColumnOrder:
+    """The sparse backends order each bound pattern once (COLAMD on its
+    first factorization) and factorize every later assembly under that
+    column order; the oracle in every case is plain ``splu`` on the same
+    CSC data, and the answers must match it bit for bit."""
+
+    def test_lattice400_dc_matches_plain_splu_on_every_newton_matrix(self):
+        # The scalability DC's n=399 lattice with the default switch model:
+        # 300 failed plain-Newton rounds, then the whole gmin ladder.
+        bench = build_scalability_bench(14)
+        engine = get_engine(bench.circuit)
+        solver = SparseSolver()
+        solves = record_sparse_solves(solver)
+        op = engine.solve_dc(solver=solver)
+        assert op.converged
+        assert op.convergence_info.strategy == "gmin-stepping"
+        assert engine.compiled.size == 399
+        assert len(solves) == op.convergence_info.factorizations == 520
+        assert solver._column_order is not None
+        assert splu_mismatches(engine.compiled.sparsity_pattern(), solves) == 0
+
+    def test_topology_is_ordered_once(self, switch_model, monkeypatch):
+        import scipy.sparse.linalg
+
+        specs = []
+        plain = scipy.sparse.linalg.splu
+
+        def counting(matrix, **options):
+            specs.append(options.get("permc_spec"))
+            return plain(matrix, **options)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+        engine = get_engine(build_scalability_bench(6, model=switch_model).circuit)
+        op = engine.solve_dc(solver="sparse")
+        assert op.converged
+        assert len(specs) == op.convergence_info.factorizations > 1
+        # One fill-reducing ordering (SciPy's default, COLAMD), then every
+        # factorization reuses it.
+        assert specs[0] is None
+        assert set(specs[1:]) == {"NATURAL"}
+
+    def test_batched_stack_serial_and_threaded_first_call(self, switch_model):
+        bench = build_scalability_bench(6, model=switch_model)
+        engine = get_engine(bench.circuit)
+        nominal = engine.solve_dc(solver="sparse")
+        stacks = MonteCarloEngine(
+            bench.circuit, {"mos_vth": Gaussian(0.002)}, seed=17
+        ).sample_stacked_overlays(4)
+        pattern = engine.compiled.sparsity_pattern()
+        results = []
+        for threads in (None, 2):
+            # A fresh solver each time: with threads=2 the very first
+            # factorizations of the pattern race across the pool.
+            solver = BatchedSparseSolver(threads=threads)
+            solves = record_sparse_solves(solver)
+            result = engine.solve_dc_batched(
+                stacks, trials=4, initial_guess=nominal.solution, refresh=False,
+                solver=solver,
+            )
+            assert bool(np.all(result.converged))
+            assert len(solves) > 4
+            assert solver._column_order is not None
+            assert splu_mismatches(pattern, solves) == 0
+            results.append(result.solutions)
+        assert np.array_equal(results[0], results[1])
+
+    def test_threaded_first_factorizations_race_safely(self):
+        # More workers than cores and a short switch interval, on fresh
+        # solvers, so several threads run the pattern's first (ordering)
+        # factorization at once and publish the order concurrently.
+        import sys
+
+        circuit = common_source_circuit()
+        engine = get_engine(circuit)
+        compiled = engine.compiled
+        pattern = compiled.sparsity_pattern()
+        trials = 16
+        stacks = MonteCarloEngine(
+            circuit, {"mos_vth": Gaussian(0.03)}, seed=3
+        ).sample_stacked_overlays(trials)
+        solutions = np.tile(engine.solve_dc().solution, (trials, 1))
+        data, rhs = compiled.assemble_sparse_batched(solutions, stacks)
+        expected = np.stack(
+            [plain_splu_solve(pattern, d, r) for d, r in zip(data, rhs)]
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                solver = BatchedSparseSolver(threads=8)
+                solver.bind(compiled)
+                out = solver.solve_pattern_batched(data, rhs)
+                assert solver.solver_stats()["factorizations"] == trials
+                assert solver._column_order is not None
+                assert np.array_equal(out, expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_reuse_handles_and_bypass_steps(self, switch_model):
+        engine = get_engine(build_scalability_bench(6, model=switch_model).circuit)
+        nominal = engine.solve_dc(solver="sparse")
+        solver = SparseSolver()
+        solves = record_sparse_solves(solver)
+        reuse = engine.solve_dc(
+            initial_guess=nominal.solution + 0.05, refresh=False, solver=solver,
+            newton="reuse",
+        )
+        assert reuse.converged
+        info = reuse.convergence_info
+        # Several fresh factorizations (the later ones under the recorded
+        # order) and solves through held handles, bypass steps included.
+        assert info.factorizations > 1
+        assert info.factorization_reuses > 0
+        assert len(solves) == info.factorizations + info.factorization_reuses
+        assert splu_mismatches(engine.compiled.sparsity_pattern(), solves) == 0
+
+    def test_rebind_recomputes_the_order(self, switch_model):
+        small = get_engine(build_scalability_bench(4, model=switch_model).circuit)
+        large = get_engine(build_scalability_bench(6, model=switch_model).circuit)
+        solver = SparseSolver()
+        solver.bind(small.compiled)
+        assert solver._column_order is None
+        data = zero_state_data(small.compiled)
+        rhs = np.ones(small.compiled.size)
+        solver.solve_pattern(data, rhs)
+        order = solver._column_order
+        assert order.size == small.compiled.size
+        solver.bind(small.compiled)  # same topology: kept
+        assert solver._column_order is order
+
+        solver.bind(large.compiled)  # another topology
+        assert solver._column_order is None
+        solver.solve_pattern(zero_state_data(large.compiled), np.ones(large.compiled.size))
+        assert solver._column_order.size == large.compiled.size
+
+        # A revision bump recompiles the circuit: the order goes with it.
+        circuit = small.circuit
+        Resistor(circuit, "r_extra", circuit.node_names[0], "extra", 1e3)
+        compiled = small.compiled
+        assert compiled.revision == circuit.revision
+        solver.bind(compiled)
+        assert solver._column_order is None
+        solves = record_sparse_solves(solver)
+        solver.solve_pattern(zero_state_data(compiled), np.ones(compiled.size))
+        assert solver._column_order.size == compiled.size
+        solver.solve_pattern(zero_state_data(compiled) * 2.0, np.ones(compiled.size))
+        assert splu_mismatches(compiled.sparsity_pattern(), solves) == 0
+
+    def test_singular_first_factorization_leaves_no_order(self):
+        compiled = get_engine(common_source_circuit()).compiled
+        solver = SparseSolver()
+        solver.bind(compiled)
+        data = zero_state_data(compiled)
+        rhs = np.ones(compiled.size)
+        with pytest.raises(np.linalg.LinAlgError):
+            solver.solve_pattern(np.zeros_like(data), rhs)
+        assert solver._column_order is None
+        solves = record_sparse_solves(solver)
+        solver.solve_pattern(data, rhs)
+        assert solver._column_order is not None
+        solver.solve_pattern(data * 3.0, rhs)
+        assert splu_mismatches(compiled.sparsity_pattern(), solves) == 0
+
+
+def weak_bias_chain(stages=4):
+    """Reaches source stepping under a 10-iteration Newton budget.
+
+    A 20 nA source into a 1 GOhm bias node settles at 10 V, but the node
+    also carries gmin: the gmin ladder's last rung before the target
+    (1e-8 S) parks it near 1.8 V, and the final rung cannot cover the
+    remaining 8 V in ten 0.6 V-clamped steps.  Source stepping arrives
+    from 7.5 V, 2.5 V away.  The bias drives a chain of common-source
+    stages, so every Newton round refactorizes.
+    """
+    circuit = Circuit("weak-bias-chain")
+    CurrentSource(circuit, "ib", "0", "bias", 2e-8)
+    Resistor(circuit, "rb", "bias", "0", 1e9)
+    VoltageSource(circuit, "vdd", "vdd", "0", 1.2)
+    gate = "bias"
+    for stage in range(stages):
+        Resistor(circuit, f"rl{stage}", "vdd", f"d{stage}", 200e3)
+        MOSFET(circuit, f"m{stage}", f"d{stage}", gate, "0", NMOS)
+        gate = f"d{stage}"
+    return circuit
+
+
+def runaway_node():
+    """Fails every rung: 1 mA into a node held only by gmin (1e6 V away)."""
+    circuit = Circuit("runaway-node")
+    CurrentSource(circuit, "i1", "0", "a", 1e-3)
+    VoltageSource(circuit, "v1", "b", "0", 1.0)
+    Resistor(circuit, "r1", "b", "c", 1e3)
+    MOSFET(circuit, "m1", "c", "b", "0", NMOS)
+    return circuit
+
+
+@requires_scipy
+class TestFallbackLadderOracles:
+    """Constructed circuits that reach each rung of the DC fallback ladder
+    (the n=399 lattice covers gmin stepping in :class:`TestColumnOrder`),
+    on the dense and the sparse backend; every sparse solve on every rung
+    matches plain ``splu`` bit for bit."""
+
+    @pytest.mark.parametrize(
+        "build, max_iterations, strategy",
+        [(weak_bias_chain, 10, "source-stepping"), (runaway_node, 20, "failed")],
+    )
+    def test_strategy_and_sparse_oracle(self, build, max_iterations, strategy):
+        dense = get_engine(build()).solve_dc(solver="dense", max_iterations=max_iterations)
+        engine = get_engine(build())
+        solver = SparseSolver()
+        solves = record_sparse_solves(solver)
+        sparse = engine.solve_dc(solver=solver, max_iterations=max_iterations)
+        for op in (dense, sparse):
+            assert op.convergence_info.strategy == strategy
+            assert op.converged == (strategy != "failed")
+        assert len(solves) == sparse.iterations
+        assert splu_mismatches(engine.compiled.sparsity_pattern(), solves) == 0
+        assert np.allclose(sparse.solution, dense.solution, rtol=1e-9, atol=1e-12)
+
+    def test_source_stepping_lands_on_the_newton_answer(self):
+        # With the default budget plain Newton converges on its own; the
+        # ladder under the tight budget must reach the same point.
+        reference = get_engine(weak_bias_chain()).solve_dc(solver="sparse")
+        assert reference.convergence_info.strategy == "newton"
+        stepped = get_engine(weak_bias_chain()).solve_dc(solver="sparse", max_iterations=10)
+        assert stepped.voltage("bias") == pytest.approx(10.0, rel=1e-6)
+        assert np.allclose(stepped.solution, reference.solution, rtol=1e-7, atol=1e-9)
