@@ -13,8 +13,9 @@ Two batched cases extend the sweep to stacked Monte-Carlo solves:
 * ``test_sparse_batched_crossover`` races the dense-batched path
   (``(trials, n, n)`` LAPACK stacks) against the sparse-batched path
   (``(trials, nnz)`` CSC stacks over one shared structure) on mid-size
-  lattices and records the ``batched_crossover_size`` that the
-  ``solver="auto"`` policy reads back at runtime.
+  lattices and records the measured ``batched_crossover_size`` (the
+  ``solver="auto"`` policy keeps its fixed default crossover; this
+  measurement is what checks it).
 * ``test_large_lattice_sparse_batched`` runs the headline 10k-unknown,
   128-trial batched DC study end to end through the sparse-batched
   backend, with ``tracemalloc`` peak-memory accounting against the
@@ -213,8 +214,8 @@ def test_sparse_batched_crossover(switch_model):
 
     Races the two batched backends over mid-size lattices with a
     ``mos_vth``-perturbed Monte-Carlo stack warm-started from the nominal
-    operating point, and records the ``batched_crossover_size`` the
-    ``solver="auto"`` policy reads back from ``BENCH_solvers.json``.
+    operating point, and records the measured ``batched_crossover_size``
+    (``solver="auto"`` keeps its fixed default; nothing is read back).
     """
     rows = []
     for grid in BATCH_GRIDS:

@@ -79,11 +79,13 @@ class MOSFET:
         the Type A or Type B parameter set extracted from the TCAD data.
     """
 
-    #: Conductance added in parallel with the channel for Newton robustness.
-    #: 10 nS (100 Mohm) keeps floating diffusion nodes (dangling lattice-edge
-    #: terminals) firmly anchored so the Newton iteration converges, while
-    #: staying negligible against the kilo-ohm on-state channels and the
-    #: paper's 500 kOhm pull-up (worst-case error well below a millivolt).
+    #: Newton-step regulariser of the channel companion model, not a
+    #: physical conductance.  The 10 nS is added to ``gds`` in the Jacobian
+    #: and subtracted back out of the companion current ``i_eq = ids -
+    #: gm*vgs - gds*vds`` (which uses the same ``gds``), so it damps each
+    #: Newton step but carries no current at the fixed point: converged
+    #: solutions are those of the bare level-1 channel.  Floating nodes are
+    #: anchored by the analyses' node-to-ground ``gmin``, not by this.
     CHANNEL_GMIN = 1e-8
 
     def __init__(

@@ -48,6 +48,7 @@ instance); see :mod:`repro.spice.solvers`.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -65,6 +66,32 @@ GMIN_LADDER: Tuple[float, ...] = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
 #: Source scale ladder of the source-stepping fallback (ramped to full drive).
 SOURCE_LADDER: Tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 1.0)
+
+
+def _fallback_ladders(gmin: float) -> Tuple[Tuple[str, List[Tuple[float, float]]], ...]:
+    """The DC convergence fallbacks in the order they are tried.
+
+    Each entry is ``(strategy, rungs)`` with ``rungs`` a list of
+    ``(gmin, source_scale)`` Newton runs: gmin stepping relaxes from
+    :data:`GMIN_LADDER` down to the target ``gmin``, then source stepping
+    ramps every independent source through :data:`SOURCE_LADDER`.  A ladder
+    starts from the zero initial solution, each rung seeds the next
+    (converged or not), and only the last rung must converge.
+    """
+    return (
+        ("gmin-stepping", [(step_gmin, 1.0) for step_gmin in GMIN_LADDER + (gmin,)]),
+        ("source-stepping", [(gmin, scale) for scale in SOURCE_LADDER]),
+    )
+
+
+def _check_transient_arguments(stop_time_s: float, timestep_s: float, integration: str) -> None:
+    """Validate the time grid and integration method of a transient analysis."""
+    if stop_time_s <= 0.0 or timestep_s <= 0.0:
+        raise ValueError("stop time and timestep must be positive")
+    if timestep_s > stop_time_s:
+        raise ValueError("the timestep cannot exceed the stop time")
+    if integration not in ("be", "trap"):
+        raise ValueError("integration must be 'be' or 'trap'")
 
 #: Stall threshold of the modified-Newton bypass (``newton="reuse"``): a
 #: bypass round that shrinks the Newton update by less than this factor —
@@ -588,21 +615,33 @@ class CompiledCircuit:
     # assembly
     # ------------------------------------------------------------------ #
 
-    def _capacitor_conductance(self, timestep_s: float, integration: str) -> np.ndarray:
-        factor = 2.0 if integration == "trap" else 1.0
-        return factor * self.cap_c / timestep_s
-
-    def _capacitor_conductance_stacked(
-        self, cap_c: np.ndarray, timestep_s: float, integration: str
+    def _capacitor_conductance(
+        self, timestep_s: float, integration: str, cap_c: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Per-trial companion conductances for a ``(trials, C)`` cap_c stack.
+        """Capacitor companion conductances ``factor * C / h``.
 
-        The elementwise arithmetic is :meth:`_capacitor_conductance`'s, so
-        a trial's conductances are bit-identical to a serial assembly with
-        that trial's cap_c overlay.
+        ``(C,)`` from the compiled ``cap_c``, or ``(trials, C)`` for a
+        stacked ``cap_c``; one elementwise formula, so a trial's
+        conductances are bit-identical to a serial assembly with that
+        trial's cap_c overlay.
         """
         factor = 2.0 if integration == "trap" else 1.0
+        if cap_c is None:
+            return factor * self.cap_c / timestep_s
         return factor * np.asarray(cap_c, dtype=float) / timestep_s
+
+    def _cap_dv(self, now: np.ndarray, prev: np.ndarray) -> np.ndarray:
+        """Capacitor voltage change from ``prev`` to ``now``.
+
+        Takes ``(n,)`` iterates or ``(trials, n)`` stacks and returns
+        ``(C,)`` or ``(trials, C)``; a grounded terminal reads the zero
+        ghost slot.
+        """
+        ghost = np.zeros(now.shape[:-1] + (1,))
+        now = np.concatenate((now, ghost), axis=-1)
+        prev = np.concatenate((prev, ghost), axis=-1)
+        a, b = self.cap_a, self.cap_b
+        return (now[..., a] - now[..., b]) - (prev[..., a] - prev[..., b])
 
     def sparsity_pattern(self) -> Optional["SparsityPattern"]:
         """The shared CSC pattern of this topology, built once and cached.
@@ -692,28 +731,9 @@ class CompiledCircuit:
             and all(a is b for a, b in zip(cache[3], i_waveforms))
         ):
             return cache[4], cache[5]
-        v_values = (
-            source_scale
-            * np.fromiter(
-                (w.value(time_s) for w in v_waveforms),
-                dtype=float,
-                count=len(v_waveforms),
-            )
-            if v_waveforms
-            else None
-        )
+        v_values, i_values = self._waveform_values(time_s, source_scale)
         if v_values is not None and self.vs_scale is not None:
             v_values = v_values * self.vs_scale
-        i_values = (
-            source_scale
-            * np.fromiter(
-                (w.value(time_s) for w in i_waveforms),
-                dtype=float,
-                count=len(i_waveforms),
-            )
-            if i_waveforms
-            else None
-        )
         if i_values is not None and self.is_scale is not None:
             i_values = i_values * self.is_scale
         self._source_value_cache = (
@@ -725,6 +745,26 @@ class CompiledCircuit:
             i_values,
         )
         return v_values, i_values
+
+    def _waveform_values(
+        self, time_s: float, scale: float
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """``scale`` times every independent source's waveform at ``time_s``.
+
+        Returns ``(v_values, i_values)``, ``None`` for a class of source the
+        circuit does not have; no per-source overlay multiplier is applied.
+        """
+
+        def values(sources) -> Optional[np.ndarray]:
+            if not sources:
+                return None
+            return scale * np.fromiter(
+                (source.waveform.value(time_s) for source in sources),
+                dtype=float,
+                count=len(sources),
+            )
+
+        return values(self.voltage_sources), values(self.current_sources)
 
     def _pad(self, vector: np.ndarray) -> np.ndarray:
         """Append the ghost (ground) slot so index -1 gathers 0."""
@@ -1012,7 +1052,7 @@ class CompiledCircuit:
                 self._capacitor_conductance(timestep_s, integration),
                 (trials, self.num_capacitors),
             )
-        return self._capacitor_conductance_stacked(cap_c, timestep_s, integration)
+        return self._capacitor_conductance(timestep_s, integration, cap_c)
 
     def _linear_rhs_batched(
         self,
@@ -1023,7 +1063,6 @@ class CompiledCircuit:
         integration: str,
         previous_solutions: Optional[np.ndarray],
         cap_history: Optional[np.ndarray],
-        source_values: Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]],
         cap_g_rows: Optional[np.ndarray],
     ) -> np.ndarray:
         """The stacked linear right-hand side (sources + cap history).
@@ -1039,33 +1078,13 @@ class CompiledCircuit:
         # the serial vs_scale/is_scale overlay multipliers).
         rhs = np.zeros((trials, ghost))
         rhs_flat = rhs.reshape(-1)
-        raw_v, raw_i = source_values if source_values is not None else (None, None)
-        if self.voltage_sources:
-            v_values = (
-                raw_v
-                if raw_v is not None
-                else source_scale
-                * np.fromiter(
-                    (s.waveform.value(time_s) for s in self.voltage_sources),
-                    dtype=float,
-                    count=len(self.voltage_sources),
-                )
-            )
+        v_values, i_values = self._waveform_values(time_s, source_scale)
+        if v_values is not None:
             vs_scale = params.get("vsource_scale", self.vs_scale)
             if vs_scale is not None:
                 v_values = v_values * vs_scale
             rhs[:, self.vs_rows] += v_values
-        if self.current_sources:
-            i_values = (
-                raw_i
-                if raw_i is not None
-                else source_scale
-                * np.fromiter(
-                    (s.waveform.value(time_s) for s in self.current_sources),
-                    dtype=float,
-                    count=len(self.current_sources),
-                )
-            )
+        if i_values is not None:
             is_scale = params.get("isource_scale", self.is_scale)
             if is_scale is not None:
                 i_values = i_values * is_scale
@@ -1258,7 +1277,6 @@ class CompiledCircuit:
                 integration,
                 previous_solutions,
                 cap_history,
-                None,
                 cap_g_rows,
             )
 
@@ -1438,6 +1456,10 @@ class AnalysisEngine:
         pattern = (
             compiled.sparsity_pattern() if solver.wants_pattern_assembly else None
         )
+        if pattern is not None:
+            assemble, solve = compiled.assemble_sparse, solver.solve_pattern
+        else:
+            assemble, solve = compiled.assemble, solver.solve
         converged = False
         max_update = float("inf")
         iteration = 0
@@ -1467,26 +1489,15 @@ class AnalysisEngine:
             )
             bypassed = False
             try:
-                if pattern is not None:
-                    data, rhs = compiled.assemble_sparse(
-                        state, cache_base=not gmin_bumped, linear_rhs=linear_rhs.copy()
-                    )
-                    if reuse_state is None:
-                        new_solution = solver.solve_pattern(data, rhs)
-                    else:
-                        new_solution, bypassed = self._reuse_solve(
-                            solver, reuse_state, solution, data, rhs, pattern
-                        )
+                system, rhs = assemble(
+                    state, cache_base=not gmin_bumped, linear_rhs=linear_rhs.copy()
+                )
+                if reuse_state is None:
+                    new_solution = solve(system, rhs)
                 else:
-                    matrix, rhs = compiled.assemble(
-                        state, cache_base=not gmin_bumped, linear_rhs=linear_rhs.copy()
+                    new_solution, bypassed = self._reuse_solve(
+                        solver, reuse_state, solution, system, rhs, pattern
                     )
-                    if reuse_state is None:
-                        new_solution = solver.solve(matrix, rhs)
-                    else:
-                        new_solution, bypassed = self._reuse_solve(
-                            solver, reuse_state, solution, matrix, rhs, None
-                        )
             except np.linalg.LinAlgError:
                 if reuse_state is not None:
                     reuse_state.invalidate()
@@ -1623,44 +1634,21 @@ class AnalysisEngine:
             time_s=time_s,
             solver=resolved,
         )
-        solution, iterations, converged, max_update = self._newton(
+        solution, total_iterations, converged, max_update = self._newton(
             solution, gmin=gmin, reuse_state=reuse_state, **controls
         )
-        total_iterations = iterations
-        strategy = "newton"
-
+        strategy = "newton" if converged else "failed"
         if not converged:
-            # gmin stepping: start almost linear, relax towards the target
-            # gmin; intermediate stages only seed the next one.
-            stepped = circuit.initial_solution()
-            final_ok = False
-            for step_gmin in GMIN_LADDER + (gmin,):
-                stepped, used, final_ok, max_update = self._newton(
-                    stepped, gmin=step_gmin, **controls
-                )
-                total_iterations += used
-            if final_ok:
-                solution = stepped
-                converged = True
-                strategy = "gmin-stepping"
-
-        if not converged:
-            # Source stepping: ramp all independent sources up from 10 %,
-            # reusing each stage's solution; only full drive must converge.
-            stepped = circuit.initial_solution()
-            final_ok = False
-            for scale in SOURCE_LADDER:
-                stepped, used, final_ok, max_update = self._newton(
-                    stepped, gmin=gmin, source_scale=scale, **controls
-                )
-                total_iterations += used
-            if final_ok:
-                solution = stepped
-                converged = True
-                strategy = "source-stepping"
-
-        if not converged:
-            strategy = "failed"
+            for ladder, rungs in _fallback_ladders(gmin):
+                stepped = circuit.initial_solution()
+                for step_gmin, scale in rungs:
+                    stepped, used, final_ok, max_update = self._newton(
+                        stepped, gmin=step_gmin, source_scale=scale, **controls
+                    )
+                    total_iterations += used
+                if final_ok:
+                    solution, converged, strategy = stepped, True, ladder
+                    break
 
         factorizations, reuses = self._counts_delta(
             self._solver_counts((resolved, self.solver)), counts_before
@@ -1698,7 +1686,6 @@ class AnalysisEngine:
         previous_solutions: Optional[np.ndarray] = None,
         integration: str = "be",
         cap_history: Optional[np.ndarray] = None,
-        source_values: Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]] = None,
         cap_g_rows: Optional[np.ndarray] = None,
         source_scale: float = 1.0,
         solver: LinearSolver,
@@ -1720,10 +1707,9 @@ class AnalysisEngine:
 
         With ``timestep_s`` set this is one lockstep *transient* Newton
         round over the stack: ``previous_solutions``/``cap_history`` carry
-        the per-trial capacitor companion state and ``source_values`` the
-        waveform values evaluated once for the whole step.  ``source_scale``
-        scales every independent source (the batched source-stepping
-        ladder).
+        the per-trial capacitor companion state, and the source waveforms
+        are evaluated once for the whole stack.  ``source_scale`` scales
+        every independent source (the batched source-stepping ladder).
 
         ``reuse_states`` (one :class:`_NewtonReuseState` per stack row)
         switches the sparse-batched path to per-trial modified Newton: each
@@ -1748,11 +1734,12 @@ class AnalysisEngine:
         pattern = (
             compiled.sparsity_pattern() if solver.wants_pattern_assembly else None
         )
-        assemble = (
-            compiled.assemble_sparse_batched
-            if pattern is not None
-            else compiled.assemble_batched
-        )
+        if pattern is not None:
+            assemble = compiled.assemble_sparse_batched
+            solve_stack, solve_one = solver.solve_pattern_batched, solver.solve_pattern
+        else:
+            assemble = compiled.assemble_batched
+            solve_stack, solve_one = solver.solve_batched, solver.solve
         use_reuse = (
             reuse_states is not None
             and pattern is not None
@@ -1772,7 +1759,6 @@ class AnalysisEngine:
             integration,
             previous_solutions,
             cap_history,
-            source_values,
             compiled._batched_cap_g_rows(
                 trials,
                 params.get("cap_c") if timestep_s is not None else None,
@@ -1819,10 +1805,7 @@ class AnalysisEngine:
                     reuse_workspace=True,
                 )
                 try:
-                    if pattern is not None:
-                        new_solutions = solver.solve_pattern_batched(matrices, rhs)
-                    else:
-                        new_solutions = solver.solve_batched(matrices, rhs)
+                    new_solutions = solve_stack(matrices, rhs)
                 except np.linalg.LinAlgError:
                     # A singular system anywhere raises for the whole stack.
                     # Isolate it: re-solve the round trial by trial (same
@@ -1834,12 +1817,7 @@ class AnalysisEngine:
                     bad = np.zeros(index.size, dtype=bool)
                     for row in range(index.size):
                         try:
-                            if pattern is not None:
-                                new_solutions[row] = solver.solve_pattern(
-                                    matrices[row], rhs[row]
-                                )
-                            else:
-                                new_solutions[row] = solver.solve(matrices[row], rhs[row])
+                            new_solutions[row] = solve_one(matrices[row], rhs[row])
                         except np.linalg.LinAlgError:
                             bad[row] = True
                     if bad.any():
@@ -1989,6 +1967,28 @@ class AnalysisEngine:
             raise ValueError("at least one trial is required")
         return stacks, count
 
+    @contextlib.contextmanager
+    def _trial_overlay(self, stacks: Mapping[str, np.ndarray], trial: int):
+        """Overlay one trial's stack rows for a serial rescue of that trial.
+
+        The rows compose on top of the active base overlay (e.g. a corner)
+        exactly like the serial Monte-Carlo path, and the base overlay is
+        restored on exit, even on error.
+        """
+        compiled = self.compiled
+        saved = dict(compiled._overlay) if compiled._overlay else None
+        overlay = dict(saved or {})
+        overlay.update({name: stack[trial] for name, stack in stacks.items()})
+        try:
+            if overlay:
+                compiled.set_parameter_overlay(overlay)
+            yield
+        finally:
+            if saved is not None:
+                compiled.set_parameter_overlay(saved)
+            else:
+                compiled.clear_parameter_overlay()
+
     def solve_dc_batched(
         self,
         params: Optional[Mapping[str, np.ndarray]] = None,
@@ -2062,18 +2062,21 @@ class AnalysisEngine:
         resolved = self._resolve_solver(solver, threads)
         want_reuse = _wants_newton_reuse(newton)
         counts_before = self._solver_counts((resolved, self.solver))
-        solutions, iterations, converged, residuals, poisoned = self._newton_batched(
-            solutions,
-            stacks,
-            gmin=gmin,
+        controls = dict(
             max_iterations=max_iterations,
             tolerance_v=tolerance_v,
             damping_v=damping_v,
             time_s=time_s,
             solver=resolved,
+        )
+        solutions, iterations, converged, residuals, poisoned = self._newton_batched(
+            solutions,
+            stacks,
+            gmin=gmin,
             reuse_states=(
                 [_NewtonReuseState() for _ in range(count)] if want_reuse else None
             ),
+            **controls,
         )
         strategies = ["batched-newton" if ok else "failed" for ok in converged]
         # Trials caught in a singular batched solve no longer track the
@@ -2081,125 +2084,64 @@ class AnalysisEngine:
         # skip the batched ladders and go straight to the per-trial rescue.
         tainted = poisoned.copy()
 
-        if not (converged | tainted).all():
-            # Batched gmin-stepping ladder: exactly the serial fallback's
-            # stage sequence (each stage seeds the next, converged or not,
-            # always starting from the zero initial solution), run over the
-            # whole failed subset with one batched solve per Newton round.
-            ladder_controls = dict(
-                max_iterations=max_iterations,
-                tolerance_v=tolerance_v,
-                damping_v=damping_v,
-                time_s=time_s,
-                solver=resolved,
-            )
-            ladder_idx = np.flatnonzero(~converged & ~tainted)
-            sub = {name: stack[ladder_idx] for name, stack in stacks.items()}
-            stepped = np.zeros((ladder_idx.size, size))
-            final_ok = np.zeros(ladder_idx.size, dtype=bool)
-            stage_resid = np.full(ladder_idx.size, np.inf)
-            for step_gmin in GMIN_LADDER + (gmin,):
-                stepped, used, final_ok, stage_resid, stage_poisoned = (
-                    self._newton_batched(
-                        stepped, sub, gmin=step_gmin, **ladder_controls
-                    )
+        # The serial fallback ladders, each run over the whole still-failed
+        # subset with one batched solve per Newton round.
+        pending = np.flatnonzero(~converged & ~tainted)
+        for ladder, rungs in _fallback_ladders(gmin):
+            if pending.size == 0:
+                break
+            sub = {name: stack[pending] for name, stack in stacks.items()}
+            stepped = np.zeros((pending.size, size))
+            for step_gmin, scale in rungs:
+                stepped, used, final_ok, final_resid, rung_poisoned = self._newton_batched(
+                    stepped, sub, gmin=step_gmin, source_scale=scale, **controls
                 )
-                iterations[ladder_idx] += used
-                if stage_poisoned.any():
-                    # Drop tainted trials from the remaining stages so one
+                iterations[pending] += used
+                if rung_poisoned.any():
+                    # Drop tainted trials from the remaining rungs so one
                     # singular trial cannot keep perturbing the stack.
-                    tainted[ladder_idx[stage_poisoned]] = True
-                    keep = ~stage_poisoned
-                    ladder_idx = ladder_idx[keep]
+                    tainted[pending[rung_poisoned]] = True
+                    keep = ~rung_poisoned
+                    pending = pending[keep]
                     sub = {name: rows[keep] for name, rows in sub.items()}
                     stepped = stepped[keep]
                     final_ok = final_ok[keep]
-                    stage_resid = stage_resid[keep]
-                    if ladder_idx.size == 0:
+                    final_resid = final_resid[keep]
+                    if pending.size == 0:
                         break
-            # The in-loop trimming guarantees no tainted trial is left in
-            # ladder_idx, so the stage outcome arrays map one to one.
-            fixed = ladder_idx[final_ok]
+            # Serial solve_dc reports the last attempted Newton update: the
+            # final rung's, for the failures too (an untainted failure of
+            # the last ladder is final — the serial path fails identically).
+            residuals[pending] = final_resid
+            fixed = pending[final_ok]
             solutions[fixed] = stepped[final_ok]
             converged[fixed] = True
-            residuals[fixed] = stage_resid[final_ok]
             for trial in fixed:
-                strategies[trial] = "gmin-stepping"
+                strategies[trial] = ladder
+            pending = pending[~final_ok]
 
-            # Batched source-stepping ladder for what the gmin ladder left.
-            still = ladder_idx[~final_ok]
-            if still.size:
-                sub2 = {name: stack[still] for name, stack in stacks.items()}
-                stepped2 = np.zeros((still.size, size))
-                ok2 = np.zeros(still.size, dtype=bool)
-                res2 = np.full(still.size, np.inf)
-                for scale in SOURCE_LADDER:
-                    stepped2, used2, ok2, res2, poisoned2 = self._newton_batched(
-                        stepped2,
-                        sub2,
-                        gmin=gmin,
-                        source_scale=scale,
-                        **ladder_controls,
-                    )
-                    iterations[still] += used2
-                    if poisoned2.any():
-                        tainted[still[poisoned2]] = True
-                        keep = ~poisoned2
-                        still = still[keep]
-                        sub2 = {name: rows[keep] for name, rows in sub2.items()}
-                        stepped2 = stepped2[keep]
-                        ok2 = ok2[keep]
-                        res2 = res2[keep]
-                        if still.size == 0:
-                            break
-                good = still[ok2]
-                solutions[good] = stepped2[ok2]
-                converged[good] = True
-                # Serial solve_dc reports the last attempted Newton update,
-                # which after a source ladder is the final stage's — mirror
-                # that for the failures too (untainted ladder failures are
-                # final: the serial path would fail identically).
-                residuals[still] = res2
-                for trial in good:
-                    strategies[trial] = "source-stepping"
-
-        if (~converged & tainted).any():
-            # Per-trial rescue through the serial path and its ladders —
-            # only for trials whose batched arithmetic was cut short by a
-            # singular stacked solve (untainted failures already reproduced
-            # the serial ladders bit for bit and stay failed).  The trial
-            # overlay composes on top of any active base overlay (e.g. a
-            # corner) exactly like the serial Monte-Carlo path.
-            saved_overlay = dict(compiled._overlay) if compiled._overlay else None
-            try:
-                for trial in np.flatnonzero(~converged & tainted):
-                    overlay = dict(saved_overlay or {})
-                    overlay.update(
-                        {name: stack[trial] for name, stack in stacks.items()}
-                    )
-                    if overlay:
-                        compiled.set_parameter_overlay(overlay)
-                    point = self.solve_dc(
-                        initial_guess=(
-                            guess_row if guess_row is not None else original_guesses[trial]
-                        ),
-                        max_iterations=max_iterations,
-                        tolerance_v=tolerance_v,
-                        gmin=gmin,
-                        damping_v=damping_v,
-                        time_s=time_s,
-                        refresh=False,
-                    )
-                    solutions[trial] = point.solution
-                    iterations[trial] += point.iterations
-                    converged[trial] = point.converged
-                    residuals[trial] = point.max_residual
-                    strategies[trial] = point.convergence_info.strategy
-            finally:
-                if saved_overlay is not None:
-                    compiled.set_parameter_overlay(saved_overlay)
-                else:
-                    compiled.clear_parameter_overlay()
+        # Per-trial rescue through the serial path and its ladders — only
+        # for trials whose batched arithmetic was cut short by a singular
+        # stacked solve (untainted failures already reproduced the serial
+        # ladders bit for bit and stay failed).
+        for trial in np.flatnonzero(~converged & tainted):
+            with self._trial_overlay(stacks, trial):
+                point = self.solve_dc(
+                    initial_guess=(
+                        guess_row if guess_row is not None else original_guesses[trial]
+                    ),
+                    max_iterations=max_iterations,
+                    tolerance_v=tolerance_v,
+                    gmin=gmin,
+                    damping_v=damping_v,
+                    time_s=time_s,
+                    refresh=False,
+                )
+            solutions[trial] = point.solution
+            iterations[trial] += point.iterations
+            converged[trial] = point.converged
+            residuals[trial] = point.max_residual
+            strategies[trial] = point.convergence_info.strategy
 
         factorizations, reuses = self._counts_delta(
             self._solver_counts((resolved, self.solver)), counts_before
@@ -2365,13 +2307,7 @@ class AnalysisEngine:
         Newton totals, the controller's step-acceptance statistics and the
         march's factorization/reuse counts.
         """
-        if stop_time_s <= 0.0 or timestep_s <= 0.0:
-            raise ValueError("stop time and timestep must be positive")
-        if timestep_s > stop_time_s:
-            raise ValueError("the timestep cannot exceed the stop time")
-        if integration not in ("be", "trap"):
-            raise ValueError("integration must be 'be' or 'trap'")
-
+        _check_transient_arguments(stop_time_s, timestep_s, integration)
         compiled = self.compiled
         compiled.refresh_values()
         for capacitor in compiled.capacitors:
@@ -2467,10 +2403,10 @@ class AnalysisEngine:
         newton_total = 0
         worst_residual = 0.0
 
-        cap_g = (
-            compiled._capacitor_conductance(timestep_s, integration)
-            if compiled.num_capacitors
-            else None
+        # Backward Euler keeps no capacitor history, so without history
+        # elements an accepted step has nothing to carry forward.
+        carries_history = bool(history_elements) or (
+            integration == "trap" and compiled.num_capacitors > 0
         )
         previous_solution = current_solution.copy()
         for step in range(1, steps + 1):
@@ -2493,27 +2429,11 @@ class AnalysisEngine:
             worst_residual = max(worst_residual, residual)
             if not converged:
                 all_converged = False
-
-            if cap_g is not None and integration == "trap":
-                # Backward Euler needs no history (its companion current
-                # only uses the previous voltage, gathered during assembly).
-                now = compiled._pad(solution)
-                prev = compiled._pad(previous_solution)
-                dv = (now[compiled.cap_a] - now[compiled.cap_b]) - (
-                    prev[compiled.cap_a] - prev[compiled.cap_b]
+            if carries_history:
+                cap_history = self._accept_step(
+                    cap_history, solution, previous_solution, time, timestep_s,
+                    integration=integration, gmin=gmin, history_elements=history_elements,
                 )
-                cap_history = cap_g * dv - cap_history
-            if history_elements:
-                final_state = AnalysisState(
-                    solution=solution,
-                    time_s=time,
-                    timestep_s=timestep_s,
-                    previous_solution=previous_solution,
-                    integration=integration,
-                    gmin=gmin,
-                )
-                for element in history_elements:
-                    element.update_history(final_state)
 
             solutions[step] = solution
             previous_solution = solution.copy()
@@ -2538,6 +2458,42 @@ class AnalysisEngine:
                 max_step_s=timestep_s,
             ),
         )
+
+    def _accept_step(
+        self,
+        cap_history: np.ndarray,
+        solution: np.ndarray,
+        previous_solution: np.ndarray,
+        time_s: float,
+        timestep_s: float,
+        *,
+        integration: str,
+        gmin: float,
+        history_elements: Sequence[object],
+    ) -> np.ndarray:
+        """Carry the companion histories past one accepted serial step.
+
+        Advances the trapezoidal capacitor history currents (backward Euler
+        keeps none: its companion current only uses the previous voltage,
+        gathered during assembly) and calls ``update_history`` on every
+        custom history element.  Returns the new ``cap_history``.
+        """
+        compiled = self.compiled
+        if integration == "trap" and compiled.num_capacitors:
+            cap_g = compiled._capacitor_conductance(timestep_s, integration)
+            cap_history = cap_g * compiled._cap_dv(solution, previous_solution) - cap_history
+        if history_elements:
+            final_state = AnalysisState(
+                solution=solution,
+                time_s=time_s,
+                timestep_s=timestep_s,
+                previous_solution=previous_solution,
+                integration=integration,
+                gmin=gmin,
+            )
+            for element in history_elements:
+                element.update_history(final_state)
+        return cap_history
 
     def _transient_adaptive(
         self,
@@ -2661,25 +2617,10 @@ class AnalysisEngine:
             smallest_dt = min(smallest_dt, dt)
             largest_dt = max(largest_dt, dt)
 
-            if compiled.num_capacitors and integration == "trap":
-                cap_g = compiled._capacitor_conductance(dt, integration)
-                now = compiled._pad(solution)
-                prev = compiled._pad(previous_solution)
-                dv = (now[compiled.cap_a] - now[compiled.cap_b]) - (
-                    prev[compiled.cap_a] - prev[compiled.cap_b]
-                )
-                cap_history = cap_g * dv - cap_history
-            if history_elements:
-                final_state = AnalysisState(
-                    solution=solution,
-                    time_s=time,
-                    timestep_s=dt,
-                    previous_solution=previous_solution,
-                    integration=integration,
-                    gmin=gmin,
-                )
-                for element in history_elements:
-                    element.update_history(final_state)
+            cap_history = self._accept_step(
+                cap_history, solution, previous_solution, time, dt,
+                integration=integration, gmin=gmin, history_elements=history_elements,
+            )
 
             older_solution = previous_solution
             previous_dt = dt
@@ -2773,12 +2714,7 @@ class AnalysisEngine:
         circuit = self.circuit
         if circuit.system_size == 0:
             raise ValueError("the circuit has no unknowns to solve for")
-        if stop_time_s <= 0.0 or timestep_s <= 0.0:
-            raise ValueError("stop time and timestep must be positive")
-        if timestep_s > stop_time_s:
-            raise ValueError("the timestep cannot exceed the stop time")
-        if integration not in ("be", "trap"):
-            raise ValueError("integration must be 'be' or 'trap'")
+        _check_transient_arguments(stop_time_s, timestep_s, integration)
         compiled = self.compiled
         if compiled.custom_elements:
             raise ValueError(
@@ -2818,49 +2754,17 @@ class AnalysisEngine:
         worst_residuals = np.zeros(count)
         failed = np.zeros(count, dtype=bool)
         cap_history = np.zeros((count, compiled.num_capacitors))
-        cap_c_stack = stacks.get("cap_c")
-        if compiled.num_capacitors:
-            # March-wide invariant: the per-trial companion conductances,
-            # handed to every Newton round (and reused by the trapezoidal
-            # history update) instead of being re-derived per assembly.
-            if cap_c_stack is None:
-                cap_g = np.broadcast_to(
-                    compiled._capacitor_conductance(timestep_s, integration),
-                    (count, compiled.num_capacitors),
-                )
-            else:
-                cap_g = compiled._capacitor_conductance_stacked(
-                    cap_c_stack, timestep_s, integration
-                )
-        else:
-            cap_g = None
+        # March-wide invariant: the per-trial companion conductances, handed
+        # to every Newton round (and reused by the trapezoidal history
+        # update) instead of being re-derived per assembly.
+        cap_g = compiled._batched_cap_g_rows(
+            count, stacks.get("cap_c"), timestep_s, integration, None
+        )
 
         previous = solutions.copy()
         current = solutions
         for step in range(1, steps + 1):
             time = times[step]
-            # Shared per-step invariants: every waveform is evaluated once
-            # for the whole stack (the serial path pays this per trial).
-            raw_v = (
-                1.0
-                * np.fromiter(
-                    (s.waveform.value(time) for s in compiled.voltage_sources),
-                    dtype=float,
-                    count=len(compiled.voltage_sources),
-                )
-                if compiled.voltage_sources
-                else None
-            )
-            raw_i = (
-                1.0
-                * np.fromiter(
-                    (s.waveform.value(time) for s in compiled.current_sources),
-                    dtype=float,
-                    count=len(compiled.current_sources),
-                )
-                if compiled.current_sources
-                else None
-            )
             live = np.flatnonzero(~failed)
             if live.size == 0:
                 break
@@ -2877,7 +2781,6 @@ class AnalysisEngine:
                 previous_solutions=previous[live],
                 integration=integration,
                 cap_history=cap_history[live] if integration == "trap" else None,
-                source_values=(raw_v, raw_i),
                 cap_g_rows=None if cap_g is None else cap_g[live],
                 solver=resolved,
                 reuse_states=(
@@ -2896,59 +2799,37 @@ class AnalysisEngine:
             waveforms[ok, step, :] = current[ok]
             worst_residuals[ok] = np.maximum(worst_residuals[ok], resid[conv])
             if cap_g is not None and integration == "trap" and ok.size:
-                now_p = np.concatenate(
-                    (current[ok], np.zeros((ok.size, 1))), axis=1
-                )
-                prev_p = np.concatenate(
-                    (previous[ok], np.zeros((ok.size, 1))), axis=1
-                )
-                dv = (now_p[:, compiled.cap_a] - now_p[:, compiled.cap_b]) - (
-                    prev_p[:, compiled.cap_a] - prev_p[:, compiled.cap_b]
-                )
+                dv = compiled._cap_dv(current[ok], previous[ok])
                 cap_history[ok] = cap_g[ok] * dv - cap_history[ok]
             previous = current.copy()
 
         converged = ~failed
         strategies = ["lockstep"] * count
 
-        if failed.any():
-            # Whole-trial rescue through the serial path: solve_transient
-            # with the trial's overlay IS the per-trial reference, ladders
-            # and gmin bumps included, so the rescued waveform matches what
-            # a per-trial run would have produced bit for bit.
-            saved_overlay = dict(compiled._overlay) if compiled._overlay else None
-            try:
-                for trial in np.flatnonzero(failed):
-                    overlay = dict(saved_overlay or {})
-                    overlay.update(
-                        {name: stack[trial] for name, stack in stacks.items()}
-                    )
-                    if overlay:
-                        compiled.set_parameter_overlay(overlay)
-                    # Rescues always run full Newton: a trial that already
-                    # failed to converge gets the most robust iteration,
-                    # not the cheapest.
-                    rescued = self.solve_transient(
-                        stop_time_s,
-                        timestep_s,
-                        integration=integration,
-                        max_newton_iterations=max_newton_iterations,
-                        tolerance_v=tolerance_v,
-                        gmin=gmin,
-                        use_initial_conditions=use_initial_conditions,
-                        solver=resolved,
-                    )
-                    waveforms[trial] = rescued.solutions
-                    converged[trial] = rescued.converged
-                    info = rescued.convergence_info
-                    newton_totals[trial] = info.newton_iterations
-                    worst_residuals[trial] = info.max_newton_residual_v
-                    strategies[trial] = "serial-fallback"
-            finally:
-                if saved_overlay is not None:
-                    compiled.set_parameter_overlay(saved_overlay)
-                else:
-                    compiled.clear_parameter_overlay()
+        # Whole-trial rescue through the serial path: solve_transient with
+        # the trial's overlay IS the per-trial reference, ladders and gmin
+        # bumps included, so the rescued waveform matches what a per-trial
+        # run would have produced bit for bit.  Rescues always run full
+        # Newton: a trial that already failed to converge gets the most
+        # robust iteration, not the cheapest.
+        for trial in np.flatnonzero(failed):
+            with self._trial_overlay(stacks, trial):
+                rescued = self.solve_transient(
+                    stop_time_s,
+                    timestep_s,
+                    integration=integration,
+                    max_newton_iterations=max_newton_iterations,
+                    tolerance_v=tolerance_v,
+                    gmin=gmin,
+                    use_initial_conditions=use_initial_conditions,
+                    solver=resolved,
+                )
+            waveforms[trial] = rescued.solutions
+            converged[trial] = rescued.converged
+            info = rescued.convergence_info
+            newton_totals[trial] = info.newton_iterations
+            worst_residuals[trial] = info.max_newton_residual_v
+            strategies[trial] = "serial-fallback"
 
         factorizations, reuses = self._counts_delta(
             self._solver_counts((resolved, self.solver)), counts_before
@@ -2997,12 +2878,9 @@ class AnalysisEngine:
         if integration == "trap":
             final_history = cap_history
         else:
-            now = compiled._pad(last_solution)
-            prev = compiled._pad(previous_solution)
-            dv = (now[compiled.cap_a] - now[compiled.cap_b]) - (
-                prev[compiled.cap_a] - prev[compiled.cap_b]
-            )
-            final_history = (compiled.cap_c / last_timestep_s) * dv
+            final_history = compiled._capacitor_conductance(
+                last_timestep_s, integration
+            ) * compiled._cap_dv(last_solution, previous_solution)
         for capacitor, history in zip(compiled.capacitors, final_history):
             capacitor._previous_current = float(history)
 

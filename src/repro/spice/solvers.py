@@ -35,8 +35,9 @@ iteration logic:
   stack's ``trials * n^2``.
 * :class:`AutoSolver` — a *policy* backend (``solver="auto"``, the default
   spec value): picks dense vs sparse — and their batched variants — from
-  the system size, the trial count and the measured dense/sparse crossover
-  recorded in ``BENCH_solvers.json``.  Degrades gracefully to dense (with
+  the system size, the trial count and a fixed dense/sparse crossover
+  (:data:`DEFAULT_DENSE_SPARSE_CROSSOVER`, calibrated by
+  ``benchmarks/bench_solvers.py``).  Degrades gracefully to dense (with
   an actionable warning) when SciPy is unavailable.
 
 Select a backend by name through any analysis method::
@@ -69,13 +70,11 @@ in its convergence records.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 import warnings
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple, Type, Union
 
 import numpy as np
@@ -95,13 +94,13 @@ __all__ = [
     "resolve_threads",
     "available_backends",
     "scipy_available",
-    "recorded_crossovers",
 ]
 
-#: Fallback system size above which :class:`AutoSolver` prefers the sparse
-#: backends when no measured crossover is recorded.  Calibrated on the
-#: identity-lattice scalability benches (``benchmarks/bench_solvers.py``),
-#: where sparse SuperLU first beats the dense LAPACK solve near n ≈ 300.
+#: System size at or above which :class:`AutoSolver` prefers the sparse
+#: backends unless its constructor or ``REPRO_SOLVER_CROSSOVER`` overrides
+#: it.  Calibrated on the identity-lattice scalability benches
+#: (``benchmarks/bench_solvers.py``), where sparse SuperLU first beats the
+#: dense LAPACK solve near n ≈ 300.
 DEFAULT_DENSE_SPARSE_CROSSOVER = 300
 
 #: LRU capacity of the per-solver :class:`FactorizationCache`.  A handful
@@ -797,49 +796,6 @@ class BatchedSparseSolver(SparseSolver):
         return handles
 
 
-@lru_cache(maxsize=8)
-def _load_bench_payload(path: str) -> Optional[Dict]:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
-def recorded_crossovers() -> Dict[str, float]:
-    """Measured solver crossovers from a recorded ``BENCH_solvers.json``.
-
-    Looked up, in order, at ``$REPRO_BENCH_SOLVERS`` (an explicit file
-    path), ``$BENCH_JSON_DIR/BENCH_solvers.json`` (the CI benchmark
-    artifact directory) and ``./BENCH_solvers.json``; the first readable
-    JSON object wins.  Returns the numeric ``*crossover_size`` entries
-    found anywhere in the payload (top level or one level down), ``{}``
-    when nothing is recorded.  File reads are memoized per path.
-    """
-    candidates = []
-    explicit = os.environ.get("REPRO_BENCH_SOLVERS")
-    if explicit:
-        candidates.append(explicit)
-    directory = os.environ.get("BENCH_JSON_DIR")
-    if directory:
-        candidates.append(os.path.join(directory, "BENCH_solvers.json"))
-    candidates.append(os.path.join(os.getcwd(), "BENCH_solvers.json"))
-    for path in candidates:
-        payload = _load_bench_payload(path)
-        if payload is None:
-            continue
-        found: Dict[str, float] = {}
-        sections = [payload] + [v for v in payload.values() if isinstance(v, dict)]
-        for section in sections:
-            for key, value in section.items():
-                if key.endswith("crossover_size") and isinstance(value, (int, float)):
-                    found.setdefault(key, float(value))
-        if found:
-            return found
-    return {}
-
-
 class AutoSolver(LinearSolver):
     """Size/trial-aware backend selection behind the normal solver seam.
 
@@ -853,10 +809,11 @@ class AutoSolver(LinearSolver):
       pattern (``trials * nnz`` memory instead of ``trials * n^2``).
 
     The crossover comes from, in order: the constructor argument, the
-    ``REPRO_SOLVER_CROSSOVER`` environment variable, the measured
-    ``crossover_size``/``batched_crossover_size`` recorded in
-    ``BENCH_solvers.json`` (see :func:`recorded_crossovers`), and finally
-    :data:`DEFAULT_DENSE_SPARSE_CROSSOVER`.
+    ``REPRO_SOLVER_CROSSOVER`` environment variable (ignored unless it is an
+    integer), and finally :data:`DEFAULT_DENSE_SPARSE_CROSSOVER`; the
+    batched crossover falls back to the serial one.  No recorded benchmark
+    file is consulted: ``benchmarks/bench_solvers.py`` measures the
+    crossovers, but a run's backend never depends on what it recorded.
 
     Circuits with custom (compatibility-path) elements have no static
     sparsity pattern and always select dense.  When SciPy is missing, a
@@ -873,11 +830,8 @@ class AutoSolver(LinearSolver):
         threads: Union[None, int, str] = None,
     ):
         env = os.environ.get("REPRO_SOLVER_CROSSOVER")
-        recorded = {}
-        if crossover is None or batched_crossover is None:
-            recorded = recorded_crossovers()
 
-        def resolve(value: Optional[int], *keys: str, fallback: int) -> int:
+        def resolve(value: Optional[int], fallback: int) -> int:
             if value is not None:
                 return int(value)
             if env:
@@ -885,23 +839,12 @@ class AutoSolver(LinearSolver):
                     return int(env)
                 except ValueError:
                     pass
-            for key in keys:
-                if key in recorded:
-                    return int(recorded[key])
             return fallback
 
         #: Serial dense/sparse crossover (system size).
-        self.crossover = resolve(
-            crossover, "crossover_size", fallback=DEFAULT_DENSE_SPARSE_CROSSOVER
-        )
-        #: Batched crossover; falls back to the serial one when only that
-        #: was measured.
-        self.batched_crossover = resolve(
-            batched_crossover,
-            "batched_crossover_size",
-            "crossover_size",
-            fallback=self.crossover,
-        )
+        self.crossover = resolve(crossover, DEFAULT_DENSE_SPARSE_CROSSOVER)
+        #: Batched crossover; falls back to the serial one.
+        self.batched_crossover = resolve(batched_crossover, self.crossover)
         self._instances: Dict[str, LinearSolver] = {}
         self._warned_no_scipy = False
         #: Worker threads handed to the sparse-batched backend it selects.

@@ -15,6 +15,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.api import MonteCarlo, Result, Session, Transient, spec_hash
+from repro.circuits.corners import Corner, applied_corner, corner_overlay
 from repro.experiments.variability_xor3 import (
     METRIC_HOOK,
     _metrics_from_waveform,
@@ -34,6 +35,7 @@ from repro.spice import (
     VoltageSource,
     get_engine,
 )
+from repro.spice.solvers import DenseSolver
 
 NMOS = Level1Parameters(
     kp_a_per_v2=4e-5, vth_v=0.18, lambda_per_v=0.05, width_m=0.7e-6, length_m=0.35e-6
@@ -59,6 +61,26 @@ def pulsed_amplifier():
     Capacitor(circuit, "cl", "d", "0", 2e-15)
     MOSFET(circuit, "m1", "d", "g", "0", NMOS)
     return circuit
+
+
+class FlakySolver(DenseSolver):
+    """Raises whenever the poisoned trial's RHS is in the batch."""
+
+    def __init__(self, poison: float):
+        self.poison = poison
+
+    def _poisoned(self, rhs):
+        return bool(np.any(np.isclose(rhs, self.poison)))
+
+    def solve_batched(self, matrices, rhs):
+        if self._poisoned(rhs):
+            raise np.linalg.LinAlgError("poisoned stack")
+        return super().solve_batched(matrices, rhs)
+
+    def solve(self, matrix, rhs):
+        if self._poisoned(rhs):
+            raise np.linalg.LinAlgError("poisoned row")
+        return super().solve(matrix, rhs)
 
 
 def per_trial_reference(circuit, mc, trials, **transient_kwargs):
@@ -209,27 +231,6 @@ class TestSolveTransientBatched:
         # One trial whose linear solves fail must be frozen out and rescued
         # serially while the rest of the stack keeps solving batched — a
         # singular trial may not eject its innocent neighbours.
-        from repro.spice.solvers import DenseSolver
-
-        class FlakySolver(DenseSolver):
-            """Raises whenever the poisoned trial's RHS is in the batch."""
-
-            def __init__(self, poison: float):
-                self.poison = poison
-
-            def _poisoned(self, rhs):
-                return bool(np.any(np.isclose(rhs, self.poison)))
-
-            def solve_batched(self, matrices, rhs):
-                if self._poisoned(rhs):
-                    raise np.linalg.LinAlgError("poisoned stack")
-                return super().solve_batched(matrices, rhs)
-
-            def solve(self, matrix, rhs):
-                if self._poisoned(rhs):
-                    raise np.linalg.LinAlgError("poisoned row")
-                return super().solve(matrix, rhs)
-
         circuit = Circuit("divider")
         VoltageSource(circuit, "vin", "in", "0", 1.0)
         Resistor(circuit, "r1", "in", "mid", 1e3)
@@ -274,6 +275,74 @@ class TestSolveTransientBatched:
             engine.solve_transient_batched(STOP_S, STEP_S, stacks, integration="rk4")
         with pytest.raises(ValueError, match="trials"):
             engine.solve_transient_batched(STOP_S, STEP_S)
+
+
+class TestRescueUnderBaseOverlay:
+    """A serially rescued trial runs under the base overlay plus its own
+    rows, and the base overlay is back in force once the batched call
+    returns."""
+
+    CORNER = Corner("SS", 0.9, +0.045)
+
+    def serial_reference(self, circuit, trial_rows, solve):
+        """``solve(engine)`` under the corner overlay composed with ``trial_rows``."""
+        engine = get_engine(circuit)
+        overlay = {**corner_overlay(circuit, self.CORNER), **trial_rows}
+        engine.compiled.set_parameter_overlay(overlay)
+        try:
+            return solve(engine)
+        finally:
+            engine.compiled.clear_parameter_overlay()
+
+    def test_dc_rescue_composes_with_corner(self):
+        circuit = pulsed_amplifier()
+        index = circuit.node_index("d")
+        # Trial 1 drives vdd to 1.5 V, which the flaky solver refuses.
+        scale = np.ones((3, 2))
+        scale[1, 0] = 1.25
+        reference = self.serial_reference(
+            circuit, {"vsource_scale": scale[1]}, lambda engine: engine.solve_dc()
+        )
+        with applied_corner(circuit, self.CORNER) as engine:
+            corner_value = engine.solve_dc().solution[index]
+            batched = engine.solve_dc_batched(
+                {"vsource_scale": scale}, solver=FlakySolver(poison=1.5)
+            )
+            assert engine.solve_dc().solution[index] == corner_value
+        assert batched.strategies == ("batched-newton", "newton", "batched-newton")
+        assert np.array_equal(batched.solutions[1], reference.solution)
+        assert batched.iterations[1] == reference.iterations
+        assert batched.max_residuals[1] == reference.max_residual
+        assert batched.solutions[0, index] == corner_value
+
+    def test_transient_rescue_composes_with_corner(self):
+        circuit = pulsed_amplifier()
+        index = circuit.node_index("d")
+        # Trial 1 runs vdd at 24 V: its drain cannot cross the gate edge
+        # in ten 1 V-clamped rounds, so it fails a step and leaves the
+        # lockstep march for the serial rescue.
+        scale = np.ones((3, 2))
+        scale[1, 0] = 20.0
+        controls = dict(max_newton_iterations=10)
+        reference = self.serial_reference(
+            circuit,
+            {"vsource_scale": scale[1]},
+            lambda engine: engine.solve_transient(STOP_S, STEP_S, **controls),
+        )
+        with applied_corner(circuit, self.CORNER) as engine:
+            corner = engine.solve_transient(STOP_S, STEP_S, **controls)
+            batched = engine.solve_transient_batched(
+                STOP_S, STEP_S, {"vsource_scale": scale}, **controls
+            )
+            after = engine.solve_transient(STOP_S, STEP_S, **controls)
+        assert np.array_equal(after.solutions, corner.solutions)
+        assert batched.strategies == ("lockstep", "serial-fallback", "lockstep")
+        assert np.array_equal(batched.solutions[1], reference.solutions)
+        info = reference.convergence_info
+        assert batched.newton_iterations[1] == info.newton_iterations
+        assert batched.max_residuals[1] == info.max_newton_residual_v
+        assert bool(batched.converged[1]) == reference.converged
+        assert np.array_equal(batched.solutions[0][:, index], corner.solutions[:, index])
 
 
 # ---------------------------------------------------------------------- #

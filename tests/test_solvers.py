@@ -290,41 +290,31 @@ class TestAutoSolver:
         assert auto.crossover == 7
         assert auto.batched_crossover == 7
 
-    def test_recorded_crossovers_from_bench_json(self, tmp_path, monkeypatch):
+    def test_recorded_bench_json_is_never_read(self, tmp_path, monkeypatch):
+        # A crossover ledger that would flip every selection to sparse, at
+        # each place a recorded BENCH_solvers.json used to be looked up: the
+        # policy keeps its default, so the backend cannot depend on what a
+        # benchmark run left behind.
         import json
 
-        payload = {
-            "crossover_size": 120,
-            "batched": {"batched_crossover_size": 450},
-        }
-        path = tmp_path / "BENCH_solvers.json"
-        path.write_text(json.dumps(payload))
-        monkeypatch.delenv("REPRO_SOLVER_CROSSOVER", raising=False)
-        monkeypatch.setenv("REPRO_BENCH_SOLVERS", str(path))
-        solvers_module._load_bench_payload.cache_clear()
-        try:
-            recorded = solvers_module.recorded_crossovers()
-            assert recorded == {
-                "crossover_size": 120.0,
-                "batched_crossover_size": 450.0,
-            }
+        flipping = {"crossover_size": 1, "batched": {"batched_crossover_size": 1}}
+        for directory in ("cwd", "bench_dir", "explicit"):
+            (tmp_path / directory).mkdir()
+            (tmp_path / directory / "BENCH_solvers.json").write_text(json.dumps(flipping))
+        monkeypatch.chdir(tmp_path / "cwd")
+        monkeypatch.setenv("BENCH_JSON_DIR", str(tmp_path / "bench_dir"))
+        monkeypatch.setenv(
+            "REPRO_BENCH_SOLVERS", str(tmp_path / "explicit" / "BENCH_solvers.json")
+        )
+        # An unparsable override is ignored, as is an empty one.
+        for value in ("", "not-a-size"):
+            monkeypatch.setenv("REPRO_SOLVER_CROSSOVER", value)
             auto = AutoSolver()
-            assert auto.crossover == 120
-            assert auto.batched_crossover == 450
-        finally:
-            solvers_module._load_bench_payload.cache_clear()
-
-    def test_missing_bench_json_uses_default(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER_CROSSOVER", raising=False)
-        monkeypatch.setenv("REPRO_BENCH_SOLVERS", str(tmp_path / "absent.json"))
-        monkeypatch.setenv("BENCH_JSON_DIR", str(tmp_path))
-        monkeypatch.chdir(tmp_path)
-        solvers_module._load_bench_payload.cache_clear()
-        try:
-            auto = AutoSolver()
-            assert auto.crossover == solvers_module.DEFAULT_DENSE_SPARSE_CROSSOVER
-        finally:
-            solvers_module._load_bench_payload.cache_clear()
+            assert auto.crossover == solvers_module.DEFAULT_DENSE_SPARSE_CROSSOVER == 300
+            assert auto.batched_crossover == 300
+        compiled = get_engine(common_source_circuit()).compiled
+        assert isinstance(auto.select(compiled), DenseSolver)
+        assert isinstance(auto.select(compiled, trials=3), BatchedDenseSolver)
 
     def test_no_scipy_degrades_to_dense_with_warning(self, monkeypatch):
         def no_scipy():
@@ -1128,6 +1118,34 @@ class TestFallbackLadderOracles:
         assert len(solves) == sparse.iterations
         assert splu_mismatches(engine.compiled.sparsity_pattern(), solves) == 0
         assert np.allclose(sparse.solution, dense.solution, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "batched_solver, serial_solver", [("batched", "dense"), ("sparse-batched", "sparse")]
+    )
+    @pytest.mark.parametrize(
+        "build, max_iterations, strategy, iterations",
+        [(weak_bias_chain, 10, "source-stepping", 81), (runaway_node, 20, "failed", 240)],
+    )
+    def test_batched_ladder_is_bitwise_serial(
+        self, build, max_iterations, strategy, iterations, batched_solver, serial_solver
+    ):
+        # The batched ladders run every rung over the stack; each trial must
+        # walk the serial ladder's path, failed rung included.
+        serial = get_engine(build()).solve_dc(
+            solver=serial_solver, max_iterations=max_iterations
+        )
+        batched = get_engine(build()).solve_dc_batched(
+            trials=3, solver=batched_solver, max_iterations=max_iterations
+        )
+        assert serial.convergence_info.strategy == strategy
+        assert serial.iterations == iterations
+        if strategy == "failed":
+            assert serial.max_residual == pytest.approx(999940.6, rel=1e-9)
+        assert batched.strategies == (strategy,) * 3
+        for trial in range(3):
+            assert np.array_equal(batched.solutions[trial], serial.solution)
+            assert batched.iterations[trial] == serial.iterations
+            assert batched.max_residuals[trial] == serial.max_residual
 
     def test_source_stepping_lands_on_the_newton_answer(self):
         # With the default budget plain Newton converges on its own; the
