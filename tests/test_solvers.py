@@ -290,9 +290,9 @@ class TestAutoSolver:
         assert auto.crossover == 7
         assert auto.batched_crossover == 7
 
-    def test_recorded_bench_json_is_never_read(self, tmp_path, monkeypatch):
-        # A crossover ledger that would flip every selection to sparse, at
-        # each place a recorded BENCH_solvers.json used to be looked up: the
+    def test_recorded_crossovers_from_bench_json(self, tmp_path, monkeypatch):
+        # A recorded crossover ledger that would flip every selection to
+        # sparse, at each place a BENCH_solvers.json used to be looked up: the
         # policy keeps its default, so the backend cannot depend on what a
         # benchmark run left behind.
         import json
@@ -306,15 +306,27 @@ class TestAutoSolver:
         monkeypatch.setenv(
             "REPRO_BENCH_SOLVERS", str(tmp_path / "explicit" / "BENCH_solvers.json")
         )
-        # An unparsable override is ignored, as is an empty one.
-        for value in ("", "not-a-size"):
-            monkeypatch.setenv("REPRO_SOLVER_CROSSOVER", value)
-            auto = AutoSolver()
-            assert auto.crossover == solvers_module.DEFAULT_DENSE_SPARSE_CROSSOVER == 300
-            assert auto.batched_crossover == 300
+        monkeypatch.delenv("REPRO_SOLVER_CROSSOVER", raising=False)
+        auto = AutoSolver()
+        assert auto.crossover == solvers_module.DEFAULT_DENSE_SPARSE_CROSSOVER == 300
+        assert auto.batched_crossover == 300
         compiled = get_engine(common_source_circuit()).compiled
         assert isinstance(auto.select(compiled), DenseSolver)
         assert isinstance(auto.select(compiled, trials=3), BatchedDenseSolver)
+
+    def test_missing_bench_json_uses_default(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_SOLVERS", str(tmp_path / "absent.json"))
+        monkeypatch.setenv("BENCH_JSON_DIR", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        # An unparsable override is ignored, as is an empty one.
+        for value in (None, "", "not-a-size"):
+            if value is None:
+                monkeypatch.delenv("REPRO_SOLVER_CROSSOVER", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_SOLVER_CROSSOVER", value)
+            auto = AutoSolver()
+            assert auto.crossover == solvers_module.DEFAULT_DENSE_SPARSE_CROSSOVER
+            assert auto.batched_crossover == solvers_module.DEFAULT_DENSE_SPARSE_CROSSOVER
 
     def test_no_scipy_degrades_to_dense_with_warning(self, monkeypatch):
         def no_scipy():
