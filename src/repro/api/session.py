@@ -579,87 +579,46 @@ class Session:
         from repro.spice.montecarlo import MonteCarloEngine
 
         circuit = circuit_of(built)
-        engine = get_engine(circuit)
         mc = MonteCarloEngine(circuit, dict(spec.perturbations), seed=spec.seed)
         if spec.base is not None:
             return self._compute_montecarlo_transient(spec, built, mc)
+        controls = dict(
+            max_iterations=spec.max_iterations,
+            tolerance_v=spec.tolerance_v,
+            gmin=spec.gmin,
+            damping_v=spec.damping_v,
+            time_s=spec.time_s,
+            newton=spec.newton,
+        )
         if spec.mode == "batched":
             batch = mc.run_batched_dc(
                 spec.trials,
                 solver=spec.solver if spec.solver is not None else "batched",
-                max_iterations=spec.max_iterations,
-                tolerance_v=spec.tolerance_v,
-                gmin=spec.gmin,
-                damping_v=spec.damping_v,
-                time_s=spec.time_s,
-                newton=spec.newton,
                 threads=spec.threads,
+                **controls,
             )
-            solutions = batch.solutions.copy()
-            iterations = batch.iterations.copy()
-            converged = batch.converged.copy()
-            residuals = batch.max_residuals.copy()
-            strategies = list(batch.strategies)
-            factorizations = int(batch.factorizations)
-            reuses = int(batch.factorization_reuses)
         else:
-            stacks = mc.sample_stacked_overlays(spec.trials)
-            compiled = engine.compiled
-            saved_overlay = dict(compiled._overlay) if compiled._overlay else None
-            solutions = np.zeros((spec.trials, circuit.system_size))
-            iterations = np.zeros(spec.trials, dtype=int)
-            converged = np.zeros(spec.trials, dtype=bool)
-            residuals = np.zeros(spec.trials, dtype=float)
-            strategies = []
-            factorizations = 0
-            reuses = 0
-            try:
-                for trial in range(spec.trials):
-                    compiled.set_parameter_overlay(
-                        {name: stack[trial] for name, stack in stacks.items()}
-                    )
-                    point = engine.solve_dc(
-                        max_iterations=spec.max_iterations,
-                        tolerance_v=spec.tolerance_v,
-                        gmin=spec.gmin,
-                        damping_v=spec.damping_v,
-                        time_s=spec.time_s,
-                        refresh=False,
-                        solver=spec.solver,
-                        newton=spec.newton,
-                    )
-                    solutions[trial] = point.solution
-                    iterations[trial] = point.iterations
-                    converged[trial] = point.converged
-                    residuals[trial] = point.max_residual
-                    strategies.append(point.convergence_info.strategy)
-                    factorizations += point.convergence_info.factorizations
-                    reuses += point.convergence_info.factorization_reuses
-            finally:
-                if saved_overlay is not None:
-                    compiled.set_parameter_overlay(saved_overlay)
-                else:
-                    compiled.clear_parameter_overlay()
+            batch = mc.run_per_trial_dc(spec.trials, solver=spec.solver, **controls)
         return Result(
             kind=spec.kind,
             spec_hash=spec.content_hash,
             arrays={
-                "solutions": solutions,
-                "iterations": np.asarray(iterations, dtype=int),
-                "converged": np.asarray(converged, dtype=bool),
-                "max_residuals": np.asarray(residuals, dtype=float),
+                "solutions": batch.solutions,
+                "iterations": np.asarray(batch.iterations, dtype=int),
+                "converged": np.asarray(batch.converged, dtype=bool),
+                "max_residuals": np.asarray(batch.max_residuals, dtype=float),
             },
             scalars={
-                "converged": bool(np.all(converged)),
+                "converged": batch.all_converged,
                 "trials": int(spec.trials),
                 "seed": int(spec.seed),
                 "mode": spec.mode,
             },
             convergence={
-                "newton_iterations": int(np.sum(iterations)),
-                "factorizations": int(factorizations),
-                "factorization_reuses": int(reuses),
-                "strategies": strategies,
+                "newton_iterations": int(np.sum(batch.iterations)),
+                "factorizations": int(batch.factorizations),
+                "factorization_reuses": int(batch.factorization_reuses),
+                "strategies": list(batch.strategies),
             },
             provenance=build_provenance(spec.content_hash),
             meta=self._meta(circuit),

@@ -126,10 +126,11 @@ class BatchedOperatingPoints:
     iterations / converged / max_residuals:
         Per-trial Newton statistics (arrays of length ``trials``).
     strategies:
-        Per-trial convergence strategy: ``"batched-newton"`` for trials the
-        stacked Newton converged, otherwise the serial fallback's strategy
-        (``"newton"`` / ``"gmin-stepping"`` / ``"source-stepping"`` /
-        ``"failed"``).
+        Per-trial convergence strategy, named as by
+        :meth:`~repro.spice.engine.AnalysisEngine.solve_dc`
+        (``"gmin-stepping"`` / ``"source-stepping"`` / ``"failed"``),
+        except that the stacked plain Newton reports ``"batched-newton"``
+        where the serial one reports ``"newton"``.
     """
 
     circuit: Circuit

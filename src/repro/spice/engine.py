@@ -48,7 +48,6 @@ instance); see :mod:`repro.spice.solvers`.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -956,7 +955,7 @@ class CompiledCircuit:
         self,
         solutions: np.ndarray,
         params: Optional[Mapping[str, np.ndarray]] = None,
-        gmin: float = 1e-9,
+        gmin: Union[float, np.ndarray] = 1e-9,
         time_s: float = 0.0,
         source_scale: float = 1.0,
         timestep_s: Optional[float] = None,
@@ -1151,7 +1150,7 @@ class CompiledCircuit:
         self,
         solutions: np.ndarray,
         params: Optional[Mapping[str, np.ndarray]] = None,
-        gmin: float = 1e-9,
+        gmin: Union[float, np.ndarray] = 1e-9,
         time_s: float = 0.0,
         source_scale: float = 1.0,
         timestep_s: Optional[float] = None,
@@ -1186,7 +1185,7 @@ class CompiledCircuit:
         self,
         solutions: np.ndarray,
         params: Optional[Mapping[str, np.ndarray]],
-        gmin: float,
+        gmin: Union[float, np.ndarray],
         time_s: float,
         source_scale: float,
         timestep_s: Optional[float],
@@ -1205,6 +1204,11 @@ class CompiledCircuit:
         trial's linear data is a broadcast copy of the cached nominal
         :meth:`_base_data`; otherwise it is re-accumulated per trial in the
         base data's order.
+
+        ``gmin`` is one value for the stack or one per trial; the batched
+        Newton passes per-trial values once a singular solve has bumped
+        some trials' gmin, and those rows take the bumped value's uncached
+        base exactly like a serial retry.
         """
         pattern = self._stamp_pattern()
         params = dict(params or {})
@@ -1223,7 +1227,13 @@ class CompiledCircuit:
                 data = self._workspace("batched_data", trials, slots)
             else:
                 data = np.empty((trials, slots))
-            data[:] = self._base_data(gmin, timestep_s, integration)
+            if np.ndim(gmin):
+                for value in np.unique(gmin):
+                    data[gmin == value] = self._base_data(
+                        float(value), timestep_s, integration, cache=False
+                    )
+            else:
+                data[:] = self._base_data(gmin, timestep_s, integration)
         else:
             # Static part in the serial base-data accumulation order:
             # static entries, then the gmin diagonal, then the capacitor
@@ -1255,7 +1265,7 @@ class CompiledCircuit:
                         weights=vals.ravel(),
                         minlength=trials * slots,
                     )
-            data[:, pattern.gmin_diag_pos] += gmin
+            data[:, pattern.gmin_diag_pos] += np.reshape(gmin, (-1, 1))
             if cap_g_rows is not None:
                 np.add.at(
                     data_flat,
@@ -1353,21 +1363,6 @@ class AnalysisEngine:
         return self.solver if solver is None else get_solver(solver)
 
     @staticmethod
-    def _solver_counts(solvers: Sequence[Optional[LinearSolver]]) -> Dict[str, int]:
-        """Summed factorization counters over distinct solver instances.
-
-        An analysis may touch more than one backend (the batched path plus
-        the engine default its serial rescue uses); deduplicating by
-        identity keeps a shared instance from being counted twice.
-        """
-        totals = {"factorizations": 0, "factorization_reuses": 0}
-        for instance in {id(s): s for s in solvers if s is not None}.values():
-            stats = instance.solver_stats()
-            for key in totals:
-                totals[key] += stats.get(key, 0)
-        return totals
-
-    @staticmethod
     def _counts_delta(after: Dict[str, int], before: Dict[str, int]) -> Tuple[int, int]:
         """(factorizations, reuses) performed between two counter snapshots."""
         return (
@@ -1443,7 +1438,9 @@ class AnalysisEngine:
         ``reuse_state`` (``newton="reuse"``) routes every solve through
         :meth:`_reuse_solve`, which keeps the last factorization across
         rounds — and across calls sharing the state, e.g. the steps of a
-        transient march — instead of refactorizing each round.
+        transient march — instead of refactorizing each round.  Dense
+        assembly ignores it, as :meth:`_newton_batched` does: LAPACK
+        refactors on every call, so a frozen dense Jacobian saves nothing.
         """
         compiled = self.compiled
         if solver is None:
@@ -1460,6 +1457,7 @@ class AnalysisEngine:
             assemble, solve = compiled.assemble_sparse, solver.solve_pattern
         else:
             assemble, solve = compiled.assemble, solver.solve
+            reuse_state = None
         converged = False
         max_update = float("inf")
         iteration = 0
@@ -1524,18 +1522,18 @@ class AnalysisEngine:
         solver: LinearSolver,
         state: _NewtonReuseState,
         solution: np.ndarray,
-        system: np.ndarray,
+        data: np.ndarray,
         rhs: np.ndarray,
-        pattern,
+        pattern: "SparsityPattern",
     ) -> Tuple[np.ndarray, bool]:
         """One Newton linear solve through the march's frozen factorization.
 
         Returns ``(new_solution, bypassed)``.  Three regimes:
 
-        * the assembled system is bitwise identical to the frozen one —
-          solving through the kept LU *is* this round's full Newton step
-          (bit-identical by construction; linear circuits and unchanged
-          transient Jacobians live here);
+        * the assembled pattern data is bitwise identical to the frozen
+          one — solving through the kept LU *is* this round's full Newton
+          step (bit-identical by construction; linear circuits and
+          unchanged transient Jacobians live here);
         * the system changed but the frozen LU still contracts — the
           modified-Newton bypass steps against the *current* residual
           ``A(x) x - b(x)`` through the old factorization (same fixed
@@ -1546,23 +1544,14 @@ class AnalysisEngine:
         """
         handle = state.handle
         if handle is not None:
-            fingerprint = FactorizationCache.fingerprint(system)
-            if fingerprint == handle.fingerprint:
+            if FactorizationCache.fingerprint(data) == handle.fingerprint:
                 return handle.solve(rhs), False
             if not state.stale and state.engaged():
-                if pattern is not None:
-                    ax = np.bincount(
-                        pattern.rows,
-                        weights=system * solution[pattern.cols],
-                        minlength=pattern.size,
-                    )
-                else:
-                    ax = system @ solution
+                ax = np.bincount(
+                    pattern.rows, weights=data * solution[pattern.cols], minlength=pattern.size
+                )
                 return solution - handle.solve(ax - rhs), True
-        if pattern is not None:
-            handle = solver.factorize_pattern(system)
-        else:
-            handle = solver.factorize(system)
+        handle = solver.factorize_pattern(data)
         state.freeze(handle)
         return handle.solve(rhs), False
 
@@ -1626,7 +1615,7 @@ class AnalysisEngine:
 
         resolved = self._resolve_solver(solver)
         reuse_state = _NewtonReuseState() if _wants_newton_reuse(newton) else None
-        counts_before = self._solver_counts((resolved, self.solver))
+        counts_before = resolved.solver_stats()
         controls = dict(
             max_iterations=max_iterations,
             tolerance_v=tolerance_v,
@@ -1651,7 +1640,7 @@ class AnalysisEngine:
                     break
 
         factorizations, reuses = self._counts_delta(
-            self._solver_counts((resolved, self.solver)), counts_before
+            resolved.solver_stats(), counts_before
         )
         return OperatingPoint(
             circuit=circuit,
@@ -1690,20 +1679,20 @@ class AnalysisEngine:
         source_scale: float = 1.0,
         solver: LinearSolver,
         reuse_states: Optional[List[_NewtonReuseState]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Newton iteration over stacked systems; one linear solve per round.
 
         Mutates and returns ``solutions`` (``(trials, n)``) together with
-        per-trial ``(iterations, converged, max_updates, poisoned)`` arrays.
-        Each trial's update sequence — assembly, solve, damping clamp,
+        per-trial ``(iterations, converged, max_updates)`` arrays.  Each
+        trial's update sequence — assembly, solve, damping clamp,
         convergence test — is element-for-element the same arithmetic as a
         serial :meth:`_newton` run with that trial's parameters, and a trial
         is frozen the moment it converges, so batched results match the
-        per-trial path bit for bit.  A singular system anywhere in the
-        stack ends the batched run early; every trial still active at the
-        abort comes back flagged in ``poisoned`` (a serial run would have
-        bumped gmin mid-iteration, so those trials' states no longer track
-        the serial path and must be rescued per trial by the caller).
+        per-trial path bit for bit.  A trial whose system is singular
+        follows :meth:`_newton`'s rule inside the stack: the round counts as
+        an iteration, its iterate stays put and its own gmin rises an order
+        of magnitude for the rest of the call, while every other trial
+        keeps its round.
 
         With ``timestep_s`` set this is one lockstep *transient* Newton
         round over the stack: ``previous_solutions``/``cap_history`` carry
@@ -1724,8 +1713,11 @@ class AnalysisEngine:
         iterations = np.zeros(trials, dtype=int)
         converged = np.zeros(trials, dtype=bool)
         max_updates = np.full(trials, np.inf)
-        poisoned = np.zeros(trials, dtype=bool)
         active = np.ones(trials, dtype=bool)
+        # Per-trial gmin, handed to the assembly only once a singular solve
+        # has bumped some trial's value (the common path keeps the scalar).
+        gmins = np.full(trials, gmin)
+        bumped = False
         solver = solver.select(compiled, trials)
         solver.bind(compiled)
         # Pattern-assembly backends (sparse) get (trials, nnz) CSC data
@@ -1779,54 +1771,54 @@ class AnalysisEngine:
                 matrices, rhs = assemble(
                     solutions,
                     params,
-                    gmin=gmin,
+                    gmin=gmins if bumped else gmin,
                     timestep_s=timestep_s,
                     integration=integration,
                     linear_rhs=linear_rhs.copy(),
                     cap_g_rows=cap_g_rows,
                     reuse_workspace=True,
                 )
-                new_solutions, index, bypassed = self._reuse_round_batched(
-                    solver, reuse_states, solutions, matrices, rhs, index,
-                    pattern, active, poisoned,
+                new_solutions, bypassed, singular = self._reuse_round_batched(
+                    solver, reuse_states, solutions, matrices, rhs, index, pattern,
                 )
-                if index.size == 0:
-                    break
             else:
                 subset = {name: stack[index] for name, stack in params.items()}
                 matrices, rhs = assemble(
                     solutions[index],
                     subset,
-                    gmin=gmin,
+                    gmin=gmins[index] if bumped else gmin,
                     timestep_s=timestep_s,
                     integration=integration,
                     linear_rhs=linear_rhs[index],
                     cap_g_rows=None if cap_g_rows is None else cap_g_rows[index],
                     reuse_workspace=True,
                 )
+                singular = None
                 try:
                     new_solutions = solve_stack(matrices, rhs)
                 except np.linalg.LinAlgError:
                     # A singular system anywhere raises for the whole stack.
                     # Isolate it: re-solve the round trial by trial (same
-                    # LAPACK routine, bit-identical results), flag only the
-                    # genuinely singular trials for the caller's serial rescue
-                    # (a serial run bumps gmin mid-iteration there) and keep
-                    # everyone else marching in lockstep.
+                    # LAPACK routine, bit-identical results) and find the
+                    # genuinely singular trials.
                     new_solutions = np.empty_like(rhs)
-                    bad = np.zeros(index.size, dtype=bool)
+                    singular = np.zeros(index.size, dtype=bool)
                     for row in range(index.size):
                         try:
                             new_solutions[row] = solve_one(matrices[row], rhs[row])
                         except np.linalg.LinAlgError:
-                            bad[row] = True
-                    if bad.any():
-                        poisoned[index[bad]] = True
-                        active[index[bad]] = False
-                        index = index[~bad]
-                        new_solutions = new_solutions[~bad]
-                        if index.size == 0:
-                            break
+                            singular[row] = True
+            if singular is not None and singular.any():
+                # _newton's LinAlgError rule per trial: the round counts,
+                # the iterate stays, the gmin rises for the rest of the call.
+                stuck = index[singular]
+                gmins[stuck] = np.maximum(gmins[stuck] * 10.0, 1e-12)
+                bumped = True
+                iterations[stuck] = iteration
+                index = index[~singular]
+                new_solutions = new_solutions[~singular]
+                if bypassed is not None:
+                    bypassed = bypassed[~singular]
             update = new_solutions - solutions[index]
             updates_max = (
                 np.max(np.abs(update), axis=1) if update.size else np.zeros(len(index))
@@ -1846,7 +1838,7 @@ class AnalysisEngine:
                 active[index[done]] = False
             if not active.any():
                 break
-        return solutions, iterations, converged, max_updates, poisoned
+        return solutions, iterations, converged, max_updates
 
     def _reuse_round_batched(
         self,
@@ -1857,8 +1849,6 @@ class AnalysisEngine:
         rhs: np.ndarray,
         index: np.ndarray,
         pattern,
-        active: np.ndarray,
-        poisoned: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One batched modified-Newton round against per-trial frozen LUs.
 
@@ -1868,12 +1858,15 @@ class AnalysisEngine:
         refactorize together through
         :meth:`~repro.spice.solvers.BatchedSparseSolver.factorize_pattern_batched`
         (the threaded fan-out) with a mask over exactly the trials that
-        need fresh LUs.  Returns ``(new_solutions, index, bypassed)``
-        aligned row for row; trials whose fresh factorization is singular
-        are poisoned and dropped, mirroring the default path's isolation.
+        need fresh LUs.  Returns ``(new_solutions, bypassed, singular)``
+        aligned row for row with ``index``; a trial whose fresh
+        factorization is singular has its reuse state invalidated and is
+        flagged in ``singular`` for the caller's gmin bump, as in
+        :meth:`_newton`.
         """
         new_solutions = np.empty((index.size, solutions.shape[1]))
         bypassed = np.zeros(index.size, dtype=bool)
+        singular = np.zeros(index.size, dtype=bool)
         refreeze: List[int] = []
         for row, trial in enumerate(index):
             state = reuse_states[trial]
@@ -1900,7 +1893,6 @@ class AnalysisEngine:
         if refreeze:
             mask = np.zeros(matrices.shape[0], dtype=bool)
             mask[index[refreeze]] = True
-            bad_rows: List[int] = []
             try:
                 handles = solver.factorize_pattern_batched(matrices, active=mask)
             except np.linalg.LinAlgError:
@@ -1912,23 +1904,14 @@ class AnalysisEngine:
                     try:
                         handles[trial] = solver.factorize_pattern(matrices[trial])
                     except np.linalg.LinAlgError:
-                        bad_rows.append(row)
+                        singular[row] = True
+                        reuse_states[trial].invalidate()
             for row in refreeze:
-                trial = index[row]
-                handle = handles[trial]
-                if handle is None:
-                    continue
-                reuse_states[trial].freeze(handle)
-                new_solutions[row] = handle.solve(rhs[trial])
-            if bad_rows:
-                bad = np.zeros(index.size, dtype=bool)
-                bad[bad_rows] = True
-                poisoned[index[bad]] = True
-                active[index[bad]] = False
-                index = index[~bad]
-                new_solutions = new_solutions[~bad]
-                bypassed = bypassed[~bad]
-        return new_solutions, index, bypassed
+                handle = handles[index[row]]
+                if handle is not None:
+                    reuse_states[index[row]].freeze(handle)
+                    new_solutions[row] = handle.solve(rhs[index[row]])
+        return new_solutions, bypassed, singular
 
     def _parameter_stacks(
         self,
@@ -1967,28 +1950,6 @@ class AnalysisEngine:
             raise ValueError("at least one trial is required")
         return stacks, count
 
-    @contextlib.contextmanager
-    def _trial_overlay(self, stacks: Mapping[str, np.ndarray], trial: int):
-        """Overlay one trial's stack rows for a serial rescue of that trial.
-
-        The rows compose on top of the active base overlay (e.g. a corner)
-        exactly like the serial Monte-Carlo path, and the base overlay is
-        restored on exit, even on error.
-        """
-        compiled = self.compiled
-        saved = dict(compiled._overlay) if compiled._overlay else None
-        overlay = dict(saved or {})
-        overlay.update({name: stack[trial] for name, stack in stacks.items()})
-        try:
-            if overlay:
-                compiled.set_parameter_overlay(overlay)
-            yield
-        finally:
-            if saved is not None:
-                compiled.set_parameter_overlay(saved)
-            else:
-                compiled.clear_parameter_overlay()
-
     def solve_dc_batched(
         self,
         params: Optional[Mapping[str, np.ndarray]] = None,
@@ -2015,10 +1976,13 @@ class AnalysisEngine:
         dense solves.
 
         ``initial_guess`` may be one ``(n,)`` vector (shared warm start) or
-        a ``(trials, n)`` stack.  Trials the plain batched Newton cannot
-        converge fall back to the serial :meth:`solve_dc` — with its full
-        gmin-stepping and source-stepping ladders — one by one, so the
-        result quality matches the per-trial path exactly.
+        a ``(trials, n)`` stack.  Every trial follows :meth:`solve_dc`'s
+        policy inside the stack: a singular system bumps that trial's gmin
+        as :meth:`_newton` does, and the trials the plain Newton cannot
+        converge run :meth:`solve_dc`'s gmin-stepping and source-stepping
+        ladders together, so each trial matches the per-trial path bit for
+        bit (its strategy reads ``"batched-newton"`` where the serial one
+        reads ``"newton"``).
 
         ``newton="reuse"`` runs per-trial modified Newton on the
         sparse-batched path (each trial keeps its LU until its contraction
@@ -2043,25 +2007,21 @@ class AnalysisEngine:
         size = circuit.system_size
         if initial_guess is None:
             solutions = np.zeros((count, size))
-            guess_row = None
         else:
             guess = np.asarray(initial_guess, dtype=float)
             if guess.shape == (size,):
                 solutions = np.tile(guess, (count, 1))
-                guess_row = guess
             elif guess.shape == (count, size):
                 solutions = guess.copy()
-                guess_row = None
             else:
                 raise ValueError(
                     f"initial guess has shape {guess.shape}, expected ({size},) "
                     f"or ({count}, {size})"
                 )
-        original_guesses = solutions.copy()
 
         resolved = self._resolve_solver(solver, threads)
         want_reuse = _wants_newton_reuse(newton)
-        counts_before = self._solver_counts((resolved, self.solver))
+        counts_before = resolved.solver_stats()
         controls = dict(
             max_iterations=max_iterations,
             tolerance_v=tolerance_v,
@@ -2069,7 +2029,7 @@ class AnalysisEngine:
             time_s=time_s,
             solver=resolved,
         )
-        solutions, iterations, converged, residuals, poisoned = self._newton_batched(
+        solutions, iterations, converged, residuals = self._newton_batched(
             solutions,
             stacks,
             gmin=gmin,
@@ -2079,39 +2039,22 @@ class AnalysisEngine:
             **controls,
         )
         strategies = ["batched-newton" if ok else "failed" for ok in converged]
-        # Trials caught in a singular batched solve no longer track the
-        # serial arithmetic (a serial run bumps gmin mid-iteration); they
-        # skip the batched ladders and go straight to the per-trial rescue.
-        tainted = poisoned.copy()
 
         # The serial fallback ladders, each run over the whole still-failed
         # subset with one batched solve per Newton round.
-        pending = np.flatnonzero(~converged & ~tainted)
+        pending = np.flatnonzero(~converged)
         for ladder, rungs in _fallback_ladders(gmin):
             if pending.size == 0:
                 break
             sub = {name: stack[pending] for name, stack in stacks.items()}
             stepped = np.zeros((pending.size, size))
             for step_gmin, scale in rungs:
-                stepped, used, final_ok, final_resid, rung_poisoned = self._newton_batched(
+                stepped, used, final_ok, final_resid = self._newton_batched(
                     stepped, sub, gmin=step_gmin, source_scale=scale, **controls
                 )
                 iterations[pending] += used
-                if rung_poisoned.any():
-                    # Drop tainted trials from the remaining rungs so one
-                    # singular trial cannot keep perturbing the stack.
-                    tainted[pending[rung_poisoned]] = True
-                    keep = ~rung_poisoned
-                    pending = pending[keep]
-                    sub = {name: rows[keep] for name, rows in sub.items()}
-                    stepped = stepped[keep]
-                    final_ok = final_ok[keep]
-                    final_resid = final_resid[keep]
-                    if pending.size == 0:
-                        break
             # Serial solve_dc reports the last attempted Newton update: the
-            # final rung's, for the failures too (an untainted failure of
-            # the last ladder is final — the serial path fails identically).
+            # final rung's, for the failures too.
             residuals[pending] = final_resid
             fixed = pending[final_ok]
             solutions[fixed] = stepped[final_ok]
@@ -2120,31 +2063,8 @@ class AnalysisEngine:
                 strategies[trial] = ladder
             pending = pending[~final_ok]
 
-        # Per-trial rescue through the serial path and its ladders — only
-        # for trials whose batched arithmetic was cut short by a singular
-        # stacked solve (untainted failures already reproduced the serial
-        # ladders bit for bit and stay failed).
-        for trial in np.flatnonzero(~converged & tainted):
-            with self._trial_overlay(stacks, trial):
-                point = self.solve_dc(
-                    initial_guess=(
-                        guess_row if guess_row is not None else original_guesses[trial]
-                    ),
-                    max_iterations=max_iterations,
-                    tolerance_v=tolerance_v,
-                    gmin=gmin,
-                    damping_v=damping_v,
-                    time_s=time_s,
-                    refresh=False,
-                )
-            solutions[trial] = point.solution
-            iterations[trial] += point.iterations
-            converged[trial] = point.converged
-            residuals[trial] = point.max_residual
-            strategies[trial] = point.convergence_info.strategy
-
         factorizations, reuses = self._counts_delta(
-            self._solver_counts((resolved, self.solver)), counts_before
+            resolved.solver_stats(), counts_before
         )
         return BatchedOperatingPoints(
             circuit=circuit,
@@ -2323,7 +2243,7 @@ class AnalysisEngine:
 
         resolved = self._resolve_solver(solver)
         reuse_state = _NewtonReuseState() if _wants_newton_reuse(newton) else None
-        counts_before = self._solver_counts((resolved, self.solver))
+        counts_before = resolved.solver_stats()
         if use_initial_conditions:
             initial_solution = self.circuit.initial_solution()
         else:
@@ -2363,7 +2283,7 @@ class AnalysisEngine:
                 **controls,
             )
         factorizations, reuses = self._counts_delta(
-            self._solver_counts((resolved, self.solver)), counts_before
+            resolved.solver_stats(), counts_before
         )
         result.convergence_info = dataclasses.replace(
             result.convergence_info,
@@ -2699,11 +2619,11 @@ class AnalysisEngine:
         :meth:`solve_transient`'s fixed-step path operation for operation,
         so every trial's waveform is bit-identical to a serial
         ``solve_transient`` run with that trial's parameter overlay on the
-        same grid.  A trial whose step fails to converge (or hits a
-        singular system, which a serial run would rescue with a gmin bump)
-        is re-run through the serial :meth:`solve_transient` — with its
-        full fallback ladders — so result quality matches the per-trial
-        path exactly.
+        same grid.  Failures follow the serial rules inside the stack: a
+        singular system bumps that trial's gmin as :meth:`_newton` does,
+        and a trial whose step does not converge keeps its last iterate and
+        marches on, as :meth:`_transient_fixed` does, with ``converged``
+        false and the step's update in its worst residual.
 
         Adaptive stepping is *not* supported: lockstep batching requires
         every trial to share the time grid.  Returns a
@@ -2730,11 +2650,10 @@ class AnalysisEngine:
         reuse_states = (
             [_NewtonReuseState() for _ in range(count)] if want_reuse else None
         )
-        counts_before = self._solver_counts((resolved, self.solver))
+        counts_before = resolved.solver_stats()
 
         # Per-trial DC warm start at t = 0, exactly like the serial path
-        # (solve_dc defaults; unconverged trials already fell back to the
-        # serial ladders inside solve_dc_batched, bit for bit).
+        # (solve_dc defaults; solve_dc_batched runs the serial ladders).
         if use_initial_conditions:
             solutions = np.tile(circuit.initial_solution(), (count, 1))
         else:
@@ -2752,7 +2671,7 @@ class AnalysisEngine:
         waveforms[:, 0, :] = solutions
         newton_totals = np.zeros(count, dtype=int)
         worst_residuals = np.zeros(count)
-        failed = np.zeros(count, dtype=bool)
+        converged = np.ones(count, dtype=bool)
         cap_history = np.zeros((count, compiled.num_capacitors))
         # March-wide invariant: the per-trial companion conductances, handed
         # to every Newton round (and reused by the trapezoidal history
@@ -2761,78 +2680,36 @@ class AnalysisEngine:
             count, stacks.get("cap_c"), timestep_s, integration, None
         )
 
-        previous = solutions.copy()
-        current = solutions
+        previous = solutions
         for step in range(1, steps + 1):
-            time = times[step]
-            live = np.flatnonzero(~failed)
-            if live.size == 0:
-                break
-            subset = {name: stack[live] for name, stack in stacks.items()}
-            stepped, iters, conv, resid, _poisoned = self._newton_batched(
-                current[live].copy(),
-                subset,
+            current, iters, conv, resid = self._newton_batched(
+                previous.copy(),
+                stacks,
                 gmin=gmin,
                 max_iterations=max_newton_iterations,
                 tolerance_v=tolerance_v,
                 damping_v=1.0,
-                time_s=time,
+                time_s=times[step],
                 timestep_s=timestep_s,
-                previous_solutions=previous[live],
+                previous_solutions=previous,
                 integration=integration,
-                cap_history=cap_history[live] if integration == "trap" else None,
-                cap_g_rows=None if cap_g is None else cap_g[live],
+                cap_history=cap_history if integration == "trap" else None,
+                cap_g_rows=cap_g,
                 solver=resolved,
-                reuse_states=(
-                    [reuse_states[t] for t in live]
-                    if reuse_states is not None
-                    else None
-                ),
+                reuse_states=reuse_states,
             )
-            newton_totals[live] += iters
-            ok = live[conv]
-            # A trial that cannot converge this step (or sat in the stack
-            # when a singular system aborted the batched solve) leaves the
-            # lockstep march; the serial fallback below re-runs it whole.
-            failed[live[~conv]] = True
-            current[ok] = stepped[conv]
-            waveforms[ok, step, :] = current[ok]
-            worst_residuals[ok] = np.maximum(worst_residuals[ok], resid[conv])
-            if cap_g is not None and integration == "trap" and ok.size:
-                dv = compiled._cap_dv(current[ok], previous[ok])
-                cap_history[ok] = cap_g[ok] * dv - cap_history[ok]
-            previous = current.copy()
-
-        converged = ~failed
-        strategies = ["lockstep"] * count
-
-        # Whole-trial rescue through the serial path: solve_transient with
-        # the trial's overlay IS the per-trial reference, ladders and gmin
-        # bumps included, so the rescued waveform matches what a per-trial
-        # run would have produced bit for bit.  Rescues always run full
-        # Newton: a trial that already failed to converge gets the most
-        # robust iteration, not the cheapest.
-        for trial in np.flatnonzero(failed):
-            with self._trial_overlay(stacks, trial):
-                rescued = self.solve_transient(
-                    stop_time_s,
-                    timestep_s,
-                    integration=integration,
-                    max_newton_iterations=max_newton_iterations,
-                    tolerance_v=tolerance_v,
-                    gmin=gmin,
-                    use_initial_conditions=use_initial_conditions,
-                    solver=resolved,
-                )
-            waveforms[trial] = rescued.solutions
-            converged[trial] = rescued.converged
-            info = rescued.convergence_info
-            newton_totals[trial] = info.newton_iterations
-            worst_residuals[trial] = info.max_newton_residual_v
-            strategies[trial] = "serial-fallback"
+            newton_totals += iters
+            converged &= conv
+            # fmax, like the serial march's max(): a NaN update never
+            # becomes the worst residual.
+            worst_residuals = np.fmax(worst_residuals, resid)
+            waveforms[:, step, :] = current
+            if cap_g is not None and integration == "trap":
+                cap_history = cap_g * compiled._cap_dv(current, previous) - cap_history
+            previous = current
 
         factorizations, reuses = self._counts_delta(
-            self._solver_counts((resolved, self.solver)), counts_before
+            resolved.solver_stats(), counts_before
         )
         return BatchedTransientResult(
             circuit=circuit,
@@ -2841,7 +2718,7 @@ class AnalysisEngine:
             converged=converged,
             newton_iterations=newton_totals,
             max_residuals=worst_residuals,
-            strategies=tuple(strategies),
+            strategies=("lockstep",) * count,
             factorizations=factorizations,
             factorization_reuses=reuses,
         )

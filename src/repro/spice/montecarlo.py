@@ -77,6 +77,7 @@ paper's Fig. 11 circuit — lives in
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -277,6 +278,28 @@ def _effective_nominal(compiled) -> Tuple[Dict[str, np.ndarray], Dict[str, np.nd
     return nominal, base_overlay
 
 
+@contextlib.contextmanager
+def _trial_rows(compiled, stacks: Mapping[str, np.ndarray]):
+    """Yield ``apply(trial)``, which overlays one trial's stack rows.
+
+    The stacks come from :meth:`MonteCarloEngine.sample_stacked_overlays`,
+    so every row already carries the overlay active on entry (e.g. a
+    corner); that base overlay is restored on exit, even on error.
+    """
+    saved = dict(compiled._overlay) if compiled._overlay else None
+
+    def apply(trial: int) -> None:
+        compiled.set_parameter_overlay({name: stack[trial] for name, stack in stacks.items()})
+
+    try:
+        yield apply
+    finally:
+        if saved is not None:
+            compiled.set_parameter_overlay(saved)
+        else:
+            compiled.clear_parameter_overlay()
+
+
 # ---------------------------------------------------------------------- #
 # the Monte Carlo engine
 # ---------------------------------------------------------------------- #
@@ -391,9 +414,11 @@ class MonteCarloEngine:
         and solves each Newton round in one batched LAPACK call.  The
         per-trial arithmetic is bit-identical to the serial path (same seed
         substreams, same assembly order, same LAPACK routine per system),
-        so at zero spread every trial reproduces the nominal solve exactly;
-        trials the plain batched Newton cannot converge fall back to the
-        serial ladders one by one.
+        so at zero spread every trial reproduces the nominal solve exactly.
+        Failing trials follow the serial policy inside the stack — a
+        singular system bumps that trial's gmin, and trials the plain
+        Newton cannot converge run the gmin/source-stepping ladders
+        together — so every trial matches :meth:`run_per_trial_dc`.
 
         The Newton-control defaults match :meth:`AnalysisEngine.solve_dc`,
         so a serial trial analysis calling ``engine.solve_dc(refresh=False)``
@@ -415,6 +440,59 @@ class MonteCarloEngine:
             solver=solver,
             newton=newton,
             threads=threads,
+        )
+
+    def run_per_trial_dc(
+        self,
+        trials: int,
+        solver: Any = None,
+        max_iterations: int = 300,
+        tolerance_v: float = 1e-7,
+        gmin: float = 1e-9,
+        damping_v: float = 0.6,
+        time_s: float = 0.0,
+        newton: Optional[str] = None,
+    ):
+        """Solve each trial's DC operating point serially, one overlay swap per trial.
+
+        The per-trial counterpart (and bit-for-bit oracle) of
+        :meth:`run_batched_dc`: same seeded :meth:`sample_stacked_overlays`
+        substreams, same :class:`~repro.spice.dcop.BatchedOperatingPoints`
+        shape, one full ``solve_dc`` per trial (so a trial the plain Newton
+        converges reports ``"newton"``, not ``"batched-newton"``).  A
+        pre-existing base overlay is composed into every trial and restored
+        when the trials finish.
+        """
+        from repro.spice.dcop import BatchedOperatingPoints
+
+        engine = get_engine(self.circuit)
+        stacks = self.sample_stacked_overlays(trials)
+        points = []
+        with _trial_rows(engine.compiled, stacks) as apply:
+            for trial in range(trials):
+                apply(trial)
+                points.append(
+                    engine.solve_dc(
+                        max_iterations=max_iterations,
+                        tolerance_v=tolerance_v,
+                        gmin=gmin,
+                        damping_v=damping_v,
+                        time_s=time_s,
+                        refresh=False,
+                        solver=solver,
+                        newton=newton,
+                    )
+                )
+        infos = [point.convergence_info for point in points]
+        return BatchedOperatingPoints(
+            circuit=self.circuit,
+            solutions=np.stack([point.solution for point in points]),
+            iterations=np.array([point.iterations for point in points], dtype=int),
+            converged=np.array([point.converged for point in points], dtype=bool),
+            max_residuals=np.array([point.max_residual for point in points], dtype=float),
+            strategies=tuple(info.strategy for info in infos),
+            factorizations=sum(info.factorizations for info in infos),
+            factorization_reuses=sum(info.factorization_reuses for info in infos),
         )
 
     def run_batched_transient(
@@ -442,8 +520,9 @@ class MonteCarloEngine:
         at a time — waveforms evaluated once per step, each Newton round
         one batched LAPACK call, converged trials frozen within the step.
         Every trial's waveform is bit-identical to the per-trial path on
-        the same grid (trials the lockstep march cannot converge are
-        re-run through the serial ``solve_transient`` ladders).
+        the same grid, failures included: a singular system bumps that
+        trial's gmin, and a step that does not converge keeps its last
+        iterate and marches on, exactly as the serial fixed-step march does.
 
         The Newton-control defaults match
         :meth:`~repro.spice.engine.AnalysisEngine.solve_transient`, so a
@@ -499,9 +578,7 @@ class MonteCarloEngine:
         from repro.spice.transient import BatchedTransientResult
 
         engine = get_engine(self.circuit)
-        compiled = engine.compiled
         stacks = self.sample_stacked_overlays(trials)
-        saved_overlay = dict(compiled._overlay) if compiled._overlay else None
         rows = []
         converged = np.zeros(trials, dtype=bool)
         iterations = np.zeros(trials, dtype=int)
@@ -510,11 +587,9 @@ class MonteCarloEngine:
         factorizations = 0
         reuses = 0
         time_s = None
-        try:
+        with _trial_rows(engine.compiled, stacks) as apply:
             for trial in range(trials):
-                compiled.set_parameter_overlay(
-                    {name: stack[trial] for name, stack in stacks.items()}
-                )
+                apply(trial)
                 result = engine.solve_transient(
                     stop_time_s,
                     timestep_s,
@@ -535,11 +610,6 @@ class MonteCarloEngine:
                 strategies.append(info.strategy)
                 factorizations += info.factorizations
                 reuses += info.factorization_reuses
-        finally:
-            if saved_overlay is not None:
-                compiled.set_parameter_overlay(saved_overlay)
-            else:
-                compiled.clear_parameter_overlay()
         return BatchedTransientResult(
             circuit=self.circuit,
             time_s=time_s,

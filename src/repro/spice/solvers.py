@@ -237,9 +237,10 @@ class FactorizationCache:
 class Factorization:
     """A held LU handle the engine keeps across Newton rounds and steps.
 
-    Returned by :meth:`LinearSolver.factorize` /
-    :meth:`SparseSolver.factorize_pattern`; the modified-Newton reuse state
-    stores these so a frozen Jacobian keeps solving without refactorizing.
+    Returned by :meth:`SparseSolver.factorize_pattern` and
+    :meth:`BatchedSparseSolver.factorize_pattern_batched`; the
+    modified-Newton reuse state stores these so a frozen Jacobian keeps
+    solving without refactorizing.
     Counting convention: the solve that *paid* for a fresh factorization is
     free; every later solve through the handle is a reuse on the owning
     solver's :meth:`~LinearSolver.solver_stats`.
@@ -259,26 +260,6 @@ class Factorization:
         else:
             self._owner._count_reuses(1)
         return self._solve(rhs)
-
-
-class _MatrixRefactorization:
-    """Reuse handle of backends without a persistent LU (dense LAPACK).
-
-    Holds a copy of the frozen matrix and re-runs the owner's dense solve
-    against it — each solve honestly counts as a factorization (LAPACK
-    refactorizes every call), so dense ``newton="reuse"`` keeps the
-    modified-Newton *iteration* semantics without claiming LU savings.
-    """
-
-    __slots__ = ("fingerprint", "_owner", "_matrix")
-
-    def __init__(self, owner: "LinearSolver", matrix: np.ndarray, fingerprint: bytes):
-        self.fingerprint = fingerprint
-        self._owner = owner
-        self._matrix = np.array(matrix, copy=True)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._owner.solve(self._matrix, rhs)
 
 
 class LinearSolver:
@@ -350,17 +331,6 @@ class LinearSolver:
     def solve(self, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve one ``(n, n)`` system; raises ``LinAlgError`` if singular."""
         raise NotImplementedError
-
-    def factorize(self, matrix: np.ndarray) -> "_MatrixRefactorization":
-        """A reuse handle solving against this fixed (copied) matrix.
-
-        The base handle re-runs :meth:`solve` per call; backends with a
-        persistent LU (sparse) override this to return a real cached
-        factorization (:class:`Factorization`).
-        """
-        return _MatrixRefactorization(
-            self, matrix, FactorizationCache.fingerprint(matrix)
-        )
 
     def solve_batched(
         self,

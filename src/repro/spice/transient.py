@@ -159,9 +159,9 @@ class BatchedTransientResult:
     max_residuals:
         Worst final per-step Newton update [V] per trial.
     strategies:
-        ``"lockstep"`` for trials that completed the batched march,
-        ``"serial-fallback"`` for trials re-run through the serial
-        :meth:`~repro.spice.engine.AnalysisEngine.solve_transient` ladders.
+        ``"lockstep"`` for every trial of the batched march (a failing trial
+        stays in the march, as in the serial fixed-step march); the
+        per-trial path reports ``"fixed-step"``.
     """
 
     circuit: Circuit

@@ -245,6 +245,33 @@ class TestLegacyParity:
         )
         assert per_trial.spec_hash != batched.spec_hash
 
+    def test_montecarlo_reuse_modes_match_on_the_dense_bench(self, bench_spec):
+        # Dense backends ignore newton="reuse" on both paths (LAPACK
+        # refactors every call anyway), so the MonteCarlo mode parity holds
+        # for reuse specs too: same solutions, Newton counts, fallback
+        # strategies and factorizations.
+        kwargs = dict(
+            circuit=bench_spec,
+            perturbations={"mos_vth": Gaussian(sigma=0.03)},
+            trials=4,
+            seed=1,
+            newton="reuse",
+        )
+        session = Session(store=None)
+        batched = session.run(MonteCarlo(**kwargs))
+        per_trial = session.run(MonteCarlo(mode="per-trial", **kwargs))
+        for key in ("solutions", "iterations", "converged", "max_residuals"):
+            np.testing.assert_array_equal(per_trial.arrays[key], batched.arrays[key])
+        serial_names = [
+            "newton" if name == "batched-newton" else name
+            for name in batched.convergence["strategies"]
+        ]
+        assert per_trial.convergence["strategies"] == serial_names
+        assert (
+            per_trial.convergence["factorizations"]
+            == batched.convergence["factorizations"]
+        )
+
     def test_corners_bit_identical(self, chain_spec, switch_model):
         result = Session(store=None).run(Corners(base=DCOp(circuit=chain_spec)))
         legacy = run_corners(

@@ -1,7 +1,7 @@
 """Tests for the lockstep batched-transient path: engine, MC wiring, specs.
 
-The central property — pinned at zero and nonzero sigma, through the serial
-fallback, and at the spec level — is that
+The central property — pinned at zero and nonzero sigma, through failing
+and singular trials, and at the spec level — is that
 :meth:`~repro.spice.engine.AnalysisEngine.solve_transient_batched` reproduces
 the per-trial :meth:`~repro.spice.engine.AnalysisEngine.solve_transient`
 *bit for bit* on the same fixed grid.
@@ -35,7 +35,7 @@ from repro.spice import (
     VoltageSource,
     get_engine,
 )
-from repro.spice.solvers import DenseSolver
+from repro.spice.solvers import DenseSolver, scipy_available
 
 NMOS = Level1Parameters(
     kp_a_per_v2=4e-5, vth_v=0.18, lambda_per_v=0.05, width_m=0.7e-6, length_m=0.35e-6
@@ -169,14 +169,15 @@ class TestSolveTransientBatched:
             assert np.array_equal(batch.solutions[trial], reference.solutions)
 
     def test_starved_newton_exercises_serial_fallback_ladder(self):
-        # One Newton round per step converges nothing, so every trial must
-        # leave the lockstep march and come back through the serial
-        # solve_transient fallback — whose waveforms (and non-convergence
-        # flags) are the per-trial path's, bit for bit.
+        # One Newton round per step converges nothing, so every trial
+        # marches on unconverged inside the lockstep stack, exactly as the
+        # serial fixed-step march does — waveforms, Newton totals, worst
+        # residuals and non-convergence flags are the per-trial path's, bit
+        # for bit.
         circuit = pulsed_amplifier()
         mc = MonteCarloEngine(circuit, {"mos_vth": Gaussian(0.02)}, seed=3)
         batch = mc.run_batched_transient(3, STOP_S, STEP_S, max_newton_iterations=1)
-        assert set(batch.strategies) == {"serial-fallback"}
+        assert set(batch.strategies) == {"lockstep"}
         assert not batch.all_converged
         references = per_trial_reference(
             circuit, mc, 3, max_newton_iterations=1
@@ -184,6 +185,9 @@ class TestSolveTransientBatched:
         for trial, reference in enumerate(references):
             assert np.array_equal(batch.solutions[trial], reference.solutions)
             assert bool(batch.converged[trial]) == reference.converged
+            info = reference.convergence_info
+            assert batch.newton_iterations[trial] == info.newton_iterations
+            assert batch.max_residuals[trial] == info.max_newton_residual_v
 
     def test_records_match_per_trial_run(self):
         # The MonteCarloEngine-level contract: metrics extracted from the
@@ -228,9 +232,10 @@ class TestSolveTransientBatched:
         assert one.convergence_info.accepted_steps == steps
 
     def test_singular_trial_is_isolated_not_contagious(self):
-        # One trial whose linear solves fail must be frozen out and rescued
-        # serially while the rest of the stack keeps solving batched — a
-        # singular trial may not eject its innocent neighbours.
+        # One trial whose linear solves always fail must not eject its
+        # innocent neighbours: they keep solving batched while the singular
+        # trial bumps its own gmin inside the stack and fails exactly as a
+        # serial solve with the same refusing solver does.
         circuit = Circuit("divider")
         VoltageSource(circuit, "vin", "in", "0", 1.0)
         Resistor(circuit, "r1", "in", "mid", 1e3)
@@ -239,16 +244,21 @@ class TestSolveTransientBatched:
         batched = get_engine(circuit).solve_dc_batched(
             {"vsource_scale": scale}, solver=FlakySolver(poison=7.77)
         )
-        assert batched.all_converged
-        # Innocents stayed on the batched path; the poisoned trial came
-        # back through the per-trial serial rescue (engine-default solver).
+        engine = get_engine(circuit)
+        engine.compiled.set_parameter_overlay({"vsource_scale": scale[1]})
+        try:
+            reference = engine.solve_dc(solver=FlakySolver(poison=7.77))
+        finally:
+            engine.compiled.clear_parameter_overlay()
+        assert batched.converged.tolist() == [True, reference.converged, True, True]
         assert batched.strategies[0] == "batched-newton"
         assert batched.strategies[2] == "batched-newton"
         assert batched.strategies[3] == "batched-newton"
-        assert batched.strategies[1] in ("newton", "gmin-stepping")
-        assert batched.voltage("mid") == pytest.approx(
-            [0.75, 0.75 * 7.77, 0.75, 0.75], rel=1e-6
-        )
+        assert batched.strategies[1] == reference.convergence_info.strategy == "failed"
+        assert np.array_equal(batched.solutions[1], reference.solution)
+        assert batched.iterations[1] == reference.iterations
+        assert batched.max_residuals[1] == reference.max_residual
+        assert batched.voltage("mid")[[0, 2, 3]] == pytest.approx([0.75] * 3, rel=1e-6)
 
     def test_rejects_custom_elements(self):
         class OddResistor(Resistor):
@@ -278,9 +288,9 @@ class TestSolveTransientBatched:
 
 
 class TestRescueUnderBaseOverlay:
-    """A serially rescued trial runs under the base overlay plus its own
-    rows, and the base overlay is back in force once the batched call
-    returns."""
+    """A failing stacked trial runs under the base overlay plus its own
+    rows, matches the serial solve under that composed overlay, and the
+    base overlay is still in force once the batched call returns."""
 
     CORNER = Corner("SS", 0.9, +0.045)
 
@@ -297,11 +307,14 @@ class TestRescueUnderBaseOverlay:
     def test_dc_rescue_composes_with_corner(self):
         circuit = pulsed_amplifier()
         index = circuit.node_index("d")
-        # Trial 1 drives vdd to 1.5 V, which the flaky solver refuses.
+        # Trial 1 drives vdd to 1.5 V, which the flaky solver refuses on
+        # both paths.
         scale = np.ones((3, 2))
         scale[1, 0] = 1.25
         reference = self.serial_reference(
-            circuit, {"vsource_scale": scale[1]}, lambda engine: engine.solve_dc()
+            circuit,
+            {"vsource_scale": scale[1]},
+            lambda engine: engine.solve_dc(solver=FlakySolver(poison=1.5)),
         )
         with applied_corner(circuit, self.CORNER) as engine:
             corner_value = engine.solve_dc().solution[index]
@@ -309,7 +322,9 @@ class TestRescueUnderBaseOverlay:
                 {"vsource_scale": scale}, solver=FlakySolver(poison=1.5)
             )
             assert engine.solve_dc().solution[index] == corner_value
-        assert batched.strategies == ("batched-newton", "newton", "batched-newton")
+        assert batched.strategies == ("batched-newton", "failed", "batched-newton")
+        assert reference.convergence_info.strategy == "failed"
+        assert bool(batched.converged[1]) == reference.converged
         assert np.array_equal(batched.solutions[1], reference.solution)
         assert batched.iterations[1] == reference.iterations
         assert batched.max_residuals[1] == reference.max_residual
@@ -319,8 +334,8 @@ class TestRescueUnderBaseOverlay:
         circuit = pulsed_amplifier()
         index = circuit.node_index("d")
         # Trial 1 runs vdd at 24 V: its drain cannot cross the gate edge
-        # in ten 1 V-clamped rounds, so it fails a step and leaves the
-        # lockstep march for the serial rescue.
+        # in ten 1 V-clamped rounds, so it fails a step and marches on
+        # inside the lockstep stack, as the serial march does.
         scale = np.ones((3, 2))
         scale[1, 0] = 20.0
         controls = dict(max_newton_iterations=10)
@@ -336,13 +351,96 @@ class TestRescueUnderBaseOverlay:
             )
             after = engine.solve_transient(STOP_S, STEP_S, **controls)
         assert np.array_equal(after.solutions, corner.solutions)
-        assert batched.strategies == ("lockstep", "serial-fallback", "lockstep")
+        assert batched.strategies == ("lockstep", "lockstep", "lockstep")
         assert np.array_equal(batched.solutions[1], reference.solutions)
         info = reference.convergence_info
         assert batched.newton_iterations[1] == info.newton_iterations
         assert batched.max_residuals[1] == info.max_newton_residual_v
         assert bool(batched.converged[1]) == reference.converged
         assert np.array_equal(batched.solutions[0][:, index], corner.solutions[:, index])
+
+
+def tailed_divider():
+    """A divider whose ``mid`` node also feeds a ``tail`` through r3/r4."""
+    circuit = Circuit("tailed-divider")
+    VoltageSource(circuit, "vin", "in", "0", 1.0)
+    Resistor(circuit, "r1", "in", "mid", 1e3)
+    Resistor(circuit, "r2", "mid", "0", 3e3)
+    Resistor(circuit, "r3", "mid", "tail", 2e3)
+    Resistor(circuit, "r4", "tail", "0", 5e3)
+    return circuit
+
+
+class TestStackedFailuresMatchSerial:
+    """A failing trial fails inside the stack exactly as a serial run fails."""
+
+    #: Trial 1 opens r3 and r4, which leaves ``tail`` floating: at zero gmin
+    #: its system is genuinely singular (no mocked solver involved).
+    OHMS = np.array([[1e3, 3e3, 2e3, 5e3], [1e3, 3e3, np.inf, np.inf]])
+
+    @pytest.mark.parametrize(
+        "batched_solver, serial_solver, newton",
+        [
+            ("batched", "dense", None),
+            *(
+                pytest.param(
+                    "sparse-batched",
+                    "sparse",
+                    newton,
+                    marks=pytest.mark.skipif(
+                        not scipy_available(), reason="needs the scipy optional extra"
+                    ),
+                )
+                for newton in (None, "reuse")
+            ),
+        ],
+    )
+    def test_singular_trial_bumps_its_own_gmin(self, batched_solver, serial_solver, newton):
+        circuit = tailed_divider()
+        engine = get_engine(circuit)
+        batched = engine.solve_dc_batched(
+            {"resistor_ohm": self.OHMS}, gmin=0.0, solver=batched_solver, newton=newton
+        )
+        references = []
+        for ohms in self.OHMS:
+            engine.compiled.set_parameter_overlay({"resistor_ohm": ohms})
+            try:
+                references.append(
+                    engine.solve_dc(gmin=0.0, solver=serial_solver, newton=newton)
+                )
+            finally:
+                engine.compiled.clear_parameter_overlay()
+        assert batched.strategies == ("batched-newton", "batched-newton")
+        assert references[1].iterations == 4
+        for trial, reference in enumerate(references):
+            assert reference.convergence_info.strategy == "newton"
+            assert np.array_equal(batched.solutions[trial], reference.solution)
+            assert batched.iterations[trial] == reference.iterations
+            assert batched.max_residuals[trial] == reference.max_residual
+            assert bool(batched.converged[trial]) == reference.converged
+
+    def test_batched_drivers_never_call_the_serial_drivers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a batched driver called a serial driver")
+
+        divider = get_engine(tailed_divider())
+        amplifier = get_engine(pulsed_amplifier())
+        scale = np.ones((2, 2))
+        scale[1, 0] = 20.0
+        for engine in (divider, amplifier):
+            monkeypatch.setattr(engine, "solve_dc", refuse)
+            monkeypatch.setattr(engine, "solve_transient", refuse)
+        singular = divider.solve_dc_batched({"resistor_ohm": self.OHMS}, gmin=0.0)
+        starved = divider.solve_dc_batched(
+            {"resistor_ohm": self.OHMS[:1]}, max_iterations=1
+        )
+        march = amplifier.solve_transient_batched(
+            STOP_S, STEP_S, {"vsource_scale": scale}, max_newton_iterations=10
+        )
+        assert singular.all_converged
+        assert not starved.all_converged
+        assert march.converged.tolist() == [True, False]
+        assert march.strategies == ("lockstep", "lockstep")
 
 
 # ---------------------------------------------------------------------- #
