@@ -63,6 +63,13 @@ from repro.spice.solvers import FactorizationCache, LinearSolver, get_solver
 #: gmin ladder of the gmin-stepping fallback (relaxed decade by decade).
 GMIN_LADDER: Tuple[float, ...] = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
+#: Stall limit of the plain DC Newton: a run that has gone this many rounds
+#: without a new smallest ``max_update`` stops as not converged, and the
+#: fallback ladders take over (they restart from the zero initial solution,
+#: so their answer does not depend on when the plain run stopped).  Ladder
+#: rungs and transient steps keep their full ``max_iterations`` budget.
+NEWTON_STALL_ROUNDS = 20
+
 #: Source scale ladder of the source-stepping fallback (ramped to full drive).
 SOURCE_LADDER: Tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 1.0)
 
@@ -75,7 +82,11 @@ def _fallback_ladders(gmin: float) -> Tuple[Tuple[str, List[Tuple[float, float]]
     :data:`GMIN_LADDER` down to the target ``gmin``, then source stepping
     ramps every independent source through :data:`SOURCE_LADDER`.  A ladder
     starts from the zero initial solution, each rung seeds the next
-    (converged or not), and only the last rung must converge.
+    (converged or not), and only the last rung must converge.  The ladders
+    take over from a plain Newton run that failed or stalled (see
+    :data:`NEWTON_STALL_ROUNDS`); since they never read its iterate, their
+    answers do not depend on when it stopped.  Every rung keeps the full
+    ``max_iterations`` budget: the stall rule does not apply to rungs.
     """
     return (
         ("gmin-stepping", [(step_gmin, 1.0) for step_gmin in GMIN_LADDER + (gmin,)]),
@@ -1426,6 +1437,7 @@ class AnalysisEngine:
         cap_history: Optional[np.ndarray] = None,
         solver: Optional[LinearSolver] = None,
         reuse_state: Optional[_NewtonReuseState] = None,
+        stall_rounds: Optional[int] = None,
     ) -> Tuple[np.ndarray, int, bool, float]:
         """One Newton-Raphson run; returns (solution, iterations, converged, max_update).
 
@@ -1441,6 +1453,11 @@ class AnalysisEngine:
         transient march — instead of refactorizing each round.  Dense
         assembly ignores it, as :meth:`_newton_batched` does: LAPACK
         refactors on every call, so a frozen dense Jacobian saves nothing.
+
+        ``stall_rounds`` (only :meth:`solve_dc`'s plain run passes it, as
+        :data:`NEWTON_STALL_ROUNDS`) stops the run as not converged once
+        that many rounds have passed since the smallest ``max_update`` so
+        far; a singular round counts as a round without a new best.
         """
         compiled = self.compiled
         if solver is None:
@@ -1459,8 +1476,8 @@ class AnalysisEngine:
             assemble, solve = compiled.assemble, solver.solve
             reuse_state = None
         converged = False
-        max_update = float("inf")
-        iteration = 0
+        max_update = best_update = float("inf")
+        iteration = best_round = 0
         gmin_bumped = False
         # Per-solve invariant, hoisted out of the iteration loop: the linear
         # right-hand side (sources and capacitor history) depends on neither
@@ -1514,6 +1531,10 @@ class AnalysisEngine:
 
             if max_update < tolerance_v:
                 converged = True
+                break
+            if max_update < best_update:
+                best_update, best_round = max_update, iteration
+            elif stall_rounds is not None and iteration - best_round >= stall_rounds:
                 break
         return solution, iteration, converged, max_update
 
@@ -1573,11 +1594,15 @@ class AnalysisEngine:
     ):
         """Solve the DC operating point; returns an ``OperatingPoint``.
 
-        A plain damped Newton iteration is tried first.  If it fails, the
-        engine falls back to gmin stepping (re-solving with a strongly
+        A plain damped Newton iteration is tried first.  If it fails — it
+        runs out of ``max_iterations``, or it stalls, going
+        :data:`NEWTON_STALL_ROUNDS` rounds without a new smallest update —
+        the engine falls back to gmin stepping (re-solving with a strongly
         increased node-to-ground conductance relaxed decade by decade) and,
         if that also fails, to source stepping (ramping every independent
-        source from 10 % to full drive with solution continuation).
+        source from 10 % to full drive with solution continuation).  The
+        ladder rungs are never cut by the stall rule, and a failed solve
+        returns the plain run's last iterate.
 
         ``refresh`` re-reads element parameter values before solving so
         in-place mutations are honoured; batch drivers that refresh once up
@@ -1624,7 +1649,11 @@ class AnalysisEngine:
             solver=resolved,
         )
         solution, total_iterations, converged, max_update = self._newton(
-            solution, gmin=gmin, reuse_state=reuse_state, **controls
+            solution,
+            gmin=gmin,
+            reuse_state=reuse_state,
+            stall_rounds=NEWTON_STALL_ROUNDS,
+            **controls,
         )
         strategy = "newton" if converged else "failed"
         if not converged:
@@ -1679,6 +1708,7 @@ class AnalysisEngine:
         source_scale: float = 1.0,
         solver: LinearSolver,
         reuse_states: Optional[List[_NewtonReuseState]] = None,
+        stall_rounds: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Newton iteration over stacked systems; one linear solve per round.
 
@@ -1692,7 +1722,9 @@ class AnalysisEngine:
         follows :meth:`_newton`'s rule inside the stack: the round counts as
         an iteration, its iterate stays put and its own gmin rises an order
         of magnitude for the rest of the call, while every other trial
-        keeps its round.
+        keeps its round.  ``stall_rounds`` applies :meth:`_newton`'s stall
+        rule per trial: a trial that goes that many rounds past its own
+        best update stops unconverged at that round and leaves the stack.
 
         With ``timestep_s`` set this is one lockstep *transient* Newton
         round over the stack: ``previous_solutions``/``cap_history`` carry
@@ -1713,6 +1745,8 @@ class AnalysisEngine:
         iterations = np.zeros(trials, dtype=int)
         converged = np.zeros(trials, dtype=bool)
         max_updates = np.full(trials, np.inf)
+        best_updates = np.full(trials, np.inf)
+        best_rounds = np.zeros(trials, dtype=int)
         active = np.ones(trials, dtype=bool)
         # Per-trial gmin, handed to the assembly only once a singular solve
         # has bumped some trial's value (the common path keeps the scalar).
@@ -1836,6 +1870,12 @@ class AnalysisEngine:
             if done.any():
                 converged[index[done]] = True
                 active[index[done]] = False
+            if stall_rounds is not None:
+                better = updates_max < best_updates[index]
+                best_updates[index[better]] = updates_max[better]
+                best_rounds[index[better]] = iteration
+                stalled = ~done & (iteration - best_rounds[index] >= stall_rounds)
+                active[index[stalled]] = False
             if not active.any():
                 break
         return solutions, iterations, converged, max_updates
@@ -1978,11 +2018,13 @@ class AnalysisEngine:
         ``initial_guess`` may be one ``(n,)`` vector (shared warm start) or
         a ``(trials, n)`` stack.  Every trial follows :meth:`solve_dc`'s
         policy inside the stack: a singular system bumps that trial's gmin
-        as :meth:`_newton` does, and the trials the plain Newton cannot
+        as :meth:`_newton` does, a trial whose plain Newton stalls for
+        :data:`NEWTON_STALL_ROUNDS` rounds leaves the plain run at the round
+        the serial run would, and the trials the plain Newton cannot
         converge run :meth:`solve_dc`'s gmin-stepping and source-stepping
-        ladders together, so each trial matches the per-trial path bit for
-        bit (its strategy reads ``"batched-newton"`` where the serial one
-        reads ``"newton"``).
+        ladders together (at their full budget), so each trial matches the
+        per-trial path bit for bit (its strategy reads ``"batched-newton"``
+        where the serial one reads ``"newton"``).
 
         ``newton="reuse"`` runs per-trial modified Newton on the
         sparse-batched path (each trial keeps its LU until its contraction
@@ -2036,6 +2078,7 @@ class AnalysisEngine:
             reuse_states=(
                 [_NewtonReuseState() for _ in range(count)] if want_reuse else None
             ),
+            stall_rounds=NEWTON_STALL_ROUNDS,
             **controls,
         )
         strategies = ["batched-newton" if ok else "failed" for ok in converged]

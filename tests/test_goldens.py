@@ -6,6 +6,8 @@ physics alone proves it here instead of asserting it.  A deliberate change
 of the numerics updates the constants below, and the diff is reviewed.
 """
 
+import collections
+import hashlib
 import json
 import os
 
@@ -15,6 +17,12 @@ import pytest
 from repro.analysis.waveform_metrics import edge_times, steady_state_levels
 from repro.api import CircuitSpec, DCOp, Session, Transient
 from repro.core.evaluation import evaluate_lattice
+from repro.experiments.variability_xor3 import (
+    DEFAULT_SIGMA_BETA,
+    DEFAULT_SIGMA_VTH_V,
+    variability_circuit_spec,
+)
+from repro.spice.montecarlo import Gaussian, MonteCarloEngine
 from repro.spice.solvers import scipy_available
 
 FIG11_FACTORY = "repro.experiments.fig11_xor3_transient:build_fig11_bench"
@@ -31,19 +39,37 @@ FIG11_FALL_TIME_S = 1.7431238086836106e-09
 FIG11_EDGE_RTOL = 1e-9
 
 #: Scalability DC (14-row identity lattice, n=399, auto -> sparse SuperLU):
-#: plain Newton exhausts its 300 iterations, then the gmin ladder converges;
+#: plain Newton stalls (its best update comes at round 46, and 20 rounds
+#: without a new best stop it at 66), then the gmin ladder converges in 220;
 #: every Newton iteration pays one factorization.  The solution vector
 #: lives next to this file, one float per unknown.
 LATTICE_ROWS = 14
 LATTICE_UNKNOWNS = 399
 LATTICE_STRATEGY = "gmin-stepping"
-LATTICE_NEWTON_ITERATIONS = 520
-LATTICE_FACTORIZATIONS = 520
+LATTICE_NEWTON_ITERATIONS = 286
+LATTICE_FACTORIZATIONS = 286
 LATTICE_SOLUTION_PATH = os.path.join(
     os.path.dirname(__file__), "goldens", "lattice400_dc_solution.json"
 )
 #: Bitwise on one host, with room for last-bit differences between builds.
 LATTICE_SOLUTION_RTOL = 1e-12
+
+#: Variability DC warm start (the 128 seed-0 trials of the XOR3 variability
+#: study, ``solve_dc_batched`` on the batched dense backend): how many trials
+#: each strategy settles, the Newton iterations of the whole stack (every one
+#: pays a factorization) and the sha256 of the converged trials' solution
+#: rows, in trial order.
+VARIABILITY_TRIALS = 128
+VARIABILITY_STRATEGIES = {
+    "batched-newton": 88,
+    "gmin-stepping": 29,
+    "source-stepping": 4,
+    "failed": 7,
+}
+VARIABILITY_NEWTON_ITERATIONS = 35553
+VARIABILITY_SOLUTION_SHA256 = (
+    "b5a26c4145350b001f8f5b6a29da489db0c64ea92920f609c7d5d93ee17adb8a"
+)
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +131,29 @@ class TestScalabilityDCGolden:
         solution = lattice_dc.arrays["solution"]
         assert solution.shape == golden.shape == (LATTICE_UNKNOWNS,)
         assert solution == pytest.approx(golden, rel=LATTICE_SOLUTION_RTOL, abs=0.0)
+
+
+class TestVariabilityDCGolden:
+    @pytest.fixture(scope="class")
+    def points(self):
+        bench = Session(store=None).build_circuit(variability_circuit_spec())
+        montecarlo = MonteCarloEngine(
+            bench.circuit,
+            {
+                "mos_vth": Gaussian(sigma=DEFAULT_SIGMA_VTH_V),
+                "mos_beta": Gaussian(sigma=DEFAULT_SIGMA_BETA, relative=True),
+            },
+            seed=0,
+        )
+        return montecarlo.run_batched_dc(VARIABILITY_TRIALS)
+
+    def test_strategy_counts(self, points):
+        assert collections.Counter(points.strategies) == VARIABILITY_STRATEGIES
+
+    def test_newton_iterations(self, points):
+        assert int(points.iterations.sum()) == VARIABILITY_NEWTON_ITERATIONS
+        assert points.factorizations == VARIABILITY_NEWTON_ITERATIONS
+
+    def test_converged_solutions(self, points):
+        rows = np.ascontiguousarray(points.solutions[points.converged])
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == VARIABILITY_SOLUTION_SHA256
