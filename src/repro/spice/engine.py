@@ -138,7 +138,9 @@ class _NewtonReuseState:
     through it directly (bit-identical to refactorizing), a changed one
     takes a modified-Newton bypass step through it until :meth:`observe`
     detects a contraction stall, which marks the handle stale so the next
-    round refactors at the current iterate.
+    round refactors at the current iterate.  A serial march holds one
+    state; a stacked march holds one per trial, and both take every round
+    through :meth:`solve`.
     """
 
     __slots__ = ("handle", "stale", "prev_max_update")
@@ -184,6 +186,49 @@ class _NewtonReuseState:
             self.stale = True
         self.prev_max_update = max_update
 
+    def solve(
+        self,
+        solver: LinearSolver,
+        pattern: "SparsityPattern",
+        solution: np.ndarray,
+        data: np.ndarray,
+        rhs: np.ndarray,
+    ) -> Tuple[np.ndarray, bool]:
+        """One Newton linear solve through the frozen factorization.
+
+        Returns ``(new_solution, bypassed)``.  Three regimes:
+
+        * the assembled pattern data is bitwise identical to the frozen
+          one — solving through the kept LU *is* this round's full Newton
+          step (bit-identical by construction; linear circuits and
+          unchanged transient Jacobians live here);
+        * the system changed but the frozen LU still contracts — the
+          modified-Newton bypass steps against the *current* residual
+          ``A(x) x - b(x)`` through the old factorization (same fixed
+          point, no refactorization);
+        * no usable factorization (first round, contraction stall,
+          singular drop) — refactor at the current iterate and freeze the
+          fresh handle.  A singular refactor invalidates the state and
+          re-raises ``LinAlgError`` for the caller's gmin bump.
+        """
+        handle = self.handle
+        if handle is not None:
+            if FactorizationCache.fingerprint(data) == handle.fingerprint:
+                return handle.solve(rhs), False
+            if not self.stale and self.engaged():
+                ax = np.bincount(
+                    pattern.rows, weights=data * solution[pattern.cols], minlength=pattern.size
+                )
+                return solution - handle.solve(ax - rhs), True
+        try:
+            handle = solver.factorize_pattern(data)
+        except np.linalg.LinAlgError:
+            self.invalidate()
+            raise
+        self.freeze(handle)
+        return handle.solve(rhs), False
+
+
 #: Parameter vectors a compiled-circuit overlay may replace (one value per
 #: element of the corresponding class; the two ``*_scale`` vectors multiply
 #: the independent-source waveform values instead of replacing them).
@@ -196,13 +241,6 @@ PERTURBABLE_PARAMETERS: Tuple[str, ...] = (
     "vsource_scale",
     "isource_scale",
 )
-
-
-def _same_optional(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
-    """Equality over optional arrays (``None`` meaning the all-ones default)."""
-    if a is None or b is None:
-        return a is None and b is None
-    return np.array_equal(a, b)
 
 
 class SparsityPattern:
@@ -430,7 +468,6 @@ class CompiledCircuit:
         #: (see :meth:`_workspace`); keyed by buffer role.
         self._workspaces: Dict[str, np.ndarray] = {}
         self._pattern: Optional[SparsityPattern] = None
-        self._source_value_cache = None
         #: Per-source waveform multipliers (``None`` means all-ones).
         self.vs_scale: Optional[np.ndarray] = None
         self.is_scale: Optional[np.ndarray] = None
@@ -509,13 +546,12 @@ class CompiledCircuit:
             self.refresh_values()
 
     def __getstate__(self):
-        # The base-data LRU, the pattern, the workspaces and the source-value
-        # memo are lazily rebuilt; shipping them to process-pool workers is
-        # pure dead weight, so pickling drops them.
+        # The base-data LRU, the pattern and the workspaces are lazily
+        # rebuilt; shipping them to process-pool workers is pure dead
+        # weight, so pickling drops them.
         state = self.__dict__.copy()
         state["_base_data_cache"] = {}
         state["_pattern"] = None
-        state["_source_value_cache"] = None
         state["_workspaces"] = {}
         return state
 
@@ -612,14 +648,8 @@ class CompiledCircuit:
                     [m.CHANNEL_GMIN for m in self.mosfets], dtype=float
                 )
                 self.mos_w = np.array([m.SMOOTHING_V for m in self.mosfets], dtype=float)
-        vs_scale = overlay.get("vsource_scale")
-        is_scale = overlay.get("isource_scale")
-        if not _same_optional(vs_scale, self.vs_scale) or not _same_optional(
-            is_scale, self.is_scale
-        ):
-            self.vs_scale = vs_scale
-            self.is_scale = is_scale
-            self._source_value_cache = None
+        self.vs_scale = overlay.get("vsource_scale")
+        self.is_scale = overlay.get("isource_scale")
 
     # ------------------------------------------------------------------ #
     # assembly
@@ -715,46 +745,6 @@ class CompiledCircuit:
                     self._base_data_cache.pop(next(iter(self._base_data_cache)))
                 self._base_data_cache[key] = data
         return data
-
-    def _source_values(
-        self, time_s: float, source_scale: float
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """Scaled independent-source values at ``time_s`` (memoized).
-
-        Source values are constant across the Newton iterations of one
-        solve, so re-evaluating the waveforms per assembly is pure overhead.
-        The memo is keyed on the time, the scale and the *identity* of every
-        waveform object (strong references held in the cache, so a swapped
-        waveform — e.g. ``set_level`` between sweep points — can never alias
-        a freed object's id and serve stale values).
-        """
-        if not self.voltage_sources and not self.current_sources:
-            return None, None
-        v_waveforms = [s.waveform for s in self.voltage_sources]
-        i_waveforms = [s.waveform for s in self.current_sources]
-        cache = self._source_value_cache
-        if (
-            cache is not None
-            and cache[0] == time_s
-            and cache[1] == source_scale
-            and all(a is b for a, b in zip(cache[2], v_waveforms))
-            and all(a is b for a, b in zip(cache[3], i_waveforms))
-        ):
-            return cache[4], cache[5]
-        v_values, i_values = self._waveform_values(time_s, source_scale)
-        if v_values is not None and self.vs_scale is not None:
-            v_values = v_values * self.vs_scale
-        if i_values is not None and self.is_scale is not None:
-            i_values = i_values * self.is_scale
-        self._source_value_cache = (
-            time_s,
-            source_scale,
-            v_waveforms,
-            i_waveforms,
-            v_values,
-            i_values,
-        )
-        return v_values, i_values
 
     def _waveform_values(
         self, time_s: float, scale: float
@@ -904,10 +894,14 @@ class CompiledCircuit:
         Newton loop builds it once per solve.
         """
         rhs = np.zeros(self._ghost)
-        v_values, i_values = self._source_values(state.time_s, source_scale)
+        v_values, i_values = self._waveform_values(state.time_s, source_scale)
         if v_values is not None:
+            if self.vs_scale is not None:
+                v_values = v_values * self.vs_scale
             rhs[self.vs_rows] += v_values
         if i_values is not None:
+            if self.is_scale is not None:
+                i_values = i_values * self.is_scale
             np.add.at(rhs, self.is_plus, -i_values)
             np.add.at(rhs, self.is_minus, i_values)
 
@@ -1448,9 +1442,9 @@ class AnalysisEngine:
         blowing up the caller.
 
         ``reuse_state`` (``newton="reuse"``) routes every solve through
-        :meth:`_reuse_solve`, which keeps the last factorization across
-        rounds — and across calls sharing the state, e.g. the steps of a
-        transient march — instead of refactorizing each round.  Dense
+        :meth:`_NewtonReuseState.solve`, which keeps the last factorization
+        across rounds — and across calls sharing the state, e.g. the steps
+        of a transient march — instead of refactorizing each round.  Dense
         assembly ignores it, as :meth:`_newton_batched` does: LAPACK
         refactors on every call, so a frozen dense Jacobian saves nothing.
 
@@ -1510,12 +1504,10 @@ class AnalysisEngine:
                 if reuse_state is None:
                     new_solution = solve(system, rhs)
                 else:
-                    new_solution, bypassed = self._reuse_solve(
-                        solver, reuse_state, solution, system, rhs, pattern
+                    new_solution, bypassed = reuse_state.solve(
+                        solver, pattern, solution, system, rhs
                     )
             except np.linalg.LinAlgError:
-                if reuse_state is not None:
-                    reuse_state.invalidate()
                 gmin = max(gmin * 10.0, 1e-12)
                 gmin_bumped = True
                 continue
@@ -1537,44 +1529,6 @@ class AnalysisEngine:
             elif stall_rounds is not None and iteration - best_round >= stall_rounds:
                 break
         return solution, iteration, converged, max_update
-
-    def _reuse_solve(
-        self,
-        solver: LinearSolver,
-        state: _NewtonReuseState,
-        solution: np.ndarray,
-        data: np.ndarray,
-        rhs: np.ndarray,
-        pattern: "SparsityPattern",
-    ) -> Tuple[np.ndarray, bool]:
-        """One Newton linear solve through the march's frozen factorization.
-
-        Returns ``(new_solution, bypassed)``.  Three regimes:
-
-        * the assembled pattern data is bitwise identical to the frozen
-          one — solving through the kept LU *is* this round's full Newton
-          step (bit-identical by construction; linear circuits and
-          unchanged transient Jacobians live here);
-        * the system changed but the frozen LU still contracts — the
-          modified-Newton bypass steps against the *current* residual
-          ``A(x) x - b(x)`` through the old factorization (same fixed
-          point, no refactorization);
-        * no usable factorization (first round, contraction stall,
-          singular drop) — refactor at the current iterate and freeze the
-          fresh handle.
-        """
-        handle = state.handle
-        if handle is not None:
-            if FactorizationCache.fingerprint(data) == handle.fingerprint:
-                return handle.solve(rhs), False
-            if not state.stale and state.engaged():
-                ax = np.bincount(
-                    pattern.rows, weights=data * solution[pattern.cols], minlength=pattern.size
-                )
-                return solution - handle.solve(ax - rhs), True
-        handle = solver.factorize_pattern(data)
-        state.freeze(handle)
-        return handle.solve(rhs), False
 
     # ------------------------------------------------------------------ #
     # DC operating point
@@ -1733,12 +1687,13 @@ class AnalysisEngine:
         every independent source (the batched source-stepping ladder).
 
         ``reuse_states`` (one :class:`_NewtonReuseState` per stack row)
-        switches the sparse-batched path to per-trial modified Newton: each
-        trial keeps its frozen LU across rounds — and across the calls of a
-        lockstep march sharing the states — refactorizing only on a
-        contraction stall (see :meth:`_reuse_round_batched`).  Backends
-        without per-trial reuse handles (dense) ignore it and run the
-        bit-compatible default rounds.
+        switches the sparse backends to per-trial modified Newton: each
+        active trial takes its round through its own state's
+        :meth:`~_NewtonReuseState.solve`, exactly as :meth:`_newton` does,
+        so it keeps its frozen LU across rounds — and across the calls of a
+        lockstep march sharing the states — refactorizing one trial at a
+        time only where its state asks for it.  Dense assembly ignores it,
+        as :meth:`_newton` does.
         """
         compiled = self.compiled
         trials = solutions.shape[0]
@@ -1766,11 +1721,7 @@ class AnalysisEngine:
         else:
             assemble = compiled.assemble_batched
             solve_stack, solve_one = solver.solve_batched, solver.solve
-        use_reuse = (
-            reuse_states is not None
-            and pattern is not None
-            and hasattr(solver, "factorize_pattern_batched")
-        )
+        use_reuse = reuse_states is not None and pattern is not None
         # Per-call invariant, hoisted out of the rounds: the linear RHS stack
         # (sources and capacitor history) depends on neither the iterates nor
         # gmin, and each of its rows only on its own trial.  Every round
@@ -1795,39 +1746,33 @@ class AnalysisEngine:
         )
         for iteration in range(1, max_iterations + 1):
             index = np.flatnonzero(active)
+            subset = {name: stack[index] for name, stack in params.items()}
+            matrices, rhs = assemble(
+                solutions[index],
+                subset,
+                gmin=gmins[index] if bumped else gmin,
+                timestep_s=timestep_s,
+                integration=integration,
+                linear_rhs=linear_rhs[index],
+                cap_g_rows=None if cap_g_rows is None else cap_g_rows[index],
+                reuse_workspace=True,
+            )
             bypassed: Optional[np.ndarray] = None
+            singular: Optional[np.ndarray] = None
             if use_reuse:
-                # Reuse mode assembles the full stack (no index
-                # compression): stack row == trial identity must stay
-                # stable so every trial keeps its own frozen LU across
-                # rounds, and frozen/converged trials simply drop out of
-                # the factorization mask instead of being re-packed.
-                matrices, rhs = assemble(
-                    solutions,
-                    params,
-                    gmin=gmins if bumped else gmin,
-                    timestep_s=timestep_s,
-                    integration=integration,
-                    linear_rhs=linear_rhs.copy(),
-                    cap_g_rows=cap_g_rows,
-                    reuse_workspace=True,
-                )
-                new_solutions, bypassed, singular = self._reuse_round_batched(
-                    solver, reuse_states, solutions, matrices, rhs, index, pattern,
-                )
+                # Row ``row`` of the compressed stack is trial ``trial``,
+                # whose own state holds its frozen LU across rounds.
+                new_solutions = np.empty_like(rhs)
+                bypassed = np.zeros(index.size, dtype=bool)
+                singular = np.zeros(index.size, dtype=bool)
+                for row, trial in enumerate(index):
+                    try:
+                        new_solutions[row], bypassed[row] = reuse_states[trial].solve(
+                            solver, pattern, solutions[trial], matrices[row], rhs[row]
+                        )
+                    except np.linalg.LinAlgError:
+                        singular[row] = True
             else:
-                subset = {name: stack[index] for name, stack in params.items()}
-                matrices, rhs = assemble(
-                    solutions[index],
-                    subset,
-                    gmin=gmins[index] if bumped else gmin,
-                    timestep_s=timestep_s,
-                    integration=integration,
-                    linear_rhs=linear_rhs[index],
-                    cap_g_rows=None if cap_g_rows is None else cap_g_rows[index],
-                    reuse_workspace=True,
-                )
-                singular = None
                 try:
                     new_solutions = solve_stack(matrices, rhs)
                 except np.linalg.LinAlgError:
@@ -1879,79 +1824,6 @@ class AnalysisEngine:
             if not active.any():
                 break
         return solutions, iterations, converged, max_updates
-
-    def _reuse_round_batched(
-        self,
-        solver: LinearSolver,
-        reuse_states: List[_NewtonReuseState],
-        solutions: np.ndarray,
-        matrices: np.ndarray,
-        rhs: np.ndarray,
-        index: np.ndarray,
-        pattern,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One batched modified-Newton round against per-trial frozen LUs.
-
-        For every active trial: a bitwise-unchanged Jacobian solves through
-        its frozen LU directly, a changed-but-contracting one takes the
-        modified-Newton bypass step, and first-round/stalled trials
-        refactorize together through
-        :meth:`~repro.spice.solvers.BatchedSparseSolver.factorize_pattern_batched`
-        (the threaded fan-out) with a mask over exactly the trials that
-        need fresh LUs.  Returns ``(new_solutions, bypassed, singular)``
-        aligned row for row with ``index``; a trial whose fresh
-        factorization is singular has its reuse state invalidated and is
-        flagged in ``singular`` for the caller's gmin bump, as in
-        :meth:`_newton`.
-        """
-        new_solutions = np.empty((index.size, solutions.shape[1]))
-        bypassed = np.zeros(index.size, dtype=bool)
-        singular = np.zeros(index.size, dtype=bool)
-        refreeze: List[int] = []
-        for row, trial in enumerate(index):
-            state = reuse_states[trial]
-            handle = state.handle
-            if handle is None:
-                refreeze.append(row)
-                continue
-            fingerprint = FactorizationCache.fingerprint(matrices[trial])
-            if fingerprint == handle.fingerprint:
-                new_solutions[row] = handle.solve(rhs[trial])
-            elif state.stale or not state.engaged():
-                refreeze.append(row)
-            else:
-                residual = (
-                    np.bincount(
-                        pattern.rows,
-                        weights=matrices[trial] * solutions[trial][pattern.cols],
-                        minlength=pattern.size,
-                    )
-                    - rhs[trial]
-                )
-                new_solutions[row] = solutions[trial] - handle.solve(residual)
-                bypassed[row] = True
-        if refreeze:
-            mask = np.zeros(matrices.shape[0], dtype=bool)
-            mask[index[refreeze]] = True
-            try:
-                handles = solver.factorize_pattern_batched(matrices, active=mask)
-            except np.linalg.LinAlgError:
-                # A singular trial raises for the whole fan-out; isolate it
-                # trial by trial and flag only the genuinely singular ones.
-                handles = [None] * matrices.shape[0]
-                for row in refreeze:
-                    trial = index[row]
-                    try:
-                        handles[trial] = solver.factorize_pattern(matrices[trial])
-                    except np.linalg.LinAlgError:
-                        singular[row] = True
-                        reuse_states[trial].invalidate()
-            for row in refreeze:
-                handle = handles[index[row]]
-                if handle is not None:
-                    reuse_states[index[row]].freeze(handle)
-                    new_solutions[row] = handle.solve(rhs[index[row]])
-        return new_solutions, bypassed, singular
 
     def _parameter_stacks(
         self,
@@ -2026,11 +1898,12 @@ class AnalysisEngine:
         per-trial path bit for bit (its strategy reads ``"batched-newton"``
         where the serial one reads ``"newton"``).
 
-        ``newton="reuse"`` runs per-trial modified Newton on the
-        sparse-batched path (each trial keeps its LU until its contraction
-        stalls); ``threads`` fans the per-trial sparse factorizations
-        across a thread pool (see
-        :class:`~repro.spice.solvers.BatchedSparseSolver`) and requires a
+        ``newton="reuse"`` runs per-trial modified Newton on either sparse
+        backend (each trial keeps its LU until its contraction stalls,
+        exactly as a per-trial :meth:`solve_dc` run does); ``threads`` fans
+        the per-trial sparse factorizations of full-Newton rounds across a
+        thread pool (see :class:`~repro.spice.solvers.BatchedSparseSolver`;
+        reuse-mode refactorizations run trial by trial) and requires a
         sparse-batched-capable ``solver`` spec (``"sparse-batched"`` or
         ``"auto"``).
 

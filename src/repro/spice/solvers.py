@@ -54,11 +54,12 @@ Two cross-cutting layers ride on the seam:
 
 * a :class:`FactorizationCache` (on by default in the sparse backends)
   that fingerprints every pattern assembly and reuses the existing LU when
-  the CSC data is bitwise unchanged — constant-Jacobian transient steps,
-  the shared-base fast path and frozen-trial re-solves stop paying
-  ``splu``, with results bit-identical by construction;
+  the CSC data is bitwise unchanged — constant-Jacobian transient steps
+  and the shared-base fast path stop paying ``splu``, with results
+  bit-identical by construction;
 * an optional ``threads=`` knob on the sparse-batched backend that fans
-  the per-trial factorizations of a stacked solve across a
+  the per-trial factorizations of a full-Newton stacked solve
+  (:meth:`BatchedSparseSolver.solve_pattern_batched`) across a
   ``ThreadPoolExecutor`` (SuperLU releases the GIL), with identical
   numbers whatever the thread count.
 
@@ -178,9 +179,8 @@ class FactorizationCache:
     same entry exactly when they are *bitwise* identical, and since the LU
     is a pure function of the matrix, a cache hit returns results
     bit-identical to refactorizing.  This is what lets the cache stay on by
-    default — constant-Jacobian transient steps, the shared-base fast path
-    and frozen-trial re-solves all reuse their LU with zero numerical
-    drift.
+    default — constant-Jacobian transient steps and the shared-base fast
+    path reuse their LU with zero numerical drift.
 
     Thread-safe: the threaded batched backend factorizes trials
     concurrently and publishes through :meth:`put` under a lock (a racing
@@ -237,10 +237,9 @@ class FactorizationCache:
 class Factorization:
     """A held LU handle the engine keeps across Newton rounds and steps.
 
-    Returned by :meth:`SparseSolver.factorize_pattern` and
-    :meth:`BatchedSparseSolver.factorize_pattern_batched`; the
-    modified-Newton reuse state stores these so a frozen Jacobian keeps
-    solving without refactorizing.
+    Returned by :meth:`SparseSolver.factorize_pattern`; the engine's
+    modified-Newton reuse state (one per serial march or stacked trial)
+    stores these so a frozen Jacobian keeps solving without refactorizing.
     Counting convention: the solve that *paid* for a fresh factorization is
     free; every later solve through the handle is a reuse on the owning
     solver's :meth:`~LinearSolver.solver_stats`.
@@ -279,12 +278,16 @@ class LinearSolver:
     arrays assembled straight into the compiled circuit's
     :class:`~repro.spice.engine.SparsityPattern`
     (:meth:`solve_pattern`/:meth:`solve_pattern_batched`) instead of dense
-    matrices — the engine never materializes ``(n, n)`` for them.
+    matrices — the engine never materializes ``(n, n)`` for them.  They
+    also provide ``factorize_pattern`` (a :class:`Factorization` handle),
+    which the engine's modified Newton (``newton="reuse"``) holds across
+    rounds, serially and per stacked trial alike.
 
     :meth:`select` resolves *policy* backends: the engine calls it with the
     compiled circuit (and the trial count for batched runs) right before a
-    Newton run, and the returned concrete backend does the solving.  Plain
-    backends return themselves.
+    Newton run, and the returned concrete backend does the solving — a
+    policy backend has no solve methods of its own.  Plain backends return
+    themselves.
     """
 
     #: Registry name of the backend (``solver="<name>"`` in the frontends).
@@ -332,25 +335,12 @@ class LinearSolver:
         """Solve one ``(n, n)`` system; raises ``LinAlgError`` if singular."""
         raise NotImplementedError
 
-    def solve_batched(
-        self,
-        matrices: np.ndarray,
-        rhs: np.ndarray,
-        active: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def solve_batched(self, matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve stacked ``(T, n, n)`` systems against ``(T, n)`` vectors.
 
-        ``active`` (an optional boolean trial mask) limits the work to the
-        flagged rows — frozen (converged) trials stop paying
-        factorizations; their output rows come back zero.  The base
-        implementation loops over :meth:`solve`; backends with a genuinely
-        batched kernel (dense LAPACK) override it.
+        The base implementation loops over :meth:`solve`; backends with a
+        genuinely batched kernel (dense LAPACK) override it.
         """
-        if active is not None:
-            out = np.zeros_like(rhs)
-            for row in np.flatnonzero(active):
-                out[row] = self.solve(matrices[row], rhs[row])
-            return out
         return np.stack([self.solve(m, r) for m, r in zip(matrices, rhs)])
 
     def solve_pattern(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -359,22 +349,8 @@ class LinearSolver:
             f"the {self.name!r} backend does not take pattern-assembled systems"
         )
 
-    def solve_pattern_batched(
-        self,
-        data: np.ndarray,
-        rhs: np.ndarray,
-        active: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Solve a ``(T, nnz)`` pattern-data stack against ``(T, n)`` vectors.
-
-        ``active`` limits the solves to the flagged trials exactly like
-        :meth:`solve_batched`.
-        """
-        if active is not None:
-            out = np.zeros_like(rhs)
-            for row in np.flatnonzero(active):
-                out[row] = self.solve_pattern(data[row], rhs[row])
-            return out
+    def solve_pattern_batched(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve a ``(T, nnz)`` pattern-data stack against ``(T, n)`` vectors."""
         return np.stack([self.solve_pattern(d, r) for d, r in zip(data, rhs)])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -407,21 +383,7 @@ class BatchedDenseSolver(DenseSolver):
 
     name = "batched"
 
-    def solve_batched(
-        self,
-        matrices: np.ndarray,
-        rhs: np.ndarray,
-        active: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        if active is not None:
-            rows = np.flatnonzero(active)
-            out = np.zeros_like(rhs)
-            if rows.size:
-                self._count_factorizations(int(rows.size))
-                out[rows] = np.linalg.solve(
-                    matrices[rows], rhs[rows][..., np.newaxis]
-                )[..., 0]
-            return out
+    def solve_batched(self, matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         self._count_factorizations(int(matrices.shape[0]))
         return np.linalg.solve(matrices, rhs[..., np.newaxis])[..., 0]
 
@@ -677,6 +639,11 @@ class BatchedSparseSolver(SparseSolver):
     ``LinAlgError`` for the whole stack, exactly like the batched dense
     backend, so the engine's per-trial isolation and gmin/source-stepping
     ladders work unchanged.
+
+    ``threads=`` fans the per-trial factorizations of
+    :meth:`solve_pattern_batched` (the full-Newton stacked solve) across a
+    thread pool.  Modified Newton (``newton="reuse"``) refreezes each
+    trial's LU through :meth:`factorize_pattern`, one trial at a time.
     """
 
     name = "sparse-batched"
@@ -687,12 +654,13 @@ class BatchedSparseSolver(SparseSolver):
         cache_capacity: int = DEFAULT_FACTOR_CACHE_CAPACITY,
     ):
         super().__init__(cache_capacity=cache_capacity)
-        #: Worker-thread count for per-trial factorizations (0 = the
-        #: historical serial loop; see :func:`resolve_threads`).
+        #: Worker-thread count for the per-trial factorizations of
+        #: :meth:`solve_pattern_batched` (0 = the serial loop; see
+        #: :func:`resolve_threads`).
         self.threads = resolve_threads(threads)
 
-    def _map_trials(self, rows: np.ndarray, worker) -> List:
-        """Run ``worker(trial)`` over the rows, threaded when configured.
+    def _map_trials(self, trials: int, worker) -> List:
+        """Run ``worker(trial)`` over every trial, threaded when configured.
 
         SuperLU releases the GIL during factorization and the triangular
         solves, so a ThreadPoolExecutor fans the per-trial numeric work
@@ -701,69 +669,28 @@ class BatchedSparseSolver(SparseSolver):
         lock-protected cache).  A singular trial's ``LinAlgError``
         propagates for the whole stack, exactly like the serial loop.
         """
-        if self.threads > 1 and rows.size > 1:
+        if self.threads > 1 and trials > 1:
             with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                return list(pool.map(worker, rows))
-        return [worker(trial) for trial in rows]
+                return list(pool.map(worker, range(trials)))
+        return [worker(trial) for trial in range(trials)]
 
-    def solve_pattern_batched(
-        self,
-        data: np.ndarray,
-        rhs: np.ndarray,
-        active: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def solve_pattern_batched(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         self._require_pattern("solve_pattern_batched")
-        if active is not None:
-            rows = np.flatnonzero(np.asarray(active, dtype=bool))
-            out = np.zeros_like(rhs)
-        else:
-            rows = np.arange(data.shape[0])
-            out = np.empty_like(rhs)
 
         def worker(trial):
             lu, _, hit = self._factorize(data[trial], count=False)
-            return trial, lu.solve(rhs[trial]), hit
+            return lu.solve(rhs[trial]), hit
 
-        results = self._map_trials(rows, worker)
+        results = self._map_trials(data.shape[0], worker)
+        out = np.empty_like(rhs)
         hits = 0
-        for trial, solution, hit in results:
+        for trial, (solution, hit) in enumerate(results):
             out[trial] = solution
             hits += hit
         # Tally in the calling thread so the counters never race.
         self._count_reuses(hits)
         self._count_factorizations(len(results) - hits)
         return out
-
-    def factorize_pattern_batched(
-        self,
-        data: np.ndarray,
-        active: Optional[np.ndarray] = None,
-    ) -> List[Optional[Factorization]]:
-        """Per-trial reuse handles over a ``(T, nnz)`` stack (threaded).
-
-        Returns a list of length ``T`` with a :class:`Factorization` per
-        active trial (``None`` at inactive rows).  The engine's batched
-        modified-Newton state holds these across rounds and steps, so a
-        frozen trial keeps its LU without refactorizing.
-        """
-        self._require_pattern("factorize_pattern_batched")
-        if active is not None:
-            rows = np.flatnonzero(np.asarray(active, dtype=bool))
-        else:
-            rows = np.arange(data.shape[0])
-        handles: List[Optional[Factorization]] = [None] * data.shape[0]
-
-        def worker(trial):
-            lu, fingerprint, hit = self._factorize(data[trial], count=False)
-            return trial, lu, fingerprint, hit
-
-        results = self._map_trials(rows, worker)
-        fresh = 0
-        for trial, lu, fingerprint, hit in results:
-            handles[trial] = Factorization(self, lu.solve, fingerprint, fresh=not hit)
-            fresh += not hit
-        self._count_factorizations(fresh)
-        return handles
 
 
 class AutoSolver(LinearSolver):
@@ -860,29 +787,6 @@ class AutoSolver(LinearSolver):
         if want_sparse:
             return self._backend("sparse-batched" if batched else "sparse")
         return self._backend("batched" if batched else "dense")
-
-    # Direct solves (no engine selection step): route by matrix size so an
-    # AutoSolver instance still works wherever a plain backend would.
-    def _direct(self, n: int) -> LinearSolver:
-        if n >= self.crossover and scipy_available():
-            return self._backend("sparse")
-        return self._backend("dense")
-
-    def solve(self, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return self._direct(matrix.shape[0]).solve(matrix, rhs)
-
-    def solve_batched(
-        self,
-        matrices: np.ndarray,
-        rhs: np.ndarray,
-        active: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        n = matrices.shape[-1]
-        if n >= self.batched_crossover and scipy_available():
-            return self._backend("sparse-batched").solve_batched(
-                matrices, rhs, active=active
-            )
-        return self._backend("batched").solve_batched(matrices, rhs, active=active)
 
 
 _BACKENDS: Dict[str, Type[LinearSolver]] = {

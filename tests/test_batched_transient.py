@@ -384,14 +384,18 @@ class TestStackedFailuresMatchSerial:
             ("batched", "dense", None),
             *(
                 pytest.param(
-                    "sparse-batched",
+                    batched_solver,
                     "sparse",
                     newton,
                     marks=pytest.mark.skipif(
                         not scipy_available(), reason="needs the scipy optional extra"
                     ),
                 )
-                for newton in (None, "reuse")
+                for batched_solver, newton in (
+                    ("sparse-batched", None),
+                    ("sparse-batched", "reuse"),
+                    ("sparse", "reuse"),
+                )
             ),
         ],
     )
@@ -418,6 +422,13 @@ class TestStackedFailuresMatchSerial:
             assert batched.iterations[trial] == reference.iterations
             assert batched.max_residuals[trial] == reference.max_residual
             assert bool(batched.converged[trial]) == reference.converged
+        if newton == "reuse":
+            # Each trial keeps its own frozen LU, so the stack pays exactly
+            # the factorizations and reuses of the per-trial runs.
+            assert (batched.factorizations, batched.factorization_reuses) == (
+                sum(r.convergence_info.factorizations for r in references),
+                sum(r.convergence_info.factorization_reuses for r in references),
+            )
 
     def test_batched_drivers_never_call_the_serial_drivers(self, monkeypatch):
         def refuse(*args, **kwargs):

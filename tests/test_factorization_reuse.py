@@ -224,6 +224,43 @@ class TestBatchedNewtonReuse:
         assert reuse.factorizations < full.factorizations
         assert reuse.factorization_reuses > 0
 
+    @pytest.mark.parametrize("stacked_solver", ["sparse", "sparse-batched"])
+    def test_stacked_reuse_matches_per_trial_runs(self, switch_model, stacked_solver):
+        # The stacked run takes newton="reuse" on either sparse backend,
+        # trial for trial the same rounds as a per-trial solve_dc.
+        bench = build_scalability_bench(6, model=switch_model)
+        engine = get_engine(bench.circuit)
+        nominal = engine.solve_dc(solver="sparse")
+        guess = nominal.solution + 0.05
+        mc = MonteCarloEngine(bench.circuit, {"mos_vth": Gaussian(0.002)}, seed=29)
+        stacks = mc.sample_stacked_overlays(4)
+        stacked = engine.solve_dc_batched(
+            stacks, trials=4, initial_guess=guess, refresh=False,
+            solver=stacked_solver, newton="reuse",
+        )
+        references = []
+        for vth in stacks["mos_vth"]:
+            engine.compiled.set_parameter_overlay({"mos_vth": vth})
+            try:
+                references.append(
+                    engine.solve_dc(
+                        initial_guess=guess, refresh=False, solver="sparse",
+                        newton="reuse",
+                    )
+                )
+            finally:
+                engine.compiled.clear_parameter_overlay()
+        assert np.array_equal(
+            stacked.solutions, np.array([r.solution for r in references])
+        )
+        assert stacked.iterations.tolist() == [r.iterations for r in references]
+        assert stacked.factorizations == sum(
+            r.convergence_info.factorizations for r in references
+        )
+        assert stacked.factorization_reuses == sum(
+            r.convergence_info.factorization_reuses for r in references
+        )
+
     def test_batched_transient_reuse_counts(self, switch_model):
         bench = mos_bench(switch_model)
         engine = get_engine(bench.circuit)

@@ -228,7 +228,7 @@ class TestParameterOverlay:
 
         circuit = common_source_circuit()
         engine = get_engine(circuit)
-        engine.solve_dc()  # populate the base-data and source-value caches
+        engine.solve_dc()  # populate the base-data cache
         engine.solve_dc_batched(trials=2)  # and the placement workspace
         assert engine.compiled._base_data_cache
         assert "dense_matrices" in engine.compiled._workspaces
@@ -236,7 +236,6 @@ class TestParameterOverlay:
         restored_compiled = get_engine(restored).compiled
         assert restored_compiled._base_data_cache == {}
         assert restored_compiled._workspaces == {}
-        assert restored_compiled._source_value_cache is None
         # The shipped compiled state still solves without recompiling.
         assert restored_compiled.revision == restored.revision
         assert get_engine(restored).solve_dc().converged

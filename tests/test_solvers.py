@@ -807,47 +807,6 @@ class TestThreadsSelection:
         assert np.array_equal(serial.solutions, threaded.solutions)
 
 
-@requires_scipy
-class TestActiveTrialMask:
-    """``active=`` restricts stacked pattern solves to the flagged trials."""
-
-    def _stacked_systems(self, trials=4):
-        circuit = common_source_circuit()
-        engine = get_engine(circuit)
-        compiled = engine.compiled
-        mc = MonteCarloEngine(circuit, {"mos_vth": Gaussian(0.03)}, seed=13)
-        stacks = mc.sample_stacked_overlays(trials)
-        op = engine.solve_dc()
-        solutions = np.tile(op.solution, (trials, 1))
-        data, rhs = compiled.assemble_sparse_batched(solutions, stacks)
-        return compiled, data, rhs
-
-    def test_solve_pattern_batched_active_subset(self):
-        compiled, data, rhs = self._stacked_systems()
-        solver = BatchedSparseSolver()
-        solver.bind(compiled)
-        full = solver.solve_pattern_batched(data, rhs)
-        mask = np.array([True, False, True, False])
-        partial = solver.solve_pattern_batched(data, rhs, active=mask)
-        # Active rows match the full solve bit for bit; frozen rows are
-        # left exactly zero (the caller scatters results by index).
-        assert np.array_equal(partial[mask], full[mask])
-        assert not partial[~mask].any()
-
-    def test_factorize_pattern_batched_active_subset(self):
-        compiled, data, rhs = self._stacked_systems()
-        solver = BatchedSparseSolver(threads=2)
-        solver.bind(compiled)
-        handles = solver.factorize_pattern_batched(
-            data, active=np.array([False, True, False, True])
-        )
-        assert len(handles) == 4
-        assert handles[0] is None and handles[2] is None
-        reference = solver.solve_pattern_batched(data, rhs)
-        for trial in (1, 3):
-            assert np.array_equal(handles[trial].solve(rhs[trial]), reference[trial])
-
-
 # ---------------------------------------------------------------------- #
 # one column order per topology, checked against plain splu
 # ---------------------------------------------------------------------- #
