@@ -6,15 +6,15 @@ simulator those experiments need, organised around a single compiled
 analysis engine:
 
 * :mod:`repro.spice.netlist` — circuits, nodes, element registration and the
-  legacy per-element ``stamp()`` assembly (kept as the compatibility path
-  and testing oracle);
+  per-element ``stamp()`` assembly (kept as the testing oracle);
 * :mod:`repro.spice.elements` — resistor, capacitor, independent sources,
   the level-1 MOSFET, and the four-terminal switch subcircuit of Fig. 9;
 * :mod:`repro.spice.engine` — the core: :class:`~repro.spice.engine.CompiledCircuit`
   walks a circuit once and emits per-element-class index arrays, so every
-  Newton iteration assembles the Jacobian/RHS with vectorized ``np.add.at``
-  scatter; :class:`~repro.spice.engine.AnalysisEngine` owns the one Newton
-  loop in the package plus its gmin-stepping and source-stepping fallbacks;
+  Newton iteration assembles the Jacobian/RHS with one vectorized scatter
+  into the CSC data of a shared sparsity pattern;
+  :class:`~repro.spice.engine.AnalysisEngine` owns the Newton loops (serial
+  and stacked) plus their gmin-stepping and source-stepping fallbacks;
 * :mod:`repro.spice.solvers` — the *solver seam*: pluggable
   :class:`~repro.spice.solvers.LinearSolver` backends behind every Newton
   iteration's linear solve — dense LAPACK (default), sparse SuperLU reusing
@@ -70,8 +70,11 @@ Typical use::
 Repeated analyses on one circuit (sweeps, parameter studies, Monte Carlo)
 share the compiled structure automatically — :func:`~repro.spice.engine.get_engine`
 caches the engine on the circuit and recompiles only when the topology
-changes.  Custom elements only need ``name`` and ``stamp(system, state)``;
-the engine routes them through the compatibility path unchanged.
+changes.  The engine compiles exactly the built-in :class:`Resistor`,
+:class:`Capacitor`, :class:`MOSFET`, :class:`VoltageSource` and
+:class:`CurrentSource` types; any other element (a subclass included) makes
+the analyses raise ``TypeError``, though :meth:`Circuit.assemble` still
+stamps it.
 """
 
 from repro.spice.netlist import Circuit, GROUND, MNASystem, AnalysisState

@@ -3,7 +3,8 @@
 During compiled transient analysis the engine stamps the companion
 conductances into its cached base matrix (the timestep is fixed) and keeps
 the trapezoidal history currents in one vector for all capacitors;
-``stamp()``/``update_history()`` remain as the reference/compatibility path.
+``stamp()``/``update_history()`` remain as the per-element reference path
+(:meth:`~repro.spice.netlist.Circuit.assemble`).
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ the body effect is absorbed in the threshold voltage of the extracted
 parameters.
 
 The scalar :meth:`MOSFET._evaluate` / :meth:`MOSFET.stamp` pair is the
-reference (and compatibility) path; the analysis engine evaluates whole
+per-element reference path; the analysis engine evaluates whole
 device populations at once through :func:`evaluate_level1_arrays`, which
 mirrors the scalar math element-wise.
 """

@@ -2,8 +2,10 @@
 
 Resistor conductances never change between Newton iterations, so the
 analysis engine folds them into its cached base matrix at compile time;
-``stamp()`` remains as the reference/compatibility path (and is what any
-subclass overriding the element's behavior falls back to).
+``stamp()`` remains as the per-element reference path
+(:meth:`~repro.spice.netlist.Circuit.assemble`).  The engine compiles only
+this exact type: a subclass overriding the element's behavior is rejected
+with ``TypeError``.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 The analysis engine folds the structural +/-1 branch entries of voltage
 sources into its cached base matrix and re-reads each source's waveform on
 every assembly, so ``set_level()`` during sweeps is honoured without
-recompiling; ``stamp()`` remains as the reference/compatibility path.
+recompiling; ``stamp()`` remains as the per-element reference path
+(:meth:`~repro.spice.netlist.Circuit.assemble`).
 """
 
 from __future__ import annotations

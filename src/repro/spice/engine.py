@@ -23,11 +23,14 @@ Compilation notes
   capacitor companion conductances join them during transient analysis.
   Each Newton iteration copies the base and adds only the nonlinear
   (MOSFET) stamps.
-* **Compatibility path.**  Elements whose exact type the compiler does not
-  recognize (including subclasses of the built-in elements that override
-  ``stamp()``) keep working: their ``stamp()`` is called per iteration
-  against an :class:`~repro.spice.netlist.MNASystem` view of the placed
-  dense matrix and right-hand side.
+* **Closed element set.**  The compiler knows exactly five element types
+  (:class:`Resistor`, :class:`Capacitor`, :class:`MOSFET`,
+  :class:`VoltageSource`, :class:`CurrentSource`) and raises ``TypeError``
+  for any other, subclasses included (a subclass may override ``stamp()``).
+  Every compiled circuit therefore has a static sparsity pattern, and the
+  serial and stacked analyses accept the same circuits.  Other elements
+  still stamp through :meth:`~repro.spice.netlist.Circuit.assemble`, the
+  per-element oracle.
 * **Invalidation.**  The compiled structure caches the circuit's
   :attr:`~repro.spice.netlist.Circuit.revision` and recompiles transparently
   when elements or nodes are added.
@@ -53,7 +56,7 @@ from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from repro.spice.netlist import AnalysisState, Circuit, MNASystem
+from repro.spice.netlist import AnalysisState, Circuit
 from repro.spice.elements.capacitor import Capacitor
 from repro.spice.elements.mosfet import MOSFET, evaluate_level1_arrays
 from repro.spice.elements.resistor import Resistor
@@ -363,14 +366,14 @@ class CompiledCircuit:
       vectorized level-1 model of :func:`repro.spice.elements.mosfet.evaluate_level1_arrays`;
     * independent sources become row/node arrays plus waveform references
       (re-read on every assembly, so ``set_level`` during sweeps is honoured);
-    * everything else falls back to the per-element ``stamp()`` path.
+    * any other element, a subclass of these five included, is rejected
+      with ``TypeError``.
 
     Every assembly runs one scatter over the compiled stamps — serial
     (:meth:`_scatter`) or stacked (:meth:`_scatter_batched`) — into the
     CSC data of the topology's :class:`SparsityPattern`.  The sparse
     assemblies return that data; the dense ones place it into a zeroed
-    matrix (custom elements then stamp onto the placed matrix), so dense
-    and sparse results are bit-identical by construction.
+    matrix, so dense and sparse results are bit-identical by construction.
     """
 
     #: Base pattern data retained per (gmin, timestep, integration)
@@ -390,7 +393,6 @@ class CompiledCircuit:
         mosfets: List[MOSFET] = []
         self.voltage_sources: List[VoltageSource] = []
         self.current_sources: List[CurrentSource] = []
-        self.custom_elements: List[object] = []
         for element in circuit.elements:
             kind = type(element)
             if kind is Resistor:
@@ -404,7 +406,12 @@ class CompiledCircuit:
             elif kind is CurrentSource:
                 self.current_sources.append(element)
             else:
-                self.custom_elements.append(element)
+                raise TypeError(
+                    f"element {element.name!r} of type "
+                    f"{kind.__name__} cannot be compiled: the engine analyses "
+                    "only Resistor, Capacitor, MOSFET, VoltageSource and "
+                    "CurrentSource (exact types, not subclasses)"
+                )
 
         # All compiled node indices are stored with ground (-1) remapped to
         # the ghost slot ``size``, so gathers and flat-index scatters need no
@@ -683,23 +690,8 @@ class CompiledCircuit:
         a, b = self.cap_a, self.cap_b
         return (now[..., a] - now[..., b]) - (prev[..., a] - prev[..., b])
 
-    def sparsity_pattern(self) -> Optional["SparsityPattern"]:
-        """The shared CSC pattern of this topology, built once and cached.
-
-        ``None`` for circuits with custom (compatibility-path) elements —
-        their ``stamp()`` can touch arbitrary entries, so no static pattern
-        is safe and the sparse assembly path is unavailable.
-        """
-        if self.custom_elements:
-            return None
-        return self._stamp_pattern()
-
-    def _stamp_pattern(self) -> "SparsityPattern":
-        """The pattern over the compiled stamps, custom elements or not.
-
-        Every assembly scatters into it; custom elements then stamp onto
-        the placed dense matrix, outside the pattern's guarantees.
-        """
+    def sparsity_pattern(self) -> "SparsityPattern":
+        """The shared CSC pattern of this topology, built once and cached."""
         if self._pattern is None:
             self._pattern = SparsityPattern(self)
         return self._pattern
@@ -723,7 +715,7 @@ class CompiledCircuit:
         one-off bumped-gmin retries after a singular solve, which would
         otherwise grow the cache with contexts that are never reused.
         """
-        pattern = self._stamp_pattern()
+        pattern = self.sparsity_pattern()
         key = (gmin, timestep_s, integration if timestep_s is not None else "dc")
         data = self._base_data_cache.get(key)
         if data is not None:
@@ -787,8 +779,7 @@ class CompiledCircuit:
         ready for ``np.linalg.solve``.  The matrix is the pattern data of
         :meth:`_scatter` placed into a zeroed matrix: every entry on the
         pattern is bit-identical to :meth:`assemble_sparse`, every entry off
-        it is exactly zero.  Custom (compatibility-path) elements then stamp
-        onto the placed matrix and right-hand side.
+        it is exactly zero.
 
         ``source_scale`` scales every independent source (used by the
         source-stepping fallback).  ``cap_history`` supplies the trapezoidal
@@ -804,17 +795,10 @@ class CompiledCircuit:
         (identical values either way).
         """
         data, rhs = self._scatter(state, source_scale, cap_history, cache_base, linear_rhs)
-        pattern = self._stamp_pattern()
+        pattern = self.sparsity_pattern()
         matrix = np.zeros((self.size, self.size))
         matrix.reshape(-1)[pattern.dense_pos] = data[: pattern.nnz]
-        rhs = rhs[: self.size]
-        if self.custom_elements:
-            system = MNASystem(
-                self.num_nodes, self.size - self.num_nodes, matrix=matrix, rhs=rhs
-            )
-            for element in self.custom_elements:
-                element.stamp(system, state)
-        return matrix, rhs
+        return matrix, rhs[: self.size]
 
     def assemble_sparse(
         self,
@@ -830,16 +814,8 @@ class CompiledCircuit:
         formed: returns ``(data, rhs)`` where ``data`` is the ``(nnz,)``
         value array of :meth:`sparsity_pattern` and ``rhs`` the
         ghost-trimmed right-hand side.
-
-        Circuits with custom (compatibility-path) elements are rejected:
-        their ``stamp()`` needs the dense matrix view.
         """
         pattern = self.sparsity_pattern()
-        if pattern is None:
-            raise ValueError(
-                "sparse assembly does not support custom (stamp-path) elements; "
-                "assemble these circuits densely"
-            )
         data, rhs = self._scatter(state, source_scale, cap_history, cache_base, linear_rhs)
         return data[: pattern.nnz], rhs[: self.size]
 
@@ -857,7 +833,7 @@ class CompiledCircuit:
         then adds the MOSFET companion stamps at the positions of the
         channel orientation each device takes at ``state.solution``.
         """
-        pattern = self._stamp_pattern()
+        pattern = self.sparsity_pattern()
         data = self._base_data(
             state.gmin, state.timestep_s, state.integration, cache=cache_base
         ).copy()
@@ -1001,20 +977,12 @@ class CompiledCircuit:
         same bits, no per-round allocation churn — at the price that the
         returned arrays are only valid until the next workspace-mode
         assembly.  Direct callers keep the allocating default.
-
-        Circuits with custom (compatibility-path) elements are rejected —
-        their ``stamp()`` cannot be vectorized across trials.
         """
-        if self.custom_elements:
-            raise ValueError(
-                "batched assembly does not support custom (stamp-path) elements; "
-                "run these circuits through the per-trial path"
-            )
         data, rhs = self._scatter_batched(
             solutions, params, gmin, time_s, source_scale, timestep_s, integration,
             previous_solutions, cap_history, linear_rhs, cap_g_rows, reuse_workspace,
         )
-        pattern = self._stamp_pattern()
+        pattern = self.sparsity_pattern()
         trials = data.shape[0]
         cells = self.size * self.size
         if reuse_workspace:
@@ -1175,11 +1143,6 @@ class CompiledCircuit:
         trial ``t``'s parameters.
         """
         pattern = self.sparsity_pattern()
-        if pattern is None:
-            raise ValueError(
-                "sparse assembly does not support custom (stamp-path) elements; "
-                "assemble these circuits densely"
-            )
         data, rhs = self._scatter_batched(
             solutions, params, gmin, time_s, source_scale, timestep_s, integration,
             previous_solutions, cap_history, linear_rhs, cap_g_rows, reuse_workspace,
@@ -1215,7 +1178,7 @@ class CompiledCircuit:
         some trials' gmin, and those rows take the bumped value's uncached
         base exactly like a serial retry.
         """
-        pattern = self._stamp_pattern()
+        pattern = self.sparsity_pattern()
         params = dict(params or {})
         solutions = self._check_solution_stack(solutions)
         trials = solutions.shape[0]
@@ -1412,7 +1375,7 @@ class AnalysisEngine:
         return self.compiled.assemble(state, source_scale=source_scale)
 
     # ------------------------------------------------------------------ #
-    # the Newton loop (the only copy in the package)
+    # the serial Newton loop (_newton_batched is its stacked twin)
     # ------------------------------------------------------------------ #
 
     def _newton(
@@ -1459,8 +1422,7 @@ class AnalysisEngine:
         solver = solver.select(compiled)
         solver.bind(compiled)
         # Pattern-assembly backends (sparse) take CSC data straight from
-        # assemble_sparse — no dense matrix is ever formed.  Circuits with
-        # custom elements have no pattern and keep the dense assembly.
+        # assemble_sparse — no dense matrix is ever formed.
         pattern = (
             compiled.sparsity_pattern() if solver.wants_pattern_assembly else None
         )
@@ -2148,14 +2110,6 @@ class AnalysisEngine:
         compiled.refresh_values()
         for capacitor in compiled.capacitors:
             capacitor.reset()
-        history_elements = [
-            element
-            for element in compiled.custom_elements
-            if callable(getattr(element, "update_history", None))
-        ]
-        for element in history_elements:
-            if callable(getattr(element, "reset", None)):
-                element.reset()
 
         resolved = self._resolve_solver(solver)
         reuse_state = _NewtonReuseState() if _wants_newton_reuse(newton) else None
@@ -2187,7 +2141,6 @@ class AnalysisEngine:
                 lte_tolerance_v=lte_tolerance_v,
                 min_timestep_s=min_timestep_s,
                 max_timestep_s=max_timestep_s,
-                history_elements=history_elements,
                 **controls,
             )
         else:
@@ -2195,7 +2148,6 @@ class AnalysisEngine:
                 initial_solution,
                 stop_time_s,
                 timestep_s,
-                history_elements=history_elements,
                 **controls,
             )
         factorizations, reuses = self._counts_delta(
@@ -2219,7 +2171,6 @@ class AnalysisEngine:
         gmin: float,
         integration: str,
         solver: LinearSolver,
-        history_elements: Sequence[object],
         reuse_state: Optional[_NewtonReuseState] = None,
     ):
         """The historical fixed-step march (bit-compatible parity mode)."""
@@ -2239,11 +2190,6 @@ class AnalysisEngine:
         newton_total = 0
         worst_residual = 0.0
 
-        # Backward Euler keeps no capacitor history, so without history
-        # elements an accepted step has nothing to carry forward.
-        carries_history = bool(history_elements) or (
-            integration == "trap" and compiled.num_capacitors > 0
-        )
         previous_solution = current_solution.copy()
         for step in range(1, steps + 1):
             time = times[step]
@@ -2265,11 +2211,9 @@ class AnalysisEngine:
             worst_residual = max(worst_residual, residual)
             if not converged:
                 all_converged = False
-            if carries_history:
-                cap_history = self._accept_step(
-                    cap_history, solution, previous_solution, time, timestep_s,
-                    integration=integration, gmin=gmin, history_elements=history_elements,
-                )
+            cap_history = self._accept_step(
+                cap_history, solution, previous_solution, timestep_s, integration
+            )
 
             solutions[step] = solution
             previous_solution = solution.copy()
@@ -2300,36 +2244,20 @@ class AnalysisEngine:
         cap_history: np.ndarray,
         solution: np.ndarray,
         previous_solution: np.ndarray,
-        time_s: float,
         timestep_s: float,
-        *,
         integration: str,
-        gmin: float,
-        history_elements: Sequence[object],
     ) -> np.ndarray:
-        """Carry the companion histories past one accepted serial step.
+        """Advance the trapezoidal capacitor history past one accepted step.
 
-        Advances the trapezoidal capacitor history currents (backward Euler
-        keeps none: its companion current only uses the previous voltage,
-        gathered during assembly) and calls ``update_history`` on every
-        custom history element.  Returns the new ``cap_history``.
+        Backward Euler keeps no history (its companion current only uses
+        the previous voltage, gathered during assembly), so it returns
+        ``cap_history`` unchanged.  Returns the new ``cap_history``.
         """
         compiled = self.compiled
-        if integration == "trap" and compiled.num_capacitors:
-            cap_g = compiled._capacitor_conductance(timestep_s, integration)
-            cap_history = cap_g * compiled._cap_dv(solution, previous_solution) - cap_history
-        if history_elements:
-            final_state = AnalysisState(
-                solution=solution,
-                time_s=time_s,
-                timestep_s=timestep_s,
-                previous_solution=previous_solution,
-                integration=integration,
-                gmin=gmin,
-            )
-            for element in history_elements:
-                element.update_history(final_state)
-        return cap_history
+        if integration != "trap" or not compiled.num_capacitors:
+            return cap_history
+        cap_g = compiled._capacitor_conductance(timestep_s, integration)
+        return cap_g * compiled._cap_dv(solution, previous_solution) - cap_history
 
     def _transient_adaptive(
         self,
@@ -2345,7 +2273,6 @@ class AnalysisEngine:
         gmin: float,
         integration: str,
         solver: LinearSolver,
-        history_elements: Sequence[object],
         reuse_state: Optional[_NewtonReuseState] = None,
     ):
         """LTE-controlled adaptive march (accept/reject with step clamps).
@@ -2354,7 +2281,9 @@ class AnalysisEngine:
         the deviation of the corrector solution from a linear predictor
         extrapolated through the two previous accepted points — the
         standard divided-difference estimate, whose leading term matches
-        the integrator's own error order.  Steps whose estimate exceeds
+        the integrator's own error order.  The first step, with only the
+        start point behind it, is checked against that point held
+        constant.  Steps whose estimate exceeds
         ``lte_tolerance_v`` are rejected and retried smaller (never below
         ``min_timestep_s``); accepted steps grow the next proposal by the
         usual safety-factored power law.  Candidate steps are clipped so a
@@ -2428,13 +2357,17 @@ class AnalysisEngine:
                 proposal = max(min_step, dt * 0.25)
                 continue
 
-            if older_solution is not None and previous_dt > 0.0:
+            if older_solution is None:
+                # First step: predict with the start point.  At a DC
+                # operating point every capacitor current, and so every
+                # state derivative, is zero at t = 0, so this is as accurate
+                # as the linear predictor of later steps.
+                predictor = previous_solution
+            else:
                 predictor = previous_solution + (dt / previous_dt) * (
                     previous_solution - older_solution
                 )
-                error = float(np.max(np.abs(solution - predictor)))
-            else:
-                error = 0.0  # no history yet: accept the first step
+            error = float(np.max(np.abs(solution - predictor)))
 
             if error > lte_tolerance_v and can_shrink:
                 rejected += 1
@@ -2454,8 +2387,7 @@ class AnalysisEngine:
             largest_dt = max(largest_dt, dt)
 
             cap_history = self._accept_step(
-                cap_history, solution, previous_solution, time, dt,
-                integration=integration, gmin=gmin, history_elements=history_elements,
+                cap_history, solution, previous_solution, dt, integration
             )
 
             older_solution = previous_solution
@@ -2552,11 +2484,6 @@ class AnalysisEngine:
             raise ValueError("the circuit has no unknowns to solve for")
         _check_transient_arguments(stop_time_s, timestep_s, integration)
         compiled = self.compiled
-        if compiled.custom_elements:
-            raise ValueError(
-                "batched transient does not support custom (stamp-path) elements; "
-                "run these circuits through the per-trial path"
-            )
         if refresh:
             compiled.refresh_values()
         stacks, count = self._parameter_stacks(params, trials)
@@ -2661,9 +2588,9 @@ class AnalysisEngine:
     ) -> None:
         """Mirror the final companion history onto the capacitor elements.
 
-        Keeps the legacy stamp path (the reference oracle) in agreement
+        Keeps the per-element stamp path (the reference oracle) in agreement
         with the engine's state after a transient run, exactly as the
-        per-element ``update_history()`` calls used to leave it.
+        per-element ``update_history()`` calls would leave it.
         """
         compiled = self.compiled
         if not compiled.num_capacitors:

@@ -73,23 +73,14 @@ class AnalysisState:
 class MNASystem:
     """Dense MNA matrix/right-hand-side under assembly for one Newton step.
 
-    ``matrix`` and ``rhs`` may be supplied by the caller so stamps can be
-    accumulated into externally owned buffers; the compiled analysis engine
-    uses this to route legacy ``stamp()`` calls of custom elements into its
-    own assembly arrays.
+    The buffers of :meth:`Circuit.assemble`, the per-element stamp oracle.
     """
 
-    def __init__(
-        self,
-        num_nodes: int,
-        num_branches: int,
-        matrix: Optional[np.ndarray] = None,
-        rhs: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, num_nodes: int, num_branches: int):
         size = num_nodes + num_branches
         self._num_nodes = num_nodes
-        self.matrix = np.zeros((size, size)) if matrix is None else matrix
-        self.rhs = np.zeros(size) if rhs is None else rhs
+        self.matrix = np.zeros((size, size))
+        self.rhs = np.zeros(size)
 
     @property
     def size(self) -> int:
@@ -261,11 +252,12 @@ class Circuit:
     def assemble(self, state: AnalysisState) -> MNASystem:
         """Assemble the MNA system by calling every element's ``stamp()``.
 
-        This is the legacy per-element reference path.  The analyses go
-        through :class:`repro.spice.engine.AnalysisEngine`, which compiles
-        the circuit once and assembles with vectorized scatter operations;
-        this method remains as the compatibility path for custom elements
-        and as the oracle the engine is tested (and benchmarked) against.
+        This is the per-element reference path.  The analyses go through
+        :class:`repro.spice.engine.AnalysisEngine`, which compiles the
+        circuit once and assembles with vectorized scatter operations; this
+        method remains as the oracle the engine is tested (and benchmarked)
+        against.  It stamps any element with a ``stamp()`` method, including
+        the ones the engine refuses to compile.
         """
         system = MNASystem(self.num_nodes, self.num_branches)
         for node in range(self.num_nodes):

@@ -463,11 +463,8 @@ class SparseSolver(LinearSolver):
     and records its COLAMD column order; later ones reuse it instead of
     reordering (:class:`_ColumnOrder`), bit-identically.
 
-    Circuits with custom (compatibility-path) elements have no precomputed
-    pattern and still assemble densely; :meth:`solve` then probes the CSC
-    structure from the first matrix it sees and reuses it for every later
-    solve (a cheap gather plus a nonzero-count guard), only re-probing when
-    a value appears outside the cached structure.
+    :meth:`solve` takes a dense matrix: it gathers the CSC data through the
+    bound pattern, or converts the whole matrix when nothing is bound.
     """
 
     name = "sparse"
@@ -478,84 +475,32 @@ class SparseSolver(LinearSolver):
         _import_scipy_sparse()
         self._bound_key: Optional[Tuple[int, int]] = None
         self._pattern = None  # the compiled circuit's SparsityPattern
-        # Probed CSC structure of the dense fallback path (custom-element
-        # circuits): (rows, cols, indices, indptr, n).
-        self._probed: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]] = None
         #: LU cache over the bound pattern (cleared on every rebind).
         self.factorization_cache = FactorizationCache(cache_capacity)
         # Fill-reducing column order of the bound pattern, from its first
         # factorization (reset on every rebind).
         self._column_order: Optional[_ColumnOrder] = None
-        self._custom_types: Tuple[str, ...] = ()
-        self._warned_reprobe = False
 
     def bind(self, compiled) -> None:
         key = (id(compiled), compiled.revision)
         if key == self._bound_key:
             return
         self._bound_key = key
-        self._pattern = compiled.sparsity_pattern()  # None for custom elements
-        self._probed = None
+        self._pattern = compiled.sparsity_pattern()
         self._column_order = None
         self.factorization_cache.clear()
-        self._custom_types = tuple(
-            sorted({type(e).__name__ for e in compiled.custom_elements})
-        )
-
-    def _csc_from_dense(self, matrix: np.ndarray):
-        """CSC form of a dense matrix without per-call structure analysis.
-
-        Preference order: gather through the bound pattern; gather through
-        the previously probed structure (guarded by a nonzero count — any
-        value outside the cached structure forces a re-probe, so nothing is
-        ever silently dropped); full conversion as the last resort, caching
-        the structure it finds.
-        """
-        sparse, _ = _import_scipy_sparse()
-        n = matrix.shape[0]
-        pattern = self._pattern
-        if pattern is not None and pattern.size == n:
-            data = matrix[pattern.rows, pattern.cols]
-            return sparse.csc_matrix(
-                (data, pattern.indices, pattern.indptr), shape=matrix.shape
-            )
-        probed = self._probed
-        if probed is not None and probed[4] == n:
-            rows, cols, indices, indptr, _ = probed
-            data = matrix[rows, cols]
-            if np.count_nonzero(data) == np.count_nonzero(matrix):
-                return sparse.csc_matrix((data, indices, indptr), shape=matrix.shape)
-            if not self._warned_reprobe:
-                # A value appeared outside the cached structure: some stamp
-                # wanders across matrix positions between iterations, so
-                # every mismatch re-pays a full structure probe.  Say so
-                # once, naming the elements that keep the circuit off the
-                # pattern fast path.
-                offenders = (
-                    ", ".join(self._custom_types)
-                    if self._custom_types
-                    else "unknown (no compiled circuit bound)"
-                )
-                warnings.warn(
-                    "sparse solve is re-probing the CSC structure because a "
-                    "matrix entry appeared outside the previously probed "
-                    "pattern; custom (stamp-path) elements keep this circuit "
-                    f"off the pattern fast path [offending element types: "
-                    f"{offenders}]. Each such mismatch pays a full structure "
-                    "analysis.",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                self._warned_reprobe = True
-        system = sparse.csc_matrix(matrix)
-        indices = system.indices.astype(np.int32, copy=True)
-        indptr = system.indptr.astype(np.int32, copy=True)
-        cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        self._probed = (indices.astype(np.int64), cols, indices, indptr, n)
-        return system
 
     def solve(self, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        lu = _splu(self._csc_from_dense(matrix))
+        sparse, _ = _import_scipy_sparse()
+        pattern = self._pattern
+        if pattern is not None:
+            system = sparse.csc_matrix(
+                (matrix[pattern.rows, pattern.cols], pattern.indices, pattern.indptr),
+                shape=matrix.shape,
+            )
+        else:
+            system = sparse.csc_matrix(matrix)
+        lu = _splu(system)
         self._count_factorizations(1)
         return lu.solve(rhs)
 
@@ -712,8 +657,7 @@ class AutoSolver(LinearSolver):
     file is consulted: ``benchmarks/bench_solvers.py`` measures the
     crossovers, but a run's backend never depends on what it recorded.
 
-    Circuits with custom (compatibility-path) elements have no static
-    sparsity pattern and always select dense.  When SciPy is missing, a
+    When SciPy is missing, a
     selection that would have gone sparse falls back to dense and warns
     once (RuntimeWarning) with the install hint — the run still completes.
     """
@@ -768,9 +712,7 @@ class AutoSolver(LinearSolver):
     def select(self, compiled, trials: Optional[int] = None) -> LinearSolver:
         batched = trials is not None
         threshold = self.batched_crossover if batched else self.crossover
-        want_sparse = (
-            compiled.size >= threshold and compiled.sparsity_pattern() is not None
-        )
+        want_sparse = compiled.size >= threshold
         if want_sparse and not scipy_available():
             if not self._warned_no_scipy:
                 warnings.warn(

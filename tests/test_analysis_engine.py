@@ -67,51 +67,6 @@ class TestCompiledAssemblyParity:
         assert np.allclose(matrix, legacy.matrix, rtol=1e-12, atol=1e-18)
         assert np.allclose(rhs, legacy.rhs, rtol=1e-12, atol=1e-18)
 
-    def test_custom_element_compatibility_path(self):
-        class TwoKilohm:
-            """A custom element only implementing the legacy stamp protocol."""
-
-            name = "x_custom"
-
-            def __init__(self, circuit, node_a, node_b):
-                self._a = circuit.node(node_a)
-                self._b = circuit.node(node_b)
-                circuit.add(self)
-
-            def stamp(self, system, state):
-                system.add_conductance(self._a, self._b, 1.0 / 2e3)
-
-        reference = Circuit()
-        VoltageSource(reference, "v1", "in", "0", 1.0)
-        Resistor(reference, "r1", "in", "out", 1e3)
-        Resistor(reference, "r2", "out", "0", 2e3)
-
-        custom = Circuit()
-        VoltageSource(custom, "v1", "in", "0", 1.0)
-        Resistor(custom, "r1", "in", "out", 1e3)
-        TwoKilohm(custom, "out", "0")
-        assert len(get_engine(custom).compiled.custom_elements) == 1
-
-        expected = get_engine(reference).solve_dc()
-        got = get_engine(custom).solve_dc()
-        assert got.converged
-        assert got.voltage("out") == pytest.approx(expected.voltage("out"), rel=1e-9)
-
-    def test_subclass_falls_back_to_stamp(self):
-        class ScaledResistor(Resistor):
-            def stamp(self, system, state):
-                system.add_conductance(self._node_a, self._node_b, 2.0 * self.conductance)
-
-        circuit = Circuit()
-        VoltageSource(circuit, "v1", "in", "0", 1.0)
-        ScaledResistor(circuit, "r1", "in", "out", 1e3)
-        Resistor(circuit, "r2", "out", "0", 1e3)
-        compiled = get_engine(circuit).compiled
-        assert len(compiled.custom_elements) == 1
-        op = get_engine(circuit).solve_dc()
-        # The subclass behaves as 500 ohm, so the divider sits at 2/3 V.
-        assert op.voltage("out") == pytest.approx(2.0 / 3.0, abs=1e-4)
-
     def test_recompiles_when_circuit_grows(self):
         circuit = Circuit()
         VoltageSource(circuit, "v1", "in", "0", 1.0)
@@ -191,7 +146,84 @@ class TestCompiledAssemblyParity:
         assert compiled.num_capacitors == 2
         assert len(compiled.voltage_sources) == 2
         assert len(compiled.current_sources) == 1
-        assert not compiled.custom_elements
+
+
+class TwoKilohm:
+    """An element implementing only the ``stamp()`` protocol: 2 kOhm."""
+
+    name = "x_two_kilohm"
+
+    def __init__(self, circuit, node_a, node_b):
+        self._a = circuit.node(node_a)
+        self._b = circuit.node(node_b)
+        circuit.add(self)
+
+    def stamp(self, system, state):
+        system.add_conductance(self._a, self._b, 1.0 / 2e3)
+
+
+class DoubledResistor(Resistor):
+    """A subclass whose ``stamp()`` doubles the conductance."""
+
+    def stamp(self, system, state):
+        system.add_conductance(self._node_a, self._node_b, 2.0 * self.conductance)
+
+
+class TestClosedElementSet:
+    """The engine compiles exactly the five built-in element types."""
+
+    @staticmethod
+    def divider(lower):
+        circuit = Circuit()
+        VoltageSource(circuit, "v1", "in", "0", 1.0)
+        Resistor(circuit, "r1", "in", "out", 1e3)
+        lower(circuit)
+        Capacitor(circuit, "c1", "out", "0", 1e-12)
+        return circuit
+
+    CASES = {
+        "protocol-only": (
+            lambda c: TwoKilohm(c, "out", "0"),
+            lambda c: Resistor(c, "r2", "out", "0", 2e3),
+            "'x_two_kilohm' of type TwoKilohm",
+        ),
+        "subclass": (
+            lambda c: DoubledResistor(c, "r2", "out", "0", 1e3),
+            lambda c: Resistor(c, "r2", "out", "0", 500.0),
+            "'r2' of type DoubledResistor",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize(
+        "analysis",
+        [
+            lambda engine: engine.solve_dc(),
+            lambda engine: engine.solve_transient(1e-9, 1e-10),
+            lambda engine: engine.solve_dc_batched(trials=2),
+            lambda engine: engine.solve_transient_batched(1e-9, 1e-10, trials=2),
+        ],
+        ids=["solve_dc", "solve_transient", "solve_dc_batched", "solve_transient_batched"],
+    )
+    def test_analyses_reject_uncompiled_elements(self, case, analysis):
+        element, _, named = self.CASES[case]
+        engine = get_engine(self.divider(element))
+        with pytest.raises(TypeError, match=named):
+            analysis(engine)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stamp_oracle_still_assembles_them(self, case):
+        element, equivalent, _ = self.CASES[case]
+        state = AnalysisState(
+            solution=np.array([1.0, 0.4, 0.0]),
+            timestep_s=1e-10,
+            previous_solution=np.array([1.0, 0.3, 0.0]),
+            gmin=1e-9,
+        )
+        got = self.divider(element).assemble(state)
+        expected = self.divider(equivalent).assemble(state)
+        assert np.array_equal(got.matrix, expected.matrix)
+        assert np.array_equal(got.rhs, expected.rhs)
 
 
 RC_OHM = 1e3
@@ -211,6 +243,25 @@ def rc_ramp_exact(time_s):
     return np.where(t <= RC_TAU_S, ramp, tail)
 
 
+def rc_ramp_transient(integration, timestep_s, **options):
+    """The RC low-pass on the 0 -> 1 V ramp, run for 3 tau with ``gmin=0``.
+
+    Returns the result and its maximum error against :func:`rc_ramp_exact`.
+    """
+    circuit = Circuit("rc")
+    VoltageSource(
+        circuit, "vin", "in", "0", Pulse(0.0, 1.0, rise_s=RC_TAU_S, width_s=10 * RC_TAU_S)
+    )
+    Resistor(circuit, "r", "in", "out", RC_OHM)
+    Capacitor(circuit, "c", "out", "0", RC_FARAD)
+    result = get_engine(circuit).solve_transient(
+        3 * RC_TAU_S, timestep_s, integration=integration, gmin=0.0, **options
+    )
+    assert result.converged
+    error = float(np.max(np.abs(result.voltage("out") - rc_ramp_exact(result.time_s))))
+    return result, error
+
+
 class TestIntegrationOrder:
     """Observed convergence order of the fixed-step transient on an analytic RC.
 
@@ -222,17 +273,7 @@ class TestIntegrationOrder:
 
     @staticmethod
     def max_error(integration, timestep_s):
-        circuit = Circuit("rc")
-        VoltageSource(
-            circuit, "vin", "in", "0", Pulse(0.0, 1.0, rise_s=RC_TAU_S, width_s=10 * RC_TAU_S)
-        )
-        Resistor(circuit, "r", "in", "out", RC_OHM)
-        Capacitor(circuit, "c", "out", "0", RC_FARAD)
-        result = get_engine(circuit).solve_transient(
-            3 * RC_TAU_S, timestep_s, integration=integration, gmin=0.0
-        )
-        assert result.converged
-        return float(np.max(np.abs(result.voltage("out") - rc_ramp_exact(result.time_s))))
+        return rc_ramp_transient(integration, timestep_s)[1]
 
     @pytest.mark.parametrize(
         "integration, low, high", [("be", 0.9, 1.1), ("trap", 1.8, 2.2)]
@@ -242,6 +283,34 @@ class TestIntegrationOrder:
         errors = [self.max_error(integration, step) for step in steps]
         orders = [np.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
         assert all(low <= order <= high for order in orders), orders
+
+
+class TestAdaptiveController:
+    """The LTE controller on the analytic RC, from an initial step of tau/10.
+
+    Every step is checked against a predictor, the first one included, so
+    tightening ``lte_tolerance_v`` tightens the observed error and the
+    initial proposal is cut down to what the tolerance allows.
+    """
+
+    TOLERANCES_V = (2e-3, 5e-4, 1e-4)
+
+    @staticmethod
+    def run(integration, tolerance_v):
+        return rc_ramp_transient(
+            integration, RC_TAU_S / 10, adaptive=True, lte_tolerance_v=tolerance_v
+        )
+
+    def test_trap_error_follows_the_tolerance(self):
+        errors = [self.run("trap", tol)[1] for tol in self.TOLERANCES_V]
+        assert all(error <= tol for error, tol in zip(errors, self.TOLERANCES_V)), errors
+        assert errors[-1] * 10.0 <= errors[0], errors
+
+    @pytest.mark.parametrize("integration", ["be", "trap"])
+    def test_first_step_is_checked(self, integration):
+        for tol in self.TOLERANCES_V:
+            result, _ = self.run(integration, tol)
+            assert result.time_s[1] < RC_TAU_S / 10
 
 
 class TestSolverFallbacks:

@@ -260,19 +260,6 @@ class TestSolveTransientBatched:
         assert batched.max_residuals[1] == reference.max_residual
         assert batched.voltage("mid")[[0, 2, 3]] == pytest.approx([0.75] * 3, rel=1e-6)
 
-    def test_rejects_custom_elements(self):
-        class OddResistor(Resistor):
-            def stamp(self, system, state):  # compatibility path
-                super().stamp(system, state)
-
-        circuit = pulsed_amplifier()
-        OddResistor(circuit, "rx", "d", "0", 1e6)
-        engine = get_engine(circuit)
-        with pytest.raises(ValueError, match="custom"):
-            engine.solve_transient_batched(
-                STOP_S, STEP_S, {"mos_vth": np.full((2, 1), 0.18)}
-            )
-
     def test_rejects_bad_arguments(self):
         circuit = pulsed_amplifier()
         engine = get_engine(circuit)

@@ -18,6 +18,7 @@ from repro.analysis.waveform_metrics import edge_times, steady_state_levels
 from repro.api import CircuitSpec, DCOp, Session, Transient
 from repro.circuits import build_scalability_bench
 from repro.core.evaluation import evaluate_lattice
+from repro.experiments.fig9_switch_model import run_fig9
 from repro.experiments.fig11_xor3_transient import build_fig11_bench
 from repro.experiments.fig12_series_switches import run_fig12, run_fig12_drive_curves
 from repro.experiments.variability_xor3 import (
@@ -31,6 +32,26 @@ from repro.spice.solvers import scipy_available
 
 FIG11_FACTORY = "repro.experiments.fig11_xor3_transient:build_fig11_bench"
 LATTICE_FACTORY = "repro.circuits.lattice_netlist:build_scalability_bench"
+
+#: Fig. 9 (square HfO2 switch model, 1.2 V): the DC current through each
+#: terminal pair with the gate at the supply (on) and at 0 V (off), the
+#: other two terminals floating.  Serial dense Newton on a small circuit.
+FIG9_CURRENTS_ON_A = {
+    ("T1", "T3"): 7.853960852522827e-05,
+    ("T1", "T4"): 7.853960852522827e-05,
+    ("T2", "T3"): 7.853960852522827e-05,
+    ("T2", "T4"): 7.853960852522827e-05,
+    ("T1", "T2"): 7.237665149355157e-05,
+    ("T3", "T4"): 7.237665149355157e-05,
+}
+FIG9_CURRENTS_OFF_A = {
+    ("T1", "T3"): 2.2566912187433845e-09,
+    ("T1", "T4"): 2.2566912187433845e-09,
+    ("T2", "T3"): 2.2566912187433845e-09,
+    ("T2", "T4"): 2.2566912187433845e-09,
+    ("T1", "T2"): 2.248858923864168e-09,
+    ("T3", "T4"): 2.248858923864168e-09,
+}
 
 #: Fig. 11 (default bench, 1 ns fixed backward-Euler step): Newton
 #: iterations of the whole march and the output's first rise (10-90 %) and
@@ -284,6 +305,13 @@ class TestModifiedNewtonGolden:
             info.factorization_reuses,
         ) == REUSE_TRANSIENT_COUNTS
         assert _sha256(result.solutions) == REUSE_TRANSIENT_SHA256
+
+
+class TestFig9Golden:
+    def test_pair_currents(self):
+        result = run_fig9()
+        assert result.pair_currents_on == FIG9_CURRENTS_ON_A
+        assert result.pair_currents_off == FIG9_CURRENTS_OFF_A
 
 
 class TestFig12Golden:

@@ -191,30 +191,6 @@ class TestSparseBackendParity:
             patterned.solve(matrix, rhs), fallback.solve(matrix, rhs), atol=1e-12
         )
 
-    def test_custom_element_falls_back_to_conversion(self):
-        class TwoKilohm:
-            name = "x_custom"
-
-            def __init__(self, circuit, node_a, node_b):
-                self._a = circuit.node(node_a)
-                self._b = circuit.node(node_b)
-                circuit.add(self)
-
-            def stamp(self, system, state):
-                system.add_conductance(self._a, self._b, 1.0 / 2e3)
-
-        circuit = Circuit()
-        VoltageSource(circuit, "v1", "in", "0", 1.0)
-        Resistor(circuit, "r1", "in", "out", 1e3)
-        TwoKilohm(circuit, "out", "0")
-        op = get_engine(circuit).solve_dc(solver="sparse")
-        assert op.converged
-        # gmin (1e-9 S per node) pulls the ideal 2/3 V divider down by a
-        # few hundred nanovolts; dense and sparse must agree exactly there.
-        dense = get_engine(circuit).solve_dc(solver="dense")
-        assert op.voltage("out") == pytest.approx(2.0 / 3.0, abs=1e-5)
-        assert op.voltage("out") == pytest.approx(dense.voltage("out"), abs=1e-12)
-
     def test_singular_system_reports_nonconvergence_like_dense(self):
         circuit = Circuit()
         VoltageSource(circuit, "v1", "a", "0", 1.0)
@@ -265,24 +241,6 @@ class TestAutoSolver:
         if scipy_available():
             assert isinstance(at.select(compiled), SparseSolver)
         assert isinstance(above.select(compiled), DenseSolver)
-
-    def test_custom_elements_always_select_dense(self):
-        class Probe:
-            name = "x_probe"
-
-            def __init__(self, circuit):
-                self._node = circuit.node("d")
-                circuit.add(self)
-
-            def stamp(self, system, state):
-                system.add_conductance(self._node, -1, 1e-9)
-
-        circuit = common_source_circuit()
-        Probe(circuit)
-        compiled = get_engine(circuit).compiled
-        auto = AutoSolver(crossover=1, batched_crossover=1)
-        assert isinstance(auto.select(compiled), DenseSolver)
-        assert isinstance(auto.select(compiled, trials=3), BatchedDenseSolver)
 
     def test_env_crossover_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_SOLVER_CROSSOVER", "7")
@@ -667,22 +625,6 @@ class TestBatchedMonteCarlo:
             engine.solve_dc_batched({})
         with pytest.raises(ValueError, match="initial guess"):
             engine.solve_dc_batched(trials=2, initial_guess=np.zeros(99))
-
-    def test_custom_elements_rejected(self):
-        class Probe:
-            name = "x_probe"
-
-            def __init__(self, circuit):
-                self._node = circuit.node("d")
-                circuit.add(self)
-
-            def stamp(self, system, state):
-                system.add_conductance(self._node, -1, 1e-9)
-
-        circuit = common_source_circuit()
-        Probe(circuit)
-        with pytest.raises(ValueError, match="custom"):
-            get_engine(circuit).solve_dc_batched(trials=2)
 
     def test_batched_xor3_lattice_parity(self, switch_model):
         # The acceptance circuit: a >=8-trial XOR3 study through both paths.

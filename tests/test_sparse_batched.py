@@ -103,50 +103,6 @@ class TestSparsityPattern:
         assert np.array_equal(scatter_dense(pattern, data), matrix)
         assert np.array_equal(sparse_rhs, rhs)
 
-    def test_custom_elements_have_no_pattern(self):
-        class Probe:
-            name = "x_probe"
-
-            def __init__(self, circuit):
-                self._node = circuit.node("d")
-                circuit.add(self)
-
-            def stamp(self, system, state):
-                system.add_conductance(self._node, -1, 1e-9)
-
-        circuit = pulsed_amplifier()
-        Probe(circuit)
-        compiled = get_engine(circuit).compiled
-        assert compiled.sparsity_pattern() is None
-        op_state = AnalysisState(solution=np.zeros(circuit.system_size), gmin=1e-9)
-        with pytest.raises(ValueError, match="custom"):
-            compiled.assemble_sparse(op_state)
-        with pytest.raises(ValueError, match="custom"):
-            compiled.assemble_sparse_batched(np.zeros((2, circuit.system_size)))
-
-
-class TwoKilohm:
-    """A custom element only implementing the legacy stamp protocol."""
-
-    name = "x_custom"
-
-    def __init__(self, circuit, node_a, node_b):
-        self._a = circuit.node(node_a)
-        self._b = circuit.node(node_b)
-        circuit.add(self)
-
-    def stamp(self, system, state):
-        system.add_conductance(self._a, self._b, 1.0 / 2e3)
-
-
-def custom_divider():
-    circuit = Circuit()
-    VoltageSource(circuit, "v1", "in", "0", 1.0)
-    Resistor(circuit, "r1", "in", "out", 1e3)
-    TwoKilohm(circuit, "out", "0")
-    Capacitor(circuit, "c1", "out", "0", 1e-12)
-    return circuit
-
 
 def analysis_state(circuit, kind, rng):
     """A DC, backward-Euler or trapezoidal state at a random iterate."""
@@ -191,26 +147,6 @@ class TestDensePlacement:
         data, sparse_rhs = compiled.assemble_sparse(state)
         assert np.array_equal(matrix[pattern.rows, pattern.cols], data)
         assert np.array_equal(rhs, sparse_rhs)
-
-    @pytest.mark.parametrize("kind", ["dc", "be", "trap"])
-    def test_custom_element_placement_matches_stamp_oracle(self, kind):
-        rng = np.random.default_rng(8)
-        circuit = with_cap_history(custom_divider(), rng)
-        compiled = get_engine(circuit).compiled
-        assert compiled.sparsity_pattern() is None
-        state = analysis_state(circuit, kind, rng)
-        matrix, rhs = compiled.assemble(state)
-        oracle = circuit.assemble(state)
-        assert np.allclose(matrix, oracle.matrix, rtol=1e-12, atol=1e-18)
-        assert np.allclose(rhs, oracle.rhs, rtol=1e-12, atol=1e-18)
-        # Off the compiled stamps' pattern and off the custom element's
-        # cells ((out, out) for a conductance to ground) it is exactly zero.
-        pattern = compiled._stamp_pattern()
-        covered = np.zeros(matrix.shape, dtype=bool)
-        covered[pattern.rows, pattern.cols] = True
-        out = circuit.node_index("out")
-        covered[out, out] = True
-        assert np.all(matrix[~covered] == 0.0)
 
     @pytest.mark.parametrize("kind", ["dc", "be", "trap"])
     def test_batched_rows_match_serial_dense_assembly(self, switch_model, kind):
