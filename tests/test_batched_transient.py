@@ -403,6 +403,14 @@ class TestStackedFailuresMatchSerial:
                 engine.compiled.clear_parameter_overlay()
         assert batched.strategies == ("batched-newton", "batched-newton")
         assert references[1].iterations == 4
+        # Each serial run counts its singular round's factorization once: a
+        # dense run factorizes every round, a sparse run factorizes once and
+        # serves the bitwise-unchanged linear system from its cache after.
+        expected_counts = [(3, 0), (4, 0)] if serial_solver == "dense" else [(1, 2), (1, 2)]
+        assert [
+            (r.convergence_info.factorizations, r.convergence_info.factorization_reuses)
+            for r in references
+        ] == expected_counts
         for trial, reference in enumerate(references):
             assert reference.convergence_info.strategy == "newton"
             assert np.array_equal(batched.solutions[trial], reference.solution)

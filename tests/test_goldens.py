@@ -21,9 +21,11 @@ from repro.core.evaluation import evaluate_lattice
 from repro.experiments.fig9_switch_model import run_fig9
 from repro.experiments.fig11_xor3_transient import build_fig11_bench
 from repro.experiments.fig12_series_switches import run_fig12, run_fig12_drive_curves
+from repro.experiments.terminal_configurations import run_terminal_configuration_sweep
 from repro.experiments.variability_xor3 import (
     DEFAULT_SIGMA_BETA,
     DEFAULT_SIGMA_VTH_V,
+    run_variability_xor3,
     variability_circuit_spec,
 )
 from repro.spice.engine import get_engine
@@ -153,6 +155,70 @@ FIG12_DRIVE_CURVES = {
     1.2: ("29c1e89cbf9e75ca2796b3de1fa736f33ebc6f297a72377c855aeb846d408bdb", 89),
     1.5: ("076c2b3fc01fec85a072f524450e31ff1818e0fdb690ffe0df6c9ccfe105f43e", 87),
     1.8: ("c6373957d99781afbedbdf22a0c69548f2d829bab25ff5f428642a5caf66e9fc", 82),
+}
+
+#: The sixteen drain/source/float terminal configurations of the default
+#: square HfO2 device: total drain current with the gate on and off.
+TERMINAL_ON_CURRENTS_A = {
+    "DSFF": 0.0006793096793950653,
+    "SFDF": 0.0007444890543812178,
+    "DSSS": 0.0011476327738083045,
+    "SDSS": 0.0011476327738083045,
+    "SSDS": 0.0011476327738083045,
+    "SSSD": 0.0011476327738083045,
+    "DDSS": 0.0016996341057135482,
+    "SDDS": 0.001445448494759835,
+    "DSDS": 0.001445448494759835,
+    "DSSD": 0.001445448494759835,
+    "SDSD": 0.001445448494759835,
+    "SSDD": 0.0016996341057135482,
+    "DDDS": 0.0011476327738083045,
+    "SDDD": 0.0011476327738083045,
+    "DDSD": 0.0011476327738083045,
+    "DSDD": 0.0011476327738083045,
+}
+TERMINAL_OFF_CURRENTS_A = {
+    "DSFF": 1.2028527344882522e-09,
+    "SFDF": 1.2041803909203366e-09,
+    "DSSS": 1.2110034044546872e-09,
+    "SDSS": 1.2110034044546872e-09,
+    "SSDS": 1.2110034044546872e-09,
+    "SSSD": 1.2110034044546872e-09,
+    "DDSS": 1.61630133993287e-09,
+    "SDDS": 1.6138561389429395e-09,
+    "DSDS": 1.6138561389429395e-09,
+    "DSSD": 1.6138561389429395e-09,
+    "SDSD": 1.6138561389429395e-09,
+    "SSDD": 1.61630133993287e-09,
+    "DDDS": 1.2110034044546872e-09,
+    "SDDD": 1.2110034044546872e-09,
+    "DDSD": 1.2110034044546872e-09,
+    "DSDD": 1.2110034044546872e-09,
+}
+
+#: The XOR3 variability study at its default seed, per run configuration:
+#: the sha256 of the per-trial metric columns (sorted metric names, one row
+#: per metric, trials in order), the rise, fall and swing summaries as
+#: ``(count, invalid, mean, std, minimum, maximum, percentiles)`` and the
+#: functional yield.  ``trials=8`` is the lockstep batched march;
+#: ``trials=4, adaptive=True`` runs every trial through the serial
+#: adaptive march.
+VARIABILITY_METRIC_KEYS = ["converged", "fall_time_s", "high_v", "low_v", "rise_time_s", "swing_v"]
+VARIABILITY_STUDY_GOLDENS = {
+    (8, False): {
+        "sha256": "f6dda55005530021f2c2b1f9330f35dc87d1ad1b6f66c503235cfcf316ec8616",
+        "rise_summary": (8, 0, 1.5201305674113556e-08, 3.687166862361377e-11, 1.5120801976069655e-08, 1.5244053055138438e-08, {1.0: 1.5124573141597447e-08, 5.0: 1.5139657803708617e-08, 25.0: 1.5191539076270658e-08, 50.0: 1.520816625925934e-08, 75.0: 1.5227318156425042e-08, 95.0: 1.5239658271360034e-08, 99.0: 1.5243174098382757e-08}),
+        "fall_summary": (8, 0, 1.7398538246862408e-09, 7.6084451597005e-12, 1.7278719353800214e-09, 1.7517906403754707e-09, {1.0: 1.7279374574194845e-09, 5.0: 1.7281995455773371e-09, 25.0: 1.736944733952988e-09, 50.0: 1.7404182336382975e-09, 75.0: 1.7443453792600292e-09, 95.0: 1.7498021155049862e-09, 99.0: 1.7513929354013737e-09}),
+        "swing_summary": (8, 0, 1.1322439383963108, 0.0008111188262470614, 1.1310712391683642, 1.133883991356548, {1.0: 1.131087294640249, 5.0: 1.1311515165277881, 25.0: 1.1318192784862071, 50.0: 1.1322615778518557, 75.0: 1.1325672912511457, 95.0: 1.133447172991736, 99.0: 1.1337966276835856}),
+        "yield": 1.0,
+    },
+    (4, True): {
+        "sha256": "33a6c72fdbeb62383c2dc849cb8feb1522ebde69d46a11a7d76819e80fc97c1b",
+        "rise_summary": (4, 0, 1.4523805039459942e-08, 2.3077771397858008e-11, 1.4500179729128547e-08, 1.4549971255999703e-08, {1.0: 1.4500219561137882e-08, 5.0: 1.450037888917522e-08, 25.0: 1.4501175529361907e-08, 50.0: 1.452253458635576e-08, 75.0: 1.4545164096453794e-08, 95.0: 1.454900982409052e-08, 99.0: 1.4549778969617866e-08}),
+        "fall_summary": (4, 0, 9.946337425764641e-10, 1.0199314363067012e-11, 9.803044756029553e-10, 1.0090977882536323e-09, {1.0: 9.807058497138256e-10, 5.0: 9.823113461573073e-10, 25.0: 9.90338828374715e-10, 50.0: 9.945663532246345e-10, 75.0: 9.988612674263835e-10, 95.0: 1.0070504840881826e-09, 99.0: 1.0086883274205425e-09}),
+        "swing_summary": (4, 0, 1.1220661597221038, 0.001995342674872802, 1.1193932083682636, 1.1240785651152814, {1.0: 1.1194382403215557, 5.0: 1.119618368134724, 25.0: 1.1205190072005655, 50.0: 1.122396432702435, 75.0: 1.1239435852239734, 95.0: 1.1240515691370199, 99.0: 1.124073165919629}),
+        "yield": 1.0,
+    },
 }
 
 
@@ -328,3 +394,35 @@ class TestFig12Golden:
             digest, iterations = FIG12_DRIVE_CURVES[gate_v]
             assert _sha256(result.arrays["solutions"]) == digest
             assert result.newton_iterations == iterations
+
+
+class TestTerminalConfigurationGolden:
+    def test_on_and_off_currents(self):
+        result = run_terminal_configuration_sweep()
+        assert result.on_currents_a == TERMINAL_ON_CURRENTS_A
+        assert result.off_currents_a == TERMINAL_OFF_CURRENTS_A
+
+
+class TestVariabilityStudyGolden:
+    @pytest.mark.parametrize("trials, adaptive", list(VARIABILITY_STUDY_GOLDENS))
+    def test_metrics_summaries_and_yield(self, trials, adaptive):
+        golden = VARIABILITY_STUDY_GOLDENS[(trials, adaptive)]
+        result = run_variability_xor3(trials=trials, adaptive=adaptive)
+        records = result.montecarlo.records
+        assert sorted(records[0]) == VARIABILITY_METRIC_KEYS
+        columns = np.array(
+            [[record[key] for record in records] for key in VARIABILITY_METRIC_KEYS]
+        )
+        assert _sha256(columns) == golden["sha256"]
+        for name in ("rise_summary", "fall_summary", "swing_summary"):
+            summary = getattr(result, name)
+            assert (
+                summary.count,
+                summary.invalid,
+                summary.mean,
+                summary.std,
+                summary.minimum,
+                summary.maximum,
+                summary.percentiles,
+            ) == golden[name]
+        assert result.functional_yield() == golden["yield"]
