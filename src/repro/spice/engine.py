@@ -1,14 +1,17 @@
 """The unified analysis engine: compiled sparse stamping and batched sweeps.
 
 All analyses (DC operating point, DC sweeps, transient) run through one
-:class:`AnalysisEngine`, which owns the Newton-Raphson loop and its
-convergence fallbacks (gmin stepping, source stepping).  The engine compiles
-a :class:`~repro.spice.netlist.Circuit` once into per-element-class index
-arrays (:class:`CompiledCircuit`) so each Newton iteration assembles the
-Jacobian and right-hand side with one vectorized scatter into the CSC data
-of a :class:`SparsityPattern` instead of per-element Python ``stamp()``
-calls.  The sparse solvers take that data as is; the dense ones get it
-placed into a zeroed ``(n, n)`` matrix.
+:class:`AnalysisEngine`, which owns the Newton-Raphson loops and the DC
+convergence fallbacks (gmin stepping, source stepping).  The DC policy —
+plain Newton with its stall rule, then the fallback ladders — lives in one
+driver over a stack of trials; a serial DC solve is its stack of one.  The
+engine compiles a :class:`~repro.spice.netlist.Circuit` once into
+per-element-class index arrays (:class:`CompiledCircuit`) so each Newton
+iteration assembles the Jacobian and right-hand side with one vectorized
+kernel — for one ``(n,)`` iterate or a ``(trials, n)`` stack — into the
+CSC data of a :class:`SparsityPattern` instead of per-element Python
+``stamp()`` calls.  The sparse solvers take that data as is; the dense ones
+get it placed into a zeroed ``(n, n)`` matrix.
 
 Compilation notes
 -----------------
@@ -72,6 +75,9 @@ GMIN_LADDER: Tuple[float, ...] = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 #: so their answer does not depend on when the plain run stopped).  Ladder
 #: rungs and transient steps keep their full ``max_iterations`` budget.
 NEWTON_STALL_ROUNDS = 20
+
+#: Signs of a resistor's four static stamps (a-a, b-b, a-b, b-a).
+_RESISTOR_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 #: Source scale ladder of the source-stepping fallback (ramped to full drive).
 SOURCE_LADDER: Tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 1.0)
@@ -369,9 +375,9 @@ class CompiledCircuit:
     * any other element, a subclass of these five included, is rejected
       with ``TypeError``.
 
-    Every assembly runs one scatter over the compiled stamps — serial
-    (:meth:`_scatter`) or stacked (:meth:`_scatter_batched`) — into the
-    CSC data of the topology's :class:`SparsityPattern`.  The sparse
+    Every assembly runs one kernel over the compiled stamps
+    (:meth:`_scatter`, on one iterate or a stack of them) into the CSC
+    data of the topology's :class:`SparsityPattern`.  The sparse
     assemblies return that data; the dense ones place it into a zeroed
     matrix, so dense and sparse results are bit-identical by construction.
     """
@@ -444,12 +450,16 @@ class CompiledCircuit:
 
         self.is_plus = np.array([gi(s._node_plus) for s in self.current_sources], dtype=int)
         self.is_minus = np.array([gi(s._node_minus) for s in self.current_sources], dtype=int)
+        #: RHS rows of the current-source stamps (plus nodes, then minus).
+        self._is_rows = np.concatenate((self.is_plus, self.is_minus))
 
         self.capacitors = capacitors
         self.cap_a = np.array([gi(c._node_a) for c in capacitors], dtype=int)
         self.cap_b = np.array([gi(c._node_b) for c in capacitors], dtype=int)
         self.cap_c = np.array([c.capacitance_f for c in capacitors], dtype=float)
         self.cap_v0 = np.array([c.initial_voltage_v for c in capacitors], dtype=float)
+        #: RHS rows of the capacitor history currents (a nodes, then b).
+        self._cap_rows = np.concatenate((self.cap_a, self.cap_b))
 
         self.mos_d = np.array([gi(m._drain) for m in mosfets], dtype=int)
         self.mos_g = np.array([gi(m._gate) for m in mosfets], dtype=int)
@@ -606,11 +616,7 @@ class CompiledCircuit:
                     [r.conductance for r in self.resistors], dtype=float
                 )
             n4 = 4 * len(self.resistors)
-            new_vals = np.empty(n4)
-            new_vals[0::4] = conductances
-            new_vals[1::4] = conductances
-            new_vals[2::4] = -conductances
-            new_vals[3::4] = -conductances
+            new_vals = (conductances[:, None] * _RESISTOR_SIGNS).ravel()
             if not np.array_equal(new_vals, self._static_vals[:n4]):
                 self._static_vals = np.concatenate((new_vals, self._static_vals[n4:]))
                 self._base_data_cache.clear()
@@ -677,18 +683,20 @@ class CompiledCircuit:
             return factor * self.cap_c / timestep_s
         return factor * np.asarray(cap_c, dtype=float) / timestep_s
 
-    def _cap_dv(self, now: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    def _cap_voltage(self, iterate: np.ndarray) -> np.ndarray:
+        """Capacitor voltages ``v(a) - v(b)``: ``(C,)`` or ``(trials, C)``."""
+        padded = self._pad(iterate)
+        return padded.take(self.cap_a, axis=-1) - padded.take(self.cap_b, axis=-1)
+
+    def _cap_dv(self, now: np.ndarray, prev: Optional[np.ndarray]) -> np.ndarray:
         """Capacitor voltage change from ``prev`` to ``now``.
 
         Takes ``(n,)`` iterates or ``(trials, n)`` stacks and returns
-        ``(C,)`` or ``(trials, C)``; a grounded terminal reads the zero
-        ghost slot.
+        ``(C,)`` or ``(trials, C)``.  ``prev=None`` (a march from initial
+        conditions) reads the previous voltages from :attr:`cap_v0`.
         """
-        ghost = np.zeros(now.shape[:-1] + (1,))
-        now = np.concatenate((now, ghost), axis=-1)
-        prev = np.concatenate((prev, ghost), axis=-1)
-        a, b = self.cap_a, self.cap_b
-        return (now[..., a] - now[..., b]) - (prev[..., a] - prev[..., b])
+        before = self.cap_v0 if prev is None else self._cap_voltage(prev)
+        return self._cap_voltage(now) - before
 
     def sparsity_pattern(self) -> "SparsityPattern":
         """The shared CSC pattern of this topology, built once and cached."""
@@ -707,9 +715,10 @@ class CompiledCircuit:
 
         A ``(nnz + 1,)`` array (trailing trash slot for ghost entries)
         accumulated in a fixed order: static entries, then the gmin
-        diagonal, then the capacitor companions.  The batched scatter's
-        perturbed-parameter path repeats that order per trial, so a trial's
-        linear part is bit-identical to this base under its overlay.
+        diagonal, then the capacitor companions.  The stacked
+        perturbed-parameter path (:meth:`_stacked_linear_data`) repeats
+        that order per trial, so a trial's linear part is bit-identical to
+        this base under its overlay.
 
         ``cache=False`` builds the base without retaining it — used for the
         one-off bumped-gmin retries after a singular solve, which would
@@ -758,12 +767,28 @@ class CompiledCircuit:
 
         return values(self.voltage_sources), values(self.current_sources)
 
-    def _pad(self, vector: np.ndarray) -> np.ndarray:
-        """Append the ghost (ground) slot so index -1 gathers 0."""
-        padded = np.empty(self.size + 1)
-        padded[: self.size] = vector
-        padded[self.size] = 0.0
+    def _pad(self, iterate: np.ndarray) -> np.ndarray:
+        """Append the ghost (ground) slot so index -1 gathers 0.
+
+        A ``(trials, n)`` stack pads into a reused workspace: callers only
+        gather (copy) from it before the next pad.
+        """
+        if iterate.ndim == 1:
+            padded = np.empty(self._ghost)
+        else:
+            padded = self._workspace("padded", iterate.shape[0], self._ghost)
+        padded[..., : self.size] = iterate
+        padded[..., self.size] = 0.0
         return padded
+
+    @staticmethod
+    def _add_rows(target: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+        """``target[..., index] += values`` for ``(width,)`` or ``(trials,
+        width)`` targets; every row accumulates repeated indices in order."""
+        if target.ndim == 1:
+            np.add.at(target, index, values)
+        else:
+            np.add.at(target, (np.arange(target.shape[0])[:, None], index), values)
 
     def assemble(
         self,
@@ -794,7 +819,11 @@ class CompiledCircuit:
         the device currents into it in place; when omitted it is built here
         (identical values either way).
         """
-        data, rhs = self._scatter(state, source_scale, cap_history, cache_base, linear_rhs)
+        data, rhs = self._scatter(
+            state.solution, None, state.gmin, state.time_s, source_scale,
+            state.timestep_s, state.integration, state.previous_solution,
+            cap_history, linear_rhs, cache_base=cache_base,
+        )
         pattern = self.sparsity_pattern()
         matrix = np.zeros((self.size, self.size))
         matrix.reshape(-1)[pattern.dense_pos] = data[: pattern.nnz]
@@ -816,121 +845,12 @@ class CompiledCircuit:
         ghost-trimmed right-hand side.
         """
         pattern = self.sparsity_pattern()
-        data, rhs = self._scatter(state, source_scale, cap_history, cache_base, linear_rhs)
-        return data[: pattern.nnz], rhs[: self.size]
-
-    def _scatter(
-        self,
-        state: AnalysisState,
-        source_scale: float,
-        cap_history: Optional[np.ndarray],
-        cache_base: bool,
-        linear_rhs: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The serial assembly kernel: ``(nnz + 1,)`` data and ``(n + 1,)`` RHS.
-
-        Copies the base data, takes (or builds) the linear right-hand side,
-        then adds the MOSFET companion stamps at the positions of the
-        channel orientation each device takes at ``state.solution``.
-        """
-        pattern = self.sparsity_pattern()
-        data = self._base_data(
-            state.gmin, state.timestep_s, state.integration, cache=cache_base
-        ).copy()
-        rhs = (
-            linear_rhs
-            if linear_rhs is not None
-            else self._linear_rhs(state, source_scale, cap_history)
+        data, rhs = self._scatter(
+            state.solution, None, state.gmin, state.time_s, source_scale,
+            state.timestep_s, state.integration, state.previous_solution,
+            cap_history, linear_rhs, cache_base=cache_base,
         )
-        if self.num_mosfets:
-            forward, gds, gm, i_eq = self._mosfet_companion(
-                self._pad(state.solution), self.mos_beta, self.mos_vth, self.mos_lambda
-            )
-            pos = np.where(forward, pattern.mos_pos_forward, pattern.mos_pos_reverse)
-            vals = np.concatenate((gds, gds, -gds, -gds, gm, -gm, -gm, gm))
-            # The (8, M) position rows ravel group-major, so the stamps that
-            # share a cell accumulate in one fixed order on every path.
-            data += np.bincount(pos.ravel(), weights=vals, minlength=pattern.nnz + 1)
-            rows = np.where(forward, self._mos_rhs_forward, self._mos_rhs_reverse)
-            rhs += np.bincount(
-                rows.ravel(), weights=np.concatenate((-i_eq, i_eq)), minlength=self._ghost
-            )
-        return data, rhs
-
-    def _linear_rhs(
-        self,
-        state: AnalysisState,
-        source_scale: float,
-        cap_history: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """The linear right-hand side at ``state`` (sources + cap history).
-
-        Everything but the MOSFET companion currents, in the serial
-        accumulation order; independent of the iterate and of gmin, so the
-        Newton loop builds it once per solve.
-        """
-        rhs = np.zeros(self._ghost)
-        v_values, i_values = self._waveform_values(state.time_s, source_scale)
-        if v_values is not None:
-            if self.vs_scale is not None:
-                v_values = v_values * self.vs_scale
-            rhs[self.vs_rows] += v_values
-        if i_values is not None:
-            if self.is_scale is not None:
-                i_values = i_values * self.is_scale
-            np.add.at(rhs, self.is_plus, -i_values)
-            np.add.at(rhs, self.is_minus, i_values)
-
-        if state.timestep_s is not None and self.num_capacitors:
-            g = self._capacitor_conductance(state.timestep_s, state.integration)
-            if state.previous_solution is not None:
-                prev = self._pad(state.previous_solution)
-                v_prev = prev[self.cap_a] - prev[self.cap_b]
-            else:
-                v_prev = self.cap_v0
-            i_eq = g * v_prev
-            if state.integration == "trap":
-                if cap_history is None:
-                    cap_history = np.array(
-                        [c._previous_current for c in self.capacitors], dtype=float
-                    )
-                i_eq = i_eq + cap_history
-            np.add.at(rhs, self.cap_a, i_eq)
-            np.add.at(rhs, self.cap_b, -i_eq)
-        return rhs
-
-    def _mosfet_companion(
-        self,
-        padded: np.ndarray,
-        beta: np.ndarray,
-        vth: np.ndarray,
-        lam: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-device linearized channel quantities at the padded iterate(s).
-
-        ``padded`` is ``(size + 1,)`` serial or ``(trials, size + 1)``
-        batched; returns ``(forward, gds, gm, i_eq)`` with matching leading
-        shape.  Both scatter kernels share every float operation here, which
-        is what keeps serial and batched results bit-identical.
-        """
-        terminals = padded[..., self._mos_terminals]
-        vd = terminals[..., 0, :]
-        vg = terminals[..., 1, :]
-        vs = terminals[..., 2, :]
-        # Orient every channel so its higher diffusion terminal is the drain
-        # (the element does the same; the conduction is symmetric).
-        forward = vd >= vs
-        vgs = vg - np.where(forward, vs, vd)
-        vds = np.abs(vd - vs)
-
-        ids, gm, gds = evaluate_level1_arrays(vgs, vds, beta, vth, lam, self.mos_w)
-        gds = gds + self.mos_gmin
-        i_eq = ids - gm * vgs - gds * vds
-        return forward, gds, gm, i_eq
-
-    # ------------------------------------------------------------------ #
-    # batched assembly (stacked Monte-Carlo trials)
-    # ------------------------------------------------------------------ #
+        return data[: pattern.nnz], rhs[: self.size]
 
     def assemble_batched(
         self,
@@ -954,10 +874,10 @@ class CompiledCircuit:
         :data:`PERTURBABLE_PARAMETERS`) to ``(trials, count)`` stacks — any
         parameter not given uses the compiled (possibly overlaid) value
         vector for every trial.  The matrices are the ``(trials, nnz)``
-        pattern data of :meth:`_scatter_batched` placed into zeroed
-        matrices, so row ``t`` is bit-identical to a serial
-        :meth:`assemble` with trial ``t``'s parameters; this is what makes
-        the batched Monte-Carlo path reproduce the per-trial path exactly.
+        pattern data of :meth:`_scatter` placed into zeroed matrices, so
+        row ``t`` is bit-identical to a serial :meth:`assemble` with trial
+        ``t``'s parameters; this is what makes the batched Monte-Carlo path
+        reproduce the per-trial path exactly.
 
         With ``timestep_s`` set the assembly includes the capacitor
         companion models of the selected ``integration``:
@@ -966,11 +886,11 @@ class CompiledCircuit:
         path's first-step semantics) and ``cap_history`` the ``(trials,
         num_capacitors)`` trapezoidal history currents.  ``linear_rhs``
         optionally hands in the ``(trials, n + 1)`` linear right-hand side
-        (:meth:`_linear_rhs_batched`) that a Newton loop builds once per
-        call; the assembly accumulates into it in place and then ignores
-        ``time_s``, ``source_scale``, ``previous_solutions`` and
-        ``cap_history``.  ``cap_g_rows`` optionally hands in the per-trial
-        capacitor companion conductances.
+        (:meth:`_linear_rhs`) that a Newton loop builds once per call; the
+        assembly accumulates into it in place and then ignores ``time_s``,
+        ``source_scale``, ``previous_solutions`` and ``cap_history``.
+        ``cap_g_rows`` optionally hands in the per-trial capacitor companion
+        conductances.
 
         ``reuse_workspace`` (the batched Newton hot path) assembles into
         preallocated per-compiled scratch buffers instead of fresh arrays —
@@ -978,9 +898,10 @@ class CompiledCircuit:
         returned arrays are only valid until the next workspace-mode
         assembly.  Direct callers keep the allocating default.
         """
-        data, rhs = self._scatter_batched(
-            solutions, params, gmin, time_s, source_scale, timestep_s, integration,
-            previous_solutions, cap_history, linear_rhs, cap_g_rows, reuse_workspace,
+        data, rhs = self._scatter(
+            self._check_solution_stack(solutions), params, gmin, time_s, source_scale,
+            timestep_s, integration, previous_solutions, cap_history, linear_rhs,
+            cap_g_rows, reuse_workspace,
         )
         pattern = self.sparsity_pattern()
         trials = data.shape[0]
@@ -991,133 +912,6 @@ class CompiledCircuit:
             matrices = np.zeros((trials, cells))
         matrices[:, pattern.dense_pos] = data[:, : pattern.nnz]
         return matrices.reshape(trials, self.size, self.size), rhs[:, : self.size]
-
-    def _check_solution_stack(self, solutions: np.ndarray) -> np.ndarray:
-        solutions = np.asarray(solutions, dtype=float)
-        if solutions.ndim != 2 or solutions.shape[1] != self.size:
-            raise ValueError(
-                f"solutions stack has shape {solutions.shape}, expected "
-                f"(trials, {self.size})"
-            )
-        return solutions
-
-    def _batched_cap_g_rows(
-        self,
-        trials: int,
-        cap_c: Optional[np.ndarray],
-        timestep_s: Optional[float],
-        integration: str,
-        cap_g_rows: Optional[np.ndarray],
-    ) -> Optional[np.ndarray]:
-        """Resolve the per-trial capacitor companion conductances.
-
-        ``cap_g_rows`` is a per-march invariant the lockstep caller hands in
-        precomputed; derive it here for one-off assemblies.  ``None`` outside
-        transient assemblies (companion models are transient-only).
-        """
-        if timestep_s is None:
-            return None
-        if cap_g_rows is not None or not self.num_capacitors:
-            return cap_g_rows
-        if cap_c is None:
-            return np.broadcast_to(
-                self._capacitor_conductance(timestep_s, integration),
-                (trials, self.num_capacitors),
-            )
-        return self._capacitor_conductance(timestep_s, integration, cap_c)
-
-    def _linear_rhs_batched(
-        self,
-        trials: int,
-        params: Mapping[str, np.ndarray],
-        time_s: float,
-        source_scale: float,
-        integration: str,
-        previous_solutions: Optional[np.ndarray],
-        cap_history: Optional[np.ndarray],
-        cap_g_rows: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """The stacked linear right-hand side (sources + cap history).
-
-        The per-trial arithmetic mirrors :meth:`_linear_rhs` operation for
-        operation, and a row never depends on the other rows of the stack,
-        so the batched Newton loop builds it once per call for the whole
-        stack and gathers the active rows each round.
-        """
-        ghost = self._ghost
-        trial_offsets = np.arange(trials)[:, None]
-        # Independent sources (per-trial scale stacks compose exactly like
-        # the serial vs_scale/is_scale overlay multipliers).
-        rhs = np.zeros((trials, ghost))
-        rhs_flat = rhs.reshape(-1)
-        v_values, i_values = self._waveform_values(time_s, source_scale)
-        if v_values is not None:
-            vs_scale = params.get("vsource_scale", self.vs_scale)
-            if vs_scale is not None:
-                v_values = v_values * vs_scale
-            rhs[:, self.vs_rows] += v_values
-        if i_values is not None:
-            is_scale = params.get("isource_scale", self.is_scale)
-            if is_scale is not None:
-                i_values = i_values * is_scale
-            i_tile = np.broadcast_to(i_values, (trials, len(self.current_sources)))
-            source_idx = np.concatenate((self.is_plus, self.is_minus))
-            weights = np.concatenate((-i_tile, i_tile), axis=1)
-            rhs_flat += np.bincount(
-                (trial_offsets * ghost + source_idx[None, :]).ravel(),
-                weights=weights.ravel(),
-                minlength=trials * ghost,
-            )
-
-        # Capacitor companion history currents, added to the RHS after the
-        # sources and before the MOSFET stamps (the serial order).
-        if cap_g_rows is not None:
-            if previous_solutions is None:
-                v_prev = np.broadcast_to(self.cap_v0, (trials, self.num_capacitors))
-            else:
-                # Scratch only: v_prev below is a gather (copy) from it.
-                prev = self._workspace("batched_prev", trials, self.size + 1)
-                prev[:, : self.size] = previous_solutions
-                prev[:, self.size] = 0.0
-                v_prev = prev[:, self.cap_a] - prev[:, self.cap_b]
-            i_eq = cap_g_rows * v_prev
-            if integration == "trap":
-                if cap_history is None:
-                    cap_history = np.broadcast_to(
-                        np.array(
-                            [c._previous_current for c in self.capacitors], dtype=float
-                        ),
-                        (trials, self.num_capacitors),
-                    )
-                i_eq = i_eq + cap_history
-            np.add.at(
-                rhs_flat,
-                (trial_offsets * ghost + self.cap_a[None, :]).ravel(),
-                i_eq.ravel(),
-            )
-            np.add.at(
-                rhs_flat,
-                (trial_offsets * ghost + self.cap_b[None, :]).ravel(),
-                (-i_eq).ravel(),
-            )
-        return rhs
-
-    def _mosfet_companion_batched(
-        self, solutions: np.ndarray, params: Mapping[str, np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked :meth:`_mosfet_companion` with per-trial parameter stacks."""
-        trials = solutions.shape[0]
-        # Scratch only: _mosfet_companion gathers (copies) from the padded
-        # iterate, so the buffer can be recycled across Newton rounds.
-        padded = self._workspace("mos_padded", trials, self.size + 1)
-        padded[:, : self.size] = solutions
-        padded[:, self.size] = 0.0
-        return self._mosfet_companion(
-            padded,
-            params.get("mos_beta", self.mos_beta),
-            params.get("mos_vth", self.mos_vth),
-            params.get("mos_lambda", self.mos_lambda),
-        )
 
     def assemble_sparse_batched(
         self,
@@ -1143,13 +937,23 @@ class CompiledCircuit:
         trial ``t``'s parameters.
         """
         pattern = self.sparsity_pattern()
-        data, rhs = self._scatter_batched(
-            solutions, params, gmin, time_s, source_scale, timestep_s, integration,
-            previous_solutions, cap_history, linear_rhs, cap_g_rows, reuse_workspace,
+        data, rhs = self._scatter(
+            self._check_solution_stack(solutions), params, gmin, time_s, source_scale,
+            timestep_s, integration, previous_solutions, cap_history, linear_rhs,
+            cap_g_rows, reuse_workspace,
         )
         return data[:, : pattern.nnz], rhs[:, : self.size]
 
-    def _scatter_batched(
+    def _check_solution_stack(self, solutions: np.ndarray) -> np.ndarray:
+        solutions = np.asarray(solutions, dtype=float)
+        if solutions.ndim != 2 or solutions.shape[1] != self.size:
+            raise ValueError(
+                f"solutions stack has shape {solutions.shape}, expected "
+                f"(trials, {self.size})"
+            )
+        return solutions
+
+    def _scatter(
         self,
         solutions: np.ndarray,
         params: Optional[Mapping[str, np.ndarray]],
@@ -1161,134 +965,230 @@ class CompiledCircuit:
         previous_solutions: Optional[np.ndarray],
         cap_history: Optional[np.ndarray],
         linear_rhs: Optional[np.ndarray],
-        cap_g_rows: Optional[np.ndarray],
-        reuse_workspace: bool,
+        cap_g_rows: Optional[np.ndarray] = None,
+        reuse_workspace: bool = False,
+        cache_base: bool = True,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """The stacked assembly kernel: ``(trials, nnz + 1)`` data, ``(trials, n + 1)`` RHS.
+        """The assembly kernel: pattern data and RHS, ghost slots included.
 
-        :meth:`_scatter` over a stack, with per-trial parameter stacks.
-        When no stack perturbs the linear part (no ``resistor_ohm`` rows,
-        and no ``cap_c`` rows if this is a transient assembly), every
-        trial's linear data is a broadcast copy of the cached nominal
-        :meth:`_base_data`; otherwise it is re-accumulated per trial in the
-        base data's order.
-
-        ``gmin`` is one value for the stack or one per trial; the batched
-        Newton passes per-trial values once a singular solve has bumped
-        some trials' gmin, and those rows take the bumped value's uncached
-        base exactly like a serial retry.
+        ``solutions`` is one ``(n,)`` iterate, which assembles with the
+        compiled values into ``(nnz + 1,)`` data and an ``(n + 1,)`` RHS, or
+        a ``(trials, n)`` stack with its ``params`` stacks and the trial
+        axis in front.  The kernel copies the linear part, takes (or
+        builds) the linear right-hand side, then adds the MOSFET companion
+        stamps of the channel orientation each device takes at its
+        iterate.  A stacked row runs the same float operations as a lone
+        iterate, so serial and stacked results are bit-identical.  A
+        per-trial ``gmin`` (bumped after singular solves) takes uncached
+        bases, as ``cache_base=False`` does for a scalar one.
         """
         pattern = self.sparsity_pattern()
-        params = dict(params or {})
-        solutions = self._check_solution_stack(solutions)
-        trials = solutions.shape[0]
-        slots = pattern.nnz + 1  # trailing trash slot per trial
-        trial_offsets = np.arange(trials)[:, None]
+        params = params or {}
+        stacked = solutions.ndim == 2
+        if stacked:
+            data = self._stacked_linear_data(
+                solutions.shape[0], params, gmin, timestep_s, integration,
+                cap_g_rows, reuse_workspace, cache_base,
+            )
+        else:
+            data = self._base_data(gmin, timestep_s, integration, cache=cache_base).copy()
+        if linear_rhs is not None:
+            rhs = linear_rhs
+        else:
+            rhs = self._linear_rhs(
+                solutions.shape[:-1], params, time_s, source_scale, timestep_s,
+                integration, previous_solutions, cap_history, cap_g_rows,
+            )
 
+        if self.num_mosfets:
+            forward, gds, gm, i_eq = self._mosfet_companion(
+                self._pad(solutions),
+                params.get("mos_beta", self.mos_beta),
+                params.get("mos_vth", self.mos_vth),
+                params.get("mos_lambda", self.mos_lambda),
+            )
+            ngds, ngm = -gds, -gm
+            vals = np.concatenate((gds, gds, ngds, ngds, gm, ngm, ngm, gm), axis=-1)
+            currents = np.concatenate((-i_eq, i_eq), axis=-1)
+            if stacked:
+                forward = forward[:, None, :]
+            # The (8, M) position rows ravel group-major, so the stamps that
+            # share a cell accumulate in one fixed order on every path.
+            pos = np.where(forward, pattern.mos_pos_forward, pattern.mos_pos_reverse)
+            rows = np.where(forward, self._mos_rhs_forward, self._mos_rhs_reverse)
+            if not stacked:
+                data += np.bincount(pos.ravel(), weights=vals, minlength=data.size)
+                rhs += np.bincount(rows.ravel(), weights=currents, minlength=rhs.size)
+                return data, rhs
+            if solutions.shape[0] > 1:
+                # Shift each trial's positions into its own flattened row.
+                trial = np.arange(solutions.shape[0])[:, None, None]
+                pos = pos + trial * data.shape[1]
+                rows = rows + trial * rhs.shape[1]
+            data += np.bincount(
+                pos.ravel(), weights=vals.ravel(), minlength=data.size
+            ).reshape(data.shape)
+            rhs += np.bincount(
+                rows.ravel(), weights=currents.ravel(), minlength=rhs.size
+            ).reshape(rhs.shape)
+        return data, rhs
+
+    def _stacked_linear_data(
+        self,
+        trials: int,
+        params: Mapping[str, np.ndarray],
+        gmin: Union[float, np.ndarray],
+        timestep_s: Optional[float],
+        integration: str,
+        cap_g_rows: Optional[np.ndarray],
+        reuse_workspace: bool,
+        cache_base: bool,
+    ) -> np.ndarray:
+        """The ``(trials, nnz + 1)`` linear part of a stacked assembly.
+
+        When no stack perturbs the linear part (no ``resistor_ohm`` rows,
+        and no ``cap_c`` rows if this is a transient assembly), every
+        trial's linear data is a copy of the cached nominal
+        :meth:`_base_data`; otherwise it is re-accumulated per trial in the
+        base data's order.
+        """
+        pattern = self.sparsity_pattern()
+        slots = pattern.nnz + 1  # trailing trash slot per trial
         resistance = params.get("resistor_ohm")
         cap_c = params.get("cap_c") if timestep_s is not None else None
-        cap_g_rows = self._batched_cap_g_rows(
-            trials, cap_c, timestep_s, integration, cap_g_rows
-        )
-        if resistance is None and cap_c is None:
-            if reuse_workspace:
-                data = self._workspace("batched_data", trials, slots)
-            else:
-                data = np.empty((trials, slots))
+        perturbed = resistance is not None or cap_c is not None
+        if reuse_workspace:
+            data = self._workspace("batched_data", trials, slots, zero=perturbed)
+        else:
+            data = np.zeros((trials, slots)) if perturbed else np.empty((trials, slots))
+        if not perturbed:
             if np.ndim(gmin):
                 for value in np.unique(gmin):
                     data[gmin == value] = self._base_data(
                         float(value), timestep_s, integration, cache=False
                     )
             else:
-                data[:] = self._base_data(gmin, timestep_s, integration)
-        else:
-            # Static part in the serial base-data accumulation order:
-            # static entries, then the gmin diagonal, then the capacitor
-            # companions (np.add.at for the capacitors — they may share
-            # positions with the static stamps, and the serial path
-            # accumulates those sequentially).
-            if reuse_workspace:
-                data = self._workspace("batched_data", trials, slots, zero=True)
+                data[:] = self._base_data(gmin, timestep_s, integration, cache=cache_base)
+            return data
+
+        # Per trial in the base-data accumulation order: static entries, then
+        # the gmin diagonal, then the capacitor companions.
+        if self._static_rows.size:
+            vals = np.tile(self._static_vals, (trials, 1))
+            if resistance is not None:
+                conductance = 1.0 / np.asarray(resistance, dtype=float)
+                n4 = 4 * len(self.resistors)
+                vals[:, :n4] = (conductance[:, :, None] * _RESISTOR_SIGNS).reshape(-1, n4)
+            self._add_rows(data, pattern.static_pos, vals)
+        data[:, pattern.gmin_diag_pos] += np.reshape(gmin, (-1, 1))
+        if timestep_s is not None and self.num_capacitors:
+            g = cap_g_rows
+            if g is None:
+                g = self._capacitor_conductance(timestep_s, integration, cap_c)
+            self._add_rows(data, pattern.cap_pos, np.concatenate((g, g, -g, -g), axis=-1))
+        data[:, pattern.nnz] = 0.0
+        return data
+
+    def _linear_rhs(
+        self,
+        lead: Tuple[int, ...],
+        params: Mapping[str, np.ndarray],
+        time_s: float,
+        source_scale: float,
+        timestep_s: Optional[float],
+        integration: str,
+        previous_solutions: Optional[np.ndarray],
+        cap_history: Optional[np.ndarray],
+        cap_g_rows: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """The linear right-hand side: sources plus capacitor history.
+
+        ``(n + 1,)`` for ``lead == ()``, or ``(trials, n + 1)`` for ``lead
+        == (trials,)`` with ``params`` stacks, each row on its own trial.
+        It depends on neither the iterate nor gmin, so a Newton loop builds
+        it once per call.  ``previous_solutions=None`` takes the previous
+        capacitor voltages from :attr:`cap_v0`; ``cap_g_rows`` optionally
+        hands in the companion conductances.
+        """
+        rhs = np.zeros(lead + (self._ghost,))
+        v_values, i_values = self._waveform_values(time_s, source_scale)
+        # Per-trial scale stacks compose exactly like the serial
+        # vs_scale/is_scale overlay multipliers.
+        if v_values is not None:
+            vs_scale = params.get("vsource_scale", self.vs_scale)
+            if vs_scale is not None:
+                v_values = v_values * vs_scale
+            if lead:
+                rhs[:, self.vs_rows] += v_values
             else:
-                data = np.zeros((trials, slots))
-            data_flat = data.reshape(-1)
-            if self._static_rows.size:
-                if resistance is None:
-                    data += np.bincount(
-                        pattern.static_pos, weights=self._static_vals, minlength=slots
-                    )
-                else:
-                    conductance = 1.0 / np.asarray(resistance, dtype=float)
-                    n4 = 4 * len(self.resistors)
-                    vals = np.broadcast_to(
-                        self._static_vals, (trials, self._static_vals.size)
-                    ).copy()
-                    vals[:, 0:n4:4] = conductance
-                    vals[:, 1:n4:4] = conductance
-                    vals[:, 2:n4:4] = -conductance
-                    vals[:, 3:n4:4] = -conductance
-                    data_flat += np.bincount(
-                        (trial_offsets * slots + pattern.static_pos[None, :]).ravel(),
-                        weights=vals.ravel(),
-                        minlength=trials * slots,
-                    )
-            data[:, pattern.gmin_diag_pos] += np.reshape(gmin, (-1, 1))
-            if cap_g_rows is not None:
-                np.add.at(
-                    data_flat,
-                    (trial_offsets * slots + pattern.cap_pos[None, :]).ravel(),
-                    np.concatenate(
-                        (cap_g_rows, cap_g_rows, -cap_g_rows, -cap_g_rows), axis=1
-                    ).ravel(),
+                rhs[self.vs_rows] += v_values
+        if i_values is not None:
+            is_scale = params.get("isource_scale", self.is_scale)
+            if is_scale is not None:
+                i_values = i_values * is_scale
+            self._add_rows(
+                rhs, self._is_rows, np.concatenate((-i_values, i_values), axis=-1)
+            )
+
+        # Capacitor companion history currents, added after the sources and
+        # before the MOSFET stamps.
+        if timestep_s is not None and self.num_capacitors:
+            if cap_g_rows is None:
+                cap_g_rows = self._capacitor_conductance(
+                    timestep_s, integration, params.get("cap_c")
                 )
-            data[:, pattern.nnz] = 0.0
+            if previous_solutions is None:
+                v_prev = self.cap_v0
+            else:
+                v_prev = self._cap_voltage(previous_solutions)
+            i_eq = cap_g_rows * v_prev
+            if integration == "trap":
+                if cap_history is None:
+                    cap_history = np.array(
+                        [c._previous_current for c in self.capacitors], dtype=float
+                    )
+                i_eq = i_eq + cap_history
+            self._add_rows(rhs, self._cap_rows, np.concatenate((i_eq, -i_eq), axis=-1))
+        return rhs
 
-        if linear_rhs is not None:
-            rhs = linear_rhs
-        else:
-            rhs = self._linear_rhs_batched(
-                trials,
-                params,
-                time_s,
-                source_scale,
-                integration,
-                previous_solutions,
-                cap_history,
-                cap_g_rows,
-            )
+    def _mosfet_companion(
+        self,
+        padded: np.ndarray,
+        beta: np.ndarray,
+        vth: np.ndarray,
+        lam: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-device linearized channel quantities at the padded iterate(s).
 
-        if self.num_mosfets:
-            forward, gds, gm, i_eq = self._mosfet_companion_batched(solutions, params)
-            pos = np.where(
-                forward[:, None, :], pattern.mos_pos_forward, pattern.mos_pos_reverse
-            )
-            vals = np.concatenate((gds, gds, -gds, -gds, gm, -gm, -gm, gm), axis=1)
-            data += np.bincount(
-                (trial_offsets[:, :, None] * slots + pos).ravel(),
-                weights=vals.ravel(),
-                minlength=trials * slots,
-            ).reshape(trials, slots)
-            rows = np.where(
-                forward[:, None, :], self._mos_rhs_forward, self._mos_rhs_reverse
-            )
-            rhs += np.bincount(
-                (trial_offsets[:, :, None] * self._ghost + rows).ravel(),
-                weights=np.concatenate((-i_eq, i_eq), axis=1).ravel(),
-                minlength=trials * self._ghost,
-            ).reshape(trials, self._ghost)
+        ``padded`` is ``(size + 1,)`` or ``(trials, size + 1)``; returns
+        ``(forward, gds, gm, i_eq)`` with matching leading shape.
+        """
+        terminals = padded.take(self._mos_terminals, axis=-1)
+        vd = terminals[..., 0, :]
+        vg = terminals[..., 1, :]
+        vs = terminals[..., 2, :]
+        # Orient every channel so its higher diffusion terminal is the drain
+        # (the element does the same; the conduction is symmetric).
+        forward = vd >= vs
+        vgs = vg - np.where(forward, vs, vd)
+        vds = np.abs(vd - vs)
 
-        return data, rhs
+        ids, gm, gds = evaluate_level1_arrays(vgs, vds, beta, vth, lam, self.mos_w)
+        gds = gds + self.mos_gmin
+        i_eq = ids - gm * vgs - gds * vds
+        return forward, gds, gm, i_eq
 
 
 class AnalysisEngine:
     """Shared Newton-Raphson solver over a compiled circuit.
 
-    The engine owns the iteration loop and the convergence fallbacks; the
-    analyses are thin drivers over it:
+    The engine owns the iteration loops and the convergence fallbacks; the
+    analyses are thin drivers over them.  Every DC operating point runs
+    one driver (plain damped Newton with its stall rule, then the
+    gmin-stepping and source-stepping ladders) on a stack of trials; the
+    serial transient marches keep their own step Newton loop.
 
-    * :meth:`solve_dc` — damped Newton with gmin-stepping and source-stepping
-      fallbacks (the DC operating point);
+    * :meth:`solve_dc` — the DC operating point, as a stack of one;
     * :meth:`dc_sweep` — repeated operating points with warm-start
       continuation, reusing the compiled structure across points;
     * :meth:`sweep_many` — a family of sweeps through one compiled circuit
@@ -1298,7 +1198,8 @@ class AnalysisEngine:
       integration with per-step Newton iteration and vectorized capacitor
       history updates;
     * :meth:`solve_dc_batched` — stacked same-pattern operating points
-      (Monte-Carlo trials) solved in batched LAPACK calls;
+      (Monte-Carlo trials) through the same driver, solved in batched
+      LAPACK calls;
     * :meth:`solve_transient_batched` — a lockstep fixed-step transient
       march over stacked trials: shared waveform evaluation per step,
       per-trial freeze-on-convergence, batched LAPACK Newton rounds.
@@ -1375,8 +1276,228 @@ class AnalysisEngine:
         return self.compiled.assemble(state, source_scale=source_scale)
 
     # ------------------------------------------------------------------ #
-    # the serial Newton loop (_newton_batched is its stacked twin)
+    # the Newton loops: stacked (every DC solve), serial (transient steps)
     # ------------------------------------------------------------------ #
+
+    def _newton_batched(
+        self,
+        solutions: np.ndarray,
+        params: Mapping[str, np.ndarray],
+        *,
+        gmin: float,
+        max_iterations: int,
+        tolerance_v: float,
+        damping_v: float,
+        solver: LinearSolver,
+        time_s: float = 0.0,
+        timestep_s: Optional[float] = None,
+        previous_solutions: Optional[np.ndarray] = None,
+        integration: str = "be",
+        cap_history: Optional[np.ndarray] = None,
+        cap_g_rows: Optional[np.ndarray] = None,
+        source_scale: float = 1.0,
+        reuse_states: Optional[List[_NewtonReuseState]] = None,
+        stall_rounds: Optional[int] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Newton iteration over stacked systems; one linear solve per round.
+
+        Mutates and returns ``solutions`` (``(trials, n)``) with per-trial
+        ``(iterations, converged, max_updates)``.  Each round assembles and
+        solves the active trials, clamps every update to ``damping_v`` per
+        unknown and tests it against ``tolerance_v``; a trial leaves the
+        stack the moment it converges, so no row depends on the others and
+        a stack of one is a serial run.  ``solver`` is the concrete backend
+        the caller selected.
+
+        A singular trial keeps its iterate for the round, which still
+        counts, and its own gmin rises an order of magnitude for the rest
+        of the call.  ``stall_rounds`` (the plain DC run's
+        :data:`NEWTON_STALL_ROUNDS`) stops a trial as not converged once
+        that many rounds have passed since its smallest update; a singular
+        round brings no new best.
+
+        With ``timestep_s`` set this is one lockstep transient step:
+        ``previous_solutions`` (``None``: the capacitors' initial voltages),
+        ``cap_history`` and ``cap_g_rows`` carry the companion state, and
+        the waveforms are evaluated once for the stack.  ``source_scale``
+        scales every independent source (the source-stepping ladder).
+
+        ``reuse_states`` (one :class:`_NewtonReuseState` per row) runs
+        per-trial modified Newton on the sparse backends: each active trial
+        solves through its own state, which keeps its LU across rounds and
+        across the calls of a march sharing the states.  Dense assembly
+        ignores it, since LAPACK refactors on every call anyway.
+        """
+        compiled = self.compiled
+        trials = solutions.shape[0]
+        # Pattern-assembly backends (sparse) take CSC data stacks: trials *
+        # nnz memory instead of trials * n^2.
+        pattern = compiled.sparsity_pattern() if solver.wants_pattern_assembly else None
+        if pattern is not None:
+            assemble, assemble_row = compiled.assemble_sparse_batched, compiled.assemble_sparse
+            solve_stack, solve_one = solver.solve_pattern_batched, solver.solve_pattern
+        else:
+            assemble, assemble_row = compiled.assemble_batched, compiled.assemble
+            solve_stack, solve_one = solver.solve_batched, solver.solve
+        use_reuse = reuse_states is not None and pattern is not None
+        # A stack of one without parameter stacks (every solve_dc) assembles
+        # its row as an (n,) iterate: the same float operations, through
+        # NumPy calls that are cheaper on (n,) than on (1, n) arrays.
+        lone = trials == 1 and not params
+        # Written as each trial leaves the stack, or after the last round.
+        iterations = np.empty(trials, dtype=int)
+        max_updates = np.empty(trials)
+        converged = np.zeros(trials, dtype=bool)
+        # The active trials and their state, compressed as trials leave: the
+        # update of the last solved round and, for the stall rule, the best
+        # update and its round.  No trial can stall before round
+        # stall_rounds, so until then the updates are only kept, then
+        # replayed: most DC solves converge first and skip the bookkeeping.
+        active = np.arange(trials)
+        last_updates = np.empty(trials)
+        last_updates.fill(np.inf)
+        unreplayed: List[np.ndarray] = []
+        best_updates = best_rounds = None
+        # Per-trial gmin, created by the first singular solve.
+        gmins: Optional[np.ndarray] = None
+        iteration = 0
+        # Per-call invariant: the linear RHS (sources, capacitor history)
+        # depends on neither the iterates nor gmin, and each row only on its
+        # own trial; every round assembles into a copy of its rows.
+        linear_rhs = compiled._linear_rhs(
+            () if lone else (trials,), params, time_s, source_scale, timestep_s,
+            integration, previous_solutions, cap_history, cap_g_rows,
+        )
+        for iteration in range(1, max_iterations + 1):
+            whole = active.size == trials  # no gathers while all are active
+            if lone:
+                iterates = solutions
+                state = AnalysisState(
+                    solutions[0], timestep_s=timestep_s, integration=integration,
+                    gmin=gmin if gmins is None else gmins[0],
+                )
+                system, vector = assemble_row(
+                    state, cache_base=gmins is None, linear_rhs=linear_rhs.copy()
+                )
+                matrices, rhs = (system,), (vector,)  # the rows of a stack of one
+            else:
+                if whole:
+                    iterates, subset, rhs_rows = solutions, params, linear_rhs.copy()
+                else:
+                    iterates = solutions[active]
+                    subset = {name: stack[active] for name, stack in params.items()}
+                    rhs_rows = linear_rhs[active]
+                # The scratch buffers are recycled: the loop owns the
+                # assembled arrays for exactly one round.
+                matrices, rhs = assemble(
+                    iterates, subset, gmin=gmin if gmins is None else gmins[active],
+                    timestep_s=timestep_s, integration=integration,
+                    linear_rhs=rhs_rows, reuse_workspace=True,
+                )
+            bypassed = singular = None
+            if use_reuse:
+                # Row ``row`` is trial ``trial``, whose own state holds its
+                # frozen LU across rounds.
+                new_solutions = np.empty_like(rhs)
+                bypassed = np.zeros(active.size, dtype=bool)
+                singular = np.zeros(active.size, dtype=bool)
+                for row, trial in enumerate(active):
+                    try:
+                        new_solutions[row], bypassed[row] = reuse_states[trial].solve(
+                            solver, pattern, iterates[row], matrices[row], rhs[row]
+                        )
+                    except np.linalg.LinAlgError:
+                        singular[row] = True
+            else:
+                try:
+                    if active.size == 1:
+                        # (n,), broadcast against the (1, n) iterates.
+                        new_solutions = solve_one(matrices[0], rhs[0])
+                    else:
+                        new_solutions = solve_stack(matrices, rhs)
+                except np.linalg.LinAlgError:
+                    # A singular system raises for the whole stack, and a
+                    # stack of one is its singular row.  A larger stack
+                    # re-solves trial by trial (same routine, same bits) to
+                    # find the genuinely singular trials.
+                    new_solutions = np.empty_like(rhs)
+                    singular = np.ones(active.size, dtype=bool)
+                    for row in range(active.size if active.size > 1 else 0):
+                        try:
+                            new_solutions[row] = solve_one(matrices[row], rhs[row])
+                            singular[row] = False
+                        except np.linalg.LinAlgError:
+                            pass
+            solved: Optional[np.ndarray] = None
+            stepped = active
+            if singular is not None and singular.any():
+                stuck = active[singular]
+                if gmins is None:
+                    gmins = np.full(trials, gmin)
+                gmins[stuck] = np.maximum(gmins[stuck] * 10.0, 1e-12)
+                solved = ~singular
+                stepped = active[solved]
+                iterates = iterates[solved]
+                new_solutions = new_solutions[solved]
+                if bypassed is not None:
+                    bypassed = bypassed[solved]
+            update = new_solutions - iterates
+            updates_max = np.abs(update).max(axis=1) if update.size else np.zeros(0)
+            # Per-unknown clamp: a runaway node (e.g. a floating terminal
+            # hanging off a cut-off transistor) must not stall the rest.
+            update = np.minimum(np.maximum(update, -damping_v), damping_v)
+            if whole and solved is None:
+                solutions += update
+            else:
+                solutions[stepped] = iterates + update
+            if use_reuse:
+                for row, trial in enumerate(stepped):
+                    reuse_states[trial].observe(
+                        bool(bypassed[row]), float(updates_max[row]), tolerance_v
+                    )
+            if solved is not None:
+                # The stuck trials keep their last update and sit out this
+                # round's convergence and stall tests (NaN compares false).
+                aligned = np.full(active.size, np.nan)
+                aligned[solved] = updates_max
+                last_updates = np.where(solved, aligned, last_updates)
+                updates_max = aligned
+            else:
+                last_updates = updates_max
+            done = updates_max < tolerance_v
+            leaving = done
+            if stall_rounds is not None:
+                unreplayed.append(updates_max)
+                if iteration >= stall_rounds:
+                    if best_updates is None:
+                        best_updates = np.full(active.size, np.inf)
+                        best_rounds = np.zeros(active.size, dtype=int)
+                    first = iteration - len(unreplayed) + 1
+                    for past, values in enumerate(unreplayed, first):
+                        better = values < best_updates
+                        best_updates = np.fmin(best_updates, values)
+                        best_rounds[better] = past
+                    unreplayed.clear()
+                    stalled = best_rounds <= iteration - stall_rounds
+                    leaving = done | (stalled if solved is None else stalled & solved)
+            leavers = np.count_nonzero(leaving)
+            if leavers == active.size:
+                converged[active] = done
+                break
+            if leavers:
+                left = active[leaving]
+                iterations[left] = iteration
+                max_updates[left] = last_updates[leaving]
+                converged[left] = done[leaving]
+                keep = ~leaving
+                active, last_updates = active[keep], last_updates[keep]
+                unreplayed = [values[keep] for values in unreplayed]
+                if best_updates is not None:
+                    best_updates, best_rounds = best_updates[keep], best_rounds[keep]
+        # The trials still active left at the last round or ran the budget.
+        iterations[active] = iteration
+        max_updates[active] = last_updates
+        return solutions, iterations, converged, max_updates
 
     def _newton(
         self,
@@ -1386,68 +1507,50 @@ class AnalysisEngine:
         max_iterations: int,
         tolerance_v: float,
         damping_v: float,
-        time_s: float = 0.0,
-        timestep_s: Optional[float] = None,
-        previous_solution: Optional[np.ndarray] = None,
-        integration: str = "be",
-        source_scale: float = 1.0,
-        cap_history: Optional[np.ndarray] = None,
-        solver: Optional[LinearSolver] = None,
+        time_s: float,
+        timestep_s: float,
+        previous_solution: Optional[np.ndarray],
+        integration: str,
+        cap_history: Optional[np.ndarray],
+        solver: LinearSolver,
         reuse_state: Optional[_NewtonReuseState] = None,
-        stall_rounds: Optional[int] = None,
     ) -> Tuple[np.ndarray, int, bool, float]:
-        """One Newton-Raphson run; returns (solution, iterations, converged, max_update).
+        """One transient step's Newton run; returns (solution, iterations, converged, max_update).
 
-        The linear solve of each iteration goes through ``solver`` (the
-        engine's default backend when omitted).  A singular Jacobian bumps
-        ``gmin`` an order of magnitude and retries instead of raising, so
-        structurally defective circuits report non-convergence rather than
-        blowing up the caller.
+        The serial marches' step loop: one ``(n,)`` iterate through the same
+        per-round arithmetic as a row of :meth:`_newton_batched` (which
+        every DC solve runs), without the stack bookkeeping that a
+        fixed-step march would pay on every round.  ``previous_solution=None``
+        takes the capacitors' initial voltages; ``solver`` is the concrete
+        backend the march selected.  A singular Jacobian bumps ``gmin`` an
+        order of magnitude and retries instead of raising, so structurally
+        defective circuits report non-convergence rather than blowing up
+        the caller.
 
         ``reuse_state`` (``newton="reuse"``) routes every solve through
         :meth:`_NewtonReuseState.solve`, which keeps the last factorization
-        across rounds — and across calls sharing the state, e.g. the steps
-        of a transient march — instead of refactorizing each round.  Dense
-        assembly ignores it, as :meth:`_newton_batched` does: LAPACK
-        refactors on every call, so a frozen dense Jacobian saves nothing.
-
-        ``stall_rounds`` (only :meth:`solve_dc`'s plain run passes it, as
-        :data:`NEWTON_STALL_ROUNDS`) stops the run as not converged once
-        that many rounds have passed since the smallest ``max_update`` so
-        far; a singular round counts as a round without a new best.
+        across rounds — and across the steps of the march sharing the
+        state — instead of refactorizing each round.  Dense assembly
+        ignores it, as :meth:`_newton_batched` does.
         """
         compiled = self.compiled
-        if solver is None:
-            solver = self.solver
-        solver = solver.select(compiled)
-        solver.bind(compiled)
         # Pattern-assembly backends (sparse) take CSC data straight from
         # assemble_sparse — no dense matrix is ever formed.
-        pattern = (
-            compiled.sparsity_pattern() if solver.wants_pattern_assembly else None
-        )
+        pattern = compiled.sparsity_pattern() if solver.wants_pattern_assembly else None
         if pattern is not None:
             assemble, solve = compiled.assemble_sparse, solver.solve_pattern
         else:
             assemble, solve = compiled.assemble, solver.solve
             reuse_state = None
         converged = False
-        max_update = best_update = float("inf")
-        iteration = best_round = 0
+        max_update = float("inf")
+        iteration = 0
         gmin_bumped = False
-        # Per-solve invariant, hoisted out of the iteration loop: the linear
+        # Per-step invariant, hoisted out of the iteration loop: the linear
         # right-hand side (sources and capacitor history) depends on neither
         # the iterate nor gmin.  Each round assembles into a copy of it.
         linear_rhs = compiled._linear_rhs(
-            AnalysisState(
-                solution=solution,
-                time_s=time_s,
-                timestep_s=timestep_s,
-                previous_solution=previous_solution,
-                integration=integration,
-            ),
-            source_scale,
-            cap_history,
+            (), {}, time_s, 1.0, timestep_s, integration, previous_solution, cap_history
         )
         for iteration in range(1, max_iterations + 1):
             state = AnalysisState(
@@ -1476,25 +1579,82 @@ class AnalysisEngine:
 
             update = new_solution - solution
             max_update = float(np.abs(update).max()) if update.size else 0.0
-            # Per-unknown clamp: a runaway node (e.g. a floating terminal
-            # hanging off a cut-off transistor) must not stall the rest.
             update = np.minimum(np.maximum(update, -damping_v), damping_v)
             solution = solution + update
             if reuse_state is not None:
                 reuse_state.observe(bypassed, max_update, tolerance_v)
-
             if max_update < tolerance_v:
                 converged = True
-                break
-            if max_update < best_update:
-                best_update, best_round = max_update, iteration
-            elif stall_rounds is not None and iteration - best_round >= stall_rounds:
                 break
         return solution, iteration, converged, max_update
 
     # ------------------------------------------------------------------ #
-    # DC operating point
+    # DC operating points (one driver, serial and stacked)
     # ------------------------------------------------------------------ #
+
+    def _solve_dc_stack(
+        self,
+        solutions: np.ndarray,
+        params: Mapping[str, np.ndarray],
+        *,
+        stacked: bool,
+        solver: Union[None, str, LinearSolver],
+        threads: Union[None, int, str],
+        newton: Optional[str],
+        gmin: float,
+        **controls,
+    ):
+        """The DC operating-point policy over a ``(trials, n)`` stack.
+
+        The one DC driver: :meth:`solve_dc` runs it on a stack of one
+        (``stacked=False`` selects the serial backend),
+        :meth:`solve_dc_batched` on the whole stack.  A plain damped Newton
+        run comes first (``newton`` applies to it only), stopped per trial
+        by the stall rule (:data:`NEWTON_STALL_ROUNDS`).  The trials it
+        leaves unconverged run the :func:`_fallback_ladders` together, each
+        ladder from the zero solution at its full budget; a trial the
+        ladders cannot rescue keeps its plain-run iterate and reports the
+        last rung's update.  ``controls`` are the iteration controls of
+        :meth:`_newton_batched`.
+
+        Mutates ``solutions``; returns ``(solutions, iterations, converged,
+        max_updates, strategies, (factorizations, reuses))``, each strategy
+        ``"newton"``, a ladder's name or ``"failed"``.
+        """
+        compiled = self.compiled
+        resolved = self._resolve_solver(solver, threads)
+        count = solutions.shape[0]
+        reuse_states = (
+            [_NewtonReuseState() for _ in range(count)] if _wants_newton_reuse(newton) else None
+        )
+        controls["solver"] = backend = resolved.select(compiled, count if stacked else None)
+        backend.bind(compiled)
+        counts_before = resolved.solver_stats()
+        solutions, iterations, converged, max_updates = self._newton_batched(
+            solutions, params, gmin=gmin, reuse_states=reuse_states,
+            stall_rounds=NEWTON_STALL_ROUNDS, **controls,
+        )
+        strategies = ["newton" if ok else "failed" for ok in converged.tolist()]
+        pending = np.flatnonzero(~converged) if "failed" in strategies else None
+        for ladder, rungs in _fallback_ladders(gmin) if pending is not None else ():
+            sub = {name: stack[pending] for name, stack in params.items()}
+            stepped = np.zeros((pending.size, solutions.shape[1]))
+            for step_gmin, scale in rungs:
+                stepped, used, final_ok, final_update = self._newton_batched(
+                    stepped, sub, gmin=step_gmin, source_scale=scale, **controls
+                )
+                iterations[pending] += used
+            max_updates[pending] = final_update
+            fixed = pending[final_ok]
+            solutions[fixed] = stepped[final_ok]
+            converged[fixed] = True
+            for trial in fixed:
+                strategies[trial] = ladder
+            pending = pending[~final_ok]
+            if pending.size == 0:
+                break
+        counts = self._counts_delta(resolved.solver_stats(), counts_before)
+        return solutions, iterations, converged, max_updates, strategies, counts
 
     def solve_dc(
         self,
@@ -1518,7 +1678,9 @@ class AnalysisEngine:
         if that also fails, to source stepping (ramping every independent
         source from 10 % to full drive with solution continuation).  The
         ladder rungs are never cut by the stall rule, and a failed solve
-        returns the plain run's last iterate.
+        returns the plain run's last iterate.  The policy lives in one
+        driver shared with :meth:`solve_dc_batched`; this solve is its
+        stack of one.
 
         ``refresh`` re-reads element parameter values before solving so
         in-place mutations are honoured; batch drivers that refresh once up
@@ -1553,239 +1715,29 @@ class AnalysisEngine:
             raise ValueError(
                 f"initial guess has shape {solution.shape}, expected ({circuit.system_size},)"
             )
-
-        resolved = self._resolve_solver(solver)
-        reuse_state = _NewtonReuseState() if _wants_newton_reuse(newton) else None
-        counts_before = resolved.solver_stats()
-        controls = dict(
-            max_iterations=max_iterations,
-            tolerance_v=tolerance_v,
-            damping_v=damping_v,
-            time_s=time_s,
-            solver=resolved,
+        solutions, iterations, converged, max_updates, strategies, counts = (
+            self._solve_dc_stack(
+                solution[np.newaxis], {}, stacked=False, solver=solver, threads=None,
+                newton=newton, gmin=gmin, max_iterations=max_iterations,
+                tolerance_v=tolerance_v, damping_v=damping_v, time_s=time_s,
+            )
         )
-        solution, total_iterations, converged, max_update = self._newton(
-            solution,
-            gmin=gmin,
-            reuse_state=reuse_state,
-            stall_rounds=NEWTON_STALL_ROUNDS,
-            **controls,
-        )
-        strategy = "newton" if converged else "failed"
-        if not converged:
-            for ladder, rungs in _fallback_ladders(gmin):
-                stepped = circuit.initial_solution()
-                for step_gmin, scale in rungs:
-                    stepped, used, final_ok, max_update = self._newton(
-                        stepped, gmin=step_gmin, source_scale=scale, **controls
-                    )
-                    total_iterations += used
-                if final_ok:
-                    solution, converged, strategy = stepped, True, ladder
-                    break
-
-        factorizations, reuses = self._counts_delta(
-            resolved.solver_stats(), counts_before
-        )
+        total_iterations = int(iterations[0])
+        max_update = float(max_updates[0])
         return OperatingPoint(
             circuit=circuit,
-            solution=solution,
+            solution=solutions[0],
             iterations=total_iterations,
-            converged=converged,
+            converged=bool(converged[0]),
             max_residual=max_update,
             convergence_info=ConvergenceInfo(
-                strategy=strategy,
+                strategy=strategies[0],
                 iterations=total_iterations,
                 final_max_update_v=max_update,
-                factorizations=factorizations,
-                factorization_reuses=reuses,
+                factorizations=counts[0],
+                factorization_reuses=counts[1],
             ),
         )
-
-    # ------------------------------------------------------------------ #
-    # batched DC solves (stacked Monte-Carlo trials)
-    # ------------------------------------------------------------------ #
-
-    def _newton_batched(
-        self,
-        solutions: np.ndarray,
-        params: Mapping[str, np.ndarray],
-        *,
-        gmin: float,
-        max_iterations: int,
-        tolerance_v: float,
-        damping_v: float,
-        time_s: float = 0.0,
-        timestep_s: Optional[float] = None,
-        previous_solutions: Optional[np.ndarray] = None,
-        integration: str = "be",
-        cap_history: Optional[np.ndarray] = None,
-        cap_g_rows: Optional[np.ndarray] = None,
-        source_scale: float = 1.0,
-        solver: LinearSolver,
-        reuse_states: Optional[List[_NewtonReuseState]] = None,
-        stall_rounds: Optional[int] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Newton iteration over stacked systems; one linear solve per round.
-
-        Mutates and returns ``solutions`` (``(trials, n)``) together with
-        per-trial ``(iterations, converged, max_updates)`` arrays.  Each
-        trial's update sequence — assembly, solve, damping clamp,
-        convergence test — is element-for-element the same arithmetic as a
-        serial :meth:`_newton` run with that trial's parameters, and a trial
-        is frozen the moment it converges, so batched results match the
-        per-trial path bit for bit.  A trial whose system is singular
-        follows :meth:`_newton`'s rule inside the stack: the round counts as
-        an iteration, its iterate stays put and its own gmin rises an order
-        of magnitude for the rest of the call, while every other trial
-        keeps its round.  ``stall_rounds`` applies :meth:`_newton`'s stall
-        rule per trial: a trial that goes that many rounds past its own
-        best update stops unconverged at that round and leaves the stack.
-
-        With ``timestep_s`` set this is one lockstep *transient* Newton
-        round over the stack: ``previous_solutions``/``cap_history`` carry
-        the per-trial capacitor companion state, and the source waveforms
-        are evaluated once for the whole stack.  ``source_scale`` scales
-        every independent source (the batched source-stepping ladder).
-
-        ``reuse_states`` (one :class:`_NewtonReuseState` per stack row)
-        switches the sparse backends to per-trial modified Newton: each
-        active trial takes its round through its own state's
-        :meth:`~_NewtonReuseState.solve`, exactly as :meth:`_newton` does,
-        so it keeps its frozen LU across rounds — and across the calls of a
-        lockstep march sharing the states — refactorizing one trial at a
-        time only where its state asks for it.  Dense assembly ignores it,
-        as :meth:`_newton` does.
-        """
-        compiled = self.compiled
-        trials = solutions.shape[0]
-        iterations = np.zeros(trials, dtype=int)
-        converged = np.zeros(trials, dtype=bool)
-        max_updates = np.full(trials, np.inf)
-        best_updates = np.full(trials, np.inf)
-        best_rounds = np.zeros(trials, dtype=int)
-        active = np.ones(trials, dtype=bool)
-        # Per-trial gmin, handed to the assembly only once a singular solve
-        # has bumped some trial's value (the common path keeps the scalar).
-        gmins = np.full(trials, gmin)
-        bumped = False
-        solver = solver.select(compiled, trials)
-        solver.bind(compiled)
-        # Pattern-assembly backends (sparse) get (trials, nnz) CSC data
-        # stacks instead of dense (trials, n, n) stacks — same per-trial
-        # arithmetic, trials * nnz memory instead of trials * n^2.
-        pattern = (
-            compiled.sparsity_pattern() if solver.wants_pattern_assembly else None
-        )
-        if pattern is not None:
-            assemble = compiled.assemble_sparse_batched
-            solve_stack, solve_one = solver.solve_pattern_batched, solver.solve_pattern
-        else:
-            assemble = compiled.assemble_batched
-            solve_stack, solve_one = solver.solve_batched, solver.solve
-        use_reuse = reuse_states is not None and pattern is not None
-        # Per-call invariant, hoisted out of the rounds: the linear RHS stack
-        # (sources and capacitor history) depends on neither the iterates nor
-        # gmin, and each of its rows only on its own trial.  Every round
-        # assembles into a copy of the rows it needs, and recycles the
-        # assembly's scratch buffers (the hot path owns the assembled arrays
-        # for exactly one round).
-        linear_rhs = compiled._linear_rhs_batched(
-            trials,
-            params,
-            time_s,
-            source_scale,
-            integration,
-            previous_solutions,
-            cap_history,
-            compiled._batched_cap_g_rows(
-                trials,
-                params.get("cap_c") if timestep_s is not None else None,
-                timestep_s,
-                integration,
-                cap_g_rows,
-            ),
-        )
-        for iteration in range(1, max_iterations + 1):
-            index = np.flatnonzero(active)
-            subset = {name: stack[index] for name, stack in params.items()}
-            matrices, rhs = assemble(
-                solutions[index],
-                subset,
-                gmin=gmins[index] if bumped else gmin,
-                timestep_s=timestep_s,
-                integration=integration,
-                linear_rhs=linear_rhs[index],
-                cap_g_rows=None if cap_g_rows is None else cap_g_rows[index],
-                reuse_workspace=True,
-            )
-            bypassed: Optional[np.ndarray] = None
-            singular: Optional[np.ndarray] = None
-            if use_reuse:
-                # Row ``row`` of the compressed stack is trial ``trial``,
-                # whose own state holds its frozen LU across rounds.
-                new_solutions = np.empty_like(rhs)
-                bypassed = np.zeros(index.size, dtype=bool)
-                singular = np.zeros(index.size, dtype=bool)
-                for row, trial in enumerate(index):
-                    try:
-                        new_solutions[row], bypassed[row] = reuse_states[trial].solve(
-                            solver, pattern, solutions[trial], matrices[row], rhs[row]
-                        )
-                    except np.linalg.LinAlgError:
-                        singular[row] = True
-            else:
-                try:
-                    new_solutions = solve_stack(matrices, rhs)
-                except np.linalg.LinAlgError:
-                    # A singular system anywhere raises for the whole stack.
-                    # Isolate it: re-solve the round trial by trial (same
-                    # LAPACK routine, bit-identical results) and find the
-                    # genuinely singular trials.
-                    new_solutions = np.empty_like(rhs)
-                    singular = np.zeros(index.size, dtype=bool)
-                    for row in range(index.size):
-                        try:
-                            new_solutions[row] = solve_one(matrices[row], rhs[row])
-                        except np.linalg.LinAlgError:
-                            singular[row] = True
-            if singular is not None and singular.any():
-                # _newton's LinAlgError rule per trial: the round counts,
-                # the iterate stays, the gmin rises for the rest of the call.
-                stuck = index[singular]
-                gmins[stuck] = np.maximum(gmins[stuck] * 10.0, 1e-12)
-                bumped = True
-                iterations[stuck] = iteration
-                index = index[~singular]
-                new_solutions = new_solutions[~singular]
-                if bypassed is not None:
-                    bypassed = bypassed[~singular]
-            update = new_solutions - solutions[index]
-            updates_max = (
-                np.max(np.abs(update), axis=1) if update.size else np.zeros(len(index))
-            )
-            update = np.minimum(np.maximum(update, -damping_v), damping_v)
-            solutions[index] = solutions[index] + update
-            iterations[index] = iteration
-            max_updates[index] = updates_max
-            if use_reuse:
-                for row, trial in enumerate(index):
-                    reuse_states[trial].observe(
-                        bool(bypassed[row]), float(updates_max[row]), tolerance_v
-                    )
-            done = updates_max < tolerance_v
-            if done.any():
-                converged[index[done]] = True
-                active[index[done]] = False
-            if stall_rounds is not None:
-                better = updates_max < best_updates[index]
-                best_updates[index[better]] = updates_max[better]
-                best_rounds[index[better]] = iteration
-                stalled = ~done & (iteration - best_rounds[index] >= stall_rounds)
-                active[index[stalled]] = False
-            if not active.any():
-                break
-        return solutions, iterations, converged, max_updates
 
     def _parameter_stacks(
         self,
@@ -1850,15 +1802,12 @@ class AnalysisEngine:
         dense solves.
 
         ``initial_guess`` may be one ``(n,)`` vector (shared warm start) or
-        a ``(trials, n)`` stack.  Every trial follows :meth:`solve_dc`'s
-        policy inside the stack: a singular system bumps that trial's gmin
-        as :meth:`_newton` does, a trial whose plain Newton stalls for
-        :data:`NEWTON_STALL_ROUNDS` rounds leaves the plain run at the round
-        the serial run would, and the trials the plain Newton cannot
-        converge run :meth:`solve_dc`'s gmin-stepping and source-stepping
-        ladders together (at their full budget), so each trial matches the
-        per-trial path bit for bit (its strategy reads ``"batched-newton"``
-        where the serial one reads ``"newton"``).
+        a ``(trials, n)`` stack.  The stack runs :meth:`solve_dc`'s driver
+        — plain Newton with its stall rule, then the gmin-stepping and
+        source-stepping ladders over the trials it leaves unconverged — so
+        each trial matches the per-trial path bit for bit (its strategy
+        reads ``"batched-newton"`` where the serial one reads
+        ``"newton"``).
 
         ``newton="reuse"`` runs per-trial modified Newton on either sparse
         backend (each trial keeps its LU until its contraction stalls,
@@ -1876,9 +1825,8 @@ class AnalysisEngine:
         circuit = self.circuit
         if circuit.system_size == 0:
             raise ValueError("the circuit has no unknowns to solve for")
-        compiled = self.compiled
         if refresh:
-            compiled.refresh_values()
+            self.compiled.refresh_values()
         stacks, count = self._parameter_stacks(params, trials)
 
         size = circuit.system_size
@@ -1896,53 +1844,12 @@ class AnalysisEngine:
                     f"or ({count}, {size})"
                 )
 
-        resolved = self._resolve_solver(solver, threads)
-        want_reuse = _wants_newton_reuse(newton)
-        counts_before = resolved.solver_stats()
-        controls = dict(
-            max_iterations=max_iterations,
-            tolerance_v=tolerance_v,
-            damping_v=damping_v,
-            time_s=time_s,
-            solver=resolved,
-        )
-        solutions, iterations, converged, residuals = self._newton_batched(
-            solutions,
-            stacks,
-            gmin=gmin,
-            reuse_states=(
-                [_NewtonReuseState() for _ in range(count)] if want_reuse else None
-            ),
-            stall_rounds=NEWTON_STALL_ROUNDS,
-            **controls,
-        )
-        strategies = ["batched-newton" if ok else "failed" for ok in converged]
-
-        # The serial fallback ladders, each run over the whole still-failed
-        # subset with one batched solve per Newton round.
-        pending = np.flatnonzero(~converged)
-        for ladder, rungs in _fallback_ladders(gmin):
-            if pending.size == 0:
-                break
-            sub = {name: stack[pending] for name, stack in stacks.items()}
-            stepped = np.zeros((pending.size, size))
-            for step_gmin, scale in rungs:
-                stepped, used, final_ok, final_resid = self._newton_batched(
-                    stepped, sub, gmin=step_gmin, source_scale=scale, **controls
-                )
-                iterations[pending] += used
-            # Serial solve_dc reports the last attempted Newton update: the
-            # final rung's, for the failures too.
-            residuals[pending] = final_resid
-            fixed = pending[final_ok]
-            solutions[fixed] = stepped[final_ok]
-            converged[fixed] = True
-            for trial in fixed:
-                strategies[trial] = ladder
-            pending = pending[~final_ok]
-
-        factorizations, reuses = self._counts_delta(
-            resolved.solver_stats(), counts_before
+        solutions, iterations, converged, residuals, strategies, counts = (
+            self._solve_dc_stack(
+                solutions, stacks, stacked=True, solver=solver, threads=threads,
+                newton=newton, gmin=gmin, max_iterations=max_iterations,
+                tolerance_v=tolerance_v, damping_v=damping_v, time_s=time_s,
+            )
         )
         return BatchedOperatingPoints(
             circuit=circuit,
@@ -1950,9 +1857,12 @@ class AnalysisEngine:
             iterations=iterations,
             converged=converged,
             max_residuals=residuals,
-            strategies=tuple(strategies),
-            factorizations=factorizations,
-            factorization_reuses=reuses,
+            strategies=tuple(
+                "batched-newton" if strategy == "newton" else strategy
+                for strategy in strategies
+            ),
+            factorizations=counts[0],
+            factorization_reuses=counts[1],
         )
 
     # ------------------------------------------------------------------ #
@@ -2115,6 +2025,8 @@ class AnalysisEngine:
         reuse_state = _NewtonReuseState() if _wants_newton_reuse(newton) else None
         counts_before = resolved.solver_stats()
         if use_initial_conditions:
+            # The march starts from the zero guess, with every capacitor at
+            # its initial_voltage_v for the first step's companion model.
             initial_solution = self.circuit.initial_solution()
         else:
             # The cold warm start always runs full Newton: far from the
@@ -2125,12 +2037,15 @@ class AnalysisEngine:
                 gmin=gmin, time_s=0.0, refresh=False, solver=resolved
             ).solution.copy()
 
+        backend = resolved.select(compiled)
+        backend.bind(compiled)
         controls = dict(
             max_newton_iterations=max_newton_iterations,
             tolerance_v=tolerance_v,
             gmin=gmin,
             integration=integration,
-            solver=resolved,
+            use_initial_conditions=use_initial_conditions,
+            solver=backend,
             reuse_state=reuse_state,
         )
         if adaptive:
@@ -2170,10 +2085,16 @@ class AnalysisEngine:
         tolerance_v: float,
         gmin: float,
         integration: str,
+        use_initial_conditions: bool,
         solver: LinearSolver,
         reuse_state: Optional[_NewtonReuseState] = None,
     ):
-        """The historical fixed-step march (bit-compatible parity mode)."""
+        """The historical fixed-step march (bit-compatible parity mode).
+
+        With ``use_initial_conditions`` the first step's capacitor companion
+        (and the trapezoidal history after it) takes the capacitors'
+        initial voltages as the previous voltages.
+        """
         from repro.spice.transient import TransientConvergenceInfo, TransientResult
 
         circuit = self.circuit
@@ -2190,7 +2111,8 @@ class AnalysisEngine:
         newton_total = 0
         worst_residual = 0.0
 
-        previous_solution = current_solution.copy()
+        # None: the first step starts from the capacitors' initial voltages.
+        previous_solution = None if use_initial_conditions else current_solution.copy()
         for step in range(1, steps + 1):
             time = times[step]
             solution, used, converged, residual = self._newton(
@@ -2219,8 +2141,9 @@ class AnalysisEngine:
             previous_solution = solution.copy()
             current_solution = solution
 
+        before_last = None if use_initial_conditions and steps == 1 else solutions[-2]
         self._mirror_capacitor_history(
-            cap_history, solutions[-1], solutions[-2], timestep_s, integration
+            cap_history, solutions[-1], before_last, timestep_s, integration
         )
 
         return TransientResult(
@@ -2243,7 +2166,7 @@ class AnalysisEngine:
         self,
         cap_history: np.ndarray,
         solution: np.ndarray,
-        previous_solution: np.ndarray,
+        previous_solution: Optional[np.ndarray],
         timestep_s: float,
         integration: str,
     ) -> np.ndarray:
@@ -2251,7 +2174,8 @@ class AnalysisEngine:
 
         Backward Euler keeps no history (its companion current only uses
         the previous voltage, gathered during assembly), so it returns
-        ``cap_history`` unchanged.  Returns the new ``cap_history``.
+        ``cap_history`` unchanged.  Returns the new ``cap_history``;
+        ``previous_solution=None`` is a first step from initial conditions.
         """
         compiled = self.compiled
         if integration != "trap" or not compiled.num_capacitors:
@@ -2272,6 +2196,7 @@ class AnalysisEngine:
         tolerance_v: float,
         gmin: float,
         integration: str,
+        use_initial_conditions: bool,
         solver: LinearSolver,
         reuse_state: Optional[_NewtonReuseState] = None,
     ):
@@ -2288,6 +2213,9 @@ class AnalysisEngine:
         ``min_timestep_s``); accepted steps grow the next proposal by the
         usual safety-factored power law.  Candidate steps are clipped so a
         step never crosses a source-waveform breakpoint or the stop time.
+        With ``use_initial_conditions`` the first accepted step, and every
+        retry of it, takes the capacitors' initial voltages as the previous
+        capacitor voltages.
         """
         from repro.spice.transient import TransientConvergenceInfo, TransientResult
 
@@ -2334,6 +2262,10 @@ class AnalysisEngine:
             if cursor < breakpoints.size and time + dt > breakpoints[cursor]:
                 dt = breakpoints[cursor] - time
                 clipped = True
+            # None: the capacitors' initial voltages, until the first step.
+            companion_previous = (
+                None if use_initial_conditions and not accepted else previous_solution
+            )
 
             solution, used, converged, residual = self._newton(
                 previous_solution.copy(),
@@ -2343,7 +2275,7 @@ class AnalysisEngine:
                 damping_v=1.0,
                 time_s=time + dt,
                 timestep_s=dt,
-                previous_solution=previous_solution,
+                previous_solution=companion_previous,
                 integration=integration,
                 cap_history=cap_history if integration == "trap" else None,
                 solver=solver,
@@ -2387,7 +2319,7 @@ class AnalysisEngine:
             largest_dt = max(largest_dt, dt)
 
             cap_history = self._accept_step(
-                cap_history, solution, previous_solution, dt, integration
+                cap_history, solution, companion_previous, dt, integration
             )
 
             older_solution = previous_solution
@@ -2405,8 +2337,9 @@ class AnalysisEngine:
         solutions = np.vstack(rows)
         time_axis = np.array(times)
         if len(rows) >= 2:
+            before_last = None if use_initial_conditions and accepted == 1 else solutions[-2]
             self._mirror_capacitor_history(
-                cap_history, solutions[-1], solutions[-2], previous_dt, integration
+                cap_history, solutions[-1], before_last, previous_dt, integration
             )
 
         return TransientResult(
@@ -2496,8 +2429,10 @@ class AnalysisEngine:
         counts_before = resolved.solver_stats()
 
         # Per-trial DC warm start at t = 0, exactly like the serial path
-        # (solve_dc defaults; solve_dc_batched runs the serial ladders).
+        # (solve_dc defaults; solve_dc_batched runs solve_dc's driver).
         if use_initial_conditions:
+            # As in solve_transient: the zero guess, with every capacitor at
+            # its initial_voltage_v for the first step's companion model.
             solutions = np.tile(circuit.initial_solution(), (count, 1))
         else:
             # Cold warm start at full Newton, exactly like solve_transient:
@@ -2516,14 +2451,16 @@ class AnalysisEngine:
         worst_residuals = np.zeros(count)
         converged = np.ones(count, dtype=bool)
         cap_history = np.zeros((count, compiled.num_capacitors))
-        # March-wide invariant: the per-trial companion conductances, handed
-        # to every Newton round (and reused by the trapezoidal history
-        # update) instead of being re-derived per assembly.
-        cap_g = compiled._batched_cap_g_rows(
-            count, stacks.get("cap_c"), timestep_s, integration, None
-        )
+        # March-wide invariant: the companion conductances (per trial under
+        # a cap_c stack), handed to every step's linear right-hand side and
+        # reused by the trapezoidal history update.
+        cap_g = compiled._capacitor_conductance(timestep_s, integration, stacks.get("cap_c"))
+        backend = resolved.select(compiled, count)
+        backend.bind(compiled)
 
         previous = solutions
+        # None: the first step starts from the capacitors' initial voltages.
+        companion_previous = None if use_initial_conditions else previous
         for step in range(1, steps + 1):
             current, iters, conv, resid = self._newton_batched(
                 previous.copy(),
@@ -2534,11 +2471,11 @@ class AnalysisEngine:
                 damping_v=1.0,
                 time_s=times[step],
                 timestep_s=timestep_s,
-                previous_solutions=previous,
+                previous_solutions=companion_previous,
                 integration=integration,
                 cap_history=cap_history if integration == "trap" else None,
                 cap_g_rows=cap_g,
-                solver=resolved,
+                solver=backend,
                 reuse_states=reuse_states,
             )
             newton_totals += iters
@@ -2547,9 +2484,11 @@ class AnalysisEngine:
             # becomes the worst residual.
             worst_residuals = np.fmax(worst_residuals, resid)
             waveforms[:, step, :] = current
-            if cap_g is not None and integration == "trap":
-                cap_history = cap_g * compiled._cap_dv(current, previous) - cap_history
-            previous = current
+            if integration == "trap":
+                cap_history = (
+                    cap_g * compiled._cap_dv(current, companion_previous) - cap_history
+                )
+            previous = companion_previous = current
 
         factorizations, reuses = self._counts_delta(
             resolved.solver_stats(), counts_before
@@ -2582,7 +2521,7 @@ class AnalysisEngine:
         self,
         cap_history: np.ndarray,
         last_solution: np.ndarray,
-        previous_solution: np.ndarray,
+        previous_solution: Optional[np.ndarray],
         last_timestep_s: float,
         integration: str,
     ) -> None:

@@ -391,19 +391,23 @@ class TestSolverFallbacks:
         MOSFET(circuit, "m1", "d", "g", "0", NMOS)
         VoltageSource(circuit, "vg", "g", "0", 1.2)
         engine = get_engine(circuit)
-        solution = circuit.initial_solution()
+        solver = engine.solver.select(engine.compiled)
+        # The DC driver's Newton loop, on a stack of one.
+        solutions = circuit.initial_solution()[np.newaxis]
         for scale in (0.1, 0.25, 0.5, 0.75, 1.0):
-            solution, _, converged, _ = engine._newton(
-                solution,
+            solutions, _, converged, _ = engine._newton_batched(
+                solutions,
+                {},
                 gmin=1e-9,
                 max_iterations=300,
                 tolerance_v=1e-7,
                 damping_v=0.6,
                 source_scale=scale,
+                solver=solver,
             )
-        assert converged
+        assert converged[0]
         reference = get_engine(circuit).solve_dc()
-        assert solution[circuit.node_index("d")] == pytest.approx(
+        assert solutions[0, circuit.node_index("d")] == pytest.approx(
             reference.voltage("d"), abs=1e-5
         )
 
@@ -560,3 +564,44 @@ class TestEngineTransient:
                 assert capacitor._previous_current == pytest.approx(
                     g * (v_now - v_prev), rel=1e-9
                 )
+
+
+class TestCapacitorInitialConditions:
+    """``Capacitor(initial_voltage_v=...)`` seeds a march from initial conditions."""
+
+    #: Time constant of the 1 kOhm || 1 nF discharge.
+    TAU_S = 1e-6
+
+    def _discharge(self):
+        circuit = Circuit("rc-discharge")
+        Resistor(circuit, "r1", "a", "0", 1e3)
+        Capacitor(circuit, "c1", "a", "0", 1e-9, initial_voltage_v=1.0)
+        return circuit
+
+    @pytest.mark.parametrize(
+        "integration, adaptive, rel",
+        [("be", False, 0.01), ("trap", False, 0.03), ("be", True, 0.03)],
+    )
+    def test_discharge_starts_from_the_initial_voltage(self, integration, adaptive, rel):
+        result = get_engine(self._discharge()).solve_transient(
+            self.TAU_S,
+            self.TAU_S / 100,
+            integration=integration,
+            adaptive=adaptive,
+            use_initial_conditions=True,
+        )
+        assert result.converged
+        assert result.sample_voltage("a", self.TAU_S) == pytest.approx(
+            np.exp(-1.0), rel=rel
+        )
+
+    @pytest.mark.parametrize("integration", ["be", "trap"])
+    def test_stacked_rows_equal_the_serial_run(self, integration):
+        engine = get_engine(self._discharge())
+        controls = dict(integration=integration, use_initial_conditions=True)
+        serial = engine.solve_transient(self.TAU_S, self.TAU_S / 100, **controls)
+        stacked = engine.solve_transient_batched(
+            self.TAU_S, self.TAU_S / 100, trials=2, **controls
+        )
+        for row in stacked.solutions:
+            assert np.array_equal(row, serial.solutions)

@@ -60,22 +60,23 @@ def test_lattice_dc_story(rows, strategy, iterations):
 
 def test_stall_rule_stops_the_plain_run_only():
     engine = get_engine(build_scalability_bench(14).circuit)
-    start = engine.circuit.initial_solution()
+    # The DC driver's Newton loop, on a stack of one.
+    start = engine.circuit.initial_solution()[np.newaxis]
     controls = dict(
         gmin=1e-9,
         max_iterations=300,
         tolerance_v=1e-7,
         damping_v=0.6,
-        solver=engine._resolve_solver("dense"),
+        solver=engine._resolve_solver("dense").select(engine.compiled),
     )
-    _, used, converged, _ = engine._newton(
-        start.copy(), stall_rounds=NEWTON_STALL_ROUNDS, **controls
+    _, used, converged, _ = engine._newton_batched(
+        start.copy(), {}, stall_rounds=NEWTON_STALL_ROUNDS, **controls
     )
-    assert (used, converged) == (66, False)
+    assert (used[0], converged[0]) == (66, False)
     # Without the rule (every ladder rung, every transient step) the same
     # run spends its whole budget.
-    _, used, converged, _ = engine._newton(start.copy(), **controls)
-    assert (used, converged) == (300, False)
+    _, used, converged, _ = engine._newton_batched(start.copy(), {}, **controls)
+    assert (used[0], converged[0]) == (300, False)
 
 
 @pytest.fixture(scope="module")
