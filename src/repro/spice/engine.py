@@ -1344,7 +1344,7 @@ class AnalysisEngine:
         # its row as an (n,) iterate: the same float operations, through
         # NumPy calls that are cheaper on (n,) than on (1, n) arrays.
         lone = trials == 1 and not params
-        # Written as each trial leaves the stack, or after the last round.
+        # Written as each trial leaves the stack or after the last round.
         iterations = np.empty(trials, dtype=int)
         max_updates = np.empty(trials)
         converged = np.zeros(trials, dtype=bool)
@@ -1371,7 +1371,8 @@ class AnalysisEngine:
         for iteration in range(1, max_iterations + 1):
             whole = active.size == trials  # no gathers while all are active
             if lone:
-                iterates = solutions
+                # The (n,) row, updated in place (reuse solves into a stack).
+                iterates = solutions if use_reuse else solutions[0]
                 state = AnalysisState(
                     solutions[0], timestep_s=timestep_s, integration=integration,
                     gmin=gmin if gmins is None else gmins[0],
@@ -1404,14 +1405,14 @@ class AnalysisEngine:
                 for row, trial in enumerate(active):
                     try:
                         new_solutions[row], bypassed[row] = reuse_states[trial].solve(
-                            solver, pattern, iterates[row], matrices[row], rhs[row]
+                            solver, pattern, solutions[trial], matrices[row], rhs[row]
                         )
                     except np.linalg.LinAlgError:
                         singular[row] = True
             else:
                 try:
                     if active.size == 1:
-                        # (n,), broadcast against the (1, n) iterates.
+                        # (n,), broadcast against (1, n) stacked iterates.
                         new_solutions = solve_one(matrices[0], rhs[0])
                     else:
                         new_solutions = solve_stack(matrices, rhs)
@@ -1437,17 +1438,17 @@ class AnalysisEngine:
                 gmins[stuck] = np.maximum(gmins[stuck] * 10.0, 1e-12)
                 solved = ~singular
                 stepped = active[solved]
-                iterates = iterates[solved]
+                iterates = solutions[stepped]
                 new_solutions = new_solutions[solved]
                 if bypassed is not None:
                     bypassed = bypassed[solved]
             update = new_solutions - iterates
-            updates_max = np.abs(update).max(axis=1) if update.size else np.zeros(0)
+            updates_max = np.abs(update).max(axis=-1) if update.size else np.zeros(0)
             # Per-unknown clamp: a runaway node (e.g. a floating terminal
             # hanging off a cut-off transistor) must not stall the rest.
             update = np.minimum(np.maximum(update, -damping_v), damping_v)
             if whole and solved is None:
-                solutions += update
+                iterates += update  # iterates is solutions, or its lone row
             else:
                 solutions[stepped] = iterates + update
             if use_reuse:
@@ -1624,9 +1625,8 @@ class AnalysisEngine:
         compiled = self.compiled
         resolved = self._resolve_solver(solver, threads)
         count = solutions.shape[0]
-        reuse_states = (
-            [_NewtonReuseState() for _ in range(count)] if _wants_newton_reuse(newton) else None
-        )
+        reuse = _wants_newton_reuse(newton)
+        reuse_states = [_NewtonReuseState() for _ in range(count)] if reuse else None
         controls["solver"] = backend = resolved.select(compiled, count if stacked else None)
         backend.bind(compiled)
         counts_before = resolved.solver_stats()
