@@ -1354,8 +1354,7 @@ class AnalysisEngine:
         # stall_rounds, so until then the updates are only kept, then
         # replayed: most DC solves converge first and skip the bookkeeping.
         active = np.arange(trials)
-        last_updates = np.empty(trials)
-        last_updates.fill(np.inf)
+        last_updates = np.full(trials, np.inf)
         unreplayed: List[np.ndarray] = []
         best_updates = best_rounds = None
         # Per-trial gmin, created by the first singular solve.
