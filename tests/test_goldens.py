@@ -18,6 +18,14 @@ from repro.analysis.waveform_metrics import edge_times, steady_state_levels
 from repro.api import CircuitSpec, DCOp, Session, Transient
 from repro.circuits import build_scalability_bench
 from repro.core.evaluation import evaluate_lattice
+from repro.experiments import (
+    run_device_iv,
+    run_fig3,
+    run_fig8,
+    run_fig10,
+    run_table1,
+    run_table2,
+)
 from repro.experiments.fig9_switch_model import run_fig9
 from repro.experiments.fig11_xor3_transient import build_fig11_bench
 from repro.experiments.fig12_series_switches import run_fig12, run_fig12_drive_curves
@@ -64,6 +72,38 @@ FIG11_FALL_TIME_S = 1.7431238086836106e-09
 #: Bitwise on one host, with room for last-bit differences between BLAS
 #: builds.
 FIG11_EDGE_RTOL = 1e-9
+
+#: Serial 200 ns, 1 ns-step marches of the default Fig. 11 bench on the
+#: default (dense) backend that the full-figure golden does not cover,
+#: keyed by ``(integration, adaptive, use_initial_conditions)``: the sha256
+#: of the solution rows and of the time axis, then (Newton iterations,
+#: factorizations, accepted steps, rejected steps) of the whole march (the
+#: warm-start DC included).
+FIG11_MARCH_STOP_S = 200e-9
+FIG11_MARCH_STEP_S = 1e-9
+FIG11_FIXED_TIME_SHA256 = "6b9f333c1846ee83208602172d890ae595902a7feaf75655ab3c7219af3b7fe6"
+FIG11_MARCH_GOLDENS = {
+    ("trap", False, False): (
+        "028776480649800c6748fe50bc1da0699a8e6bdc137ebf7227559f9559aa29b2",
+        FIG11_FIXED_TIME_SHA256,
+        (428, 490, 200, 0),
+    ),
+    ("be", True, False): (
+        "5d0145749ede03a0e008073e233195ba310a0ab73c457f3bf39e305e8a0fab5f",
+        "4147db153928c9f1eac5b7bc9c782972c35af97eae03de37493ecce6b3ab0db9",
+        (514, 576, 130, 19),
+    ),
+    ("trap", True, False): (
+        "13222c0ce67f4ba82d554f4e1bc7d09f9400acf46694a0de21a1e915bb77788b",
+        "56562c6819fc58e01230b79788d3262f65e0532a5eae2aceef90b1ac1ea5f371",
+        (481, 543, 136, 16),
+    ),
+    ("be", False, True): (
+        "57fdddf69841934620b318aafc539179fbc763f86c7d3c44322a9804bf5b5117",
+        FIG11_FIXED_TIME_SHA256,
+        (662, 662, 200, 0),
+    ),
+}
 
 #: Scalability DC (14-row identity lattice, n=399, auto -> sparse SuperLU):
 #: plain Newton stalls (its best update comes at round 46, and 20 rounds
@@ -196,6 +236,84 @@ TERMINAL_OFF_CURRENTS_A = {
     "DSDD": 1.2110034044546872e-09,
 }
 
+#: Table I (default 7x7 grid): products of the m x n lattice function, one
+#: tuple per row count m = 2..7, columns n = 2..7.
+TABLE1_PRODUCTS = {
+    2: (2, 3, 4, 5, 6, 7),
+    3: (4, 9, 16, 25, 36, 49),
+    4: (6, 17, 36, 67, 118, 203),
+    5: (10, 37, 94, 205, 436, 957),
+    6: (16, 77, 236, 621, 1668, 4883),
+    7: (26, 163, 602, 1905, 6562, 26317),
+}
+
+#: Table II: the sha256 of the device rows (JSON, sorted keys) and, per
+#: device/gate combination, (threshold, oxide capacitance, flat-band
+#: voltage, subthreshold swing) of the derived electrostatics.
+TABLE2_ROWS_SHA256 = "bd5147d47089ae19da54c592774c25ddfc45e07536fa648e52ca5c67a94460c4"
+TABLE2_ELECTROSTATICS = {
+    "square/HfO2": (0.1902952645032266, 0.007378489844000001, -0.9, 0.06757707864917605),
+    "square/SiO2": (1.5803267661050966, 0.0011510444156640001, -0.9, 0.11113315572235946),
+    "cross/HfO2": (0.26906294695058025, 0.007378489844000001, -0.9, 0.06757707864917605),
+    "cross/SiO2": (2.085247807434287, 0.0011510444156640001, -0.9, 0.11113315572235946),
+    "junctionless/HfO2": (-0.8436015067361657, 0.07378489844000001, -0.1, 0.0654790722655649),
+    "junctionless/SiO2": (-3.1931843042269796, 0.011510444156640001, -0.1, 0.0654790722655649),
+}
+
+#: Fig. 3: each XOR3 realization's layout and switch count (all correct).
+FIG3_LATTICES = {
+    "3x4 (Fig. 3a)": (["a  a  a' a'", "b  b' b  b'", "c  c' c' c"], 12),
+    "3x3 (Fig. 3b)": (["b' c  b", "a  1  a'", "b  c' b'"], 9),
+    "dual-product baseline": (["a' a' b' c", "a' a' c' b", "b' c' a  a", "c  b  a  a"], 16),
+}
+
+#: Figs. 5-7, per device/gate combination: (extracted threshold, on
+#: current, off current, transfer-curve on/off ratio, peak transconductance,
+#: analytic threshold, simulator on/off ratio) and the sha256 of the
+#: linear, saturation and output drain currents stacked in that order.
+DEVICE_IV_GOLDENS = {
+    ("square", "HfO2"): (
+        (0.19479508604273957, 0.0011476327738083045, 1.2110034044546872e-09, 947670.972341388, 7.970296781138399e-07, 0.1902952645032266, 947670.972341388),
+        "90433abe468a2ffdfc7e4ef744cf7144ee45bad1fc71f64460184dfbf02527bd",
+    ),
+    ("square", "SiO2"): (
+        (1.5822288098962662, 9.0831408870764e-05, 1.2000000000000434e-09, 75692.84072563393, 1.2436873501162038e-07, 1.5803267661050966, 75692.84072563393),
+        "0cec8dfb6f48332df3f213cf2f6f2c76c9759e32ca58299999dc58a371fe37a2",
+    ),
+    ("cross", "HfO2"): (
+        (0.27356926196757786, 0.00035114786860218107, 3.902472887267465e-10, 899808.6053278308, 2.62255466115054e-07, 0.26906294695058025, 899808.6053278308),
+        "b0a149b6cd3a25c39cb90584af86446a5f843f4261fb6acdb998d8ca1ed4afbc",
+    ),
+    ("cross", "SiO2"): (
+        (2.0871885929483787, 2.0848791551629937e-05, 3.9e-10, 53458.439875974196, 4.092119844559053e-08, 2.085247807434287, 53458.439875974196),
+        "0b2e6c0a822315682ada86937fae31433d3af594b2c66b598cfad50ebd1ab081",
+    ),
+    ("junctionless", "HfO2"): (
+        (-0.8431221525391684, 6.185243674096424e-05, 1.3436538448287398e-06, 46.03301436527937, 3.4002865889605693e-08, -0.8436015067361657, 103087394.56825264),
+        "985396a9a815a0fdae41ff3469508bef62ad9d91d08fde920f9269b8c29c50bb",
+    ),
+    ("junctionless", "SiO2"): (
+        (-3.1976013885546575, 1.6682487625903503e-05, 3.0015426719665225e-06, 5.557971166531385, 5.327738842065459e-09, -3.1931843042269796, 27804146.043171618),
+        "11762f88fb330636dc7ea97a86d756cadcba80e6edb703f4524bcccbe468e827",
+    ),
+}
+
+#: Fig. 8 (default 61x61 mesh), per device kind: source-current spread,
+#: peak/mean crowding and the sha256 of the potential, jx and jy maps.
+FIG8_GOLDENS = {
+    "square": (0.8803770183542775, 21.450600077019736, "4ea4b51cc0c32c26a940f77237258d47aefeb4c197884de2a6445b484b916e44"),
+    "cross": (0.3650349711855101, 11.273432346415143, "55f085ad580f03fcc0b60592563e3639c2e4e260a0ca11622e07797cb3f00f7e"),
+    "junctionless": (0.9469991056811711, 21.61646374103973, "a2806cadf182d69d5abe92b17c282c6a176dc7dd8ccae18061a74d66506ad8f4"),
+}
+
+#: Fig. 10 (default 41 points): per fit, (Kp, Vth, lambda, relative RMS
+#: error), and the sha256 of the fitted Id-Vd data (vds and ids stacked).
+FIG10_FITS = {
+    "output_fit": (3.952752487473446e-05, 0.1837771411617458, 0.05032182053257095, 1.5005865807741133e-05),
+    "combined_fit": (3.951260209512717e-05, 0.1834469266835011, 0.05043953977898636, 0.0002952851993409713),
+}
+FIG10_DATA_SHA256 = "0a60a63f68546684d5f6f0025717f57560bcc79771902c76fdc2c687e4eb5efe"
+
 #: The XOR3 variability study at its default seed, per run configuration:
 #: the sha256 of the per-trial metric columns (sorted metric names, one row
 #: per metric, trials in order), the rise, fall and swing summaries as
@@ -234,6 +352,11 @@ def fig11():
     return bench, session.run(spec)
 
 
+@pytest.fixture(scope="module")
+def fig11_engine():
+    return get_engine(build_fig11_bench().circuit)
+
+
 class TestFig11Golden:
     def test_converges_with_pinned_newton_count(self, fig11):
         _, result = fig11
@@ -262,6 +385,34 @@ class TestFig11Golden:
         rises, falls = edge_times(time_s, vout, steady_state_levels(time_s, vout))
         assert rises[0] == pytest.approx(FIG11_RISE_TIME_S, rel=FIG11_EDGE_RTOL, abs=0.0)
         assert falls[0] == pytest.approx(FIG11_FALL_TIME_S, rel=FIG11_EDGE_RTOL, abs=0.0)
+
+
+class TestFig11MarchGolden:
+    @pytest.mark.parametrize(
+        "integration, adaptive, use_initial_conditions", list(FIG11_MARCH_GOLDENS)
+    )
+    def test_serial_march(self, fig11_engine, integration, adaptive, use_initial_conditions):
+        solutions_sha256, time_sha256, counts = FIG11_MARCH_GOLDENS[
+            (integration, adaptive, use_initial_conditions)
+        ]
+        result = fig11_engine.solve_transient(
+            FIG11_MARCH_STOP_S,
+            FIG11_MARCH_STEP_S,
+            integration=integration,
+            adaptive=adaptive,
+            use_initial_conditions=use_initial_conditions,
+        )
+        info = result.convergence_info
+        assert result.converged
+        assert info.strategy == ("adaptive" if adaptive else "fixed-step")
+        assert (
+            info.newton_iterations,
+            info.factorizations,
+            info.accepted_steps,
+            info.rejected_steps,
+        ) == counts
+        assert _sha256(result.solutions) == solutions_sha256
+        assert _sha256(result.time_s) == time_sha256
 
 
 @pytest.mark.skipif(
@@ -426,3 +577,92 @@ class TestVariabilityStudyGolden:
                 summary.percentiles,
             ) == golden[name]
         assert result.functional_yield() == golden["yield"]
+
+
+class TestTable1Golden:
+    def test_product_counts(self):
+        result = run_table1()
+        assert result.computed == {
+            (rows, cols): count
+            for rows, counts in TABLE1_PRODUCTS.items()
+            for cols, count in enumerate(counts, 2)
+        }
+
+
+class TestTable2Golden:
+    def test_rows_and_electrostatics(self):
+        result = run_table2()
+        rows = json.dumps(result.rows, sort_keys=True).encode()
+        assert hashlib.sha256(rows).hexdigest() == TABLE2_ROWS_SHA256
+        assert {
+            name: (
+                es.threshold_v,
+                es.oxide_capacitance_f_per_m2,
+                es.flat_band_v,
+                es.subthreshold_swing_v_per_decade,
+            )
+            for name, es in result.electrostatics.items()
+        } == TABLE2_ELECTROSTATICS
+
+
+class TestFig3Golden:
+    def test_realizations(self):
+        result = run_fig3()
+        assert result.correct == {name: True for name in FIG3_LATTICES}
+        assert {
+            name: (lattice.to_strings(), result.switch_counts[name])
+            for name, lattice in result.lattices.items()
+        } == FIG3_LATTICES
+
+
+class TestDeviceIVGolden:
+    @pytest.mark.parametrize("kind, gate_material", list(DEVICE_IV_GOLDENS))
+    def test_figures_of_merit_and_curves(self, kind, gate_material):
+        merits, digest = DEVICE_IV_GOLDENS[(kind, gate_material)]
+        result = run_device_iv(kind, gate_material)
+        summary = result.summary
+        assert (
+            summary.threshold_v,
+            summary.on_current_a,
+            summary.off_current_a,
+            summary.on_off_ratio,
+            summary.max_transconductance_s,
+            result.analytic_threshold_v,
+            result.on_off_ratio,
+        ) == merits
+        curves = np.stack(
+            [
+                result.linear.drain_current,
+                result.saturation.drain_current,
+                result.output.drain_current,
+            ]
+        )
+        assert _sha256(curves) == digest
+
+
+class TestFig8Golden:
+    def test_profiles(self):
+        result = run_fig8()
+        assert {
+            kind.value: (
+                result.source_uniformity[kind],
+                result.crowding[kind],
+                _sha256(np.stack([field.potential, field.jx, field.jy])),
+            )
+            for kind, field in result.fields.items()
+        } == FIG8_GOLDENS
+
+
+class TestFig10Golden:
+    def test_fits(self):
+        result = run_fig10()
+        for name, golden in FIG10_FITS.items():
+            fit = getattr(result, name)
+            parameters = fit.parameters
+            assert (
+                parameters.kp_a_per_v2,
+                parameters.vth_v,
+                parameters.lambda_per_v,
+                fit.relative_rms_error,
+            ) == golden
+        assert _sha256(np.stack([result.vds, result.ids])) == FIG10_DATA_SHA256
