@@ -13,9 +13,10 @@ analysis engine:
   walks a circuit once and emits per-element-class index arrays, so every
   Newton iteration assembles the Jacobian/RHS with one vectorized scatter
   into the CSC data of a shared sparsity pattern;
-  :class:`~repro.spice.engine.AnalysisEngine` owns the Newton loops plus
-  the gmin-stepping and source-stepping fallbacks, in one DC driver that
-  runs a serial solve as a stack of one;
+  :class:`~repro.spice.engine.AnalysisEngine` owns the one Newton loop
+  plus the gmin-stepping and source-stepping fallbacks, one DC driver and
+  one fixed-step march; a serial analysis is a stack of one, whose rounds
+  the Newton loop runs as a row loop on the ``(n,)`` iterate;
 * :mod:`repro.spice.solvers` — the *solver seam*: pluggable
   :class:`~repro.spice.solvers.LinearSolver` backends behind every Newton
   iteration's linear solve — dense LAPACK (default), sparse SuperLU reusing

@@ -1,11 +1,14 @@
 """The unified analysis engine: compiled sparse stamping and batched sweeps.
 
 All analyses (DC operating point, DC sweeps, transient) run through one
-:class:`AnalysisEngine`, which owns the Newton-Raphson loops and the DC
-convergence fallbacks (gmin stepping, source stepping).  The DC policy —
-plain Newton with its stall rule, then the fallback ladders — lives in one
-driver over a stack of trials; a serial DC solve is its stack of one.  The
-engine compiles a :class:`~repro.spice.netlist.Circuit` once into
+:class:`AnalysisEngine`, which owns the Newton-Raphson loop and the DC
+convergence fallbacks (gmin stepping, source stepping).  Every Newton round
+runs in one loop over a stack of trials; a stack of one — every serial
+analysis — runs it as a row loop on its ``(n,)`` iterate.  The DC policy
+(plain Newton with its stall rule, then the fallback ladders) lives in one
+driver and the fixed-step transient in one march, each over a stack whose
+serial case is a stack of one; the adaptive march steps a stack of one.
+The engine compiles a :class:`~repro.spice.netlist.Circuit` once into
 per-element-class index arrays (:class:`CompiledCircuit`) so each Newton
 iteration assembles the Jacobian and right-hand side with one vectorized
 kernel — for one ``(n,)`` iterate or a ``(trials, n)`` stack — into the
@@ -1182,11 +1185,12 @@ class CompiledCircuit:
 class AnalysisEngine:
     """Shared Newton-Raphson solver over a compiled circuit.
 
-    The engine owns the iteration loops and the convergence fallbacks; the
+    The engine owns the Newton loop and the convergence fallbacks; the
     analyses are thin drivers over them.  Every DC operating point runs
     one driver (plain damped Newton with its stall rule, then the
-    gmin-stepping and source-stepping ladders) on a stack of trials; the
-    serial transient marches keep their own step Newton loop.
+    gmin-stepping and source-stepping ladders) and every fixed-step
+    transient one march, each on a stack of trials; a serial analysis is a
+    stack of one.
 
     * :meth:`solve_dc` — the DC operating point, as a stack of one;
     * :meth:`dc_sweep` — repeated operating points with warm-start
@@ -1194,14 +1198,14 @@ class AnalysisEngine:
     * :meth:`sweep_many` — a family of sweeps through one compiled circuit
       (per-point continuation inside each family, the previous family's
       solution seeding the next);
-    * :meth:`solve_transient` — fixed-step or adaptive (LTE-controlled)
-      integration with per-step Newton iteration and vectorized capacitor
-      history updates;
+    * :meth:`solve_transient` — fixed-step (the lockstep march on a stack
+      of one) or adaptive (LTE-controlled) integration with per-step
+      Newton iteration and vectorized capacitor history updates;
     * :meth:`solve_dc_batched` — stacked same-pattern operating points
       (Monte-Carlo trials) through the same driver, solved in batched
       LAPACK calls;
-    * :meth:`solve_transient_batched` — a lockstep fixed-step transient
-      march over stacked trials: shared waveform evaluation per step,
+    * :meth:`solve_transient_batched` — the same fixed-step march over
+      stacked trials in lockstep: shared waveform evaluation per step,
       per-trial freeze-on-convergence, batched LAPACK Newton rounds.
 
     Every linear solve routes through the engine's pluggable
@@ -1276,7 +1280,7 @@ class AnalysisEngine:
         return self.compiled.assemble(state, source_scale=source_scale)
 
     # ------------------------------------------------------------------ #
-    # the Newton loops: stacked (every DC solve), serial (transient steps)
+    # the Newton loop (every DC solve and every transient step)
     # ------------------------------------------------------------------ #
 
     def _newton_batched(
@@ -1301,13 +1305,13 @@ class AnalysisEngine:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Newton iteration over stacked systems; one linear solve per round.
 
-        Mutates and returns ``solutions`` (``(trials, n)``) with per-trial
-        ``(iterations, converged, max_updates)``.  Each round assembles and
-        solves the active trials, clamps every update to ``damping_v`` per
-        unknown and tests it against ``tolerance_v``; a trial leaves the
-        stack the moment it converges, so no row depends on the others and
-        a stack of one is a serial run.  ``solver`` is the concrete backend
-        the caller selected.
+        The engine's one Newton loop.  Mutates and returns ``solutions``
+        (``(trials, n)``) with per-trial ``(iterations, converged,
+        max_updates)``.  Each round assembles and solves the active trials,
+        clamps every update to ``damping_v`` per unknown and tests it
+        against ``tolerance_v``; a trial leaves the stack the moment it
+        converges, so no row depends on the others.  ``solver`` is the
+        concrete backend the caller selected.
 
         A singular trial keeps its iterate for the round, which still
         counts, and its own gmin rises an order of magnitude for the rest
@@ -1316,17 +1320,25 @@ class AnalysisEngine:
         that many rounds have passed since its smallest update; a singular
         round brings no new best.
 
-        With ``timestep_s`` set this is one lockstep transient step:
-        ``previous_solutions`` (``None``: the capacitors' initial voltages),
-        ``cap_history`` and ``cap_g_rows`` carry the companion state, and
-        the waveforms are evaluated once for the stack.  ``source_scale``
-        scales every independent source (the source-stepping ladder).
+        With ``timestep_s`` set this is one transient step:
+        ``previous_solutions`` (``(trials, n)``; ``None``: the capacitors'
+        initial voltages), ``cap_history`` (``(trials, C)``) and
+        ``cap_g_rows`` carry the companion state, and the waveforms are
+        evaluated once for the stack.  ``source_scale`` scales every
+        independent source (the source-stepping ladder).
 
         ``reuse_states`` (one :class:`_NewtonReuseState` per row) runs
         per-trial modified Newton on the sparse backends: each active trial
         solves through its own state, which keeps its LU across rounds and
         across the calls of a march sharing the states.  Dense assembly
         ignores it, since LAPACK refactors on every call anyway.
+
+        A stack of one without parameter stacks — every serial DC solve and
+        transient step — runs the same rounds as a row loop on its ``(n,)``
+        iterate: the kernel's 1-D assembly and a single solve, with the
+        stall rule kept in Python scalars, so a serial analysis pays no
+        stack bookkeeping.  Larger stacks run the stacked loop, whose rows
+        take the same float operations (bit-identical trial for trial).
         """
         compiled = self.compiled
         trials = solutions.shape[0]
@@ -1340,10 +1352,62 @@ class AnalysisEngine:
             assemble, assemble_row = compiled.assemble_batched, compiled.assemble
             solve_stack, solve_one = solver.solve_batched, solver.solve
         use_reuse = reuse_states is not None and pattern is not None
-        # A stack of one without parameter stacks (every solve_dc) assembles
-        # its row as an (n,) iterate: the same float operations, through
-        # NumPy calls that are cheaper on (n,) than on (1, n) arrays.
-        lone = trials == 1 and not params
+
+        if trials == 1 and not params:
+            # The row loop.  Per-call invariant: the linear RHS (sources,
+            # capacitor history) depends on neither the iterate nor gmin;
+            # every round assembles into a copy of it.
+            solution = solutions[0]
+            linear_rhs = compiled._linear_rhs(
+                (), params, time_s, source_scale, timestep_s, integration,
+                None if previous_solutions is None else previous_solutions[0],
+                None if cap_history is None else cap_history[0], cap_g_rows,
+            )
+            reuse_state = reuse_states[0] if use_reuse else None
+            row_gmin, bumped, converged = gmin, False, False
+            max_update, best_update, best_round = np.inf, np.inf, 0
+            iteration = 0
+            for iteration in range(1, max_iterations + 1):
+                state = AnalysisState(
+                    solution, timestep_s=timestep_s, integration=integration, gmin=row_gmin
+                )
+                system, rhs = assemble_row(
+                    state, cache_base=not bumped, linear_rhs=linear_rhs.copy()
+                )
+                bypassed = False
+                try:
+                    if reuse_state is None:
+                        new_solution = solve_one(system, rhs)
+                    else:
+                        new_solution, bypassed = reuse_state.solve(
+                            solver, pattern, solution, system, rhs
+                        )
+                except np.linalg.LinAlgError:
+                    row_gmin = max(row_gmin * 10.0, 1e-12)
+                    bumped = True
+                    continue
+                update = new_solution - solution
+                max_update = float(np.abs(update).max())
+                # Per-unknown clamp: a runaway node (e.g. a floating terminal
+                # hanging off a cut-off transistor) must not stall the rest.
+                solution += np.minimum(np.maximum(update, -damping_v), damping_v)
+                if reuse_state is not None:
+                    reuse_state.observe(bypassed, max_update, tolerance_v)
+                if max_update < tolerance_v:
+                    converged = True
+                    break
+                if stall_rounds is not None:
+                    if max_update < best_update:
+                        best_update, best_round = max_update, iteration
+                    if best_round <= iteration - stall_rounds:
+                        break
+            return (
+                solutions,
+                np.array([iteration]),
+                np.array([converged]),
+                np.array([max_update]),
+            )
+
         # Written as each trial leaves the stack or after the last round.
         iterations = np.empty(trials, dtype=int)
         max_updates = np.empty(trials)
@@ -1360,40 +1424,26 @@ class AnalysisEngine:
         # Per-trial gmin, created by the first singular solve.
         gmins: Optional[np.ndarray] = None
         iteration = 0
-        # Per-call invariant: the linear RHS (sources, capacitor history)
-        # depends on neither the iterates nor gmin, and each row only on its
-        # own trial; every round assembles into a copy of its rows.
+        # As in the row loop, each row only on its own trial.
         linear_rhs = compiled._linear_rhs(
-            () if lone else (trials,), params, time_s, source_scale, timestep_s,
-            integration, previous_solutions, cap_history, cap_g_rows,
+            (trials,), params, time_s, source_scale, timestep_s, integration,
+            previous_solutions, cap_history, cap_g_rows,
         )
         for iteration in range(1, max_iterations + 1):
             whole = active.size == trials  # no gathers while all are active
-            if lone:
-                # The (n,) row, updated in place (reuse solves into a stack).
-                iterates = solutions if use_reuse else solutions[0]
-                state = AnalysisState(
-                    solutions[0], timestep_s=timestep_s, integration=integration,
-                    gmin=gmin if gmins is None else gmins[0],
-                )
-                system, vector = assemble_row(
-                    state, cache_base=gmins is None, linear_rhs=linear_rhs.copy()
-                )
-                matrices, rhs = (system,), (vector,)  # the rows of a stack of one
+            if whole:
+                iterates, subset, rhs_rows = solutions, params, linear_rhs.copy()
             else:
-                if whole:
-                    iterates, subset, rhs_rows = solutions, params, linear_rhs.copy()
-                else:
-                    iterates = solutions[active]
-                    subset = {name: stack[active] for name, stack in params.items()}
-                    rhs_rows = linear_rhs[active]
-                # The scratch buffers are recycled: the loop owns the
-                # assembled arrays for exactly one round.
-                matrices, rhs = assemble(
-                    iterates, subset, gmin=gmin if gmins is None else gmins[active],
-                    timestep_s=timestep_s, integration=integration,
-                    linear_rhs=rhs_rows, reuse_workspace=True,
-                )
+                iterates = solutions[active]
+                subset = {name: stack[active] for name, stack in params.items()}
+                rhs_rows = linear_rhs[active]
+            # The scratch buffers are recycled: the loop owns the assembled
+            # arrays for exactly one round.
+            matrices, rhs = assemble(
+                iterates, subset, gmin=gmin if gmins is None else gmins[active],
+                timestep_s=timestep_s, integration=integration,
+                linear_rhs=rhs_rows, reuse_workspace=True,
+            )
             bypassed = singular = None
             if use_reuse:
                 # Row ``row`` is trial ``trial``, whose own state holds its
@@ -1443,11 +1493,9 @@ class AnalysisEngine:
                     bypassed = bypassed[solved]
             update = new_solutions - iterates
             updates_max = np.abs(update).max(axis=-1) if update.size else np.zeros(0)
-            # Per-unknown clamp: a runaway node (e.g. a floating terminal
-            # hanging off a cut-off transistor) must not stall the rest.
             update = np.minimum(np.maximum(update, -damping_v), damping_v)
             if whole and solved is None:
-                iterates += update  # iterates is solutions, or its lone row
+                iterates += update  # iterates is solutions
             else:
                 solutions[stepped] = iterates + update
             if use_reuse:
@@ -1498,95 +1546,6 @@ class AnalysisEngine:
         iterations[active] = iteration
         max_updates[active] = last_updates
         return solutions, iterations, converged, max_updates
-
-    def _newton(
-        self,
-        solution: np.ndarray,
-        *,
-        gmin: float,
-        max_iterations: int,
-        tolerance_v: float,
-        damping_v: float,
-        time_s: float,
-        timestep_s: float,
-        previous_solution: Optional[np.ndarray],
-        integration: str,
-        cap_history: Optional[np.ndarray],
-        solver: LinearSolver,
-        reuse_state: Optional[_NewtonReuseState] = None,
-    ) -> Tuple[np.ndarray, int, bool, float]:
-        """One transient step's Newton run; returns (solution, iterations, converged, max_update).
-
-        The serial marches' step loop: one ``(n,)`` iterate through the same
-        per-round arithmetic as a row of :meth:`_newton_batched` (which
-        every DC solve runs), without the stack bookkeeping that a
-        fixed-step march would pay on every round.  ``previous_solution=None``
-        takes the capacitors' initial voltages; ``solver`` is the concrete
-        backend the march selected.  A singular Jacobian bumps ``gmin`` an
-        order of magnitude and retries instead of raising, so structurally
-        defective circuits report non-convergence rather than blowing up
-        the caller.
-
-        ``reuse_state`` (``newton="reuse"``) routes every solve through
-        :meth:`_NewtonReuseState.solve`, which keeps the last factorization
-        across rounds — and across the steps of the march sharing the
-        state — instead of refactorizing each round.  Dense assembly
-        ignores it, as :meth:`_newton_batched` does.
-        """
-        compiled = self.compiled
-        # Pattern-assembly backends (sparse) take CSC data straight from
-        # assemble_sparse — no dense matrix is ever formed.
-        pattern = compiled.sparsity_pattern() if solver.wants_pattern_assembly else None
-        if pattern is not None:
-            assemble, solve = compiled.assemble_sparse, solver.solve_pattern
-        else:
-            assemble, solve = compiled.assemble, solver.solve
-            reuse_state = None
-        converged = False
-        max_update = float("inf")
-        iteration = 0
-        gmin_bumped = False
-        # Per-step invariant, hoisted out of the iteration loop: the linear
-        # right-hand side (sources and capacitor history) depends on neither
-        # the iterate nor gmin.  Each round assembles into a copy of it.
-        linear_rhs = compiled._linear_rhs(
-            (), {}, time_s, 1.0, timestep_s, integration, previous_solution, cap_history
-        )
-        for iteration in range(1, max_iterations + 1):
-            state = AnalysisState(
-                solution=solution,
-                time_s=time_s,
-                timestep_s=timestep_s,
-                previous_solution=previous_solution,
-                integration=integration,
-                gmin=gmin,
-            )
-            bypassed = False
-            try:
-                system, rhs = assemble(
-                    state, cache_base=not gmin_bumped, linear_rhs=linear_rhs.copy()
-                )
-                if reuse_state is None:
-                    new_solution = solve(system, rhs)
-                else:
-                    new_solution, bypassed = reuse_state.solve(
-                        solver, pattern, solution, system, rhs
-                    )
-            except np.linalg.LinAlgError:
-                gmin = max(gmin * 10.0, 1e-12)
-                gmin_bumped = True
-                continue
-
-            update = new_solution - solution
-            max_update = float(np.abs(update).max()) if update.size else 0.0
-            update = np.minimum(np.maximum(update, -damping_v), damping_v)
-            solution = solution + update
-            if reuse_state is not None:
-                reuse_state.observe(bypassed, max_update, tolerance_v)
-            if max_update < tolerance_v:
-                converged = True
-                break
-        return solution, iteration, converged, max_update
 
     # ------------------------------------------------------------------ #
     # DC operating points (one driver, serial and stacked)
@@ -1989,10 +1948,13 @@ class AnalysisEngine:
         Starts from the DC operating point at ``t = 0`` (or from zero with
         ``use_initial_conditions``) and marches with per-step Newton
         iteration; capacitor companion histories are updated vectorized
-        after every accepted step.
+        after every accepted step.  The march is a stack of one: every step
+        runs the engine's one Newton loop as its row loop.
 
         With ``adaptive=False`` (the default) the march uses the fixed
-        ``timestep_s`` grid, bit-compatible with the historical behaviour.
+        ``timestep_s`` grid; it is the fixed-step driver that
+        :meth:`solve_transient_batched` runs, so a lockstep trial and a
+        serial run with that trial's overlay are bit-identical.
         With ``adaptive=True`` an LTE-based step-size controller drives the
         march: ``timestep_s`` becomes the initial step, each step's local
         truncation error is estimated against a polynomial predictor and
@@ -2006,14 +1968,18 @@ class AnalysisEngine:
         across the whole march — the frozen LU carries over between steps,
         refactorizing only when its contraction stalls, which is where a
         transient run saves most of its factorizations (the warm-start DC
-        solve shares the mode).  The default refactorizes every round,
-        bit-compatible with earlier releases.
+        solve shares the mode).  The default refactorizes every round.
 
         Either way the result carries a
         :class:`~repro.spice.transient.TransientConvergenceInfo` with the
         Newton totals, the controller's step-acceptance statistics and the
         march's factorization/reuse counts.
         """
+        from repro.spice.transient import TransientConvergenceInfo, TransientResult
+
+        circuit = self.circuit
+        if circuit.system_size == 0:
+            raise ValueError("the circuit has no unknowns to solve for")
         _check_transient_arguments(stop_time_s, timestep_s, integration)
         compiled = self.compiled
         compiled.refresh_values()
@@ -2021,12 +1987,12 @@ class AnalysisEngine:
             capacitor.reset()
 
         resolved = self._resolve_solver(solver)
-        reuse_state = _NewtonReuseState() if _wants_newton_reuse(newton) else None
+        reuse_states = [_NewtonReuseState()] if _wants_newton_reuse(newton) else None
         counts_before = resolved.solver_stats()
         if use_initial_conditions:
             # The march starts from the zero guess, with every capacitor at
             # its initial_voltage_v for the first step's companion model.
-            initial_solution = self.circuit.initial_solution()
+            initial_solution = circuit.initial_solution()
         else:
             # The cold warm start always runs full Newton: far from the
             # operating point the Jacobian changes too fast for a frozen
@@ -2045,7 +2011,7 @@ class AnalysisEngine:
             integration=integration,
             use_initial_conditions=use_initial_conditions,
             solver=backend,
-            reuse_state=reuse_state,
+            reuse_states=reuse_states,
         )
         if adaptive:
             result = self._transient_adaptive(
@@ -2058,11 +2024,31 @@ class AnalysisEngine:
                 **controls,
             )
         else:
-            result = self._transient_fixed(
-                initial_solution,
-                stop_time_s,
-                timestep_s,
-                **controls,
+            times, waveforms, newton_totals, converged, residuals, cap_history = (
+                self._march_fixed(
+                    initial_solution[np.newaxis], {}, stop_time_s, timestep_s, **controls
+                )
+            )
+            solutions = waveforms[0]
+            steps = times.size - 1
+            before_last = None if use_initial_conditions and steps == 1 else solutions[-2]
+            self._mirror_capacitor_history(
+                cap_history[0], solutions[-1], before_last, timestep_s, integration
+            )
+            result = TransientResult(
+                circuit=circuit,
+                time_s=times,
+                solutions=solutions,
+                converged=bool(converged[0]),
+                convergence_info=TransientConvergenceInfo(
+                    strategy="fixed-step",
+                    newton_iterations=int(newton_totals[0]),
+                    max_newton_residual_v=float(residuals[0]),
+                    accepted_steps=steps,
+                    rejected_steps=0,
+                    min_step_s=timestep_s,
+                    max_step_s=timestep_s,
+                ),
             )
         factorizations, reuses = self._counts_delta(
             resolved.solver_stats(), counts_before
@@ -2074,9 +2060,10 @@ class AnalysisEngine:
         )
         return result
 
-    def _transient_fixed(
+    def _march_fixed(
         self,
-        initial_solution: np.ndarray,
+        solutions: np.ndarray,
+        params: Mapping[str, np.ndarray],
         stop_time_s: float,
         timestep_s: float,
         *,
@@ -2086,101 +2073,96 @@ class AnalysisEngine:
         integration: str,
         use_initial_conditions: bool,
         solver: LinearSolver,
-        reuse_state: Optional[_NewtonReuseState] = None,
-    ):
-        """The historical fixed-step march (bit-compatible parity mode).
+        reuse_states: Optional[List[_NewtonReuseState]],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The fixed-step march of a ``(trials, n)`` stack of start points.
 
-        With ``use_initial_conditions`` the first step's capacitor companion
-        (and the trapezoidal history after it) takes the capacitors'
-        initial voltages as the previous voltages.
+        The one fixed-grid driver: :meth:`solve_transient` runs it on a
+        stack of one, :meth:`solve_transient_batched` on the lockstep stack.
+        Each step is one :meth:`_newton_batched` call from the previous time
+        point; a trial whose step does not converge keeps its last iterate
+        and marches on, with the step's update in its worst residual.  With
+        ``use_initial_conditions`` the first step's capacitor companion (and
+        the trapezoidal history after it) takes the capacitors' initial
+        voltages as the previous voltages.
+
+        Returns ``(times, waveforms, newton_totals, converged,
+        worst_residuals, cap_history)``: the ``(steps + 1,)`` time axis, the
+        ``(trials, steps + 1, n)`` solutions, the per-trial Newton totals,
+        all-steps-converged flags and worst updates, and the final
+        ``(trials, C)`` trapezoidal history.
         """
-        from repro.spice.transient import TransientConvergenceInfo, TransientResult
-
-        circuit = self.circuit
         compiled = self.compiled
-        cap_history = np.zeros(compiled.num_capacitors)
-
+        count, size = solutions.shape
         steps = int(round(stop_time_s / timestep_s))
         times = np.linspace(0.0, steps * timestep_s, steps + 1)
+        waveforms = np.zeros((count, steps + 1, size))
+        waveforms[:, 0, :] = solutions
+        # Per-step (iterations, converged, max_update) rows, reduced once at
+        # the end: a serial march pays no per-step stack arithmetic.
+        stories: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        cap_history = np.zeros((count, compiled.num_capacitors))
+        # March-wide invariant: the companion conductances (per trial under
+        # a cap_c stack), handed to every step's linear right-hand side and
+        # reused by the trapezoidal history update.
+        cap_g = compiled._capacitor_conductance(timestep_s, integration, params.get("cap_c"))
 
-        current_solution = initial_solution
-        solutions = np.zeros((steps + 1, circuit.system_size))
-        solutions[0] = current_solution
-        all_converged = True
-        newton_total = 0
-        worst_residual = 0.0
-
+        previous = solutions
         # None: the first step starts from the capacitors' initial voltages.
-        previous_solution = None if use_initial_conditions else current_solution.copy()
+        companion_previous = None if use_initial_conditions else previous
         for step in range(1, steps + 1):
-            time = times[step]
-            solution, used, converged, residual = self._newton(
-                current_solution.copy(),
+            current, *story = self._newton_batched(
+                previous.copy(),
+                params,
                 gmin=gmin,
                 max_iterations=max_newton_iterations,
                 tolerance_v=tolerance_v,
                 damping_v=1.0,
-                time_s=time,
+                time_s=times[step],
                 timestep_s=timestep_s,
-                previous_solution=previous_solution,
+                previous_solutions=companion_previous,
                 integration=integration,
                 cap_history=cap_history if integration == "trap" else None,
+                cap_g_rows=cap_g,
                 solver=solver,
-                reuse_state=reuse_state,
+                reuse_states=reuse_states,
             )
-            newton_total += used
-            worst_residual = max(worst_residual, residual)
-            if not converged:
-                all_converged = False
+            stories.append(story)
+            waveforms[:, step, :] = current
             cap_history = self._accept_step(
-                cap_history, solution, previous_solution, timestep_s, integration
+                cap_history, current, companion_previous, cap_g, integration
             )
-
-            solutions[step] = solution
-            previous_solution = solution.copy()
-            current_solution = solution
-
-        before_last = None if use_initial_conditions and steps == 1 else solutions[-2]
-        self._mirror_capacitor_history(
-            cap_history, solutions[-1], before_last, timestep_s, integration
-        )
-
-        return TransientResult(
-            circuit=circuit,
-            time_s=times,
-            solutions=solutions,
-            converged=all_converged,
-            convergence_info=TransientConvergenceInfo(
-                strategy="fixed-step",
-                newton_iterations=newton_total,
-                max_newton_residual_v=worst_residual,
-                accepted_steps=steps,
-                rejected_steps=0,
-                min_step_s=timestep_s,
-                max_step_s=timestep_s,
-            ),
+            previous = companion_previous = current
+        iterations, converged, residuals = (np.array(column) for column in zip(*stories))
+        return (
+            times,
+            waveforms,
+            iterations.sum(axis=0),
+            converged.all(axis=0),
+            # fmax: a NaN update never becomes the worst residual.
+            np.fmax.reduce(residuals, axis=0, initial=0.0),
+            cap_history,
         )
 
     def _accept_step(
         self,
         cap_history: np.ndarray,
-        solution: np.ndarray,
-        previous_solution: Optional[np.ndarray],
-        timestep_s: float,
+        solutions: np.ndarray,
+        previous_solutions: Optional[np.ndarray],
+        cap_g: np.ndarray,
         integration: str,
     ) -> np.ndarray:
         """Advance the trapezoidal capacitor history past one accepted step.
 
-        Backward Euler keeps no history (its companion current only uses
-        the previous voltage, gathered during assembly), so it returns
-        ``cap_history`` unchanged.  Returns the new ``cap_history``;
-        ``previous_solution=None`` is a first step from initial conditions.
+        ``solutions`` and ``previous_solutions`` are ``(trials, n)`` stacks
+        (``None``: a first step from initial conditions) and ``cap_g`` the
+        step's companion conductances.  Backward Euler keeps no history (its
+        companion current only uses the previous voltage, gathered during
+        assembly), so it returns ``cap_history`` unchanged.
         """
-        compiled = self.compiled
-        if integration != "trap" or not compiled.num_capacitors:
+        if integration != "trap" or not self.compiled.num_capacitors:
             return cap_history
-        cap_g = compiled._capacitor_conductance(timestep_s, integration)
-        return cap_g * compiled._cap_dv(solution, previous_solution) - cap_history
+        return cap_g * self.compiled._cap_dv(solutions, previous_solutions) - cap_history
 
     def _transient_adaptive(
         self,
@@ -2197,7 +2179,7 @@ class AnalysisEngine:
         integration: str,
         use_initial_conditions: bool,
         solver: LinearSolver,
-        reuse_state: Optional[_NewtonReuseState] = None,
+        reuse_states: Optional[List[_NewtonReuseState]],
     ):
         """LTE-controlled adaptive march (accept/reject with step clamps).
 
@@ -2214,7 +2196,8 @@ class AnalysisEngine:
         step never crosses a source-waveform breakpoint or the stop time.
         With ``use_initial_conditions`` the first accepted step, and every
         retry of it, takes the capacitors' initial voltages as the previous
-        capacitor voltages.
+        capacitor voltages.  The march state is a stack of one, and every
+        candidate step one :meth:`_newton_batched` call on it.
         """
         from repro.spice.transient import TransientConvergenceInfo, TransientResult
 
@@ -2232,12 +2215,12 @@ class AnalysisEngine:
 
         circuit = self.circuit
         compiled = self.compiled
-        cap_history = np.zeros(compiled.num_capacitors)
+        cap_history = np.zeros((1, compiled.num_capacitors))
         breakpoints = self._waveform_breakpoints(stop_time_s)
 
         times: List[float] = [0.0]
-        rows: List[np.ndarray] = [initial_solution.copy()]
-        previous_solution = initial_solution.copy()
+        previous_solution = initial_solution[np.newaxis].copy()
+        rows: List[np.ndarray] = [previous_solution]
         older_solution: Optional[np.ndarray] = None
         previous_dt: float = 0.0
 
@@ -2266,21 +2249,23 @@ class AnalysisEngine:
                 None if use_initial_conditions and not accepted else previous_solution
             )
 
-            solution, used, converged, residual = self._newton(
+            solution, used, step_converged, residuals = self._newton_batched(
                 previous_solution.copy(),
+                {},
                 gmin=gmin,
                 max_iterations=max_newton_iterations,
                 tolerance_v=tolerance_v,
                 damping_v=1.0,
                 time_s=time + dt,
                 timestep_s=dt,
-                previous_solution=companion_previous,
+                previous_solutions=companion_previous,
                 integration=integration,
                 cap_history=cap_history if integration == "trap" else None,
                 solver=solver,
-                reuse_state=reuse_state,
+                reuse_states=reuse_states,
             )
-            newton_total += used
+            newton_total += int(used[0])
+            converged = bool(step_converged[0])
             can_shrink = dt > min_step * (1.0 + 1e-12)
 
             if not converged and can_shrink:
@@ -2309,16 +2294,20 @@ class AnalysisEngine:
             # Accept.
             if not converged:
                 all_converged = False
-            worst_residual = max(worst_residual, residual)
+            worst_residual = max(worst_residual, float(residuals[0]))
             time += dt
             times.append(time)
-            rows.append(solution.copy())
+            rows.append(solution)
             accepted += 1
             smallest_dt = min(smallest_dt, dt)
             largest_dt = max(largest_dt, dt)
 
             cap_history = self._accept_step(
-                cap_history, solution, companion_previous, dt, integration
+                cap_history,
+                solution,
+                companion_previous,
+                compiled._capacitor_conductance(dt, integration),
+                integration,
             )
 
             older_solution = previous_solution
@@ -2338,7 +2327,7 @@ class AnalysisEngine:
         if len(rows) >= 2:
             before_last = None if use_initial_conditions and accepted == 1 else solutions[-2]
             self._mirror_capacitor_history(
-                cap_history, solutions[-1], before_last, previous_dt, integration
+                cap_history[0], solutions[-1], before_last, previous_dt, integration
             )
 
         return TransientResult(
@@ -2394,16 +2383,14 @@ class AnalysisEngine:
           stop paying Newton rounds for hard ones;
         * per-trial capacitor companion histories advance vectorized.
 
-        The per-trial arithmetic — DC warm start, per-step Newton updates,
-        damping clamp, convergence test, capacitor history — mirrors
-        :meth:`solve_transient`'s fixed-step path operation for operation,
-        so every trial's waveform is bit-identical to a serial
+        The march is :meth:`solve_transient`'s fixed-step driver on the
+        whole stack, after a DC warm start through :meth:`solve_dc`'s
+        driver, so every trial's waveform is bit-identical to a serial
         ``solve_transient`` run with that trial's parameter overlay on the
         same grid.  Failures follow the serial rules inside the stack: a
-        singular system bumps that trial's gmin as :meth:`_newton` does,
-        and a trial whose step does not converge keeps its last iterate and
-        marches on, as :meth:`_transient_fixed` does, with ``converged``
-        false and the step's update in its worst residual.
+        singular system bumps only that trial's gmin, and a trial whose step
+        does not converge keeps its last iterate and marches on, with
+        ``converged`` false and the step's update in its worst residual.
 
         Adaptive stepping is *not* supported: lockstep batching requires
         every trial to share the time grid.  Returns a
@@ -2419,7 +2406,6 @@ class AnalysisEngine:
         if refresh:
             compiled.refresh_values()
         stacks, count = self._parameter_stacks(params, trials)
-        size = circuit.system_size
         resolved = self._resolve_solver(solver, threads)
         want_reuse = _wants_newton_reuse(newton)
         reuse_states = (
@@ -2442,53 +2428,21 @@ class AnalysisEngine:
                 solver=resolved,
             ).solutions.copy()
 
-        steps = int(round(stop_time_s / timestep_s))
-        times = np.linspace(0.0, steps * timestep_s, steps + 1)
-        waveforms = np.zeros((count, steps + 1, size))
-        waveforms[:, 0, :] = solutions
-        newton_totals = np.zeros(count, dtype=int)
-        worst_residuals = np.zeros(count)
-        converged = np.ones(count, dtype=bool)
-        cap_history = np.zeros((count, compiled.num_capacitors))
-        # March-wide invariant: the companion conductances (per trial under
-        # a cap_c stack), handed to every step's linear right-hand side and
-        # reused by the trapezoidal history update.
-        cap_g = compiled._capacitor_conductance(timestep_s, integration, stacks.get("cap_c"))
         backend = resolved.select(compiled, count)
         backend.bind(compiled)
-
-        previous = solutions
-        # None: the first step starts from the capacitors' initial voltages.
-        companion_previous = None if use_initial_conditions else previous
-        for step in range(1, steps + 1):
-            current, iters, conv, resid = self._newton_batched(
-                previous.copy(),
-                stacks,
-                gmin=gmin,
-                max_iterations=max_newton_iterations,
-                tolerance_v=tolerance_v,
-                damping_v=1.0,
-                time_s=times[step],
-                timestep_s=timestep_s,
-                previous_solutions=companion_previous,
-                integration=integration,
-                cap_history=cap_history if integration == "trap" else None,
-                cap_g_rows=cap_g,
-                solver=backend,
-                reuse_states=reuse_states,
-            )
-            newton_totals += iters
-            converged &= conv
-            # fmax, like the serial march's max(): a NaN update never
-            # becomes the worst residual.
-            worst_residuals = np.fmax(worst_residuals, resid)
-            waveforms[:, step, :] = current
-            if integration == "trap":
-                cap_history = (
-                    cap_g * compiled._cap_dv(current, companion_previous) - cap_history
-                )
-            previous = companion_previous = current
-
+        times, waveforms, newton_totals, converged, worst_residuals, _ = self._march_fixed(
+            solutions,
+            stacks,
+            stop_time_s,
+            timestep_s,
+            max_newton_iterations=max_newton_iterations,
+            tolerance_v=tolerance_v,
+            gmin=gmin,
+            integration=integration,
+            use_initial_conditions=use_initial_conditions,
+            solver=backend,
+            reuse_states=reuse_states,
+        )
         factorizations, reuses = self._counts_delta(
             resolved.solver_stats(), counts_before
         )

@@ -8,11 +8,13 @@ keeps the :class:`TransientResult` type and the
 :class:`TransientConvergenceInfo` step/Newton statistics record.
 
 Backward-Euler and trapezoidal integration are offered with either a fixed
-timestep (bit-compatible with the historical behaviour, and entirely
-adequate for the paper's circuits whose time constants are set by the
-500 kOhm pull-up and femto-farad load capacitors) or an adaptive LTE-based
-step-size controller (``adaptive=True``), which cuts the step count on
-waveforms with long settled stretches — the dominant per-trial cost of a
+timestep (the march that
+:meth:`~repro.spice.engine.AnalysisEngine.solve_transient_batched` runs on
+a lockstep stack, here on a stack of one; entirely adequate for the
+paper's circuits whose time constants are set by the 500 kOhm pull-up
+and femto-farad load capacitors) or an adaptive LTE-based step-size
+controller (``adaptive=True``), which cuts the step count on waveforms
+with long settled stretches — the dominant per-trial cost of a
 Monte-Carlo transient study.
 """
 

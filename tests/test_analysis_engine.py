@@ -566,6 +566,22 @@ class TestEngineTransient:
                 )
 
 
+    @pytest.mark.parametrize("march", ["fixed", "adaptive", "lockstep"])
+    def test_circuit_without_unknowns_is_rejected(self, march):
+        # From initial conditions no DC warm start runs first, so each entry
+        # point must reject the empty unknown vector itself.
+        engine = get_engine(Circuit("empty"))
+        with pytest.raises(ValueError, match="no unknowns"):
+            if march == "lockstep":
+                engine.solve_transient_batched(
+                    1e-8, 1e-9, trials=2, use_initial_conditions=True
+                )
+            else:
+                engine.solve_transient(
+                    1e-8, 1e-9, adaptive=march == "adaptive", use_initial_conditions=True
+                )
+
+
 class TestCapacitorInitialConditions:
     """``Capacitor(initial_voltage_v=...)`` seeds a march from initial conditions."""
 

@@ -139,6 +139,20 @@ class TestSolveTransientBatched:
         for trial, reference in enumerate(references):
             assert np.array_equal(batch.solutions[trial], reference.solutions)
 
+    @pytest.mark.parametrize("integration", ["be", "trap"])
+    def test_one_trial_without_parameter_stacks_is_the_serial_run(self, integration):
+        # A stack of one with no parameter stacks takes the Newton loop's
+        # row loop on every step, with the march state still stacked.
+        engine = get_engine(pulsed_amplifier())
+        serial = engine.solve_transient(STOP_S, STEP_S, integration=integration)
+        stacked = engine.solve_transient_batched(
+            STOP_S, STEP_S, trials=1, integration=integration
+        )
+        assert np.array_equal(stacked.solutions[0], serial.solutions)
+        assert stacked.newton_iterations.tolist() == [
+            serial.convergence_info.newton_iterations
+        ]
+
     def test_perturbed_static_stamps_match_per_trial(self):
         # resistor_ohm / cap_c stacks leave the shared-base fast path and
         # per-trial source scales multiply the stimulus — all three must
