@@ -105,6 +105,8 @@ def test_fig11_adaptive_step_control(benchmark, switch_model):
             "fine_fixed_steps": fine_steps,
             "adaptive_accepted_steps": adaptive_info.accepted_steps,
             "adaptive_rejected_steps": adaptive_info.rejected_steps,
+            "adaptive_newton_iterations": adaptive_info.newton_iterations,
+            "adaptive_factorizations": adaptive_info.factorizations,
             "adaptive_min_step_s": adaptive_info.min_step_s,
             "adaptive_max_step_s": adaptive_info.max_step_s,
             "rise_time_ref_s": rise_ref,

@@ -1,8 +1,8 @@
 """Benchmark-session fixtures.
 
-The benchmarks use pytest-benchmark to time each experiment harness and print
-the paper-style report of the result so the reproduced rows can be compared
-with the paper side by side (``pytest benchmarks/ --benchmark-only -s``).
+The benchmarks use pytest-benchmark to time the ablation studies and the
+engine, solver, Monte-Carlo, store and service layers, printing paper-style
+reports (``pytest benchmarks/<file> -q -s``).
 """
 
 from __future__ import annotations

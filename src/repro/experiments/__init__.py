@@ -2,8 +2,8 @@
 
 Every module exposes a ``run_*`` function returning a structured result
 object with a ``report()`` method that prints the rows the paper reports.
-The benchmarks in ``benchmarks/`` call these functions (timing them with
-pytest-benchmark) and the test-suite checks the qualitative claims on the
+``tests/test_goldens.py`` pins every artifact's numbers exactly and
+``tests/test_experiments.py`` checks the paper's qualitative claims on the
 returned structures.
 
 ===============================  =======================================
