@@ -2100,7 +2100,7 @@ class AnalysisEngine:
         waveforms[:, 0, :] = solutions
         # Per-step (iterations, converged, max_update) rows, reduced once at
         # the end: a serial march pays no per-step stack arithmetic.
-        stories: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        stories: List[List[np.ndarray]] = []
         cap_history = np.zeros((count, compiled.num_capacitors))
         # March-wide invariant: the companion conductances (per trial under
         # a cap_c stack), handed to every step's linear right-hand side and
@@ -2111,7 +2111,7 @@ class AnalysisEngine:
         # None: the first step starts from the capacitors' initial voltages.
         companion_previous = None if use_initial_conditions else previous
         for step in range(1, steps + 1):
-            current, *story = self._newton_batched(
+            current, *step_story = self._newton_batched(
                 previous.copy(),
                 params,
                 gmin=gmin,
@@ -2127,7 +2127,7 @@ class AnalysisEngine:
                 solver=solver,
                 reuse_states=reuse_states,
             )
-            stories.append(story)
+            stories.append(step_story)
             waveforms[:, step, :] = current
             cap_history = self._accept_step(
                 cap_history, current, companion_previous, cap_g, integration
