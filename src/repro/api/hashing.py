@@ -58,11 +58,10 @@ def canonical(value: Any) -> Any:
         fields = {}
         for field in dataclasses.fields(value):
             item = getattr(value, field.name)
-            # Hash stability across the solver-default change: "auto" (the
-            # current spec default) canonicalizes like the old default None,
-            # so a default-constructed spec hashes the same today as before
-            # the default moved — the selection policy is a performance
-            # choice, not part of the analysis identity.
+            # solver=None and "auto" are one policy (get_solver(None) is an
+            # AutoSolver), so they share a hash; "auto" canonicalizes to None
+            # so a default-constructed spec hashes the same as specs from
+            # before "auto" became the spec default.
             if field.name == "solver" and item == "auto":
                 item = None
             # Same policy for the factorization-reuse knobs: newton=None and

@@ -592,10 +592,7 @@ class Session:
         )
         if spec.mode == "batched":
             batch = mc.run_batched_dc(
-                spec.trials,
-                solver=spec.solver if spec.solver is not None else "batched",
-                threads=spec.threads,
-                **controls,
+                spec.trials, solver=spec.solver, threads=spec.threads, **controls
             )
         else:
             batch = mc.run_per_trial_dc(spec.trials, solver=spec.solver, **controls)
@@ -641,8 +638,8 @@ class Session:
         circuit = circuit_of(built)
         stop_time_s = self._resolve_stop_time(base, built)
         # The MC spec's solver wins when set to a concrete backend; the
-        # default "auto" (like the legacy default None) defers to whatever
-        # the base transient spec asked for.
+        # default "auto" (None is the same policy) defers to whatever the
+        # base transient spec asked for.
         solver = spec.solver
         if solver in (None, "auto") and base.solver not in (None, "auto"):
             solver = base.solver
@@ -661,12 +658,8 @@ class Session:
         )
         if spec.mode == "batched":
             batch = mc.run_batched_transient(
-                spec.trials,
-                stop_time_s,
-                base.timestep_s,
-                solver=solver if solver is not None else "batched",
-                threads=spec.threads,
-                **controls,
+                spec.trials, stop_time_s, base.timestep_s,
+                solver=solver, threads=spec.threads, **controls,
             )
         else:
             batch = mc.run_per_trial_transient(

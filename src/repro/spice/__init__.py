@@ -19,12 +19,12 @@ analysis engine:
   the Newton loop runs as a row loop on the ``(n,)`` iterate;
 * :mod:`repro.spice.solvers` — the *solver seam*: pluggable
   :class:`~repro.spice.solvers.LinearSolver` backends behind every Newton
-  iteration's linear solve — dense LAPACK (default), sparse SuperLU reusing
-  the compiled sparsity pattern (large lattices; optional scipy), and a
+  iteration's linear solve — dense LAPACK, sparse SuperLU reusing the
+  compiled sparsity pattern (large lattices; optional scipy), and a
   batched dense backend solving stacked ``(trials, n, n)`` systems in one
   call.  Every analysis accepts ``solver="auto" | "dense" | "sparse" |
-  "batched" | "sparse-batched"``
-  (or an instance);
+  "batched" | "sparse-batched"`` (or an instance); omitted, it is
+  ``"auto"``, which picks among them by system size and trial count;
 * :mod:`repro.spice.waveforms` — DC, pulse and piecewise-linear stimuli
   (with breakpoint reporting for the adaptive transient controller);
 * :mod:`repro.spice.montecarlo` — Monte-Carlo variability analysis on the
@@ -48,9 +48,9 @@ methods of its cached :class:`~repro.spice.engine.AnalysisEngine`:
 * :meth:`~repro.spice.engine.AnalysisEngine.dc_sweep` — DC sweeps with
   warm-start continuation over one compiled structure, returning a
   :class:`~repro.spice.dcsweep.DCSweepResult`;
-* :func:`~repro.spice.engine.sweep_many` — a *family* of sweeps (e.g. one
-  per gate voltage of a drive study) batched through one compiled circuit
-  with per-point continuation;
+* :meth:`~repro.spice.engine.AnalysisEngine.sweep_many` — a *family* of
+  sweeps (e.g. one per gate voltage of a drive study) batched through one
+  compiled circuit with per-point continuation;
 * :meth:`~repro.spice.engine.AnalysisEngine.solve_transient` —
   backward-Euler / trapezoidal transient with per-step Newton iteration,
   returning a :class:`~repro.spice.transient.TransientResult`;
@@ -92,7 +92,6 @@ from repro.spice.engine import (
     PERTURBABLE_PARAMETERS,
     SparsityPattern,
     get_engine,
-    sweep_many,
 )
 from repro.spice.solvers import (
     AutoSolver,
@@ -140,7 +139,6 @@ __all__ = [
     "CompiledCircuit",
     "PERTURBABLE_PARAMETERS",
     "get_engine",
-    "sweep_many",
     "SparsityPattern",
     "LinearSolver",
     "DenseSolver",

@@ -49,10 +49,11 @@ calls for code holding a circuit (:mod:`repro.api` specs run through them).
 Solver seam
 -----------
 The final linear solve of every Newton iteration goes through a pluggable
-:class:`~repro.spice.solvers.LinearSolver` backend (dense LAPACK by default,
-sparse SuperLU for large lattices, a batched dense backend for stacked
-Monte-Carlo trials).  Every analysis accepts ``solver=`` (a backend name or
-instance); see :mod:`repro.spice.solvers`.
+:class:`~repro.spice.solvers.LinearSolver` backend (dense LAPACK, sparse
+SuperLU for large lattices, a batched dense backend for stacked Monte-Carlo
+trials).  Every analysis accepts ``solver=`` (a backend name or instance);
+omitted, it is ``"auto"``, which picks among them by system size and trial
+count.  See :mod:`repro.spice.solvers`.
 """
 
 from __future__ import annotations
@@ -1208,32 +1209,14 @@ class AnalysisEngine:
       stacked trials in lockstep: shared waveform evaluation per step,
       per-trial freeze-on-convergence, batched LAPACK Newton rounds.
 
-    Every linear solve routes through the engine's pluggable
-    :class:`~repro.spice.solvers.LinearSolver` backend (``solver=`` on each
-    analysis overrides the default per call).
+    Every linear solve routes through a pluggable
+    :class:`~repro.spice.solvers.LinearSolver` backend, chosen per call by
+    each analysis's ``solver=`` (``"auto"`` when omitted).
     """
 
-    def __init__(self, circuit: Circuit, solver: Union[None, str, LinearSolver] = None):
+    def __init__(self, circuit: Circuit):
         self.circuit = circuit
         self._compiled: Optional[CompiledCircuit] = None
-        #: The engine's default linear-solver backend (see
-        #: :mod:`repro.spice.solvers`); every analysis accepts a per-call
-        #: ``solver=`` override without touching this default.
-        self.solver: LinearSolver = get_solver(solver)
-
-    def set_solver(self, solver: Union[None, str, LinearSolver]) -> LinearSolver:
-        """Set (and return) the engine's default linear-solver backend."""
-        self.solver = get_solver(solver)
-        return self.solver
-
-    def _resolve_solver(
-        self,
-        solver: Union[None, str, LinearSolver],
-        threads: Union[None, int, str] = None,
-    ) -> LinearSolver:
-        if threads is not None:
-            return get_solver(solver, threads=threads)
-        return self.solver if solver is None else get_solver(solver)
 
     @staticmethod
     def _counts_delta(after: Dict[str, int], before: Dict[str, int]) -> Tuple[int, int]:
@@ -1581,7 +1564,7 @@ class AnalysisEngine:
         ``"newton"``, a ladder's name or ``"failed"``.
         """
         compiled = self.compiled
-        resolved = self._resolve_solver(solver, threads)
+        resolved = get_solver(solver, threads)
         count = solutions.shape[0]
         reuse = _wants_newton_reuse(newton)
         reuse_states = [_NewtonReuseState() for _ in range(count)] if reuse else None
@@ -1644,8 +1627,8 @@ class AnalysisEngine:
         in-place mutations are honoured; batch drivers that refresh once up
         front (sweeps, transient) pass ``False`` for the inner solves.
         ``solver`` selects the linear-solver backend for this solve (name or
-        :class:`~repro.spice.solvers.LinearSolver` instance; the engine's
-        default backend when omitted).
+        :class:`~repro.spice.solvers.LinearSolver` instance; ``"auto"`` when
+        omitted).
 
         ``newton`` selects the Newton flavour: ``None``/``"full"`` (the
         bit-compatible default — refactorize every round) or ``"reuse"``
@@ -1745,7 +1728,7 @@ class AnalysisEngine:
         damping_v: float = 0.6,
         time_s: float = 0.0,
         refresh: bool = True,
-        solver: Union[None, str, LinearSolver] = "batched",
+        solver: Union[None, str, LinearSolver] = None,
         newton: Optional[str] = None,
         threads: Union[None, int, str] = None,
     ):
@@ -1756,8 +1739,9 @@ class AnalysisEngine:
         row per trial; parameters not given keep the compiled values for
         every trial.  This is the Monte-Carlo fast path: all trials share
         one compiled structure and every Newton round solves the whole
-        stack in a single batched LAPACK call instead of ``trials`` separate
-        dense solves.
+        stack at once — with the default ``solver`` (``"auto"``), in a single
+        batched LAPACK call below the dense/sparse crossover and through the
+        shared-structure sparse-batched backend at or above it.
 
         ``initial_guess`` may be one ``(n,)`` vector (shared warm start) or
         a ``(trials, n)`` stack.  The stack runs :meth:`solve_dc`'s driver
@@ -1773,8 +1757,8 @@ class AnalysisEngine:
         the per-trial sparse factorizations of full-Newton rounds across a
         thread pool (see :class:`~repro.spice.solvers.BatchedSparseSolver`;
         reuse-mode refactorizations run trial by trial) and requires a
-        sparse-batched-capable ``solver`` spec (``"sparse-batched"`` or
-        ``"auto"``).
+        sparse-batched-capable ``solver`` spec (``"sparse-batched"``, or
+        ``"auto"``, the default).
 
         Returns a :class:`~repro.spice.dcop.BatchedOperatingPoints`.
         """
@@ -1853,7 +1837,7 @@ class AnalysisEngine:
             raise ValueError("at least one sweep value is required")
 
         self.compiled.refresh_values()
-        solver = self._resolve_solver(solver)
+        solver = get_solver(solver)
         points = []
         guess = initial_guess
         original_waveform = source.waveform
@@ -1897,7 +1881,7 @@ class AnalysisEngine:
         Returns an ordered dict of ``DCSweepResult`` keyed by label.
         """
         source = self._resolve_source(source)
-        solver = self._resolve_solver(solver)
+        solver = get_solver(solver)
         results: Dict[Hashable, object] = {}
         seed: Optional[np.ndarray] = None
         for label, values in families.items():
@@ -1986,7 +1970,7 @@ class AnalysisEngine:
         for capacitor in compiled.capacitors:
             capacitor.reset()
 
-        resolved = self._resolve_solver(solver)
+        resolved = get_solver(solver)
         reuse_states = [_NewtonReuseState()] if _wants_newton_reuse(newton) else None
         counts_before = resolved.solver_stats()
         if use_initial_conditions:
@@ -2362,7 +2346,7 @@ class AnalysisEngine:
         gmin: float = 1e-9,
         use_initial_conditions: bool = False,
         refresh: bool = True,
-        solver: Union[None, str, LinearSolver] = "batched",
+        solver: Union[None, str, LinearSolver] = None,
         newton: Optional[str] = None,
         threads: Union[None, int, str] = None,
     ):
@@ -2372,10 +2356,11 @@ class AnalysisEngine:
         grid) but carry their own parameter stacks (``params`` maps names
         from :data:`PERTURBABLE_PARAMETERS` to ``(trials, count)`` rows).
         Every timestep advances the whole stack together: each Newton round
-        assembles ``(trials, n, n)`` systems through
-        :meth:`CompiledCircuit.assemble_batched` and solves them in one
-        batched LAPACK call, with three structural savings over per-trial
-        marching:
+        assembles the stacked systems and solves them in one call (below the
+        dense/sparse crossover, the default ``solver="auto"`` assembles
+        ``(trials, n, n)`` through :meth:`CompiledCircuit.assemble_batched`
+        and makes one batched LAPACK call), with three structural savings
+        over per-trial marching:
 
         * source waveforms and breakpoint-free step timing are evaluated
           once per step, not once per trial;
@@ -2406,7 +2391,7 @@ class AnalysisEngine:
         if refresh:
             compiled.refresh_values()
         stacks, count = self._parameter_stacks(params, trials)
-        resolved = self._resolve_solver(solver, threads)
+        resolved = get_solver(solver, threads)
         want_reuse = _wants_newton_reuse(newton)
         reuse_states = (
             [_NewtonReuseState() for _ in range(count)] if want_reuse else None
@@ -2510,28 +2495,3 @@ def get_engine(circuit: Circuit) -> AnalysisEngine:
         engine = AnalysisEngine(circuit)
         circuit._analysis_engine = engine
     return engine
-
-
-def sweep_many(
-    circuit: Circuit,
-    source: Union[VoltageSource, CurrentSource, str],
-    families: Mapping[Hashable, Sequence[float]],
-    configure: Optional[Callable[[Hashable], None]] = None,
-    gmin: float = 1e-12,
-    max_iterations: int = 200,
-    solver: Union[None, str, LinearSolver] = None,
-    newton: Optional[str] = None,
-) -> Dict[Hashable, object]:
-    """Run a family of DC sweeps through one compiled circuit.
-
-    Convenience wrapper over :meth:`AnalysisEngine.sweep_many`; see there.
-    """
-    return get_engine(circuit).sweep_many(
-        source,
-        families,
-        configure=configure,
-        gmin=gmin,
-        max_iterations=max_iterations,
-        solver=solver,
-        newton=newton,
-    )

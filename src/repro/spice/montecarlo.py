@@ -33,13 +33,15 @@ Batched solves
 --------------
 Same-pattern trials need not be solved one at a time at all:
 :meth:`MonteCarloEngine.run_batched_dc` stacks every trial's parameter
-vectors (``(trials, count)`` per parameter), assembles ``(trials, n, n)``
-Jacobians vectorized over the stack and solves each Newton round through
-the batched dense backend of :mod:`repro.spice.solvers` — one LAPACK call
-per round instead of one per trial.  :meth:`MonteCarloEngine.run_batched_transient`
-extends the same idea along the time axis: all trials march a fixed-step
-transient in *lockstep*, evaluating the stimulus waveforms once per step
-and freezing each trial within a step the moment it converges.  The
+vectors (``(trials, count)`` per parameter), assembles the Jacobians
+vectorized over the stack and solves each Newton round in one call
+instead of one per trial: below the dense/sparse crossover through the
+batched dense backend of :mod:`repro.spice.solvers` (``(trials, n, n)``,
+one LAPACK call), at or above it through the sparse-batched backend.
+:meth:`MonteCarloEngine.run_batched_transient` extends the same idea
+along the time axis: all trials march a fixed-step transient in
+*lockstep*, evaluating the stimulus waveforms once per step and freezing
+each trial within a step the moment it converges.  The
 per-trial arithmetic is bit-identical to the serial path in both cases,
 so results match ``run`` exactly (and reproduce the nominal solve bit for
 bit at zero spread).
@@ -396,7 +398,7 @@ class MonteCarloEngine:
         self,
         trials: int,
         initial_guess: Optional[np.ndarray] = None,
-        solver: Any = "batched",
+        solver: Any = None,
         max_iterations: int = 300,
         tolerance_v: float = 1e-7,
         gmin: float = 1e-9,
@@ -405,13 +407,14 @@ class MonteCarloEngine:
         newton: Optional[str] = None,
         threads: Any = None,
     ):
-        """Solve all trials' DC operating points through the batched backend.
+        """Solve all trials' DC operating points as one stack.
 
-        Instead of ``trials`` per-trial overlay swaps and dense solves, the
+        Instead of ``trials`` per-trial overlay swaps and solves, the
         sampled parameter stacks are handed to
         :meth:`~repro.spice.engine.AnalysisEngine.solve_dc_batched`, which
-        assembles ``(trials, n, n)`` Jacobians vectorized over the stack
-        and solves each Newton round in one batched LAPACK call.  The
+        assembles the Jacobians vectorized over the stack and solves each
+        Newton round in one call — one batched LAPACK call below the
+        dense/sparse crossover, with the default ``solver`` (``"auto"``).  The
         per-trial arithmetic is bit-identical to the serial path (same seed
         substreams, same assembly order, same LAPACK routine per system),
         so at zero spread every trial reproduces the nominal solve exactly.
@@ -505,7 +508,7 @@ class MonteCarloEngine:
         tolerance_v: float = 1e-6,
         gmin: float = 1e-9,
         use_initial_conditions: bool = False,
-        solver: Any = "batched",
+        solver: Any = None,
         newton: Optional[str] = None,
         threads: Any = None,
     ):
@@ -518,7 +521,8 @@ class MonteCarloEngine:
         :meth:`~repro.spice.engine.AnalysisEngine.solve_transient_batched`,
         which advances the whole ``(trials, n)`` stack one shared timestep
         at a time — waveforms evaluated once per step, each Newton round
-        one batched LAPACK call, converged trials frozen within the step.
+        one stacked solve (one batched LAPACK call below the dense/sparse
+        crossover), converged trials frozen within the step.
         Every trial's waveform is bit-identical to the per-trial path on
         the same grid, failures included: a singular system bumps that
         trial's gmin, and a step that does not converge keeps its last

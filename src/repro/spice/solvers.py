@@ -7,7 +7,7 @@ so the backend can be swapped without touching the assembly or the
 iteration logic:
 
 * :class:`DenseSolver` — ``np.linalg.solve`` on the dense assembled matrix.
-  The default, and the reference the other backends are tested against.
+  The reference the other backends are tested against.
 * :class:`SparseSolver` — SciPy sparse LU (SuperLU) on a CSC matrix whose
   *structure* is precomputed once from the compiled circuit's
   :class:`~repro.spice.engine.SparsityPattern`.  A pattern-assembly backend
@@ -33,14 +33,16 @@ iteration logic:
   numerically factorized and solved through SuperLU over that shared
   structure.  Memory scales as ``trials * nnz`` instead of the dense
   stack's ``trials * n^2``.
-* :class:`AutoSolver` — a *policy* backend (``solver="auto"``, the default
-  spec value): picks dense vs sparse — and their batched variants — from
-  the system size, the trial count and a fixed dense/sparse crossover
+* :class:`AutoSolver` — a *policy* backend (``solver="auto"``, and what
+  ``solver=None`` means at every entry point): picks dense vs sparse — and
+  their batched variants — from the system size, the trial count and a
+  fixed dense/sparse crossover
   (:data:`DEFAULT_DENSE_SPARSE_CROSSOVER`, calibrated by
   ``benchmarks/bench_solvers.py``).  Degrades gracefully to dense (with
   an actionable warning) when SciPy is unavailable.
 
-Select a backend by name through any analysis method::
+Select a backend by name through any analysis method (omitting
+``solver=`` is the same as ``"auto"``)::
 
     get_engine(circuit).solve_dc(solver="sparse")
     get_engine(circuit).solve_transient(1e-6, 1e-9, solver="auto")
@@ -358,7 +360,7 @@ class LinearSolver:
 
 
 class DenseSolver(LinearSolver):
-    """The default backend: one dense LAPACK solve per Newton iteration.
+    """One dense LAPACK solve per Newton iteration.
 
     Its :meth:`solve_batched` deliberately loops — this is the *per-trial
     dense path* the batched backend is benchmarked against.
@@ -641,7 +643,7 @@ class BatchedSparseSolver(SparseSolver):
 class AutoSolver(LinearSolver):
     """Size/trial-aware backend selection behind the normal solver seam.
 
-    ``solver="auto"`` — the default spec value — resolves to a concrete
+    ``solver="auto"`` — the default everywhere — resolves to a concrete
     backend per Newton run through :meth:`select`:
 
     * systems below the dense/sparse crossover use :class:`DenseSolver`
@@ -652,10 +654,10 @@ class AutoSolver(LinearSolver):
 
     The crossover comes from, in order: the constructor argument, the
     ``REPRO_SOLVER_CROSSOVER`` environment variable (ignored unless it is an
-    integer), and finally :data:`DEFAULT_DENSE_SPARSE_CROSSOVER`; the
-    batched crossover falls back to the serial one.  No recorded benchmark
-    file is consulted: ``benchmarks/bench_solvers.py`` measures the
-    crossovers, but a run's backend never depends on what it recorded.
+    integer), and finally :data:`DEFAULT_DENSE_SPARSE_CROSSOVER`; serial and
+    stacked solves share it.  No recorded benchmark file is consulted:
+    ``benchmarks/bench_solvers.py`` measures the crossovers, but a run's
+    backend never depends on what it recorded.
 
     When SciPy is missing, a
     selection that would have gone sparse falls back to dense and warns
@@ -667,25 +669,18 @@ class AutoSolver(LinearSolver):
     def __init__(
         self,
         crossover: Optional[int] = None,
-        batched_crossover: Optional[int] = None,
         threads: Union[None, int, str] = None,
     ):
-        env = os.environ.get("REPRO_SOLVER_CROSSOVER")
-
-        def resolve(value: Optional[int], fallback: int) -> int:
-            if value is not None:
-                return int(value)
+        if crossover is None:
+            crossover = DEFAULT_DENSE_SPARSE_CROSSOVER
+            env = os.environ.get("REPRO_SOLVER_CROSSOVER")
             if env:
                 try:
-                    return int(env)
+                    crossover = int(env)
                 except ValueError:
                     pass
-            return fallback
-
-        #: Serial dense/sparse crossover (system size).
-        self.crossover = resolve(crossover, DEFAULT_DENSE_SPARSE_CROSSOVER)
-        #: Batched crossover; falls back to the serial one.
-        self.batched_crossover = resolve(batched_crossover, self.crossover)
+        #: Dense/sparse crossover (system size) of serial and stacked solves.
+        self.crossover = int(crossover)
         self._instances: Dict[str, LinearSolver] = {}
         self._warned_no_scipy = False
         #: Worker threads handed to the sparse-batched backend it selects.
@@ -711,8 +706,7 @@ class AutoSolver(LinearSolver):
 
     def select(self, compiled, trials: Optional[int] = None) -> LinearSolver:
         batched = trials is not None
-        threshold = self.batched_crossover if batched else self.crossover
-        want_sparse = compiled.size >= threshold
+        want_sparse = compiled.size >= self.crossover
         if want_sparse and not scipy_available():
             if not self._warned_no_scipy:
                 warnings.warn(
@@ -753,12 +747,13 @@ def get_solver(
     spec: Union[None, str, LinearSolver] = None,
     threads: Union[None, int, str] = None,
 ) -> LinearSolver:
-    """Resolve a solver spec: ``None`` (dense default), a name, or an instance.
+    """Resolve a solver spec: a name, an instance, or ``None`` (``"auto"``).
 
+    ``None`` is the one default of every entry point: an :class:`AutoSolver`.
     ``threads`` fans the per-trial sparse factorizations of stacked solves
     across a thread pool; it is only meaningful for the ``"sparse-batched"``
-    backend (or ``"auto"``, which forwards it to the sparse-batched backend
-    it selects), and therefore needs SciPy.
+    backend (or ``"auto"``/``None``, which forward it to the sparse-batched
+    backend they select), and therefore needs SciPy.
     """
     if threads is not None:
         if not scipy_available():
@@ -775,7 +770,7 @@ def get_solver(
                 "BatchedSparseSolver(threads=...) or AutoSolver(threads=...)"
             )
         name = spec.lower() if isinstance(spec, str) else spec
-        if name == AutoSolver.name:
+        if name in (None, AutoSolver.name):
             return AutoSolver(threads=threads)
         if name == BatchedSparseSolver.name:
             return BatchedSparseSolver(threads=threads)
@@ -784,7 +779,7 @@ def get_solver(
             f"not {spec!r}; pick solver='sparse-batched'/'auto' or drop threads="
         )
     if spec is None:
-        return DenseSolver()
+        return AutoSolver()
     if isinstance(spec, LinearSolver):
         return spec
     if isinstance(spec, str):

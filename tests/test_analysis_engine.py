@@ -19,11 +19,11 @@ from repro.spice import (
     Resistor,
     VoltageSource,
     get_engine,
-    sweep_many,
 )
 from repro.spice.dcsweep import interpolate_crossing
 from repro.spice.engine import CompiledCircuit
 from repro.spice.netlist import AnalysisState
+from repro.spice.solvers import get_solver
 
 NMOS = Level1Parameters(
     kp_a_per_v2=4e-5, vth_v=0.18, lambda_per_v=0.05, width_m=0.7e-6, length_m=0.35e-6
@@ -391,7 +391,7 @@ class TestSolverFallbacks:
         MOSFET(circuit, "m1", "d", "g", "0", NMOS)
         VoltageSource(circuit, "vg", "g", "0", 1.2)
         engine = get_engine(circuit)
-        solver = engine.solver.select(engine.compiled)
+        solver = get_solver("dense").select(engine.compiled)
         # The DC driver's Newton loop, on a stack of one.
         solutions = circuit.initial_solution()[np.newaxis]
         for scale in (0.1, 0.25, 0.5, 0.75, 1.0):
@@ -438,8 +438,7 @@ class TestSweepContinuation:
 
         circuit, gate = self._transfer_circuit()
         supply = circuit.element("vdd")
-        family = sweep_many(
-            circuit,
+        family = get_engine(circuit).sweep_many(
             gate,
             {v: values for v in supplies},
             configure=lambda v: supply.set_level(v),

@@ -369,6 +369,27 @@ class TestSpecHashStability:
             MonteCarlo(threads=4, **base)
         )
 
+    @requires_scipy
+    def test_solver_none_and_auto_are_one_computation(self, chain_spec):
+        # The two spellings share a hash, so a caching Session serves either
+        # for both: they must run the same policy, threads= included.
+        base = dict(
+            circuit=chain_spec,
+            perturbations={"mos_vth": Gaussian(sigma=0.01)},
+            trials=4,
+            seed=3,
+            threads=2,
+        )
+        implicit = MonteCarlo(solver=None, **base)
+        auto = MonteCarlo(solver="auto", **base)
+        assert spec_hash(implicit) == spec_hash(auto)
+        session = Session(store=None)
+        implicit_result, auto_result = session.run(implicit), session.run(auto)
+        assert implicit_result.arrays.keys() == auto_result.arrays.keys()
+        for name, array in auto_result.arrays.items():
+            assert np.array_equal(implicit_result.arrays[name], array), name
+        assert implicit_result.convergence == auto_result.convergence
+
     def test_newton_knob_on_every_analysis_spec(self, chain_spec):
         for spec in (
             DCOp(circuit=chain_spec, newton="reuse"),

@@ -437,6 +437,20 @@ class TestScalabilityDCGolden:
         assert solution.shape == golden.shape == (LATTICE_UNKNOWNS,)
         assert solution == pytest.approx(golden, rel=LATTICE_SOLUTION_RTOL, abs=0.0)
 
+    def test_solver_none_is_the_auto_story(self, lattice_dc):
+        # solver=None hashes like the default "auto", so it must compute the
+        # same pinned story, bit for bit, not a dense LAPACK one.
+        spec = DCOp(
+            circuit=CircuitSpec(LATTICE_FACTORY, params={"rows": LATTICE_ROWS}),
+            solver=None,
+        )
+        assert spec.content_hash == lattice_dc.spec_hash
+        result = Session(store=None).run(spec)
+        assert result.scalars["strategy"] == LATTICE_STRATEGY
+        assert result.newton_iterations == LATTICE_NEWTON_ITERATIONS
+        assert result.factorizations == LATTICE_FACTORIZATIONS
+        assert _sha256(result.arrays["solution"]) == _sha256(lattice_dc.arrays["solution"])
+
 
 class TestVariabilityDCGolden:
     @pytest.fixture(scope="class")

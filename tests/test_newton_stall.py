@@ -22,7 +22,7 @@ from repro.experiments.variability_xor3 import (
 )
 from repro.spice.engine import NEWTON_STALL_ROUNDS, get_engine
 from repro.spice.montecarlo import Gaussian, MonteCarloEngine
-from repro.spice.solvers import scipy_available
+from repro.spice.solvers import get_solver, scipy_available
 
 LATTICE_SOLUTION_PATH = os.path.join(
     os.path.dirname(__file__), "goldens", "lattice400_dc_solution.json"
@@ -67,7 +67,7 @@ def test_stall_rule_stops_the_plain_run_only():
         max_iterations=300,
         tolerance_v=1e-7,
         damping_v=0.6,
-        solver=engine._resolve_solver("dense").select(engine.compiled),
+        solver=get_solver("dense").select(engine.compiled),
     )
     _, used, converged, _ = engine._newton_batched(
         start.copy(), {}, stall_rounds=NEWTON_STALL_ROUNDS, **controls

@@ -78,8 +78,8 @@ def toggle_bench(switch_model, step_duration_s=30e-9):
 
 
 class TestBackendRegistry:
-    def test_none_resolves_to_dense(self):
-        assert isinstance(get_solver(None), DenseSolver)
+    def test_none_resolves_to_auto(self):
+        assert isinstance(get_solver(None), AutoSolver)
 
     def test_names_resolve(self):
         assert isinstance(get_solver("dense"), DenseSolver)
@@ -100,14 +100,9 @@ class TestBackendRegistry:
         assert "dense" in names and "batched" in names
         assert ("sparse" in names) == scipy_available()
 
-    def test_engine_default_and_per_call_override(self):
-        circuit = common_source_circuit()
-        engine = get_engine(circuit)
-        assert isinstance(engine.solver, DenseSolver)
-        engine.set_solver("batched")
-        assert isinstance(engine.solver, BatchedDenseSolver)
-        assert engine.solve_dc().converged  # batched backend solves singly too
-        engine.set_solver(None)
+    def test_engine_per_call_override(self):
+        engine = get_engine(common_source_circuit())
+        assert engine.solve_dc(solver="batched").converged  # batched solves singly too
 
     def test_missing_scipy_fails_with_actionable_message(self, monkeypatch):
         def no_scipy():
@@ -118,6 +113,19 @@ class TestBackendRegistry:
         assert "sparse" not in available_backends()
         with pytest.raises(ImportError, match="sparse"):
             get_solver("sparse")
+
+    def test_default_solve_without_scipy_does_not_warn(self, monkeypatch):
+        # The default is "auto", and a small system never wants the sparse
+        # backend, so a NumPy-only install solves it silently.
+        def no_scipy():
+            raise ImportError("pip install repro[sparse]")
+
+        monkeypatch.setattr(solvers_module, "_import_scipy_sparse", no_scipy)
+        import warnings as warnings_module
+
+        with warnings_module.catch_warnings():
+            warnings_module.simplefilter("error", RuntimeWarning)
+            assert get_engine(common_source_circuit()).solve_dc().converged
 
 
 class TestBatchedSolveKernel:
@@ -221,14 +229,14 @@ class TestAutoSolver:
 
     def test_small_system_selects_dense(self):
         compiled = get_engine(common_source_circuit()).compiled
-        auto = AutoSolver(crossover=300, batched_crossover=300)
+        auto = AutoSolver(crossover=300)
         assert isinstance(auto.select(compiled), DenseSolver)
         assert isinstance(auto.select(compiled, trials=4), BatchedDenseSolver)
 
     @requires_scipy
     def test_large_system_selects_sparse(self):
         compiled = get_engine(common_source_circuit()).compiled
-        auto = AutoSolver(crossover=1, batched_crossover=1)
+        auto = AutoSolver(crossover=1)
         selected = auto.select(compiled)
         assert isinstance(selected, SparseSolver)
         assert not isinstance(selected, BatchedSparseSolver)
@@ -240,13 +248,15 @@ class TestAutoSolver:
         above = AutoSolver(crossover=compiled.size + 1)
         if scipy_available():
             assert isinstance(at.select(compiled), SparseSolver)
+            # One crossover for serial and stacked solves alike.
+            assert isinstance(at.select(compiled, trials=2), BatchedSparseSolver)
         assert isinstance(above.select(compiled), DenseSolver)
+        assert isinstance(above.select(compiled, trials=2), BatchedDenseSolver)
 
     def test_env_crossover_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_SOLVER_CROSSOVER", "7")
         auto = AutoSolver()
         assert auto.crossover == 7
-        assert auto.batched_crossover == 7
 
     def test_recorded_crossovers_from_bench_json(self, tmp_path, monkeypatch):
         # A recorded crossover ledger that would flip every selection to
@@ -267,7 +277,6 @@ class TestAutoSolver:
         monkeypatch.delenv("REPRO_SOLVER_CROSSOVER", raising=False)
         auto = AutoSolver()
         assert auto.crossover == solvers_module.DEFAULT_DENSE_SPARSE_CROSSOVER == 300
-        assert auto.batched_crossover == 300
         compiled = get_engine(common_source_circuit()).compiled
         assert isinstance(auto.select(compiled), DenseSolver)
         assert isinstance(auto.select(compiled, trials=3), BatchedDenseSolver)
@@ -284,7 +293,6 @@ class TestAutoSolver:
                 monkeypatch.setenv("REPRO_SOLVER_CROSSOVER", value)
             auto = AutoSolver()
             assert auto.crossover == solvers_module.DEFAULT_DENSE_SPARSE_CROSSOVER
-            assert auto.batched_crossover == solvers_module.DEFAULT_DENSE_SPARSE_CROSSOVER
 
     def test_no_scipy_degrades_to_dense_with_warning(self, monkeypatch):
         def no_scipy():
@@ -292,7 +300,7 @@ class TestAutoSolver:
 
         monkeypatch.setattr(solvers_module, "_import_scipy_sparse", no_scipy)
         compiled = get_engine(common_source_circuit()).compiled
-        auto = AutoSolver(crossover=1, batched_crossover=1)
+        auto = AutoSolver(crossover=1)
         with pytest.warns(RuntimeWarning, match="scipy"):
             selected = auto.select(compiled)
         assert isinstance(selected, DenseSolver)
@@ -329,11 +337,11 @@ class TestAutoSolver:
         bench = build_scalability_bench(4, model=switch_model)
         mc = MonteCarloEngine(bench.circuit, {"mos_vth": Gaussian(0.005)}, seed=3)
         explicit = mc.run_batched_dc(4, solver="batched")
-        auto = mc.run_batched_dc(4, solver=AutoSolver(batched_crossover=10**6))
+        auto = mc.run_batched_dc(4, solver=AutoSolver(crossover=10**6))
         # Far below the batched crossover both runs use the dense-batched
         # backend, so the solutions are bit-identical.
         assert np.array_equal(auto.solutions, explicit.solutions)
-        sparse_auto = mc.run_batched_dc(4, solver=AutoSolver(batched_crossover=1))
+        sparse_auto = mc.run_batched_dc(4, solver=AutoSolver(crossover=1))
         explicit_sparse = mc.run_batched_dc(4, solver="sparse-batched")
         assert np.array_equal(sparse_auto.solutions, explicit_sparse.solutions)
 
@@ -709,6 +717,8 @@ class TestThreadsSelection:
         assert isinstance(get_solver("sparse-batched", threads=4), BatchedSparseSolver)
         assert get_solver("sparse-batched", threads=4).threads == 4
         assert get_solver("auto", threads=4).threads == 4
+        assert isinstance(get_solver(None, threads=4), AutoSolver)
+        assert get_solver(None, threads=4).threads == 4
 
     @requires_scipy
     def test_threaded_dc_stack_bitwise_matches_serial(self, switch_model):
