@@ -313,10 +313,8 @@ class Session:
         overwrite the stored entry) or ``"off"`` (bypass the store in both
         directions).
         """
-        self.last_stats = RunStats()
-        policy = _normalize_cache_policy(cache)
-        result = self._run_one(spec, policy)
-        return result
+        # A single run never fans out, whatever the session's executor.
+        return self.run_many([spec], executor=SerialExecutor(), cache=cache)[0]
 
     def run_many(
         self,
@@ -385,28 +383,6 @@ class Session:
             ordered.append(result.copy() if content in seen else result)
             seen.add(content)
         return ResultSet(results=ordered)
-
-    def _run_one(self, spec: AnalysisSpec, policy: str) -> Result:
-        content = spec_hash(spec)
-        if self.store is not None and policy == "use":
-            cached = self.store.get(content)
-            if cached is not None:
-                self.last_stats.absorb_cached()
-                self.total_stats.absorb_cached()
-                return dataclasses.replace(cached.copy(), from_cache=True)
-        result = self.compute(spec)
-        if (
-            self.store is not None
-            and policy != "off"
-            and not result.meta.get("quarantined")
-        ):
-            # The store keeps its own copy so caller-side mutation of the
-            # returned result can never poison later hits (and quarantine
-            # placeholders must never mask a future real solve).
-            self.store.put(content, result.copy())
-        self.last_stats.absorb_computed(result)
-        self.total_stats.absorb_computed(result)
-        return result
 
     # ------------------------------------------------------------------ #
     # computation (no cache involvement)

@@ -34,8 +34,8 @@ class ConvergenceInfo:
         the engine's convergence residual.
     factorizations / factorization_reuses:
         Numeric matrix factorizations performed during the solve, and solves
-        served by an already-computed factorization (fingerprint cache hits
-        plus ``newton="reuse"`` bypass rounds).  Zero for solver backends
+        served by an already-computed factorization (``newton="reuse"``
+        solves through its held LU).  Zero for solver backends
         that do not factor (dense ``lstsq``-style paths).
     """
 

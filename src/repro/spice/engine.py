@@ -68,7 +68,7 @@ from repro.spice.elements.capacitor import Capacitor
 from repro.spice.elements.mosfet import MOSFET, evaluate_level1_arrays
 from repro.spice.elements.resistor import Resistor
 from repro.spice.elements.sources import CurrentSource, VoltageSource
-from repro.spice.solvers import FactorizationCache, LinearSolver, get_solver
+from repro.spice.solvers import Factorization, LinearSolver, get_solver
 
 #: gmin ladder of the gmin-stepping fallback (relaxed decade by decade).
 GMIN_LADDER: Tuple[float, ...] = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
@@ -226,7 +226,7 @@ class _NewtonReuseState:
         """
         handle = self.handle
         if handle is not None:
-            if FactorizationCache.fingerprint(data) == handle.fingerprint:
+            if Factorization.digest(data) == handle.fingerprint:
                 return handle.solve(rhs), False
             if not self.stale and self.engaged():
                 ax = np.bincount(
@@ -1952,7 +1952,8 @@ class AnalysisEngine:
         across the whole march — the frozen LU carries over between steps,
         refactorizing only when its contraction stalls, which is where a
         transient run saves most of its factorizations (the warm-start DC
-        solve shares the mode).  The default refactorizes every round.
+        solve always runs full Newton).  The default refactorizes every
+        round.
 
         Either way the result carries a
         :class:`~repro.spice.transient.TransientConvergenceInfo` with the

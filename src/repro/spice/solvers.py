@@ -52,31 +52,25 @@ Backends signal a numerically singular system uniformly by raising
 ``np.linalg.LinAlgError``, so the engine's gmin-bump retry works the same
 whichever backend is active.
 
-Two cross-cutting layers ride on the seam:
-
-* a :class:`FactorizationCache` (on by default in the sparse backends)
-  that fingerprints every pattern assembly and reuses the existing LU when
-  the CSC data is bitwise unchanged — constant-Jacobian transient steps
-  and the shared-base fast path stop paying ``splu``, with results
-  bit-identical by construction;
-* an optional ``threads=`` knob on the sparse-batched backend that fans
-  the per-trial factorizations of a full-Newton stacked solve
-  (:meth:`BatchedSparseSolver.solve_pattern_batched`) across a
-  ``ThreadPoolExecutor`` (SuperLU releases the GIL), with identical
-  numbers whatever the thread count.
+One cross-cutting layer rides on the seam: an optional ``threads=`` knob
+on the sparse-batched backend that fans the per-trial factorizations of a
+full-Newton stacked solve
+(:meth:`BatchedSparseSolver.solve_pattern_batched`) across a
+``ThreadPoolExecutor`` (SuperLU releases the GIL), with identical numbers
+whatever the thread count.
 
 Every backend keeps monotonic ``solver_stats()`` counters
 (``factorizations`` / ``factorization_reuses``) that the engine surfaces
-in its convergence records.
+in its convergence records.  A full-Newton solve factorizes every time;
+an LU is reused only through a :class:`Factorization` handle, which the
+engine's modified Newton (``newton="reuse"``) holds across rounds.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import threading
 import warnings
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, NamedTuple, Optional, Tuple, Type, Union
 
@@ -89,10 +83,8 @@ __all__ = [
     "BatchedDenseSolver",
     "BatchedSparseSolver",
     "AutoSolver",
-    "FactorizationCache",
     "Factorization",
     "DEFAULT_DENSE_SPARSE_CROSSOVER",
-    "DEFAULT_FACTOR_CACHE_CAPACITY",
     "get_solver",
     "resolve_threads",
     "available_backends",
@@ -105,13 +97,6 @@ __all__ = [
 #: (``benchmarks/bench_solvers.py``), where sparse SuperLU first beats the
 #: dense LAPACK solve near n ≈ 300.
 DEFAULT_DENSE_SPARSE_CROSSOVER = 300
-
-#: LRU capacity of the per-solver :class:`FactorizationCache`.  A handful
-#: of live LU objects covers the reuse patterns the engine actually
-#: produces (a constant Jacobian across transient steps, the shared-base
-#: fast path, an interleaved gmin rung) while bounding the memory held for
-#: large-fill factorizations.
-DEFAULT_FACTOR_CACHE_CAPACITY = 8
 
 
 def resolve_threads(threads: Union[None, int, str]) -> int:
@@ -173,87 +158,33 @@ def scipy_available() -> bool:
     return True
 
 
-class FactorizationCache:
-    """Keyed LRU of numeric factorizations over one CSC structure.
-
-    Keys are ``(structure token, data fingerprint)`` where the fingerprint
-    is a BLAKE2b digest of the raw CSC data bytes: two assemblies hit the
-    same entry exactly when they are *bitwise* identical, and since the LU
-    is a pure function of the matrix, a cache hit returns results
-    bit-identical to refactorizing.  This is what lets the cache stay on by
-    default — constant-Jacobian transient steps and the shared-base fast
-    path reuse their LU with zero numerical drift.
-
-    Thread-safe: the threaded batched backend factorizes trials
-    concurrently and publishes through :meth:`put` under a lock (a racing
-    duplicate factorization is benign — the LUs are identical and one
-    wins).
-    """
-
-    def __init__(self, capacity: int = DEFAULT_FACTOR_CACHE_CAPACITY):
-        self.capacity = int(capacity)
-        self._entries: "OrderedDict[Tuple[int, bytes], object]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def fingerprint(data: np.ndarray) -> bytes:
-        """128-bit BLAKE2b digest of an array's raw bytes."""
-        return hashlib.blake2b(
-            np.ascontiguousarray(data).tobytes(), digest_size=16
-        ).digest()
-
-    def get(self, structure: int, fingerprint: bytes):
-        """The cached factorization for a key, or ``None`` (marks it MRU)."""
-        key = (structure, fingerprint)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
-
-    def put(self, structure: int, fingerprint: bytes, factorization) -> None:
-        """Insert a factorization, evicting the LRU entry beyond capacity."""
-        key = (structure, fingerprint)
-        with self._lock:
-            self._entries[key] = factorization
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    # A threading.Lock cannot be pickled; a cache travels empty.
-    def __getstate__(self):
-        return {"capacity": self.capacity}
-
-    def __setstate__(self, state):
-        self.__init__(state.get("capacity", DEFAULT_FACTOR_CACHE_CAPACITY))
-
-
 class Factorization:
     """A held LU handle the engine keeps across Newton rounds and steps.
 
     Returned by :meth:`SparseSolver.factorize_pattern`; the engine's
     modified-Newton reuse state (one per serial march or stacked trial)
     stores these so a frozen Jacobian keeps solving without refactorizing.
-    Counting convention: the solve that *paid* for a fresh factorization is
-    free; every later solve through the handle is a reuse on the owning
-    solver's :meth:`~LinearSolver.solver_stats`.
+    :attr:`fingerprint` is the :meth:`digest` of the pattern data the LU
+    was factorized from, so the engine can tell a bitwise-unchanged
+    assembly.  Counting convention: the first solve paid for the
+    factorization and is free; every later solve through the handle is a
+    reuse on the owning solver's :meth:`~LinearSolver.solver_stats`.
     """
 
     __slots__ = ("fingerprint", "_owner", "_solve", "_free_solves")
 
-    def __init__(self, owner: "LinearSolver", solve, fingerprint: bytes, fresh: bool):
-        self.fingerprint = fingerprint
+    def __init__(self, owner: "LinearSolver", solve, data: np.ndarray):
+        self.fingerprint = self.digest(data)
         self._owner = owner
         self._solve = solve
-        self._free_solves = 1 if fresh else 0
+        self._free_solves = 1
+
+    @staticmethod
+    def digest(data: np.ndarray) -> bytes:
+        """128-bit BLAKE2b digest of an array's raw bytes."""
+        return hashlib.blake2b(
+            np.ascontiguousarray(data).tobytes(), digest_size=16
+        ).digest()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self._free_solves:
@@ -317,9 +248,11 @@ class LinearSolver:
 
         ``factorizations`` counts numeric matrix factorizations actually
         performed; ``factorization_reuses`` counts linear solves served by
-        an already-computed factorization (cache hits and modified-Newton
-        bypass steps).  The engine snapshots these around each analysis to
-        surface per-run counts in the convergence records.
+        an already-computed factorization: the solves through a
+        :class:`Factorization` handle after its first, which only modified
+        Newton (``newton="reuse"``) makes.  The engine snapshots these
+        around each analysis to surface per-run counts in the convergence
+        records.
         """
         return {
             "factorizations": self._n_factorizations,
@@ -472,13 +405,11 @@ class SparseSolver(LinearSolver):
     name = "sparse"
     wants_pattern_assembly = True
 
-    def __init__(self, cache_capacity: int = DEFAULT_FACTOR_CACHE_CAPACITY):
+    def __init__(self):
         # Fail at construction, not mid-Newton, when scipy is missing.
         _import_scipy_sparse()
         self._bound_key: Optional[Tuple[int, int]] = None
         self._pattern = None  # the compiled circuit's SparsityPattern
-        #: LU cache over the bound pattern (cleared on every rebind).
-        self.factorization_cache = FactorizationCache(cache_capacity)
         # Fill-reducing column order of the bound pattern, from its first
         # factorization (reset on every rebind).
         self._column_order: Optional[_ColumnOrder] = None
@@ -490,7 +421,6 @@ class SparseSolver(LinearSolver):
         self._bound_key = key
         self._pattern = compiled.sparsity_pattern()
         self._column_order = None
-        self.factorization_cache.clear()
 
     def solve(self, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         sparse, _ = _import_scipy_sparse()
@@ -515,26 +445,15 @@ class SparseSolver(LinearSolver):
             )
         return pattern
 
-    def _factorize(self, data: np.ndarray, count: bool = True):
-        """The LU for one pattern assembly: ``(lu, fingerprint, cache_hit)``.
+    def _factorize(self, data: np.ndarray):
+        """The LU of one pattern assembly (uncounted; callers tally).
 
-        Consults the :class:`FactorizationCache` first — a bitwise-unchanged
-        data array reuses the existing LU, which is bit-identical to
-        refactorizing.  Otherwise the bound pattern's first factorization
-        runs plain ``splu`` (COLAMD) and records its column order; every
-        later one factorizes the pre-permuted matrix under that order (see
-        :class:`_ColumnOrder`).  ``count=False`` defers the counter updates
-        to the caller (the threaded batched path tallies in the main
-        thread).
+        The bound pattern's first factorization runs plain ``splu``
+        (COLAMD) and records its column order; every later one factorizes
+        the pre-permuted matrix under that order (see
+        :class:`_ColumnOrder`).
         """
         pattern = self._require_pattern("solve_pattern")
-        fingerprint = FactorizationCache.fingerprint(data)
-        structure = id(pattern)
-        lu = self.factorization_cache.get(structure, fingerprint)
-        if lu is not None:
-            if count:
-                self._count_reuses(1)
-            return lu, fingerprint, True
         # Read once: racing threads of the batched path may each run the
         # first COLAMD factorization; they publish identical orders.
         order = self._column_order
@@ -549,26 +468,22 @@ class SparseSolver(LinearSolver):
             self._column_order = _ColumnOrder.of(pattern, lu.perm_c)
         else:
             lu = order.factorize(data)
-        if count:
-            self._count_factorizations(1)
-        self.factorization_cache.put(structure, fingerprint, lu)
-        return lu, fingerprint, False
+        return lu
 
     def solve_pattern(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        lu, _, _ = self._factorize(data)
+        lu = self._factorize(data)
+        self._count_factorizations(1)
         return lu.solve(rhs)
 
     def factorize_pattern(self, data: np.ndarray) -> Factorization:
         """A reuse handle over one pattern assembly (modified-Newton state).
 
-        The handle keeps a strong reference to its LU, so it stays valid
-        after the cache evicts the entry; its solves count as reuses on
-        this solver (see :class:`Factorization`).
+        Its solves after the first count as reuses on this solver (see
+        :class:`Factorization`).
         """
-        lu, fingerprint, hit = self._factorize(data, count=False)
-        if not hit:
-            self._count_factorizations(1)
-        return Factorization(self, lu.solve, fingerprint, fresh=not hit)
+        lu = self._factorize(data)
+        self._count_factorizations(1)
+        return Factorization(self, lu.solve, data)
 
 
 class BatchedSparseSolver(SparseSolver):
@@ -595,12 +510,8 @@ class BatchedSparseSolver(SparseSolver):
 
     name = "sparse-batched"
 
-    def __init__(
-        self,
-        threads: Union[None, int, str] = None,
-        cache_capacity: int = DEFAULT_FACTOR_CACHE_CAPACITY,
-    ):
-        super().__init__(cache_capacity=cache_capacity)
+    def __init__(self, threads: Union[None, int, str] = None):
+        super().__init__()
         #: Worker-thread count for the per-trial factorizations of
         #: :meth:`solve_pattern_batched` (0 = the serial loop; see
         #: :func:`resolve_threads`).
@@ -612,9 +523,10 @@ class BatchedSparseSolver(SparseSolver):
         SuperLU releases the GIL during factorization and the triangular
         solves, so a ThreadPoolExecutor fans the per-trial numeric work
         across cores; each trial's result is bitwise independent of the
-        thread count (the trials share no mutable state beyond the
-        lock-protected cache).  A singular trial's ``LinAlgError``
-        propagates for the whole stack, exactly like the serial loop.
+        thread count (the trials share no mutable state beyond the bound
+        pattern's column order, which racing first factorizations publish
+        as equal values).  A singular trial's ``LinAlgError`` propagates
+        for the whole stack, exactly like the serial loop.
         """
         if self.threads > 1 and trials > 1:
             with ThreadPoolExecutor(max_workers=self.threads) as pool:
@@ -625,18 +537,14 @@ class BatchedSparseSolver(SparseSolver):
         self._require_pattern("solve_pattern_batched")
 
         def worker(trial):
-            lu, _, hit = self._factorize(data[trial], count=False)
-            return lu.solve(rhs[trial]), hit
+            return self._factorize(data[trial]).solve(rhs[trial])
 
         results = self._map_trials(data.shape[0], worker)
         out = np.empty_like(rhs)
-        hits = 0
-        for trial, (solution, hit) in enumerate(results):
+        for trial, solution in enumerate(results):
             out[trial] = solution
-            hits += hit
         # Tally in the calling thread so the counters never race.
-        self._count_reuses(hits)
-        self._count_factorizations(len(results) - hits)
+        self._count_factorizations(len(results))
         return out
 
 

@@ -54,8 +54,7 @@ class TransientConvergenceInfo:
     factorizations / factorization_reuses:
         Numeric matrix factorizations performed over the whole march
         (warm start included), and solves served by an already-computed
-        factorization (fingerprint cache hits plus ``newton="reuse"``
-        bypass rounds).  Zero for non-factoring solver backends.
+        factorization (``newton="reuse"`` solves through its held LU).  Zero for non-factoring solver backends.
     """
 
     strategy: str

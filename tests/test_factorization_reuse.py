@@ -2,9 +2,9 @@
 
 Three layers are pinned down here:
 
-* the :class:`FactorizationCache` — bitwise-unchanged matrices reuse the
-  existing LU, bit-identically, with the solver's monotonic counters
-  recording the split between factorizations and reuses;
+* the sparse backends' counters — full Newton factorizes every solve, a
+  bitwise-repeated one included, and the solver's monotonic counters
+  record the split between factorizations and reuses;
 * ``newton="reuse"`` — modified Newton that holds the last factorization
   while the residual keeps contracting: bit-identical on linear circuits,
   within the Newton voltage tolerance on nonlinear ones, strictly fewer
@@ -81,12 +81,14 @@ def mos_bench(switch_model):
 
 
 # ---------------------------------------------------------------------- #
-# the factorization cache
+# full-Newton solves always factorize
 # ---------------------------------------------------------------------- #
 
 
 @requires_scipy
-class TestFactorizationCache:
+class TestSolvePatternCounters:
+    """``solve_pattern`` factorizes every call; no LU outlives its solve."""
+
     def _bound_system(self, switch_model):
         bench = mos_bench(switch_model)
         engine = get_engine(bench.circuit)
@@ -98,7 +100,7 @@ class TestFactorizationCache:
         solver.bind(engine.compiled)
         return solver, data, rhs
 
-    def test_bitwise_unchanged_assembly_reuses_lu(self, switch_model):
+    def test_bitwise_unchanged_assembly_factorizes_again(self, switch_model):
         solver, data, rhs = self._bound_system(switch_model)
         before = solver.solver_stats()
         first = solver.solve_pattern(data, rhs)
@@ -106,10 +108,11 @@ class TestFactorizationCache:
         assert mid["factorizations"] == before["factorizations"] + 1
         second = solver.solve_pattern(data, rhs)
         after = solver.solver_stats()
-        # The repeat solve is served by the cached LU — no new
-        # factorization, one counted reuse, bit-identical result.
-        assert after["factorizations"] == mid["factorizations"]
-        assert after["factorization_reuses"] == mid["factorization_reuses"] + 1
+        # The repeat solve of bitwise-unchanged data factorizes again — one
+        # more factorization, no reuse — and the LU, a pure function of the
+        # matrix, gives a bit-identical answer.
+        assert after["factorizations"] == mid["factorizations"] + 1
+        assert after["factorization_reuses"] == mid["factorization_reuses"] == 0
         assert np.array_equal(first, second)
 
     def test_changed_assembly_factorizes_again(self, switch_model):
@@ -127,6 +130,29 @@ class TestFactorizationCache:
         stats = solver.solver_stats()
         assert set(stats) == {"factorizations", "factorization_reuses"}
         assert all(isinstance(v, int) and v >= 0 for v in stats.values())
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [
+        "dense",
+        "batched",
+        pytest.param("sparse", marks=requires_scipy),
+        pytest.param("sparse-batched", marks=requires_scipy),
+    ],
+)
+def test_full_newton_factorizes_every_round(solver):
+    # Full Newton on a linear circuit: every backend factorizes once per
+    # Newton round and reuses nothing, even though every transient step
+    # assembles the same Jacobian.
+    engine = get_engine(rc_circuit())
+    warm_start = engine.solve_dc(time_s=0.0, solver=solver)
+    march = engine.solve_transient(100e-9, 1e-9, solver=solver)
+    assert warm_start.converged and march.converged
+    dc, info = warm_start.convergence_info, march.convergence_info
+    assert (dc.factorizations, dc.factorization_reuses) == (warm_start.iterations, 0)
+    assert info.factorization_reuses == 0
+    assert info.factorizations == info.newton_iterations + warm_start.iterations
 
 
 # ---------------------------------------------------------------------- #
@@ -178,16 +204,25 @@ class TestNewtonReuseDC:
 
 @requires_scipy
 class TestNewtonReuseTransient:
-    def test_constant_jacobian_march_reuses_by_default(self):
+    def test_constant_jacobian_march_reuses_under_reuse_mode(self):
         # A linear RC on a fixed grid assembles the same Jacobian every
-        # step; the default path's cache must serve it without refactoring.
+        # step.  Full Newton refactors it each step; newton="reuse" solves
+        # the bitwise-unchanged system through its held LU.
         engine = get_engine(rc_circuit())
-        result = engine.solve_transient(100e-9, 1e-9, solver="sparse")
-        assert result.converged
-        info = result.convergence_info
-        assert info.factorization_reuses > 0
-        # Everything past the warm start and the first step is a reuse.
-        assert info.factorizations < info.factorization_reuses
+        default = engine.solve_transient(100e-9, 1e-9, solver="sparse")
+        reuse = engine.solve_transient(
+            100e-9, 1e-9, solver="sparse", newton="reuse"
+        )
+        assert default.converged and reuse.converged
+        counts = [
+            (r.convergence_info.factorizations, r.convergence_info.factorization_reuses)
+            for r in (default, reuse)
+        ]
+        # One round per step after a three-round DC warm start: 103
+        # factorizations by default.  The reuse march pays the warm start
+        # (always full Newton) and the first step, then serves the 99 later
+        # steps through the held LU.
+        assert counts == [(103, 0), (4, 99)]
 
     def test_reuse_mode_bit_identical_on_linear_transient(self):
         engine = get_engine(rc_circuit())

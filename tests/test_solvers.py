@@ -789,9 +789,8 @@ def record_sparse_solves(solver):
     solves = []
     factorize = solver._factorize
 
-    def recording(data, count=True):
-        lu, fingerprint, hit = factorize(data, count)
-        return _RecordingLU(lu, np.array(data, copy=True), solves), fingerprint, hit
+    def recording(data):
+        return _RecordingLU(factorize(data), np.array(data, copy=True), solves)
 
     solver._factorize = recording
     return solves
