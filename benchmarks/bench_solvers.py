@@ -29,12 +29,10 @@ perf-trajectory artifact).  Environment knobs: ``SOLVER_BENCH_GRIDS`` and
 ``SOLVER_BENCH_TRIALS`` (batched-crossover trial count),
 ``SOLVER_BENCH_LARGE_UNKNOWNS`` / ``SOLVER_BENCH_LARGE_TRIALS`` /
 ``SOLVER_BENCH_LARGE_SIGMA`` (large-study scale), and the CI floors
-``SOLVERS_SPARSE_BATCHED_MIN_SPEEDUP`` / ``SOLVERS_REUSE_MIN_SPEEDUP`` /
-``SOLVERS_THREADED_MIN_SPEEDUP`` (all default to 0 so unconstrained local
-runs only record).  ``test_factorization_reuse_speedup`` and
-``test_threaded_stacked_factorization`` extend the stacked study with the
-``newton="reuse"`` modified-Newton path and the thread-parallel stacked
-factorization.
+``SOLVERS_SPARSE_BATCHED_MIN_SPEEDUP`` / ``SOLVERS_REUSE_MIN_SPEEDUP``
+(both default to 0 so unconstrained local runs only record).
+``test_factorization_reuse_speedup`` extends the stacked study with the
+``newton="reuse"`` modified-Newton path.
 """
 
 import os
@@ -53,7 +51,6 @@ from repro.spice.netlist import AnalysisState
 from repro.spice.solvers import (
     DenseSolver,
     SparseSolver,
-    resolve_threads,
     scipy_available,
 )
 
@@ -81,11 +78,6 @@ MIN_SPEEDUP = float(os.environ.get("SOLVERS_SPARSE_BATCHED_MIN_SPEEDUP", "0"))
 #: Hard floor on the ``newton="reuse"`` speedup over full Newton (CI sets
 #: this; 0 = record only).
 REUSE_MIN_SPEEDUP = float(os.environ.get("SOLVERS_REUSE_MIN_SPEEDUP", "0"))
-
-#: Hard floor on the ``threads="auto"`` speedup over the serial stacked
-#: factorization.  Only enforced on multi-core hosts (on 1 CPU the threaded
-#: path degrades to serial by design and the ratio is ~1.0).
-THREADED_MIN_SPEEDUP = float(os.environ.get("SOLVERS_THREADED_MIN_SPEEDUP", "0"))
 
 
 def _best_solve_s(solver, matrix, rhs, rounds=5):
@@ -367,60 +359,6 @@ def test_factorization_reuse_speedup(switch_model):
         f" (acceptance floor: {REUSE_MIN_SPEEDUP:g}x)"
     )
     assert speedup >= REUSE_MIN_SPEEDUP
-
-
-@pytest.mark.skipif(not scipy_available(), reason="sparse backend needs scipy")
-def test_threaded_stacked_factorization(switch_model):
-    """Thread-parallel stacked sparse factorization: same numbers, less wall.
-
-    Runs the reuse-benchmark study serially and with ``threads="auto"``.
-    The two stacks must be bitwise identical — threading only changes who
-    factors which trial, never the arithmetic — and on a multi-core host
-    the threaded run must clear the CI floor.  On 1 CPU the pool degrades
-    to the serial path by design, so only parity is enforced there.
-    """
-    grid = BATCH_GRIDS[-1]
-    bench = build_scalability_bench(grid, model=switch_model)
-    engine = get_engine(bench.circuit)
-    nominal = engine.solve_dc(solver="sparse")
-    assert nominal.converged
-
-    serial_wall, serial = _reuse_study(engine, nominal.solution, bench.circuit)
-    threaded_wall, threaded = _reuse_study(
-        engine, nominal.solution, bench.circuit, threads="auto"
-    )
-
-    assert np.array_equal(serial.solutions, threaded.solutions)
-    effective_threads = resolve_threads("auto")
-    speedup = serial_wall / threaded_wall
-
-    write_bench_json(
-        "BENCH_solvers.json",
-        {
-            "threaded_grid": grid,
-            "threaded_system_size": bench.circuit.system_size,
-            "threaded_trials": BATCH_TRIALS,
-            "threaded_effective_threads": effective_threads,
-            "threaded_serial_wall_s": serial_wall,
-            "threaded_wall_s": threaded_wall,
-            "threaded_speedup": speedup,
-        },
-        merge=True,
-    )
-    report(
-        f"Threaded stacked factorization on the {grid}x{grid}"
-        f" (n={bench.circuit.system_size}) stacked DC study"
-        f" ({BATCH_TRIALS} trials):\n"
-        f"  serial         : {serial_wall:7.2f} s\n"
-        f"  threads='auto' : {threaded_wall:7.2f} s"
-        f" ({effective_threads or 1} worker thread(s))\n"
-        f"  speedup        : {speedup:5.2f}x"
-        f" (acceptance floor: {THREADED_MIN_SPEEDUP:g}x,"
-        f" enforced on multi-core hosts only)"
-    )
-    cpus = os.cpu_count()
-    if cpus and cpus > 1:
-        assert speedup >= THREADED_MIN_SPEEDUP
 
 
 @pytest.mark.skipif(not scipy_available(), reason="sparse backend needs scipy")

@@ -78,6 +78,14 @@ _DISTRIBUTIONS: Dict[str, type] = {
     "Lognormal": Lognormal,
 }
 
+#: Fields deleted from a spec whose default older clients and journals
+#: still send (:func:`spec_to_dict` writes defaults too).  A ``null`` value
+#: is that default and never entered the hash, so it decodes as absent;
+#: any other value is rejected as an unknown field.
+_RETIRED_NULL_FIELDS: Dict[str, Tuple[str, ...]] = {
+    MonteCarlo.kind: ("threads",),
+}
+
 
 class SpecDecodeError(ValueError):
     """A spec payload that cannot be decoded, with the JSON-path of why.
@@ -325,7 +333,8 @@ def spec_from_dict(
 
     ``payload`` must be a JSON object with a ``kind`` tag naming one of
     :data:`SPEC_KINDS`; missing fields take the spec's defaults, unknown
-    fields are rejected.  The decoded spec hashes identically to the
+    fields are rejected (a retired field sent as ``null``, its old default,
+    decodes as absent).  The decoded spec hashes identically to the
     Python-constructed equivalent (pinned in the test-suite against
     :func:`repro.api.hashing.canonical`).
 
@@ -345,6 +354,12 @@ def spec_from_dict(
             f"{_path}.kind",
         )
     cls = SPEC_KINDS[kind]
+    retired = _RETIRED_NULL_FIELDS.get(kind, ())
+    payload = {
+        name: value
+        for name, value in payload.items()
+        if not (name in retired and value is None)
+    }
     field_names = {field.name for field in dataclasses.fields(cls)}
     unknown = sorted(set(payload) - field_names - {"kind"})
     if unknown:

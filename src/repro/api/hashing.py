@@ -64,15 +64,12 @@ def canonical(value: Any) -> Any:
             # before "auto" became the spec default.
             if field.name == "solver" and item == "auto":
                 item = None
-            # Same policy for the factorization-reuse knobs: newton=None and
-            # the explicit full-Newton spelling are the same computation, and
-            # an unset threads= is no request at all.  Default values are
-            # skipped entirely (the key is omitted) so specs from before the
-            # fields existed hash unchanged; newton="reuse" and an explicit
-            # threads= do enter the hash.
+            # Same policy for the factorization-reuse knob: newton=None and
+            # the explicit full-Newton spelling are the same computation.
+            # The default is skipped entirely (the key is omitted) so specs
+            # from before the field existed hash unchanged; newton="reuse"
+            # does enter the hash.
             if field.name == "newton" and item in (None, "full"):
-                continue
-            if field.name == "threads" and item is None:
                 continue
             fields[field.name] = canonical(item)
         return {"__dataclass__": type(value).__qualname__, "fields": fields}

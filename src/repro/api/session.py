@@ -567,9 +567,7 @@ class Session:
             newton=spec.newton,
         )
         if spec.mode == "batched":
-            batch = mc.run_batched_dc(
-                spec.trials, solver=spec.solver, threads=spec.threads, **controls
-            )
+            batch = mc.run_batched_dc(spec.trials, solver=spec.solver, **controls)
         else:
             batch = mc.run_per_trial_dc(spec.trials, solver=spec.solver, **controls)
         return Result(
@@ -634,8 +632,7 @@ class Session:
         )
         if spec.mode == "batched":
             batch = mc.run_batched_transient(
-                spec.trials, stop_time_s, base.timestep_s,
-                solver=solver, threads=spec.threads, **controls,
+                spec.trials, stop_time_s, base.timestep_s, solver=solver, **controls
             )
         else:
             batch = mc.run_per_trial_transient(

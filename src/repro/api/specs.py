@@ -151,17 +151,6 @@ def _check_newton(newton: Any) -> None:
         )
 
 
-def _check_threads(threads: Any) -> None:
-    if threads is None or threads == "auto":
-        return
-    if isinstance(threads, bool) or not isinstance(threads, int):
-        raise TypeError(
-            f"threads must be None, 'auto' or a positive int, got {threads!r}"
-        )
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-
 @dataclass(frozen=True)
 class DCOp(AnalysisSpec):
     """DC operating point (engine: ``AnalysisEngine.solve_dc``)."""
@@ -287,12 +276,10 @@ class MonteCarlo(AnalysisSpec):
     time_s: float = 0.0
     solver: Optional[str] = "auto"
     newton: Optional[str] = None
-    threads: Union[None, int, str] = None
 
     def __post_init__(self) -> None:
         _check_solver(self.solver)
         _check_newton(self.newton)
-        _check_threads(self.threads)
         if self.mode not in ("batched", "per-trial"):
             raise ValueError("mode must be 'batched' or 'per-trial'")
         if self.trials < 1:

@@ -256,6 +256,33 @@ PERTURBABLE_PARAMETERS: Tuple[str, ...] = (
 )
 
 
+def _check_parameter_values(name: str, values: np.ndarray) -> None:
+    """Raise ``ValueError`` if ``values`` breaks ``name``'s value rule.
+
+    ``resistor_ohm`` must be positive and ``cap_c`` non-negative; the other
+    vectors take any value.  ``values`` is one overlay vector or a
+    ``(trials, count)`` stack, whose error names the first offending trial
+    and, since stacks are usually Monte-Carlo draws, the remedy.
+    """
+    if name == "resistor_ohm":
+        bad, rule = values <= 0.0, "positive"
+    elif name == "cap_c":
+        bad, rule = values < 0.0, "non-negative"
+    else:
+        return
+    if not np.any(bad):
+        return
+    if values.ndim == 1:
+        raise ValueError(f"{name} overlay values must be {rule}")
+    trial = int(np.flatnonzero(bad.any(axis=1))[0])
+    raise ValueError(
+        f"{name} stack values must be {rule}; trial {trial} has "
+        f"{float(values[trial][bad[trial]][0])!r} (additive distributions "
+        "can cross zero on positive-only parameters — use Lognormal for "
+        "resistor_ohm/cap_c, or shrink the spread)"
+    )
+
+
 class SparsityPattern:
     """The CSC structure shared by every assembly of one compiled topology.
 
@@ -552,10 +579,7 @@ class CompiledCircuit:
                 raise ValueError(
                     f"{name!r} overlay has shape {array.shape}, expected ({lengths[name]},)"
                 )
-            if name == "resistor_ohm" and np.any(array <= 0.0):
-                raise ValueError("resistor_ohm overlay values must be positive")
-            if name == "cap_c" and np.any(array < 0.0):
-                raise ValueError("cap_c overlay values must be non-negative")
+            _check_parameter_values(name, array)
             cleaned[name] = array
         self._overlay = cleaned or None
         self.refresh_values()
@@ -1541,7 +1565,6 @@ class AnalysisEngine:
         *,
         stacked: bool,
         solver: Union[None, str, LinearSolver],
-        threads: Union[None, int, str],
         newton: Optional[str],
         gmin: float,
         **controls,
@@ -1564,7 +1587,7 @@ class AnalysisEngine:
         ``"newton"``, a ladder's name or ``"failed"``.
         """
         compiled = self.compiled
-        resolved = get_solver(solver, threads)
+        resolved = get_solver(solver)
         count = solutions.shape[0]
         reuse = _wants_newton_reuse(newton)
         reuse_states = [_NewtonReuseState() for _ in range(count)] if reuse else None
@@ -1658,7 +1681,7 @@ class AnalysisEngine:
             )
         solutions, iterations, converged, max_updates, strategies, counts = (
             self._solve_dc_stack(
-                solution[np.newaxis], {}, stacked=False, solver=solver, threads=None,
+                solution[np.newaxis], {}, stacked=False, solver=solver,
                 newton=newton, gmin=gmin, max_iterations=max_iterations,
                 tolerance_v=tolerance_v, damping_v=damping_v, time_s=time_s,
             )
@@ -1687,7 +1710,8 @@ class AnalysisEngine:
     ) -> Tuple[Dict[str, np.ndarray], int]:
         """Validate ``(trials, count)`` parameter stacks; returns (stacks, trials).
 
-        Shared by :meth:`solve_dc_batched` and :meth:`solve_transient_batched`.
+        Each row must pass the overlay value rules of
+        :meth:`CompiledCircuit.set_parameter_overlay`.  Shared by :meth:`solve_dc_batched` and :meth:`solve_transient_batched`.
         """
         lengths = self.compiled._parameter_lengths()
         stacks: Dict[str, np.ndarray] = {}
@@ -1710,6 +1734,7 @@ class AnalysisEngine:
                     f"inconsistent trial counts: {name!r} has {array.shape[0]} rows, "
                     f"expected {count}"
                 )
+            _check_parameter_values(name, array)
             stacks[name] = array
         if count is None:
             raise ValueError("pass trials= when params carries no parameter stacks")
@@ -1730,7 +1755,6 @@ class AnalysisEngine:
         refresh: bool = True,
         solver: Union[None, str, LinearSolver] = None,
         newton: Optional[str] = None,
-        threads: Union[None, int, str] = None,
     ):
         """Solve many same-pattern DC operating points in stacked batches.
 
@@ -1753,12 +1777,7 @@ class AnalysisEngine:
 
         ``newton="reuse"`` runs per-trial modified Newton on either sparse
         backend (each trial keeps its LU until its contraction stalls,
-        exactly as a per-trial :meth:`solve_dc` run does); ``threads`` fans
-        the per-trial sparse factorizations of full-Newton rounds across a
-        thread pool (see :class:`~repro.spice.solvers.BatchedSparseSolver`;
-        reuse-mode refactorizations run trial by trial) and requires a
-        sparse-batched-capable ``solver`` spec (``"sparse-batched"``, or
-        ``"auto"``, the default).
+        exactly as a per-trial :meth:`solve_dc` run does).
 
         Returns a :class:`~repro.spice.dcop.BatchedOperatingPoints`.
         """
@@ -1788,7 +1807,7 @@ class AnalysisEngine:
 
         solutions, iterations, converged, residuals, strategies, counts = (
             self._solve_dc_stack(
-                solutions, stacks, stacked=True, solver=solver, threads=threads,
+                solutions, stacks, stacked=True, solver=solver,
                 newton=newton, gmin=gmin, max_iterations=max_iterations,
                 tolerance_v=tolerance_v, damping_v=damping_v, time_s=time_s,
             )
@@ -2349,7 +2368,6 @@ class AnalysisEngine:
         refresh: bool = True,
         solver: Union[None, str, LinearSolver] = None,
         newton: Optional[str] = None,
-        threads: Union[None, int, str] = None,
     ):
         """Fixed-step transient analysis of many stacked trials in lockstep.
 
@@ -2392,7 +2410,7 @@ class AnalysisEngine:
         if refresh:
             compiled.refresh_values()
         stacks, count = self._parameter_stacks(params, trials)
-        resolved = get_solver(solver, threads)
+        resolved = get_solver(solver)
         want_reuse = _wants_newton_reuse(newton)
         reuse_states = (
             [_NewtonReuseState() for _ in range(count)] if want_reuse else None

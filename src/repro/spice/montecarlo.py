@@ -85,7 +85,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.spice.engine import AnalysisEngine, get_engine
+from repro.spice.engine import AnalysisEngine, _check_parameter_values, get_engine
 from repro.spice.netlist import Circuit
 
 #: Signature of a trial analysis: ``(engine, trial_index) -> metrics``.
@@ -286,8 +286,12 @@ def _trial_rows(compiled, stacks: Mapping[str, np.ndarray]):
 
     The stacks come from :meth:`MonteCarloEngine.sample_stacked_overlays`,
     so every row already carries the overlay active on entry (e.g. a
-    corner); that base overlay is restored on exit, even on error.
+    corner); that base overlay is restored on exit, even on error.  The
+    stacks are checked up front, so an invalid draw raises the same
+    ``ValueError``, naming its trial, as the batched solves do.
     """
+    for name, stack in stacks.items():
+        _check_parameter_values(name, stack)
     saved = dict(compiled._overlay) if compiled._overlay else None
 
     def apply(trial: int) -> None:
@@ -405,7 +409,6 @@ class MonteCarloEngine:
         damping_v: float = 0.6,
         time_s: float = 0.0,
         newton: Optional[str] = None,
-        threads: Any = None,
     ):
         """Solve all trials' DC operating points as one stack.
 
@@ -442,7 +445,6 @@ class MonteCarloEngine:
             refresh=False,
             solver=solver,
             newton=newton,
-            threads=threads,
         )
 
     def run_per_trial_dc(
@@ -510,7 +512,6 @@ class MonteCarloEngine:
         use_initial_conditions: bool = False,
         solver: Any = None,
         newton: Optional[str] = None,
-        threads: Any = None,
     ):
         """March all trials' transients in lockstep on one fixed-step grid.
 
@@ -552,7 +553,6 @@ class MonteCarloEngine:
             refresh=False,
             solver=solver,
             newton=newton,
-            threads=threads,
         )
 
     def run_per_trial_transient(
@@ -637,26 +637,12 @@ class MonteCarloEngine:
         trials:
             Number of trials, run serially in this process.
         """
-        if trials <= 0:
-            raise ValueError("at least one trial is required")
         engine = get_engine(self.circuit)
-        compiled = engine.compiled
-        compiled.refresh_values()
-        nominal, base_overlay = _effective_nominal(compiled)
+        stacks = self.sample_stacked_overlays(trials)
         records: List[Dict[str, float]] = []
-        try:
+        with _trial_rows(engine.compiled, stacks) as apply:
             for trial in range(trials):
-                rng = trial_generator(self.seed, trial)
-                overlay = sample_overlay(self.perturbations, nominal, rng)
-                try:
-                    compiled.set_parameter_overlay({**base_overlay, **overlay})
-                except ValueError as error:
-                    raise ValueError(
-                        f"trial {trial} sampled an invalid parameter set ({error}); "
-                        "additive distributions can cross zero on positive-only "
-                        "parameters — use Lognormal for resistor_ohm/cap_c, or "
-                        "shrink the spread"
-                    ) from error
+                apply(trial)
                 metrics = analysis(engine, trial)
                 if not isinstance(metrics, Mapping):
                     raise TypeError(
@@ -664,9 +650,4 @@ class MonteCarloEngine:
                         f"got {type(metrics).__name__}"
                     )
                 records.append(dict(metrics))
-        finally:
-            if base_overlay:
-                compiled.set_parameter_overlay(base_overlay)
-            else:
-                compiled.clear_parameter_overlay()
         return MonteCarloResult(trials=trials, seed=self.seed, records=records)

@@ -52,13 +52,6 @@ Backends signal a numerically singular system uniformly by raising
 ``np.linalg.LinAlgError``, so the engine's gmin-bump retry works the same
 whichever backend is active.
 
-One cross-cutting layer rides on the seam: an optional ``threads=`` knob
-on the sparse-batched backend that fans the per-trial factorizations of a
-full-Newton stacked solve
-(:meth:`BatchedSparseSolver.solve_pattern_batched`) across a
-``ThreadPoolExecutor`` (SuperLU releases the GIL), with identical numbers
-whatever the thread count.
-
 Every backend keeps monotonic ``solver_stats()`` counters
 (``factorizations`` / ``factorization_reuses``) that the engine surfaces
 in its convergence records.  A full-Newton solve factorizes every time;
@@ -71,8 +64,7 @@ from __future__ import annotations
 import hashlib
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, NamedTuple, Optional, Tuple, Type, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -86,7 +78,6 @@ __all__ = [
     "Factorization",
     "DEFAULT_DENSE_SPARSE_CROSSOVER",
     "get_solver",
-    "resolve_threads",
     "available_backends",
     "scipy_available",
 ]
@@ -97,24 +88,6 @@ __all__ = [
 #: (``benchmarks/bench_solvers.py``), where sparse SuperLU first beats the
 #: dense LAPACK solve near n ≈ 300.
 DEFAULT_DENSE_SPARSE_CROSSOVER = 300
-
-
-def resolve_threads(threads: Union[None, int, str]) -> int:
-    """Normalize a ``threads=`` knob to a worker count (0 = serial loop).
-
-    ``None`` keeps the historical serial loop, ``"auto"`` takes
-    ``os.cpu_count()`` (degrading to the serial loop on a 1-CPU host), and
-    an explicit int is used as-is (values below 2 mean serial).
-    """
-    if threads is None:
-        return 0
-    if threads == "auto":
-        count = os.cpu_count() or 1
-        return count if count > 1 else 0
-    count = int(threads)
-    if count < 1:
-        raise ValueError(f"threads must be >= 1 or 'auto', got {threads!r}")
-    return count if count > 1 else 0
 
 
 def _import_scipy_sparse():
@@ -348,8 +321,7 @@ class _ColumnOrder(NamedTuple):
     the data is gathered straight into the column-permuted CSC and handed
     to ``splu(..., permc_spec="NATURAL")``.  Only columns are permuted —
     rows stay in pattern order — and that reproduces the COLAMD path's
-    factors bit for bit.  An immutable tuple, so threads racing on a
-    pattern's first factorization publish equal values.
+    factors bit for bit.
     """
 
     perm_c: np.ndarray   # SuperLU's column permutation of the pattern
@@ -454,8 +426,6 @@ class SparseSolver(LinearSolver):
         :class:`_ColumnOrder`).
         """
         pattern = self._require_pattern("solve_pattern")
-        # Read once: racing threads of the batched path may each run the
-        # first COLAMD factorization; they publish identical orders.
         order = self._column_order
         if order is None:
             sparse, _ = _import_scipy_sparse()
@@ -500,51 +470,18 @@ class BatchedSparseSolver(SparseSolver):
     still run per trial.  A singular trial anywhere in the stack raises
     ``LinAlgError`` for the whole stack, exactly like the batched dense
     backend, so the engine's per-trial isolation and gmin/source-stepping
-    ladders work unchanged.
-
-    ``threads=`` fans the per-trial factorizations of
-    :meth:`solve_pattern_batched` (the full-Newton stacked solve) across a
-    thread pool.  Modified Newton (``newton="reuse"``) refreezes each
-    trial's LU through :meth:`factorize_pattern`, one trial at a time.
+    ladders work unchanged.  Modified Newton (``newton="reuse"``)
+    refreezes each trial's LU through :meth:`factorize_pattern`.
     """
 
     name = "sparse-batched"
 
-    def __init__(self, threads: Union[None, int, str] = None):
-        super().__init__()
-        #: Worker-thread count for the per-trial factorizations of
-        #: :meth:`solve_pattern_batched` (0 = the serial loop; see
-        #: :func:`resolve_threads`).
-        self.threads = resolve_threads(threads)
-
-    def _map_trials(self, trials: int, worker) -> List:
-        """Run ``worker(trial)`` over every trial, threaded when configured.
-
-        SuperLU releases the GIL during factorization and the triangular
-        solves, so a ThreadPoolExecutor fans the per-trial numeric work
-        across cores; each trial's result is bitwise independent of the
-        thread count (the trials share no mutable state beyond the bound
-        pattern's column order, which racing first factorizations publish
-        as equal values).  A singular trial's ``LinAlgError`` propagates
-        for the whole stack, exactly like the serial loop.
-        """
-        if self.threads > 1 and trials > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                return list(pool.map(worker, range(trials)))
-        return [worker(trial) for trial in range(trials)]
-
     def solve_pattern_batched(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         self._require_pattern("solve_pattern_batched")
-
-        def worker(trial):
-            return self._factorize(data[trial]).solve(rhs[trial])
-
-        results = self._map_trials(data.shape[0], worker)
         out = np.empty_like(rhs)
-        for trial, solution in enumerate(results):
-            out[trial] = solution
-        # Tally in the calling thread so the counters never race.
-        self._count_factorizations(len(results))
+        for trial in range(data.shape[0]):
+            out[trial] = self._factorize(data[trial]).solve(rhs[trial])
+        self._count_factorizations(data.shape[0])
         return out
 
 
@@ -574,11 +511,7 @@ class AutoSolver(LinearSolver):
 
     name = "auto"
 
-    def __init__(
-        self,
-        crossover: Optional[int] = None,
-        threads: Union[None, int, str] = None,
-    ):
+    def __init__(self, crossover: Optional[int] = None):
         if crossover is None:
             crossover = DEFAULT_DENSE_SPARSE_CROSSOVER
             env = os.environ.get("REPRO_SOLVER_CROSSOVER")
@@ -591,17 +524,11 @@ class AutoSolver(LinearSolver):
         self.crossover = int(crossover)
         self._instances: Dict[str, LinearSolver] = {}
         self._warned_no_scipy = False
-        #: Worker threads handed to the sparse-batched backend it selects.
-        self.threads = resolve_threads(threads)
 
     def _backend(self, name: str) -> LinearSolver:
         solver = self._instances.get(name)
         if solver is None:
-            if name == BatchedSparseSolver.name and self.threads:
-                solver = BatchedSparseSolver(threads=self.threads)
-            else:
-                solver = _BACKENDS[name]()
-            self._instances[name] = solver
+            solver = self._instances[name] = _BACKENDS[name]()
         return solver
 
     def solver_stats(self) -> Dict[str, int]:
@@ -651,41 +578,11 @@ def available_backends() -> Tuple[str, ...]:
     return tuple(names)
 
 
-def get_solver(
-    spec: Union[None, str, LinearSolver] = None,
-    threads: Union[None, int, str] = None,
-) -> LinearSolver:
+def get_solver(spec: Union[None, str, LinearSolver] = None) -> LinearSolver:
     """Resolve a solver spec: a name, an instance, or ``None`` (``"auto"``).
 
     ``None`` is the one default of every entry point: an :class:`AutoSolver`.
-    ``threads`` fans the per-trial sparse factorizations of stacked solves
-    across a thread pool; it is only meaningful for the ``"sparse-batched"``
-    backend (or ``"auto"``/``None``, which forward it to the sparse-batched
-    backend they select), and therefore needs SciPy.
     """
-    if threads is not None:
-        if not scipy_available():
-            raise RuntimeError(
-                "threads= fans per-trial SuperLU factorizations across a "
-                "thread pool, which needs the sparse-batched backend and "
-                "therefore scipy; install scipy (pip install scipy, or this "
-                "package's [sparse] extra) or drop the threads= argument"
-            )
-        if isinstance(spec, LinearSolver):
-            raise ValueError(
-                "threads= cannot reconfigure an existing solver instance; "
-                "construct it with threads directly, e.g. "
-                "BatchedSparseSolver(threads=...) or AutoSolver(threads=...)"
-            )
-        name = spec.lower() if isinstance(spec, str) else spec
-        if name in (None, AutoSolver.name):
-            return AutoSolver(threads=threads)
-        if name == BatchedSparseSolver.name:
-            return BatchedSparseSolver(threads=threads)
-        raise ValueError(
-            f"threads= applies to the 'sparse-batched' (or 'auto') backend, "
-            f"not {spec!r}; pick solver='sparse-batched'/'auto' or drop threads="
-        )
     if spec is None:
         return AutoSolver()
     if isinstance(spec, LinearSolver):

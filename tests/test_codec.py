@@ -62,7 +62,6 @@ ALL_KIND_SPECS = [
         trials=4,
         metric_node="n_0",
         metrics=("repro.analysis.waveform_metrics:edge_and_level_metrics",),
-        threads=2,
     ),
     Corners(base=DCOp(circuit=CHAIN), corners=("TT", "FF", "SS")),
     Corners(
@@ -155,17 +154,37 @@ class TestDecodeErrors:
             spec_from_dict([1, 2, 3])
 
     def test_unknown_field_names_field_and_valid_set(self):
-        with pytest.raises(SpecDecodeError) as excinfo:
-            spec_from_dict(
-                {
-                    "kind": "dcop",
-                    "circuit": {"factory": CHAIN_FACTORY},
-                    "tollerance_v": 1e-6,
-                },
-                resolve=False,
-            )
-        message = str(excinfo.value)
-        assert "tollerance_v" in message and "tolerance_v" in message
+        for kind, field, value, valid in [
+            ("dcop", "tollerance_v", 1e-6, "tolerance_v"),
+            # the removed thread-pool knob: only its null default is dropped
+            ("montecarlo", "threads", 2, "perturbations"),
+        ]:
+            with pytest.raises(SpecDecodeError) as excinfo:
+                spec_from_dict(
+                    {"kind": kind, "circuit": {"factory": CHAIN_FACTORY}, field: value},
+                    resolve=False,
+                )
+            message = str(excinfo.value)
+            assert field in message and valid in message
+
+    def test_older_montecarlo_payload_with_null_threads_decodes(self):
+        # Verbatim spec_to_dict output from before the thread-pool knob was
+        # removed: every field is written, so "threads": null rides along.
+        # It is the old default and never entered the hash, so the payload
+        # decodes to the same content hash it was stored under.
+        payload = json.loads(
+            '{"kind": "montecarlo", "circuit": {"factory": '
+            '"repro.circuits.series_chain:build_series_chain", "params": '
+            '{"num_switches": 3}}, "base": null, "perturbations": {"mos_vth": '
+            '{"dist": "Gaussian", "sigma": 0.01, "relative": false, '
+            '"correlated": false}}, "trials": 4, "seed": 3, "mode": "batched", '
+            '"metrics": [], "metric_node": "", "max_iterations": 300, '
+            '"tolerance_v": 1e-07, "gmin": 1e-09, "damping_v": 0.6, '
+            '"time_s": 0.0, "solver": "auto", "newton": null, "threads": null}'
+        )
+        assert spec_hash(spec_from_dict(payload, resolve=False)) == (
+            "b1b6e93ca69c7cda97ae0fe54671d014a6db83c8c6eb632c1109f20577e91a93"
+        )
 
     def test_unknown_circuit_field(self):
         with pytest.raises(SpecDecodeError, match=r"\$\.circuit"):

@@ -11,8 +11,8 @@ Three layers are pinned down here:
   factorizations on the sparse backends;
 * the counter surfacing — ``ConvergenceInfo`` through ``Result`` /
   ``ResultSet`` / ``RunStats``, the JSON roundtrip, and the spec-hash
-  stability of the new ``newton=`` / ``threads=`` knobs (defaults must
-  hash exactly like specs written before the knobs existed).
+  stability of the ``newton=`` knob (the default must hash exactly like
+  specs written before the knob existed).
 """
 
 import numpy as np
@@ -388,32 +388,28 @@ class TestSpecHashStability:
             DCOp(circuit=chain_spec)
         )
 
-    def test_threads_default_hashes_like_pre_knob_specs(self, chain_spec):
-        base = dict(
+    def test_montecarlo_default_hash_is_pinned(self, chain_spec):
+        # The literal was computed before the threads field was deleted; an
+        # unset threads= never entered the hash, so no stored entry moves.
+        default = MonteCarlo(
             circuit=chain_spec,
             perturbations={"mos_vth": Gaussian(sigma=0.01)},
             trials=4,
             seed=3,
         )
-        default = MonteCarlo(**base)
-        explicit = MonteCarlo(threads=None, **base)
-        assert spec_hash(default) == spec_hash(explicit)
-        assert "threads" not in canonical(default)["fields"]
-        assert spec_hash(MonteCarlo(threads=4, **base)) != spec_hash(default)
-        assert spec_hash(MonteCarlo(threads="auto", **base)) != spec_hash(
-            MonteCarlo(threads=4, **base)
+        assert spec_hash(default) == (
+            "095cbe6c88d4cfad0dd2d1f5463531f41aa541744ca1bc5121074b03f7b4e659"
         )
 
     @requires_scipy
     def test_solver_none_and_auto_are_one_computation(self, chain_spec):
         # The two spellings share a hash, so a caching Session serves either
-        # for both: they must run the same policy, threads= included.
+        # for both: they must run the same policy.
         base = dict(
             circuit=chain_spec,
             perturbations={"mos_vth": Gaussian(sigma=0.01)},
             trials=4,
             seed=3,
-            threads=2,
         )
         implicit = MonteCarlo(solver=None, **base)
         auto = MonteCarlo(solver="auto", **base)
@@ -451,11 +447,6 @@ class TestSpecHashStability:
             perturbations={"mos_vth": Gaussian(sigma=0.01)},
             trials=2,
         )
-        with pytest.raises(ValueError, match="threads"):
-            MonteCarlo(threads=0, **base)
+        # The removed thread-pool knob is no longer a spec field.
         with pytest.raises(TypeError, match="threads"):
-            MonteCarlo(threads=True, **base)
-        with pytest.raises(TypeError, match="threads"):
-            MonteCarlo(threads=2.5, **base)
-        with pytest.raises(TypeError, match="threads"):
-            MonteCarlo(threads="many", **base)
+            MonteCarlo(threads=2, **base)

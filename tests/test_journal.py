@@ -27,12 +27,21 @@ import warnings
 
 import pytest
 
-from repro.api import CircuitSpec, DCOp, SQLiteStore, Session, spec_hash
+from repro.api import (
+    CircuitSpec,
+    DCOp,
+    MonteCarlo,
+    SQLiteStore,
+    Session,
+    spec_hash,
+    spec_to_dict,
+)
 from repro.service import JobJournal, JobManager
 from repro.service.journal import (
     decode_spec_payload,
     encode_spec_payload,
 )
+from repro.spice.montecarlo import Gaussian
 
 CHAIN_FACTORY = "repro.circuits.series_chain:build_series_chain"
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -270,6 +279,36 @@ class TestManagerJournal:
             assert metrics["recovered"] == 1
             assert metrics["computed"] == 0  # zero Newton work
             assert manager.status(spec_hash(spec)).state == "done"
+
+    def test_older_montecarlo_record_with_null_threads_recovers(self, tmp_path):
+        # Journals written before the thread-pool knob was removed carry
+        # "threads": null in every MonteCarlo payload; those jobs must
+        # replay, not be quarantined as unrecoverable.
+        spec = MonteCarlo(
+            circuit=CircuitSpec(CHAIN_FACTORY, params={"num_switches": 3}),
+            perturbations={"mos_vth": Gaussian(sigma=0.01)},
+            trials=4,
+            seed=3,
+        )
+        older = dict(spec_to_dict(spec), threads=None)
+        journal_path = str(tmp_path / "j.jsonl")
+        journal = JobJournal(journal_path)
+        journal.append(
+            "submit",
+            "b1b6e93ca69c7cda97ae0fe54671d014a6db83c8c6eb632c1109f20577e91a93",
+            spec={"codec": older},
+        )
+        journal.close()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            manager = JobManager(workers=1, journal=journal_path)
+        try:
+            assert manager.join(timeout_s=60)
+            metrics = manager.metrics()
+            assert metrics["recovered"] == 1 and metrics["failed"] == 0
+            assert manager.status(spec_hash(spec)).state == "done"
+        finally:
+            manager.close()
 
     def test_corrupt_journaled_spec_is_quarantined_not_fatal(self, tmp_path):
         journal = JobJournal(str(tmp_path / "j.jsonl"), auto_compact_records=None)

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.analysis.variability import summarize_samples, yield_fraction
+from repro.api import CircuitSpec, MonteCarlo, Session
 from repro.circuits.corners import (
     Corner,
     applied_corner,
@@ -15,6 +16,7 @@ from repro.circuits.corners import (
 )
 from repro.fitting.level1 import Level1Parameters
 from repro.spice import (
+    Capacitor,
     Circuit,
     Gaussian,
     Lognormal,
@@ -133,10 +135,70 @@ class TestParameterOverlay:
         with pytest.raises(ValueError):
             compiled.set_parameter_overlay({"mos_vth": [0.1, 0.2]})
 
-    def test_nonpositive_resistance_rejected(self):
-        compiled = get_engine(common_source_circuit()).compiled
-        with pytest.raises(ValueError):
-            compiled.set_parameter_overlay({"resistor_ohm": [0.0]})
+    @pytest.mark.parametrize(
+        "reject, message",
+        [
+            (
+                lambda engine: engine.compiled.set_parameter_overlay(
+                    {"resistor_ohm": [0.0]}
+                ),
+                "resistor_ohm overlay",
+            ),
+            (
+                lambda engine: engine.solve_dc_batched(
+                    {"resistor_ohm": [[500e3], [-500.0]]}
+                ),
+                "resistor_ohm stack .* trial 1 has -500.0",
+            ),
+            (
+                lambda engine: engine.solve_transient_batched(
+                    2e-9, 1e-9, {"resistor_ohm": [[0.0], [500e3]]}
+                ),
+                "resistor_ohm stack .* trial 0 has 0.0",
+            ),
+            (
+                # Seed 1 draws a negative load for trial 3 of 8.
+                lambda engine: Session(store=None).run(
+                    MonteCarlo(
+                        circuit=CircuitSpec(common_source_circuit),
+                        perturbations={"resistor_ohm": Gaussian(0.8, relative=True)},
+                        trials=8,
+                        seed=1,
+                        mode="batched",
+                    )
+                ),
+                "resistor_ohm stack .* trial 3 has .*Lognormal",
+            ),
+        ],
+        ids=["overlay", "solve_dc_batched", "solve_transient_batched", "montecarlo_batched"],
+    )
+    def test_nonpositive_resistance_rejected(self, reject, message):
+        # Serial overlays and stacked rows obey one value rule.
+        engine = get_engine(common_source_circuit())
+        with pytest.raises(ValueError, match=message):
+            reject(engine)
+
+    def test_negative_capacitance_stack_rejected(self):
+        circuit = Circuit()
+        VoltageSource(circuit, "vin", "in", "0", 1.2)
+        Resistor(circuit, "r1", "in", "out", 1e3)
+        Capacitor(circuit, "c1", "out", "0", 1e-12)
+        with pytest.raises(ValueError, match="cap_c stack .* trial 1 has -1e-12"):
+            get_engine(circuit).solve_transient_batched(
+                2e-9, 1e-9, {"cap_c": [[1e-12], [-1e-12]]}
+            )
+
+    def test_per_trial_runs_name_the_invalid_trial(self):
+        mc = MonteCarloEngine(
+            common_source_circuit(),
+            {"resistor_ohm": Gaussian(0.8, relative=True)},
+            seed=1,
+        )
+        # Same message as the batched mode (the montecarlo_batched case).
+        with pytest.raises(ValueError, match="trial 3 has .*Lognormal"):
+            mc.run_per_trial_dc(8)
+        with pytest.raises(ValueError, match="trial 3 has .*Lognormal"):
+            mc.run(drain_metrics, 8)
 
     def test_vth_overlay_changes_solution_and_clear_restores(self):
         circuit = common_source_circuit()

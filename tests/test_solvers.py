@@ -660,105 +660,6 @@ class TestBatchedMonteCarlo:
         assert list(batched.solutions[:, index]) == serial_v
 
 
-class TestThreadsSelection:
-    """The ``threads=`` knob: resolution, degradation, parity, rejection.
-
-    The resolution and rejection cases run without scipy (the no-scipy CI
-    leg exercises them natively); the parity cases need the sparse-batched
-    backend and skip otherwise.
-    """
-
-    def test_resolve_threads_values(self):
-        from repro.spice.solvers import resolve_threads
-
-        assert resolve_threads(None) == 0
-        assert resolve_threads(1) == 0  # one worker == the serial loop
-        assert resolve_threads(4) == 4
-        with pytest.raises(ValueError, match="threads"):
-            resolve_threads(0)
-        with pytest.raises(ValueError, match="threads"):
-            resolve_threads(-2)
-
-    def test_auto_degrades_to_serial_on_one_cpu(self, monkeypatch):
-        from repro.spice.solvers import resolve_threads
-
-        monkeypatch.setattr(solvers_module.os, "cpu_count", lambda: 1)
-        assert resolve_threads("auto") == 0
-        monkeypatch.setattr(solvers_module.os, "cpu_count", lambda: 8)
-        assert resolve_threads("auto") == 8
-        # cpu_count may return None on exotic platforms: degrade, not crash.
-        monkeypatch.setattr(solvers_module.os, "cpu_count", lambda: None)
-        assert resolve_threads("auto") == 0
-
-    def test_threads_without_scipy_fails_actionably(self, monkeypatch):
-        # Runs natively on the no-scipy CI leg; with scipy installed the
-        # import hook is stubbed out so the failure path is still real.
-        if scipy_available():
-
-            def no_scipy():
-                raise ImportError("pip install repro[sparse]")
-
-            monkeypatch.setattr(solvers_module, "_import_scipy_sparse", no_scipy)
-        with pytest.raises(RuntimeError, match="scipy"):
-            get_solver("sparse-batched", threads=2)
-
-    @requires_scipy
-    def test_threads_with_wrong_backend_rejected(self):
-        with pytest.raises(ValueError, match="sparse-batched"):
-            get_solver("dense", threads=2)
-        with pytest.raises(ValueError, match="instance"):
-            get_solver(DenseSolver(), threads=2)
-
-    @requires_scipy
-    def test_threads_constructor_resolution(self):
-        assert BatchedSparseSolver().threads == 0
-        assert BatchedSparseSolver(threads=1).threads == 0
-        assert BatchedSparseSolver(threads=4).threads == 4
-        assert isinstance(get_solver("sparse-batched", threads=4), BatchedSparseSolver)
-        assert get_solver("sparse-batched", threads=4).threads == 4
-        assert get_solver("auto", threads=4).threads == 4
-        assert isinstance(get_solver(None, threads=4), AutoSolver)
-        assert get_solver(None, threads=4).threads == 4
-
-    @requires_scipy
-    def test_threaded_dc_stack_bitwise_matches_serial(self, switch_model):
-        # Threading only redistributes which worker factors which trial;
-        # the arithmetic per trial is untouched, so the stacked DC results
-        # must agree bit for bit.
-        bench = build_scalability_bench(6, model=switch_model)
-        engine = get_engine(bench.circuit)
-        nominal = engine.solve_dc(solver="sparse")
-        assert nominal.converged
-        mc = MonteCarloEngine(bench.circuit, {"mos_vth": Gaussian(0.002)}, seed=29)
-        stacks = mc.sample_stacked_overlays(8)
-        serial = engine.solve_dc_batched(
-            stacks, trials=8, initial_guess=nominal.solution, refresh=False,
-            solver="sparse-batched", threads=1,
-        )
-        threaded = engine.solve_dc_batched(
-            stacks, trials=8, initial_guess=nominal.solution, refresh=False,
-            solver="sparse-batched", threads=4,
-        )
-        assert bool(np.all(serial.converged)) and bool(np.all(threaded.converged))
-        assert np.array_equal(serial.solutions, threaded.solutions)
-
-    @requires_scipy
-    def test_threaded_transient_stack_bitwise_matches_serial(self, switch_model):
-        bench = toggle_bench(switch_model, step_duration_s=10e-9)
-        engine = get_engine(bench.circuit)
-        mc = MonteCarloEngine(bench.circuit, {"mos_vth": Gaussian(0.01)}, seed=5)
-        stacks = mc.sample_stacked_overlays(3)
-        stop = 30e-9
-        serial = engine.solve_transient_batched(
-            stop, 1e-9, stacks, solver="sparse-batched", threads=1
-        )
-        threaded = engine.solve_transient_batched(
-            stop, 1e-9, stacks, solver="sparse-batched", threads=4
-        )
-        assert bool(np.all(serial.converged)) and bool(np.all(threaded.converged))
-        assert np.array_equal(serial.solutions, threaded.solutions)
-
-
 # ---------------------------------------------------------------------- #
 # one column order per topology, checked against plain splu
 # ---------------------------------------------------------------------- #
@@ -784,7 +685,7 @@ def record_sparse_solves(solver):
     Returns a list that fills with ``(data, rhs, solution)`` triples — the
     pattern data the LU was factorized from, the right-hand side and the
     solver's answer — covering plain solves, reuse handles (bypass steps
-    included) and the threaded batched fan-out alike.
+    included) and stacked solves alike.
     """
     solves = []
     factorize = solver._factorize
@@ -863,62 +764,24 @@ class TestColumnOrder:
         assert specs[0] is None
         assert set(specs[1:]) == {"NATURAL"}
 
-    def test_batched_stack_serial_and_threaded_first_call(self, switch_model):
+    def test_batched_stack_first_call(self, switch_model):
         bench = build_scalability_bench(6, model=switch_model)
         engine = get_engine(bench.circuit)
         nominal = engine.solve_dc(solver="sparse")
         stacks = MonteCarloEngine(
             bench.circuit, {"mos_vth": Gaussian(0.002)}, seed=17
         ).sample_stacked_overlays(4)
-        pattern = engine.compiled.sparsity_pattern()
-        results = []
-        for threads in (None, 2):
-            # A fresh solver each time: with threads=2 the very first
-            # factorizations of the pattern race across the pool.
-            solver = BatchedSparseSolver(threads=threads)
-            solves = record_sparse_solves(solver)
-            result = engine.solve_dc_batched(
-                stacks, trials=4, initial_guess=nominal.solution, refresh=False,
-                solver=solver,
-            )
-            assert bool(np.all(result.converged))
-            assert len(solves) > 4
-            assert solver._column_order is not None
-            assert splu_mismatches(pattern, solves) == 0
-            results.append(result.solutions)
-        assert np.array_equal(results[0], results[1])
-
-    def test_threaded_first_factorizations_race_safely(self):
-        # More workers than cores and a short switch interval, on fresh
-        # solvers, so several threads run the pattern's first (ordering)
-        # factorization at once and publish the order concurrently.
-        import sys
-
-        circuit = common_source_circuit()
-        engine = get_engine(circuit)
-        compiled = engine.compiled
-        pattern = compiled.sparsity_pattern()
-        trials = 16
-        stacks = MonteCarloEngine(
-            circuit, {"mos_vth": Gaussian(0.03)}, seed=3
-        ).sample_stacked_overlays(trials)
-        solutions = np.tile(engine.solve_dc().solution, (trials, 1))
-        data, rhs = compiled.assemble_sparse_batched(solutions, stacks)
-        expected = np.stack(
-            [plain_splu_solve(pattern, d, r) for d, r in zip(data, rhs)]
+        # A fresh solver: the stack's first factorization orders the pattern.
+        solver = BatchedSparseSolver()
+        solves = record_sparse_solves(solver)
+        result = engine.solve_dc_batched(
+            stacks, trials=4, initial_guess=nominal.solution, refresh=False,
+            solver=solver,
         )
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(10):
-                solver = BatchedSparseSolver(threads=8)
-                solver.bind(compiled)
-                out = solver.solve_pattern_batched(data, rhs)
-                assert solver.solver_stats()["factorizations"] == trials
-                assert solver._column_order is not None
-                assert np.array_equal(out, expected)
-        finally:
-            sys.setswitchinterval(interval)
+        assert bool(np.all(result.converged))
+        assert len(solves) > 4
+        assert solver._column_order is not None
+        assert splu_mismatches(engine.compiled.sparsity_pattern(), solves) == 0
 
     def test_reuse_handles_and_bypass_steps(self, switch_model):
         engine = get_engine(build_scalability_bench(6, model=switch_model).circuit)
@@ -984,6 +847,24 @@ class TestColumnOrder:
         assert solver._column_order is not None
         solver.solve_pattern(data * 3.0, rhs)
         assert splu_mismatches(compiled.sparsity_pattern(), solves) == 0
+
+    def test_singular_trial_raises_before_the_stack_is_counted(self):
+        # A singular trial anywhere in the stack raises for the whole
+        # stack, and the trials factorized before it are not counted.
+        compiled = get_engine(common_source_circuit()).compiled
+        pattern = compiled.sparsity_pattern()
+        solver = BatchedSparseSolver()
+        solver.bind(compiled)
+        data = zero_state_data(compiled)
+        stack = np.stack([data, data * 2.0, np.zeros_like(data)])
+        rhs = np.ones((3, compiled.size))
+        with pytest.raises(np.linalg.LinAlgError):
+            solver.solve_pattern_batched(stack, rhs)
+        assert solver.solver_stats()["factorizations"] == 0
+        out = solver.solve_pattern_batched(stack[:2], rhs[:2])
+        assert solver.solver_stats()["factorizations"] == 2
+        expected = [plain_splu_solve(pattern, d, r) for d, r in zip(stack[:2], rhs[:2])]
+        assert np.array_equal(out, np.stack(expected))
 
 
 def weak_bias_chain(stages=4):
