@@ -4,12 +4,16 @@ The environments this repository targets often lack the PEP 660
 editable-wheel path, so the project is installable with
 ``pip install -e . --no-use-pep517 --no-build-isolation``.
 
-Only NumPy is required.  The sparse linear-solver backend
-(:class:`repro.spice.solvers.SparseSolver`) additionally needs SciPy and is
-published as the ``sparse`` extra — ``pip install repro[sparse]``; without
-it, the dense and batched backends work unchanged and the sparse backend
-fails at construction with an actionable message (the test-suite skips its
-cases), so a SciPy-free install stays fully functional.
+Only NumPy is required.  SciPy is published as the ``sparse`` extra —
+``pip install repro[sparse]`` — and is needed by the sparse linear-solver
+backends (:class:`repro.spice.solvers.SparseSolver`), the TCAD substitute's
+field solver and surface-potential root finding, and the Section IV
+parameter extraction behind Figs. 8-10.  Without it those fail with an
+actionable message (the test-suite skips their cases).  Every circuit run
+uses the default switch model, which is built from the pinned extraction
+output ``repro.circuits.sizing.DEFAULT_SQUARE_HFO2_FIT`` and needs NumPy
+only.  This test re-derives that constant:
+``tests/test_switch4t_circuits.py::TestSizingExtraction::test_pinned_default_fit_is_the_extraction_output``.
 """
 
 from setuptools import find_packages, setup

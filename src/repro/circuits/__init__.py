@@ -11,8 +11,9 @@ for the SPICE-style simulator:
 * :mod:`repro.circuits.testbench` — input stimulus generation (input vector
   sequences as piecewise-linear gate waveforms);
 * :mod:`repro.circuits.sizing` — derivation of the switch model parameters
-  from the TCAD-substitute data (the Section IV extraction), cached so the
-  many circuit benches do not re-run the device simulation;
+  from the TCAD-substitute data (the Section IV extraction, which needs
+  SciPy), and the default model built from its pinned output, so the many
+  circuit benches never re-run the device simulation;
 * :mod:`repro.circuits.corners` — FF/SS/FS/SF process-corner analysis as
   parameter overlays on the compiled engine (the deterministic sibling of
   the Monte-Carlo subsystem).

@@ -259,27 +259,34 @@ PERTURBABLE_PARAMETERS: Tuple[str, ...] = (
 def _check_parameter_values(name: str, values: np.ndarray) -> None:
     """Raise ``ValueError`` if ``values`` breaks ``name``'s value rule.
 
-    ``resistor_ohm`` must be positive and ``cap_c`` non-negative; the other
-    vectors take any value.  ``values`` is one overlay vector or a
+    ``resistor_ohm`` must be positive (``inf`` is an open resistor),
+    ``cap_c`` finite and non-negative, and every other vector finite; NaN
+    breaks every rule.  ``values`` is one overlay vector or a
     ``(trials, count)`` stack, whose error names the first offending trial
-    and, since stacks are usually Monte-Carlo draws, the remedy.
+    and, for a sign violation (usually an additive Monte-Carlo draw), the
+    remedy.
     """
     if name == "resistor_ohm":
-        bad, rule = values <= 0.0, "positive"
+        bad, rule = ~(values > 0.0), "positive"
     elif name == "cap_c":
-        bad, rule = values < 0.0, "non-negative"
+        bad, rule = ~np.isfinite(values) | (values < 0.0), "finite and non-negative"
     else:
-        return
+        bad, rule = ~np.isfinite(values), "finite"
     if not np.any(bad):
         return
     if values.ndim == 1:
-        raise ValueError(f"{name} overlay values must be {rule}")
+        value = float(values[bad][0])
+        raise ValueError(f"{name} overlay values must be {rule}; got {value!r}")
     trial = int(np.flatnonzero(bad.any(axis=1))[0])
+    value = float(values[trial][bad[trial]][0])
+    hint = (
+        " (additive distributions can cross zero on positive-only parameters "
+        "— use Lognormal for resistor_ohm/cap_c, or shrink the spread)"
+        if np.isfinite(value)
+        else ""
+    )
     raise ValueError(
-        f"{name} stack values must be {rule}; trial {trial} has "
-        f"{float(values[trial][bad[trial]][0])!r} (additive distributions "
-        "can cross zero on positive-only parameters — use Lognormal for "
-        "resistor_ohm/cap_c, or shrink the spread)"
+        f"{name} stack values must be {rule}; trial {trial} has {value!r}{hint}"
     )
 
 

@@ -1,8 +1,7 @@
 """Shared fixtures for the test-suite.
 
-The expensive objects (the extracted switch model, device simulators) are
-session-scoped so the many circuit tests do not repeat the TCAD-substitute
-simulation and least-squares fit.
+The shared objects (the switch models, device simulators) are
+session-scoped so the many circuit tests build them once.
 """
 
 from __future__ import annotations
@@ -41,7 +40,15 @@ def switch_model():
 
 @pytest.fixture(scope="session")
 def extracted_switch_model():
-    """The full extraction flow (TCAD-substitute + fit), shared across tests."""
+    """The default switch model every Section V circuit uses.
+
+    It is built from the pinned Section IV fit
+    (``repro.circuits.sizing.DEFAULT_SQUARE_HFO2_FIT``), so it needs NumPy
+    only.  SciPy is needed by the sparse backends, the TCAD field solver and
+    root finding, and the extraction behind Figs. 8-10, which
+    ``test_switch4t_circuits.py::TestSizingExtraction::test_pinned_default_fit_is_the_extraction_output``
+    re-runs against the constant.
+    """
     from repro.circuits.sizing import default_switch_model
 
     return default_switch_model()

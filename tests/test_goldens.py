@@ -40,6 +40,12 @@ from repro.spice.engine import get_engine
 from repro.spice.montecarlo import Gaussian, MonteCarloEngine
 from repro.spice.solvers import scipy_available
 
+#: The TCAD field solve and the Section IV extraction need the scipy extra;
+#: the circuit goldens run on a NumPy-only install through the pinned fit.
+requires_scipy = pytest.mark.skipif(
+    not scipy_available(), reason="needs the scipy optional extra"
+)
+
 FIG11_FACTORY = "repro.experiments.fig11_xor3_transient:build_fig11_bench"
 LATTICE_FACTORY = "repro.circuits.lattice_netlist:build_scalability_bench"
 
@@ -538,6 +544,7 @@ class TestModifiedNewtonGolden:
         assert _sha256(result.solutions) == REUSE_TRANSIENT_SHA256
 
 
+@requires_scipy
 class TestFig9Golden:
     def test_pair_currents(self):
         result = run_fig9()
@@ -654,6 +661,7 @@ class TestDeviceIVGolden:
         assert _sha256(curves) == digest
 
 
+@requires_scipy
 class TestFig8Golden:
     def test_profiles(self):
         result = run_fig8()
@@ -667,6 +675,7 @@ class TestFig8Golden:
         } == FIG8_GOLDENS
 
 
+@requires_scipy
 class TestFig10Golden:
     def test_fits(self):
         result = run_fig10()

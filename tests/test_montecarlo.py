@@ -200,6 +200,62 @@ class TestParameterOverlay:
         with pytest.raises(ValueError, match="trial 3 has .*Lognormal"):
             mc.run(drain_metrics, 8)
 
+    @pytest.mark.parametrize(
+        "reject, message",
+        [
+            (
+                lambda engine: engine.compiled.set_parameter_overlay(
+                    {"resistor_ohm": [float("nan")]}
+                ),
+                "resistor_ohm overlay values must be positive; got nan",
+            ),
+            (
+                lambda engine: engine.compiled.set_parameter_overlay(
+                    {"mos_vth": [float("inf")]}
+                ),
+                "mos_vth overlay values must be finite; got inf",
+            ),
+            (
+                lambda engine: engine.solve_dc_batched(
+                    {"resistor_ohm": [[500e3], [float("nan")]]}
+                ),
+                r"resistor_ohm stack values must be positive; trial 1 has nan$",
+            ),
+            (
+                lambda engine: engine.solve_dc_batched(
+                    {"mos_beta": [[1e-4], [1e-4], [float("-inf")]]}
+                ),
+                r"mos_beta stack values must be finite; trial 2 has -inf$",
+            ),
+            (
+                lambda engine: MonteCarloEngine(
+                    engine.circuit, {"mos_lambda": Gaussian(float("nan"))}
+                ).run_per_trial_dc(4),
+                r"mos_lambda stack values must be finite; trial 0 has nan$",
+            ),
+            (
+                lambda engine: MonteCarloEngine(
+                    engine.circuit, {"vsource_scale": Gaussian(float("inf"))}
+                ).run_batched_dc(4),
+                "vsource_scale stack values must be finite; trial 0 has",
+            ),
+        ],
+        ids=[
+            "overlay_resistor",
+            "overlay_vth",
+            "solve_dc_batched_resistor",
+            "solve_dc_batched_beta",
+            "montecarlo_per_trial",
+            "montecarlo_batched",
+        ],
+    )
+    def test_non_finite_values_rejected(self, reject, message):
+        # NaN slipped past the sign rules (NaN <= 0 is false) and ran every
+        # fallback ladder to "failed"; every perturbable vector is checked.
+        engine = get_engine(common_source_circuit())
+        with pytest.raises(ValueError, match=message):
+            reject(engine)
+
     def test_vth_overlay_changes_solution_and_clear_restores(self):
         circuit = common_source_circuit()
         compiled = get_engine(circuit).compiled

@@ -1,11 +1,17 @@
 """Unit tests for the Fig. 9 switch model, lattice netlists and series chains."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from repro.circuits.lattice_netlist import build_lattice_circuit
 from repro.circuits.series_chain import build_series_chain, current_versus_chain_length
 from repro.circuits.sizing import (
+    DEFAULT_SQUARE_HFO2_FIT,
+    default_switch_model,
     extract_square_device_parameters,
     switch_model_from_parameters,
     switch_model_from_spec,
@@ -34,6 +40,22 @@ from repro.spice.solvers import scipy_available
 requires_scipy = pytest.mark.skipif(
     not scipy_available(), reason="needs the scipy optional extra"
 )
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+#: A Fig. 11 DC operating point through the default model, in a fresh
+#: interpreter so no other test's import of scipy can hide one on this path.
+_FIG11_DCOP_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.api import CircuitSpec, DCOp, Session
+
+spec = DCOp(circuit=CircuitSpec(
+    "repro.experiments.fig11_xor3_transient:build_fig11_bench", params={{}}
+))
+assert Session(store=None).run(spec).converged
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
 
 
 class TestSwitchModelConstruction:
@@ -127,6 +149,23 @@ class TestSizingExtraction:
         model = switch_model_from_spec(points=15)
         assert model.type_a.vth_v == model.type_b.vth_v
         assert model.type_a.length_m < model.type_b.length_m
+
+    @requires_scipy
+    def test_pinned_default_fit_is_the_extraction_output(self):
+        # Float equality is bitwise here: no field is NaN or a signed zero.
+        fit = extract_square_device_parameters()
+        assert fit.parameters == DEFAULT_SQUARE_HFO2_FIT
+        assert default_switch_model() == FourTerminalSwitchModel.from_fit(fit.parameters)
+
+    def test_default_model_circuit_run_imports_no_scipy(self):
+        completed = subprocess.run(
+            [sys.executable, "-c", _FIG11_DCOP_SCRIPT.format(src=SRC_DIR)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
 
     def test_switch_model_from_parameters(self):
         model = switch_model_from_parameters(1e-5, 0.3, 0.02, terminal_capacitance_f=2e-15)
