@@ -32,6 +32,8 @@ back is indistinguishable from the freshly computed one.
 from __future__ import annotations
 
 import abc
+import collections
+import hashlib
 import json
 import os
 import random
@@ -56,6 +58,58 @@ def _check_key(key: str) -> str:
             f"(spec content hashes), got {key!r}"
         )
     return key
+
+
+#: Keys whose validated-payload digest a durable store remembers (per
+#: process); beyond it the least recently read key is forgotten and its
+#: next read parses again.
+_VALIDATED_DIGESTS_MAX = 4096
+
+
+class _ValidatedDigests:
+    """key -> SHA-256 digest of the text that last parsed into a valid
+    :class:`Result` for that key, so a byte-identical re-read skips the
+    parse.  LRU-bounded by :data:`_VALIDATED_DIGESTS_MAX` and thread-safe.
+
+    Holds digests only, never text or results.  It is process-local: a
+    pickled copy (a worker's store) starts empty and validates afresh.
+    """
+
+    def __init__(self) -> None:
+        self._digests: "collections.OrderedDict[str, bytes]" = (
+            collections.OrderedDict()
+        )
+        self._lock = threading.Lock()
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (_ValidatedDigests, ())
+
+    def check(self, key: str, text: str, parse: bool) -> Optional[Result]:
+        """Validate ``text`` as the payload of ``key``.
+
+        Returns the parsed result, or ``None`` without parsing when
+        ``parse`` is false and these exact bytes already parsed for
+        ``key``.  Raises what :meth:`Result.from_json` raises, forgetting
+        ``key`` first; only a successful parse records a digest.
+        """
+        try:
+            digest = hashlib.sha256(text.encode("utf-8")).digest()
+            if not parse:
+                with self._lock:
+                    if self._digests.get(key) == digest:
+                        self._digests.move_to_end(key)
+                        return None
+            result = Result.from_json(text)
+        except (ValueError, KeyError, TypeError):
+            with self._lock:
+                self._digests.pop(key, None)
+            raise
+        with self._lock:
+            self._digests[key] = digest
+            self._digests.move_to_end(key)
+            if len(self._digests) > _VALIDATED_DIGESTS_MAX:
+                self._digests.popitem(last=False)
+        return result
 
 
 class Store(abc.ABC):
@@ -111,7 +165,9 @@ class Store(abc.ABC):
         canonical text (:class:`SQLiteStore`, :class:`JSONDirectoryStore`)
         override it to return the stored text after the same validation
         ``get`` runs, so a reader that only forwards the JSON skips the
-        re-encode.
+        re-encode; they parse a given payload once per process and serve
+        byte-identical re-reads on a matching SHA-256 digest.
+        :class:`TieredStore` serves its back tier's text.
         """
         result = self.get(key)
         return None if result is None else result.to_json()
@@ -375,12 +431,13 @@ class JSONDirectoryStore(Store):
         self.fsync = fsync
         os.makedirs(self.directory, exist_ok=True)
         self._warned_corrupt = False
+        self._validated = _ValidatedDigests()
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{_check_key(key)}.json")
 
     def get(self, key: str) -> Optional[Result]:
-        loaded = self._load(key)
+        loaded = self._load(key, parse=True)
         return None if loaded is None else loaded[1]
 
     def get_json(self, key: str) -> Optional[str]:
@@ -388,15 +445,26 @@ class JSONDirectoryStore(Store):
 
         ``put`` writes the canonical :meth:`Result.to_json` text, so this
         equals ``get(key).to_json()`` without the re-encode.  Expiry and
-        quarantine are those of :meth:`get` (one shared loader).  A file
+        quarantine are those of :meth:`get` (one shared loader).  The
+        parse runs once per distinct text per process: a re-read whose
+        SHA-256 digest matches the text that last validated for the key
+        is served without parsing again, and a torn or rewritten file is
+        parsed (and, if broken, quarantined) as on first read.  A file
         placed in the directory by other means is served as written once
         it validates; only ``put`` guarantees the canonical form.
         """
-        loaded = self._load(key)
+        loaded = self._load(key, parse=False)
         return None if loaded is None else loaded[0]
 
-    def _load(self, key: str) -> Optional[Tuple[str, Result]]:
-        """``(text, result)`` of a live, parseable entry, else ``None``."""
+    def _load(
+        self, key: str, parse: bool
+    ) -> Optional[Tuple[str, Optional[Result]]]:
+        """``(text, result)`` of a live, valid entry, else ``None``.
+
+        ``result`` is ``None`` when ``parse`` is false and these exact
+        bytes already validated in this process (see
+        :meth:`_ValidatedDigests.check`).
+        """
         path = self._path(key)
         try:
             stat = os.stat(path)
@@ -411,7 +479,7 @@ class JSONDirectoryStore(Store):
         try:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
-            return text, Result.from_json(text)
+            return text, self._validated.check(key, text, parse)
         except OSError:
             return None
         except (ValueError, KeyError, TypeError):
@@ -545,6 +613,7 @@ class SQLiteStore(Store):
         self.timeout_s = timeout_s
         self._connections: Dict[Tuple[int, int], sqlite3.Connection] = {}
         self._warned_corrupt = False
+        self._validated = _ValidatedDigests()
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
         self._connection()  # create the schema eagerly; fail fast on a bad path
@@ -587,7 +656,7 @@ class SQLiteStore(Store):
     # -- the Store interface ------------------------------------------- #
 
     def get(self, key: str) -> Optional[Result]:
-        loaded = self._load(key)
+        loaded = self._load(key, parse=True)
         return None if loaded is None else loaded[1]
 
     def get_json(self, key: str) -> Optional[str]:
@@ -596,13 +665,24 @@ class SQLiteStore(Store):
         ``put`` stores :meth:`Result.to_json`, so this equals
         ``get(key).to_json()`` without the re-encode.  TTL expiry, the
         corrupt-row drop and the LRU touch are those of :meth:`get` (one
-        shared loader).
+        shared loader).  The parse runs once per distinct payload per
+        process: a re-read whose SHA-256 digest matches the payload that
+        last validated for the key is served without parsing again, and a
+        torn or rewritten row is parsed (and, if broken, dropped) as on
+        first read.
         """
-        loaded = self._load(key)
+        loaded = self._load(key, parse=False)
         return None if loaded is None else loaded[0]
 
-    def _load(self, key: str) -> Optional[Tuple[str, Result]]:
-        """``(payload, result)`` of a live, parseable row, else ``None``."""
+    def _load(
+        self, key: str, parse: bool
+    ) -> Optional[Tuple[str, Optional[Result]]]:
+        """``(payload, result)`` of a live, valid row, else ``None``.
+
+        ``result`` is ``None`` when ``parse`` is false and these exact
+        bytes already validated in this process (see
+        :meth:`_ValidatedDigests.check`).
+        """
         connection = self._connection()
         row = connection.execute(
             "SELECT payload, created FROM results WHERE key = ?", (key,)
@@ -615,7 +695,7 @@ class SQLiteStore(Store):
                 connection.execute("DELETE FROM results WHERE key = ?", (key,))
             return None
         try:
-            result = Result.from_json(payload)
+            result = self._validated.check(key, payload, parse)
         except (ValueError, KeyError, TypeError):
             with connection:
                 connection.execute("DELETE FROM results WHERE key = ?", (key,))
@@ -731,7 +811,9 @@ class TieredStore(Store):
     """A fast front store over a persistent back store.
 
     Reads check the front first and populate it from the back on a hit;
-    writes and deletes go to both.  ``TieredStore(MemoryStore(),
+    writes and deletes go to both.  :meth:`get_json` is the exception: it
+    serves the back tier's stored text when the back holds the key, and
+    re-encodes the front's result only otherwise.  ``TieredStore(MemoryStore(),
     JSONDirectoryStore(dir))`` is what ``Session(store=dir)`` builds:
     LRU-bounded memory over durable JSON files.
     """
@@ -748,6 +830,16 @@ class TieredStore(Store):
         if result is not None:
             self.front.put(key, result)
         return result
+
+    def get_json(self, key: str) -> Optional[str]:
+        """The back tier's :meth:`Store.get_json`; the front's result
+        re-encoded only when the back misses or there is no back tier."""
+        if self.back is not None:
+            text = self.back.get_json(key)
+            if text is not None:
+                return text
+        result = self.front.get(key)
+        return None if result is None else result.to_json()
 
     def put(self, key: str, result: Result) -> None:
         self.front.put(key, result)

@@ -80,6 +80,7 @@ paper's Fig. 11 circuit — lives in
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -137,8 +138,10 @@ class Gaussian(Distribution):
     correlated: bool = False
 
     def __post_init__(self) -> None:
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be non-negative")
+        if not math.isfinite(self.sigma) or self.sigma < 0.0:
+            raise ValueError(
+                f"sigma must be finite and non-negative, got {self.sigma!r}"
+            )
 
     def sample(self, rng: np.random.Generator, nominal: np.ndarray) -> np.ndarray:
         draw = _draws(rng, nominal.size, self.correlated, uniform=False)
@@ -155,8 +158,10 @@ class Uniform(Distribution):
     correlated: bool = False
 
     def __post_init__(self) -> None:
-        if self.halfwidth < 0.0:
-            raise ValueError("halfwidth must be non-negative")
+        if not math.isfinite(self.halfwidth) or self.halfwidth < 0.0:
+            raise ValueError(
+                f"halfwidth must be finite and non-negative, got {self.halfwidth!r}"
+            )
 
     def sample(self, rng: np.random.Generator, nominal: np.ndarray) -> np.ndarray:
         draw = _draws(rng, nominal.size, self.correlated, uniform=True)
@@ -177,8 +182,10 @@ class Lognormal(Distribution):
     correlated: bool = False
 
     def __post_init__(self) -> None:
-        if self.sigma_ln < 0.0:
-            raise ValueError("sigma_ln must be non-negative")
+        if not math.isfinite(self.sigma_ln) or self.sigma_ln < 0.0:
+            raise ValueError(
+                f"sigma_ln must be finite and non-negative, got {self.sigma_ln!r}"
+            )
 
     def sample(self, rng: np.random.Generator, nominal: np.ndarray) -> np.ndarray:
         draw = _draws(rng, nominal.size, self.correlated, uniform=False)

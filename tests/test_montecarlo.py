@@ -27,7 +27,7 @@ from repro.spice import (
     VoltageSource,
     get_engine,
 )
-from repro.spice.montecarlo import sample_overlay, trial_generator
+from repro.spice.montecarlo import Distribution, sample_overlay, trial_generator
 from repro.spice.solvers import scipy_available
 
 #: The variability experiment extracts its switch model through the
@@ -39,6 +39,17 @@ requires_scipy = pytest.mark.skipif(
 NMOS = Level1Parameters(
     kp_a_per_v2=4e-5, vth_v=0.18, lambda_per_v=0.05, width_m=0.7e-6, length_m=0.35e-6
 )
+
+
+class Fixed(Distribution):
+    """Every element set to one value: reaches the engine's value checks
+    with what no shipped distribution can draw."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def sample(self, rng, nominal):
+        return np.full_like(nominal, self.value)
 
 
 def common_source_circuit():
@@ -102,6 +113,20 @@ class TestDistributions:
             Uniform(halfwidth=-0.1)
         with pytest.raises(ValueError):
             Lognormal(sigma_ln=-0.1)
+
+    @pytest.mark.parametrize("spread", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "build, name",
+        [(Gaussian, "sigma"), (Uniform, "halfwidth"), (Lognormal, "sigma_ln")],
+    )
+    def test_non_finite_spreads_rejected(self, build, name, spread):
+        # NaN < 0.0 is false, so a sign test alone let NaN through.
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            build(spread)
+
+    def test_nan_spread_fails_building_a_monte_carlo_spec(self):
+        with pytest.raises(ValueError, match="^sigma must be finite"):
+            MonteCarlo(perturbations={"mos_vth": Gaussian(float("nan"))})
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -229,13 +254,13 @@ class TestParameterOverlay:
             ),
             (
                 lambda engine: MonteCarloEngine(
-                    engine.circuit, {"mos_lambda": Gaussian(float("nan"))}
+                    engine.circuit, {"mos_lambda": Fixed(float("nan"))}
                 ).run_per_trial_dc(4),
                 r"mos_lambda stack values must be finite; trial 0 has nan$",
             ),
             (
                 lambda engine: MonteCarloEngine(
-                    engine.circuit, {"vsource_scale": Gaussian(float("inf"))}
+                    engine.circuit, {"vsource_scale": Fixed(float("inf"))}
                 ).run_batched_dc(4),
                 "vsource_scale stack values must be finite; trial 0 has",
             ),

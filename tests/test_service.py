@@ -751,6 +751,38 @@ class TestVerbatimResultRoute:
         assert "evicted" in json.loads(body)["error"]
 
 
+def test_directory_store_result_route_serves_the_back_tier_text(
+    tmp_path, monkeypatch
+):
+    # serve(store=<dir>) is memory over JSON files: the route serves the
+    # file's validated text instead of re-encoding the memory tier's result.
+    from repro.api.results import Result
+
+    spec = chain_spec(num_switches=3)
+    reference = Session(store=None).run(spec).to_json().encode("utf-8")
+    with serve(store=str(tmp_path / "cache"), workers=1) as server:
+        client = ServiceClient(server.url)
+        job_id = client.submit(spec)["id"]
+        client.wait(job_id, timeout_s=60)
+        url = f"{server.url}/studies/{job_id}/result"
+        with urllib.request.urlopen(url) as reply:
+            first = reply.read()
+        encodes = []
+        original = Result.to_json
+
+        def counting_to_json(self):
+            encodes.append(self.spec_hash)
+            return original(self)
+
+        monkeypatch.setattr(Result, "to_json", counting_to_json)
+        with urllib.request.urlopen(url) as reply:
+            second = reply.read()
+    digest = hashlib.sha256(reference).hexdigest()
+    assert hashlib.sha256(first).hexdigest() == digest
+    assert hashlib.sha256(second).hexdigest() == digest
+    assert encodes == []
+
+
 def test_keep_alive_responses_do_not_stall():
     # Headers and body are separate writes; with Nagle's algorithm on, the
     # body of every response after the first waits for the client's

@@ -14,14 +14,19 @@ Covers the store redesign's acceptance criteria:
 * provenance-aware invalidation keeps entries the current build would
   reproduce and drops the rest;
 * ``get_json`` returns exactly ``get(key).to_json()`` on every backend and
-  wrapper, misses the same way, and never hands out a corrupt entry.
+  wrapper, misses the same way, and never hands out a corrupt entry;
+* the durable stores parse a payload once per process: a byte-identical
+  re-read is served on its SHA-256 digest, while expiry, the LRU touch and
+  the corrupt-entry drop still apply and a rewritten entry parses again.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import sqlite3
+import sys
 import threading
 import time
 import warnings
@@ -31,6 +36,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import stores
 from repro.api.results import Result, ResultSet
 from repro.api.stores import (
     JSONDirectoryStore,
@@ -535,6 +541,178 @@ class TestResilientGetJson:
         assert store.get_json("k") == result.to_json()
         assert store.metrics()["degraded_gets"] == 0
         assert store.metrics()["retries"] == 1
+
+
+# ---------------------------------------------------------------------- #
+# validate-once reads: durable stores remember validated payload digests
+# ---------------------------------------------------------------------- #
+
+
+def count_parses(monkeypatch) -> list:
+    """Patch ``Result.from_json`` to record each text it parses."""
+    parsed = []
+    original = Result.from_json.__func__
+
+    def counting(cls, text):
+        parsed.append(text)
+        return original(cls, text)
+
+    monkeypatch.setattr(Result, "from_json", classmethod(counting))
+    return parsed
+
+
+def rewrite_entry(store: Store, key: str, text: str) -> None:
+    """Overwrite a stored payload behind the store's back."""
+    if isinstance(store, SQLiteStore):
+        with sqlite3.connect(store.path) as connection:
+            connection.execute(
+                "UPDATE results SET payload = ? WHERE key = ?", (text, key)
+            )
+    else:
+        with open(store._path(key), "w", encoding="utf-8") as handle:
+            handle.write(text)
+
+
+def backdate_entry(store: Store, key: str, age_s: float) -> None:
+    past = time.time() - age_s
+    if isinstance(store, SQLiteStore):
+        with sqlite3.connect(store.path) as connection:
+            connection.execute(
+                "UPDATE results SET created = ? WHERE key = ?", (past, key)
+            )
+    else:
+        os.utime(store._path(key), (past, past))
+
+
+@pytest.mark.parametrize("backend", ["jsondir", "sqlite"])
+class TestValidatedReadMemo:
+    def test_unchanged_entry_is_parsed_once(self, backend, tmp_path, monkeypatch):
+        store = build_store(backend, tmp_path)
+        result = make_result(kind="transient")
+        store.put("k", result)
+        parsed = count_parses(monkeypatch)
+        assert store.get_json("k") == result.to_json()
+        assert len(parsed) == 1  # put records no digest: the first read parses
+        assert store.get_json("k") == result.to_json()
+        assert len(parsed) == 1
+        # get still returns a parsed Result.
+        assert store.get("k").to_json() == result.to_json()
+        assert len(parsed) == 2
+
+    def test_entry_torn_after_a_validated_read_is_dropped(
+        self, backend, tmp_path, monkeypatch
+    ):
+        store = build_store(backend, tmp_path)
+        text = make_result().to_json()
+        store.put("k", make_result())
+        assert store.get_json("k") == text
+        if backend == "sqlite":
+            with sqlite3.connect(store.path) as connection:
+                connection.execute("UPDATE results SET payload = '{\"torn'")
+        else:
+            rewrite_entry(store, "k", text[: len(text) // 2])
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            assert store.get_json("k") is None
+        assert len(store) == 0
+        if backend == "jsondir":
+            assert os.path.exists(store._path("k") + ".corrupt")
+        # The failure forgot the key: the same valid bytes, stored again,
+        # are parsed again before they are served.
+        store.put("k", make_result())
+        parsed = count_parses(monkeypatch)
+        assert store.get_json("k") == text
+        assert len(parsed) == 1
+
+    def test_rewritten_entry_is_revalidated(self, backend, tmp_path, monkeypatch):
+        store = build_store(backend, tmp_path)
+        store.put("k", make_result(tag="old"))
+        assert store.get_json("k") is not None
+        fresh = make_result(tag="new", value=-7.0).to_json()
+        rewrite_entry(store, "k", fresh)
+        parsed = count_parses(monkeypatch)
+        assert store.get_json("k") == fresh
+        assert parsed == [fresh]
+        assert store.get_json("k") == fresh
+        assert parsed == [fresh]
+
+    def test_ttl_expiry_applies_to_a_validated_entry(self, backend, tmp_path):
+        store = build_store(backend, tmp_path)
+        store.ttl_s = 5.0
+        store.put("k", make_result())
+        assert store.get_json("k") is not None
+        backdate_entry(store, "k", 10.0)
+        assert store.get_json("k") is None
+        assert len(store) == 0
+
+    def test_threads_reading_one_key_get_identical_text(self, backend, tmp_path):
+        store = build_store(backend, tmp_path)
+        result = make_result(kind="transient")
+        store.put("k", result)
+        texts = []
+        barrier = threading.Barrier(8)
+
+        def read() -> None:
+            barrier.wait()
+            for _ in range(20):
+                texts.append(store.get_json("k"))
+
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(texts) == 160
+        assert set(texts) == {result.to_json()}
+
+    def test_memo_is_bounded(self, backend, tmp_path, monkeypatch):
+        monkeypatch.setattr(stores, "_VALIDATED_DIGESTS_MAX", 2)
+        store = build_store(backend, tmp_path)
+        for key in ("a", "b", "c"):
+            store.put(key, make_result(tag=key))
+            assert store.get_json(key) is not None
+        parsed = count_parses(monkeypatch)
+        assert store.get_json("c") is not None and parsed == []
+        assert store.get_json("a") is not None  # forgotten: parsed again
+        assert len(parsed) == 1
+
+    def test_pickled_store_validates_afresh(self, backend, tmp_path, monkeypatch):
+        store = build_store(backend, tmp_path)
+        text = make_result().to_json()
+        store.put("k", make_result())
+        assert store.get_json("k") == text
+        copy = pickle.loads(pickle.dumps(store.worker_view()))
+        parsed = count_parses(monkeypatch)
+        assert copy.get_json("k") == text
+        assert len(parsed) == 1
+        rewrite_entry(store, "k", "{torn")
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            assert copy.get_json("k") is None
+
+
+def test_sqlite_lru_touch_is_written_on_a_validated_read(tmp_path, monkeypatch):
+    store = SQLiteStore(os.path.join(str(tmp_path), "r.db"), max_entries=2)
+    for key in ("a", "b", "c"):
+        store.put(key, make_result(tag=key))
+        time.sleep(0.02)
+    assert store.get_json("a") is not None  # validated: "a" is in the memo
+    with sqlite3.connect(store.path) as connection:
+        connection.execute("UPDATE results SET accessed = 0.0")
+    parsed = count_parses(monkeypatch)
+    assert store.get_json("a") is not None
+    assert parsed == []  # served from the memo ...
+    with sqlite3.connect(store.path) as connection:
+        (accessed,) = connection.execute(
+            "SELECT accessed FROM results WHERE key = 'a'"
+        ).fetchone()
+    assert accessed > 0.0  # ... and still touched
+    assert store.prune() == 1  # "b": untouched, first by key among equals
+    assert list(store.keys()) == ["a", "c"]
 
 
 # ---------------------------------------------------------------------- #
