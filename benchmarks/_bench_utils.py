@@ -21,8 +21,8 @@ def write_bench_json(filename: str, payload: Dict[str, Any], merge: bool = False
     """Record benchmark figures for the CI perf-trajectory artifact.
 
     Writes ``payload`` as JSON into the directory named by the
-    ``BENCH_JSON_DIR`` environment variable (``BENCH_engine.json``,
-    ``BENCH_montecarlo.json``, ...); a no-op when the variable is unset, so
+    ``BENCH_JSON_DIR`` environment variable (``BENCH_montecarlo.json``,
+    ``BENCH_solvers.json``, ...); a no-op when the variable is unset, so
     local runs stay side-effect free.  Every file is stamped with
     ``schema_version`` (see :data:`BENCH_SCHEMA_VERSION`).
 

@@ -115,7 +115,7 @@ def test_dense_sparse_crossover(benchmark, switch_model):
         # Backend parity on the full unknown vector, size for size.
         assert np.allclose(dense_op.solution, sparse_op.solution, rtol=1e-9, atol=1e-9)
 
-        matrix, rhs = engine.assemble_system(
+        matrix, rhs = engine.compiled.assemble(
             AnalysisState(solution=dense_op.solution, gmin=1e-9)
         )
         dense = DenseSolver()
@@ -386,7 +386,7 @@ def test_large_lattice_sparse_batched(switch_model):
 
     # Raw per-solve cost of both backends on the converged Jacobian: the
     # measured half of the dense comparison.
-    matrix, rhs = engine.assemble_system(
+    matrix, rhs = engine.compiled.assemble(
         AnalysisState(solution=nominal.solution, gmin=1e-9)
     )
     start = time.perf_counter()

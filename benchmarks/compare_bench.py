@@ -1,7 +1,7 @@
 """Benchmark-trend diff: compare the current BENCH_*.json against the last run.
 
-The CI benchmarks job writes ``BENCH_engine.json`` / ``BENCH_montecarlo.json``
-/ ``BENCH_solvers.json`` / ... per run (the perf-trajectory artifact).  This
+The CI benchmarks job writes ``BENCH_montecarlo.json`` / ``BENCH_solvers.json``
+/ ``BENCH_transient.json`` / ... per run (the perf-trajectory artifact).  This
 script diffs the current directory of artifacts against the previous run's
 and prints per-metric deltas so a perf regression is visible in the job log
 without blocking it:

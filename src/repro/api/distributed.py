@@ -328,6 +328,9 @@ class StudyCoordinator:
         done: set = set()
         quarantined_ids: set = set()
         idle: List[int] = []
+        ready_workers: set = set()
+        startup_deaths = 0  # workers dead before they reported ready
+        startup_exitcode: Optional[int] = None
         respawn_budget = self.workers  # replacements, not a license to leak
         next_worker_id = 0
         dispatches = 0
@@ -398,6 +401,7 @@ class StudyCoordinator:
             if kind == _BEAT:
                 last_beat[worker_id] = time.monotonic()
             elif kind == _READY:
+                ready_workers.add(worker_id)
                 if worker_id in processes:
                     idle.append(worker_id)
             elif kind == _DONE:
@@ -423,7 +427,7 @@ class StudyCoordinator:
                     idle.append(worker_id)
 
         def handle_death(worker_id: int) -> None:
-            nonlocal respawn_budget
+            nonlocal respawn_budget, startup_deaths, startup_exitcode
             if worker_id not in processes:
                 return  # already handled (sentinel + EOF both fired)
             process = processes.pop(worker_id)
@@ -445,6 +449,9 @@ class StudyCoordinator:
             requeue_from(worker_id)
             last_beat.pop(worker_id, None)
             process.join(timeout=1.0)  # reap; it is already dead
+            if worker_id not in ready_workers:
+                startup_deaths += 1
+                startup_exitcode = process.exitcode
             live_needed = bool(pending) or settled() < len(tasks)
             if live_needed and respawn_budget > 0 and len(processes) < width:
                 respawn_budget -= 1
@@ -490,9 +497,16 @@ class StudyCoordinator:
                 while idle and pending:
                     dispatch(idle.pop(0))
                 if not processes:
-                    self.report.errors.append(
-                        "all workers died and the respawn budget is spent"
-                    )
+                    reason = "all workers died and the respawn budget is spent"
+                    if startup_deaths:
+                        reason += (
+                            f"; {startup_deaths} died during start-up, "
+                            "before reporting ready (last exitcode "
+                            f"{startup_exitcode}): a spawned worker re-imports "
+                            "the parent's __main__ module by path, which fails "
+                            "when the script came from stdin or was deleted"
+                        )
+                    self.report.errors.append(reason)
                     break
                 # One wait over every worker's message pipe AND process
                 # sentinel: a message and a crash wake the coordinator

@@ -5,8 +5,8 @@ built from the six-MOSFET switch model of Fig. 9.  This package provides the
 simulator those experiments need, organised around a single compiled
 analysis engine:
 
-* :mod:`repro.spice.netlist` — circuits, nodes, element registration and the
-  per-element ``stamp()`` assembly (kept as the testing oracle);
+* :mod:`repro.spice.netlist` — circuits, nodes, element registration and
+  the :class:`AnalysisState` of one assembly;
 * :mod:`repro.spice.elements` — resistor, capacitor, independent sources,
   the level-1 MOSFET, and the four-terminal switch subcircuit of Fig. 9;
 * :mod:`repro.spice.engine` — the core: :class:`~repro.spice.engine.CompiledCircuit`
@@ -75,11 +75,13 @@ caches the engine on the circuit and recompiles only when the topology
 changes.  The engine compiles exactly the built-in :class:`Resistor`,
 :class:`Capacitor`, :class:`MOSFET`, :class:`VoltageSource` and
 :class:`CurrentSource` types; any other element (a subclass included) makes
-the analyses raise ``TypeError``, though :meth:`Circuit.assemble` still
-stamps it.
+the analyses raise ``TypeError``.  The device equations are written once:
+the elements record terminals and values, and the engine's one assembly
+kernel stamps them, the MOSFET through
+:func:`~repro.spice.elements.mosfet.evaluate_level1_arrays`.
 """
 
-from repro.spice.netlist import Circuit, GROUND, MNASystem, AnalysisState
+from repro.spice.netlist import Circuit, GROUND, AnalysisState
 from repro.spice.waveforms import DC, Pulse, PiecewiseLinear, Waveform
 from repro.spice.elements.resistor import Resistor
 from repro.spice.elements.capacitor import Capacitor
@@ -122,7 +124,6 @@ from repro.spice.montecarlo import (
 __all__ = [
     "Circuit",
     "GROUND",
-    "MNASystem",
     "AnalysisState",
     "DC",
     "Pulse",

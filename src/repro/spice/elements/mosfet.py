@@ -2,30 +2,29 @@
 
 The four-terminal switch model of Fig. 9 consists of n-type MOSFETs whose
 drain/source roles are not fixed: inside a lattice, current may flow through
-a switch in either direction depending on which inputs are ON.  The element
-therefore evaluates the level-1 equations after orienting the channel so the
-higher-potential diffusion terminal acts as the drain, and linearizes around
-the present Newton iterate with conductances ``gds``, ``gm`` and an
-equivalent current source (the standard MOSFET companion model).
+a switch in either direction depending on which inputs are ON.  The level-1
+equations are therefore evaluated after orienting the channel so the
+higher-potential diffusion terminal acts as the drain; the analysis engine
+linearizes them around the present Newton iterate with conductances
+``gds``, ``gm`` and an equivalent current source (the standard MOSFET
+companion model).
 
 The bulk terminal is taken as grounded (as in the paper's circuit model) and
 the body effect is absorbed in the threshold voltage of the extracted
 parameters.
 
-The scalar :meth:`MOSFET._evaluate` / :meth:`MOSFET.stamp` pair is the
-per-element reference path; the analysis engine evaluates whole
-device populations at once through :func:`evaluate_level1_arrays`, which
-mirrors the scalar math element-wise.
+The model is written once, in :func:`evaluate_level1_arrays`: the analysis
+engine evaluates whole device populations through it, and
+:meth:`MOSFET.channel_current` reports one device's current through it.
+The tests compare it with the same model written out in closed form.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.fitting.level1 import Level1Parameters
-from repro.spice.netlist import AnalysisState, Circuit, MNASystem
+from repro.spice.netlist import AnalysisState, Circuit
 
 
 def evaluate_level1_arrays(vgs, vds, beta, vth_v, lambda_per_v, smoothing_v):
@@ -33,17 +32,19 @@ def evaluate_level1_arrays(vgs, vds, beta, vth_v, lambda_per_v, smoothing_v):
 
     All arguments are arrays of equal length (one entry per device) with the
     channels already oriented so ``vds >= 0``.  Returns ``(ids, gm, gds)``
-    arrays, matching :meth:`MOSFET._evaluate` element-wise — including the
-    smooth sub-threshold transition and its large-|x| guard branches.
+    arrays of the smoothed level-1 model: the effective overdrive
+    ``veff = W * ln(1 + exp(x))`` with ``x = (vgs - vth) / W`` (exactly
+    ``vgs - vth`` beyond ``x > 40``), then the triode or saturation square
+    law with channel-length modulation.
     """
     overdrive = vgs - vth_v
     x = overdrive / smoothing_v
     # exp() is only ever taken of a clamped-from-above argument: beyond the
     # x > 40 guard the exact linear branch is used, so clamping cannot leak
-    # into the result; below -40 exp underflows harmlessly to 0.  The scalar
-    # path's explicit x < -40 branch needs no counterpart here: for ex below
-    # ~4e-18, log1p(ex) and ex/(1+ex) round to exactly ex in doubles, so the
-    # smooth branch already reproduces it bit-for-bit.
+    # into the result; below -40 exp underflows harmlessly to 0.  The deep
+    # cutoff tail needs no branch of its own: for ex below ~4e-18,
+    # log1p(ex) and ex/(1+ex) round to exactly ex in doubles, so the smooth
+    # branch already gives veff = W * exp(x) and dveff = exp(x).
     ex = np.exp(np.minimum(x, 45.0))
     veff = smoothing_v * np.log1p(ex)
     dveff = ex / (1.0 + ex)
@@ -59,7 +60,7 @@ def evaluate_level1_arrays(vgs, vds, beta, vth_v, lambda_per_v, smoothing_v):
     ids = beta_body * clm
     gm = beta * np.where(triode, vds, veff) * clm * dveff
     # beta * body * lambda is the whole saturation gds and the CLM term of
-    # the triode gds (the scalar path's two branches).
+    # the triode gds.
     body_clm = beta_body * lambda_per_v
     gds = np.where(triode, beta * (veff - vds) * clm + body_clm, body_clm)
     return ids, gm, gds
@@ -123,40 +124,6 @@ class MOSFET:
     #: sitting right at cutoff converge quadratically.
     SMOOTHING_V = 0.062
 
-    def _effective_overdrive(self, vgs: float):
-        """Smoothed overdrive and its derivative with respect to ``vgs``."""
-        w = self.SMOOTHING_V
-        x = (vgs - self.parameters.vth_v) / w
-        if x > 40.0:
-            return vgs - self.parameters.vth_v, 1.0
-        if x < -40.0:
-            return w * math.exp(x), math.exp(x)
-        exp_x = math.exp(x)
-        veff = w * math.log1p(exp_x)
-        return veff, exp_x / (1.0 + exp_x)
-
-    def _evaluate(self, vgs: float, vds: float):
-        """Current and small-signal parameters for an oriented channel.
-
-        Returns ``(ids, gm, gds)`` for ``vds >= 0``.
-        """
-        p = self.parameters
-        lam = p.lambda_per_v
-        beta = p.beta
-        veff, dveff = self._effective_overdrive(vgs)
-        clm = 1.0 + lam * vds
-        if vds <= veff:
-            body = veff * vds - 0.5 * vds * vds
-            ids = beta * body * clm
-            gm = beta * vds * clm * dveff
-            gds = beta * (veff - vds) * clm + beta * body * lam
-        else:
-            body = 0.5 * veff * veff
-            ids = beta * body * clm
-            gm = beta * veff * clm * dveff
-            gds = beta * body * lam
-        return ids, gm, gds
-
     def channel_current(self, state: AnalysisState) -> float:
         """Drain-to-source channel current at the given state [A].
 
@@ -166,42 +133,18 @@ class MOSFET:
         vd = state.voltage(self._drain)
         vg = state.voltage(self._gate)
         vs = state.voltage(self._source)
-        if vd >= vs:
-            ids, _, _ = self._evaluate(vg - vs, vd - vs)
-            return ids
-        ids, _, _ = self._evaluate(vg - vd, vs - vd)
-        return -ids
-
-    def stamp(self, system: MNASystem, state: AnalysisState) -> None:
-        vd = state.voltage(self._drain)
-        vg = state.voltage(self._gate)
-        vs = state.voltage(self._source)
-
-        if vd >= vs:
-            drain, source = self._drain, self._source
-            vgs, vds = vg - vs, vd - vs
-            sign = 1.0
-        else:
-            drain, source = self._source, self._drain
-            vgs, vds = vg - vd, vs - vd
-            sign = -1.0
-
-        ids, gm, gds = self._evaluate(vgs, vds)
-        gds = gds + self.CHANNEL_GMIN
-
-        # Companion model: I_eq flows drain -> source outside the linearization.
-        i_eq = ids - gm * vgs - gds * vds
-
-        system.add_conductance(drain, source, gds)
-        system.add_transconductance(drain, source, self._gate, source, gm)
-        if drain >= 0:
-            system.add_current(drain, -i_eq)
-        if source >= 0:
-            system.add_current(source, i_eq)
-        # The orientation (sign) only matters for reporting: the stamps above
-        # are written in terms of the oriented drain/source nodes, so the
-        # physical current direction is already correct.
-        del sign
+        p = self.parameters
+        # Orient the channel as the engine does: the higher diffusion
+        # terminal acts as the drain.
+        ids, _, _ = evaluate_level1_arrays(
+            np.array([vg - min(vd, vs)]),
+            np.array([abs(vd - vs)]),
+            p.beta,
+            p.vth_v,
+            p.lambda_per_v,
+            self.SMOOTHING_V,
+        )
+        return float(ids[0]) if vd >= vs else -float(ids[0])
 
     def __repr__(self) -> str:
         return (

@@ -1,16 +1,15 @@
 """Linear resistor element.
 
-Resistor conductances never change between Newton iterations, so the
-analysis engine folds them into its cached base matrix at compile time;
-``stamp()`` remains as the per-element reference path
-(:meth:`~repro.spice.netlist.Circuit.assemble`).  The engine compiles only
-this exact type: a subclass overriding the element's behavior is rejected
-with ``TypeError``.
+The element only records its terminals and resistance.  Resistor
+conductances never change between Newton iterations, so the analysis engine
+folds them into its cached base matrix at compile time.  The engine compiles
+only this exact type: a subclass overriding the element's behavior is
+rejected with ``TypeError``.
 """
 
 from __future__ import annotations
 
-from repro.spice.netlist import AnalysisState, Circuit, MNASystem
+from repro.spice.netlist import AnalysisState, Circuit
 
 
 class Resistor:
@@ -46,9 +45,6 @@ class Resistor:
     @property
     def nodes(self) -> tuple:
         return (self._node_a_name, self._node_b_name)
-
-    def stamp(self, system: MNASystem, state: AnalysisState) -> None:
-        system.add_conductance(self._node_a, self._node_b, self.conductance)
 
     def current(self, state: AnalysisState) -> float:
         """Current flowing from ``node_a`` to ``node_b`` at the given state [A]."""

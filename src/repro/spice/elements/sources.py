@@ -1,17 +1,16 @@
 """Independent voltage and current sources.
 
-The analysis engine folds the structural +/-1 branch entries of voltage
-sources into its cached base matrix and re-reads each source's waveform on
-every assembly, so ``set_level()`` during sweeps is honoured without
-recompiling; ``stamp()`` remains as the per-element reference path
-(:meth:`~repro.spice.netlist.Circuit.assemble`).
+The elements only record their terminals and waveforms.  The analysis
+engine folds the structural +/-1 branch entries of voltage sources into its
+cached base matrix and re-reads each source's waveform on every assembly, so
+``set_level()`` during sweeps is honoured without recompiling.
 """
 
 from __future__ import annotations
 
 from typing import Union
 
-from repro.spice.netlist import AnalysisState, Circuit, MNASystem
+from repro.spice.netlist import Circuit
 from repro.spice.waveforms import DC, Waveform
 
 
@@ -72,11 +71,6 @@ class VoltageSource:
         """Replace the waveform with a DC level (used by DC sweeps)."""
         self.waveform = DC(float(level))
 
-    def stamp(self, system: MNASystem, state: AnalysisState) -> None:
-        system.add_voltage_branch(
-            self._branch, self._node_plus, self._node_minus, self.value_at(state.time_s)
-        )
-
     def branch_position(self, circuit: Circuit) -> int:
         """Index of this source's current in the solution vector.
 
@@ -130,13 +124,6 @@ class CurrentSource:
     def set_level(self, level: float) -> None:
         """Replace the waveform with a DC level (used by DC sweeps)."""
         self.waveform = DC(float(level))
-
-    def stamp(self, system: MNASystem, state: AnalysisState) -> None:
-        current = self.value_at(state.time_s)
-        if self._node_plus >= 0:
-            system.add_current(self._node_plus, -current)
-        if self._node_minus >= 0:
-            system.add_current(self._node_minus, current)
 
     def __repr__(self) -> str:
         return f"CurrentSource({self.name}, {self._node_plus_name}-{self._node_minus_name})"

@@ -12,9 +12,8 @@ The engine compiles a :class:`~repro.spice.netlist.Circuit` once into
 per-element-class index arrays (:class:`CompiledCircuit`) so each Newton
 iteration assembles the Jacobian and right-hand side with one vectorized
 kernel — for one ``(n,)`` iterate or a ``(trials, n)`` stack — into the
-CSC data of a :class:`SparsityPattern` instead of per-element Python
-``stamp()`` calls.  The sparse solvers take that data as is; the dense ones
-get it placed into a zeroed ``(n, n)`` matrix.
+CSC data of a :class:`SparsityPattern`.  The sparse solvers take that data
+as is; the dense ones get it placed into a zeroed ``(n, n)`` matrix.
 
 Compilation notes
 -----------------
@@ -32,11 +31,12 @@ Compilation notes
 * **Closed element set.**  The compiler knows exactly five element types
   (:class:`Resistor`, :class:`Capacitor`, :class:`MOSFET`,
   :class:`VoltageSource`, :class:`CurrentSource`) and raises ``TypeError``
-  for any other, subclasses included (a subclass may override ``stamp()``).
-  Every compiled circuit therefore has a static sparsity pattern, and the
-  serial and stacked analyses accept the same circuits.  Other elements
-  still stamp through :meth:`~repro.spice.netlist.Circuit.assemble`, the
-  per-element oracle.
+  for any other, subclasses included (a subclass could change behavior
+  the compiled arrays would silently ignore).  Every compiled circuit
+  therefore has a static sparsity pattern, and the serial and stacked
+  analyses accept the same circuits.  The elements hold no device
+  equations: this module stamps all five, and the MOSFET model is
+  :func:`~repro.spice.elements.mosfet.evaluate_level1_arrays`.
 * **Invalidation.**  The compiled structure caches the circuit's
   :attr:`~repro.spice.netlist.Circuit.revision` and recompiles transparently
   when elements or nodes are added.
@@ -843,9 +843,9 @@ class CompiledCircuit:
 
         ``source_scale`` scales every independent source (used by the
         source-stepping fallback).  ``cap_history`` supplies the trapezoidal
-        capacitor history currents; when omitted they are read from the
-        elements, matching the legacy stamp path.  ``cache_base=False``
-        builds the linear base without caching it (one-off gmin retries).
+        capacitor history currents; when omitted they are zero, the history
+        every march starts from.  ``cache_base=False`` builds the linear
+        base without caching it (one-off gmin retries).
 
         ``linear_rhs`` lets the Newton loop hand in the per-solve invariant
         part of the right-hand side — sources plus capacitor history, as
@@ -1177,11 +1177,7 @@ class CompiledCircuit:
             else:
                 v_prev = self._cap_voltage(previous_solutions)
             i_eq = cap_g_rows * v_prev
-            if integration == "trap":
-                if cap_history is None:
-                    cap_history = np.array(
-                        [c._previous_current for c in self.capacitors], dtype=float
-                    )
+            if integration == "trap" and cap_history is not None:
                 i_eq = i_eq + cap_history
             self._add_rows(rhs, self._cap_rows, np.concatenate((i_eq, -i_eq), axis=-1))
         return rhs
@@ -1286,12 +1282,6 @@ class AnalysisEngine:
         """
         if self._compiled is not None:
             self._compiled.clear_parameter_overlay()
-
-    def assemble_system(
-        self, state: AnalysisState, source_scale: float = 1.0
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Assemble (matrix, rhs) at ``state`` through the compiled path."""
-        return self.compiled.assemble(state, source_scale=source_scale)
 
     # ------------------------------------------------------------------ #
     # the Newton loop (every DC solve and every transient step)
@@ -1994,8 +1984,6 @@ class AnalysisEngine:
         _check_transient_arguments(stop_time_s, timestep_s, integration)
         compiled = self.compiled
         compiled.refresh_values()
-        for capacitor in compiled.capacitors:
-            capacitor.reset()
 
         resolved = get_solver(solver)
         reuse_states = [_NewtonReuseState()] if _wants_newton_reuse(newton) else None
@@ -2035,17 +2023,11 @@ class AnalysisEngine:
                 **controls,
             )
         else:
-            times, waveforms, newton_totals, converged, residuals, cap_history = (
-                self._march_fixed(
-                    initial_solution[np.newaxis], {}, stop_time_s, timestep_s, **controls
-                )
+            times, waveforms, newton_totals, converged, residuals = self._march_fixed(
+                initial_solution[np.newaxis], {}, stop_time_s, timestep_s, **controls
             )
             solutions = waveforms[0]
             steps = times.size - 1
-            before_last = None if use_initial_conditions and steps == 1 else solutions[-2]
-            self._mirror_capacitor_history(
-                cap_history[0], solutions[-1], before_last, timestep_s, integration
-            )
             result = TransientResult(
                 circuit=circuit,
                 time_s=times,
@@ -2085,7 +2067,7 @@ class AnalysisEngine:
         use_initial_conditions: bool,
         solver: LinearSolver,
         reuse_states: Optional[List[_NewtonReuseState]],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The fixed-step march of a ``(trials, n)`` stack of start points.
 
         The one fixed-grid driver: :meth:`solve_transient` runs it on a
@@ -2098,10 +2080,9 @@ class AnalysisEngine:
         voltages as the previous voltages.
 
         Returns ``(times, waveforms, newton_totals, converged,
-        worst_residuals, cap_history)``: the ``(steps + 1,)`` time axis, the
-        ``(trials, steps + 1, n)`` solutions, the per-trial Newton totals,
-        all-steps-converged flags and worst updates, and the final
-        ``(trials, C)`` trapezoidal history.
+        worst_residuals)``: the ``(steps + 1,)`` time axis, the
+        ``(trials, steps + 1, n)`` solutions, the per-trial Newton totals and
+        the all-steps-converged flags and worst updates.
         """
         compiled = self.compiled
         count, size = solutions.shape
@@ -2152,7 +2133,6 @@ class AnalysisEngine:
             converged.all(axis=0),
             # fmax: a NaN update never becomes the worst residual.
             np.fmax.reduce(residuals, axis=0, initial=0.0),
-            cap_history,
         )
 
     def _accept_step(
@@ -2335,11 +2315,6 @@ class AnalysisEngine:
 
         solutions = np.vstack(rows)
         time_axis = np.array(times)
-        if len(rows) >= 2:
-            before_last = None if use_initial_conditions and accepted == 1 else solutions[-2]
-            self._mirror_capacitor_history(
-                cap_history[0], solutions[-1], before_last, previous_dt, integration
-            )
 
         return TransientResult(
             circuit=circuit,
@@ -2384,7 +2359,7 @@ class AnalysisEngine:
         Every timestep advances the whole stack together: each Newton round
         assembles the stacked systems and solves them in one call (below the
         dense/sparse crossover, the default ``solver="auto"`` assembles
-        ``(trials, n, n)`` through :meth:`CompiledCircuit.assemble_batched`
+        ``(trials, n, n)`` through the compiled circuit's ``assemble_batched``
         and makes one batched LAPACK call), with three structural savings
         over per-trial marching:
 
@@ -2441,7 +2416,7 @@ class AnalysisEngine:
 
         backend = resolved.select(compiled, count)
         backend.bind(compiled)
-        times, waveforms, newton_totals, converged, worst_residuals, _ = self._march_fixed(
+        times, waveforms, newton_totals, converged, worst_residuals = self._march_fixed(
             solutions,
             stacks,
             stop_time_s,
@@ -2480,32 +2455,6 @@ class AnalysisEngine:
                     float(t) for t in hook(stop_time_s) if 0.0 < t < stop_time_s
                 )
         return np.array(sorted(collected))
-
-    def _mirror_capacitor_history(
-        self,
-        cap_history: np.ndarray,
-        last_solution: np.ndarray,
-        previous_solution: Optional[np.ndarray],
-        last_timestep_s: float,
-        integration: str,
-    ) -> None:
-        """Mirror the final companion history onto the capacitor elements.
-
-        Keeps the per-element stamp path (the reference oracle) in agreement
-        with the engine's state after a transient run, exactly as the
-        per-element ``update_history()`` calls would leave it.
-        """
-        compiled = self.compiled
-        if not compiled.num_capacitors:
-            return
-        if integration == "trap":
-            final_history = cap_history
-        else:
-            final_history = compiled._capacitor_conductance(
-                last_timestep_s, integration
-            ) * compiled._cap_dv(last_solution, previous_solution)
-        for capacitor, history in zip(compiled.capacitors, final_history):
-            capacitor._previous_current = float(history)
 
 
 def get_engine(circuit: Circuit) -> AnalysisEngine:

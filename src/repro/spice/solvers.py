@@ -12,8 +12,8 @@ iteration logic:
   *structure* is precomputed once from the compiled circuit's
   :class:`~repro.spice.engine.SparsityPattern`.  A pattern-assembly backend
   (:attr:`LinearSolver.wants_pattern_assembly`): the engine hands it the
-  ``(nnz,)`` CSC data array of ``CompiledCircuit.assemble_sparse`` directly,
-  so no dense matrix is ever formed.  The fill-reducing column order
+  ``(nnz,)`` CSC data array of the compiled circuit's ``assemble_sparse``
+  directly, so no dense matrix is ever formed.  The fill-reducing column order
   (COLAMD) is computed once per bound pattern, by its first factorization;
   every later factorization gathers the data into that column order and
   skips the ordering step, with factors bit-identical to a plain ``splu``.
@@ -200,7 +200,7 @@ class LinearSolver:
     name = "base"
 
     #: When True the engine assembles CSC pattern data
-    #: (``CompiledCircuit.assemble_sparse*``) and calls
+    #: (the compiled circuit's ``assemble_sparse*``) and calls
     #: :meth:`solve_pattern`/:meth:`solve_pattern_batched` instead of the
     #: dense :meth:`solve`/:meth:`solve_batched`.
     wants_pattern_assembly = False

@@ -1,9 +1,9 @@
 """Tests for the unified analysis engine: compiled assembly, fallbacks, sweeps.
 
-The legacy per-element ``stamp()`` assembly (``Circuit.assemble``) is kept as
-the oracle: the compiled engine must reproduce its matrices bit-for-bit (to
-floating-point tolerance) in every analysis context, and the solver-level
-tests exercise the convergence fallbacks the three analyses share.
+The compiled engine is the only assembly.  Its answers are checked against
+closed forms (the element oracles in ``test_spice_engine.py``, the RC
+integration-order and LTE-controller oracles here); the solver-level tests
+exercise the convergence fallbacks the three analyses share.
 """
 
 import numpy as np
@@ -46,27 +46,6 @@ def _mixed_circuit():
 
 
 class TestCompiledAssemblyParity:
-    @pytest.mark.parametrize("timestep_s", [None, 1e-9])
-    @pytest.mark.parametrize("integration", ["be", "trap"])
-    def test_matches_legacy_stamp_path(self, timestep_s, integration):
-        circuit = _mixed_circuit()
-        engine = get_engine(circuit)
-        rng = np.random.default_rng(42)
-        solution = rng.uniform(-0.5, 1.5, circuit.system_size)
-        previous = rng.uniform(-0.5, 1.5, circuit.system_size)
-        state = AnalysisState(
-            solution=solution,
-            time_s=3e-9,
-            timestep_s=timestep_s,
-            previous_solution=previous if timestep_s is not None else None,
-            integration=integration,
-            gmin=1e-9,
-        )
-        legacy = circuit.assemble(state)
-        matrix, rhs = engine.assemble_system(state)
-        assert np.allclose(matrix, legacy.matrix, rtol=1e-12, atol=1e-18)
-        assert np.allclose(rhs, legacy.rhs, rtol=1e-12, atol=1e-18)
-
     def test_recompiles_when_circuit_grows(self):
         circuit = Circuit()
         VoltageSource(circuit, "v1", "in", "0", 1.0)
@@ -149,24 +128,23 @@ class TestCompiledAssemblyParity:
 
 
 class TwoKilohm:
-    """An element implementing only the ``stamp()`` protocol: 2 kOhm."""
+    """A resistor-like element of no compiled type: a name, nodes and 2 kOhm."""
 
     name = "x_two_kilohm"
+    resistance_ohm = 2e3
 
     def __init__(self, circuit, node_a, node_b):
-        self._a = circuit.node(node_a)
-        self._b = circuit.node(node_b)
+        self._node_a = circuit.node(node_a)
+        self._node_b = circuit.node(node_b)
         circuit.add(self)
-
-    def stamp(self, system, state):
-        system.add_conductance(self._a, self._b, 1.0 / 2e3)
 
 
 class DoubledResistor(Resistor):
-    """A subclass whose ``stamp()`` doubles the conductance."""
+    """A subclass whose reported conductance is doubled."""
 
-    def stamp(self, system, state):
-        system.add_conductance(self._node_a, self._node_b, 2.0 * self.conductance)
+    @property
+    def conductance(self) -> float:
+        return 2.0 / self.resistance_ohm
 
 
 class TestClosedElementSet:
@@ -184,12 +162,10 @@ class TestClosedElementSet:
     CASES = {
         "protocol-only": (
             lambda c: TwoKilohm(c, "out", "0"),
-            lambda c: Resistor(c, "r2", "out", "0", 2e3),
             "'x_two_kilohm' of type TwoKilohm",
         ),
         "subclass": (
             lambda c: DoubledResistor(c, "r2", "out", "0", 1e3),
-            lambda c: Resistor(c, "r2", "out", "0", 500.0),
             "'r2' of type DoubledResistor",
         ),
     }
@@ -206,24 +182,19 @@ class TestClosedElementSet:
         ids=["solve_dc", "solve_transient", "solve_dc_batched", "solve_transient_batched"],
     )
     def test_analyses_reject_uncompiled_elements(self, case, analysis):
-        element, _, named = self.CASES[case]
+        element, named = self.CASES[case]
         engine = get_engine(self.divider(element))
         with pytest.raises(TypeError, match=named):
             analysis(engine)
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_stamp_oracle_still_assembles_them(self, case):
-        element, equivalent, _ = self.CASES[case]
-        state = AnalysisState(
-            solution=np.array([1.0, 0.4, 0.0]),
-            timestep_s=1e-10,
-            previous_solution=np.array([1.0, 0.3, 0.0]),
-            gmin=1e-9,
-        )
-        got = self.divider(element).assemble(state)
-        expected = self.divider(equivalent).assemble(state)
-        assert np.array_equal(got.matrix, expected.matrix)
-        assert np.array_equal(got.rhs, expected.rhs)
+    def test_elements_carry_no_stamp_path(self):
+        # The engine is the only assembly: neither the circuit nor any
+        # element keeps a second, per-element copy of the equations.
+        circuit = self.divider(lambda c: Resistor(c, "r2", "out", "0", 2e3))
+        assert not hasattr(circuit, "assemble")
+        for element in circuit.elements:
+            for method in ("stamp", "reset", "update_history"):
+                assert not hasattr(element, method), (element.name, method)
 
 
 RC_OHM = 1e3
@@ -540,30 +511,6 @@ class TestEngineTransient:
         )
         exact = 1.0 - np.exp(-1.0)
         assert result.sample_voltage("out", 1e-6) == pytest.approx(exact, abs=0.01)
-
-    def test_capacitor_history_written_back_after_transient(self):
-        # After an engine transient, the elements must carry the same
-        # companion history the legacy update_history() path would leave,
-        # so the stamp oracle stays valid for follow-up assemblies.
-        for integration in ("be", "trap"):
-            circuit = Circuit()
-            VoltageSource(circuit, "v1", "in", "0", 1.0)
-            Resistor(circuit, "r1", "in", "out", 1e3)
-            capacitor = Capacitor(circuit, "c1", "out", "0", 1e-9)
-            result = get_engine(circuit).solve_transient(
-                1e-7, 1e-8, integration=integration, use_initial_conditions=True
-            )
-            v_now = result.solutions[-1, circuit.node_index("out")]
-            v_prev = result.solutions[-2, circuit.node_index("out")]
-            g = (2.0 if integration == "trap" else 1.0) * 1e-9 / 1e-8
-            # For BE the history is g*dv of the last step; for trap the
-            # recurrence g*dv - previous applies, checked via the element.
-            assert capacitor._previous_current != 0.0
-            if integration == "be":
-                assert capacitor._previous_current == pytest.approx(
-                    g * (v_now - v_prev), rel=1e-9
-                )
-
 
     @pytest.mark.parametrize("march", ["fixed", "adaptive", "lockstep"])
     def test_circuit_without_unknowns_is_rejected(self, march):

@@ -12,6 +12,8 @@ Covers the acceptance criteria of the distributed tentpole:
   recomputation;
 * a failing spec surfaces as a coordinator error after the retry budget,
   instead of hanging the run;
+* workers that die during start-up (the parent's ``__main__`` cannot be
+  re-imported) are named as such in the coordinator's error;
 * store resolution: an executor store, the session store's worker view,
   or an executor-owned temporary SQLite store.
 
@@ -23,6 +25,9 @@ library, never this test module.
 from __future__ import annotations
 
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +53,26 @@ from repro.experiments.variability_xor3 import build_variability_bench
 from repro.spice import Gaussian
 
 CHAIN_FACTORY = "repro.circuits.series_chain:build_series_chain"
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+#: A script that deletes itself, then fans two specs out to one spawned
+#: worker: the worker cannot re-import the parent's ``__main__`` by path.
+_SELF_DELETING_SCRIPT = """
+import os
+import sys
+
+sys.path.insert(0, {src!r})
+from repro.api import CircuitSpec, DCOp, Session, expand_grid
+from repro.api.distributed import DistributedExecutor
+from repro.circuits.sizing import switch_model_from_parameters
+
+os.remove(__file__)
+model = switch_model_from_parameters(kp_a_per_v2=4.0e-5, vth_v=0.18, lambda_per_v=0.05)
+template = DCOp(circuit=CircuitSpec({factory!r}, params={{"num_switches": 1, "model": model}}))
+specs = expand_grid(template, {{"circuit.num_switches": (1, 2)}})
+Session(executor=DistributedExecutor(workers=1)).run_many(specs)
+"""
 
 
 @pytest.fixture()
@@ -208,6 +233,25 @@ class TestFailureModes:
         with pytest.raises(RuntimeError, match="stop_time_s"):
             Session(store=None).run_many([bad], executor=executor)
         store.close()
+
+    def test_startup_deaths_are_named(self, tmp_path):
+        script = tmp_path / "self_deleting.py"
+        script.write_text(
+            _SELF_DELETING_SCRIPT.format(src=SRC_DIR, factory=CHAIN_FACTORY)
+        )
+        completed = subprocess.run(
+            [sys.executable, str(script)],
+            cwd=str(tmp_path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode != 0
+        message = completed.stderr.strip().splitlines()[-1]
+        assert message.startswith("RuntimeError: distributed run failed")
+        assert "2 died during start-up, before reporting ready" in message
+        assert re.search(r"last exitcode -?\d+", message)
+        assert "__main__" in message
 
     def test_memory_store_is_rejected(self):
         with pytest.raises(ValueError, match="process-local"):

@@ -189,7 +189,7 @@ class TestSparseBackendParity:
         bench = build_scalability_bench(4, model=switch_model)
         engine = get_engine(bench.circuit)
         op = engine.solve_dc()
-        matrix, rhs = engine.assemble_system(
+        matrix, rhs = engine.compiled.assemble(
             AnalysisState(solution=op.solution, gmin=1e-9)
         )
         patterned = SparseSolver()

@@ -2,11 +2,10 @@
 
 Every assembly scatters element stamps into the precomputed CSC pattern
 (serial ``(nnz,)`` or stacked ``(trials, nnz)``); the dense assemblies
-place that data into zeroed matrices.  The per-element ``stamp()`` path
-(``Circuit.assemble``) is the oracle for the placed matrices, every dense
-entry off the pattern must be exactly zero, and dense, sparse, serial and
-batched results must agree *bit for bit* at zero and nonzero sigma, for DC
-and transient companion states.  At the solve level the sparse-batched
+place that data into zeroed matrices.  Every dense entry off the pattern
+must be exactly zero, and dense, sparse, serial and batched results must
+agree *bit for bit* at zero and nonzero sigma, for DC and transient
+companion states.  At the solve level the sparse-batched
 backend must match the serial sparse backend bit for bit (identical data,
 identical per-trial factorizations) and the dense-batched reference to
 tight tolerance.
@@ -119,32 +118,23 @@ def analysis_state(circuit, kind, rng):
     )
 
 
-def with_cap_history(circuit, rng):
-    """Give every capacitor a nonzero trapezoidal history current."""
-    for element in circuit.elements:
-        if isinstance(element, Capacitor):
-            element._previous_current = float(rng.uniform(-1e-6, 1e-6))
-    return circuit
-
-
 class TestDensePlacement:
     @pytest.mark.parametrize("kind", ["dc", "be", "trap"])
-    def test_fig11_placement_matches_stamp_oracle(self, switch_model, kind):
+    def test_fig11_placement_matches_sparse_assembly(self, switch_model, kind):
         rng = np.random.default_rng(5)
-        circuit = with_cap_history(build_fig11_bench(model=switch_model).circuit, rng)
+        circuit = build_fig11_bench(model=switch_model).circuit
         compiled = get_engine(circuit).compiled
         state = analysis_state(circuit, kind, rng)
-        matrix, rhs = compiled.assemble(state)
-        oracle = circuit.assemble(state)
-        assert np.allclose(matrix, oracle.matrix, rtol=1e-12, atol=1e-18)
-        assert np.allclose(rhs, oracle.rhs, rtol=1e-12, atol=1e-18)
+        # A nonzero trapezoidal history current on every capacitor.
+        history = rng.uniform(-1e-6, 1e-6, compiled.num_capacitors)
+        matrix, rhs = compiled.assemble(state, cap_history=history)
         # Off the pattern the placed matrix is exactly zero.
         pattern = compiled.sparsity_pattern()
         on_pattern = np.zeros(matrix.shape, dtype=bool)
         on_pattern[pattern.rows, pattern.cols] = True
         assert np.all(matrix[~on_pattern] == 0.0)
         # On it, the placed entries are the sparse assembly bit for bit.
-        data, sparse_rhs = compiled.assemble_sparse(state)
+        data, sparse_rhs = compiled.assemble_sparse(state, cap_history=history)
         assert np.array_equal(matrix[pattern.rows, pattern.cols], data)
         assert np.array_equal(rhs, sparse_rhs)
 

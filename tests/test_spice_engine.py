@@ -1,4 +1,12 @@
-"""Unit tests for the SPICE engine: netlist, elements, DC, sweep, transient."""
+"""Unit tests for the SPICE engine: netlist, elements, DC, sweep, transient.
+
+The element oracles are closed form (in the style of ORDeC's exact DC
+pins): each test writes the model formula itself, here
+:func:`smoothed_level1`, and finds any root it needs by bisection, so no
+reference reuses the engine's device code.
+"""
+
+import math
 
 import numpy as np
 import pytest
@@ -14,12 +22,70 @@ from repro.spice import (
     Pulse,
     Resistor,
     VoltageSource,
+    add_four_terminal_switch,
     get_engine,
 )
 from repro.spice.elements.mosfet import evaluate_level1_arrays
 from repro.spice.netlist import AnalysisState
 
 NMOS = Level1Parameters(kp_a_per_v2=4e-5, vth_v=0.18, lambda_per_v=0.05, width_m=0.7e-6, length_m=0.35e-6)
+
+#: Smoothing voltage of the level-1 cutoff transition (2 n kT/q at 300 K).
+SMOOTHING_V = 0.062
+
+
+def smoothed_level1(parameters, vgs, vds):
+    """Reference ``(ids, gm, gds)`` of the smoothed level-1 NMOS for ``vds >= 0``.
+
+    The hard cutoff becomes the effective overdrive ``veff = W ln(1 +
+    e^x)`` with ``x = (vgs - vth) / W``: exactly ``vgs - vth`` for ``x >
+    40`` and the tail ``W e^x`` for ``x < -40``.  The square law then runs
+    on ``veff``, triode for ``vds <= veff`` and saturation above, with
+    channel-length modulation ``1 + lambda vds``.
+    """
+    beta = parameters.kp_a_per_v2 * (parameters.width_m / parameters.length_m)
+    lam = parameters.lambda_per_v
+    x = (vgs - parameters.vth_v) / SMOOTHING_V
+    if x > 40.0:
+        veff, dveff = vgs - parameters.vth_v, 1.0
+    elif x < -40.0:
+        veff, dveff = SMOOTHING_V * math.exp(x), math.exp(x)
+    else:
+        veff = SMOOTHING_V * math.log1p(math.exp(x))
+        dveff = math.exp(x) / (1.0 + math.exp(x))
+    clm = 1.0 + lam * vds
+    if vds <= veff:
+        body = veff * vds - 0.5 * vds * vds
+        gds = beta * (veff - vds) * clm + beta * body * lam
+        return beta * body * clm, beta * vds * clm * dveff, gds
+    body = 0.5 * veff * veff
+    return beta * body * clm, beta * veff * clm * dveff, beta * body * lam
+
+
+def common_source(vgs, vdd=1.2, rload=500e3):
+    """An NMOS with its gate at ``vgs`` pulling ``d`` down against ``rload``."""
+    circuit = Circuit()
+    VoltageSource(circuit, "vdd", "vdd", "0", vdd)
+    VoltageSource(circuit, "vg", "g", "0", vgs)
+    Resistor(circuit, "rl", "vdd", "d", rload)
+    MOSFET(circuit, "m1", "d", "g", "0", NMOS)
+    return circuit
+
+
+def bisect_root(f, low, high):
+    """The root of a decreasing ``f`` with ``f(low) > 0 > f(high)``.
+
+    Halves the bracket until its midpoint is no longer strictly inside,
+    i.e. to the last representable bit.
+    """
+    while True:
+        mid = 0.5 * (low + high)
+        if not low < mid < high:
+            return mid
+        if f(mid) > 0.0:
+            low = mid
+        else:
+            high = mid
 
 
 class TestCircuitContainer:
@@ -116,16 +182,26 @@ class TestWaveforms:
 
 
 class TestLinearCircuits:
+    # The linear pins run at gmin=0: the default 1 nS from every node to
+    # ground would move the ideal answers by microvolts.
+
     def test_voltage_divider(self):
         circuit = Circuit()
         VoltageSource(circuit, "v1", "in", "0", 2.0)
         Resistor(circuit, "r1", "in", "mid", 1e3)
         Resistor(circuit, "r2", "mid", "0", 3e3)
-        op = get_engine(circuit).solve_dc()
+        op = get_engine(circuit).solve_dc(gmin=0.0)
         assert op.converged
-        # gmin (1 nS to ground on every node) perturbs the ideal divider by
-        # a few microvolts at most.
-        assert op.voltage("mid") == pytest.approx(1.5, abs=1e-4)
+        assert op.voltage("mid") == 1.5
+
+    def test_voltage_divider_inexact_ratio(self):
+        circuit = Circuit()
+        VoltageSource(circuit, "v1", "in", "0", 1.0)
+        Resistor(circuit, "r1", "in", "mid", 2e3)
+        Resistor(circuit, "r2", "mid", "0", 1e3)
+        op = get_engine(circuit).solve_dc(gmin=0.0)
+        assert op.converged
+        assert op.voltage("mid") == 1e3 / 3e3 == 0.3333333333333333
 
     def test_source_current_convention(self):
         circuit = Circuit()
@@ -139,8 +215,8 @@ class TestLinearCircuits:
         circuit = Circuit()
         CurrentSource(circuit, "i1", "0", "a", 1e-3)
         Resistor(circuit, "r1", "a", "0", 1e3)
-        op = get_engine(circuit).solve_dc()
-        assert op.voltage("a") == pytest.approx(1.0, rel=1e-6)
+        op = get_engine(circuit).solve_dc(gmin=0.0)
+        assert op.voltage("a") == 1.0
 
     def test_resistor_validation(self):
         circuit = Circuit()
@@ -175,26 +251,18 @@ class TestLinearCircuits:
         VoltageSource(circuit, "v2", "c", "0", 1.0)
         Resistor(circuit, "r1", "a", "b", 1e3)
         Resistor(circuit, "r2", "b", "c", 1e3)
-        op = get_engine(circuit).solve_dc()
-        assert op.voltage("b") == pytest.approx(1.5, abs=1e-6)
+        op = get_engine(circuit).solve_dc(gmin=0.0)
+        assert op.voltage("b") == 1.5
 
 
 class TestMOSFETElement:
-    def _common_source(self, vgs, vdd=1.2, rload=500e3):
-        circuit = Circuit()
-        VoltageSource(circuit, "vdd", "vdd", "0", vdd)
-        VoltageSource(circuit, "vg", "g", "0", vgs)
-        Resistor(circuit, "rl", "vdd", "d", rload)
-        MOSFET(circuit, "m1", "d", "g", "0", NMOS)
-        return circuit
-
     def test_off_state_output_high(self):
-        op = get_engine(self._common_source(vgs=0.0)).solve_dc()
+        op = get_engine(common_source(vgs=0.0)).solve_dc()
         assert op.converged
         assert op.voltage("d") > 1.15
 
     def test_on_state_output_low(self):
-        op = get_engine(self._common_source(vgs=1.2)).solve_dc()
+        op = get_engine(common_source(vgs=1.2)).solve_dc()
         assert op.converged
         assert op.voltage("d") < 0.1
 
@@ -226,7 +294,7 @@ class TestMOSFETElement:
         assert chain(False) == pytest.approx(chain(True), rel=1e-6)
 
     def test_channel_current_reporting(self):
-        circuit = self._common_source(vgs=1.2)
+        circuit = common_source(vgs=1.2)
         op = get_engine(circuit).solve_dc()
         mosfet = circuit.element("m1")
         current = mosfet.channel_current(AnalysisState(solution=op.solution))
@@ -235,23 +303,31 @@ class TestMOSFETElement:
         assert current == pytest.approx(resistor_current, rel=0.05)
 
     def test_subthreshold_smoothing_continuous(self):
-        mosfet_params = NMOS
-        circuit = Circuit()
-        MOSFET(circuit, "m1", "d", "g", "0", mosfet_params)
-        element = circuit.element("m1")
-        just_below, _, _ = element._evaluate(mosfet_params.vth_v - 1e-6, 1.0)
-        just_above, _, _ = element._evaluate(mosfet_params.vth_v + 1e-6, 1.0)
-        assert just_below == pytest.approx(just_above, rel=1e-3)
+        # Across the threshold and across both guard points of the engine's
+        # model (x = -40 into the exponential tail, x = +40 into the exact
+        # linear branch) the current moves only by the step in vgs.
+        def ids(vgs):
+            return evaluate_level1_arrays(
+                np.array([vgs]), np.array([1.0]), NMOS.beta, NMOS.vth_v,
+                NMOS.lambda_per_v, MOSFET.SMOOTHING_V,
+            )[0][0]
+
+        for edge in (0.0, -40.0 * SMOOTHING_V, 40.0 * SMOOTHING_V):
+            vgs = NMOS.vth_v + edge
+            just_below, just_above = ids(vgs - 1e-6), ids(vgs + 1e-6)
+            assert just_below == pytest.approx(just_above, rel=1e-3)
+            assert just_below == pytest.approx(
+                smoothed_level1(NMOS, vgs - 1e-6, 1.0)[0], rel=1e-12
+            )
 
     @pytest.mark.parametrize("max_overdrive_v", [1.0, 4.0])
     def test_vectorized_model_matches_scalar_reference(self, max_overdrive_v):
-        # The engine's array evaluation against the element's scalar model,
+        # The engine's array evaluation against the test's own formula,
         # from deep cutoff (x < -40) through the smooth transition, in triode
         # and saturation; with 4 V of overdrive some devices pass the x > 40
         # guard (overdrive > 40 * SMOOTHING_V) and take the exact linear
         # branch, with 1 V none does.
-        circuit = Circuit()
-        element = MOSFET(circuit, "m1", "d", "g", "0", NMOS)
+        assert MOSFET.SMOOTHING_V == SMOOTHING_V
         rng = np.random.default_rng(3)
         vgs = NMOS.vth_v + rng.uniform(-3.0, max_overdrive_v, 400)
         vds = rng.uniform(0.0, 3.0, 400)
@@ -264,11 +340,116 @@ class TestMOSFETElement:
             np.full(count, NMOS.lambda_per_v),
             np.full(count, MOSFET.SMOOTHING_V),
         )
-        reference = np.array([element._evaluate(g, d) for g, d in zip(vgs, vds)])
-        linear = (vgs - NMOS.vth_v) / MOSFET.SMOOTHING_V > 40.0
-        assert linear.any() == (max_overdrive_v > 40.0 * MOSFET.SMOOTHING_V)
+        reference = np.array([smoothed_level1(NMOS, g, d) for g, d in zip(vgs, vds)])
+        x = (vgs - NMOS.vth_v) / SMOOTHING_V
+        assert (x < -40.0).any()
+        assert (x > 40.0).any() == (max_overdrive_v > 40.0 * SMOOTHING_V)
         for got, expected in zip((ids, gm, gds), reference.T):
             assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+class TestMOSFETClosedForm:
+    """Converged DC answers against the root of the node's KCL.
+
+    Each bench has one free node.  The reference is the root of its KCL
+    written with :func:`smoothed_level1`, bisected to the last bit; the
+    engine solves at ``gmin=0`` and ``tolerance_v=1e-12`` (at the default
+    1e-7 V its answers sit about 1.5e-10 V off) and must land within
+    1e-13 V of it.
+    """
+
+    VDD = 1.2
+    BOUND_V = 1e-13
+    LOADS_OHM = (5e3, 50e3, 500e3)
+
+    @staticmethod
+    def solve(circuit, node):
+        op = get_engine(circuit).solve_dc(gmin=0.0, tolerance_v=1e-12)
+        assert op.converged
+        return op.voltage(node)
+
+    @pytest.mark.parametrize("rload", LOADS_OHM)
+    @pytest.mark.parametrize("vgs", [0.3, 0.6, 1.2])
+    def test_common_source(self, vgs, rload):
+        circuit = common_source(vgs, vdd=self.VDD, rload=rload)
+
+        def kcl(vd):
+            return (self.VDD - vd) / rload - smoothed_level1(NMOS, vgs, vd)[0]
+
+        expected = bisect_root(kcl, 0.0, self.VDD)
+        assert abs(self.solve(circuit, "d") - expected) <= self.BOUND_V
+
+    @pytest.mark.parametrize("rload", LOADS_OHM)
+    def test_source_follower(self, rload):
+        circuit = Circuit()
+        VoltageSource(circuit, "vdd", "vdd", "0", self.VDD)
+        VoltageSource(circuit, "vg", "g", "0", self.VDD)
+        MOSFET(circuit, "m1", "vdd", "g", "s", NMOS)
+        Resistor(circuit, "rl", "s", "0", rload)
+
+        def kcl(vs):
+            return smoothed_level1(NMOS, self.VDD - vs, self.VDD - vs)[0] - vs / rload
+
+        expected = bisect_root(kcl, 0.0, self.VDD)
+        assert abs(self.solve(circuit, "s") - expected) <= self.BOUND_V
+
+    @pytest.mark.parametrize("rload", LOADS_OHM)
+    def test_diode_connected(self, rload):
+        circuit = Circuit()
+        VoltageSource(circuit, "vdd", "vdd", "0", self.VDD)
+        Resistor(circuit, "rl", "vdd", "d", rload)
+        MOSFET(circuit, "m1", "d", "d", "0", NMOS)
+
+        def kcl(vd):
+            return (self.VDD - vd) / rload - smoothed_level1(NMOS, vd, vd)[0]
+
+        expected = bisect_root(kcl, 0.0, self.VDD)
+        assert abs(self.solve(circuit, "d") - expected) <= self.BOUND_V
+
+
+class TestFourTerminalSwitchClosedForm:
+    """The Fig. 9 switch with T1 driven and T2-T4 held at 0 V.
+
+    Three channels touch T1: two adjacent pairs (Type A, T1-T3 and T1-T4)
+    and one opposite pair (Type B, T1-T2), every one at ``vgs = gate`` and
+    ``vds = drive``; the other three see ``vds = 0`` and carry nothing.  The
+    geometry is the paper's: W = 0.7 um, L = 0.35 um (Type A) and 0.5 um
+    (Type B).
+    """
+
+    DRIVE_V = 1.2
+
+    @pytest.mark.parametrize("gate_v", [0.0, 1.2])
+    def test_t1_current_is_two_type_a_plus_one_type_b(self, switch_model, gate_v):
+        circuit = Circuit()
+        VoltageSource(circuit, "v1", "t1", "0", self.DRIVE_V)
+        for terminal in ("t2", "t3", "t4"):
+            VoltageSource(circuit, f"v_{terminal}", terminal, "0", 0.0)
+        VoltageSource(circuit, "vg", "g", "0", gate_v)
+        terminals = {name: name.lower() for name in ("T1", "T2", "T3", "T4")}
+        add_four_terminal_switch(
+            circuit, "sw", terminals, "g", switch_model, add_terminal_capacitors=False
+        )
+        op = get_engine(circuit).solve_dc(gmin=0.0)
+        assert op.converged
+
+        process = switch_model.type_a
+        type_a, type_b = (
+            Level1Parameters(
+                kp_a_per_v2=process.kp_a_per_v2,
+                vth_v=process.vth_v,
+                lambda_per_v=process.lambda_per_v,
+                width_m=0.7e-6,
+                length_m=length_m,
+            )
+            for length_m in (0.35e-6, 0.5e-6)
+        )
+        expected = (
+            2.0 * smoothed_level1(type_a, gate_v, self.DRIVE_V)[0]
+            + smoothed_level1(type_b, gate_v, self.DRIVE_V)[0]
+        )
+        # The drive sources the current: its branch current is negative.
+        assert -op.source_current("v1") == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestDCSweep:
