@@ -14,6 +14,7 @@ extraction (Fig. 10) and by the tests that check the SPICE element against it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,10 @@ class Level1Parameters:
     length_m: float = 1.0e-6
 
     def __post_init__(self) -> None:
+        for field in ("kp_a_per_v2", "vth_v", "lambda_per_v", "width_m", "length_m"):
+            value = getattr(self, field)
+            if not math.isfinite(value):
+                raise ValueError(f"{field} must be finite, got {value!r}")
         if self.kp_a_per_v2 <= 0.0:
             raise ValueError("Kp must be positive")
         if self.lambda_per_v < 0.0:

@@ -9,6 +9,8 @@ per-element state outlives a run.
 
 from __future__ import annotations
 
+import math
+
 from repro.spice.netlist import Circuit
 
 
@@ -28,9 +30,10 @@ class Capacitor:
     circuit, name, node_a, node_b:
         As for the other elements.
     capacitance_f:
-        Capacitance in farads; must be positive.
+        Capacitance in farads; must be positive and finite.
     initial_voltage_v:
-        Optional initial condition used for the first transient step.
+        Optional initial condition used for the first transient step; must
+        be finite.
     """
 
     def __init__(
@@ -42,8 +45,16 @@ class Capacitor:
         capacitance_f: float,
         initial_voltage_v: float = 0.0,
     ):
-        if capacitance_f <= 0.0:
-            raise ValueError(f"capacitance must be positive, got {capacitance_f}")
+        if not 0.0 < capacitance_f < math.inf:
+            raise ValueError(
+                f"capacitor {name!r}: capacitance must be positive and finite, "
+                f"got {capacitance_f!r}"
+            )
+        if not math.isfinite(initial_voltage_v):
+            raise ValueError(
+                f"capacitor {name!r}: initial voltage must be finite, "
+                f"got {initial_voltage_v!r}"
+            )
         self.name = name
         self.capacitance_f = capacitance_f
         self.initial_voltage_v = initial_voltage_v

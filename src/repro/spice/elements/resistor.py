@@ -9,7 +9,7 @@ rejected with ``TypeError``.
 
 from __future__ import annotations
 
-from repro.spice.netlist import AnalysisState, Circuit
+from repro.spice.netlist import Circuit
 
 
 class Resistor:
@@ -24,12 +24,14 @@ class Resistor:
     node_a, node_b:
         Terminal node names.
     resistance_ohm:
-        Resistance; must be positive.
+        Resistance; must be positive (``inf`` is an open resistor).
     """
 
     def __init__(self, circuit: Circuit, name: str, node_a: str, node_b: str, resistance_ohm: float):
-        if resistance_ohm <= 0.0:
-            raise ValueError(f"resistance must be positive, got {resistance_ohm}")
+        if not resistance_ohm > 0.0:
+            raise ValueError(
+                f"resistor {name!r}: resistance must be positive, got {resistance_ohm!r}"
+            )
         self.name = name
         self.resistance_ohm = resistance_ohm
         self._node_a = circuit.node(node_a)
@@ -45,10 +47,6 @@ class Resistor:
     @property
     def nodes(self) -> tuple:
         return (self._node_a_name, self._node_b_name)
-
-    def current(self, state: AnalysisState) -> float:
-        """Current flowing from ``node_a`` to ``node_b`` at the given state [A]."""
-        return (state.voltage(self._node_a) - state.voltage(self._node_b)) * self.conductance
 
     def __repr__(self) -> str:
         return f"Resistor({self.name}, {self._node_a_name}-{self._node_b_name}, {self.resistance_ohm:g} ohm)"

@@ -8,16 +8,23 @@ cached base matrix and re-reads each source's waveform on every assembly, so
 
 from __future__ import annotations
 
+import math
 from typing import Union
 
 from repro.spice.netlist import Circuit
 from repro.spice.waveforms import DC, Waveform
 
 
-def _as_waveform(value: Union[float, int, Waveform]) -> Waveform:
-    if isinstance(value, Waveform):
-        return value
-    return DC(float(value))
+def _dc_level(name: str, level: float) -> DC:
+    """A constant waveform at ``level``, which must be finite."""
+    level = float(level)
+    if not math.isfinite(level):
+        raise ValueError(f"source {name!r}: level must be finite, got {level!r}")
+    return DC(level)
+
+
+def _as_waveform(name: str, value: Union[float, int, Waveform]) -> Waveform:
+    return value if isinstance(value, Waveform) else _dc_level(name, value)
 
 
 class VoltageSource:
@@ -34,7 +41,8 @@ class VoltageSource:
     node_plus, node_minus:
         Positive and negative terminals.
     value:
-        A constant level (volts) or a :class:`~repro.spice.waveforms.Waveform`.
+        A constant, finite level (volts) or a
+        :class:`~repro.spice.waveforms.Waveform`.
     """
 
     def __init__(
@@ -46,7 +54,7 @@ class VoltageSource:
         value: Union[float, Waveform],
     ):
         self.name = name
-        self.waveform = _as_waveform(value)
+        self.waveform = _as_waveform(name, value)
         self._node_plus = circuit.node(node_plus)
         self._node_minus = circuit.node(node_minus)
         self._node_plus_name = node_plus
@@ -69,7 +77,7 @@ class VoltageSource:
 
     def set_level(self, level: float) -> None:
         """Replace the waveform with a DC level (used by DC sweeps)."""
-        self.waveform = DC(float(level))
+        self.waveform = _dc_level(self.name, level)
 
     def branch_position(self, circuit: Circuit) -> int:
         """Index of this source's current in the solution vector.
@@ -107,7 +115,7 @@ class CurrentSource:
         value: Union[float, Waveform],
     ):
         self.name = name
-        self.waveform = _as_waveform(value)
+        self.waveform = _as_waveform(name, value)
         self._node_plus = circuit.node(node_plus)
         self._node_minus = circuit.node(node_minus)
         self._node_plus_name = node_plus
@@ -123,7 +131,7 @@ class CurrentSource:
 
     def set_level(self, level: float) -> None:
         """Replace the waveform with a DC level (used by DC sweeps)."""
-        self.waveform = DC(float(level))
+        self.waveform = _dc_level(self.name, level)
 
     def __repr__(self) -> str:
         return f"CurrentSource({self.name}, {self._node_plus_name}-{self._node_minus_name})"

@@ -11,9 +11,10 @@ serial case is a stack of one; the adaptive march steps a stack of one.
 The engine compiles a :class:`~repro.spice.netlist.Circuit` once into
 per-element-class index arrays (:class:`CompiledCircuit`) so each Newton
 iteration assembles the Jacobian and right-hand side with one vectorized
-kernel — for one ``(n,)`` iterate or a ``(trials, n)`` stack — into the
-CSC data of a :class:`SparsityPattern`.  The sparse solvers take that data
-as is; the dense ones get it placed into a zeroed ``(n, n)`` matrix.
+kernel — for one ``(n,)`` iterate or a ``(trials, n)`` stack — straight
+into the layout the solver takes: the CSC data of a
+:class:`SparsityPattern` for the sparse solvers, the flat cells of an
+``(n, n)`` matrix for the dense ones.
 
 Compilation notes
 -----------------
@@ -23,11 +24,13 @@ Compilation notes
   through ordinary NumPy indexing, so stamps and gathers need no per-entry
   ground checks; the ghost slot is simply dropped before the linear solve.
 * **Static stamps.**  Resistor conductances and the structural +/-1 entries
-  of voltage-source branches never change, so they are accumulated into
-  base pattern data once per ``(gmin, timestep, integration)`` context;
-  capacitor companion conductances join them during transient analysis.
-  Each Newton iteration copies the base and adds only the nonlinear
-  (MOSFET) stamps.
+  of voltage-source branches never change, so they are accumulated into a
+  base, in the solver's layout, once per ``(gmin, timestep, integration)``
+  context; capacitor companion conductances join them during transient
+  analysis.  Each Newton iteration bins only the nonlinear (MOSFET) stamps
+  into a fresh array at positions precomputed per topology and adds the
+  base to it, so every cell is ``base + (0.0 + c1 + c2 + ...)`` with the
+  stamps ``c1, c2, ...`` in one fixed order, whatever the layout.
 * **Closed element set.**  The compiler knows exactly five element types
   (:class:`Resistor`, :class:`Capacitor`, :class:`MOSFET`,
   :class:`VoltageSource`, :class:`CurrentSource`) and raises ``TypeError``
@@ -256,22 +259,29 @@ PERTURBABLE_PARAMETERS: Tuple[str, ...] = (
 )
 
 
-def _check_parameter_values(name: str, values: np.ndarray) -> None:
-    """Raise ``ValueError`` if ``values`` breaks ``name``'s value rule.
+def _value_rule(name: str, values: np.ndarray) -> Tuple[np.ndarray, str]:
+    """The mask of ``values`` that break ``name``'s value rule, and the rule.
 
     ``resistor_ohm`` must be positive (``inf`` is an open resistor),
     ``cap_c`` finite and non-negative, and every other vector finite; NaN
-    breaks every rule.  ``values`` is one overlay vector or a
+    breaks every rule.
+    """
+    if name == "resistor_ohm":
+        return ~(values > 0.0), "positive"
+    if name == "cap_c":
+        return ~np.isfinite(values) | (values < 0.0), "finite and non-negative"
+    return ~np.isfinite(values), "finite"
+
+
+def _check_parameter_values(name: str, values: np.ndarray) -> None:
+    """Raise ``ValueError`` if ``values`` breaks ``name``'s value rule.
+
+    The rules are :func:`_value_rule`'s.  ``values`` is one overlay vector or a
     ``(trials, count)`` stack, whose error names the first offending trial
     and, for a sign violation (usually an additive Monte-Carlo draw), the
     remedy.
     """
-    if name == "resistor_ohm":
-        bad, rule = ~(values > 0.0), "positive"
-    elif name == "cap_c":
-        bad, rule = ~np.isfinite(values) | (values < 0.0), "finite and non-negative"
-    else:
-        bad, rule = ~np.isfinite(values), "finite"
+    bad, rule = _value_rule(name, values)
     if not np.any(bad):
         return
     if values.ndim == 1:
@@ -290,6 +300,50 @@ def _check_parameter_values(name: str, values: np.ndarray) -> None:
     )
 
 
+class _StampTable:
+    """Where the MOSFET companion stamps land in one assembly layout.
+
+    An assembly row is the system's :attr:`split` slots (CSC data or flat
+    matrix cells, the trash slot of ground entries last) followed by the
+    ``n + 1`` right-hand-side slots (the ghost slot last), :attr:`width`
+    in all.  :attr:`forward` and :attr:`reverse` are the ``(10, M)``
+    positions, in such a row, of the eight conductance groups and the two
+    current groups of every device under each channel orientation; the
+    assembly picks one orientation per device with ``np.where`` and bins
+    all ten groups in one ``np.bincount``.  :meth:`stacked` gives the same
+    tables for a stack of rows laid end to end.
+    """
+
+    __slots__ = ("split", "width", "forward", "reverse", "_stacked")
+
+    def __init__(
+        self,
+        system: Tuple[int, np.ndarray, np.ndarray],
+        rhs: Tuple[int, np.ndarray, np.ndarray],
+    ):
+        """``system`` and ``rhs`` are ``(width, forward, reverse)`` of the two
+        parts, positions counted within each part."""
+        self.split, system_forward, system_reverse = system
+        rhs_width, rhs_forward, rhs_reverse = rhs
+        self.width = self.split + rhs_width
+        self.forward = np.concatenate((system_forward, rhs_forward + self.split))
+        self.reverse = np.concatenate((system_reverse, rhs_reverse + self.split))
+        self._stacked = (self.forward[np.newaxis], self.reverse[np.newaxis])
+
+    def stacked(self, trials: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(trials, 10, M)`` tables, row ``t`` shifted by ``t * width``.
+
+        Built once for the largest stack seen and sliced ``[:trials]``, so
+        a Newton loop whose trials leave pays no per-round offset add.
+        """
+        forward, reverse = self._stacked
+        if forward.shape[0] < trials:
+            shift = np.arange(trials)[:, np.newaxis, np.newaxis] * self.width
+            forward, reverse = self.forward + shift, self.reverse + shift
+            self._stacked = (forward, reverse)
+        return forward[:trials], reverse[:trials]
+
+
 class SparsityPattern:
     """The CSC structure shared by every assembly of one compiled topology.
 
@@ -298,16 +352,20 @@ class SparsityPattern:
     and voltage-source-branch entries, the capacitor companion entries and
     the MOSFET conductance positions of *both* channel orientations — as a
     canonical (column-major, deduplicated) CSC pattern.  On top of the raw
-    structure (:attr:`indices`/:attr:`indptr`) it precomputes the CSC data
-    position of each stamp group, so every assembly scatters values
-    straight into a ``(nnz,)`` data array with no per-iteration structure
-    analysis, and the flat ``(n, n)`` position of each entry
-    (:attr:`dense_pos`), so a dense assembly is that data placed into a
-    zeroed matrix.
+    structure (:attr:`indices`/:attr:`indptr`) it precomputes where every
+    stamp lands in the two layouts an assembly can target, so no assembly
+    analyses structure per iteration:
 
-    Ghost (ground) entries map to a trash slot at position :attr:`nnz`; the
-    assembly routines allocate data arrays of length ``nnz + 1`` and use
-    only the ``[:nnz]`` prefix.
+    * the CSC data of the sparse solvers, ``nnz + 1`` slots: the data
+      position of each linear stamp group and the MOSFET stamps of both
+      orientations (:attr:`mos_csc`);
+    * the flat cells of an ``(n, n)`` matrix for the dense solvers,
+      ``n * n + 1`` slots: :attr:`dense_slots` maps every data slot to its
+      cell, and :attr:`mos_dense` is :attr:`mos_csc` composed with it.
+
+    Ghost (ground) entries map to the trailing trash slot of either layout
+    (data position :attr:`nnz`, cell ``n * n``); an assembly allocates the
+    full width and hands out the prefix without it.
     """
 
     def __init__(self, compiled: "CompiledCircuit"):
@@ -345,6 +403,9 @@ class SparsityPattern:
         self._keys = self.cols * size + self.rows  # ascending by construction
         #: Row-major flat position of every entry in an ``(n, n)`` matrix.
         self.dense_pos = self.rows * size + self.cols
+        #: :attr:`dense_pos` plus the trash slot: data slot ``k`` lands in
+        #: cell ``dense_slots[k]`` of a flat ``(n * n + 1,)`` dense row.
+        self.dense_slots = np.append(self.dense_pos, size * size)
 
         # Per-stamp-group position maps into the CSC data array.
         self.static_pos = self.positions(compiled._static_rows, compiled._static_cols)
@@ -362,12 +423,19 @@ class SparsityPattern:
             # The channel orientation (which diffusion terminal acts as the
             # drain) is decided per device per Newton iterate, so both
             # orientations' eight stamp positions are precomputed and the
-            # assembly selects rows with np.where(forward, ...).
-            self.mos_pos_forward = self._mos_positions(d, s, g)
-            self.mos_pos_reverse = self._mos_positions(s, d, g)
+            # assembly selects them with np.where(forward, ...).
+            forward = self._mos_positions(d, s, g)
+            reverse = self._mos_positions(s, d, g)
+            # RHS rows of the companion current: oriented drain, then source.
+            rhs = (size + 1, np.stack((d, s)), np.stack((s, d)))
+            self.mos_csc: Optional[_StampTable] = _StampTable(
+                (self.nnz + 1, forward, reverse), rhs
+            )
+            self.mos_dense: Optional[_StampTable] = _StampTable(
+                (size * size + 1, self.dense_slots[forward], self.dense_slots[reverse]), rhs
+            )
         else:
-            self.mos_pos_forward = None
-            self.mos_pos_reverse = None
+            self.mos_csc = self.mos_dense = None
 
     def _mos_positions(self, drain: np.ndarray, source: np.ndarray, gate: np.ndarray) -> np.ndarray:
         """``(8, M)`` data positions of one orientation's stamp entries."""
@@ -414,13 +482,16 @@ class CompiledCircuit:
       with ``TypeError``.
 
     Every assembly runs one kernel over the compiled stamps
-    (:meth:`_scatter`, on one iterate or a stack of them) into the CSC
-    data of the topology's :class:`SparsityPattern`.  The sparse
-    assemblies return that data; the dense ones place it into a zeroed
-    matrix, so dense and sparse results are bit-identical by construction.
+    (:meth:`_scatter`, on one iterate or a stack of them) straight into
+    the layout its solver takes, at positions the topology's
+    :class:`SparsityPattern` precomputes: the sparse assemblies return CSC
+    data, the dense ones flat matrix cells.  Every cell on the pattern is
+    the same float in either layout and every dense cell off it is exactly
+    zero, so dense and sparse results are bit-identical by construction.
+    Each call returns fresh arrays.
     """
 
-    #: Base pattern data retained per (gmin, timestep, integration)
+    #: Linear bases retained per (layout, gmin, timestep, integration)
     #: context; LRU-bounded so gmin/timestep studies do not accumulate
     #: memory per visited context.
     BASE_CACHE_LIMIT = 8
@@ -510,16 +581,12 @@ class CompiledCircuit:
         #: ``(3, M)`` drain/gate/source rows: one gather reads every
         #: terminal voltage.
         self._mos_terminals = np.stack((self.mos_d, self.mos_g, self.mos_s))
-        #: ``(2, M)`` RHS rows of the companion current, per channel
-        #: orientation (oriented drain first, then oriented source).
-        self._mos_rhs_forward = np.stack((self.mos_d, self.mos_s))
-        self._mos_rhs_reverse = np.stack((self.mos_s, self.mos_d))
 
         self.num_mosfets = len(mosfets)
         self.num_capacitors = len(capacitors)
         self._ghost = ghost
         self._base_data_cache: Dict[Hashable, np.ndarray] = {}
-        #: Preallocated per-round scratch buffers of the batched assemblies
+        #: Preallocated per-round scratch buffers of the assembly kernel
         #: (see :meth:`_workspace`); keyed by buffer role.
         self._workspaces: Dict[str, np.ndarray] = {}
         self._pattern: Optional[SparsityPattern] = None
@@ -608,13 +675,12 @@ class CompiledCircuit:
         return state
 
     def _workspace(self, name: str, rows: int, cols: int, zero: bool = False) -> np.ndarray:
-        """A reusable ``(rows, cols)`` scratch view for the batched hot path.
+        """A reusable ``(rows, cols)`` scratch view for the assembly kernel.
 
-        The batched Newton loop re-assembles the stack every round; these
-        capacity-grown buffers kill the per-round allocation churn.  The
+        Every Newton round re-assembles; these capacity-grown buffers kill
+        the per-round allocation churn of the kernel's intermediates.  The
         returned view is only valid until the next call with the same
-        ``name`` — callers that hand buffers to the outside world (the
-        public assembly entry points) must opt in explicitly.
+        ``name``, so no assembly hands one out.
         """
         buffer = self._workspaces.get(name)
         if buffer is None or buffer.shape[0] < rows or buffer.shape[1] != cols:
@@ -628,6 +694,28 @@ class CompiledCircuit:
             view.fill(0.0)
         return view
 
+    @staticmethod
+    def _element_values(
+        name: str, elements: Sequence, attribute: str, sources: Optional[Sequence] = None
+    ) -> np.ndarray:
+        """``attribute`` of every element (or of its ``sources`` entry), checked.
+
+        The vector must pass ``name``'s value rule (:func:`_value_rule`);
+        the ``ValueError`` names the first element that breaks it, so a
+        value mutated in place after construction fails at the next solve.
+        """
+        values = np.array(
+            [getattr(source, attribute) for source in (sources or elements)], dtype=float
+        )
+        bad, rule = _value_rule(name, values)
+        if np.any(bad):
+            index = int(np.flatnonzero(bad)[0])
+            raise ValueError(
+                f"element {elements[index].name!r}: {name} must be {rule}; "
+                f"got {float(values[index])!r}"
+            )
+        return values
+
     def refresh_values(self) -> None:
         """Re-read element *values* without recompiling the structure.
 
@@ -640,16 +728,18 @@ class CompiledCircuit:
         data only when something actually changed.  An active parameter
         overlay (:meth:`set_parameter_overlay`) takes precedence over the
         element values it covers, so Monte-Carlo trials survive the refresh.
+        Every value it re-reads from the elements must pass the overlay
+        value rules (:func:`_value_rule`); a ``ValueError`` names the first
+        element that breaks them, before any factorization.
         """
         overlay = self._overlay or {}
         if self.resistors:
             resistance = overlay.get("resistor_ohm")
-            if resistance is not None:
-                conductances = 1.0 / resistance
-            else:
-                conductances = np.array(
-                    [r.conductance for r in self.resistors], dtype=float
+            if resistance is None:
+                resistance = self._element_values(
+                    "resistor_ohm", self.resistors, "resistance_ohm"
                 )
+            conductances = 1.0 / resistance
             n4 = 4 * len(self.resistors)
             new_vals = (conductances[:, None] * _RESISTOR_SIGNS).ravel()
             if not np.array_equal(new_vals, self._static_vals[:n4]):
@@ -658,33 +748,34 @@ class CompiledCircuit:
         if self.capacitors:
             new_c = overlay.get("cap_c")
             if new_c is None:
-                new_c = np.array([c.capacitance_f for c in self.capacitors], dtype=float)
+                new_c = self._element_values("cap_c", self.capacitors, "capacitance_f")
             if not np.array_equal(new_c, self.cap_c):
                 self.cap_c = new_c
                 self._base_data_cache.clear()
             if not overlay:
-                self.cap_v0 = np.array(
-                    [c.initial_voltage_v for c in self.capacitors], dtype=float
+                self.cap_v0 = self._element_values(
+                    "cap_v0", self.capacitors, "initial_voltage_v"
                 )
         if self.mosfets:
             beta = overlay.get("mos_beta")
             vth = overlay.get("mos_vth")
             lam = overlay.get("mos_lambda")
+            parameters = [m.parameters for m in self.mosfets]
             self.mos_beta = (
                 beta
                 if beta is not None
-                else np.array([m.parameters.beta for m in self.mosfets], dtype=float)
+                else self._element_values("mos_beta", self.mosfets, "beta", parameters)
             )
             self.mos_vth = (
                 vth
                 if vth is not None
-                else np.array([m.parameters.vth_v for m in self.mosfets], dtype=float)
+                else self._element_values("mos_vth", self.mosfets, "vth_v", parameters)
             )
             self.mos_lambda = (
                 lam
                 if lam is not None
-                else np.array(
-                    [m.parameters.lambda_per_v for m in self.mosfets], dtype=float
+                else self._element_values(
+                    "mos_lambda", self.mosfets, "lambda_per_v", parameters
                 )
             )
             if not overlay:
@@ -692,10 +783,8 @@ class CompiledCircuit:
                 # the per-trial overlay refresh — the Monte-Carlo hot path —
                 # skips their per-element Python walks; nominal refreshes
                 # keep honouring in-place element mutation as before.
-                self.mos_gmin = np.array(
-                    [m.CHANNEL_GMIN for m in self.mosfets], dtype=float
-                )
-                self.mos_w = np.array([m.SMOOTHING_V for m in self.mosfets], dtype=float)
+                self.mos_gmin = self._element_values("mos_gmin", self.mosfets, "CHANNEL_GMIN")
+                self.mos_w = self._element_values("mos_w", self.mosfets, "SMOOTHING_V")
         self.vs_scale = overlay.get("vsource_scale")
         self.is_scale = overlay.get("isource_scale")
 
@@ -745,42 +834,57 @@ class CompiledCircuit:
         timestep_s: Optional[float],
         integration: str,
         cache: bool = True,
+        dense: bool = False,
     ) -> np.ndarray:
-        """The cached linear part of the Jacobian as CSC pattern data.
+        """The cached linear part of the Jacobian in one assembly layout.
 
-        A ``(nnz + 1,)`` array (trailing trash slot for ghost entries)
-        accumulated in a fixed order: static entries, then the gmin
-        diagonal, then the capacitor companions.  The stacked
-        perturbed-parameter path (:meth:`_stacked_linear_data`) repeats
-        that order per trial, so a trial's linear part is bit-identical to
-        this base under its overlay.
+        The CSC pattern data (``(nnz + 1,)``) is accumulated in a fixed
+        order: static entries, then the gmin diagonal, then the capacitor
+        companions.  ``dense=True`` returns those same floats placed into
+        flat ``(n * n + 1,)`` matrix cells (:meth:`_place`), zero off the
+        pattern.  Either layout ends in a zero trash slot.  The stacked
+        perturbed-parameter path (:meth:`_stacked_linear_data`) repeats the
+        accumulation order per trial, so a trial's linear part is
+        bit-identical to this base under its overlay.  Callers only read
+        the returned array.
 
         ``cache=False`` builds the base without retaining it — used for the
         one-off bumped-gmin retries after a singular solve, which would
         otherwise grow the cache with contexts that are never reused.
         """
-        pattern = self.sparsity_pattern()
-        key = (gmin, timestep_s, integration if timestep_s is not None else "dc")
-        data = self._base_data_cache.get(key)
+        key = (dense, gmin, timestep_s, integration if timestep_s is not None else "dc")
+        bases = self._base_data_cache
+        data = bases.get(key)
         if data is not None:
             # LRU touch: re-insert so timestep/gmin studies evict the
             # least-recently-used context first.
-            self._base_data_cache.pop(key)
-            self._base_data_cache[key] = data
-        else:
-            data = np.zeros(pattern.nnz + 1)
-            if self._static_rows.size:
-                np.add.at(data, pattern.static_pos, self._static_vals)
-            data[pattern.gmin_diag_pos] += gmin
-            if timestep_s is not None and self.num_capacitors:
-                g = self._capacitor_conductance(timestep_s, integration)
-                np.add.at(data, pattern.cap_pos, np.concatenate((g, g, -g, -g)))
-            data[pattern.nnz] = 0.0
-            if cache:
-                if len(self._base_data_cache) >= self.BASE_CACHE_LIMIT:
-                    self._base_data_cache.pop(next(iter(self._base_data_cache)))
-                self._base_data_cache[key] = data
+            del bases[key]
+            bases[key] = data
+            return data
+        pattern = self.sparsity_pattern()
+        data = np.zeros(pattern.nnz + 1)
+        if self._static_rows.size:
+            np.add.at(data, pattern.static_pos, self._static_vals)
+        data[pattern.gmin_diag_pos] += gmin
+        if timestep_s is not None and self.num_capacitors:
+            g = self._capacitor_conductance(timestep_s, integration)
+            np.add.at(data, pattern.cap_pos, np.concatenate((g, g, -g, -g)))
+        data[pattern.nnz] = 0.0
+        if dense:
+            data = self._place(data)
+        if cache:
+            if len(bases) >= self.BASE_CACHE_LIMIT:
+                bases.pop(next(iter(bases)))
+            bases[key] = data
         return data
+
+    def _place(self, data: np.ndarray) -> np.ndarray:
+        """``(..., nnz + 1)`` pattern data as fresh ``(..., n * n + 1)`` flat
+        matrix cells: each slot at its :attr:`~SparsityPattern.dense_slots`
+        cell, every other cell zero."""
+        placed = np.zeros(data.shape[:-1] + (self.size * self.size + 1,))
+        placed[..., self.sparsity_pattern().dense_slots] = data
+        return placed
 
     def _waveform_values(
         self, time_s: float, scale: float
@@ -794,11 +898,9 @@ class CompiledCircuit:
         def values(sources) -> Optional[np.ndarray]:
             if not sources:
                 return None
-            return scale * np.fromiter(
-                (source.waveform.value(time_s) for source in sources),
-                dtype=float,
-                count=len(sources),
-            )
+            levels = np.array([source.waveform.value(time_s) for source in sources], dtype=float)
+            # x * 1.0 is x bit for bit, so full drive skips the product.
+            return levels if scale == 1.0 else scale * levels
 
         return values(self.voltage_sources), values(self.current_sources)
 
@@ -810,10 +912,12 @@ class CompiledCircuit:
         """
         if iterate.ndim == 1:
             padded = np.empty(self._ghost)
-        else:
-            padded = self._workspace("padded", iterate.shape[0], self._ghost)
-        padded[..., : self.size] = iterate
-        padded[..., self.size] = 0.0
+            padded[: self.size] = iterate
+            padded[self.size] = 0.0
+            return padded
+        padded = self._workspace("padded", iterate.shape[0], self._ghost)
+        padded[:, : self.size] = iterate
+        padded[:, self.size] = 0.0
         return padded
 
     @staticmethod
@@ -835,9 +939,9 @@ class CompiledCircuit:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Assemble the linearized system at ``state`` as a dense matrix.
 
-        Returns the ``(n, n)`` matrix and the ghost-trimmed right-hand side,
-        ready for ``np.linalg.solve``.  The matrix is the pattern data of
-        :meth:`_scatter` placed into a zeroed matrix: every entry on the
+        Returns a fresh ``(n, n)`` matrix and ghost-trimmed right-hand side,
+        ready for ``np.linalg.solve``.  The kernel (:meth:`_scatter`) bins
+        the stamps straight into the matrix's flat cells: every entry on the
         pattern is bit-identical to :meth:`assemble_sparse`, every entry off
         it is exactly zero.
 
@@ -850,19 +954,16 @@ class CompiledCircuit:
         ``linear_rhs`` lets the Newton loop hand in the per-solve invariant
         part of the right-hand side — sources plus capacitor history, as
         :meth:`_linear_rhs` builds it (ghost slot included) — computed once
-        per solve instead of once per iteration.  The assembly accumulates
-        the device currents into it in place; when omitted it is built here
-        (identical values either way).
+        per solve instead of once per iteration.  The assembly only reads
+        it; when omitted it is built here (identical values either way).
         """
-        data, rhs = self._scatter(
+        cells, rhs = self._scatter(
             state.solution, None, state.gmin, state.time_s, source_scale,
             state.timestep_s, state.integration, state.previous_solution,
-            cap_history, linear_rhs, cache_base=cache_base,
+            cap_history, linear_rhs, cache_base=cache_base, dense=True,
         )
-        pattern = self.sparsity_pattern()
-        matrix = np.zeros((self.size, self.size))
-        matrix.reshape(-1)[pattern.dense_pos] = data[: pattern.nnz]
-        return matrix, rhs[: self.size]
+        size = self.size
+        return cells[: size * size].reshape(size, size), rhs[:size]
 
     def assemble_sparse(
         self,
@@ -875,17 +976,16 @@ class CompiledCircuit:
         """Assemble the linearized system at ``state`` as CSC pattern data.
 
         Same arguments as :meth:`assemble`, but no ``(n, n)`` matrix is ever
-        formed: returns ``(data, rhs)`` where ``data`` is the ``(nnz,)``
-        value array of :meth:`sparsity_pattern` and ``rhs`` the
+        formed: returns fresh ``(data, rhs)`` where ``data`` is the
+        ``(nnz,)`` value array of :meth:`sparsity_pattern` and ``rhs`` the
         ghost-trimmed right-hand side.
         """
-        pattern = self.sparsity_pattern()
         data, rhs = self._scatter(
             state.solution, None, state.gmin, state.time_s, source_scale,
             state.timestep_s, state.integration, state.previous_solution,
             cap_history, linear_rhs, cache_base=cache_base,
         )
-        return data[: pattern.nnz], rhs[: self.size]
+        return data[: self.sparsity_pattern().nnz], rhs[: self.size]
 
     def assemble_batched(
         self,
@@ -908,8 +1008,8 @@ class CompiledCircuit:
         ``params`` maps perturbable parameter names (see
         :data:`PERTURBABLE_PARAMETERS`) to ``(trials, count)`` stacks — any
         parameter not given uses the compiled (possibly overlaid) value
-        vector for every trial.  The matrices are the ``(trials, nnz)``
-        pattern data of :meth:`_scatter` placed into zeroed matrices, so
+        vector for every trial.  The kernel (:meth:`_scatter`) bins every
+        trial's stamps straight into the flat cells of its own matrix, so
         row ``t`` is bit-identical to a serial :meth:`assemble` with trial
         ``t``'s parameters; this is what makes the batched Monte-Carlo path
         reproduce the per-trial path exactly.
@@ -922,31 +1022,23 @@ class CompiledCircuit:
         num_capacitors)`` trapezoidal history currents.  ``linear_rhs``
         optionally hands in the ``(trials, n + 1)`` linear right-hand side
         (:meth:`_linear_rhs`) that a Newton loop builds once per call; the
-        assembly accumulates into it in place and then ignores ``time_s``,
+        assembly only reads it and then ignores ``time_s``,
         ``source_scale``, ``previous_solutions`` and ``cap_history``.
         ``cap_g_rows`` optionally hands in the per-trial capacitor companion
         conductances.
 
-        ``reuse_workspace`` (the batched Newton hot path) assembles into
-        preallocated per-compiled scratch buffers instead of fresh arrays —
-        same bits, no per-round allocation churn — at the price that the
-        returned arrays are only valid until the next workspace-mode
-        assembly.  Direct callers keep the allocating default.
+        The returned arrays are fresh on every call.  ``reuse_workspace``
+        is accepted for callers written against the earlier kernel, which
+        could hand out its scratch buffers; it changes nothing now, since
+        the kernel's scratch buffers never leave it.
         """
-        data, rhs = self._scatter(
+        cells, rhs = self._scatter(
             self._check_solution_stack(solutions), params, gmin, time_s, source_scale,
             timestep_s, integration, previous_solutions, cap_history, linear_rhs,
-            cap_g_rows, reuse_workspace,
+            cap_g_rows, dense=True,
         )
-        pattern = self.sparsity_pattern()
-        trials = data.shape[0]
-        cells = self.size * self.size
-        if reuse_workspace:
-            matrices = self._workspace("dense_matrices", trials, cells, zero=True)
-        else:
-            matrices = np.zeros((trials, cells))
-        matrices[:, pattern.dense_pos] = data[:, : pattern.nnz]
-        return matrices.reshape(trials, self.size, self.size), rhs[:, : self.size]
+        size = self.size
+        return cells[:, : size * size].reshape(-1, size, size), rhs[:, :size]
 
     def assemble_sparse_batched(
         self,
@@ -966,18 +1058,17 @@ class CompiledCircuit:
         """Assemble ``(trials, nnz)`` CSC data stacks for stacked trials.
 
         Same arguments as :meth:`assemble_batched`, but returns the pattern
-        data itself instead of placing it, so the memory footprint is
-        ``trials * nnz`` rather than ``trials * n^2``.  Row ``t`` of the
-        returned ``data`` is bit-identical to :meth:`assemble_sparse` with
-        trial ``t``'s parameters.
+        data itself, so the memory footprint is ``trials * nnz`` rather
+        than ``trials * n^2``.  Row ``t`` of the returned ``data`` is
+        bit-identical to :meth:`assemble_sparse` with trial ``t``'s
+        parameters.
         """
-        pattern = self.sparsity_pattern()
         data, rhs = self._scatter(
             self._check_solution_stack(solutions), params, gmin, time_s, source_scale,
             timestep_s, integration, previous_solutions, cap_history, linear_rhs,
-            cap_g_rows, reuse_workspace,
+            cap_g_rows,
         )
-        return data[:, : pattern.nnz], rhs[:, : self.size]
+        return data[:, : self.sparsity_pattern().nnz], rhs[:, : self.size]
 
     def _check_solution_stack(self, solutions: np.ndarray) -> np.ndarray:
         solutions = np.asarray(solutions, dtype=float)
@@ -1001,71 +1092,83 @@ class CompiledCircuit:
         cap_history: Optional[np.ndarray],
         linear_rhs: Optional[np.ndarray],
         cap_g_rows: Optional[np.ndarray] = None,
-        reuse_workspace: bool = False,
         cache_base: bool = True,
+        dense: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """The assembly kernel: pattern data and RHS, ghost slots included.
+        """The assembly kernel: fresh system and RHS rows, trash slots included.
 
         ``solutions`` is one ``(n,)`` iterate, which assembles with the
-        compiled values into ``(nnz + 1,)`` data and an ``(n + 1,)`` RHS, or
-        a ``(trials, n)`` stack with its ``params`` stacks and the trial
-        axis in front.  The kernel copies the linear part, takes (or
-        builds) the linear right-hand side, then adds the MOSFET companion
-        stamps of the channel orientation each device takes at its
-        iterate.  A stacked row runs the same float operations as a lone
-        iterate, so serial and stacked results are bit-identical.  A
+        compiled values, or a ``(trials, n)`` stack with its ``params``
+        stacks and the trial axis in front.  Returns ``(system, rhs)``: a
+        system row is CSC data (``nnz + 1`` slots) or, with ``dense``, the
+        flat cells of the ``(n, n)`` matrix (``n * n + 1``); an RHS row
+        has ``n + 1``.
+
+        The kernel evaluates the MOSFET companions at the iterate and lays
+        out their eight conductance groups and two current groups in the
+        row order of the layout's :class:`_StampTable`.  One ``np.where``
+        picks every device's orientation from the table, and one
+        ``np.bincount`` bins all ten groups into a fresh array holding the
+        system row and the RHS row side by side.  Then it adds the linear
+        base (:meth:`_base_data`, or :meth:`_stacked_linear_data` for a
+        stack) and the linear right-hand side.  Every cell is thus ``base
+        + (0.0 + c1 + c2 + ...)`` with the stamps in ravel order: the same
+        float in either layout, and on a stacked row as on a lone iterate,
+        so serial, stacked, dense and sparse results are bit-identical.  A
         per-trial ``gmin`` (bumped after singular solves) takes uncached
         bases, as ``cache_base=False`` does for a scalar one.
         """
-        pattern = self.sparsity_pattern()
         params = params or {}
-        stacked = solutions.ndim == 2
-        if stacked:
-            data = self._stacked_linear_data(
-                solutions.shape[0], params, gmin, timestep_s, integration,
-                cap_g_rows, reuse_workspace, cache_base,
+        lead = solutions.shape[:-1]
+        if lead:
+            base = self._stacked_linear_data(
+                lead[0], params, gmin, timestep_s, integration, cap_g_rows,
+                cache_base, dense,
             )
         else:
-            data = self._base_data(gmin, timestep_s, integration, cache=cache_base).copy()
-        if linear_rhs is not None:
-            rhs = linear_rhs
-        else:
-            rhs = self._linear_rhs(
-                solutions.shape[:-1], params, time_s, source_scale, timestep_s,
-                integration, previous_solutions, cap_history, cap_g_rows,
+            base = self._base_data(gmin, timestep_s, integration, cache_base, dense)
+        if linear_rhs is None:
+            linear_rhs = self._linear_rhs(
+                lead, params, time_s, source_scale, timestep_s, integration,
+                previous_solutions, cap_history, cap_g_rows,
+            )
+        if not self.num_mosfets:
+            return (
+                np.array(np.broadcast_to(base, lead + base.shape[-1:])),
+                np.array(linear_rhs),
             )
 
-        if self.num_mosfets:
-            forward, gds, gm, i_eq = self._mosfet_companion(
-                self._pad(solutions),
-                params.get("mos_beta", self.mos_beta),
-                params.get("mos_vth", self.mos_vth),
-                params.get("mos_lambda", self.mos_lambda),
-            )
-            ngds, ngm = -gds, -gm
-            vals = np.concatenate((gds, gds, ngds, ngds, gm, ngm, ngm, gm), axis=-1)
-            currents = np.concatenate((-i_eq, i_eq), axis=-1)
-            if stacked:
-                forward = forward[:, None, :]
-            # The (8, M) position rows ravel group-major, so the stamps that
-            # share a cell accumulate in one fixed order on every path.
-            pos = np.where(forward, pattern.mos_pos_forward, pattern.mos_pos_reverse)
-            rows = np.where(forward, self._mos_rhs_forward, self._mos_rhs_reverse)
-            if not stacked:
-                data += np.bincount(pos.ravel(), weights=vals, minlength=data.size)
-                rhs += np.bincount(rows.ravel(), weights=currents, minlength=rhs.size)
-                return data, rhs
-            if solutions.shape[0] > 1:
-                # Shift each trial's positions into its own flattened row.
-                trial = np.arange(solutions.shape[0])[:, None, None]
-                pos = pos + trial * data.shape[1]
-                rows = rows + trial * rhs.shape[1]
-            data += np.bincount(
-                pos.ravel(), weights=vals.ravel(), minlength=data.size
-            ).reshape(data.shape)
-            rhs += np.bincount(
-                rows.ravel(), weights=currents.ravel(), minlength=rhs.size
-            ).reshape(rhs.shape)
+        forward, gds, gm, i_eq = self._mosfet_companion(
+            self._pad(solutions),
+            params.get("mos_beta", self.mos_beta),
+            params.get("mos_vth", self.mos_vth),
+            params.get("mos_lambda", self.mos_lambda),
+        )
+        # The ten stamp groups in the row order of the position tables (see
+        # SparsityPattern._mos_positions), so the stamps that share a cell
+        # accumulate in one fixed order on every path.
+        ngds, ngm = -gds, -gm
+        stamps = np.concatenate((gds, gds, ngds, ngds, gm, ngm, ngm, gm, -i_eq, i_eq), axis=-1)
+        pattern = self.sparsity_pattern()
+        table = pattern.mos_dense if dense else pattern.mos_csc
+        if lead:
+            count = lead[0]
+            positions_forward, positions_reverse = table.stacked(count)
+            forward = forward[:, np.newaxis, :]
+        else:
+            count = 1
+            positions_forward, positions_reverse = table.forward, table.reverse
+        rows = np.bincount(
+            np.where(forward, positions_forward, positions_reverse).ravel(),
+            weights=stamps.ravel(),
+            minlength=count * table.width,
+        )
+        if lead:
+            rows = rows.reshape(count, table.width)
+        data = rows[..., : table.split]
+        rhs = rows[..., table.split :]
+        data += base
+        rhs += linear_rhs
         return data, rhs
 
     def _stacked_linear_data(
@@ -1076,38 +1179,35 @@ class CompiledCircuit:
         timestep_s: Optional[float],
         integration: str,
         cap_g_rows: Optional[np.ndarray],
-        reuse_workspace: bool,
         cache_base: bool,
+        dense: bool,
     ) -> np.ndarray:
-        """The ``(trials, nnz + 1)`` linear part of a stacked assembly.
+        """The linear part of a stacked assembly, in the kernel's layout.
 
         When no stack perturbs the linear part (no ``resistor_ohm`` rows,
-        and no ``cap_c`` rows if this is a transient assembly), every
-        trial's linear data is a copy of the cached nominal
-        :meth:`_base_data`; otherwise it is re-accumulated per trial in the
-        base data's order.
+        and no ``cap_c`` rows if this is a transient assembly), every trial
+        shares the cached nominal :meth:`_base_data`: one row that
+        broadcasts over the stack, or under a per-trial ``gmin`` one
+        uncached base row per trial.  Otherwise the ``(trials, nnz + 1)``
+        linear data is re-accumulated per trial in the base data's order
+        (and placed, for ``dense``).  Callers only read the result.
         """
-        pattern = self.sparsity_pattern()
-        slots = pattern.nnz + 1  # trailing trash slot per trial
         resistance = params.get("resistor_ohm")
         cap_c = params.get("cap_c") if timestep_s is not None else None
-        perturbed = resistance is not None or cap_c is not None
-        if reuse_workspace:
-            data = self._workspace("batched_data", trials, slots, zero=perturbed)
-        else:
-            data = np.zeros((trials, slots)) if perturbed else np.empty((trials, slots))
-        if not perturbed:
-            if np.ndim(gmin):
-                for value in np.unique(gmin):
-                    data[gmin == value] = self._base_data(
-                        float(value), timestep_s, integration, cache=False
-                    )
-            else:
-                data[:] = self._base_data(gmin, timestep_s, integration, cache=cache_base)
-            return data
+        if resistance is None and cap_c is None:
+            if not np.ndim(gmin):
+                return self._base_data(gmin, timestep_s, integration, cache_base, dense)
+            values, trial_value = np.unique(gmin, return_inverse=True)
+            bases = [
+                self._base_data(float(value), timestep_s, integration, False, dense)
+                for value in values
+            ]
+            return np.stack(bases)[trial_value]
 
         # Per trial in the base-data accumulation order: static entries, then
         # the gmin diagonal, then the capacitor companions.
+        pattern = self.sparsity_pattern()
+        data = self._workspace("linear_data", trials, pattern.nnz + 1, zero=True)
         if self._static_rows.size:
             vals = np.tile(self._static_vals, (trials, 1))
             if resistance is not None:
@@ -1122,7 +1222,7 @@ class CompiledCircuit:
                 g = self._capacitor_conductance(timestep_s, integration, cap_c)
             self._add_rows(data, pattern.cap_pos, np.concatenate((g, g, -g, -g), axis=-1))
         data[:, pattern.nnz] = 0.0
-        return data
+        return self._place(data) if dense else data
 
     def _linear_rhs(
         self,
@@ -1339,78 +1439,39 @@ class AnalysisEngine:
 
         A stack of one without parameter stacks — every serial DC solve and
         transient step — runs the same rounds as a row loop on its ``(n,)``
-        iterate: the kernel's 1-D assembly and a single solve, with the
-        stall rule kept in Python scalars, so a serial analysis pays no
-        stack bookkeeping.  Larger stacks run the stacked loop, whose rows
-        take the same float operations (bit-identical trial for trial).
+        iterate (:meth:`_newton_row`), so a serial analysis pays no stack
+        bookkeeping.  Larger stacks run the stacked loop, whose rows take
+        the same float operations (bit-identical trial for trial).
         """
-        compiled = self.compiled
         trials = solutions.shape[0]
+        if trials == 1 and not params:
+            solutions, iterations, converged, max_update = self._newton_row(
+                solutions, params, gmin=gmin, max_iterations=max_iterations,
+                tolerance_v=tolerance_v, damping_v=damping_v, solver=solver,
+                time_s=time_s, timestep_s=timestep_s,
+                previous_solutions=previous_solutions, integration=integration,
+                cap_history=cap_history, cap_g_rows=cap_g_rows,
+                source_scale=source_scale, reuse_states=reuse_states,
+                stall_rounds=stall_rounds,
+            )
+            return (
+                solutions,
+                np.array([iterations]),
+                np.array([converged]),
+                np.array([max_update]),
+            )
+
+        compiled = self.compiled
         # Pattern-assembly backends (sparse) take CSC data stacks: trials *
         # nnz memory instead of trials * n^2.
         pattern = compiled.sparsity_pattern() if solver.wants_pattern_assembly else None
         if pattern is not None:
-            assemble, assemble_row = compiled.assemble_sparse_batched, compiled.assemble_sparse
+            assemble = compiled.assemble_sparse_batched
             solve_stack, solve_one = solver.solve_pattern_batched, solver.solve_pattern
         else:
-            assemble, assemble_row = compiled.assemble_batched, compiled.assemble
+            assemble = compiled.assemble_batched
             solve_stack, solve_one = solver.solve_batched, solver.solve
         use_reuse = reuse_states is not None and pattern is not None
-
-        if trials == 1 and not params:
-            # The row loop.  Per-call invariant: the linear RHS (sources,
-            # capacitor history) depends on neither the iterate nor gmin;
-            # every round assembles into a copy of it.
-            solution = solutions[0]
-            linear_rhs = compiled._linear_rhs(
-                (), params, time_s, source_scale, timestep_s, integration,
-                None if previous_solutions is None else previous_solutions[0],
-                None if cap_history is None else cap_history[0], cap_g_rows,
-            )
-            reuse_state = reuse_states[0] if use_reuse else None
-            row_gmin, bumped, converged = gmin, False, False
-            max_update, best_update, best_round = np.inf, np.inf, 0
-            iteration = 0
-            for iteration in range(1, max_iterations + 1):
-                state = AnalysisState(
-                    solution, timestep_s=timestep_s, integration=integration, gmin=row_gmin
-                )
-                system, rhs = assemble_row(
-                    state, cache_base=not bumped, linear_rhs=linear_rhs.copy()
-                )
-                bypassed = False
-                try:
-                    if reuse_state is None:
-                        new_solution = solve_one(system, rhs)
-                    else:
-                        new_solution, bypassed = reuse_state.solve(
-                            solver, pattern, solution, system, rhs
-                        )
-                except np.linalg.LinAlgError:
-                    row_gmin = max(row_gmin * 10.0, 1e-12)
-                    bumped = True
-                    continue
-                update = new_solution - solution
-                max_update = float(np.abs(update).max())
-                # Per-unknown clamp: a runaway node (e.g. a floating terminal
-                # hanging off a cut-off transistor) must not stall the rest.
-                solution += np.minimum(np.maximum(update, -damping_v), damping_v)
-                if reuse_state is not None:
-                    reuse_state.observe(bypassed, max_update, tolerance_v)
-                if max_update < tolerance_v:
-                    converged = True
-                    break
-                if stall_rounds is not None:
-                    if max_update < best_update:
-                        best_update, best_round = max_update, iteration
-                    if best_round <= iteration - stall_rounds:
-                        break
-            return (
-                solutions,
-                np.array([iteration]),
-                np.array([converged]),
-                np.array([max_update]),
-            )
 
         # Written as each trial leaves the stack or after the last round.
         iterations = np.empty(trials, dtype=int)
@@ -1428,25 +1489,20 @@ class AnalysisEngine:
         # Per-trial gmin, created by the first singular solve.
         gmins: Optional[np.ndarray] = None
         iteration = 0
-        # As in the row loop, each row only on its own trial.
-        linear_rhs = compiled._linear_rhs(
+        # Per-call invariants, compressed with the active set instead of
+        # gathered every round: the parameter stacks and, as in the row
+        # loop, the linear RHS (each row only on its own trial).
+        subset = params
+        rhs_rows = compiled._linear_rhs(
             (trials,), params, time_s, source_scale, timestep_s, integration,
             previous_solutions, cap_history, cap_g_rows,
         )
         for iteration in range(1, max_iterations + 1):
             whole = active.size == trials  # no gathers while all are active
-            if whole:
-                iterates, subset, rhs_rows = solutions, params, linear_rhs.copy()
-            else:
-                iterates = solutions[active]
-                subset = {name: stack[active] for name, stack in params.items()}
-                rhs_rows = linear_rhs[active]
-            # The scratch buffers are recycled: the loop owns the assembled
-            # arrays for exactly one round.
+            iterates = solutions if whole else solutions[active]
             matrices, rhs = assemble(
                 iterates, subset, gmin=gmin if gmins is None else gmins[active],
-                timestep_s=timestep_s, integration=integration,
-                linear_rhs=rhs_rows, reuse_workspace=True,
+                timestep_s=timestep_s, integration=integration, linear_rhs=rhs_rows,
             )
             bypassed = singular = None
             if use_reuse:
@@ -1482,6 +1538,10 @@ class AnalysisEngine:
                             singular[row] = False
                         except np.linalg.LinAlgError:
                             pass
+            # Every assembly is a fresh array: let this one go before the
+            # next round allocates its successor (a stack of 128 dense
+            # Fig. 11 systems is about 1 MB).
+            del matrices, rhs
             solved: Optional[np.ndarray] = None
             stepped = active
             if singular is not None and singular.any():
@@ -1543,6 +1603,8 @@ class AnalysisEngine:
                 converged[left] = done[leaving]
                 keep = ~leaving
                 active, last_updates = active[keep], last_updates[keep]
+                subset = {name: stack[keep] for name, stack in subset.items()}
+                rhs_rows = rhs_rows[keep]
                 unreplayed = [values[keep] for values in unreplayed]
                 if best_updates is not None:
                     best_updates, best_rounds = best_updates[keep], best_rounds[keep]
@@ -1550,6 +1612,99 @@ class AnalysisEngine:
         iterations[active] = iteration
         max_updates[active] = last_updates
         return solutions, iterations, converged, max_updates
+
+    def _newton_row(
+        self,
+        solutions: np.ndarray,
+        params: Mapping[str, np.ndarray],
+        *,
+        gmin: float,
+        max_iterations: int,
+        tolerance_v: float,
+        damping_v: float,
+        solver: LinearSolver,
+        time_s: float = 0.0,
+        timestep_s: Optional[float] = None,
+        previous_solutions: Optional[np.ndarray] = None,
+        integration: str = "be",
+        cap_history: Optional[np.ndarray] = None,
+        cap_g_rows: Optional[np.ndarray] = None,
+        source_scale: float = 1.0,
+        reuse_states: Optional[List[_NewtonReuseState]] = None,
+        stall_rounds: Optional[int] = None,
+    ) -> Tuple[np.ndarray, int, bool, float]:
+        """:meth:`_newton_batched`'s rounds on a stack of one, as a row loop.
+
+        Same arguments, for a ``(1, n)`` stack without parameter stacks:
+        every round is the kernel's 1-D assembly of the ``(n,)`` iterate
+        and a single solve, with the stall rule kept in Python scalars.
+        Mutates ``solutions`` and returns ``(solutions, iterations,
+        converged, max_update)``, the last three as Python scalars, so a
+        serial march pays no per-step stack handling.
+
+        What is constant within the call is resolved once, before the first
+        round: the backend's assembly and solve, the linear right-hand side
+        and the assembly state, which holds the live iterate; only a
+        singular round, which bumps gmin, builds a new state.
+        """
+        compiled = self.compiled
+        pattern = compiled.sparsity_pattern() if solver.wants_pattern_assembly else None
+        if pattern is not None:
+            assemble, solve = compiled.assemble_sparse, solver.solve_pattern
+        else:
+            assemble, solve = compiled.assemble, solver.solve
+        reuse_state = reuse_states[0] if reuse_states is not None and pattern is not None else None
+        solution = solutions[0]
+        # The linear RHS (sources, capacitor history) depends on neither the
+        # iterate nor gmin; every round's assembly only reads it.
+        linear_rhs = compiled._linear_rhs(
+            (), params, time_s, source_scale, timestep_s, integration,
+            None if previous_solutions is None else previous_solutions[0],
+            None if cap_history is None else cap_history[0], cap_g_rows,
+        )
+        state = AnalysisState(
+            solution, timestep_s=timestep_s, integration=integration, gmin=gmin
+        )
+        cache_base, converged = True, False
+        max_update, best_update, best_round = np.inf, np.inf, 0
+        iteration = 0
+        for iteration in range(1, max_iterations + 1):
+            system, rhs = assemble(state, cache_base=cache_base, linear_rhs=linear_rhs)
+            bypassed = False
+            try:
+                if reuse_state is None:
+                    new_solution = solve(system, rhs)
+                else:
+                    new_solution, bypassed = reuse_state.solve(
+                        solver, pattern, solution, system, rhs
+                    )
+            except np.linalg.LinAlgError:
+                state = AnalysisState(
+                    solution, timestep_s=timestep_s, integration=integration,
+                    gmin=max(state.gmin * 10.0, 1e-12),
+                )
+                cache_base = False
+                continue
+            update = new_solution - solution
+            max_update = float(np.maximum.reduce(np.abs(update)))
+            # Per-unknown clamp: a runaway node (e.g. a floating terminal
+            # hanging off a cut-off transistor) must not stall the rest.
+            # Within the clamp it changes no bit, so it runs only past it.
+            if not max_update <= damping_v:
+                np.maximum(update, -damping_v, out=update)
+                np.minimum(update, damping_v, out=update)
+            solution += update
+            if reuse_state is not None:
+                reuse_state.observe(bypassed, max_update, tolerance_v)
+            if max_update < tolerance_v:
+                converged = True
+                break
+            if stall_rounds is not None:
+                if max_update < best_update:
+                    best_update, best_round = max_update, iteration
+                if best_round <= iteration - stall_rounds:
+                    break
+        return solutions, iteration, converged, max_update
 
     # ------------------------------------------------------------------ #
     # DC operating points (one driver, serial and stacked)
@@ -2090,9 +2245,12 @@ class AnalysisEngine:
         times = np.linspace(0.0, steps * timestep_s, steps + 1)
         waveforms = np.zeros((count, steps + 1, size))
         waveforms[:, 0, :] = solutions
-        # Per-step (iterations, converged, max_update) rows, reduced once at
-        # the end: a serial march pays no per-step stack arithmetic.
-        stories: List[List[np.ndarray]] = []
+        # Per-step (iterations, converged, max_update) stories, reduced once
+        # at the end.  A stack of one without parameter stacks steps through
+        # the row loop, whose stories are Python scalars: a serial march
+        # pays no per-step stack arithmetic.
+        newton = self._newton_row if count == 1 and not params else self._newton_batched
+        stories: List[tuple] = []
         cap_history = np.zeros((count, compiled.num_capacitors))
         # March-wide invariant: the companion conductances (per trial under
         # a cap_c stack), handed to every step's linear right-hand side and
@@ -2102,30 +2260,39 @@ class AnalysisEngine:
         previous = solutions
         # None: the first step starts from the capacitors' initial voltages.
         companion_previous = None if use_initial_conditions else previous
+        # Python floats: the waveforms evaluate the same doubles faster than
+        # on NumPy scalars.
+        grid = times.tolist()
         for step in range(1, steps + 1):
-            current, *step_story = self._newton_batched(
-                previous.copy(),
-                params,
-                gmin=gmin,
-                max_iterations=max_newton_iterations,
-                tolerance_v=tolerance_v,
-                damping_v=1.0,
-                time_s=times[step],
-                timestep_s=timestep_s,
-                previous_solutions=companion_previous,
-                integration=integration,
-                cap_history=cap_history if integration == "trap" else None,
-                cap_g_rows=cap_g,
-                solver=solver,
-                reuse_states=reuse_states,
+            # Each step iterates in place on its own waveform row, seeded
+            # with the previous time point.
+            current = waveforms[:, step, :]
+            current[...] = previous
+            stories.append(
+                newton(
+                    current,
+                    params,
+                    gmin=gmin,
+                    max_iterations=max_newton_iterations,
+                    tolerance_v=tolerance_v,
+                    damping_v=1.0,
+                    time_s=grid[step],
+                    timestep_s=timestep_s,
+                    previous_solutions=companion_previous,
+                    integration=integration,
+                    cap_history=cap_history if integration == "trap" else None,
+                    cap_g_rows=cap_g,
+                    solver=solver,
+                    reuse_states=reuse_states,
+                )[1:]
             )
-            stories.append(step_story)
-            waveforms[:, step, :] = current
             cap_history = self._accept_step(
                 cap_history, current, companion_previous, cap_g, integration
             )
             previous = companion_previous = current
-        iterations, converged, residuals = (np.array(column) for column in zip(*stories))
+        iterations, converged, residuals = (
+            np.array(column).reshape(steps, count) for column in zip(*stories)
+        )
         return (
             times,
             waveforms,
@@ -2188,7 +2355,7 @@ class AnalysisEngine:
         With ``use_initial_conditions`` the first accepted step, and every
         retry of it, takes the capacitors' initial voltages as the previous
         capacitor voltages.  The march state is a stack of one, and every
-        candidate step one :meth:`_newton_batched` call on it.
+        candidate step one :meth:`_newton_row` call on it.
         """
         from repro.spice.transient import TransientConvergenceInfo, TransientResult
 
@@ -2240,7 +2407,7 @@ class AnalysisEngine:
                 None if use_initial_conditions and not accepted else previous_solution
             )
 
-            solution, used, step_converged, residuals = self._newton_batched(
+            solution, used, converged, residual = self._newton_row(
                 previous_solution.copy(),
                 {},
                 gmin=gmin,
@@ -2255,8 +2422,7 @@ class AnalysisEngine:
                 solver=solver,
                 reuse_states=reuse_states,
             )
-            newton_total += int(used[0])
-            converged = bool(step_converged[0])
+            newton_total += used
             can_shrink = dt > min_step * (1.0 + 1e-12)
 
             if not converged and can_shrink:
@@ -2285,7 +2451,7 @@ class AnalysisEngine:
             # Accept.
             if not converged:
                 all_converged = False
-            worst_residual = max(worst_residual, float(residuals[0]))
+            worst_residual = max(worst_residual, residual)
             time += dt
             times.append(time)
             rows.append(solution)

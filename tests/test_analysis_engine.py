@@ -23,7 +23,7 @@ from repro.spice import (
 from repro.spice.dcsweep import interpolate_crossing
 from repro.spice.engine import CompiledCircuit
 from repro.spice.netlist import AnalysisState
-from repro.spice.solvers import get_solver
+from repro.spice.solvers import get_solver, scipy_available
 
 NMOS = Level1Parameters(
     kp_a_per_v2=4e-5, vth_v=0.18, lambda_per_v=0.05, width_m=0.7e-6, length_m=0.35e-6
@@ -103,15 +103,31 @@ class TestCompiledAssemblyParity:
         assert slower == pytest.approx(1.0 - np.exp(-0.5), abs=0.02)
 
     def test_singular_retries_do_not_grow_base_cache(self):
+        # Each layout caches its own bases: flat (n, n) cells for the dense
+        # solvers, CSC data for the sparse ones.  A serial solve and a
+        # stack, whose trials bump their own gmins, run on each.
         circuit = Circuit()
         VoltageSource(circuit, "v1", "a", "0", 1.0)
         VoltageSource(circuit, "v2", "a", "0", 2.0)
         engine = get_engine(circuit)
-        op = get_engine(circuit).solve_dc(max_iterations=50)
-        assert not op.converged
+        size = circuit.system_size
+        widths = {True: size * size + 1}
+        runs = [("dense", "batched", True)]
+        if scipy_available():
+            widths[False] = engine.compiled.sparsity_pattern().nnz + 1
+            runs.append(("sparse", "sparse-batched", False))
+        for serial, stacked, _ in runs:
+            op = get_engine(circuit).solve_dc(max_iterations=50, solver=serial)
+            assert not op.converged
+            stack = engine.solve_dc_batched(trials=2, max_iterations=50, solver=stacked)
+            assert not stack.converged.any()
         # Only the caller-requested gmin contexts are retained; the
         # bumped-gmin retry bases are built uncached.
-        assert len(engine.compiled._base_data_cache) <= len((1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)) + 1
+        cache = engine.compiled._base_data_cache
+        for _, _, dense in runs:
+            layout = [base for key, base in cache.items() if key[0] is dense]
+            assert 0 < len(layout) <= len((1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)) + 1
+            assert all(base.shape == (widths[dense],) for base in layout)
 
     def test_get_engine_is_cached_on_circuit(self):
         circuit = Circuit()
@@ -195,6 +211,8 @@ class TestClosedElementSet:
         for element in circuit.elements:
             for method in ("stamp", "reset", "update_history"):
                 assert not hasattr(element, method), (element.name, method)
+        # Branch currents come from the results, not from the elements.
+        assert not hasattr(Resistor, "current")
 
 
 RC_OHM = 1e3

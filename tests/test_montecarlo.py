@@ -372,9 +372,9 @@ class TestParameterOverlay:
         circuit = common_source_circuit()
         engine = get_engine(circuit)
         engine.solve_dc()  # populate the base-data cache
-        engine.solve_dc_batched(trials=2)  # and the placement workspace
+        engine.solve_dc_batched(trials=2)  # and the kernel's padding workspace
         assert engine.compiled._base_data_cache
-        assert "dense_matrices" in engine.compiled._workspaces
+        assert "padded" in engine.compiled._workspaces
         restored = pickle.loads(pickle.dumps(circuit))
         restored_compiled = get_engine(restored).compiled
         assert restored_compiled._base_data_cache == {}

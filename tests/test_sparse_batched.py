@@ -1,11 +1,12 @@
 """Tests for pattern assembly, dense placement and the sparse-batched path.
 
-Every assembly scatters element stamps into the precomputed CSC pattern
-(serial ``(nnz,)`` or stacked ``(trials, nnz)``); the dense assemblies
-place that data into zeroed matrices.  Every dense entry off the pattern
-must be exactly zero, and dense, sparse, serial and batched results must
-agree *bit for bit* at zero and nonzero sigma, for DC and transient
-companion states.  At the solve level the sparse-batched
+Every assembly bins element stamps straight into the layout of its
+solver: the precomputed CSC pattern (serial ``(nnz,)`` or stacked
+``(trials, nnz)``) or the flat cells of dense matrices.  Every dense entry
+off the pattern must be exactly zero, and dense, sparse, serial and
+batched results must agree *bit for bit* at zero and nonzero sigma, for
+DC and transient companion states, across channel-orientation flips and
+with the kernel's cached state warm.  At the solve level the sparse-batched
 backend must match the serial sparse backend bit for bit (identical data,
 identical per-trial factorizations) and the dense-batched reference to
 tight tolerance.
@@ -30,6 +31,7 @@ from repro.spice import (
     VoltageSource,
     get_engine,
 )
+from repro.spice.engine import CompiledCircuit
 from repro.spice.netlist import AnalysisState
 from repro.spice.solvers import scipy_available
 
@@ -139,10 +141,12 @@ class TestDensePlacement:
         assert np.array_equal(rhs, sparse_rhs)
 
     @pytest.mark.parametrize("kind", ["dc", "be", "trap"])
-    def test_batched_rows_match_serial_dense_assembly(self, switch_model, kind):
-        # Row t of the placed stack == the serial dense assembly with trial
-        # t's overlay, bit for bit, with a linear overlay (resistor_ohm) in
-        # play so the per-trial base path is taken too.
+    def test_batched_rows_match_serial_assembly(self, switch_model, kind):
+        # Row t of the stack == the serial assembly with trial t's overlay,
+        # bit for bit, in the dense and the pattern layout, at an iterate
+        # and at its mirror image (every channel flips its orientation),
+        # with a linear overlay (resistor_ohm) in play so the per-trial
+        # base path is taken too.
         rng = np.random.default_rng(13)
         circuit = build_fig11_bench(model=switch_model).circuit
         mc = MonteCarloEngine(
@@ -157,41 +161,123 @@ class TestDensePlacement:
         compiled = get_engine(circuit).compiled
         stacks = mc.sample_stacked_overlays(3)
         state = analysis_state(circuit, kind, rng)
-        solutions = state.solution + rng.uniform(-0.05, 0.05, (3, circuit.system_size))
+        iterates = state.solution + rng.uniform(-0.05, 0.05, (3, circuit.system_size))
         history = rng.uniform(-1e-6, 1e-6, (3, compiled.num_capacitors))
         transient = kind != "dc"
-        matrices, rhs = compiled.assemble_batched(
-            solutions,
-            stacks,
-            gmin=state.gmin,
-            time_s=state.time_s,
-            timestep_s=state.timestep_s,
-            integration=state.integration,
-            previous_solutions=(
-                np.tile(state.previous_solution, (3, 1)) if transient else None
-            ),
-            cap_history=history if transient else None,
+        layouts = (
+            (compiled.assemble_batched, compiled.assemble),
+            (compiled.assemble_sparse_batched, compiled.assemble_sparse),
         )
-        try:
-            for trial in range(3):
-                compiled.set_parameter_overlay(
-                    {name: stack[trial] for name, stack in stacks.items()}
-                )
-                trial_state = AnalysisState(
-                    solution=solutions[trial],
+        for solutions in (iterates, -iterates):
+            for assemble_stack, assemble_row in layouts:
+                systems, rhs = assemble_stack(
+                    solutions,
+                    stacks,
+                    gmin=state.gmin,
                     time_s=state.time_s,
                     timestep_s=state.timestep_s,
-                    previous_solution=state.previous_solution,
                     integration=state.integration,
-                    gmin=state.gmin,
+                    previous_solutions=(
+                        np.tile(state.previous_solution, (3, 1)) if transient else None
+                    ),
+                    cap_history=history if transient else None,
                 )
-                serial, serial_rhs = compiled.assemble(
-                    trial_state, cap_history=history[trial], cache_base=False
+                try:
+                    for trial in range(3):
+                        compiled.set_parameter_overlay(
+                            {name: stack[trial] for name, stack in stacks.items()}
+                        )
+                        trial_state = AnalysisState(
+                            solution=solutions[trial],
+                            time_s=state.time_s,
+                            timestep_s=state.timestep_s,
+                            previous_solution=state.previous_solution,
+                            integration=state.integration,
+                            gmin=state.gmin,
+                        )
+                        serial, serial_rhs = assemble_row(
+                            trial_state, cap_history=history[trial], cache_base=False
+                        )
+                        assert np.array_equal(serial, systems[trial])
+                        assert np.array_equal(serial_rhs, rhs[trial])
+                finally:
+                    compiled.clear_parameter_overlay()
+
+
+def channel_forward(compiled, solution):
+    """Each MOSFET's orientation at ``solution``: drain at or above source."""
+    padded = np.append(solution, 0.0)
+    return padded[compiled.mos_d] >= padded[compiled.mos_s]
+
+
+class TestKernelReuse:
+    """The kernel keeps state between calls — the cached linear bases, the
+    stacked position tables, the padding workspace — but every call's
+    result must be what a freshly compiled circuit assembles, and no call
+    may touch an array an earlier call returned."""
+
+    @pytest.fixture
+    def fig11(self, switch_model):
+        circuit = build_fig11_bench(model=switch_model).circuit
+        rng = np.random.default_rng(29)
+        # Strictly positive node voltages: the mirror image -x then flips
+        # every channel, those with a grounded terminal included.
+        solution = rng.uniform(0.05, 1.2, circuit.system_size)
+        compiled = get_engine(circuit).compiled
+        assert np.all(channel_forward(compiled, solution) != channel_forward(compiled, -solution))
+        return circuit, compiled, solution
+
+    @staticmethod
+    def state_at(solution):
+        return AnalysisState(
+            solution=solution, time_s=5e-9, timestep_s=1e-9,
+            previous_solution=0.5 * solution, integration="be", gmin=1e-9,
+        )
+
+    @pytest.mark.parametrize("layout", ["dense", "pattern"])
+    def test_orientation_flips_match_fresh_assembly(self, fig11, layout):
+        circuit, compiled, solution = fig11
+        pattern = compiled.sparsity_pattern()
+        off_pattern = np.ones((circuit.system_size,) * 2, dtype=bool)
+        off_pattern[pattern.rows, pattern.cols] = False
+        for point, trials in ((solution, 3), (-solution, 2), (solution, 3)):
+            state = self.state_at(point)
+            stack = point * np.linspace(1.0, 0.5, trials)[:, None]
+            fresh = CompiledCircuit(circuit)
+            if layout == "dense":
+                got = compiled.assemble(state) + compiled.assemble_batched(
+                    stack, gmin=1e-9, timestep_s=1e-9, previous_solutions=0.5 * stack
                 )
-                assert np.array_equal(serial, matrices[trial])
-                assert np.array_equal(serial_rhs, rhs[trial])
-        finally:
-            compiled.clear_parameter_overlay()
+                want = fresh.assemble(state) + fresh.assemble_batched(
+                    stack, gmin=1e-9, timestep_s=1e-9, previous_solutions=0.5 * stack
+                )
+                assert np.all(got[0][off_pattern] == 0.0)
+                assert np.all(got[2][:, off_pattern] == 0.0)
+            else:
+                got = compiled.assemble_sparse(state) + compiled.assemble_sparse_batched(
+                    stack, gmin=1e-9, timestep_s=1e-9, previous_solutions=0.5 * stack
+                )
+                want = fresh.assemble_sparse(state) + fresh.assemble_sparse_batched(
+                    stack, gmin=1e-9, timestep_s=1e-9, previous_solutions=0.5 * stack
+                )
+            for got_array, want_array in zip(got, want):
+                assert np.array_equal(got_array, want_array)
+
+    def test_returned_arrays_are_not_overwritten(self, fig11):
+        _, compiled, solution = fig11
+        calls = (
+            lambda x: compiled.assemble(self.state_at(x)),
+            lambda x: compiled.assemble_sparse(self.state_at(x)),
+            lambda x: compiled.assemble_batched(np.stack((x, 0.5 * x))),
+            lambda x: compiled.assemble_sparse_batched(np.stack((x, 0.5 * x))),
+        )
+        for call in calls:
+            first = call(solution)
+            kept = [array.copy() for array in first]
+            for later in calls:
+                later(-solution)
+            for array, copy in zip(first, kept):
+                assert np.array_equal(array, copy)
 
 
 class TestSparseBatchedAssembly:

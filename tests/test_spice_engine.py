@@ -228,6 +228,16 @@ class TestLinearCircuits:
         with pytest.raises(ValueError):
             Capacitor(circuit, "c1", "a", "0", -1e-15)
 
+    def test_open_resistor_is_accepted(self):
+        # inf is the one non-finite value the rules allow: an open resistor.
+        circuit = Circuit()
+        VoltageSource(circuit, "v1", "in", "0", 1.0)
+        Resistor(circuit, "r1", "in", "mid", 1e3)
+        Resistor(circuit, "r2", "mid", "0", math.inf)
+        Resistor(circuit, "r3", "mid", "0", 1e3)
+        op = get_engine(circuit).solve_dc(gmin=0.0)
+        assert op.converged and op.voltage("mid") == 0.5
+
     def test_capacitor_open_in_dc(self):
         circuit = Circuit()
         VoltageSource(circuit, "v1", "in", "0", 1.0)
@@ -253,6 +263,79 @@ class TestLinearCircuits:
         Resistor(circuit, "r2", "b", "c", 1e3)
         op = get_engine(circuit).solve_dc(gmin=0.0)
         assert op.voltage("b") == 1.5
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteValues:
+    """Element values are checked where they enter: in the constructors and,
+    for values mutated in place afterwards, at the next solve's refresh."""
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_resistor_rejects(self, value):
+        with pytest.raises(ValueError, match="resistor 'r1': resistance must be positive"):
+            Resistor(Circuit(), "r1", "a", "0", value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_capacitor_rejects(self, value):
+        with pytest.raises(ValueError, match="capacitor 'c1': capacitance"):
+            Capacitor(Circuit(), "c1", "a", "0", value)
+        with pytest.raises(ValueError, match="capacitor 'c1': initial voltage"):
+            Capacitor(Circuit(), "c1", "a", "0", 1e-15, initial_voltage_v=value)
+
+    @pytest.mark.parametrize("kind", [VoltageSource, CurrentSource])
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_sources_reject(self, kind, value):
+        with pytest.raises(ValueError, match="source 's1': level must be finite"):
+            kind(Circuit(), "s1", "a", "0", value)
+        source = kind(Circuit(), "s1", "a", "0", 1.0)
+        with pytest.raises(ValueError, match="source 's1': level must be finite"):
+            source.set_level(value)
+
+    @pytest.mark.parametrize(
+        "field", ["kp_a_per_v2", "vth_v", "lambda_per_v", "width_m", "length_m"]
+    )
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_level1_parameters_reject(self, field, value):
+        fields = dict(
+            kp_a_per_v2=4e-5, vth_v=0.18, lambda_per_v=0.05, width_m=1e-6, length_m=1e-6
+        )
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            Level1Parameters(**fields)
+
+    def test_nan_divider_raises_before_any_factorization(self):
+        from repro.spice.solvers import get_solver
+
+        circuit = Circuit()
+        VoltageSource(circuit, "v1", "in", "0", 1.0)
+        Resistor(circuit, "r1", "in", "mid", 1e3)
+        r2 = Resistor(circuit, "r2", "mid", "0", 1e3)
+        engine = get_engine(circuit)
+        assert engine.solve_dc().converged
+        r2.resistance_ohm = math.nan
+        solver = get_solver("dense")
+        with pytest.raises(ValueError, match="element 'r2': resistor_ohm must be positive; got nan"):
+            engine.solve_dc(solver=solver)
+        assert solver.solver_stats()["factorizations"] == 0
+
+    @pytest.mark.parametrize(
+        "attribute, message",
+        [
+            ("capacitance_f", "element 'c1': cap_c must be finite and non-negative; got inf"),
+            ("initial_voltage_v", "element 'c1': cap_v0 must be finite; got inf"),
+        ],
+        ids=["capacitance_f", "initial_voltage_v"],
+    )
+    def test_mutated_capacitor_raises_at_the_next_solve(self, attribute, message):
+        circuit = Circuit()
+        VoltageSource(circuit, "v1", "in", "0", 1.0)
+        Resistor(circuit, "r1", "in", "out", 1e3)
+        capacitor = Capacitor(circuit, "c1", "out", "0", 1e-12)
+        setattr(capacitor, attribute, math.inf)
+        with pytest.raises(ValueError, match=message):
+            get_engine(circuit).solve_transient(1e-9, 1e-10)
 
 
 class TestMOSFETElement:
