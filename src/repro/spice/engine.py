@@ -11,10 +11,9 @@ serial case is a stack of one; the adaptive march steps a stack of one.
 The engine compiles a :class:`~repro.spice.netlist.Circuit` once into
 per-element-class index arrays (:class:`CompiledCircuit`) so each Newton
 iteration assembles the Jacobian and right-hand side with one vectorized
-kernel — for one ``(n,)`` iterate or a ``(trials, n)`` stack — straight
-into the layout the solver takes: the CSC data of a
-:class:`SparsityPattern` for the sparse solvers, the flat cells of an
-``(n, n)`` matrix for the dense ones.
+kernel — for one ``(n,)`` iterate or a ``(trials, n)`` stack — into the
+CSC data of a :class:`SparsityPattern`; the sparse solvers take that data
+as is, and the dense ones get it placed into fresh ``(n, n)`` matrices.
 
 Compilation notes
 -----------------
@@ -24,13 +23,13 @@ Compilation notes
   through ordinary NumPy indexing, so stamps and gathers need no per-entry
   ground checks; the ghost slot is simply dropped before the linear solve.
 * **Static stamps.**  Resistor conductances and the structural +/-1 entries
-  of voltage-source branches never change, so they are accumulated into a
-  base, in the solver's layout, once per ``(gmin, timestep, integration)``
-  context; capacitor companion conductances join them during transient
-  analysis.  Each Newton iteration bins only the nonlinear (MOSFET) stamps
-  into a fresh array at positions precomputed per topology and adds the
-  base to it, so every cell is ``base + (0.0 + c1 + c2 + ...)`` with the
-  stamps ``c1, c2, ...`` in one fixed order, whatever the layout.
+  of voltage-source branches never change, so they are accumulated into
+  base pattern data once per ``(gmin, timestep, integration)`` context;
+  capacitor companion conductances join them during transient analysis.
+  Each Newton iteration bins only the nonlinear (MOSFET) stamps into a
+  fresh array at positions precomputed per topology and adds the base to
+  it, so every entry is ``base + (0.0 + c1 + c2 + ...)`` with the stamps
+  ``c1, c2, ...`` in one fixed order, serial or stacked.
 * **Closed element set.**  The compiler knows exactly five element types
   (:class:`Resistor`, :class:`Capacitor`, :class:`MOSFET`,
   :class:`VoltageSource`, :class:`CurrentSource`) and raises ``TypeError``
@@ -62,6 +61,7 @@ count.  See :mod:`repro.spice.solvers`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -301,17 +301,17 @@ def _check_parameter_values(name: str, values: np.ndarray) -> None:
 
 
 class _StampTable:
-    """Where the MOSFET companion stamps land in one assembly layout.
+    """Where the MOSFET companion stamps land in an assembly row.
 
-    An assembly row is the system's :attr:`split` slots (CSC data or flat
-    matrix cells, the trash slot of ground entries last) followed by the
-    ``n + 1`` right-hand-side slots (the ghost slot last), :attr:`width`
-    in all.  :attr:`forward` and :attr:`reverse` are the ``(10, M)``
-    positions, in such a row, of the eight conductance groups and the two
-    current groups of every device under each channel orientation; the
-    assembly picks one orientation per device with ``np.where`` and bins
-    all ten groups in one ``np.bincount``.  :meth:`stacked` gives the same
-    tables for a stack of rows laid end to end.
+    An assembly row is the :attr:`split` slots of the CSC data (the trash
+    slot of ground entries last) followed by the ``n + 1`` right-hand-side
+    slots (the ghost slot last), :attr:`width` in all.  :attr:`forward`
+    and :attr:`reverse` are the ``(10, M)`` positions, in such a row, of
+    the eight conductance groups and the two current groups of every
+    device under each channel orientation; the assembly picks one
+    orientation per device with ``np.where`` and bins all ten groups in
+    one ``np.bincount``.  :meth:`stacked` gives the same tables for a stack
+    of rows laid end to end.
     """
 
     __slots__ = ("split", "width", "forward", "reverse", "_stacked")
@@ -328,20 +328,26 @@ class _StampTable:
         self.width = self.split + rhs_width
         self.forward = np.concatenate((system_forward, rhs_forward + self.split))
         self.reverse = np.concatenate((system_reverse, rhs_reverse + self.split))
-        self._stacked = (self.forward[np.newaxis], self.reverse[np.newaxis])
+        self.release()
 
-    def stacked(self, trials: int) -> Tuple[np.ndarray, np.ndarray]:
+    def stacked(self, trials: int, keep: bool) -> Tuple[np.ndarray, np.ndarray]:
         """``(trials, 10, M)`` tables, row ``t`` shifted by ``t * width``.
 
-        Built once for the largest stack seen and sliced ``[:trials]``, so
-        a Newton loop whose trials leave pays no per-round offset add.
+        With ``keep`` the tables built for the largest stack seen are kept
+        and sliced ``[:trials]`` until :meth:`release`, so a Newton loop
+        whose trials leave pays no per-round offset add.
         """
         forward, reverse = self._stacked
         if forward.shape[0] < trials:
             shift = np.arange(trials)[:, np.newaxis, np.newaxis] * self.width
             forward, reverse = self.forward + shift, self.reverse + shift
-            self._stacked = (forward, reverse)
+            if keep:
+                self._stacked = (forward, reverse)
         return forward[:trials], reverse[:trials]
+
+    def release(self) -> None:
+        """Drop the kept stacked tables (``20 * trials * M`` positions)."""
+        self._stacked = (self.forward[np.newaxis], self.reverse[np.newaxis])
 
 
 class SparsityPattern:
@@ -352,20 +358,13 @@ class SparsityPattern:
     and voltage-source-branch entries, the capacitor companion entries and
     the MOSFET conductance positions of *both* channel orientations — as a
     canonical (column-major, deduplicated) CSC pattern.  On top of the raw
-    structure (:attr:`indices`/:attr:`indptr`) it precomputes where every
-    stamp lands in the two layouts an assembly can target, so no assembly
-    analyses structure per iteration:
-
-    * the CSC data of the sparse solvers, ``nnz + 1`` slots: the data
-      position of each linear stamp group and the MOSFET stamps of both
-      orientations (:attr:`mos_csc`);
-    * the flat cells of an ``(n, n)`` matrix for the dense solvers,
-      ``n * n + 1`` slots: :attr:`dense_slots` maps every data slot to its
-      cell, and :attr:`mos_dense` is :attr:`mos_csc` composed with it.
-
-    Ghost (ground) entries map to the trailing trash slot of either layout
-    (data position :attr:`nnz`, cell ``n * n``); an assembly allocates the
-    full width and hands out the prefix without it.
+    structure (:attr:`indices`/:attr:`indptr`) it precomputes the data
+    position of each linear stamp group, the MOSFET stamps of both
+    orientations (:attr:`mos_csc`) and the dense cell of every data slot
+    (:attr:`dense_pos`), so no assembly analyses structure per iteration.
+    Ghost (ground) entries map to the trailing trash slot (data position
+    :attr:`nnz`); an assembly allocates ``nnz + 1`` slots and hands out the
+    prefix without it.
     """
 
     def __init__(self, compiled: "CompiledCircuit"):
@@ -403,9 +402,6 @@ class SparsityPattern:
         self._keys = self.cols * size + self.rows  # ascending by construction
         #: Row-major flat position of every entry in an ``(n, n)`` matrix.
         self.dense_pos = self.rows * size + self.cols
-        #: :attr:`dense_pos` plus the trash slot: data slot ``k`` lands in
-        #: cell ``dense_slots[k]`` of a flat ``(n * n + 1,)`` dense row.
-        self.dense_slots = np.append(self.dense_pos, size * size)
 
         # Per-stamp-group position maps into the CSC data array.
         self.static_pos = self.positions(compiled._static_rows, compiled._static_cols)
@@ -431,11 +427,8 @@ class SparsityPattern:
             self.mos_csc: Optional[_StampTable] = _StampTable(
                 (self.nnz + 1, forward, reverse), rhs
             )
-            self.mos_dense: Optional[_StampTable] = _StampTable(
-                (size * size + 1, self.dense_slots[forward], self.dense_slots[reverse]), rhs
-            )
         else:
-            self.mos_csc = self.mos_dense = None
+            self.mos_csc = None
 
     def _mos_positions(self, drain: np.ndarray, source: np.ndarray, gate: np.ndarray) -> np.ndarray:
         """``(8, M)`` data positions of one orientation's stamp entries."""
@@ -482,16 +475,14 @@ class CompiledCircuit:
       with ``TypeError``.
 
     Every assembly runs one kernel over the compiled stamps
-    (:meth:`_scatter`, on one iterate or a stack of them) straight into
-    the layout its solver takes, at positions the topology's
-    :class:`SparsityPattern` precomputes: the sparse assemblies return CSC
-    data, the dense ones flat matrix cells.  Every cell on the pattern is
-    the same float in either layout and every dense cell off it is exactly
-    zero, so dense and sparse results are bit-identical by construction.
-    Each call returns fresh arrays.
+    (:meth:`_scatter`, on one iterate or a stack of them) into CSC data at
+    positions the topology's :class:`SparsityPattern` precomputes: the
+    sparse assemblies return that data, the dense ones place it into
+    zeroed matrices (:meth:`_place`), so dense and sparse results are
+    bit-identical by construction.  Each call returns fresh arrays.
     """
 
-    #: Linear bases retained per (layout, gmin, timestep, integration)
+    #: Linear bases retained per (gmin, timestep, integration)
     #: context; LRU-bounded so gmin/timestep studies do not accumulate
     #: memory per visited context.
     BASE_CACHE_LIMIT = 8
@@ -590,6 +581,9 @@ class CompiledCircuit:
         #: (see :meth:`_workspace`); keyed by buffer role.
         self._workspaces: Dict[str, np.ndarray] = {}
         self._pattern: Optional[SparsityPattern] = None
+        #: Whether stacked assemblies keep their position tables; set while
+        #: an analysis driver runs (:func:`_holding_stacked_tables`).
+        self._hold_stacked = False
         #: Per-source waveform multipliers (``None`` means all-ones).
         self.vs_scale: Optional[np.ndarray] = None
         self.is_scale: Optional[np.ndarray] = None
@@ -834,25 +828,21 @@ class CompiledCircuit:
         timestep_s: Optional[float],
         integration: str,
         cache: bool = True,
-        dense: bool = False,
     ) -> np.ndarray:
-        """The cached linear part of the Jacobian in one assembly layout.
+        """The cached linear part of the Jacobian as ``(nnz + 1,)`` pattern data.
 
-        The CSC pattern data (``(nnz + 1,)``) is accumulated in a fixed
-        order: static entries, then the gmin diagonal, then the capacitor
-        companions.  ``dense=True`` returns those same floats placed into
-        flat ``(n * n + 1,)`` matrix cells (:meth:`_place`), zero off the
-        pattern.  Either layout ends in a zero trash slot.  The stacked
-        perturbed-parameter path (:meth:`_stacked_linear_data`) repeats the
-        accumulation order per trial, so a trial's linear part is
-        bit-identical to this base under its overlay.  Callers only read
-        the returned array.
+        The data is accumulated in a fixed order: static entries, then the
+        gmin diagonal, then the capacitor companions, and ends in a zero
+        trash slot.  The stacked perturbed-parameter path
+        (:meth:`_stacked_linear_data`) repeats the accumulation order per
+        trial, so a trial's linear part is bit-identical to this base under
+        its overlay.  Callers only read the returned array.
 
         ``cache=False`` builds the base without retaining it — used for the
         one-off bumped-gmin retries after a singular solve, which would
         otherwise grow the cache with contexts that are never reused.
         """
-        key = (dense, gmin, timestep_s, integration if timestep_s is not None else "dc")
+        key = (gmin, timestep_s, integration if timestep_s is not None else "dc")
         bases = self._base_data_cache
         data = bases.get(key)
         if data is not None:
@@ -870,8 +860,6 @@ class CompiledCircuit:
             g = self._capacitor_conductance(timestep_s, integration)
             np.add.at(data, pattern.cap_pos, np.concatenate((g, g, -g, -g)))
         data[pattern.nnz] = 0.0
-        if dense:
-            data = self._place(data)
         if cache:
             if len(bases) >= self.BASE_CACHE_LIMIT:
                 bases.pop(next(iter(bases)))
@@ -879,12 +867,14 @@ class CompiledCircuit:
         return data
 
     def _place(self, data: np.ndarray) -> np.ndarray:
-        """``(..., nnz + 1)`` pattern data as fresh ``(..., n * n + 1)`` flat
-        matrix cells: each slot at its :attr:`~SparsityPattern.dense_slots`
-        cell, every other cell zero."""
-        placed = np.zeros(data.shape[:-1] + (self.size * self.size + 1,))
-        placed[..., self.sparsity_pattern().dense_slots] = data
-        return placed
+        """``(..., nnz + 1)`` pattern data as fresh ``(..., n, n)`` matrices:
+        each slot at its :attr:`~SparsityPattern.dense_pos` cell, every
+        other cell zero (the trash slot is dropped)."""
+        pattern = self.sparsity_pattern()
+        lead = data.shape[:-1]
+        placed = np.zeros(lead + (self.size * self.size,))
+        placed[..., pattern.dense_pos] = data[..., : pattern.nnz]
+        return placed.reshape(lead + (self.size, self.size))
 
     def _waveform_values(
         self, time_s: float, scale: float
@@ -940,10 +930,10 @@ class CompiledCircuit:
         """Assemble the linearized system at ``state`` as a dense matrix.
 
         Returns a fresh ``(n, n)`` matrix and ghost-trimmed right-hand side,
-        ready for ``np.linalg.solve``.  The kernel (:meth:`_scatter`) bins
-        the stamps straight into the matrix's flat cells: every entry on the
-        pattern is bit-identical to :meth:`assemble_sparse`, every entry off
-        it is exactly zero.
+        ready for ``np.linalg.solve``: the kernel's (:meth:`_scatter`)
+        pattern data placed into a zeroed matrix, so every entry on the
+        pattern is bit-identical to :meth:`assemble_sparse` and every entry
+        off it is exactly zero.
 
         ``source_scale`` scales every independent source (used by the
         source-stepping fallback).  ``cap_history`` supplies the trapezoidal
@@ -957,13 +947,12 @@ class CompiledCircuit:
         per solve instead of once per iteration.  The assembly only reads
         it; when omitted it is built here (identical values either way).
         """
-        cells, rhs = self._scatter(
+        data, rhs = self._scatter(
             state.solution, None, state.gmin, state.time_s, source_scale,
             state.timestep_s, state.integration, state.previous_solution,
-            cap_history, linear_rhs, cache_base=cache_base, dense=True,
+            cap_history, linear_rhs, cache_base=cache_base,
         )
-        size = self.size
-        return cells[: size * size].reshape(size, size), rhs[:size]
+        return self._place(data), rhs[: self.size]
 
     def assemble_sparse(
         self,
@@ -1000,7 +989,6 @@ class CompiledCircuit:
         cap_history: Optional[np.ndarray] = None,
         linear_rhs: Optional[np.ndarray] = None,
         cap_g_rows: Optional[np.ndarray] = None,
-        reuse_workspace: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Assemble ``(trials, n, n)`` systems for stacked parameter sets.
 
@@ -1009,10 +997,10 @@ class CompiledCircuit:
         :data:`PERTURBABLE_PARAMETERS`) to ``(trials, count)`` stacks — any
         parameter not given uses the compiled (possibly overlaid) value
         vector for every trial.  The kernel (:meth:`_scatter`) bins every
-        trial's stamps straight into the flat cells of its own matrix, so
-        row ``t`` is bit-identical to a serial :meth:`assemble` with trial
-        ``t``'s parameters; this is what makes the batched Monte-Carlo path
-        reproduce the per-trial path exactly.
+        trial's stamps into its own row of pattern data, placed into its own
+        matrix, so row ``t`` is bit-identical to a serial :meth:`assemble`
+        with trial ``t``'s parameters; this is what makes the batched
+        Monte-Carlo path reproduce the per-trial path exactly.
 
         With ``timestep_s`` set the assembly includes the capacitor
         companion models of the selected ``integration``:
@@ -1025,20 +1013,14 @@ class CompiledCircuit:
         assembly only reads it and then ignores ``time_s``,
         ``source_scale``, ``previous_solutions`` and ``cap_history``.
         ``cap_g_rows`` optionally hands in the per-trial capacitor companion
-        conductances.
-
-        The returned arrays are fresh on every call.  ``reuse_workspace``
-        is accepted for callers written against the earlier kernel, which
-        could hand out its scratch buffers; it changes nothing now, since
-        the kernel's scratch buffers never leave it.
+        conductances.  The returned arrays are fresh on every call.
         """
-        cells, rhs = self._scatter(
+        data, rhs = self._scatter(
             self._check_solution_stack(solutions), params, gmin, time_s, source_scale,
             timestep_s, integration, previous_solutions, cap_history, linear_rhs,
-            cap_g_rows, dense=True,
+            cap_g_rows,
         )
-        size = self.size
-        return cells[:, : size * size].reshape(-1, size, size), rhs[:, :size]
+        return self._place(data), rhs[:, : self.size]
 
     def assemble_sparse_batched(
         self,
@@ -1053,7 +1035,6 @@ class CompiledCircuit:
         cap_history: Optional[np.ndarray] = None,
         linear_rhs: Optional[np.ndarray] = None,
         cap_g_rows: Optional[np.ndarray] = None,
-        reuse_workspace: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Assemble ``(trials, nnz)`` CSC data stacks for stacked trials.
 
@@ -1093,40 +1074,35 @@ class CompiledCircuit:
         linear_rhs: Optional[np.ndarray],
         cap_g_rows: Optional[np.ndarray] = None,
         cache_base: bool = True,
-        dense: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The assembly kernel: fresh system and RHS rows, trash slots included.
 
         ``solutions`` is one ``(n,)`` iterate, which assembles with the
         compiled values, or a ``(trials, n)`` stack with its ``params``
-        stacks and the trial axis in front.  Returns ``(system, rhs)``: a
-        system row is CSC data (``nnz + 1`` slots) or, with ``dense``, the
-        flat cells of the ``(n, n)`` matrix (``n * n + 1``); an RHS row
-        has ``n + 1``.
+        stacks and the trial axis in front.  Returns ``(data, rhs)``: a data
+        row has the ``nnz + 1`` CSC slots, an RHS row ``n + 1``.
 
         The kernel evaluates the MOSFET companions at the iterate and lays
         out their eight conductance groups and two current groups in the
-        row order of the layout's :class:`_StampTable`.  One ``np.where``
+        row order of the pattern's :class:`_StampTable`.  One ``np.where``
         picks every device's orientation from the table, and one
         ``np.bincount`` bins all ten groups into a fresh array holding the
-        system row and the RHS row side by side.  Then it adds the linear
+        data row and the RHS row side by side.  Then it adds the linear
         base (:meth:`_base_data`, or :meth:`_stacked_linear_data` for a
-        stack) and the linear right-hand side.  Every cell is thus ``base
-        + (0.0 + c1 + c2 + ...)`` with the stamps in ravel order: the same
-        float in either layout, and on a stacked row as on a lone iterate,
-        so serial, stacked, dense and sparse results are bit-identical.  A
-        per-trial ``gmin`` (bumped after singular solves) takes uncached
-        bases, as ``cache_base=False`` does for a scalar one.
+        stack) and the linear right-hand side.  Every entry is thus ``base
+        + (0.0 + c1 + c2 + ...)`` with the stamps in ravel order, on a
+        stacked row as on a lone iterate, so serial and stacked results are
+        bit-identical.  A per-trial ``gmin`` (bumped after singular solves)
+        takes uncached bases, as ``cache_base=False`` does for a scalar one.
         """
         params = params or {}
         lead = solutions.shape[:-1]
         if lead:
             base = self._stacked_linear_data(
-                lead[0], params, gmin, timestep_s, integration, cap_g_rows,
-                cache_base, dense,
+                lead[0], params, gmin, timestep_s, integration, cap_g_rows, cache_base
             )
         else:
-            base = self._base_data(gmin, timestep_s, integration, cache_base, dense)
+            base = self._base_data(gmin, timestep_s, integration, cache_base)
         if linear_rhs is None:
             linear_rhs = self._linear_rhs(
                 lead, params, time_s, source_scale, timestep_s, integration,
@@ -1149,11 +1125,10 @@ class CompiledCircuit:
         # accumulate in one fixed order on every path.
         ngds, ngm = -gds, -gm
         stamps = np.concatenate((gds, gds, ngds, ngds, gm, ngm, ngm, gm, -i_eq, i_eq), axis=-1)
-        pattern = self.sparsity_pattern()
-        table = pattern.mos_dense if dense else pattern.mos_csc
+        table = self.sparsity_pattern().mos_csc
         if lead:
             count = lead[0]
-            positions_forward, positions_reverse = table.stacked(count)
+            positions_forward, positions_reverse = table.stacked(count, self._hold_stacked)
             forward = forward[:, np.newaxis, :]
         else:
             count = 1
@@ -1180,26 +1155,25 @@ class CompiledCircuit:
         integration: str,
         cap_g_rows: Optional[np.ndarray],
         cache_base: bool,
-        dense: bool,
     ) -> np.ndarray:
-        """The linear part of a stacked assembly, in the kernel's layout.
+        """The pattern-data linear part of a stacked assembly.
 
         When no stack perturbs the linear part (no ``resistor_ohm`` rows,
         and no ``cap_c`` rows if this is a transient assembly), every trial
         shares the cached nominal :meth:`_base_data`: one row that
         broadcasts over the stack, or under a per-trial ``gmin`` one
         uncached base row per trial.  Otherwise the ``(trials, nnz + 1)``
-        linear data is re-accumulated per trial in the base data's order
-        (and placed, for ``dense``).  Callers only read the result.
+        linear data is re-accumulated per trial in the base data's order.
+        Callers only read the result.
         """
         resistance = params.get("resistor_ohm")
         cap_c = params.get("cap_c") if timestep_s is not None else None
         if resistance is None and cap_c is None:
             if not np.ndim(gmin):
-                return self._base_data(gmin, timestep_s, integration, cache_base, dense)
+                return self._base_data(gmin, timestep_s, integration, cache_base)
             values, trial_value = np.unique(gmin, return_inverse=True)
             bases = [
-                self._base_data(float(value), timestep_s, integration, False, dense)
+                self._base_data(float(value), timestep_s, integration, False)
                 for value in values
             ]
             return np.stack(bases)[trial_value]
@@ -1222,7 +1196,7 @@ class CompiledCircuit:
                 g = self._capacitor_conductance(timestep_s, integration, cap_c)
             self._add_rows(data, pattern.cap_pos, np.concatenate((g, g, -g, -g), axis=-1))
         data[:, pattern.nnz] = 0.0
-        return self._place(data) if dense else data
+        return data
 
     def _linear_rhs(
         self,
@@ -1308,6 +1282,32 @@ class CompiledCircuit:
         gds = gds + self.mos_gmin
         i_eq = ids - gm * vgs - gds * vds
         return forward, gds, gm, i_eq
+
+
+def _holding_stacked_tables(driver: Callable) -> Callable:
+    """Keep the stacked stamp tables across one analysis driver's rounds.
+
+    A DC or march driver assembles its stack round after round, so its
+    stacked position tables (:meth:`_StampTable.stacked`) are built once
+    and kept while it runs.  They grow with trials times MOSFETs (128
+    trials of the 1176-device n=399 lattice keep 24 MB), so they are
+    dropped when the driver returns; a stacked assembly outside a driver
+    builds them for that call only.
+    """
+
+    @functools.wraps(driver)
+    def run(self: "AnalysisEngine", *args, **kwargs):
+        compiled = self.compiled
+        held, compiled._hold_stacked = compiled._hold_stacked, True
+        try:
+            return driver(self, *args, **kwargs)
+        finally:
+            compiled._hold_stacked = held
+            pattern = compiled._pattern
+            if not held and pattern is not None and pattern.mos_csc is not None:
+                pattern.mos_csc.release()
+
+    return run
 
 
 class AnalysisEngine:
@@ -1409,7 +1409,7 @@ class AnalysisEngine:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Newton iteration over stacked systems; one linear solve per round.
 
-        The engine's one Newton loop.  Mutates and returns ``solutions``
+        The engine's stacked Newton loop.  Mutates and returns ``solutions``
         (``(trials, n)``) with per-trial ``(iterations, converged,
         max_updates)``.  Each round assembles and solves the active trials,
         clamps every update to ``damping_v`` per unknown and tests it
@@ -1437,30 +1437,11 @@ class AnalysisEngine:
         across the calls of a march sharing the states.  Dense assembly
         ignores it, since LAPACK refactors on every call anyway.
 
-        A stack of one without parameter stacks — every serial DC solve and
-        transient step — runs the same rounds as a row loop on its ``(n,)``
-        iterate (:meth:`_newton_row`), so a serial analysis pays no stack
-        bookkeeping.  Larger stacks run the stacked loop, whose rows take
-        the same float operations (bit-identical trial for trial).
+        Its rows take the same float operations as :meth:`_newton_row`
+        (bit-identical trial for trial); :meth:`_newton_loop` picks between
+        the two.
         """
         trials = solutions.shape[0]
-        if trials == 1 and not params:
-            solutions, iterations, converged, max_update = self._newton_row(
-                solutions, params, gmin=gmin, max_iterations=max_iterations,
-                tolerance_v=tolerance_v, damping_v=damping_v, solver=solver,
-                time_s=time_s, timestep_s=timestep_s,
-                previous_solutions=previous_solutions, integration=integration,
-                cap_history=cap_history, cap_g_rows=cap_g_rows,
-                source_scale=source_scale, reuse_states=reuse_states,
-                stall_rounds=stall_rounds,
-            )
-            return (
-                solutions,
-                np.array([iterations]),
-                np.array([converged]),
-                np.array([max_update]),
-            )
-
         compiled = self.compiled
         # Pattern-assembly backends (sparse) take CSC data stacks: trials *
         # nnz memory instead of trials * n^2.
@@ -1613,6 +1594,16 @@ class AnalysisEngine:
         max_updates[active] = last_updates
         return solutions, iterations, converged, max_updates
 
+    def _newton_loop(self, trials: int, params: Mapping[str, np.ndarray]) -> Callable:
+        """The Newton loop for a ``(trials, n)`` stack.
+
+        A stack of one without parameter stacks — every serial DC solve and
+        transient step — takes the row loop (:meth:`_newton_row`), so a
+        serial analysis pays no stack bookkeeping; any other stack takes
+        the stacked loop (:meth:`_newton_batched`).
+        """
+        return self._newton_row if trials == 1 and not params else self._newton_batched
+
     def _newton_row(
         self,
         solutions: np.ndarray,
@@ -1710,6 +1701,7 @@ class AnalysisEngine:
     # DC operating points (one driver, serial and stacked)
     # ------------------------------------------------------------------ #
 
+    @_holding_stacked_tables
     def _solve_dc_stack(
         self,
         solutions: np.ndarray,
@@ -1746,18 +1738,24 @@ class AnalysisEngine:
         controls["solver"] = backend = resolved.select(compiled, count if stacked else None)
         backend.bind(compiled)
         counts_before = resolved.solver_stats()
-        solutions, iterations, converged, max_updates = self._newton_batched(
-            solutions, params, gmin=gmin, reuse_states=reuse_states,
-            stall_rounds=NEWTON_STALL_ROUNDS, **controls,
+        # The row loop returns scalars; the driver indexes trial arrays.
+        solutions, iterations, converged, max_updates = map(
+            np.atleast_1d,
+            self._newton_loop(count, params)(
+                solutions, params, gmin=gmin, reuse_states=reuse_states,
+                stall_rounds=NEWTON_STALL_ROUNDS, **controls,
+            ),
         )
         strategies = ["newton" if ok else "failed" for ok in converged.tolist()]
         pending = np.flatnonzero(~converged) if "failed" in strategies else None
         for ladder, rungs in _fallback_ladders(gmin) if pending is not None else ():
             sub = {name: stack[pending] for name, stack in params.items()}
             stepped = np.zeros((pending.size, solutions.shape[1]))
+            newton = self._newton_loop(pending.size, sub)
             for step_gmin, scale in rungs:
-                stepped, used, final_ok, final_update = self._newton_batched(
-                    stepped, sub, gmin=step_gmin, source_scale=scale, **controls
+                stepped, used, final_ok, final_update = map(
+                    np.atleast_1d,
+                    newton(stepped, sub, gmin=step_gmin, source_scale=scale, **controls),
                 )
                 iterations[pending] += used
             max_updates[pending] = final_update
@@ -2208,6 +2206,7 @@ class AnalysisEngine:
         )
         return result
 
+    @_holding_stacked_tables
     def _march_fixed(
         self,
         solutions: np.ndarray,
@@ -2227,8 +2226,8 @@ class AnalysisEngine:
 
         The one fixed-grid driver: :meth:`solve_transient` runs it on a
         stack of one, :meth:`solve_transient_batched` on the lockstep stack.
-        Each step is one :meth:`_newton_batched` call from the previous time
-        point; a trial whose step does not converge keeps its last iterate
+        Each step is one Newton loop call (:meth:`_newton_loop`) from the
+        previous time point; a trial whose step does not converge keeps its last iterate
         and marches on, with the step's update in its worst residual.  With
         ``use_initial_conditions`` the first step's capacitor companion (and
         the trapezoidal history after it) takes the capacitors' initial
@@ -2246,10 +2245,9 @@ class AnalysisEngine:
         waveforms = np.zeros((count, steps + 1, size))
         waveforms[:, 0, :] = solutions
         # Per-step (iterations, converged, max_update) stories, reduced once
-        # at the end.  A stack of one without parameter stacks steps through
-        # the row loop, whose stories are Python scalars: a serial march
+        # at the end; the row loop's are Python scalars, so a serial march
         # pays no per-step stack arithmetic.
-        newton = self._newton_row if count == 1 and not params else self._newton_batched
+        newton = self._newton_loop(count, params)
         stories: List[tuple] = []
         cap_history = np.zeros((count, compiled.num_capacitors))
         # March-wide invariant: the companion conductances (per trial under

@@ -103,20 +103,17 @@ class TestCompiledAssemblyParity:
         assert slower == pytest.approx(1.0 - np.exp(-0.5), abs=0.02)
 
     def test_singular_retries_do_not_grow_base_cache(self):
-        # Each layout caches its own bases: flat (n, n) cells for the dense
-        # solvers, CSC data for the sparse ones.  A serial solve and a
-        # stack, whose trials bump their own gmins, run on each.
+        # Dense and sparse assemblies share one cache of CSC base data.  A
+        # serial solve and a stack, whose trials bump their own gmins, run
+        # on each backend.
         circuit = Circuit()
         VoltageSource(circuit, "v1", "a", "0", 1.0)
         VoltageSource(circuit, "v2", "a", "0", 2.0)
         engine = get_engine(circuit)
-        size = circuit.system_size
-        widths = {True: size * size + 1}
-        runs = [("dense", "batched", True)]
+        runs = [("dense", "batched")]
         if scipy_available():
-            widths[False] = engine.compiled.sparsity_pattern().nnz + 1
-            runs.append(("sparse", "sparse-batched", False))
-        for serial, stacked, _ in runs:
+            runs.append(("sparse", "sparse-batched"))
+        for serial, stacked in runs:
             op = get_engine(circuit).solve_dc(max_iterations=50, solver=serial)
             assert not op.converged
             stack = engine.solve_dc_batched(trials=2, max_iterations=50, solver=stacked)
@@ -124,10 +121,9 @@ class TestCompiledAssemblyParity:
         # Only the caller-requested gmin contexts are retained; the
         # bumped-gmin retry bases are built uncached.
         cache = engine.compiled._base_data_cache
-        for _, _, dense in runs:
-            layout = [base for key, base in cache.items() if key[0] is dense]
-            assert 0 < len(layout) <= len((1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)) + 1
-            assert all(base.shape == (widths[dense],) for base in layout)
+        assert 0 < len(cache) <= len((1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)) + 1
+        width = engine.compiled.sparsity_pattern().nnz + 1
+        assert all(base.shape == (width,) for base in cache.values())
 
     def test_get_engine_is_cached_on_circuit(self):
         circuit = Circuit()
@@ -381,7 +377,7 @@ class TestSolverFallbacks:
         VoltageSource(circuit, "vg", "g", "0", 1.2)
         engine = get_engine(circuit)
         solver = get_solver("dense").select(engine.compiled)
-        # The DC driver's Newton loop, on a stack of one.
+        # The stacked Newton loop, on a stack of one.
         solutions = circuit.initial_solution()[np.newaxis]
         for scale in (0.1, 0.25, 0.5, 0.75, 1.0):
             solutions, _, converged, _ = engine._newton_batched(

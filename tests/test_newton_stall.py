@@ -58,9 +58,12 @@ def test_lattice_dc_story(rows, strategy, iterations):
         assert op.solution == pytest.approx(golden, rel=1e-12, abs=0.0)
 
 
-def test_stall_rule_stops_the_plain_run_only():
+@pytest.mark.parametrize("loop", ["_newton_row", "_newton_batched"])
+def test_stall_rule_stops_the_plain_run_only(loop):
     engine = get_engine(build_scalability_bench(14).circuit)
-    # The DC driver's Newton loop, on a stack of one.
+    # Either Newton loop on a stack of one: the DC driver takes the row
+    # loop, and the stacked loop's rows must stop at the same round.
+    newton = getattr(engine, loop)
     start = engine.circuit.initial_solution()[np.newaxis]
     controls = dict(
         gmin=1e-9,
@@ -69,13 +72,13 @@ def test_stall_rule_stops_the_plain_run_only():
         damping_v=0.6,
         solver=get_solver("dense").select(engine.compiled),
     )
-    _, used, converged, _ = engine._newton_batched(
-        start.copy(), {}, stall_rounds=NEWTON_STALL_ROUNDS, **controls
+    _, used, converged, _ = map(
+        np.atleast_1d, newton(start.copy(), {}, stall_rounds=NEWTON_STALL_ROUNDS, **controls)
     )
     assert (used[0], converged[0]) == (66, False)
     # Without the rule (every ladder rung, every transient step) the same
     # run spends its whole budget.
-    _, used, converged, _ = engine._newton_batched(start.copy(), {}, **controls)
+    _, used, converged, _ = map(np.atleast_1d, newton(start.copy(), {}, **controls))
     assert (used[0], converged[0]) == (300, False)
 
 

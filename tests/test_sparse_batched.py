@@ -279,6 +279,37 @@ class TestKernelReuse:
             for array, copy in zip(first, kept):
                 assert np.array_equal(array, copy)
 
+    def test_reuse_workspace_is_gone(self, fig11):
+        _, compiled, solution = fig11
+        stack = np.stack((solution, 0.5 * solution))
+        for assemble in (compiled.assemble_batched, compiled.assemble_sparse_batched):
+            with pytest.raises(TypeError):
+                assemble(stack, reuse_workspace=True)
+
+    def test_stacked_tables_live_for_one_analysis(self, fig11, monkeypatch):
+        # The (trials, 10, M) position tables grow with the stack: a direct
+        # stacked assembly builds them for that call only, while an analysis
+        # driver keeps them across its rounds and drops them when it returns.
+        circuit, compiled, solution = fig11
+        table = compiled.sparsity_pattern().mos_csc
+        compiled.assemble_batched(np.stack((solution,) * 3))
+        compiled.assemble_sparse_batched(np.stack((solution,) * 3))
+        assert table._stacked[0].shape[0] == 1
+        kept = []
+        assemble = compiled.assemble_batched
+
+        def spy(*args, **kwargs):
+            result = assemble(*args, **kwargs)
+            kept.append(table._stacked[0].shape[0])
+            return result
+
+        monkeypatch.setattr(compiled, "assemble_batched", spy)
+        stacks = {"mos_vth": np.tile(compiled.mos_vth, (3, 1))}
+        get_engine(circuit).solve_dc_batched(params=stacks, solver="dense")
+        assert kept and set(kept) == {3}
+        assert table._stacked[0].shape[0] == 1
+        assert not compiled._hold_stacked
+
 
 class TestSparseBatchedAssembly:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
