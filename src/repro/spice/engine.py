@@ -478,8 +478,8 @@ class CompiledCircuit:
     (:meth:`_scatter`, on one iterate or a stack of them) into CSC data at
     positions the topology's :class:`SparsityPattern` precomputes: the
     sparse assemblies return that data, the dense ones place it into
-    zeroed matrices (:meth:`_place`), so dense and sparse results are
-    bit-identical by construction.  Each call returns fresh arrays.
+    zeroed matrices at :attr:`SparsityPattern.dense_pos`, so dense and
+    sparse results are bit-identical by construction.  Each call returns fresh arrays.
     """
 
     #: Linear bases retained per (gmin, timestep, integration)
@@ -866,16 +866,6 @@ class CompiledCircuit:
             bases[key] = data
         return data
 
-    def _place(self, data: np.ndarray) -> np.ndarray:
-        """``(..., nnz + 1)`` pattern data as fresh ``(..., n, n)`` matrices:
-        each slot at its :attr:`~SparsityPattern.dense_pos` cell, every
-        other cell zero (the trash slot is dropped)."""
-        pattern = self.sparsity_pattern()
-        lead = data.shape[:-1]
-        placed = np.zeros(lead + (self.size * self.size,))
-        placed[..., pattern.dense_pos] = data[..., : pattern.nnz]
-        return placed.reshape(lead + (self.size, self.size))
-
     def _waveform_values(
         self, time_s: float, scale: float
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
@@ -952,7 +942,10 @@ class CompiledCircuit:
             state.timestep_s, state.integration, state.previous_solution,
             cap_history, linear_rhs, cache_base=cache_base,
         )
-        return self._place(data), rhs[: self.size]
+        pattern = self.sparsity_pattern()
+        matrix = np.zeros((self.size, self.size))
+        matrix.reshape(-1)[pattern.dense_pos] = data[: pattern.nnz]
+        return matrix, rhs[: self.size]
 
     def assemble_sparse(
         self,
@@ -1020,7 +1013,10 @@ class CompiledCircuit:
             timestep_s, integration, previous_solutions, cap_history, linear_rhs,
             cap_g_rows,
         )
-        return self._place(data), rhs[:, : self.size]
+        pattern = self.sparsity_pattern()
+        matrices = np.zeros((data.shape[0], self.size, self.size))
+        matrices.reshape(data.shape[0], -1)[:, pattern.dense_pos] = data[:, : pattern.nnz]
+        return matrices, rhs[:, : self.size]
 
     def assemble_sparse_batched(
         self,
