@@ -1,9 +1,9 @@
 """Tests for pattern assembly, dense placement and the sparse-batched path.
 
-Every assembly bins element stamps straight into the layout of its
-solver: the precomputed CSC pattern (serial ``(nnz,)`` or stacked
-``(trials, nnz)``) or the flat cells of dense matrices.  Every dense entry
-off the pattern must be exactly zero, and dense, sparse, serial and
+Every assembly bins element stamps into the precomputed CSC pattern
+(serial ``(nnz,)`` or stacked ``(trials, nnz)``), which dense assemblies
+place into zeroed matrices.  Every dense entry off the pattern must be
+exactly zero, and dense, sparse, serial and
 batched results must agree *bit for bit* at zero and nonzero sigma, for
 DC and transient companion states, across channel-orientation flips and
 with the kernel's cached state warm.  At the solve level the sparse-batched
