@@ -550,16 +550,19 @@ class CompiledCircuit:
 
         self.is_plus = np.array([gi(s._node_plus) for s in self.current_sources], dtype=int)
         self.is_minus = np.array([gi(s._node_minus) for s in self.current_sources], dtype=int)
-        #: RHS rows of the current-source stamps (plus nodes, then minus).
-        self._is_rows = np.concatenate((self.is_plus, self.is_minus))
 
         self.capacitors = capacitors
         self.cap_a = np.array([gi(c._node_a) for c in capacitors], dtype=int)
         self.cap_b = np.array([gi(c._node_b) for c in capacitors], dtype=int)
         self.cap_c = np.array([c.capacitance_f for c in capacitors], dtype=float)
         self.cap_v0 = np.array([c.initial_voltage_v for c in capacitors], dtype=float)
-        #: RHS rows of the capacitor history currents (a nodes, then b).
-        self._cap_rows = np.concatenate((self.cap_a, self.cap_b))
+        #: RHS rows of the linear right-hand side, in stamp order: voltage
+        #: source branches, current sources (plus nodes, then minus), then
+        #: capacitor history currents (a nodes, then b).  A DC solve, which
+        #: has no history currents, uses the prefix before the capacitors.
+        self._rhs_rows = np.concatenate(
+            (self.vs_rows, self.is_plus, self.is_minus, self.cap_a, self.cap_b)
+        )
 
         self.mos_d = np.array([gi(m._drain) for m in mosfets], dtype=int)
         self.mos_g = np.array([gi(m._gate) for m in mosfets], dtype=int)
@@ -1215,25 +1218,20 @@ class CompiledCircuit:
         capacitor voltages from :attr:`cap_v0`; ``cap_g_rows`` optionally
         hands in the companion conductances.
         """
-        rhs = np.zeros(lead + (self._ghost,))
         v_values, i_values = self._waveform_values(time_s, source_scale)
         # Per-trial scale stacks compose exactly like the serial
         # vs_scale/is_scale overlay multipliers.
+        parts: List[np.ndarray] = []
         if v_values is not None:
             vs_scale = params.get("vsource_scale", self.vs_scale)
             if vs_scale is not None:
                 v_values = v_values * vs_scale
-            if lead:
-                rhs[:, self.vs_rows] += v_values
-            else:
-                rhs[self.vs_rows] += v_values
+            parts.append(v_values)
         if i_values is not None:
             is_scale = params.get("isource_scale", self.is_scale)
             if is_scale is not None:
                 i_values = i_values * is_scale
-            self._add_rows(
-                rhs, self._is_rows, np.concatenate((-i_values, i_values), axis=-1)
-            )
+            parts += [-i_values, i_values]
 
         # Capacitor companion history currents, added after the sources and
         # before the MOSFET stamps.
@@ -1249,8 +1247,22 @@ class CompiledCircuit:
             i_eq = cap_g_rows * v_prev
             if integration == "trap" and cap_history is not None:
                 i_eq = i_eq + cap_history
-            self._add_rows(rhs, self._cap_rows, np.concatenate((i_eq, -i_eq), axis=-1))
-        return rhs
+            parts += [i_eq, -i_eq]
+        if not parts:
+            return np.zeros(lead + (self._ghost,))
+        # One bincount sums each row from +0.0 in stamp order; a stack bins
+        # trial t's row k into cell t * (n + 1) + k.
+        if not lead:
+            weights = np.concatenate(parts)
+            return np.bincount(self._rhs_rows[: weights.size], weights, minlength=self._ghost)
+        trials = lead[0]
+        weights = np.concatenate(
+            [np.broadcast_to(part, (trials, part.shape[-1])) for part in parts], axis=1
+        )
+        rows = self._rhs_rows[: weights.shape[1]]
+        cells = rows + np.arange(0, trials * self._ghost, self._ghost)[:, None]
+        rhs = np.bincount(cells.ravel(), weights.ravel(), minlength=trials * self._ghost)
+        return rhs.reshape(trials, self._ghost)
 
     def _mosfet_companion(
         self,

@@ -17,6 +17,9 @@ iteration logic:
   (COLAMD) is computed once per bound pattern, by its first factorization;
   every later factorization gathers the data into that column order and
   skips the ordering step, with factors bit-identical to a plain ``splu``.
+  The process's first SuperLU factorization pins glibc's mmap and trim
+  thresholds for the rest of the process, so SuperLU's per-call workspace
+  comes from reused heap instead of freshly faulted pages.
   Pays off on large lattices, where the MNA matrix is overwhelmingly
   empty.  Requires the optional ``scipy`` dependency — install it directly
   or through this package's ``[sparse]`` extra.
@@ -61,6 +64,7 @@ engine's modified Newton (``newton="reuse"``) holds across rounds.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import warnings
@@ -108,14 +112,53 @@ def _import_scipy_sparse():
     return scipy.sparse, scipy.sparse.linalg
 
 
+#: glibc ``mallopt`` parameters (``<malloc.h>``) and the values
+#: :func:`_settle_heap` pins them to: blocks under 4 MiB come from the heap,
+#: and freed heap memory is returned to the system only above 8 MiB.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 4 * 1024 * 1024
+_TRIM_THRESHOLD_BYTES = 8 * 1024 * 1024
+#: Whether this process has run :func:`_settle_heap`.
+_heap_settled = False
+
+
+def _settle_heap() -> None:
+    """Pin glibc's mmap and trim thresholds, once per process.
+
+    SuperLU mallocs and frees its factorization workspace on every call.
+    Under glibc's default dynamic thresholds, whether that workspace comes
+    from reused heap or from freshly faulted mmap pages depends on what the
+    process allocated and freed before; pinned, it is reused heap (the state
+    glibc reaches by itself once a block of about 4 MiB has been freed).
+    The setting is process-wide, so it is made on the first factorization,
+    leaving processes that never factorize sparse as they are.  Where the
+    C library has no ``mallopt`` (macOS, Windows), this does nothing.
+    """
+    global _heap_settled
+    if _heap_settled:
+        return
+    _heap_settled = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def _splu(system, **options):
     """``splu`` of one CSC matrix, a singular factor raised as ``LinAlgError``.
 
     SuperLU reports an exactly singular factor as RuntimeError; normalizing
     it to the dense backend's exception keeps the engine's gmin-bump retry
-    backend-agnostic.
+    backend-agnostic.  The process's first call pins the heap thresholds
+    (:func:`_settle_heap`).
     """
     _, sparse_linalg = _import_scipy_sparse()
+    _settle_heap()
     try:
         return sparse_linalg.splu(system, **options)
     except RuntimeError as error:

@@ -7,6 +7,12 @@ match the serial per-trial path *bit for bit*, which the zero-sigma
 hypothesis property pins down.
 """
 
+import ctypes
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import hypothesis.strategies as st
@@ -865,6 +871,107 @@ class TestColumnOrder:
         assert solver.solver_stats()["factorizations"] == 2
         expected = [plain_splu_solve(pattern, d, r) for d, r in zip(stack[:2], rhs[:2])]
         assert np.array_equal(out, np.stack(expected))
+
+
+# ---------------------------------------------------------------------- #
+# the heap thresholds pinned by the first SuperLU factorization
+# ---------------------------------------------------------------------- #
+
+
+def mallopt_resolves():
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return True
+
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+#: Minor page faults per factorization of the n=399 scalability lattice,
+#: in a fresh interpreter: one factorization (which pins the thresholds),
+#: then 50 more under ``getrusage``.
+_FAULT_PROBE_SCRIPT = """
+import resource
+import sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from repro.circuits import build_scalability_bench
+from repro.spice import SparseSolver, get_engine
+from repro.spice.netlist import AnalysisState
+
+compiled = get_engine(build_scalability_bench(rows=14).circuit).compiled
+assert compiled.size == 399
+solver = SparseSolver()
+solver.bind(compiled)
+data, rhs = compiled.assemble_sparse(
+    AnalysisState(solution=np.zeros(compiled.size), gmin=1e-9)
+)
+solver.solve_pattern(data, rhs)
+calls = 50
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(calls):
+    solver.solve_pattern(data, rhs)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print((after - before) / calls)
+"""
+
+
+@requires_scipy
+class TestHeapSettling:
+    """SuperLU mallocs and frees its workspace on every factorization; the
+    process's first factorization pins glibc's mmap and trim thresholds, so
+    that workspace comes from reused heap, not freshly faulted pages."""
+
+    @pytest.mark.skipif(not mallopt_resolves(), reason="needs glibc's mallopt")
+    def test_fresh_process_factorizations_do_not_fault(self):
+        completed = subprocess.run(
+            [sys.executable, "-c", _FAULT_PROBE_SCRIPT.format(src=SRC_DIR)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert float(completed.stdout) <= 2.0
+
+    def test_first_factorization_pins_the_thresholds_once(self, monkeypatch):
+        # A stand-in for ``ctypes.CDLL(None)`` that logs every mallopt call.
+        calls = []
+        library = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+        monkeypatch.setattr(solvers_module, "_heap_settled", False)
+        monkeypatch.setattr(solvers_module.ctypes, "CDLL", lambda name: library)
+        compiled = get_engine(common_source_circuit()).compiled
+        solver = SparseSolver()
+        solver.bind(compiled)
+        data = zero_state_data(compiled)
+        rhs = np.ones(compiled.size)
+        solver.solve_pattern(data, rhs)
+        assert calls == [
+            (solvers_module._M_MMAP_THRESHOLD, solvers_module._MMAP_THRESHOLD_BYTES),
+            (solvers_module._M_TRIM_THRESHOLD, solvers_module._TRIM_THRESHOLD_BYTES),
+        ]
+        # Later factorizations, by any sparse entry point, leave them be.
+        solver.solve_pattern(data, rhs)
+        matrix, _ = compiled.assemble(
+            AnalysisState(solution=np.zeros(compiled.size), gmin=1e-9)
+        )
+        SparseSolver().solve(matrix, rhs)
+        assert len(calls) == 2
+
+    def test_missing_mallopt_is_a_silent_no_op(self, monkeypatch, recwarn):
+        monkeypatch.setattr(solvers_module, "_heap_settled", False)
+        monkeypatch.setattr(solvers_module.ctypes, "CDLL", lambda name: object())
+        compiled = get_engine(common_source_circuit()).compiled
+        solver = SparseSolver()
+        solver.bind(compiled)
+        data = zero_state_data(compiled)
+        rhs = np.ones(compiled.size)
+        assert np.array_equal(
+            solver.solve_pattern(data, rhs),
+            plain_splu_solve(compiled.sparsity_pattern(), data, rhs),
+        )
+        assert solvers_module._heap_settled
+        assert len(recwarn) == 0
 
 
 def weak_bias_chain(stages=4):

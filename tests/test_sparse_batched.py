@@ -23,6 +23,7 @@ from repro.fitting.level1 import Level1Parameters
 from repro.spice import (
     Capacitor,
     Circuit,
+    CurrentSource,
     Gaussian,
     MOSFET,
     MonteCarloEngine,
@@ -202,6 +203,109 @@ class TestDensePlacement:
                         assert np.array_equal(serial_rhs, rhs[trial])
                 finally:
                     compiled.clear_parameter_overlay()
+
+
+def source_mesh():
+    """Every kind of right-hand-side stamp, several on each node, grounded
+    terminals included."""
+    circuit = Circuit("source-mesh")
+    VoltageSource(
+        circuit,
+        "v1",
+        "a",
+        "0",
+        Pulse(0.0, 1.2, delay_s=1e-9, rise_s=1e-9, fall_s=1e-9, width_s=5e-9, period_s=20e-9),
+    )
+    VoltageSource(circuit, "v2", "c", "b", 0.3)
+    CurrentSource(circuit, "i1", "0", "b", 1e-6)
+    CurrentSource(circuit, "i2", "b", "a", 2.5e-6)
+    CurrentSource(circuit, "i3", "b", "c", 0.7e-6)
+    Resistor(circuit, "r1", "a", "b", 1e3)
+    Resistor(circuit, "r2", "b", "0", 2e3)
+    Resistor(circuit, "r3", "c", "0", 3e3)
+    Capacitor(circuit, "c1", "b", "0", 1e-12)
+    Capacitor(circuit, "c2", "a", "b", 2e-12)
+    Capacitor(circuit, "c3", "b", "c", 3e-12)
+    return circuit
+
+
+def loop_rhs(compiled, params, time_s, scale, timestep_s, integration, previous, history):
+    """The linear right-hand side added up one stamp at a time, in stamp
+    order: voltage sources, current sources (plus nodes, then minus), then
+    capacitor history currents (a nodes, then b)."""
+    rhs = [0.0] * (compiled.size + 1)
+    vs_scale = params.get("vsource_scale", np.ones(len(compiled.voltage_sources)))
+    for source, row, factor in zip(compiled.voltage_sources, compiled.vs_rows, vs_scale):
+        rhs[row] += scale * source.waveform.value(time_s) * factor
+    is_scale = params.get("isource_scale", np.ones(len(compiled.current_sources)))
+    currents = [
+        scale * source.waveform.value(time_s) * factor
+        for source, factor in zip(compiled.current_sources, is_scale)
+    ]
+    for node, current in zip(compiled.is_plus, currents):
+        rhs[node] += -current
+    for node, current in zip(compiled.is_minus, currents):
+        rhs[node] += current
+    if timestep_s is not None:
+        conductance = compiled._capacitor_conductance(
+            timestep_s, integration, params.get("cap_c")
+        )
+        padded = np.append(previous, 0.0)
+        history_currents = [
+            g * (padded[a] - padded[b]) + (h if integration == "trap" else 0.0)
+            for g, a, b, h in zip(conductance, compiled.cap_a, compiled.cap_b, history)
+        ]
+        for node, current in zip(compiled.cap_a, history_currents):
+            rhs[node] += current
+        for node, current in zip(compiled.cap_b, history_currents):
+            rhs[node] += -current
+    return np.array(rhs)
+
+
+class TestLinearRhs:
+    """The linear right-hand side (sources plus capacitor history), serial
+    and stacked, against the stamp-by-stamp sum, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "timestep_s, integration", [(None, "be"), (1e-10, "be"), (1e-10, "trap")]
+    )
+    def test_serial_and_stacked_match_the_stamp_loop(self, timestep_s, integration):
+        rng = np.random.default_rng(3)
+        compiled = get_engine(source_mesh()).compiled
+        trials = 3
+        stacks = {
+            "vsource_scale": rng.uniform(0.9, 1.1, (trials, len(compiled.voltage_sources))),
+            "isource_scale": rng.uniform(0.9, 1.1, (trials, len(compiled.current_sources))),
+            "cap_c": compiled.cap_c * rng.uniform(0.9, 1.1, (trials, compiled.num_capacitors)),
+        }
+        previous = rng.uniform(-1.0, 1.0, (trials, compiled.size))
+        history = rng.uniform(-1e-6, 1e-6, (trials, compiled.num_capacitors))
+        time_s, scale = 1.7e-9, 0.75
+        stacked = compiled._linear_rhs(
+            (trials,), stacks, time_s, scale, timestep_s, integration, previous, history
+        )
+        assert stacked.shape == (trials, compiled.size + 1)
+        for trial in range(trials):
+            params = {name: stack[trial] for name, stack in stacks.items()}
+            want = loop_rhs(
+                compiled, params, time_s, scale, timestep_s, integration,
+                previous[trial], history[trial],
+            )
+            serial = compiled._linear_rhs(
+                (), params, time_s, scale, timestep_s, integration,
+                previous[trial], history[trial],
+            )
+            assert np.array_equal(serial, want)
+            assert np.array_equal(stacked[trial], want)
+
+    def test_circuit_without_sources_has_a_zero_rhs(self):
+        circuit = Circuit("passive")
+        Resistor(circuit, "r1", "a", "0", 1e3)
+        compiled = get_engine(circuit).compiled
+        rhs = compiled._linear_rhs((), {}, 0.0, 1.0, None, "be", None, None)
+        assert rhs.dtype == float and np.array_equal(rhs, np.zeros(compiled.size + 1))
+        rhs = compiled._linear_rhs((2,), {}, 0.0, 1.0, None, "be", None, None)
+        assert rhs.dtype == float and np.array_equal(rhs, np.zeros((2, compiled.size + 1)))
 
 
 def channel_forward(compiled, solution):
