@@ -8,13 +8,19 @@ without blocking it:
 
     python benchmarks/compare_bench.py CURRENT_DIR PREVIOUS_DIR
 
+The committed benchmark ledger, ``BENCH_perfbench.json`` at the repository
+root (written by ``bench_ledger.py``), diffs the same way: put it and the
+previous commit's copy (``git show HEAD~1:BENCH_perfbench.json``) in two
+directories.
+
 Numeric leaf metrics are compared by relative change; moves beyond the
 warning threshold (20 % by default, ``--threshold``) in the *worsening*
 direction are flagged.  Metric direction is inferred from the name:
-times/counts (``*_us``, ``*_ms``, ``*_s``, ``*_steps``, ``*_err``) are
-lower-is-better, rates (``speedup``, ``*_per_second``, ``*_ratio``,
-``*_reduction``) higher-is-better; anything else is reported as informational
-only.  The exit code is always 0 — this is a trend report, not a gate.
+times/counts/sizes (``*_us``, ``*_ms``, ``*_s``, ``*_steps``, ``*_err``,
+``*_rss_mb``) are lower-is-better, rates (``speedup``, ``*_per_second``,
+``*_per_s``, ``*_ratio``, ``*_reduction``) higher-is-better; the host-speed
+``reference_ms`` and anything else is reported as informational only.  The
+exit code is always 0 — this is a trend report, not a gate.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ LOWER_IS_BETTER = (
     "_iterations",
     "_factorizations",
     "_peak_mb",
+    "_rss_mb",
     # Service-latency classes (BENCH_service.json).  Already covered by the
     # bare "_ms" suffix, but named explicitly so the latency/percentile
     # families keep their direction if they ever move to other units.
@@ -44,7 +51,7 @@ LOWER_IS_BETTER = (
     # overhead of a resilient warm hit over the raw backend.
     "overhead_pct",
 )
-HIGHER_IS_BETTER = ("speedup", "_per_second", "_ratio", "_reduction", "_fraction")
+HIGHER_IS_BETTER = ("speedup", "_per_second", "_per_s", "_ratio", "_reduction", "_fraction")
 
 
 def iter_metrics(payload, prefix: str = "") -> Iterator[Tuple[str, float]]:
@@ -70,9 +77,10 @@ def iter_metrics(payload, prefix: str = "") -> Iterator[Tuple[str, float]]:
 def direction(metric: str) -> int:
     """-1 lower-is-better, +1 higher-is-better, 0 informational."""
     leaf = metric.rsplit(".", 1)[-1]
-    # Descriptive measurements, not costs: the controller's step-size range
-    # and reference values move freely without being better or worse.
-    if leaf.endswith(("_step_s", "_ref_s")):
+    # Descriptive measurements, not costs: the controller's step-size range,
+    # reference values and the ledger's host-speed loop move freely without
+    # being better or worse.
+    if leaf.endswith(("_step_s", "_ref_s")) or leaf == "reference_ms":
         return 0
     if leaf.endswith(HIGHER_IS_BETTER) or leaf in HIGHER_IS_BETTER:
         return 1

@@ -2,7 +2,8 @@
 
 The elements only record their terminals and waveforms.  The analysis
 engine folds the structural +/-1 branch entries of voltage sources into its
-cached base matrix and re-reads each source's waveform on every assembly, so
+cached base matrix and re-reads each source's waveform on every solve (a
+fixed-step march samples it on the march's whole time grid once), so
 ``set_level()`` during sweeps is honoured without recompiling.
 """
 

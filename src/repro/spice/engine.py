@@ -62,7 +62,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Hashable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -72,6 +74,7 @@ from repro.spice.elements.mosfet import MOSFET, evaluate_level1_arrays
 from repro.spice.elements.resistor import Resistor
 from repro.spice.elements.sources import CurrentSource, VoltageSource
 from repro.spice.solvers import Factorization, LinearSolver, get_solver
+from repro.spice.waveforms import _sample
 
 #: gmin ladder of the gmin-stepping fallback (relaxed decade by decade).
 GMIN_LADDER: Tuple[float, ...] = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
@@ -350,6 +353,24 @@ class _StampTable:
         self._stacked = (self.forward[np.newaxis], self.reverse[np.newaxis])
 
 
+class _RowInputs(NamedTuple):
+    """What a serial assembly reads that one Newton call holds constant.
+
+    Built by :meth:`CompiledCircuit._row_inputs`.  The serial Newton loop
+    (:meth:`AnalysisEngine._newton_row`) resolves it once per call and
+    hands it to every round's dense :meth:`CompiledCircuit.assemble`, so a
+    round pays neither the base-data cache lookup nor the parameter reads
+    nor a fresh padded iterate; a singular round, which bumps gmin,
+    resolves it again.
+    """
+
+    base: np.ndarray  # (nnz + 1,) linear base data at the call's gmin
+    beta: np.ndarray  # MOSFET parameter vectors, (M,) each
+    vth: np.ndarray
+    lam: np.ndarray
+    padded: np.ndarray  # (n + 1,) iterate buffer; its ghost slot stays 0.0
+
+
 class SparsityPattern:
     """The CSC structure shared by every assembly of one compiled topology.
 
@@ -470,7 +491,9 @@ class CompiledCircuit:
     * MOSFETs become terminal-index and parameter arrays evaluated with the
       vectorized level-1 model of :func:`repro.spice.elements.mosfet.evaluate_level1_arrays`;
     * independent sources become row/node arrays plus waveform references
-      (re-read on every assembly, so ``set_level`` during sweeps is honoured);
+      (re-read on every solve, so ``set_level`` during sweeps is honoured; a
+      fixed-step march samples them on its whole grid once, see
+      :meth:`_source_table`);
     * any other element, a subclass of these five included, is rejected
       with ``TypeError``.
 
@@ -869,6 +892,29 @@ class CompiledCircuit:
             bases[key] = data
         return data
 
+    def _row_inputs(
+        self,
+        gmin: float,
+        timestep_s: Optional[float],
+        integration: str,
+        cache_base: bool = True,
+    ) -> _RowInputs:
+        """The per-call invariants of a serial assembly (see :class:`_RowInputs`).
+
+        The base data is :meth:`_base_data`'s for the context, the MOSFET
+        parameters the compiled vectors; the padded buffer is fresh, with
+        its ghost slot zeroed.
+        """
+        padded = np.empty(self._ghost)
+        padded[self.size] = 0.0
+        return _RowInputs(
+            self._base_data(gmin, timestep_s, integration, cache_base),
+            self.mos_beta,
+            self.mos_vth,
+            self.mos_lambda,
+            padded,
+        )
+
     def _waveform_values(
         self, time_s: float, scale: float
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
@@ -886,6 +932,26 @@ class CompiledCircuit:
             return levels if scale == 1.0 else scale * levels
 
         return values(self.voltage_sources), values(self.current_sources)
+
+    def _source_table(
+        self, times: np.ndarray, scale: float = 1.0
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """:meth:`_waveform_values` at every time of ``times``, in one table.
+
+        Returns ``(v_table, i_table)``, ``(T, V)`` and ``(T, I)`` or
+        ``None`` like :meth:`_waveform_values`, whose values row ``k`` holds
+        bit for bit at ``times[k]``.  A fixed-step march builds it once for
+        its grid (:func:`~repro.spice.waveforms._sample`) and reads one row
+        per step instead of calling every waveform.
+        """
+
+        def table(sources) -> Optional[np.ndarray]:
+            if not sources:
+                return None
+            levels = np.stack([_sample(source.waveform, times) for source in sources], axis=1)
+            return levels if scale == 1.0 else scale * levels
+
+        return table(self.voltage_sources), table(self.current_sources)
 
     def _pad(self, iterate: np.ndarray) -> np.ndarray:
         """Append the ghost (ground) slot so index -1 gathers 0.
@@ -919,14 +985,15 @@ class CompiledCircuit:
         cap_history: Optional[np.ndarray] = None,
         cache_base: bool = True,
         linear_rhs: Optional[np.ndarray] = None,
+        row_inputs: Optional[_RowInputs] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Assemble the linearized system at ``state`` as a dense matrix.
 
         Returns a fresh ``(n, n)`` matrix and ghost-trimmed right-hand side,
-        ready for ``np.linalg.solve``: the kernel's (:meth:`_scatter`)
-        pattern data placed into a zeroed matrix, so every entry on the
-        pattern is bit-identical to :meth:`assemble_sparse` and every entry
-        off it is exactly zero.
+        ready for a dense LAPACK solve (:class:`~repro.spice.solvers.DenseSolver`):
+        the kernel's (:meth:`_scatter`) pattern data placed into a zeroed
+        matrix, so every entry on the pattern is bit-identical to
+        :meth:`assemble_sparse` and every entry off it is exactly zero.
 
         ``source_scale`` scales every independent source (used by the
         source-stepping fallback).  ``cap_history`` supplies the trapezoidal
@@ -939,11 +1006,15 @@ class CompiledCircuit:
         :meth:`_linear_rhs` builds it (ghost slot included) — computed once
         per solve instead of once per iteration.  The assembly only reads
         it; when omitted it is built here (identical values either way).
+        ``row_inputs`` likewise hands in the call's other invariants
+        (:class:`_RowInputs`, built by :meth:`_row_inputs` for the state's
+        gmin, timestep and integration); the assembly then reads the linear
+        base from it instead of the cache, and ignores ``cache_base``.
         """
         data, rhs = self._scatter(
             state.solution, None, state.gmin, state.time_s, source_scale,
             state.timestep_s, state.integration, state.previous_solution,
-            cap_history, linear_rhs, cache_base=cache_base,
+            cap_history, linear_rhs, cache_base=cache_base, row_inputs=row_inputs,
         )
         pattern = self.sparsity_pattern()
         matrix = np.zeros((self.size, self.size))
@@ -957,6 +1028,7 @@ class CompiledCircuit:
         cap_history: Optional[np.ndarray] = None,
         cache_base: bool = True,
         linear_rhs: Optional[np.ndarray] = None,
+        row_inputs: Optional[_RowInputs] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Assemble the linearized system at ``state`` as CSC pattern data.
 
@@ -968,7 +1040,7 @@ class CompiledCircuit:
         data, rhs = self._scatter(
             state.solution, None, state.gmin, state.time_s, source_scale,
             state.timestep_s, state.integration, state.previous_solution,
-            cap_history, linear_rhs, cache_base=cache_base,
+            cap_history, linear_rhs, cache_base=cache_base, row_inputs=row_inputs,
         )
         return data[: self.sparsity_pattern().nnz], rhs[: self.size]
 
@@ -1073,6 +1145,7 @@ class CompiledCircuit:
         linear_rhs: Optional[np.ndarray],
         cap_g_rows: Optional[np.ndarray] = None,
         cache_base: bool = True,
+        row_inputs: Optional[_RowInputs] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The assembly kernel: fresh system and RHS rows, trash slots included.
 
@@ -1093,6 +1166,8 @@ class CompiledCircuit:
         stacked row as on a lone iterate, so serial and stacked results are
         bit-identical.  A per-trial ``gmin`` (bumped after singular solves)
         takes uncached bases, as ``cache_base=False`` does for a scalar one.
+        A lone iterate with ``row_inputs`` (:meth:`_row_inputs`) reads its
+        base, MOSFET parameters and padded buffer from there instead.
         """
         params = params or {}
         lead = solutions.shape[:-1]
@@ -1100,8 +1175,10 @@ class CompiledCircuit:
             base = self._stacked_linear_data(
                 lead[0], params, gmin, timestep_s, integration, cap_g_rows, cache_base
             )
-        else:
+        elif row_inputs is None:
             base = self._base_data(gmin, timestep_s, integration, cache_base)
+        else:
+            base = row_inputs.base
         if linear_rhs is None:
             linear_rhs = self._linear_rhs(
                 lead, params, time_s, source_scale, timestep_s, integration,
@@ -1113,12 +1190,15 @@ class CompiledCircuit:
                 np.array(linear_rhs),
             )
 
-        forward, gds, gm, i_eq = self._mosfet_companion(
-            self._pad(solutions),
-            params.get("mos_beta", self.mos_beta),
-            params.get("mos_vth", self.mos_vth),
-            params.get("mos_lambda", self.mos_lambda),
-        )
+        if row_inputs is None:
+            padded = self._pad(solutions)
+            beta = params.get("mos_beta", self.mos_beta)
+            vth = params.get("mos_vth", self.mos_vth)
+            lam = params.get("mos_lambda", self.mos_lambda)
+        else:
+            _, beta, vth, lam, padded = row_inputs
+            padded[: self.size] = solutions
+        forward, gds, gm, i_eq = self._mosfet_companion(padded, beta, vth, lam)
         # The ten stamp groups in the row order of the position tables (see
         # SparsityPattern._mos_positions), so the stamps that share a cell
         # accumulate in one fixed order on every path.
@@ -1208,6 +1288,7 @@ class CompiledCircuit:
         previous_solutions: Optional[np.ndarray],
         cap_history: Optional[np.ndarray],
         cap_g_rows: Optional[np.ndarray] = None,
+        source_levels: Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]] = None,
     ) -> np.ndarray:
         """The linear right-hand side: sources plus capacitor history.
 
@@ -1216,9 +1297,14 @@ class CompiledCircuit:
         It depends on neither the iterate nor gmin, so a Newton loop builds
         it once per call.  ``previous_solutions=None`` takes the previous
         capacitor voltages from :attr:`cap_v0`; ``cap_g_rows`` optionally
-        hands in the companion conductances.
+        hands in the companion conductances.  ``source_levels`` optionally
+        hands in the scaled source values at ``time_s`` (a row of each
+        :meth:`_source_table`), which ``time_s`` and ``source_scale`` would
+        otherwise give through :meth:`_waveform_values`.
         """
-        v_values, i_values = self._waveform_values(time_s, source_scale)
+        if source_levels is None:
+            source_levels = self._waveform_values(time_s, source_scale)
+        v_values, i_values = source_levels
         # Per-trial scale stacks compose exactly like the serial
         # vs_scale/is_scale overlay multipliers.
         parts: List[np.ndarray] = []
@@ -1412,6 +1498,7 @@ class AnalysisEngine:
         cap_history: Optional[np.ndarray] = None,
         cap_g_rows: Optional[np.ndarray] = None,
         source_scale: float = 1.0,
+        source_levels: Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]] = None,
         reuse_states: Optional[List[_NewtonReuseState]] = None,
         stall_rounds: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -1437,7 +1524,10 @@ class AnalysisEngine:
         initial voltages), ``cap_history`` (``(trials, C)``) and
         ``cap_g_rows`` carry the companion state, and the waveforms are
         evaluated once for the stack.  ``source_scale`` scales every
-        independent source (the source-stepping ladder).
+        independent source (the source-stepping ladder); ``source_levels``
+        optionally hands in the scaled source values themselves (a march's
+        :meth:`CompiledCircuit._source_table` row), in place of ``time_s``
+        and ``source_scale``.
 
         ``reuse_states`` (one :class:`_NewtonReuseState` per row) runs
         per-trial modified Newton on the sparse backends: each active trial
@@ -1484,7 +1574,7 @@ class AnalysisEngine:
         subset = params
         rhs_rows = compiled._linear_rhs(
             (trials,), params, time_s, source_scale, timestep_s, integration,
-            previous_solutions, cap_history, cap_g_rows,
+            previous_solutions, cap_history, cap_g_rows, source_levels,
         )
         for iteration in range(1, max_iterations + 1):
             whole = active.size == trials  # no gathers while all are active
@@ -1629,6 +1719,7 @@ class AnalysisEngine:
         cap_history: Optional[np.ndarray] = None,
         cap_g_rows: Optional[np.ndarray] = None,
         source_scale: float = 1.0,
+        source_levels: Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]] = None,
         reuse_states: Optional[List[_NewtonReuseState]] = None,
         stall_rounds: Optional[int] = None,
     ) -> Tuple[np.ndarray, int, bool, float]:
@@ -1642,9 +1733,13 @@ class AnalysisEngine:
         serial march pays no per-step stack handling.
 
         What is constant within the call is resolved once, before the first
-        round: the backend's assembly and solve, the linear right-hand side
-        and the assembly state, which holds the live iterate; only a
-        singular round, which bumps gmin, builds a new state.
+        round: the backend's assembly and solve, the linear right-hand side,
+        the assembly state, which holds the live iterate, and on the dense
+        backend the assembly's other invariants (:class:`_RowInputs`: the
+        linear base, the MOSFET parameters, the padded iterate buffer).
+        Only a singular round, which bumps gmin, resolves the state and the
+        invariants again.  The sparse backend's rounds assemble without
+        handed-in invariants, as the stacked loop's do.
         """
         compiled = self.compiled
         pattern = compiled.sparsity_pattern() if solver.wants_pattern_assembly else None
@@ -1659,16 +1754,22 @@ class AnalysisEngine:
         linear_rhs = compiled._linear_rhs(
             (), params, time_s, source_scale, timestep_s, integration,
             None if previous_solutions is None else previous_solutions[0],
-            None if cap_history is None else cap_history[0], cap_g_rows,
+            None if cap_history is None else cap_history[0], cap_g_rows, source_levels,
         )
         state = AnalysisState(
             solution, timestep_s=timestep_s, integration=integration, gmin=gmin
+        )
+        row_inputs = (
+            None if pattern is not None
+            else compiled._row_inputs(gmin, timestep_s, integration)
         )
         cache_base, converged = True, False
         max_update, best_update, best_round = np.inf, np.inf, 0
         iteration = 0
         for iteration in range(1, max_iterations + 1):
-            system, rhs = assemble(state, cache_base=cache_base, linear_rhs=linear_rhs)
+            system, rhs = assemble(
+                state, cache_base=cache_base, linear_rhs=linear_rhs, row_inputs=row_inputs
+            )
             bypassed = False
             try:
                 if reuse_state is None:
@@ -1683,6 +1784,10 @@ class AnalysisEngine:
                     gmin=max(state.gmin * 10.0, 1e-12),
                 )
                 cache_base = False
+                if row_inputs is not None:
+                    row_inputs = compiled._row_inputs(
+                        state.gmin, timestep_s, integration, cache_base
+                    )
                 continue
             update = new_solution - solution
             max_update = float(np.maximum.reduce(np.abs(update)))
@@ -2235,8 +2340,11 @@ class AnalysisEngine:
         The one fixed-grid driver: :meth:`solve_transient` runs it on a
         stack of one, :meth:`solve_transient_batched` on the lockstep stack.
         Each step is one Newton loop call (:meth:`_newton_loop`) from the
-        previous time point; a trial whose step does not converge keeps its last iterate
-        and marches on, with the step's update in its worst residual.  With
+        previous time point, with its row of the march's source table
+        (:meth:`CompiledCircuit._source_table`, built once for the grid) as
+        the source values; a trial whose step does not converge keeps its
+        last iterate and marches on, with the step's update in its worst
+        residual.  With
         ``use_initial_conditions`` the first step's capacitor companion (and
         the trapezoidal history after it) takes the capacitors' initial
         voltages as the previous voltages.
@@ -2263,12 +2371,13 @@ class AnalysisEngine:
         # reused by the trapezoidal history update.
         cap_g = compiled._capacitor_conductance(timestep_s, integration, params.get("cap_c"))
 
+        # Every source on the whole grid, once: step k reads row k in place
+        # of its time's waveform values.
+        v_table, i_table = compiled._source_table(times)
+
         previous = solutions
         # None: the first step starts from the capacitors' initial voltages.
         companion_previous = None if use_initial_conditions else previous
-        # Python floats: the waveforms evaluate the same doubles faster than
-        # on NumPy scalars.
-        grid = times.tolist()
         for step in range(1, steps + 1):
             # Each step iterates in place on its own waveform row, seeded
             # with the previous time point.
@@ -2282,7 +2391,10 @@ class AnalysisEngine:
                     max_iterations=max_newton_iterations,
                     tolerance_v=tolerance_v,
                     damping_v=1.0,
-                    time_s=grid[step],
+                    source_levels=(
+                        None if v_table is None else v_table[step],
+                        None if i_table is None else i_table[step],
+                    ),
                     timestep_s=timestep_s,
                     previous_solutions=companion_previous,
                     integration=integration,

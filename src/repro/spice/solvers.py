@@ -6,8 +6,10 @@ that solve through a :class:`LinearSolver` instance — the *solver seam* —
 so the backend can be swapped without touching the assembly or the
 iteration logic:
 
-* :class:`DenseSolver` — ``np.linalg.solve`` on the dense assembled matrix.
-  The reference the other backends are tested against.
+* :class:`DenseSolver` — one LAPACK ``gesv`` on the dense assembled matrix,
+  through the gufunc that ``np.linalg.solve`` wraps, called directly
+  (:func:`_lapack_solve`).  The reference the other backends are tested
+  against.
 * :class:`SparseSolver` — SciPy sparse LU (SuperLU) on a CSC matrix whose
   *structure* is precomputed once from the compiled circuit's
   :class:`~repro.spice.engine.SparsityPattern`.  A pattern-assembly backend
@@ -24,8 +26,9 @@ iteration logic:
   empty.  Requires the optional ``scipy`` dependency — install it directly
   or through this package's ``[sparse]`` extra.
 * :class:`BatchedDenseSolver` — stacks ``(trials, n, n)`` systems and
-  solves them in a single vectorized LAPACK call.  The Monte-Carlo engine
-  runs same-pattern trials through this backend
+  solves them in a single vectorized LAPACK call, by the same direct
+  gufunc route.  The Monte-Carlo engine runs same-pattern trials through
+  this backend
   (:meth:`~repro.spice.montecarlo.MonteCarloEngine.run_batched_dc`); its
   per-system results are bit-identical to :class:`DenseSolver` on the same
   matrices.
@@ -163,6 +166,39 @@ def _splu(system, **options):
         return sparse_linalg.splu(system, **options)
     except RuntimeError as error:
         raise np.linalg.LinAlgError(str(error)) from error
+
+
+try:
+    # NumPy's private LAPACK gufunc module (what ``np.linalg.solve`` calls).
+    from numpy.linalg import _umath_linalg
+except ImportError:  # pragma: no cover - depends on the NumPy build
+    _umath_linalg = None
+
+
+def _raise_singular(error: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _lapack_solve(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` of float64 arrays without its Python wrapper.
+
+    Calls the ``_umath_linalg`` gufunc that ``np.linalg.solve`` picks for
+    these arguments (``solve1`` for a 1-D right-hand side, ``solve``
+    otherwise) under the error state ``np.linalg.solve`` sets, so the
+    result has the same bits, a singular system raises ``LinAlgError`` and
+    nothing warns.  The wrapper's array conversion, type resolution and
+    result cast do nothing for the float64 arrays the engine assembles, yet
+    cost about a quarter of a solve at Fig. 11 size (n=33: 10.6 against
+    7.8 µs, timeit min).  Where NumPy lacks the private gufunc, this is
+    ``np.linalg.solve`` itself.
+    """
+    gufunc = getattr(_umath_linalg, "solve1" if rhs.ndim == 1 else "solve", None)
+    if gufunc is None:
+        return np.linalg.solve(matrices, rhs)
+    with np.errstate(
+        call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        return gufunc(matrices, rhs, signature="dd->d")
 
 
 def scipy_available() -> bool:
@@ -311,32 +347,36 @@ class LinearSolver:
 class DenseSolver(LinearSolver):
     """One dense LAPACK solve per Newton iteration.
 
-    Its :meth:`solve_batched` deliberately loops — this is the *per-trial
-    dense path* the batched backend is benchmarked against.
+    :meth:`solve` calls the ``gesv`` gufunc behind ``np.linalg.solve``
+    directly (:func:`_lapack_solve`): same bits, same ``LinAlgError`` on a
+    singular system, without the wrapper's per-call Python work.  Its
+    :meth:`solve_batched` deliberately loops — this is the *per-trial dense
+    path* the batched backend is benchmarked against.
     """
 
     name = "dense"
 
     def solve(self, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         self._count_factorizations(1)
-        return np.linalg.solve(matrix, rhs)
+        return _lapack_solve(matrix, rhs)
 
 
 class BatchedDenseSolver(DenseSolver):
     """Dense backend whose batched solve is a single vectorized LAPACK call.
 
-    ``np.linalg.solve`` on a ``(T, n, n)`` stack dispatches one gufunc call
-    that factorizes every system without returning to Python, which is what
-    makes batched Monte-Carlo trials cheap.  Each system in the stack is
-    solved by the same LAPACK routine as a lone dense solve, so results are
-    bit-identical to :class:`DenseSolver` system for system.
+    The ``gesv`` gufunc on a ``(T, n, n)`` stack (:func:`_lapack_solve`, the
+    call ``np.linalg.solve`` makes for it) factorizes every system without
+    returning to Python, which is what makes batched Monte-Carlo trials
+    cheap.  Each system in the stack is solved by the same LAPACK routine
+    as a lone dense solve, so results are bit-identical to
+    :class:`DenseSolver` system for system.
     """
 
     name = "batched"
 
     def solve_batched(self, matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         self._count_factorizations(int(matrices.shape[0]))
-        return np.linalg.solve(matrices, rhs[..., np.newaxis])[..., 0]
+        return _lapack_solve(matrices, rhs[..., np.newaxis])[..., 0]
 
 
 class _OrderedLU:

@@ -3,6 +3,13 @@
 These mirror the SPICE ``DC``, ``PULSE`` and ``PWL`` source specifications
 that the paper's transient test bench (Fig. 11) needs to drive the lattice
 inputs through all combinations of the XOR3 inputs.
+
+A fixed-step transient knows its whole time grid, so it evaluates every
+source on it once (:func:`_sample`) instead of calling :meth:`Waveform.value`
+per step.  :class:`DC`, :class:`Pulse` and :class:`PiecewiseLinear` do that
+with NumPy twins of their ``value`` formulas, operation for operation, so
+the samples are ``value``'s bits; any other waveform is sampled through
+``value`` itself.
 """
 
 from __future__ import annotations
@@ -10,6 +17,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 
 class Waveform:
@@ -39,6 +48,10 @@ class DC(Waveform):
 
     def value(self, time_s: float) -> float:
         return self.level
+
+    def _values(self, times: np.ndarray) -> np.ndarray:
+        """:meth:`value` at every time."""
+        return np.full(times.shape, self.level, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -88,6 +101,22 @@ class Pulse(Waveform):
         if t < self.fall_s:
             return self.pulsed + (self.initial - self.pulsed) * t / self.fall_s
         return self.initial
+
+    def _values(self, times: np.ndarray) -> np.ndarray:
+        """:meth:`value` at every time, by the same operations on arrays."""
+        t = times - self.delay_s
+        before = t < 0.0
+        if self.period_s and self.period_s > 0.0:
+            t = t % self.period_s  # NumPy's % is Python's float modulo
+        rising = self.initial + (self.pulsed - self.initial) * t / self.rise_s
+        held = t - self.rise_s
+        falling_t = held - self.width_s
+        falling = self.pulsed + (self.initial - self.pulsed) * falling_t / self.fall_s
+        return np.select(
+            [before, t < self.rise_s, held < self.width_s, falling_t < self.fall_s],
+            [self.initial, rising, self.pulsed, falling],
+            self.initial,
+        )
 
     def breakpoints(self, until_s: float) -> Tuple[float, ...]:
         """The pulse corners (edge starts/ends), repeated for periodic pulses.
@@ -209,3 +238,28 @@ class PiecewiseLinear(Waveform):
         t0, v0 = points[i - 1]
         t1, v1 = points[i]
         return v0 + (v1 - v0) * (time_s - t0) / (t1 - t0)
+
+    def _values(self, times: np.ndarray) -> np.ndarray:
+        """:meth:`value` at every time, by the same operations on arrays."""
+        knots, levels = np.array(self.points, dtype=float).T
+        if knots.size == 1:
+            return np.full(times.shape, levels[0])
+        # searchsorted(side="right") is bisect_right; the ends are held below.
+        i = np.clip(np.searchsorted(knots, times, side="right"), 1, knots.size - 1)
+        t0, v0 = knots[i - 1], levels[i - 1]
+        t1, v1 = knots[i], levels[i]
+        inner = v0 + (v1 - v0) * (times - t0) / (t1 - t0)
+        return np.select([times <= knots[0], times >= knots[-1]], [levels[0], levels[-1]], inner)
+
+
+def _sample(waveform: Waveform, times: np.ndarray) -> np.ndarray:
+    """``waveform.value`` at every time of the float array ``times``, as floats.
+
+    :class:`DC`, :class:`Pulse` and :class:`PiecewiseLinear` evaluate their
+    formulas on the whole array; only the exact types do, since a subclass
+    may redefine ``value``.  Any other waveform is called once per time.
+    Either way every sample is the bits ``value`` returns.
+    """
+    if type(waveform) in (DC, Pulse, PiecewiseLinear):
+        return waveform._values(times)
+    return np.array([waveform.value(t) for t in times.tolist()], dtype=float)

@@ -167,3 +167,46 @@ class TestTrendDiff:
         assert compare_bench.main([str(current), str(previous)]) == 0
         out = capsys.readouterr().out
         assert "WARNING: regression" in out
+
+
+class TestPerfbenchLedger:
+    """The committed ledger (``bench_ledger.py``) diffs like any artifact."""
+
+    LEDGER = os.path.join(_ROOT, "BENCH_perfbench.json")
+
+    @pytest.fixture
+    def ledger(self):
+        with open(self.LEDGER, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    def test_every_workload_and_end_to_end_metric_is_recorded(self, ledger):
+        assert ledger["schema_version"] == 1 and ledger["reference_ms"] > 0
+        assert set(ledger["workloads"]) == {
+            "fig11_transient", "xor3_mc128", "lattice400_dc", "service_mix"
+        }
+        for entry in ledger["workloads"].values():
+            assert entry["correct"] and entry["failed"] == 0
+            assert entry["op_p50_ms_q1"] <= entry["op_p50_ms"] <= entry["op_p50_ms_q3"]
+            for name in ("setup_s", "goodput_per_s", "peak_rss_mb"):
+                assert entry[name] > 0
+
+    def test_metric_directions(self, compare_bench, ledger):
+        metrics = dict(compare_bench.iter_metrics(ledger))
+        fig11 = "workloads.fig11_transient."
+        assert compare_bench.direction(fig11 + "op_p50_ms") == -1
+        assert compare_bench.direction(fig11 + "setup_s") == -1
+        assert compare_bench.direction(fig11 + "peak_rss_mb") == -1
+        assert compare_bench.direction(fig11 + "goodput_per_s") == 1
+        assert compare_bench.direction(fig11 + "traced.engine_newton_iterations") == -1
+        assert compare_bench.direction(fig11 + "traced.solvers_factorizations") == -1
+        assert compare_bench.direction("reference_ms") == 0
+        assert metrics[fig11 + "traced.engine_assemble_calls"] == 2793
+
+    def test_a_slower_workload_is_flagged(self, compare_bench, ledger, tmp_path, capsys):
+        _write(tmp_path / "previous", "BENCH_perfbench.json", ledger)
+        ledger["workloads"]["fig11_transient"]["op_p50_ms"] *= 1.5
+        ledger["reference_ms"] *= 1.5
+        _write(tmp_path / "current", "BENCH_perfbench.json", ledger)
+        assert compare_bench.main([str(tmp_path / "current"), str(tmp_path / "previous")]) == 0
+        flagged = [line for line in capsys.readouterr().out.splitlines() if "WARNING" in line]
+        assert len(flagged) == 1 and "workloads.fig11_transient.op_p50_ms:" in flagged[0]

@@ -36,9 +36,9 @@ from repro.experiments.variability_xor3 import (
     run_variability_xor3,
     variability_circuit_spec,
 )
-from repro.spice.engine import get_engine
+from repro.spice.engine import CompiledCircuit, get_engine
 from repro.spice.montecarlo import Gaussian, MonteCarloEngine
-from repro.spice.solvers import scipy_available
+from repro.spice.solvers import DenseSolver, SparseSolver, scipy_available
 
 #: The TCAD field solve and the Section IV extraction need the scipy extra;
 #: the circuit goldens run on a NumPy-only install through the pinned fit.
@@ -73,6 +73,9 @@ FIG9_CURRENTS_OFF_A = {
 #: iterations of the whole march and the output's first rise (10-90 %) and
 #: fall (90-10 %) times.
 FIG11_NEWTON_ITERATIONS = 2731
+#: Newton rounds of the same run, the DC warm start's included: one
+#: factorization, one assembly and one linear solve each.
+FIG11_ROUNDS = 2793
 FIG11_RISE_TIME_S = 1.517710739387042e-08
 FIG11_FALL_TIME_S = 1.7431238086836106e-09
 #: Bitwise on one host, with room for last-bit differences between BLAS
@@ -391,6 +394,50 @@ class TestFig11Golden:
         rises, falls = edge_times(time_s, vout, steady_state_levels(time_s, vout))
         assert rises[0] == pytest.approx(FIG11_RISE_TIME_S, rel=FIG11_EDGE_RTOL, abs=0.0)
         assert falls[0] == pytest.approx(FIG11_FALL_TIME_S, rel=FIG11_EDGE_RTOL, abs=0.0)
+
+
+def count_calls(monkeypatch, cls, method):
+    """Count the calls of ``cls.method`` by wrapping the class attribute,
+    the way ``perfbench/tracing.py`` wraps the layers it times."""
+    calls = []
+    original = cls.__dict__[method]
+
+    def counted(*args, **kwargs):
+        calls.append(method)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, method, counted)
+    return calls
+
+
+class TestNewtonCallStory:
+    """Every Newton round goes through the named entry points that the
+    benchmark tracer counts: exactly one assembly and one solve per round,
+    so no hoisting may bypass them."""
+
+    def test_fig11_march(self, monkeypatch):
+        counted = {
+            method: count_calls(monkeypatch, CompiledCircuit, method)
+            for method in ("assemble", "assemble_sparse", "assemble_batched")
+        }
+        solves = count_calls(monkeypatch, DenseSolver, "solve")
+        spec = Transient(circuit=CircuitSpec(FIG11_FACTORY, params={}), timestep_s=1e-9)
+        result = Session(store=None).run(spec)
+        assert (result.newton_iterations, result.factorizations) == (
+            FIG11_NEWTON_ITERATIONS,
+            FIG11_ROUNDS,
+        )
+        assert len(counted["assemble"]) == len(solves) == FIG11_ROUNDS
+        assert counted["assemble_sparse"] == counted["assemble_batched"] == []
+
+    @requires_scipy
+    def test_lattice_dc(self, monkeypatch):
+        assemblies = count_calls(monkeypatch, CompiledCircuit, "assemble_sparse")
+        dense = count_calls(monkeypatch, CompiledCircuit, "assemble")
+        solves = count_calls(monkeypatch, SparseSolver, "solve_pattern")
+        get_engine(build_scalability_bench(rows=LATTICE_ROWS).circuit).solve_dc()
+        assert len(assemblies) == len(solves) == LATTICE_FACTORIZATIONS
+        assert dense == []
 
 
 class TestFig11MarchGolden:

@@ -150,6 +150,98 @@ class TestBatchedSolveKernel:
             LinearSolver().solve(np.eye(2), np.ones(2))
 
 
+class _RecordingDense(DenseSolver):
+    """The dense backend, keeping a copy of every system it solves."""
+
+    def __init__(self):
+        self.systems = []
+
+    def solve(self, matrix, rhs):
+        self.systems.append((matrix.copy(), rhs.copy()))
+        return super().solve(matrix, rhs)
+
+
+#: The two routes of the dense solve: the direct gufunc and its fallback.
+lapack_routes = pytest.mark.parametrize("route", ["gufunc", "fallback"])
+
+
+class TestDenseSolveKernel:
+    """The dense backends call NumPy's LAPACK gufuncs directly; the answer
+    must be ``np.linalg.solve``'s bit for bit, through the gufunc and
+    through the ``np.linalg.solve`` fallback alike."""
+
+    @pytest.fixture(scope="class")
+    def fig11_systems(self):
+        from repro.experiments.fig11_xor3_transient import build_fig11_bench
+
+        recorder = _RecordingDense()
+        result = get_engine(build_fig11_bench().circuit).solve_transient(
+            120e-9, 1e-9, solver=recorder
+        )
+        assert result.converged and len(recorder.systems) == result.convergence_info.factorizations > 200
+        return recorder.systems
+
+    @staticmethod
+    def use_route(monkeypatch, route):
+        """Take the gufunc away for the fallback route; count the wrapper calls."""
+        calls = []
+        if route == "fallback":
+            monkeypatch.setattr(solvers_module, "_umath_linalg", None)
+        original = np.linalg.solve
+
+        def counted(*args):
+            calls.append(len(args))
+            return original(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        return calls
+
+    @lapack_routes
+    def test_serial_solves_match_numpy_bit_for_bit(self, fig11_systems, monkeypatch, route):
+        want = [np.linalg.solve(matrix, rhs) for matrix, rhs in fig11_systems]
+        calls = self.use_route(monkeypatch, route)
+        solver = DenseSolver()
+        for (matrix, rhs), expected in zip(fig11_systems, want):
+            got = solver.solve(matrix, rhs)
+            assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+        assert len(calls) == (len(fig11_systems) if route == "fallback" else 0)
+
+    @lapack_routes
+    def test_batched_stack_matches_numpy_bit_for_bit(self, fig11_systems, monkeypatch, route):
+        matrices = np.stack([matrix for matrix, _ in fig11_systems])
+        rhs = np.stack([vector for _, vector in fig11_systems])
+        want = np.linalg.solve(matrices, rhs[..., np.newaxis])[..., 0]
+        serial = np.stack([np.linalg.solve(m, r) for m, r in fig11_systems])
+        calls = self.use_route(monkeypatch, route)
+        got = BatchedDenseSolver().solve_batched(matrices, rhs)
+        assert got.shape == rhs.shape and got.tobytes() == want.tobytes()
+        assert got.tobytes() == serial.tobytes()
+        assert len(calls) == (1 if route == "fallback" else 0)
+
+    def test_a_module_without_the_gufunc_names_falls_back(self, fig11_systems, monkeypatch):
+        matrix, rhs = fig11_systems[0]
+        want = np.linalg.solve(matrix, rhs)
+        monkeypatch.setattr(solvers_module, "_umath_linalg", SimpleNamespace())
+        assert DenseSolver().solve(matrix, rhs).tobytes() == want.tobytes()
+
+    @lapack_routes
+    def test_singular_systems_raise_without_warning(self, monkeypatch, route):
+        import warnings as warnings_module
+
+        self.use_route(monkeypatch, route)
+        singular = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+        stack = np.stack([np.eye(3), singular])
+        with warnings_module.catch_warnings():
+            warnings_module.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                DenseSolver().solve(singular, np.ones(3))
+            with pytest.raises(np.linalg.LinAlgError):
+                BatchedDenseSolver().solve_batched(stack, np.ones((2, 3)))
+            # A regular system right after solves cleanly: the error state
+            # does not outlive the singular call.
+            assert np.array_equal(DenseSolver().solve(np.eye(3), np.ones(3)), np.ones(3))
+
+
 @requires_scipy
 class TestSparseBackendParity:
     def test_xor3_lattice_dc_parity(self, switch_model):

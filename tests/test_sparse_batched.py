@@ -12,6 +12,8 @@ identical per-trial factorizations) and the dense-batched reference to
 tight tolerance.
 """
 
+import math
+
 import numpy as np
 import pytest
 import hypothesis.strategies as st
@@ -35,6 +37,7 @@ from repro.spice import (
 from repro.spice.engine import CompiledCircuit
 from repro.spice.netlist import AnalysisState
 from repro.spice.solvers import scipy_available
+from repro.spice.waveforms import DC, PiecewiseLinear, Waveform
 
 NMOS = Level1Parameters(
     kp_a_per_v2=4e-5, vth_v=0.18, lambda_per_v=0.05, width_m=0.7e-6, length_m=0.35e-6
@@ -306,6 +309,114 @@ class TestLinearRhs:
         assert rhs.dtype == float and np.array_equal(rhs, np.zeros(compiled.size + 1))
         rhs = compiled._linear_rhs((2,), {}, 0.0, 1.0, None, "be", None, None)
         assert rhs.dtype == float and np.array_equal(rhs, np.zeros((2, compiled.size + 1)))
+
+
+class Chirp(Waveform):
+    """A user waveform that implements only ``value``."""
+
+    def value(self, time_s):
+        return 0.6 + 0.5 * math.sin(3.0e17 * time_s * time_s)
+
+
+class InvertedPulse(Pulse):
+    """A ``Pulse`` subclass that redefines ``value``: the table must use it."""
+
+    def value(self, time_s):
+        return -super().value(time_s)
+
+
+def waveform_zoo():
+    """One source per waveform kind the source table distinguishes."""
+    circuit = Circuit("waveform-zoo")
+    voltages = {
+        "dc": DC(0.3),
+        "dc_int": DC(1),
+        "one_shot": Pulse(0.0, 1.2, delay_s=2e-9, rise_s=0.7e-9, fall_s=1.3e-9, width_s=3e-9),
+        "periodic": Pulse(1.2, 0.1, delay_s=1e-9, rise_s=0.4e-9, fall_s=0.6e-9,
+                          width_s=1.1e-9, period_s=3.7e-9),
+        "pwl": PiecewiseLinear.steps([0.0, 1.2, 0.4, 1.2], 4e-9, transition_s=0.3e-9),
+        "pwl_one_point": PiecewiseLinear(((5e-9, 0.8),)),
+        "chirp": Chirp(),
+        "inverted": InvertedPulse(0.0, 1.0, delay_s=3e-9, rise_s=1e-9, fall_s=1e-9, width_s=2e-9),
+    }
+    for index, (name, waveform) in enumerate(voltages.items()):
+        VoltageSource(circuit, name, f"n{index}", "0", waveform)
+        Resistor(circuit, f"r{index}", f"n{index}", "0", 1e3)
+    CurrentSource(circuit, "i_dc", "0", "n0", 1e-6)
+    CurrentSource(
+        circuit, "i_pwl", "n1", "0", PiecewiseLinear(((1e-9, 0.0), (2e-9, 3e-6), (9e-9, -1e-6)))
+    )
+    return circuit
+
+
+def probe_times(circuit, stop_s=16e-9, step_s=0.25e-9):
+    """A fixed-step grid plus every breakpoint and its neighbours on both sides."""
+    compiled = get_engine(circuit).compiled
+    grid = [np.linspace(0.0, stop_s, int(round(stop_s / step_s)) + 1)]
+    for source in compiled.voltage_sources + compiled.current_sources:
+        corners = np.array(source.waveform.breakpoints(stop_s), dtype=float)
+        grid += [
+            corners,
+            np.nextafter(corners, -np.inf),
+            np.nextafter(corners, np.inf),
+            corners - 1e-12,
+            corners + 1e-12,
+        ]
+    return np.concatenate(grid)
+
+
+class TestSourceTable:
+    """The fixed-step march's source table against ``waveform.value``."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.35])
+    def test_rows_are_the_waveform_values_bit_for_bit(self, scale):
+        circuit = waveform_zoo()
+        compiled = get_engine(circuit).compiled
+        times = probe_times(circuit)
+        v_table, i_table = compiled._source_table(times, scale)
+        assert v_table.shape == (times.size, 8) and i_table.shape == (times.size, 2)
+        for row, time_s in enumerate(times.tolist()):
+            v_values, i_values = compiled._waveform_values(time_s, scale)
+            # tobytes: sign bits count, and -0.0 == 0.0 would hide one.
+            assert v_table[row].tobytes() == v_values.tobytes(), time_s
+            assert i_table[row].tobytes() == i_values.tobytes(), time_s
+
+    def test_a_circuit_without_sources_has_no_table(self):
+        circuit = Circuit("sourceless")
+        Resistor(circuit, "r1", "a", "0", 1e3)
+        compiled = get_engine(circuit).compiled
+        assert compiled._source_table(np.linspace(0.0, 1e-9, 3)) == (None, None)
+
+    def test_only_value_is_called_for_user_waveforms(self, monkeypatch):
+        circuit = waveform_zoo()
+        compiled = get_engine(circuit).compiled
+        times = np.linspace(0.0, 4e-9, 9)
+        seen = []
+        original = Chirp.value
+        monkeypatch.setattr(Chirp, "value", lambda self, t: seen.append(t) or original(self, t))
+        compiled._source_table(times)
+        assert seen == times.tolist()
+
+    def test_each_step_reads_its_own_row(self, monkeypatch):
+        circuit = waveform_zoo()
+        engine = get_engine(circuit)
+        compiled = engine.compiled
+        calls = []
+        original = CompiledCircuit._linear_rhs
+
+        def spy(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(CompiledCircuit, "_linear_rhs", spy)
+        # From initial conditions: no DC warm start, one Newton call per step.
+        result = engine.solve_transient(12e-9, 0.25e-9, use_initial_conditions=True)
+        assert len(calls) == result.time_s.size - 1 == 48
+        for time_s, args in zip(result.time_s[1:].tolist(), calls):
+            v_values, i_values = args[9]  # source_levels
+            want_v, want_i = compiled._waveform_values(time_s, 1.0)
+            assert v_values.tobytes() == want_v.tobytes(), time_s
+            assert i_values.tobytes() == want_i.tobytes(), time_s
 
 
 def channel_forward(compiled, solution):
