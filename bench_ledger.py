@@ -7,8 +7,9 @@ and records what it printed::
     python3 bench_ledger.py --tree OTHER --output OTHER/BENCH_perfbench.json
     python3 benchmarks/compare_bench.py NEW_DIR OLD_DIR   # diff two ledgers
 
-For each workload it makes ``--repeats`` end-to-end runs of
-``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
+The command is fixed, so any two ledgers compare: for each workload it
+makes ``REPEATS`` end-to-end runs of
+``python3 perfbench/run.py --workload W --seed 0 --seconds 10 --trace 0``
 (the workloads interleaved, so host drift spreads over all of them) and
 records the median and quartiles of their ``op_p50_ms``, and the medians of
 ``setup_s``, ``goodput_per_s`` and ``peak_rss_mb``.  One ``--trace 1`` run
@@ -34,6 +35,11 @@ from typing import Any, Dict, List
 
 ROOT = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS = ("fig11_transient", "xor3_mc128", "lattice400_dc", "service_mix")
+#: The fixed perfbench command: untraced runs per workload, and its options.
+REPEATS = 5
+SEED = 0
+SECONDS = 10
+COMMAND = f"python3 perfbench/run.py --workload W --seed {SEED} --seconds {SECONDS} --trace 0|1"
 #: Traced per-layer figures kept in the ledger: the counts pinned in CI.
 TRACED_COUNTS = (
     "engine.newton_iterations",
@@ -47,11 +53,11 @@ TRACED_COUNTS = (
 SCHEMA_VERSION = 1
 
 
-def perfbench(tree: str, workload: str, seed: int, seconds: float, trace: int) -> Dict[str, Any]:
+def perfbench(tree: str, workload: str, trace: int) -> Dict[str, Any]:
     """One ``perfbench/run.py`` run in ``tree``; returns its JSON result line."""
     command = [
         sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-        "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace),
+        "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     completed = subprocess.run(command, cwd=tree, capture_output=True, text=True, check=False)
     lines = completed.stdout.strip().splitlines()
@@ -111,30 +117,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", default=ROOT, help="checkout to measure (default: this one)")
     parser.add_argument("--output", help="ledger path (default: TREE/BENCH_perfbench.json)")
-    parser.add_argument("--repeats", type=int, default=5, help="end-to-end runs per workload")
-    parser.add_argument("--seconds", type=float, default=10.0, help="perfbench --seconds")
-    parser.add_argument("--seed", type=int, default=0, help="perfbench --seed")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     options = parser.parse_args(argv)
-    if options.repeats < 1:
-        parser.error("--repeats must be at least 1")
     tree = os.path.abspath(options.tree)
     output = options.output or os.path.join(tree, "BENCH_perfbench.json")
     reference_ms = reference_loop(tree)
 
     references: List[float] = []
-    runs: Dict[str, List[Dict[str, Any]]] = {name: [] for name in options.workloads}
-    for repeat in range(options.repeats):
-        for workload in options.workloads:
+    runs: Dict[str, List[Dict[str, Any]]] = {name: [] for name in WORKLOADS}
+    for repeat in range(REPEATS):
+        for workload in WORKLOADS:
             references.append(reference_ms())
-            run = perfbench(tree, workload, options.seed, options.seconds, trace=0)
+            run = perfbench(tree, workload, trace=0)
             runs[workload].append(run)
-            print(f"[{repeat + 1}/{options.repeats}] {workload}: "
+            print(f"[{repeat + 1}/{REPEATS}] {workload}: "
                   f"op_p50_ms {run['metrics']['op_p50_ms']:.2f}", file=sys.stderr)
     ledger: Dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
-        "command": f"python3 perfbench/run.py --workload W --seed {options.seed} "
-                   f"--seconds {options.seconds:g} --trace 0|1",
+        "command": COMMAND,
         "host": {
             "cpus": os.cpu_count(),
             "machine": platform.machine(),
@@ -142,9 +141,9 @@ def main(argv=None) -> int:
         },
         "workloads": {},
     }
-    for workload in options.workloads:
+    for workload in WORKLOADS:
         references.append(reference_ms())
-        traced = perfbench(tree, workload, options.seed, options.seconds, trace=1)
+        traced = perfbench(tree, workload, trace=1)
         ledger["workloads"][workload] = summarize(runs[workload], traced)
     ledger["reference_ms"] = statistics.median(references)
     with open(output, "w", encoding="utf-8") as handle:

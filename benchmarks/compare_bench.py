@@ -19,8 +19,10 @@ direction are flagged.  Metric direction is inferred from the name:
 times/counts/sizes (``*_us``, ``*_ms``, ``*_s``, ``*_steps``, ``*_err``,
 ``*_rss_mb``) are lower-is-better, rates (``speedup``, ``*_per_second``,
 ``*_per_s``, ``*_ratio``, ``*_reduction``) higher-is-better; the host-speed
-``reference_ms`` and anything else is reported as informational only.  The
-exit code is always 0 — this is a trend report, not a gate.
+``reference_ms`` and anything else is reported as informational only.  Two
+artifacts whose recorded ``command`` or ``runs`` counts differ are flagged
+too: their medians do not compare.  The exit code is always 0 — this is a
+trend report, not a gate.
 """
 
 from __future__ import annotations
@@ -89,13 +91,14 @@ def direction(metric: str) -> int:
     return 0
 
 
-def load_directory(directory: str) -> Dict[str, Tuple[Dict[str, float], object]]:
-    """All BENCH_*.json files in a directory: name -> (metrics, schema_version).
+def load_directory(directory: str) -> Dict[str, Tuple[Dict[str, float], object, object]]:
+    """All BENCH_*.json files in a directory: name -> (metrics, schema_version, command).
 
     ``schema_version`` is ``None`` for artifacts written before the stamp
-    was introduced.
+    was introduced; ``command`` (the ledger's producing command) is
+    ``None`` for artifacts that do not record one.
     """
-    found: Dict[str, Tuple[Dict[str, float], object]] = {}
+    found: Dict[str, Tuple[Dict[str, float], object, object]] = {}
     if not os.path.isdir(directory):
         return found
     for name in sorted(os.listdir(directory)):
@@ -107,8 +110,10 @@ def load_directory(directory: str) -> Dict[str, Tuple[Dict[str, float], object]]
         except (OSError, json.JSONDecodeError) as error:
             print(f"  ! could not read {name}: {error}")
             continue
-        version = payload.get("schema_version") if isinstance(payload, dict) else None
-        found[name] = (dict(iter_metrics(payload)), version)
+        stamps = payload if isinstance(payload, dict) else {}
+        found[name] = (
+            dict(iter_metrics(payload)), stamps.get("schema_version"), stamps.get("command")
+        )
     return found
 
 
@@ -139,15 +144,16 @@ def main(argv=None) -> int:
             f"{args.previous!r}; this run's {len(current)} artifact(s) seed "
             "the next diff):"
         )
-        for filename, (metrics, version) in current.items():
+        for filename, (metrics, version, _) in current.items():
             stamp = f", schema_version={version!r}" if version is not None else ""
             print(f"  {filename}: {len(metrics)} metric(s){stamp}")
         return 0
 
     warnings = 0
+    mismatches = 0  # ledgers from different commands or run counts
     added_metrics = 0
     removed_metrics = 0
-    for filename, (metrics, version) in current.items():
+    for filename, (metrics, version, command) in current.items():
         entry = previous.get(filename)
         header = f"== {filename}"
         if entry is None:
@@ -158,18 +164,29 @@ def main(argv=None) -> int:
                 print(f"   {metric}: {value:g} (added)")
                 added_metrics += 1
             continue
-        baseline, previous_version = entry
+        baseline, previous_version, previous_command = entry
         print(header)
         if version != previous_version:
             print(
                 f"   ! schema_version changed: {previous_version!r} -> {version!r} "
                 "(metric paths may not be comparable across the format change)"
             )
+        if command != previous_command:
+            print(
+                f"   ! command changed: {previous_command!r} -> {command!r} "
+                "(the two runs measured different things)  <-- WARNING"
+            )
+            mismatches += 1
         for metric, value in metrics.items():
             old = baseline.get(metric)
             if old is None:
                 print(f"   {metric}: {value:g} (added)")
                 added_metrics += 1
+                continue
+            if metric.rsplit(".", 1)[-1] == "runs" and value != old:
+                # A ledger's medians over a different number of runs.
+                print(f"   ! {metric} changed: {old:g} -> {value:g}  <-- WARNING")
+                mismatches += 1
                 continue
             if old == 0.0:
                 delta_text = "prev 0"
@@ -192,7 +209,7 @@ def main(argv=None) -> int:
     # Benchmarks present only in the previous run would otherwise vanish
     # without a trace (the loop above iterates current files only).
     for filename in sorted(set(previous) - set(current)):
-        baseline, _ = previous[filename]
+        baseline, _, _ = previous[filename]
         print(f"== {filename} (removed — present in the previous run only)")
         for metric, value in sorted(baseline.items()):
             print(f"   {metric}: removed (was {value:g})")
@@ -202,6 +219,11 @@ def main(argv=None) -> int:
         print(
             f"\nschema drift: {added_metrics} metric(s) added, "
             f"{removed_metrics} removed since the previous run"
+        )
+    if mismatches:
+        print(
+            f"\n{mismatches} WARNING(s): the two sides come from different commands "
+            "or run counts, so their deltas do not compare (non-blocking)"
         )
     if warnings:
         print(

@@ -358,10 +358,10 @@ class _RowInputs(NamedTuple):
 
     Built by :meth:`CompiledCircuit._row_inputs`.  The serial Newton loop
     (:meth:`AnalysisEngine._newton_row`) resolves it once per call and
-    hands it to every round's dense :meth:`CompiledCircuit.assemble`, so a
-    round pays neither the base-data cache lookup nor the parameter reads
-    nor a fresh padded iterate; a singular round, which bumps gmin,
-    resolves it again.
+    hands it to every round's :meth:`CompiledCircuit.assemble` or
+    :meth:`CompiledCircuit.assemble_sparse`, so a round pays neither the
+    base-data cache lookup nor the parameter reads nor a fresh padded
+    iterate; a singular round, which bumps gmin, resolves it again.
     """
 
     base: np.ndarray  # (nnz + 1,) linear base data at the call's gmin
@@ -1191,14 +1191,16 @@ class CompiledCircuit:
             )
 
         if row_inputs is None:
-            padded = self._pad(solutions)
-            beta = params.get("mos_beta", self.mos_beta)
-            vth = params.get("mos_vth", self.mos_vth)
-            lam = params.get("mos_lambda", self.mos_lambda)
+            forward, gds, gm, i_eq = self._mosfet_companion(
+                self._pad(solutions),
+                params.get("mos_beta", self.mos_beta),
+                params.get("mos_vth", self.mos_vth),
+                params.get("mos_lambda", self.mos_lambda),
+            )
         else:
             _, beta, vth, lam, padded = row_inputs
             padded[: self.size] = solutions
-        forward, gds, gm, i_eq = self._mosfet_companion(padded, beta, vth, lam)
+            forward, gds, gm, i_eq = self._mosfet_companion(padded, beta, vth, lam)
         # The ten stamp groups in the row order of the position tables (see
         # SparsityPattern._mos_positions), so the stamps that share a cell
         # accumulate in one fixed order on every path.
@@ -1734,12 +1736,11 @@ class AnalysisEngine:
 
         What is constant within the call is resolved once, before the first
         round: the backend's assembly and solve, the linear right-hand side,
-        the assembly state, which holds the live iterate, and on the dense
-        backend the assembly's other invariants (:class:`_RowInputs`: the
-        linear base, the MOSFET parameters, the padded iterate buffer).
-        Only a singular round, which bumps gmin, resolves the state and the
-        invariants again.  The sparse backend's rounds assemble without
-        handed-in invariants, as the stacked loop's do.
+        the assembly state, which holds the live iterate, and the
+        assembly's other invariants (:class:`_RowInputs`: the linear base,
+        the MOSFET parameters, the padded iterate buffer).  Only a singular
+        round, which bumps gmin, resolves the state and the invariants
+        again.
         """
         compiled = self.compiled
         pattern = compiled.sparsity_pattern() if solver.wants_pattern_assembly else None
@@ -1759,10 +1760,7 @@ class AnalysisEngine:
         state = AnalysisState(
             solution, timestep_s=timestep_s, integration=integration, gmin=gmin
         )
-        row_inputs = (
-            None if pattern is not None
-            else compiled._row_inputs(gmin, timestep_s, integration)
-        )
+        row_inputs = compiled._row_inputs(gmin, timestep_s, integration)
         cache_base, converged = True, False
         max_update, best_update, best_round = np.inf, np.inf, 0
         iteration = 0
@@ -1784,10 +1782,9 @@ class AnalysisEngine:
                     gmin=max(state.gmin * 10.0, 1e-12),
                 )
                 cache_base = False
-                if row_inputs is not None:
-                    row_inputs = compiled._row_inputs(
-                        state.gmin, timestep_s, integration, cache_base
-                    )
+                row_inputs = compiled._row_inputs(
+                    state.gmin, timestep_s, integration, cache_base
+                )
                 continue
             update = new_solution - solution
             max_update = float(np.maximum.reduce(np.abs(update)))

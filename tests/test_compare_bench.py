@@ -210,3 +210,16 @@ class TestPerfbenchLedger:
         assert compare_bench.main([str(tmp_path / "current"), str(tmp_path / "previous")]) == 0
         flagged = [line for line in capsys.readouterr().out.splitlines() if "WARNING" in line]
         assert len(flagged) == 1 and "workloads.fig11_transient.op_p50_ms:" in flagged[0]
+
+    def test_ledgers_from_different_commands_are_flagged(
+        self, compare_bench, ledger, tmp_path, capsys
+    ):
+        _write(tmp_path / "previous", "BENCH_perfbench.json", ledger)
+        ledger["command"] = ledger["command"].replace("--seconds 10", "--seconds 3")
+        ledger["workloads"]["lattice400_dc"]["runs"] = 2
+        _write(tmp_path / "current", "BENCH_perfbench.json", ledger)
+        assert compare_bench.main([str(tmp_path / "current"), str(tmp_path / "previous")]) == 0
+        out = capsys.readouterr().out
+        assert "! command changed" in out
+        assert "! workloads.lattice400_dc.runs changed: 5 -> 2" in out
+        assert "2 WARNING(s): the two sides come from different commands" in out
