@@ -21,8 +21,15 @@ times/counts/sizes (``*_us``, ``*_ms``, ``*_s``, ``*_steps``, ``*_err``,
 ``*_per_s``, ``*_ratio``, ``*_reduction``) higher-is-better; the host-speed
 ``reference_ms`` and anything else is reported as informational only.  Two
 artifacts whose recorded ``command`` or ``runs`` counts differ are flagged
-too: their medians do not compare.  The exit code is always 0 — this is a
-trend report, not a gate.
+too: their medians do not compare.
+
+A ledger's end-to-end metrics (``workloads.<name>.<metric>`` for every
+metric in the ``end_to_end`` list of the repository's ``BENCHMARK.json``,
+or of ``--bounds``) are each reported against their declared bound
+instead of the threshold: the line shows the delta, the direction that is
+better and the bound, and is flagged when the metric worsened by more than
+the bound.  The exit code is always 0 — this is a trend report, not a
+gate.
 """
 
 from __future__ import annotations
@@ -54,6 +61,37 @@ LOWER_IS_BETTER = (
     "overhead_pct",
 )
 HIGHER_IS_BETTER = ("speedup", "_per_second", "_per_s", "_ratio", "_reduction", "_fraction")
+
+#: The benchmark declaration whose end-to-end bounds a ledger is reported
+#: against (the repository root's, next to the ledger).
+DEFAULT_BOUNDS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCHMARK.json")
+
+
+def load_bounds(path: str) -> Dict[str, Tuple[int, float]]:
+    """``end_to_end`` metrics of a ``BENCHMARK.json``: name -> (direction, bound).
+
+    The direction is +1 for ``"better": "higher"`` and -1 otherwise; the
+    bound is the relative worsening the benchmark tolerates.  A missing or
+    unreadable file gives no bounds.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            declared = json.load(handle).get("end_to_end", [])
+    except (OSError, json.JSONDecodeError, AttributeError):
+        return {}
+    return {
+        metric["name"]: (1 if metric.get("better") == "higher" else -1, float(metric["bound"]))
+        for metric in declared
+        if "name" in metric and "bound" in metric
+    }
+
+
+def bounded(metric: str, bounds: Dict[str, Tuple[int, float]]):
+    """The (direction, bound) of a ledger's ``workloads.<name>.<metric>``, or None."""
+    parts = metric.split(".")
+    if len(parts) == 3 and parts[0] == "workloads":
+        return bounds.get(parts[2])
+    return None
 
 
 def iter_metrics(payload, prefix: str = "") -> Iterator[Tuple[str, float]]:
@@ -127,7 +165,14 @@ def main(argv=None) -> int:
         default=0.20,
         help="relative worsening that triggers a warning (default 0.20)",
     )
+    parser.add_argument(
+        "--bounds",
+        default=DEFAULT_BOUNDS,
+        help="BENCHMARK.json whose end-to-end bounds a ledger's deltas are "
+        "reported against (default: the repository's)",
+    )
     args = parser.parse_args(argv)
+    bounds = load_bounds(args.bounds)
 
     current = load_directory(args.current)
     previous = load_directory(args.previous)
@@ -150,6 +195,7 @@ def main(argv=None) -> int:
         return 0
 
     warnings = 0
+    beyond_bounds = 0  # end-to-end metrics worse than their declared bound
     mismatches = 0  # ledgers from different commands or run counts
     added_metrics = 0
     removed_metrics = 0
@@ -188,9 +234,23 @@ def main(argv=None) -> int:
                 print(f"   ! {metric} changed: {old:g} -> {value:g}  <-- WARNING")
                 mismatches += 1
                 continue
+            declared = bounded(metric, bounds)
             if old == 0.0:
                 delta_text = "prev 0"
                 worsened = False
+            elif declared is not None:
+                # An end-to-end metric: judged by its own bound, and always
+                # reported, unchanged or not.
+                sign, bound = declared
+                delta = (value - old) / abs(old)
+                worsened = sign * delta < -bound
+                better = "higher" if sign > 0 else "lower"
+                delta_text = f"{delta:+.1%}; {better} is better, bound {bound:.0%}"
+                flag = "  <-- WARNING: beyond the BENCHMARK.json bound" if worsened else ""
+                print(f"   {metric}: {old:g} -> {value:g} ({delta_text}){flag}")
+                if worsened:
+                    beyond_bounds += 1
+                continue
             else:
                 delta = (value - old) / abs(old)
                 sign = direction(metric)
@@ -225,13 +285,18 @@ def main(argv=None) -> int:
             f"\n{mismatches} WARNING(s): the two sides come from different commands "
             "or run counts, so their deltas do not compare (non-blocking)"
         )
+    if beyond_bounds:
+        print(
+            f"\n{beyond_bounds} end-to-end metric(s) worsened beyond their "
+            "BENCHMARK.json bound — see warnings above (non-blocking)"
+        )
     if warnings:
         print(
             f"\n{warnings} metric(s) worsened by more than "
             f"{args.threshold:.0%} — see warnings above (non-blocking)"
         )
-    else:
-        print("\nno regressions beyond the warning threshold")
+    if not warnings and not beyond_bounds:
+        print("\nno regressions beyond the warning threshold or the bounds")
     return 0
 
 

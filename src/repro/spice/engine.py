@@ -353,22 +353,36 @@ class _StampTable:
         self._stacked = (self.forward[np.newaxis], self.reverse[np.newaxis])
 
 
-class _RowInputs(NamedTuple):
-    """What a serial assembly reads that one Newton call holds constant.
+class _KernelInputs(NamedTuple):
+    """What an assembly reads that one Newton call holds constant.
 
-    Built by :meth:`CompiledCircuit._row_inputs`.  The serial Newton loop
-    (:meth:`AnalysisEngine._newton_row`) resolves it once per call and
-    hands it to every round's :meth:`CompiledCircuit.assemble` or
-    :meth:`CompiledCircuit.assemble_sparse`, so a round pays neither the
-    base-data cache lookup nor the parameter reads nor a fresh padded
-    iterate; a singular round, which bumps gmin, resolves it again.
+    Built once per call, by :meth:`CompiledCircuit._row_inputs` for the
+    serial row loop (:meth:`AnalysisEngine._newton_row`) and by
+    :meth:`CompiledCircuit._stack_inputs` for the stacked loop
+    (:meth:`AnalysisEngine._newton_batched`), and handed to every round's
+    assembly, so a round pays neither the base-data cache lookup nor the
+    parameter reads nor a fresh padded iterate, nor, for a stack, the
+    stacked stamp tables.  A singular round, which bumps gmin, rebuilds
+    the base.  A stack's per-trial fields hold the active trials' rows
+    (:meth:`compress` keeps them in step as trials leave); a round of ``k``
+    active trials uses the first ``k`` rows of its buffer and tables.
     """
 
-    base: np.ndarray  # (nnz + 1,) linear base data at the call's gmin
-    beta: np.ndarray  # MOSFET parameter vectors, (M,) each
+    base: np.ndarray  # linear base data, (nnz + 1,) shared or (k, nnz + 1)
+    beta: np.ndarray  # MOSFET parameters, (M,) shared or (k, M) each
     vth: np.ndarray
     lam: np.ndarray
-    padded: np.ndarray  # (n + 1,) iterate buffer; its ghost slot stays 0.0
+    # (n + 1,) or (trials, n + 1) iterate buffer; its ghost slots stay 0.0
+    padded: np.ndarray
+    # A stack's (trials, 10, M) stamp tables (_StampTable.stacked); a row
+    # reads the pattern's own.
+    forward: Optional[np.ndarray] = None
+    reverse: Optional[np.ndarray] = None
+
+    def compress(self, keep: np.ndarray) -> "_KernelInputs":
+        """A stack's inputs for the active trials ``keep`` selects."""
+        base, beta, vth, lam = (rows[keep] if rows.ndim == 2 else rows for rows in self[:4])
+        return self._replace(base=base, beta=beta, vth=vth, lam=lam)
 
 
 class SparsityPattern:
@@ -898,8 +912,8 @@ class CompiledCircuit:
         timestep_s: Optional[float],
         integration: str,
         cache_base: bool = True,
-    ) -> _RowInputs:
-        """The per-call invariants of a serial assembly (see :class:`_RowInputs`).
+    ) -> _KernelInputs:
+        """The per-call invariants of a serial assembly (see :class:`_KernelInputs`).
 
         The base data is :meth:`_base_data`'s for the context, the MOSFET
         parameters the compiled vectors; the padded buffer is fresh, with
@@ -907,12 +921,44 @@ class CompiledCircuit:
         """
         padded = np.empty(self._ghost)
         padded[self.size] = 0.0
-        return _RowInputs(
+        return _KernelInputs(
             self._base_data(gmin, timestep_s, integration, cache_base),
             self.mos_beta,
             self.mos_vth,
             self.mos_lambda,
             padded,
+        )
+
+    def _stack_inputs(
+        self,
+        trials: int,
+        params: Mapping[str, np.ndarray],
+        gmin: float,
+        timestep_s: Optional[float],
+        integration: str,
+    ) -> _KernelInputs:
+        """The per-call invariants of a stacked assembly (see :class:`_KernelInputs`).
+
+        The base data is :meth:`_stacked_linear_data`'s for the stack and
+        ``gmin``, the MOSFET parameters the ``params`` stacks or the
+        compiled vectors, the stamp tables :meth:`_StampTable.stacked`'s,
+        the padded buffer the kernel's padding workspace
+        (:meth:`_workspace`) with its ghost column zeroed.
+        """
+        padded = self._workspace("padded", trials, self._ghost)
+        padded[:, self.size] = 0.0
+        table = self.sparsity_pattern().mos_csc
+        forward, reverse = (
+            (None, None) if table is None else table.stacked(trials, self._hold_stacked)
+        )
+        return _KernelInputs(
+            self._stacked_linear_data(trials, params, gmin, timestep_s, integration, None, True),
+            params.get("mos_beta", self.mos_beta),
+            params.get("mos_vth", self.mos_vth),
+            params.get("mos_lambda", self.mos_lambda),
+            padded,
+            forward,
+            reverse,
         )
 
     def _waveform_values(
@@ -985,7 +1031,7 @@ class CompiledCircuit:
         cap_history: Optional[np.ndarray] = None,
         cache_base: bool = True,
         linear_rhs: Optional[np.ndarray] = None,
-        row_inputs: Optional[_RowInputs] = None,
+        row_inputs: Optional[_KernelInputs] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Assemble the linearized system at ``state`` as a dense matrix.
 
@@ -1007,14 +1053,14 @@ class CompiledCircuit:
         per solve instead of once per iteration.  The assembly only reads
         it; when omitted it is built here (identical values either way).
         ``row_inputs`` likewise hands in the call's other invariants
-        (:class:`_RowInputs`, built by :meth:`_row_inputs` for the state's
+        (:class:`_KernelInputs`, built by :meth:`_row_inputs` for the state's
         gmin, timestep and integration); the assembly then reads the linear
         base from it instead of the cache, and ignores ``cache_base``.
         """
         data, rhs = self._scatter(
             state.solution, None, state.gmin, state.time_s, source_scale,
             state.timestep_s, state.integration, state.previous_solution,
-            cap_history, linear_rhs, cache_base=cache_base, row_inputs=row_inputs,
+            cap_history, linear_rhs, cache_base=cache_base, inputs=row_inputs,
         )
         pattern = self.sparsity_pattern()
         matrix = np.zeros((self.size, self.size))
@@ -1028,7 +1074,7 @@ class CompiledCircuit:
         cap_history: Optional[np.ndarray] = None,
         cache_base: bool = True,
         linear_rhs: Optional[np.ndarray] = None,
-        row_inputs: Optional[_RowInputs] = None,
+        row_inputs: Optional[_KernelInputs] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Assemble the linearized system at ``state`` as CSC pattern data.
 
@@ -1040,7 +1086,7 @@ class CompiledCircuit:
         data, rhs = self._scatter(
             state.solution, None, state.gmin, state.time_s, source_scale,
             state.timestep_s, state.integration, state.previous_solution,
-            cap_history, linear_rhs, cache_base=cache_base, row_inputs=row_inputs,
+            cap_history, linear_rhs, cache_base=cache_base, inputs=row_inputs,
         )
         return data[: self.sparsity_pattern().nnz], rhs[: self.size]
 
@@ -1057,6 +1103,7 @@ class CompiledCircuit:
         cap_history: Optional[np.ndarray] = None,
         linear_rhs: Optional[np.ndarray] = None,
         cap_g_rows: Optional[np.ndarray] = None,
+        stack_inputs: Optional[_KernelInputs] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Assemble ``(trials, n, n)`` systems for stacked parameter sets.
 
@@ -1081,12 +1128,18 @@ class CompiledCircuit:
         assembly only reads it and then ignores ``time_s``,
         ``source_scale``, ``previous_solutions`` and ``cap_history``.
         ``cap_g_rows`` optionally hands in the per-trial capacitor companion
-        conductances.  The returned arrays are fresh on every call.
+        conductances.  ``stack_inputs`` hands in the call's other
+        invariants (:class:`_KernelInputs`, built by :meth:`_stack_inputs`
+        for the stack's parameters, gmin, timestep and integration), which
+        a Newton loop resolves once for all its rounds; the assembly then
+        reads the linear base, the MOSFET parameters and the stamp tables
+        from it instead of ``params`` and ``gmin``.  The returned arrays
+        are fresh on every call.
         """
         data, rhs = self._scatter(
             self._check_solution_stack(solutions), params, gmin, time_s, source_scale,
             timestep_s, integration, previous_solutions, cap_history, linear_rhs,
-            cap_g_rows,
+            cap_g_rows, inputs=stack_inputs,
         )
         pattern = self.sparsity_pattern()
         matrices = np.zeros((data.shape[0], self.size, self.size))
@@ -1106,6 +1159,7 @@ class CompiledCircuit:
         cap_history: Optional[np.ndarray] = None,
         linear_rhs: Optional[np.ndarray] = None,
         cap_g_rows: Optional[np.ndarray] = None,
+        stack_inputs: Optional[_KernelInputs] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Assemble ``(trials, nnz)`` CSC data stacks for stacked trials.
 
@@ -1118,7 +1172,7 @@ class CompiledCircuit:
         data, rhs = self._scatter(
             self._check_solution_stack(solutions), params, gmin, time_s, source_scale,
             timestep_s, integration, previous_solutions, cap_history, linear_rhs,
-            cap_g_rows,
+            cap_g_rows, inputs=stack_inputs,
         )
         return data[:, : self.sparsity_pattern().nnz], rhs[:, : self.size]
 
@@ -1145,7 +1199,7 @@ class CompiledCircuit:
         linear_rhs: Optional[np.ndarray],
         cap_g_rows: Optional[np.ndarray] = None,
         cache_base: bool = True,
-        row_inputs: Optional[_RowInputs] = None,
+        inputs: Optional[_KernelInputs] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The assembly kernel: fresh system and RHS rows, trash slots included.
 
@@ -1166,19 +1220,21 @@ class CompiledCircuit:
         stacked row as on a lone iterate, so serial and stacked results are
         bit-identical.  A per-trial ``gmin`` (bumped after singular solves)
         takes uncached bases, as ``cache_base=False`` does for a scalar one.
-        A lone iterate with ``row_inputs`` (:meth:`_row_inputs`) reads its
-        base, MOSFET parameters and padded buffer from there instead.
+        A lone iterate with ``inputs`` (:meth:`_row_inputs`), or a stack
+        with them (:meth:`_stack_inputs`), reads its base, MOSFET
+        parameters and padded buffer from there instead, and a stack its
+        stamp tables too.
         """
         params = params or {}
         lead = solutions.shape[:-1]
-        if lead:
+        if inputs is not None:
+            base = inputs.base
+        elif lead:
             base = self._stacked_linear_data(
                 lead[0], params, gmin, timestep_s, integration, cap_g_rows, cache_base
             )
-        elif row_inputs is None:
-            base = self._base_data(gmin, timestep_s, integration, cache_base)
         else:
-            base = row_inputs.base
+            base = self._base_data(gmin, timestep_s, integration, cache_base)
         if linear_rhs is None:
             linear_rhs = self._linear_rhs(
                 lead, params, time_s, source_scale, timestep_s, integration,
@@ -1190,7 +1246,7 @@ class CompiledCircuit:
                 np.array(linear_rhs),
             )
 
-        if row_inputs is None:
+        if inputs is None:
             forward, gds, gm, i_eq = self._mosfet_companion(
                 self._pad(solutions),
                 params.get("mos_beta", self.mos_beta),
@@ -1198,9 +1254,11 @@ class CompiledCircuit:
                 params.get("mos_lambda", self.mos_lambda),
             )
         else:
-            _, beta, vth, lam, padded = row_inputs
-            padded[: self.size] = solutions
-            forward, gds, gm, i_eq = self._mosfet_companion(padded, beta, vth, lam)
+            padded = inputs.padded[: lead[0]] if lead else inputs.padded
+            padded[..., : self.size] = solutions
+            forward, gds, gm, i_eq = self._mosfet_companion(
+                padded, inputs.beta, inputs.vth, inputs.lam
+            )
         # The ten stamp groups in the row order of the position tables (see
         # SparsityPattern._mos_positions), so the stamps that share a cell
         # accumulate in one fixed order on every path.
@@ -1209,7 +1267,11 @@ class CompiledCircuit:
         table = self.sparsity_pattern().mos_csc
         if lead:
             count = lead[0]
-            positions_forward, positions_reverse = table.stacked(count, self._hold_stacked)
+            if inputs is None:
+                positions_forward, positions_reverse = table.stacked(count, self._hold_stacked)
+            else:
+                positions_forward = inputs.forward[:count]
+                positions_reverse = inputs.reverse[:count]
             forward = forward[:, np.newaxis, :]
         else:
             count = 1
@@ -1571,20 +1633,20 @@ class AnalysisEngine:
         gmins: Optional[np.ndarray] = None
         iteration = 0
         # Per-call invariants, compressed with the active set instead of
-        # gathered every round: the parameter stacks and, as in the row
-        # loop, the linear RHS (each row only on its own trial).
+        # gathered every round: the parameter stacks, the linear RHS (each
+        # row only on its own trial) and, as in the row loop, the
+        # assembly's other invariants (_KernelInputs), which a singular
+        # round rebuilds with the bumped gmins.
         subset = params
         rhs_rows = compiled._linear_rhs(
             (trials,), params, time_s, source_scale, timestep_s, integration,
             previous_solutions, cap_history, cap_g_rows, source_levels,
         )
+        inputs = compiled._stack_inputs(trials, params, gmin, timestep_s, integration)
         for iteration in range(1, max_iterations + 1):
             whole = active.size == trials  # no gathers while all are active
             iterates = solutions if whole else solutions[active]
-            matrices, rhs = assemble(
-                iterates, subset, gmin=gmin if gmins is None else gmins[active],
-                timestep_s=timestep_s, integration=integration, linear_rhs=rhs_rows,
-            )
+            matrices, rhs = assemble(iterates, linear_rhs=rhs_rows, stack_inputs=inputs)
             bypassed = singular = None
             if use_reuse:
                 # Row ``row`` is trial ``trial``, whose own state holds its
@@ -1630,6 +1692,11 @@ class AnalysisEngine:
                 if gmins is None:
                     gmins = np.full(trials, gmin)
                 gmins[stuck] = np.maximum(gmins[stuck] * 10.0, 1e-12)
+                inputs = inputs._replace(
+                    base=compiled._stacked_linear_data(
+                        active.size, subset, gmins[active], timestep_s, integration, None, True
+                    )
+                )
                 solved = ~singular
                 stepped = active[solved]
                 iterates = solutions[stepped]
@@ -1686,6 +1753,7 @@ class AnalysisEngine:
                 active, last_updates = active[keep], last_updates[keep]
                 subset = {name: stack[keep] for name, stack in subset.items()}
                 rhs_rows = rhs_rows[keep]
+                inputs = inputs.compress(keep)
                 unreplayed = [values[keep] for values in unreplayed]
                 if best_updates is not None:
                     best_updates, best_rounds = best_updates[keep], best_rounds[keep]
@@ -1737,7 +1805,7 @@ class AnalysisEngine:
         What is constant within the call is resolved once, before the first
         round: the backend's assembly and solve, the linear right-hand side,
         the assembly state, which holds the live iterate, and the
-        assembly's other invariants (:class:`_RowInputs`: the linear base,
+        assembly's other invariants (:class:`_KernelInputs`: the linear base,
         the MOSFET parameters, the padded iterate buffer).  Only a singular
         round, which bumps gmin, resolves the state and the invariants
         again.
@@ -2638,11 +2706,14 @@ class AnalysisEngine:
         grid) but carry their own parameter stacks (``params`` maps names
         from :data:`PERTURBABLE_PARAMETERS` to ``(trials, count)`` rows).
         Every timestep advances the whole stack together: each Newton round
-        assembles the stacked systems and solves them in one call (below the
-        dense/sparse crossover, the default ``solver="auto"`` assembles
-        ``(trials, n, n)`` through the compiled circuit's ``assemble_batched``
-        and makes one batched LAPACK call), with three structural savings
-        over per-trial marching:
+        assembles the stacked systems and solves them in one solver call
+        (below the dense/sparse crossover, the default ``solver="auto"``
+        assembles ``(trials, n, n)`` through the compiled circuit's
+        ``assemble_batched`` and solves the stack with batched LAPACK; a
+        stack of 32 or more systems at n=33 is split across the usable
+        CPUs, the calling thread and resident helper threads solving one
+        chunk each, see :class:`~repro.spice.solvers.BatchedDenseSolver`),
+        with three structural savings over per-trial marching:
 
         * source waveforms and breakpoint-free step timing are evaluated
           once per step, not once per trial;

@@ -26,12 +26,16 @@ iteration logic:
   empty.  Requires the optional ``scipy`` dependency — install it directly
   or through this package's ``[sparse]`` extra.
 * :class:`BatchedDenseSolver` — stacks ``(trials, n, n)`` systems and
-  solves them in a single vectorized LAPACK call, by the same direct
-  gufunc route.  The Monte-Carlo engine runs same-pattern trials through
-  this backend
+  solves them in vectorized LAPACK calls, by the same direct gufunc
+  route; a stack with enough work (32 or more systems at the Fig. 11
+  size, n=33; small systems never) is split into chunks that resident
+  helper threads (one per extra usable CPU, started at the first split)
+  solve alongside the calling thread.  The Monte-Carlo engine runs
+  same-pattern trials through this backend
   (:meth:`~repro.spice.montecarlo.MonteCarloEngine.run_batched_dc`); its
   per-system results are bit-identical to :class:`DenseSolver` on the same
-  matrices.
+  matrices, split or not.  The helpers are stopped before the process
+  forks (``os.register_at_fork``), so no fork copies a helper thread.
 * :class:`BatchedSparseSolver` — the sparse twin of the batched backend:
   the CSC *structure* (canonical ordering, position maps, ghost trimming,
   fill-reducing column order) is analyzed once per topology and shared by
@@ -70,8 +74,9 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import threading
 import warnings
-from typing import Dict, NamedTuple, Optional, Tuple, Type, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -179,7 +184,9 @@ def _raise_singular(error: str, flag: int) -> None:
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-def _lapack_solve(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _lapack_solve(
+    matrices: np.ndarray, rhs: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """``np.linalg.solve`` of float64 arrays without its Python wrapper.
 
     Calls the ``_umath_linalg`` gufunc that ``np.linalg.solve`` picks for
@@ -189,8 +196,9 @@ def _lapack_solve(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     nothing warns.  The wrapper's array conversion, type resolution and
     result cast do nothing for the float64 arrays the engine assembles, yet
     cost about a quarter of a solve at Fig. 11 size (n=33: 10.6 against
-    7.8 µs, timeit min).  Where NumPy lacks the private gufunc, this is
-    ``np.linalg.solve`` itself.
+    7.8 µs, timeit min).  ``out`` receives the gufunc's result in place
+    (the gufunc route only).  Where NumPy lacks the private gufunc, this
+    is ``np.linalg.solve`` itself.
     """
     gufunc = getattr(_umath_linalg, "solve1" if rhs.ndim == 1 else "solve", None)
     if gufunc is None:
@@ -198,7 +206,157 @@ def _lapack_solve(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     with np.errstate(
         call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"
     ):
-        return gufunc(matrices, rhs, signature="dd->d")
+        return gufunc(matrices, rhs, out=out, signature="dd->d")
+
+
+#: A chunk of a split stack holds at least :data:`_CHUNK_MIN_ROWS`
+#: systems and at least the LAPACK work of 16 Fig. 11 systems (``rows *
+#: n**3 >= _CHUNK_MIN_WORK``).  Below that the handoff (about 25 µs) costs
+#: more than the second CPU saves (n=33: a 16-row stack split in two took
+#: 114 µs against 87 µs whole), and NumPy's gufunc keeps the GIL for
+#: ``rows * n <= 500``, so the chunks would not even overlap (n=5: 128
+#: systems take 33 µs whole and 60 µs split).  At n=33 a stack of 32
+#: splits.
+_CHUNK_MIN_ROWS = 16
+_CHUNK_MIN_WORK = 16 * 33**3
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (the split solve's probe)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # pragma: no cover - no affinity API
+        return os.cpu_count() or 1
+
+
+class _Helper:
+    """A resident thread that solves the chunks it is handed, one at a time.
+
+    :meth:`post` hands it a chunk and returns at once; :meth:`wait` blocks
+    until that chunk is solved and returns the exception it raised, or
+    ``None``.  Two bare locks carry the handoff, which costs less than a
+    ``concurrent.futures`` round trip (a split 32-row stack at n=33: about
+    114 against 122 µs).  The solve itself releases the GIL.
+    """
+
+    __slots__ = ("_go", "_done", "_task", "_error", "_thread")
+
+    def __init__(self):
+        self._go = threading.Lock()
+        self._go.acquire()
+        self._done = threading.Lock()
+        self._done.acquire()
+        self._task: Optional[tuple] = None
+        self._error: Optional[BaseException] = None
+        self._thread = threading.Thread(
+            target=self._serve, name="repro-lapack-helper", daemon=True
+        )
+        self._thread.start()
+
+    def _serve(self) -> None:
+        # No local outlives a chunk: the stack it views is freed with the
+        # caller's last reference, not at the next handoff.
+        while True:
+            self._go.acquire()
+            if self._task is None:
+                return
+            try:
+                _lapack_solve(*self._task)
+            except BaseException as error:  # handed back to the caller
+                self._error = error
+            self._task = None
+            self._done.release()
+
+    def post(self, matrices: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> None:
+        self._task = (matrices, rhs, out)
+        self._go.release()
+
+    def wait(self) -> Optional[BaseException]:
+        self._done.acquire()
+        error, self._error = self._error, None
+        return error
+
+    def stop(self) -> None:
+        """End the thread (the helper must be idle)."""
+        self._task = None
+        self._go.release()
+        self._thread.join()
+
+
+#: The split solve's helpers, started lazily, at most one per extra CPU;
+#: ``_split_lock`` is held by the one stack being split at a time.
+_helpers: List[_Helper] = []
+_split_lock = threading.Lock()
+
+
+def _stop_helpers() -> None:
+    """Before a fork: wait out a split solve in flight, end every helper.
+
+    The child then starts without a helper thread, and neither process
+    forks with one alive; both start a fresh helper at their next split.
+    """
+    _split_lock.acquire()
+    for helper in _helpers:
+        helper.stop()
+    _helpers.clear()
+
+
+def _reset_split_lock() -> None:
+    """After a fork, in the child: a fresh lock, no split in flight."""
+    global _split_lock
+    _split_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_stop_helpers,
+        # Looked up at each fork: a forked child that forks again holds its
+        # own lock, not the one of the process that registered the hook.
+        after_in_parent=lambda: _split_lock.release(),
+        after_in_child=_reset_split_lock,
+    )
+
+
+def _solve_stack(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """:func:`_lapack_solve` of a ``(T, n, n)`` stack, split across CPUs.
+
+    A stack is cut into contiguous chunks of at least
+    :data:`_CHUNK_MIN_ROWS` systems and :data:`_CHUNK_MIN_WORK`, no more
+    chunks than usable CPUs.  Resident helper threads (:class:`_Helper`)
+    solve every chunk but the last, the calling thread the last, each into
+    its rows of one output array.  Every system goes through the same
+    gufunc on the same data as in a whole-stack call, so every bit is the
+    same; a ``LinAlgError`` in any chunk raises for the whole stack once
+    every chunk has finished.  A stack too small, a single usable CPU, a
+    NumPy without the private gufunc, or another thread already splitting
+    a stack: the stack is solved whole, in the calling thread.
+    """
+    rows, size = matrices.shape[:2]
+    chunk_rows = max(_CHUNK_MIN_ROWS, -(-_CHUNK_MIN_WORK // size**3))
+    if rows < 2 * chunk_rows or getattr(_umath_linalg, "solve", None) is None:
+        return _lapack_solve(matrices, rhs)
+    chunks = min(_usable_cpus(), rows // chunk_rows)
+    if chunks < 2 or not _split_lock.acquire(blocking=False):
+        return _lapack_solve(matrices, rhs)
+    try:
+        while len(_helpers) < chunks - 1:
+            _helpers.append(_Helper())
+        posted = _helpers[: chunks - 1]
+        bounds = [rows * chunk // chunks for chunk in range(chunks + 1)]
+        out = np.empty(rhs.shape)
+        for helper, start, stop in zip(posted, bounds, bounds[1:]):
+            helper.post(matrices[start:stop], rhs[start:stop], out[start:stop])
+        last = bounds[-2]
+        try:
+            _lapack_solve(matrices[last:], rhs[last:], out[last:])
+        finally:
+            errors = [helper.wait() for helper in posted]
+        for error in errors:
+            if error is not None:
+                raise error
+        return out
+    finally:
+        _split_lock.release()
 
 
 def scipy_available() -> bool:
@@ -362,21 +520,26 @@ class DenseSolver(LinearSolver):
 
 
 class BatchedDenseSolver(DenseSolver):
-    """Dense backend whose batched solve is a single vectorized LAPACK call.
+    """Dense backend whose batched solve is vectorized LAPACK, on every CPU.
 
     The ``gesv`` gufunc on a ``(T, n, n)`` stack (:func:`_lapack_solve`, the
     call ``np.linalg.solve`` makes for it) factorizes every system without
     returning to Python, which is what makes batched Monte-Carlo trials
-    cheap.  Each system in the stack is solved by the same LAPACK routine
-    as a lone dense solve, so results are bit-identical to
-    :class:`DenseSolver` system for system.
+    cheap.  A stack with enough work (32 or more systems at n=33; small
+    systems never) is split into contiguous chunks solved at once by the
+    calling thread and resident helper threads, one per extra usable CPU
+    (:func:`_solve_stack`; n=33, 2 CPUs: 128 systems in about 375 instead
+    of 680 µs).  Each system in the stack is solved by
+    the same LAPACK routine as a lone dense solve, so results are
+    bit-identical to :class:`DenseSolver` system for system, split or not,
+    and a singular system raises ``LinAlgError`` for the whole stack.
     """
 
     name = "batched"
 
     def solve_batched(self, matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         self._count_factorizations(int(matrices.shape[0]))
-        return _lapack_solve(matrices, rhs[..., np.newaxis])[..., 0]
+        return _solve_stack(matrices, rhs[..., np.newaxis])[..., 0]
 
 
 class _OrderedLU:

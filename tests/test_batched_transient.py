@@ -35,6 +35,7 @@ from repro.spice import (
     VoltageSource,
     get_engine,
 )
+from repro.spice import solvers as solvers_module
 from repro.spice.solvers import DenseSolver, scipy_available
 
 NMOS = Level1Parameters(
@@ -380,14 +381,18 @@ class TestStackedFailuresMatchSerial:
     OHMS = np.array([[1e3, 3e3, 2e3, 5e3], [1e3, 3e3, np.inf, np.inf]])
 
     @pytest.mark.parametrize(
-        "batched_solver, serial_solver, newton",
+        "batched_solver, serial_solver, newton, trials",
         [
-            ("batched", "dense", None),
+            ("batched", "dense", None, 2),
+            # 64 trials: the batched dense solve splits the stack across
+            # the calling thread and a helper, singular rows in both chunks.
+            ("batched", "dense", None, 64),
             *(
                 pytest.param(
                     batched_solver,
                     "sparse",
                     newton,
+                    2,
                     marks=pytest.mark.skipif(
                         not scipy_available(), reason="needs the scipy optional extra"
                     ),
@@ -400,12 +405,29 @@ class TestStackedFailuresMatchSerial:
             ),
         ],
     )
-    def test_singular_trial_bumps_its_own_gmin(self, batched_solver, serial_solver, newton):
+    def test_singular_trial_bumps_its_own_gmin(
+        self, batched_solver, serial_solver, newton, trials, monkeypatch
+    ):
+        # Two usable CPUs whatever the host, a split whatever the system
+        # size (this divider's 4 unknowns carry too little work to split
+        # by default), and a record of every chunk handed to the helper.
+        posts = []
+        post = solvers_module._Helper.post
+
+        def counted(helper, matrices, rhs, out):
+            posts.append(matrices.shape[0])
+            post(helper, matrices, rhs, out)
+
+        monkeypatch.setattr(solvers_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(solvers_module, "_CHUNK_MIN_WORK", 0)
+        monkeypatch.setattr(solvers_module._Helper, "post", counted)
         circuit = tailed_divider()
         engine = get_engine(circuit)
         batched = engine.solve_dc_batched(
-            {"resistor_ohm": self.OHMS}, gmin=0.0, solver=batched_solver, newton=newton
+            {"resistor_ohm": np.tile(self.OHMS, (trials // 2, 1))},
+            gmin=0.0, solver=batched_solver, newton=newton,
         )
+        assert bool(posts) == (trials >= 32)
         references = []
         for ohms in self.OHMS:
             engine.compiled.set_parameter_overlay({"resistor_ohm": ohms})
@@ -415,7 +437,7 @@ class TestStackedFailuresMatchSerial:
                 )
             finally:
                 engine.compiled.clear_parameter_overlay()
-        assert batched.strategies == ("batched-newton", "batched-newton")
+        assert batched.strategies == ("batched-newton",) * trials
         assert references[1].iterations == 4
         # Full Newton factorizes every round.  Dense LAPACK counts the
         # singular round of trial 1 too; SuperLU raises before a singular
@@ -431,7 +453,8 @@ class TestStackedFailuresMatchSerial:
             (r.convergence_info.factorizations, r.convergence_info.factorization_reuses)
             for r in references
         ] == expected_counts
-        for trial, reference in enumerate(references):
+        for trial in range(trials):
+            reference = references[trial % 2]
             assert reference.convergence_info.strategy == "newton"
             assert np.array_equal(batched.solutions[trial], reference.solution)
             assert batched.iterations[trial] == reference.iterations

@@ -223,3 +223,92 @@ class TestPerfbenchLedger:
         assert "! command changed" in out
         assert "! workloads.lattice400_dc.runs changed: 5 -> 2" in out
         assert "2 WARNING(s): the two sides come from different commands" in out
+
+
+class TestEndToEndBounds:
+    """A ledger's end-to-end metrics are reported against BENCHMARK.json's
+    bounds, each in its own better direction."""
+
+    BOUNDS = {
+        "end_to_end": [
+            {"name": "op_p50_ms", "better": "lower", "bound": 0.25},
+            {"name": "goodput_per_s", "better": "higher", "bound": 0.25},
+            {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+        ]
+    }
+
+    @staticmethod
+    def ledger(op_ms, goodput, rss_mb):
+        return {
+            "schema_version": 1,
+            "command": "python3 perfbench/run.py --workload W",
+            "workloads": {
+                "xor3_mc128": {
+                    "op_p50_ms": op_ms, "goodput_per_s": goodput,
+                    "peak_rss_mb": rss_mb, "runs": 5,
+                }
+            },
+        }
+
+    def compare(self, compare_bench, tmp_path, capsys, current, previous, bounds=None):
+        _write(tmp_path / "current", "BENCH_perfbench.json", current)
+        _write(tmp_path / "previous", "BENCH_perfbench.json", previous)
+        bounds_path = tmp_path / "BENCHMARK.json"
+        bounds_path.write_text(json.dumps(self.BOUNDS if bounds is None else bounds))
+        argv = [str(tmp_path / "current"), str(tmp_path / "previous"), "--bounds", str(bounds_path)]
+        assert compare_bench.main(argv) == 0
+        out = capsys.readouterr().out
+        self.out = out
+        return {
+            line.split(":")[0].strip(): line
+            for line in out.splitlines()
+            if line.startswith("   workloads.")
+        }
+
+    def test_the_repository_bounds_are_the_default(self, compare_bench):
+        bounds = compare_bench.load_bounds(compare_bench.DEFAULT_BOUNDS)
+        assert bounds["op_p50_ms"] == (-1, 0.25)
+        assert bounds["goodput_per_s"] == (1, 0.25)
+        assert bounds["peak_rss_mb"] == (-1, 0.1)
+        assert set(bounds) == {"setup_s", "op_p50_ms", "goodput_per_s", "peak_rss_mb"}
+
+    def test_every_delta_is_reported_against_its_bound(self, compare_bench, tmp_path, capsys):
+        lines = self.compare(
+            compare_bench, tmp_path, capsys,
+            self.ledger(op_ms=900.0, goodput=150.0, rss_mb=55.0),
+            self.ledger(op_ms=1000.0, goodput=150.0, rss_mb=50.0),
+        )
+        op = lines["workloads.xor3_mc128.op_p50_ms"]
+        assert "(-10.0%; lower is better, bound 25%)" in op and "WARNING" not in op
+        # Unchanged, and still reported.
+        assert "(+0.0%; higher is better, bound 25%)" in lines["workloads.xor3_mc128.goodput_per_s"]
+        # +10 % RSS sits on its 10 % bound: not beyond it.
+        rss = lines["workloads.xor3_mc128.peak_rss_mb"]
+        assert "(+10.0%; lower is better, bound 10%)" in rss and "WARNING" not in rss
+        # Counts and other leaves are not end-to-end metrics.
+        assert "workloads.xor3_mc128.runs" not in lines
+
+    def test_worsening_beyond_a_bound_is_flagged_in_its_direction(
+        self, compare_bench, tmp_path, capsys
+    ):
+        lines = self.compare(
+            compare_bench, tmp_path, capsys,
+            self.ledger(op_ms=1200.0, goodput=70.0, rss_mb=56.0),
+            self.ledger(op_ms=1000.0, goodput=100.0, rss_mb=50.0),
+        )
+        # +20 % time is inside the 25 % bound (and the 20 % threshold no
+        # longer applies to it); -30 % goodput and +12 % RSS are beyond.
+        assert "WARNING" not in lines["workloads.xor3_mc128.op_p50_ms"]
+        assert "beyond the BENCHMARK.json bound" in lines["workloads.xor3_mc128.goodput_per_s"]
+        assert "beyond the BENCHMARK.json bound" in lines["workloads.xor3_mc128.peak_rss_mb"]
+        assert "2 end-to-end metric(s) worsened beyond" in self.out
+
+    def test_without_bounds_the_threshold_applies(self, compare_bench, tmp_path, capsys):
+        lines = self.compare(
+            compare_bench, tmp_path, capsys,
+            self.ledger(op_ms=1300.0, goodput=100.0, rss_mb=50.0),
+            self.ledger(op_ms=1000.0, goodput=100.0, rss_mb=50.0),
+            bounds={},
+        )
+        assert lines["workloads.xor3_mc128.op_p50_ms"].endswith("(+30.0%)  <-- WARNING: regression")
+        assert compare_bench.load_bounds(str(tmp_path / "missing.json")) == {}
