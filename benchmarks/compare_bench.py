@@ -24,8 +24,8 @@ artifacts whose recorded ``command`` or ``runs`` counts differ are flagged
 too: their medians do not compare.
 
 A ledger's end-to-end metrics (``workloads.<name>.<metric>`` for every
-metric in the ``end_to_end`` list of the repository's ``BENCHMARK.json``,
-or of ``--bounds``) are each reported against their declared bound
+metric in the ``end_to_end`` list of the repository's ``BENCHMARK.json``)
+are each reported against their declared bound
 instead of the threshold: the line shows the delta, the direction that is
 better and the bound, and is flagged when the metric worsened by more than
 the bound.  The exit code is always 0 — this is a trend report, not a
@@ -64,7 +64,7 @@ HIGHER_IS_BETTER = ("speedup", "_per_second", "_per_s", "_ratio", "_reduction", 
 
 #: The benchmark declaration whose end-to-end bounds a ledger is reported
 #: against (the repository root's, next to the ledger).
-DEFAULT_BOUNDS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCHMARK.json")
+BENCHMARK_JSON = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCHMARK.json")
 
 
 def load_bounds(path: str) -> Dict[str, Tuple[int, float]]:
@@ -165,14 +165,8 @@ def main(argv=None) -> int:
         default=0.20,
         help="relative worsening that triggers a warning (default 0.20)",
     )
-    parser.add_argument(
-        "--bounds",
-        default=DEFAULT_BOUNDS,
-        help="BENCHMARK.json whose end-to-end bounds a ledger's deltas are "
-        "reported against (default: the repository's)",
-    )
     args = parser.parse_args(argv)
-    bounds = load_bounds(args.bounds)
+    bounds = load_bounds(BENCHMARK_JSON)
 
     current = load_directory(args.current)
     previous = load_directory(args.previous)

@@ -362,8 +362,8 @@ class _KernelInputs(NamedTuple):
     (:meth:`AnalysisEngine._newton_batched`), and handed to every round's
     assembly, so a round pays neither the base-data cache lookup nor the
     parameter reads nor a fresh padded iterate, nor, for a stack, the
-    stacked stamp tables.  A singular round, which bumps gmin, rebuilds
-    the base.  A stack's per-trial fields hold the active trials' rows
+    stacked stamp tables.  A singular round, which bumps gmin, builds
+    them again.  A stack's per-trial fields hold the active trials' rows
     (:meth:`compress` keeps them in step as trials leave); a round of ``k``
     active trials uses the first ``k`` rows of its buffer and tables.
     """
@@ -933,17 +933,19 @@ class CompiledCircuit:
         self,
         trials: int,
         params: Mapping[str, np.ndarray],
-        gmin: float,
+        gmin: Union[float, np.ndarray],
         timestep_s: Optional[float],
         integration: str,
+        cap_g_rows: Optional[np.ndarray] = None,
     ) -> _KernelInputs:
         """The per-call invariants of a stacked assembly (see :class:`_KernelInputs`).
 
-        The base data is :meth:`_stacked_linear_data`'s for the stack and
-        ``gmin``, the MOSFET parameters the ``params`` stacks or the
-        compiled vectors, the stamp tables :meth:`_StampTable.stacked`'s,
-        the padded buffer the kernel's padding workspace
-        (:meth:`_workspace`) with its ghost column zeroed.
+        The base data is :meth:`_stacked_linear_data`'s for the stack, its
+        ``gmin`` (scalar or per trial) and ``cap_g_rows``, the MOSFET
+        parameters the ``params`` stacks or the compiled vectors, the stamp
+        tables :meth:`_StampTable.stacked`'s, the padded buffer the
+        kernel's padding workspace (:meth:`_workspace`) with its ghost
+        column zeroed.
         """
         padded = self._workspace("padded", trials, self._ghost)
         padded[:, self.size] = 0.0
@@ -952,7 +954,9 @@ class CompiledCircuit:
             (None, None) if table is None else table.stacked(trials, self._hold_stacked)
         )
         return _KernelInputs(
-            self._stacked_linear_data(trials, params, gmin, timestep_s, integration, None, True),
+            self._stacked_linear_data(
+                trials, params, gmin, timestep_s, integration, cap_g_rows, True
+            ),
             params.get("mos_beta", self.mos_beta),
             params.get("mos_vth", self.mos_vth),
             params.get("mos_lambda", self.mos_lambda),
@@ -1133,8 +1137,9 @@ class CompiledCircuit:
         for the stack's parameters, gmin, timestep and integration), which
         a Newton loop resolves once for all its rounds; the assembly then
         reads the linear base, the MOSFET parameters and the stamp tables
-        from it instead of ``params`` and ``gmin``.  The returned arrays
-        are fresh on every call.
+        from it instead of ``params`` and ``gmin``.  When omitted they are
+        built here, from the arguments (identical values either way).  The
+        returned arrays are fresh on every call.
         """
         data, rhs = self._scatter(
             self._check_solution_stack(solutions), params, gmin, time_s, source_scale,
@@ -1220,21 +1225,21 @@ class CompiledCircuit:
         stacked row as on a lone iterate, so serial and stacked results are
         bit-identical.  A per-trial ``gmin`` (bumped after singular solves)
         takes uncached bases, as ``cache_base=False`` does for a scalar one.
-        A lone iterate with ``inputs`` (:meth:`_row_inputs`), or a stack
-        with them (:meth:`_stack_inputs`), reads its base, MOSFET
-        parameters and padded buffer from there instead, and a stack its
-        stamp tables too.
+        A stack always reads its base, MOSFET parameters, padded buffer and
+        stamp tables from ``inputs`` (:meth:`_stack_inputs`), built here
+        from the arguments when the caller does not hand them in; a lone
+        iterate does so only when handed its own (:meth:`_row_inputs`).
         """
         params = params or {}
         lead = solutions.shape[:-1]
-        if inputs is not None:
-            base = inputs.base
-        elif lead:
-            base = self._stacked_linear_data(
-                lead[0], params, gmin, timestep_s, integration, cap_g_rows, cache_base
+        if lead and inputs is None:
+            inputs = self._stack_inputs(
+                lead[0], params, gmin, timestep_s, integration, cap_g_rows
             )
-        else:
+        if inputs is None:
             base = self._base_data(gmin, timestep_s, integration, cache_base)
+        else:
+            base = inputs.base
         if linear_rhs is None:
             linear_rhs = self._linear_rhs(
                 lead, params, time_s, source_scale, timestep_s, integration,
@@ -1248,10 +1253,7 @@ class CompiledCircuit:
 
         if inputs is None:
             forward, gds, gm, i_eq = self._mosfet_companion(
-                self._pad(solutions),
-                params.get("mos_beta", self.mos_beta),
-                params.get("mos_vth", self.mos_vth),
-                params.get("mos_lambda", self.mos_lambda),
+                self._pad(solutions), self.mos_beta, self.mos_vth, self.mos_lambda
             )
         else:
             padded = inputs.padded[: lead[0]] if lead else inputs.padded
@@ -1267,11 +1269,8 @@ class CompiledCircuit:
         table = self.sparsity_pattern().mos_csc
         if lead:
             count = lead[0]
-            if inputs is None:
-                positions_forward, positions_reverse = table.stacked(count, self._hold_stacked)
-            else:
-                positions_forward = inputs.forward[:count]
-                positions_reverse = inputs.reverse[:count]
+            positions_forward = inputs.forward[:count]
+            positions_reverse = inputs.reverse[:count]
             forward = forward[:, np.newaxis, :]
         else:
             count = 1
@@ -1692,10 +1691,8 @@ class AnalysisEngine:
                 if gmins is None:
                     gmins = np.full(trials, gmin)
                 gmins[stuck] = np.maximum(gmins[stuck] * 10.0, 1e-12)
-                inputs = inputs._replace(
-                    base=compiled._stacked_linear_data(
-                        active.size, subset, gmins[active], timestep_s, integration, None, True
-                    )
+                inputs = compiled._stack_inputs(
+                    active.size, subset, gmins[active], timestep_s, integration
                 )
                 solved = ~singular
                 stepped = active[solved]
@@ -2710,9 +2707,10 @@ class AnalysisEngine:
         (below the dense/sparse crossover, the default ``solver="auto"``
         assembles ``(trials, n, n)`` through the compiled circuit's
         ``assemble_batched`` and solves the stack with batched LAPACK; a
-        stack of 32 or more systems at n=33 is split across the usable
-        CPUs, the calling thread and resident helper threads solving one
-        chunk each, see :class:`~repro.spice.solvers.BatchedDenseSolver`),
+        stack of 32 or more systems at n=33 is split in two halves on two
+        or more usable CPUs, the calling thread and one resident helper
+        thread solving one half each, see
+        :class:`~repro.spice.solvers.BatchedDenseSolver`),
         with three structural savings over per-trial marching:
 
         * source waveforms and breakpoint-free step timing are evaluated

@@ -27,15 +27,15 @@ iteration logic:
   or through this package's ``[sparse]`` extra.
 * :class:`BatchedDenseSolver` — stacks ``(trials, n, n)`` systems and
   solves them in vectorized LAPACK calls, by the same direct gufunc
-  route; a stack with enough work (32 or more systems at the Fig. 11
-  size, n=33; small systems never) is split into chunks that resident
-  helper threads (one per extra usable CPU, started at the first split)
-  solve alongside the calling thread.  The Monte-Carlo engine runs
-  same-pattern trials through this backend
+  route; on a host with two or more usable CPUs, a stack with enough
+  work (32 or more systems at the Fig. 11 size, n=33; small systems
+  never) is split in two halves, one solved by a resident helper thread
+  (started at the first split) alongside the calling thread.  The
+  Monte-Carlo engine runs same-pattern trials through this backend
   (:meth:`~repro.spice.montecarlo.MonteCarloEngine.run_batched_dc`); its
   per-system results are bit-identical to :class:`DenseSolver` on the same
-  matrices, split or not.  The helpers are stopped before the process
-  forks (``os.register_at_fork``), so no fork copies a helper thread.
+  matrices, split or not.  The helper is stopped before the process forks
+  (``os.register_at_fork``), so no fork copies a helper thread.
 * :class:`BatchedSparseSolver` — the sparse twin of the batched backend:
   the CSC *structure* (canonical ordering, position maps, ghost trimming,
   fill-reducing column order) is analyzed once per topology and shared by
@@ -74,9 +74,10 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import queue
 import threading
 import warnings
-from typing import Dict, List, NamedTuple, Optional, Tuple, Type, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -209,12 +210,12 @@ def _lapack_solve(
         return gufunc(matrices, rhs, out=out, signature="dd->d")
 
 
-#: A chunk of a split stack holds at least :data:`_CHUNK_MIN_ROWS`
+#: A split stack's two halves each hold at least :data:`_CHUNK_MIN_ROWS`
 #: systems and at least the LAPACK work of 16 Fig. 11 systems (``rows *
 #: n**3 >= _CHUNK_MIN_WORK``).  Below that the handoff (about 25 µs) costs
 #: more than the second CPU saves (n=33: a 16-row stack split in two took
 #: 114 µs against 87 µs whole), and NumPy's gufunc keeps the GIL for
-#: ``rows * n <= 500``, so the chunks would not even overlap (n=5: 128
+#: ``rows * n <= 500``, so the halves would not even overlap (n=5: 128
 #: systems take 33 µs whole and 60 µs split).  At n=33 a stack of 32
 #: splits.
 _CHUNK_MIN_ROWS = 16
@@ -232,21 +233,21 @@ def _usable_cpus() -> int:
 class _Helper:
     """A resident thread that solves the chunks it is handed, one at a time.
 
-    :meth:`post` hands it a chunk and returns at once; :meth:`wait` blocks
+    :meth:`post` queues a chunk and returns at once; :meth:`wait` blocks
     until that chunk is solved and returns the exception it raised, or
-    ``None``.  Two bare locks carry the handoff, which costs less than a
+    ``None``.  :meth:`stop` queues the end of the thread behind any chunk
+    still queued and joins it, so a helper can be stopped whatever state
+    its handoff is in.  The handoff costs less than a
     ``concurrent.futures`` round trip (a split 32-row stack at n=33: about
     114 against 122 µs).  The solve itself releases the GIL.
     """
 
-    __slots__ = ("_go", "_done", "_task", "_error", "_thread")
+    __slots__ = ("_go", "_done", "_error", "_thread")
 
     def __init__(self):
-        self._go = threading.Lock()
-        self._go.acquire()
+        self._go: "queue.SimpleQueue[Optional[tuple]]" = queue.SimpleQueue()
         self._done = threading.Lock()
         self._done.acquire()
-        self._task: Optional[tuple] = None
         self._error: Optional[BaseException] = None
         self._thread = threading.Thread(
             target=self._serve, name="repro-lapack-helper", daemon=True
@@ -254,22 +255,21 @@ class _Helper:
         self._thread.start()
 
     def _serve(self) -> None:
-        # No local outlives a chunk: the stack it views is freed with the
-        # caller's last reference, not at the next handoff.
         while True:
-            self._go.acquire()
-            if self._task is None:
+            task = self._go.get()
+            if task is None:
                 return
             try:
-                _lapack_solve(*self._task)
+                _lapack_solve(*task)
             except BaseException as error:  # handed back to the caller
                 self._error = error
-            self._task = None
+            # No local outlives a chunk: the stack it views is freed with
+            # the caller's last reference, not at the next handoff.
+            task = None
             self._done.release()
 
     def post(self, matrices: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> None:
-        self._task = (matrices, rhs, out)
-        self._go.release()
+        self._go.put((matrices, rhs, out))
 
     def wait(self) -> Optional[BaseException]:
         self._done.acquire()
@@ -277,28 +277,37 @@ class _Helper:
         return error
 
     def stop(self) -> None:
-        """End the thread (the helper must be idle)."""
-        self._task = None
-        self._go.release()
+        """End the thread once the chunks queued before have been solved."""
+        self._go.put(None)
         self._thread.join()
 
 
-#: The split solve's helpers, started lazily, at most one per extra CPU;
+#: The split solve's one helper, started at the first split;
 #: ``_split_lock`` is held by the one stack being split at a time.
-_helpers: List[_Helper] = []
+_helper: Optional[_Helper] = None
 _split_lock = threading.Lock()
 
 
-def _stop_helpers() -> None:
-    """Before a fork: wait out a split solve in flight, end every helper.
+def _stop_helper() -> None:
+    """End the helper and forget it; the next split starts a fresh one.
+
+    Called with ``_split_lock`` held.  The helper is forgotten first, so a
+    second interrupt during the join still leaves no split to reach it.
+    """
+    global _helper
+    helper, _helper = _helper, None
+    if helper is not None:
+        helper.stop()
+
+
+def _stop_helper_for_fork() -> None:
+    """Before a fork: wait out a split solve in flight, end the helper.
 
     The child then starts without a helper thread, and neither process
     forks with one alive; both start a fresh helper at their next split.
     """
     _split_lock.acquire()
-    for helper in _helpers:
-        helper.stop()
-    _helpers.clear()
+    _stop_helper()
 
 
 def _reset_split_lock() -> None:
@@ -309,7 +318,7 @@ def _reset_split_lock() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(
-        before=_stop_helpers,
+        before=_stop_helper_for_fork,
         # Looked up at each fork: a forked child that forks again holds its
         # own lock, not the one of the process that registered the hook.
         after_in_parent=lambda: _split_lock.release(),
@@ -318,45 +327,53 @@ if hasattr(os, "register_at_fork"):
 
 
 def _solve_stack(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """:func:`_lapack_solve` of a ``(T, n, n)`` stack, split across CPUs.
+    """:func:`_lapack_solve` of a ``(T, n, n)`` stack, split in two.
 
-    A stack is cut into contiguous chunks of at least
-    :data:`_CHUNK_MIN_ROWS` systems and :data:`_CHUNK_MIN_WORK`, no more
-    chunks than usable CPUs.  Resident helper threads (:class:`_Helper`)
-    solve every chunk but the last, the calling thread the last, each into
-    its rows of one output array.  Every system goes through the same
-    gufunc on the same data as in a whole-stack call, so every bit is the
-    same; a ``LinAlgError`` in any chunk raises for the whole stack once
-    every chunk has finished.  A stack too small, a single usable CPU, a
-    NumPy without the private gufunc, or another thread already splitting
-    a stack: the stack is solved whole, in the calling thread.
+    A stack whose halves each hold at least :data:`_CHUNK_MIN_ROWS`
+    systems and :data:`_CHUNK_MIN_WORK` is split when the process may use
+    two or more CPUs: the resident helper (:class:`_Helper`) solves the
+    first half while the calling thread solves the second, each into its
+    rows of one output array.  Every system goes through the same gufunc
+    on the same data as in a whole-stack call, so every bit is the same; a
+    ``LinAlgError`` in either half raises for the whole stack once both
+    halves have finished.  A stack too small, a single usable CPU, a NumPy
+    without the private gufunc, or another thread already splitting a
+    stack: the stack is solved whole, in the calling thread.
+
+    An exception that leaves before the helper's half has been waited out
+    (a ``KeyboardInterrupt`` during the wait, say) stops that helper once
+    its half is solved, so its handoff never falls out of step with the
+    next split's, which starts a fresh one.
     """
+    global _helper
     rows, size = matrices.shape[:2]
     chunk_rows = max(_CHUNK_MIN_ROWS, -(-_CHUNK_MIN_WORK // size**3))
-    if rows < 2 * chunk_rows or getattr(_umath_linalg, "solve", None) is None:
+    if (
+        rows < 2 * chunk_rows
+        or getattr(_umath_linalg, "solve", None) is None
+        or _usable_cpus() < 2
+        or not _split_lock.acquire(blocking=False)
+    ):
         return _lapack_solve(matrices, rhs)
-    chunks = min(_usable_cpus(), rows // chunk_rows)
-    if chunks < 2 or not _split_lock.acquire(blocking=False):
-        return _lapack_solve(matrices, rhs)
+    waited = False
     try:
-        while len(_helpers) < chunks - 1:
-            _helpers.append(_Helper())
-        posted = _helpers[: chunks - 1]
-        bounds = [rows * chunk // chunks for chunk in range(chunks + 1)]
+        if _helper is None:
+            _helper = _Helper()
+        half = rows // 2
         out = np.empty(rhs.shape)
-        for helper, start, stop in zip(posted, bounds, bounds[1:]):
-            helper.post(matrices[start:stop], rhs[start:stop], out[start:stop])
-        last = bounds[-2]
+        _helper.post(matrices[:half], rhs[:half], out[:half])
         try:
-            _lapack_solve(matrices[last:], rhs[last:], out[last:])
+            _lapack_solve(matrices[half:], rhs[half:], out[half:])
         finally:
-            errors = [helper.wait() for helper in posted]
-        for error in errors:
-            if error is not None:
-                raise error
-        return out
+            error = _helper.wait()
+            waited = True
     finally:
+        if not waited:
+            _stop_helper()
         _split_lock.release()
+    if error is not None:
+        raise error
+    return out
 
 
 def scipy_available() -> bool:
@@ -520,19 +537,19 @@ class DenseSolver(LinearSolver):
 
 
 class BatchedDenseSolver(DenseSolver):
-    """Dense backend whose batched solve is vectorized LAPACK, on every CPU.
+    """Dense backend whose batched solve is vectorized LAPACK, on two CPUs.
 
     The ``gesv`` gufunc on a ``(T, n, n)`` stack (:func:`_lapack_solve`, the
     call ``np.linalg.solve`` makes for it) factorizes every system without
     returning to Python, which is what makes batched Monte-Carlo trials
-    cheap.  A stack with enough work (32 or more systems at n=33; small
-    systems never) is split into contiguous chunks solved at once by the
-    calling thread and resident helper threads, one per extra usable CPU
-    (:func:`_solve_stack`; n=33, 2 CPUs: 128 systems in about 375 instead
-    of 680 µs).  Each system in the stack is solved by
-    the same LAPACK routine as a lone dense solve, so results are
-    bit-identical to :class:`DenseSolver` system for system, split or not,
-    and a singular system raises ``LinAlgError`` for the whole stack.
+    cheap.  Where two or more CPUs are usable, a stack with enough work
+    (32 or more systems at n=33; small systems never) is split in two
+    halves solved at once by the calling thread and one resident helper
+    thread (:func:`_solve_stack`; n=33, 2 CPUs: 128 systems in about 375
+    instead of 680 µs).  Each system in the stack is solved by the same
+    LAPACK routine as a lone dense solve, so results are bit-identical to
+    :class:`DenseSolver` system for system, split or not, and a singular
+    system raises ``LinAlgError`` for the whole stack.
     """
 
     name = "batched"

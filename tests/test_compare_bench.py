@@ -250,12 +250,15 @@ class TestEndToEndBounds:
             },
         }
 
-    def compare(self, compare_bench, tmp_path, capsys, current, previous, bounds=None):
+    def compare(
+        self, compare_bench, tmp_path, capsys, monkeypatch, current, previous, bounds=None
+    ):
         _write(tmp_path / "current", "BENCH_perfbench.json", current)
         _write(tmp_path / "previous", "BENCH_perfbench.json", previous)
         bounds_path = tmp_path / "BENCHMARK.json"
         bounds_path.write_text(json.dumps(self.BOUNDS if bounds is None else bounds))
-        argv = [str(tmp_path / "current"), str(tmp_path / "previous"), "--bounds", str(bounds_path)]
+        monkeypatch.setattr(compare_bench, "BENCHMARK_JSON", str(bounds_path))
+        argv = [str(tmp_path / "current"), str(tmp_path / "previous")]
         assert compare_bench.main(argv) == 0
         out = capsys.readouterr().out
         self.out = out
@@ -265,16 +268,18 @@ class TestEndToEndBounds:
             if line.startswith("   workloads.")
         }
 
-    def test_the_repository_bounds_are_the_default(self, compare_bench):
-        bounds = compare_bench.load_bounds(compare_bench.DEFAULT_BOUNDS)
+    def test_the_bounds_are_the_repository_benchmarks(self, compare_bench):
+        bounds = compare_bench.load_bounds(compare_bench.BENCHMARK_JSON)
         assert bounds["op_p50_ms"] == (-1, 0.25)
         assert bounds["goodput_per_s"] == (1, 0.25)
         assert bounds["peak_rss_mb"] == (-1, 0.1)
         assert set(bounds) == {"setup_s", "op_p50_ms", "goodput_per_s", "peak_rss_mb"}
 
-    def test_every_delta_is_reported_against_its_bound(self, compare_bench, tmp_path, capsys):
+    def test_every_delta_is_reported_against_its_bound(
+        self, compare_bench, tmp_path, capsys, monkeypatch
+    ):
         lines = self.compare(
-            compare_bench, tmp_path, capsys,
+            compare_bench, tmp_path, capsys, monkeypatch,
             self.ledger(op_ms=900.0, goodput=150.0, rss_mb=55.0),
             self.ledger(op_ms=1000.0, goodput=150.0, rss_mb=50.0),
         )
@@ -289,10 +294,10 @@ class TestEndToEndBounds:
         assert "workloads.xor3_mc128.runs" not in lines
 
     def test_worsening_beyond_a_bound_is_flagged_in_its_direction(
-        self, compare_bench, tmp_path, capsys
+        self, compare_bench, tmp_path, capsys, monkeypatch
     ):
         lines = self.compare(
-            compare_bench, tmp_path, capsys,
+            compare_bench, tmp_path, capsys, monkeypatch,
             self.ledger(op_ms=1200.0, goodput=70.0, rss_mb=56.0),
             self.ledger(op_ms=1000.0, goodput=100.0, rss_mb=50.0),
         )
@@ -303,9 +308,11 @@ class TestEndToEndBounds:
         assert "beyond the BENCHMARK.json bound" in lines["workloads.xor3_mc128.peak_rss_mb"]
         assert "2 end-to-end metric(s) worsened beyond" in self.out
 
-    def test_without_bounds_the_threshold_applies(self, compare_bench, tmp_path, capsys):
+    def test_without_bounds_the_threshold_applies(
+        self, compare_bench, tmp_path, capsys, monkeypatch
+    ):
         lines = self.compare(
-            compare_bench, tmp_path, capsys,
+            compare_bench, tmp_path, capsys, monkeypatch,
             self.ledger(op_ms=1300.0, goodput=100.0, rss_mb=50.0),
             self.ledger(op_ms=1000.0, goodput=100.0, rss_mb=50.0),
             bounds={},

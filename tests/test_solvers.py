@@ -374,20 +374,50 @@ class TestSplitStackSolve:
         assert split.shape == rhs.shape
         assert split.tobytes() == whole.tobytes() == serial.tobytes()
 
-    def test_chunks_follow_the_cpus_and_keep_sixteen_rows(self, fig11_systems, monkeypatch):
+    def test_more_cpus_still_split_in_two(self, fig11_systems, monkeypatch):
+        # One helper, two halves, whatever the CPU count: the split was
+        # measured on two CPUs, and executor workers each split too.
         matrices, rhs = self.stack(fig11_systems, 239)
         want = BatchedDenseSolver().solve_batched(matrices, rhs)
         posts = self.count_posts(monkeypatch)
-        monkeypatch.setattr(solvers_module, "_helpers", [])
-        monkeypatch.setattr(solvers_module, "_usable_cpus", lambda: 4)
-        for rows, chunks in ((239, [59, 60, 60]), (64, [16, 16, 16]), (47, [23])):
+        monkeypatch.setattr(solvers_module, "_usable_cpus", lambda: 8)
+        for rows in (239, 64, 47):
             posts.clear()
             got = BatchedDenseSolver().solve_batched(matrices[:rows], rhs[:rows])
-            assert posts == chunks
+            assert posts == [rows // 2]
             assert got.tobytes() == want[:rows].tobytes()
-        assert len(solvers_module._helpers) == 3
-        for helper in solvers_module._helpers:
-            helper.stop()
+        helpers = [t for t in threading.enumerate() if t.name == "repro-lapack-helper"]
+        assert len(helpers) == 1
+
+    @pytest.mark.parametrize("acquired", [False, True])
+    def test_an_interrupted_wait_leaves_the_next_split_whole(
+        self, fig11_systems, monkeypatch, acquired
+    ):
+        # An interrupt (Ctrl-C) that lands in the wait for the helper's
+        # half, before or after the wait took the helper's release: that
+        # helper ends once its half is solved and the next split starts a
+        # fresh one, so no release is left over to end a later wait early.
+        monkeypatch.setattr(solvers_module, "_usable_cpus", lambda: 2)
+        matrices, rhs = self.stack(fig11_systems, 128)
+        want = BatchedDenseSolver().solve_batched(matrices, rhs).tobytes()
+        helper = solvers_module._helper
+        wait = solvers_module._Helper.wait
+
+        def interrupted(self):
+            if acquired:
+                wait(self)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(solvers_module._Helper, "wait", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            BatchedDenseSolver().solve_batched(matrices, rhs)
+        monkeypatch.setattr(solvers_module._Helper, "wait", wait)
+        assert solvers_module._helper is None
+        assert not helper._thread.is_alive()
+        for _ in range(3):
+            assert BatchedDenseSolver().solve_batched(matrices, rhs).tobytes() == want
+        helpers = [t for t in threading.enumerate() if t.name == "repro-lapack-helper"]
+        assert helpers == [solvers_module._helper._thread]
 
     @pytest.mark.parametrize(
         "size, rows, chunks",
@@ -465,13 +495,13 @@ class TestSplitStackSolve:
         assert posts == []
 
     def test_one_cpu_starts_no_thread(self, fig11_systems, monkeypatch):
-        monkeypatch.setattr(solvers_module, "_helpers", [])
+        monkeypatch.setattr(solvers_module, "_helper", None)
         monkeypatch.setattr(solvers_module, "_usable_cpus", lambda: 1)
         posts = self.count_posts(monkeypatch)
         before = {thread.ident for thread in threading.enumerate()}
         matrices, rhs = self.stack(fig11_systems, 239)
         BatchedDenseSolver().solve_batched(matrices, rhs)
-        assert posts == [] and solvers_module._helpers == []
+        assert posts == [] and solvers_module._helper is None
         assert {thread.ident for thread in threading.enumerate()} <= before
 
     @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs os.fork")
