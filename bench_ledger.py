@@ -4,7 +4,7 @@ Runs the repository's benchmark command, unchanged, for its four workloads
 and records what it printed::
 
     python3 bench_ledger.py                      # this checkout -> ./BENCH_perfbench.json
-    python3 bench_ledger.py --tree OTHER --output OTHER/BENCH_perfbench.json
+    python3 bench_ledger.py --tree OTHER         # OTHER and this checkout, interleaved
     python3 benchmarks/compare_bench.py NEW_DIR OLD_DIR   # diff two ledgers
 
 The command is fixed, so any two ledgers compare: for each workload it
@@ -17,8 +17,15 @@ per workload then gives the Newton and solver counts.  ``reference_ms`` is
 the median time of perfbench's host-speed reference loop, timed before
 every run; perfbench scales its times to that loop, so the scaled figures
 of two ledgers compare across hosts and load, and the field says how fast
-the host was.  ``--tree`` measures another checkout (an export of the
-parent commit, say) with the same command.
+the host was.
+
+``--tree OTHER`` measures another checkout (an export of the parent
+commit, say) and this one in the same invocation: each run of one tree is
+paired with the same run of the other, and which tree goes first
+alternates from workload to workload and repeat to repeat, so drift of the
+host's speed lands on both ledgers alike instead of in their difference.
+It writes both: OTHER's to ``OTHER/BENCH_perfbench.json``, this
+checkout's to ``--output``.
 """
 
 from __future__ import annotations
@@ -113,43 +120,71 @@ def summarize(runs: List[Dict[str, Any]], traced: Dict[str, Any]) -> Dict[str, A
     return entry
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tree", default=ROOT, help="checkout to measure (default: this one)")
-    parser.add_argument("--output", help="ledger path (default: TREE/BENCH_perfbench.json)")
-    options = parser.parse_args(argv)
-    tree = os.path.abspath(options.tree)
-    output = options.output or os.path.join(tree, "BENCH_perfbench.json")
-    reference_ms = reference_loop(tree)
-
-    references: List[float] = []
-    runs: Dict[str, List[Dict[str, Any]]] = {name: [] for name in WORKLOADS}
-    for repeat in range(REPEATS):
-        for workload in WORKLOADS:
-            references.append(reference_ms())
-            run = perfbench(tree, workload, trace=0)
-            runs[workload].append(run)
-            print(f"[{repeat + 1}/{REPEATS}] {workload}: "
-                  f"op_p50_ms {run['metrics']['op_p50_ms']:.2f}", file=sys.stderr)
-    ledger: Dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "command": COMMAND,
-        "host": {
-            "cpus": os.cpu_count(),
-            "machine": platform.machine(),
-            "python": platform.python_version(),
-        },
-        "workloads": {},
+def measure(trees: List[str]) -> Dict[str, Dict[str, Any]]:
+    """The ledger of each tree, the trees' runs interleaved."""
+    reference = {tree: reference_loop(tree) for tree in trees}
+    references: Dict[str, List[float]] = {tree: [] for tree in trees}
+    runs = {tree: {name: [] for name in WORKLOADS} for tree in trees}
+    traced: Dict[str, Dict[str, Any]] = {tree: {} for tree in trees}
+    # The traced round is one more repeat, interleaved like the others.
+    for repeat in range(REPEATS + 1):
+        for index, workload in enumerate(WORKLOADS):
+            order = trees if (repeat + index) % 2 == 0 else trees[::-1]
+            for tree in order:
+                references[tree].append(reference[tree]())
+                if repeat == REPEATS:
+                    traced[tree][workload] = perfbench(tree, workload, trace=1)
+                    continue
+                run = perfbench(tree, workload, trace=0)
+                runs[tree][workload].append(run)
+                print(f"[{repeat + 1}/{REPEATS}] {os.path.basename(tree)} {workload}: "
+                      f"op_p50_ms {run['metrics']['op_p50_ms']:.2f}", file=sys.stderr)
+    host = {
+        "cpus": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
     }
-    for workload in WORKLOADS:
-        references.append(reference_ms())
-        traced = perfbench(tree, workload, trace=1)
-        ledger["workloads"][workload] = summarize(runs[workload], traced)
-    ledger["reference_ms"] = statistics.median(references)
-    with open(output, "w", encoding="utf-8") as handle:
+    return {
+        tree: {
+            "schema_version": SCHEMA_VERSION,
+            "command": COMMAND,
+            "host": host,
+            "workloads": {
+                workload: summarize(runs[tree][workload], traced[tree][workload])
+                for workload in WORKLOADS
+            },
+            "reference_ms": statistics.median(references[tree]),
+        }
+        for tree in trees
+    }
+
+
+def write(ledger: Dict[str, Any], path: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(ledger, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {output}", file=sys.stderr)
+    print(f"wrote {path}", file=sys.stderr)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--tree", help="another checkout to measure with this one, interleaved"
+    )
+    parser.add_argument(
+        "--output",
+        default=os.path.join(ROOT, "BENCH_perfbench.json"),
+        help="this checkout's ledger (default: ./BENCH_perfbench.json)",
+    )
+    options = parser.parse_args(argv)
+    outputs = {ROOT: os.path.abspath(options.output)}
+    if options.tree is not None:
+        other = os.path.abspath(options.tree)
+        outputs = {other: os.path.join(other, "BENCH_perfbench.json"), **outputs}
+        if len(set(outputs)) < 2 or len(set(outputs.values())) < 2:
+            parser.error("--tree must be another checkout, with a ledger path of its own")
+    for tree, ledger in measure(list(outputs)).items():
+        write(ledger, outputs[tree])
     return 0
 
 

@@ -73,7 +73,16 @@ from repro.spice.elements.capacitor import Capacitor
 from repro.spice.elements.mosfet import MOSFET, evaluate_level1_arrays
 from repro.spice.elements.resistor import Resistor
 from repro.spice.elements.sources import CurrentSource, VoltageSource
-from repro.spice.solvers import Factorization, LinearSolver, get_solver
+from repro.spice import _rowblocks
+from repro.spice.solvers import (
+    BatchedDenseSolver,
+    BatchedSparseSolver,
+    DenseSolver,
+    Factorization,
+    LinearSolver,
+    SparseSolver,
+    get_solver,
+)
 from repro.spice.waveforms import _sample
 
 #: gmin ladder of the gmin-stepping fallback (relaxed decade by decade).
@@ -85,6 +94,11 @@ GMIN_LADDER: Tuple[float, ...] = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 #: so their answer does not depend on when the plain run stopped).  Ladder
 #: rungs and transient steps keep their full ``max_iterations`` budget.
 NEWTON_STALL_ROUNDS = 20
+
+#: The backends a stacked analysis may split across a forked child
+#: (:meth:`AnalysisEngine._run_blocks`): exact types, since a subclass may
+#: keep state of its own that a child's block would leave behind.
+_BUILTIN_BACKENDS = (DenseSolver, SparseSolver, BatchedDenseSolver, BatchedSparseSolver)
 
 #: Signs of a resistor's four static stamps (a-a, b-b, a-b, b-a).
 _RESISTOR_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
@@ -2104,6 +2118,15 @@ class AnalysisEngine:
         backend (each trial keeps its LU until its contraction stalls,
         exactly as a per-trial :meth:`solve_dc` run does).
 
+        On two or more usable CPUs, a stack with enough work (31 or more
+        trials at the XOR3 bench's n=33) runs as two row blocks at once,
+        the first half in a child forked before the first round, the
+        second here, each through the same driver; the child writes its
+        solutions into shared memory and sends its per-trial fields and
+        factorization counts through a pipe (see
+        :mod:`repro.spice._rowblocks`).  The result, its counts and the
+        solver's ``solver_stats()`` are bit for bit those of one stack.
+
         Returns a :class:`~repro.spice.dcop.BatchedOperatingPoints`.
         """
         from repro.spice.dcop import BatchedOperatingPoints
@@ -2130,26 +2153,70 @@ class AnalysisEngine:
                     f"or ({count}, {size})"
                 )
 
-        solutions, iterations, converged, residuals, strategies, counts = (
-            self._solve_dc_stack(
-                solutions, stacks, stacked=True, solver=solver,
-                newton=newton, gmin=gmin, max_iterations=max_iterations,
-                tolerance_v=tolerance_v, damping_v=damping_v, time_s=time_s,
-            )
-        )
+        resolved = get_solver(solver)
+
+        def block(rows: slice, outs: List[np.ndarray]):
+            (block_solutions,) = outs
+            block_solutions[...] = solutions[rows]
+            return self._solve_dc_stack(
+                block_solutions, {name: stack[rows] for name, stack in stacks.items()},
+                stacked=True, solver=resolved, newton=newton, gmin=gmin,
+                max_iterations=max_iterations, tolerance_v=tolerance_v,
+                damping_v=damping_v, time_s=time_s,
+            )[1:]
+
+        (solutions,), blocks = self._run_blocks(resolved, count, (size,), 0, block)
+        iterations, converged, residuals, strategies, counts = zip(*blocks)
         return BatchedOperatingPoints(
             circuit=circuit,
             solutions=solutions,
-            iterations=iterations,
-            converged=converged,
-            max_residuals=residuals,
+            iterations=np.concatenate(iterations),
+            converged=np.concatenate(converged),
+            max_residuals=np.concatenate(residuals),
             strategies=tuple(
                 "batched-newton" if strategy == "newton" else strategy
-                for strategy in strategies
+                for block_strategies in strategies
+                for strategy in block_strategies
             ),
-            factorizations=counts[0],
-            factorization_reuses=counts[1],
+            factorizations=sum(factorizations for factorizations, _ in counts),
+            factorization_reuses=sum(reuses for _, reuses in counts),
         )
+
+    def _run_blocks(
+        self,
+        resolved: LinearSolver,
+        count: int,
+        shape: Tuple[int, ...],
+        steps: int,
+        block: Callable[[slice, List[np.ndarray]], tuple],
+    ) -> Tuple[List[np.ndarray], List[tuple]]:
+        """Run a stacked analysis's ``block`` over its ``count`` trials.
+
+        :func:`~repro.spice._rowblocks.run_blocks` with one ``(count,
+        *shape)`` output, split across a forked child when
+        :func:`~repro.spice._rowblocks.split_point` says the stack (``steps``:
+        a march's, zero for a DC stack) is worth it.  Only the built-in
+        backends split: their only process state is their counters, and
+        each block's summary ends with its ``(factorizations, reuses)``,
+        which a child's block credits to the backend here, so
+        ``solver_stats()`` reads as for one stack.  The backend is
+        selected and bound before any fork, so both blocks inherit it.
+        """
+        compiled = self.compiled
+        backend = resolved.select(compiled, count)
+        backend.bind(compiled)
+        half = (
+            _rowblocks.split_point(count, compiled.size, steps)
+            if type(backend) in _BUILTIN_BACKENDS
+            else 0
+        )
+
+        def adopt(summary: tuple) -> None:
+            factorizations, reuses = summary[-1]
+            backend._count_factorizations(factorizations)
+            backend._count_reuses(reuses)
+
+        return _rowblocks.run_blocks(count, half, (shape,), block, adopt)
 
     # ------------------------------------------------------------------ #
     # DC sweeps
@@ -2396,6 +2463,7 @@ class AnalysisEngine:
         use_initial_conditions: bool,
         solver: LinearSolver,
         reuse_states: Optional[List[_NewtonReuseState]],
+        waveforms: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The fixed-step march of a ``(trials, n)`` stack of start points.
 
@@ -2413,14 +2481,16 @@ class AnalysisEngine:
 
         Returns ``(times, waveforms, newton_totals, converged,
         worst_residuals)``: the ``(steps + 1,)`` time axis, the
-        ``(trials, steps + 1, n)`` solutions, the per-trial Newton totals and
-        the all-steps-converged flags and worst updates.
+        ``(trials, steps + 1, n)`` solutions (written into ``waveforms``
+        when it is handed in), the per-trial Newton totals and the
+        all-steps-converged flags and worst updates.
         """
         compiled = self.compiled
         count, size = solutions.shape
         steps = int(round(stop_time_s / timestep_s))
         times = np.linspace(0.0, steps * timestep_s, steps + 1)
-        waveforms = np.zeros((count, steps + 1, size))
+        if waveforms is None:
+            waveforms = np.zeros((count, steps + 1, size))
         waveforms[:, 0, :] = solutions
         # Per-step (iterations, converged, max_update) stories, reduced once
         # at the end; the row loop's are Python scalars, so a serial march
@@ -2706,11 +2776,7 @@ class AnalysisEngine:
         assembles the stacked systems and solves them in one solver call
         (below the dense/sparse crossover, the default ``solver="auto"``
         assembles ``(trials, n, n)`` through the compiled circuit's
-        ``assemble_batched`` and solves the stack with batched LAPACK; a
-        stack of 32 or more systems at n=33 is split in two halves on two
-        or more usable CPUs, the calling thread and one resident helper
-        thread solving one half each, see
-        :class:`~repro.spice.solvers.BatchedDenseSolver`),
+        ``assemble_batched`` and solves the stack with batched LAPACK),
         with three structural savings over per-trial marching:
 
         * source waveforms and breakpoint-free step timing are evaluated
@@ -2728,6 +2794,17 @@ class AnalysisEngine:
         does not converge keeps its last iterate and marches on, with
         ``converged`` false and the step's update in its worst residual.
 
+        On two or more usable CPUs, a stack with enough work (the 128-trial
+        XOR3 variability study; no small stack) runs as two row blocks at
+        once: a child forked before the first Newton round runs the first
+        half of the trials, DC warm start and march, while this process
+        runs the second; the child writes its rows of the waveforms into
+        memory shared with this process and its per-trial counts come back
+        through a pipe (see :mod:`repro.spice._rowblocks`).  Every trial
+        is bit-identical either way, and so are the result's counts and
+        the solver's ``solver_stats()``.  A child that fails or dies has
+        its block rerun here; no child outlives the call.
+
         Adaptive stepping is *not* supported: lockstep batching requires
         every trial to share the time grid.  Returns a
         :class:`~repro.spice.transient.BatchedTransientResult`.
@@ -2743,55 +2820,62 @@ class AnalysisEngine:
             compiled.refresh_values()
         stacks, count = self._parameter_stacks(params, trials)
         resolved = get_solver(solver)
-        want_reuse = _wants_newton_reuse(newton)
-        reuse_states = (
-            [_NewtonReuseState() for _ in range(count)] if want_reuse else None
-        )
-        counts_before = resolved.solver_stats()
-
-        # Per-trial DC warm start at t = 0, exactly like the serial path
-        # (solve_dc defaults; solve_dc_batched runs solve_dc's driver).
-        if use_initial_conditions:
-            # As in solve_transient: the zero guess, with every capacitor at
-            # its initial_voltage_v for the first step's companion model.
-            solutions = np.tile(circuit.initial_solution(), (count, 1))
-        else:
-            # Cold warm start at full Newton, exactly like solve_transient:
-            # reuse mode only pays off once the march tracks a slowly
-            # drifting Jacobian.
-            solutions = self.solve_dc_batched(
-                stacks, trials=count, gmin=gmin, time_s=0.0, refresh=False,
-                solver=resolved,
-            ).solutions.copy()
-
         backend = resolved.select(compiled, count)
-        backend.bind(compiled)
-        times, waveforms, newton_totals, converged, worst_residuals = self._march_fixed(
-            solutions,
-            stacks,
-            stop_time_s,
-            timestep_s,
-            max_newton_iterations=max_newton_iterations,
-            tolerance_v=tolerance_v,
-            gmin=gmin,
-            integration=integration,
-            use_initial_conditions=use_initial_conditions,
-            solver=backend,
-            reuse_states=reuse_states,
+        want_reuse = _wants_newton_reuse(newton)
+        steps = int(round(stop_time_s / timestep_s))
+
+        def block(rows: slice, outs: List[np.ndarray]):
+            (waveforms,) = outs
+            sub = {name: stack[rows] for name, stack in stacks.items()}
+            rows_count = rows.stop - rows.start
+            counts_before = resolved.solver_stats()
+            # Per-trial DC warm start at t = 0, exactly like the serial path
+            # (solve_dc defaults; solve_dc_batched runs solve_dc's driver).
+            if use_initial_conditions:
+                # As in solve_transient: the zero guess, with every capacitor
+                # at its initial_voltage_v for the first step's companion model.
+                solutions = np.tile(circuit.initial_solution(), (rows_count, 1))
+            else:
+                # Cold warm start at full Newton, exactly like solve_transient:
+                # reuse mode only pays off once the march tracks a slowly
+                # drifting Jacobian.
+                solutions = self.solve_dc_batched(
+                    sub, trials=rows_count, gmin=gmin, time_s=0.0, refresh=False,
+                    solver=resolved,
+                ).solutions.copy()
+            times, _, newton_totals, converged, worst_residuals = self._march_fixed(
+                solutions,
+                sub,
+                stop_time_s,
+                timestep_s,
+                max_newton_iterations=max_newton_iterations,
+                tolerance_v=tolerance_v,
+                gmin=gmin,
+                integration=integration,
+                use_initial_conditions=use_initial_conditions,
+                solver=backend,
+                reuse_states=(
+                    [_NewtonReuseState() for _ in range(rows_count)] if want_reuse else None
+                ),
+                waveforms=waveforms,
+            )
+            counts = self._counts_delta(resolved.solver_stats(), counts_before)
+            return times, newton_totals, converged, worst_residuals, counts
+
+        (waveforms,), blocks = self._run_blocks(
+            resolved, count, (steps + 1, circuit.system_size), steps, block
         )
-        factorizations, reuses = self._counts_delta(
-            resolved.solver_stats(), counts_before
-        )
+        times, newton_totals, converged, worst_residuals, counts = zip(*blocks)
         return BatchedTransientResult(
             circuit=circuit,
-            time_s=times,
+            time_s=times[-1],
             solutions=waveforms,
-            converged=converged,
-            newton_iterations=newton_totals,
-            max_residuals=worst_residuals,
+            converged=np.concatenate(converged),
+            newton_iterations=np.concatenate(newton_totals),
+            max_residuals=np.concatenate(worst_residuals),
             strategies=("lockstep",) * count,
-            factorizations=factorizations,
-            factorization_reuses=reuses,
+            factorizations=sum(factorizations for factorizations, _ in counts),
+            factorization_reuses=sum(reuses for _, reuses in counts),
         )
 
     def _waveform_breakpoints(self, stop_time_s: float) -> np.ndarray:

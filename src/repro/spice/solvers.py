@@ -26,16 +26,14 @@ iteration logic:
   empty.  Requires the optional ``scipy`` dependency — install it directly
   or through this package's ``[sparse]`` extra.
 * :class:`BatchedDenseSolver` — stacks ``(trials, n, n)`` systems and
-  solves them in vectorized LAPACK calls, by the same direct gufunc
-  route; on a host with two or more usable CPUs, a stack with enough
-  work (32 or more systems at the Fig. 11 size, n=33; small systems
-  never) is split in two halves, one solved by a resident helper thread
-  (started at the first split) alongside the calling thread.  The
-  Monte-Carlo engine runs same-pattern trials through this backend
+  solves them in one vectorized LAPACK call, by the same direct gufunc
+  route, in the calling thread.  The Monte-Carlo engine runs same-pattern
+  trials through this backend
   (:meth:`~repro.spice.montecarlo.MonteCarloEngine.run_batched_dc`); its
   per-system results are bit-identical to :class:`DenseSolver` on the same
-  matrices, split or not.  The helper is stopped before the process forks
-  (``os.register_at_fork``), so no fork copies a helper thread.
+  matrices.  A second CPU works on a stacked analysis one level up: the
+  engine runs a large stack as two row blocks, one in a forked child (see
+  :mod:`repro.spice._rowblocks`), each block's rounds solved here.
 * :class:`BatchedSparseSolver` — the sparse twin of the batched backend:
   the CSC *structure* (canonical ordering, position maps, ghost trimming,
   fill-reducing column order) is analyzed once per topology and shared by
@@ -74,8 +72,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import queue
-import threading
 import warnings
 from typing import Dict, NamedTuple, Optional, Tuple, Type, Union
 
@@ -185,9 +181,7 @@ def _raise_singular(error: str, flag: int) -> None:
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-def _lapack_solve(
-    matrices: np.ndarray, rhs: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _lapack_solve(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``np.linalg.solve`` of float64 arrays without its Python wrapper.
 
     Calls the ``_umath_linalg`` gufunc that ``np.linalg.solve`` picks for
@@ -197,9 +191,8 @@ def _lapack_solve(
     nothing warns.  The wrapper's array conversion, type resolution and
     result cast do nothing for the float64 arrays the engine assembles, yet
     cost about a quarter of a solve at Fig. 11 size (n=33: 10.6 against
-    7.8 µs, timeit min).  ``out`` receives the gufunc's result in place
-    (the gufunc route only).  Where NumPy lacks the private gufunc, this
-    is ``np.linalg.solve`` itself.
+    7.8 µs, timeit min).  Where NumPy lacks the private gufunc, this is
+    ``np.linalg.solve`` itself.
     """
     gufunc = getattr(_umath_linalg, "solve1" if rhs.ndim == 1 else "solve", None)
     if gufunc is None:
@@ -207,173 +200,7 @@ def _lapack_solve(
     with np.errstate(
         call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"
     ):
-        return gufunc(matrices, rhs, out=out, signature="dd->d")
-
-
-#: A split stack's two halves each hold at least :data:`_CHUNK_MIN_ROWS`
-#: systems and at least the LAPACK work of 16 Fig. 11 systems (``rows *
-#: n**3 >= _CHUNK_MIN_WORK``).  Below that the handoff (about 25 µs) costs
-#: more than the second CPU saves (n=33: a 16-row stack split in two took
-#: 114 µs against 87 µs whole), and NumPy's gufunc keeps the GIL for
-#: ``rows * n <= 500``, so the halves would not even overlap (n=5: 128
-#: systems take 33 µs whole and 60 µs split).  At n=33 a stack of 32
-#: splits.
-_CHUNK_MIN_ROWS = 16
-_CHUNK_MIN_WORK = 16 * 33**3
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (the split solve's probe)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - no affinity API
-        return os.cpu_count() or 1
-
-
-class _Helper:
-    """A resident thread that solves the chunks it is handed, one at a time.
-
-    :meth:`post` queues a chunk and returns at once; :meth:`wait` blocks
-    until that chunk is solved and returns the exception it raised, or
-    ``None``.  :meth:`stop` queues the end of the thread behind any chunk
-    still queued and joins it, so a helper can be stopped whatever state
-    its handoff is in.  The handoff costs less than a
-    ``concurrent.futures`` round trip (a split 32-row stack at n=33: about
-    114 against 122 µs).  The solve itself releases the GIL.
-    """
-
-    __slots__ = ("_go", "_done", "_error", "_thread")
-
-    def __init__(self):
-        self._go: "queue.SimpleQueue[Optional[tuple]]" = queue.SimpleQueue()
-        self._done = threading.Lock()
-        self._done.acquire()
-        self._error: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._serve, name="repro-lapack-helper", daemon=True
-        )
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while True:
-            task = self._go.get()
-            if task is None:
-                return
-            try:
-                _lapack_solve(*task)
-            except BaseException as error:  # handed back to the caller
-                self._error = error
-            # No local outlives a chunk: the stack it views is freed with
-            # the caller's last reference, not at the next handoff.
-            task = None
-            self._done.release()
-
-    def post(self, matrices: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> None:
-        self._go.put((matrices, rhs, out))
-
-    def wait(self) -> Optional[BaseException]:
-        self._done.acquire()
-        error, self._error = self._error, None
-        return error
-
-    def stop(self) -> None:
-        """End the thread once the chunks queued before have been solved."""
-        self._go.put(None)
-        self._thread.join()
-
-
-#: The split solve's one helper, started at the first split;
-#: ``_split_lock`` is held by the one stack being split at a time.
-_helper: Optional[_Helper] = None
-_split_lock = threading.Lock()
-
-
-def _stop_helper() -> None:
-    """End the helper and forget it; the next split starts a fresh one.
-
-    Called with ``_split_lock`` held.  The helper is forgotten first, so a
-    second interrupt during the join still leaves no split to reach it.
-    """
-    global _helper
-    helper, _helper = _helper, None
-    if helper is not None:
-        helper.stop()
-
-
-def _stop_helper_for_fork() -> None:
-    """Before a fork: wait out a split solve in flight, end the helper.
-
-    The child then starts without a helper thread, and neither process
-    forks with one alive; both start a fresh helper at their next split.
-    """
-    _split_lock.acquire()
-    _stop_helper()
-
-
-def _reset_split_lock() -> None:
-    """After a fork, in the child: a fresh lock, no split in flight."""
-    global _split_lock
-    _split_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(
-        before=_stop_helper_for_fork,
-        # Looked up at each fork: a forked child that forks again holds its
-        # own lock, not the one of the process that registered the hook.
-        after_in_parent=lambda: _split_lock.release(),
-        after_in_child=_reset_split_lock,
-    )
-
-
-def _solve_stack(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """:func:`_lapack_solve` of a ``(T, n, n)`` stack, split in two.
-
-    A stack whose halves each hold at least :data:`_CHUNK_MIN_ROWS`
-    systems and :data:`_CHUNK_MIN_WORK` is split when the process may use
-    two or more CPUs: the resident helper (:class:`_Helper`) solves the
-    first half while the calling thread solves the second, each into its
-    rows of one output array.  Every system goes through the same gufunc
-    on the same data as in a whole-stack call, so every bit is the same; a
-    ``LinAlgError`` in either half raises for the whole stack once both
-    halves have finished.  A stack too small, a single usable CPU, a NumPy
-    without the private gufunc, or another thread already splitting a
-    stack: the stack is solved whole, in the calling thread.
-
-    An exception that leaves before the helper's half has been waited out
-    (a ``KeyboardInterrupt`` during the wait, say) stops that helper once
-    its half is solved, so its handoff never falls out of step with the
-    next split's, which starts a fresh one.
-    """
-    global _helper
-    rows, size = matrices.shape[:2]
-    chunk_rows = max(_CHUNK_MIN_ROWS, -(-_CHUNK_MIN_WORK // size**3))
-    if (
-        rows < 2 * chunk_rows
-        or getattr(_umath_linalg, "solve", None) is None
-        or _usable_cpus() < 2
-        or not _split_lock.acquire(blocking=False)
-    ):
-        return _lapack_solve(matrices, rhs)
-    waited = False
-    try:
-        if _helper is None:
-            _helper = _Helper()
-        half = rows // 2
-        out = np.empty(rhs.shape)
-        _helper.post(matrices[:half], rhs[:half], out[:half])
-        try:
-            _lapack_solve(matrices[half:], rhs[half:], out[half:])
-        finally:
-            error = _helper.wait()
-            waited = True
-    finally:
-        if not waited:
-            _stop_helper()
-        _split_lock.release()
-    if error is not None:
-        raise error
-    return out
+        return gufunc(matrices, rhs, signature="dd->d")
 
 
 def scipy_available() -> bool:
@@ -537,26 +364,24 @@ class DenseSolver(LinearSolver):
 
 
 class BatchedDenseSolver(DenseSolver):
-    """Dense backend whose batched solve is vectorized LAPACK, on two CPUs.
+    """Dense backend whose batched solve is a single vectorized LAPACK call.
 
     The ``gesv`` gufunc on a ``(T, n, n)`` stack (:func:`_lapack_solve`, the
     call ``np.linalg.solve`` makes for it) factorizes every system without
     returning to Python, which is what makes batched Monte-Carlo trials
-    cheap.  Where two or more CPUs are usable, a stack with enough work
-    (32 or more systems at n=33; small systems never) is split in two
-    halves solved at once by the calling thread and one resident helper
-    thread (:func:`_solve_stack`; n=33, 2 CPUs: 128 systems in about 375
-    instead of 680 µs).  Each system in the stack is solved by the same
-    LAPACK routine as a lone dense solve, so results are bit-identical to
-    :class:`DenseSolver` system for system, split or not, and a singular
-    system raises ``LinAlgError`` for the whole stack.
+    cheap.  Each system in the stack is solved by the same LAPACK routine
+    as a lone dense solve, so results are bit-identical to
+    :class:`DenseSolver` system for system, and a singular system raises
+    ``LinAlgError`` for the whole stack.  The call runs in the calling
+    thread; a stack large enough for two CPUs is split by the engine into
+    two row blocks in two processes, each solving its own rows here.
     """
 
     name = "batched"
 
     def solve_batched(self, matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         self._count_factorizations(int(matrices.shape[0]))
-        return _solve_stack(matrices, rhs[..., np.newaxis])[..., 0]
+        return _lapack_solve(matrices, rhs[..., np.newaxis])[..., 0]
 
 
 class _OrderedLU:

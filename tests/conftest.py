@@ -70,3 +70,20 @@ def xor3_3x3():
 def xor3_3x4():
     """A fresh 3x4 XOR3 lattice per test."""
     return xor3_lattice_3x4()
+
+
+@pytest.fixture
+def single_threaded():
+    """Wait out the threads earlier tests left winding down.
+
+    A stacked analysis forks its second row block only while the process
+    runs one Python thread; a store call abandoned at its deadline, say,
+    keeps its thread until the call returns.  A thread still alive after
+    the wait fails the test by name.
+    """
+    import threading
+
+    for thread in threading.enumerate():
+        if thread is not threading.current_thread():
+            thread.join(timeout=30.0)
+    assert threading.active_count() == 1, threading.enumerate()

@@ -8,6 +8,8 @@ the per-trial :meth:`~repro.spice.engine.AnalysisEngine.solve_transient`
 """
 
 import dataclasses
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from repro.spice import (
     VoltageSource,
     get_engine,
 )
-from repro.spice import solvers as solvers_module
+from repro.spice import _rowblocks
 from repro.spice.solvers import DenseSolver, scipy_available
 
 NMOS = Level1Parameters(
@@ -384,8 +386,8 @@ class TestStackedFailuresMatchSerial:
         "batched_solver, serial_solver, newton, trials",
         [
             ("batched", "dense", None, 2),
-            # 64 trials: the batched dense solve splits the stack across
-            # the calling thread and a helper, singular rows in both chunks.
+            # 64 trials: the stack splits into two row blocks, one run by
+            # a forked child, with singular trials in both.
             ("batched", "dense", None, 64),
             *(
                 pytest.param(
@@ -406,28 +408,29 @@ class TestStackedFailuresMatchSerial:
         ],
     )
     def test_singular_trial_bumps_its_own_gmin(
-        self, batched_solver, serial_solver, newton, trials, monkeypatch
+        self, batched_solver, serial_solver, newton, trials, monkeypatch, single_threaded
     ):
-        # Two usable CPUs whatever the host, a split whatever the system
-        # size (this divider's 4 unknowns carry too little work to split
-        # by default), and a record of every chunk handed to the helper.
-        posts = []
-        post = solvers_module._Helper.post
+        # Two usable CPUs whatever the host, a split whatever the work
+        # (this divider's 4 unknowns carry too little to split by
+        # default), and a record of every split decision.
+        halves = []
+        split_point = _rowblocks.split_point
 
-        def counted(helper, matrices, rhs, out):
-            posts.append(matrices.shape[0])
-            post(helper, matrices, rhs, out)
+        def recorded(*args):
+            halves.append(split_point(*args))
+            return halves[-1]
 
-        monkeypatch.setattr(solvers_module, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(solvers_module, "_CHUNK_MIN_WORK", 0)
-        monkeypatch.setattr(solvers_module._Helper, "post", counted)
+        monkeypatch.setattr(_rowblocks, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_rowblocks, "_MIN_WORK", 0)
+        monkeypatch.setattr(_rowblocks, "split_point", recorded)
         circuit = tailed_divider()
         engine = get_engine(circuit)
         batched = engine.solve_dc_batched(
             {"resistor_ohm": np.tile(self.OHMS, (trials // 2, 1))},
             gmin=0.0, solver=batched_solver, newton=newton,
         )
-        assert bool(posts) == (trials >= 32)
+        forks = sys.platform.startswith("linux") and hasattr(os, "fork")
+        assert halves == [trials // 2 if trials >= 16 and forks else 0]
         references = []
         for ohms in self.OHMS:
             engine.compiled.set_parameter_overlay({"resistor_ohm": ohms})

@@ -225,6 +225,85 @@ class TestPerfbenchLedger:
         assert "2 WARNING(s): the two sides come from different commands" in out
 
 
+class TestLedgerInterleaving:
+    """``bench_ledger.py --tree OTHER`` runs both trees in one invocation,
+    each run of one paired with the same run of the other, and writes a
+    ledger for each."""
+
+    @pytest.fixture
+    def ledger_tool(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "bench_ledger", os.path.join(_ROOT, "bench_ledger.py")
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        calls = []
+
+        def perfbench(tree, workload, trace):
+            # Each tree reads its own op time, so a mixed-up ledger shows.
+            calls.append((tree, workload, trace))
+            op = 100.0 if tree == module.ROOT else 200.0
+            metrics = {
+                "op_p50_ms": op + len(calls), "setup_s": 1.0,
+                "goodput_per_s": 10.0, "peak_rss_mb": 50.0,
+            }
+            if trace:
+                metrics["engine.assemble_calls"] = op
+            return {"correct": True, "failed": 0, "metrics": metrics}
+
+        monkeypatch.setattr(module, "perfbench", perfbench)
+        monkeypatch.setattr(module, "reference_loop", lambda tree: lambda: 4.0)
+        return module, calls
+
+    def test_two_trees_run_in_pairs_alternating_which_goes_first(self, ledger_tool, tmp_path):
+        module, calls = ledger_tool
+        other = tmp_path / "parent"
+        other.mkdir()
+        output = tmp_path / "change.json"
+        assert module.main(["--tree", str(other), "--output", str(output)]) == 0
+        trees = [str(other), module.ROOT]
+        rounds = [
+            (repeat, workload)
+            for repeat in range(module.REPEATS + 1)
+            for workload in module.WORKLOADS
+        ]
+        assert len(calls) == 2 * len(rounds)
+        for (repeat, workload), first, second in zip(rounds, calls[::2], calls[1::2]):
+            trace = int(repeat == module.REPEATS)
+            assert {first[0], second[0]} == set(trees)
+            assert first[1:] == second[1:] == (workload, trace)
+        firsts = [call[0] for call in calls[::2]]
+        assert firsts == [
+            trees[(repeat + index) % 2]
+            for repeat in range(module.REPEATS + 1)
+            for index in range(len(module.WORKLOADS))
+        ]
+        with open(output, encoding="utf-8") as handle:
+            mine = json.load(handle)
+        with open(other / "BENCH_perfbench.json", encoding="utf-8") as handle:
+            theirs = json.load(handle)
+        for ledger, op in ((mine, 100.0), (theirs, 200.0)):
+            for entry in ledger["workloads"].values():
+                assert entry["runs"] == module.REPEATS
+                assert op < entry["op_p50_ms_q1"] <= entry["op_p50_ms_q3"] < op + 100.0
+                assert entry["traced"] == {"engine_assemble_calls": op}
+            assert ledger["reference_ms"] == 4.0
+
+    def test_one_tree_alone(self, ledger_tool, tmp_path):
+        module, calls = ledger_tool
+        output = tmp_path / "ledger.json"
+        assert module.main(["--output", str(output)]) == 0
+        assert {tree for tree, _, _ in calls} == {module.ROOT}
+        assert len(calls) == (module.REPEATS + 1) * len(module.WORKLOADS)
+        assert output.exists()
+
+    def test_the_other_tree_must_be_another(self, ledger_tool):
+        module, calls = ledger_tool
+        with pytest.raises(SystemExit):
+            module.main(["--tree", module.ROOT])
+        assert calls == []
+
+
 class TestEndToEndBounds:
     """A ledger's end-to-end metrics are reported against BENCHMARK.json's
     bounds, each in its own better direction."""

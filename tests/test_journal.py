@@ -62,7 +62,8 @@ class _BlockingSession:
     def run(self, spec):
         self.gate.wait()
 
-    def last_stats_snapshot(self):  # pragma: no cover - gate never opens
+    def last_stats_snapshot(self):
+        # Reached only once the test opens the gate to close the manager.
         raise AssertionError("blocked session finished")
 
 
@@ -242,7 +243,9 @@ class TestManagerJournal:
         specs_dup = specs[0]
         assert stuck.submit(specs_dup).cached  # live-job dedupe
         time.sleep(0.2)
-        del stuck  # never closed: the worker stays stuck forever
+        # Abandoned: never closed while the test recovers, its worker stuck.
+        # Only after the last assertion is it released and closed, so the
+        # worker thread does not outlive the test.
 
         recovered = JobManager(store=store, workers=2, journal=journal_path)
         try:
@@ -260,6 +263,8 @@ class TestManagerJournal:
             recovered.close()
         # after the clean close the journal is fully compacted
         assert JobJournal(journal_path).replay() == {}
+        gate.set()
+        stuck.close(drain=False)
 
     def test_second_recovery_is_warm(self, tmp_path):
         """Jobs finished between crash and restart become instant hits."""

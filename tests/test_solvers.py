@@ -11,8 +11,6 @@ import ctypes
 import os
 import subprocess
 import sys
-import threading
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -248,281 +246,6 @@ class TestDenseSolveKernel:
             assert np.array_equal(DenseSolver().solve(np.eye(3), np.ones(3)), np.ones(3))
 
 
-#: Splits a batched dense stack (two chunks), waits for the helper to be
-#: alive, forks a child that splits again, then forks two
-#: ``ProcessExecutor`` workers that each run a batched Monte-Carlo study.
-#: BLAS is held to one thread, so the helper would be the only other
-#: thread at a fork: Python 3.12+ warns then, and the warning is an error.
-_FORK_SCRIPT = """
-import hashlib, os, sys, threading, time, warnings
-sys.path.insert(0, {src!r})
-warnings.filterwarnings("error", message=".*multi-threaded.*fork", category=DeprecationWarning)
-import numpy as np
-from repro.api import CircuitSpec, MonteCarlo, ProcessExecutor, Session, Transient
-from repro.spice import BatchedDenseSolver, Gaussian
-from repro.spice import solvers
-
-solvers._usable_cpus = lambda: 2
-
-
-def helpers_alive():
-    return sum(thread.name == "repro-lapack-helper" for thread in threading.enumerate())
-
-
-def split_in_a_child():
-    # Fork; the child splits the stack and exits 0 on the parent's bits.
-    pid = os.fork()
-    if pid == 0:
-        try:
-            same = solver.solve_batched(matrices, rhs).tobytes() == want
-            os._exit(0 if same and helpers_alive() == 1 else 1)
-        except BaseException:
-            os._exit(2)
-    alive_across_fork = helpers_alive()
-    deadline = time.monotonic() + 60.0
-    while True:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            break
-        if time.monotonic() > deadline:
-            os.kill(pid, 9)
-            os.waitpid(pid, 0)
-            sys.exit("the forked child hung")
-        time.sleep(0.01)
-    assert alive_across_fork == 0, "a helper was alive across the fork"
-    return os.waitstatus_to_exitcode(status)
-
-
-rng = np.random.default_rng(3)
-matrices = rng.normal(size=(64, 33, 33)) + 8.0 * np.eye(33)
-rhs = rng.normal(size=(64, 33))
-want = solvers._lapack_solve(matrices, rhs[..., np.newaxis])[..., 0].tobytes()
-solver = BatchedDenseSolver()
-assert solver.solve_batched(matrices, rhs).tobytes() == want
-assert helpers_alive() == 1
-
-assert split_in_a_child() == 0
-assert solver.solve_batched(matrices, rhs).tobytes() == want and helpers_alive() == 1
-# A child that forks in turn: its own fork hooks, its own helper.
-pid = os.fork()
-if pid == 0:
-    try:
-        assert solver.solve_batched(matrices, rhs).tobytes() == want
-        os._exit(split_in_a_child() or (
-            0 if solver.solve_batched(matrices, rhs).tobytes() == want
-            and helpers_alive() == 1 else 1
-        ))
-    except BaseException:
-        os._exit(2)
-assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-
-bench = CircuitSpec(
-    "repro.experiments.variability_xor3:build_variability_bench",
-    params={{"step_duration_s": 10e-9}},
-)
-specs = [
-    MonteCarlo(
-        base=Transient(circuit=bench, timestep_s=1e-9),
-        perturbations={{"mos_vth": Gaussian(sigma=0.03)}},
-        trials=40, seed=seed, mode="batched", metric_node="out",
-    )
-    for seed in (1, 2)
-]
-serial = Session(store=None).run_many(specs)
-assert solver.solve_batched(matrices, rhs).tobytes() == want
-pooled = Session(store=None).run_many(specs, executor=ProcessExecutor(workers=2))
-digest = lambda study: [hashlib.sha256(r.to_json().encode()).hexdigest() for r in study]
-assert digest(pooled) == digest(serial)
-print("ok")
-"""
-
-
-class TestSplitStackSolve:
-    """A batched dense stack of 32 or more systems is split into chunks
-    solved at once by the calling thread and a resident helper thread;
-    every bit must be the whole-stack solve's, whatever the split."""
-
-    @staticmethod
-    def count_posts(monkeypatch):
-        """Record the row count of every chunk handed to a helper."""
-        posts = []
-        post = solvers_module._Helper.post
-
-        def counted(self, matrices, rhs, out):
-            posts.append(matrices.shape[0])
-            post(self, matrices, rhs, out)
-
-        monkeypatch.setattr(solvers_module._Helper, "post", counted)
-        return posts
-
-    @staticmethod
-    def stack(systems, rows):
-        picked = [systems[index % len(systems)] for index in range(rows)]
-        return np.stack([m for m, _ in picked]), np.stack([r for _, r in picked])
-
-    @pytest.mark.parametrize("rows", [31, 32, 33, 128, 239])
-    def test_split_and_whole_stacks_agree_bit_for_bit(self, fig11_systems, monkeypatch, rows):
-        matrices, rhs = self.stack(fig11_systems, rows)
-        posts = self.count_posts(monkeypatch)
-        monkeypatch.setattr(solvers_module, "_usable_cpus", lambda: 1)
-        whole = BatchedDenseSolver().solve_batched(matrices, rhs)
-        assert posts == []
-        monkeypatch.setattr(solvers_module, "_usable_cpus", lambda: 2)
-        split = BatchedDenseSolver().solve_batched(matrices, rhs)
-        assert posts == ([] if rows < 32 else [rows // 2])
-        serial = np.stack([np.linalg.solve(m, r) for m, r in zip(matrices, rhs)])
-        assert split.shape == rhs.shape
-        assert split.tobytes() == whole.tobytes() == serial.tobytes()
-
-    def test_more_cpus_still_split_in_two(self, fig11_systems, monkeypatch):
-        # One helper, two halves, whatever the CPU count: the split was
-        # measured on two CPUs, and executor workers each split too.
-        matrices, rhs = self.stack(fig11_systems, 239)
-        want = BatchedDenseSolver().solve_batched(matrices, rhs)
-        posts = self.count_posts(monkeypatch)
-        monkeypatch.setattr(solvers_module, "_usable_cpus", lambda: 8)
-        for rows in (239, 64, 47):
-            posts.clear()
-            got = BatchedDenseSolver().solve_batched(matrices[:rows], rhs[:rows])
-            assert posts == [rows // 2]
-            assert got.tobytes() == want[:rows].tobytes()
-        helpers = [t for t in threading.enumerate() if t.name == "repro-lapack-helper"]
-        assert len(helpers) == 1
-
-    @pytest.mark.parametrize("acquired", [False, True])
-    def test_an_interrupted_wait_leaves_the_next_split_whole(
-        self, fig11_systems, monkeypatch, acquired
-    ):
-        # An interrupt (Ctrl-C) that lands in the wait for the helper's
-        # half, before or after the wait took the helper's release: that
-        # helper ends once its half is solved and the next split starts a
-        # fresh one, so no release is left over to end a later wait early.
-        monkeypatch.setattr(solvers_module, "_usable_cpus", lambda: 2)
-        matrices, rhs = self.stack(fig11_systems, 128)
-        want = BatchedDenseSolver().solve_batched(matrices, rhs).tobytes()
-        helper = solvers_module._helper
-        wait = solvers_module._Helper.wait
-
-        def interrupted(self):
-            if acquired:
-                wait(self)
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(solvers_module._Helper, "wait", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            BatchedDenseSolver().solve_batched(matrices, rhs)
-        monkeypatch.setattr(solvers_module._Helper, "wait", wait)
-        assert solvers_module._helper is None
-        assert not helper._thread.is_alive()
-        for _ in range(3):
-            assert BatchedDenseSolver().solve_batched(matrices, rhs).tobytes() == want
-        helpers = [t for t in threading.enumerate() if t.name == "repro-lapack-helper"]
-        assert helpers == [solvers_module._helper._thread]
-
-    @pytest.mark.parametrize(
-        "size, rows, chunks",
-        [(5, 256, []), (16, 128, []), (16, 282, [141]), (60, 31, []), (60, 32, [16])],
-    )
-    def test_chunks_carry_sixteen_fig11_systems_of_work(self, monkeypatch, size, rows, chunks):
-        # Small systems hold the GIL through NumPy's gufunc (rows * n <=
-        # 500) and cost less than the handoff: they are never split.
-        monkeypatch.setattr(solvers_module, "_usable_cpus", lambda: 2)
-        posts = self.count_posts(monkeypatch)
-        rng = np.random.default_rng(size)
-        matrices = rng.normal(size=(rows, size, size)) + 4.0 * np.eye(size)
-        rhs = rng.normal(size=(rows, size))
-        got = BatchedDenseSolver().solve_batched(matrices, rhs)
-        assert posts == chunks
-        assert got.tobytes() == np.linalg.solve(matrices, rhs[..., np.newaxis])[..., 0].tobytes()
-
-    @pytest.mark.parametrize("row", [3, 60])
-    def test_a_singular_row_in_either_chunk_raises(self, monkeypatch, row):
-        # Row 3 lands in the helper's chunk, row 60 in the calling thread's.
-        monkeypatch.setattr(solvers_module, "_usable_cpus", lambda: 2)
-        posts = self.count_posts(monkeypatch)
-        rng = np.random.default_rng(11)
-        matrices = rng.normal(size=(64, 33, 33)) + 8.0 * np.eye(33)
-        matrices[row] = np.eye(33)
-        matrices[row, 5, 5] = 0.0
-        rhs = rng.normal(size=(64, 33))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(np.linalg.LinAlgError):
-                BatchedDenseSolver().solve_batched(matrices, rhs)
-            assert posts == [32]
-            # The helper is idle again and the next stack solves cleanly.
-            matrices[row] = np.eye(33)
-            got = BatchedDenseSolver().solve_batched(matrices, rhs)
-        assert got.tobytes() == np.linalg.solve(matrices, rhs[..., np.newaxis])[..., 0].tobytes()
-
-    def test_concurrent_callers_get_the_same_bits(self, fig11_systems, monkeypatch):
-        # More callers than CPUs, switching threads as often as possible:
-        # one stack at a time is split, the others are solved whole, and
-        # every caller gets the single-thread bits.
-        monkeypatch.setattr(solvers_module, "_usable_cpus", lambda: 2)
-        matrices, rhs = self.stack(fig11_systems, 128)
-        want = BatchedDenseSolver().solve_batched(matrices, rhs).tobytes()
-        callers = 4
-        barrier = threading.Barrier(callers)
-        results = [[] for _ in range(callers)]
-
-        def caller(slot):
-            barrier.wait()
-            for _ in range(20):
-                results[slot].append(BatchedDenseSolver().solve_batched(matrices, rhs).tobytes())
-
-        threads = [threading.Thread(target=caller, args=(slot,)) for slot in range(callers)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert results == [[want] * 20] * callers
-
-    @pytest.mark.parametrize("module", [None, SimpleNamespace()])
-    def test_the_fallback_route_never_splits(self, fig11_systems, monkeypatch, module):
-        matrices, rhs = self.stack(fig11_systems, 64)
-        want = np.linalg.solve(matrices, rhs[..., np.newaxis])[..., 0]
-        monkeypatch.setattr(solvers_module, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(solvers_module, "_umath_linalg", module)
-        posts = self.count_posts(monkeypatch)
-        assert BatchedDenseSolver().solve_batched(matrices, rhs).tobytes() == want.tobytes()
-        assert posts == []
-
-    def test_one_cpu_starts_no_thread(self, fig11_systems, monkeypatch):
-        monkeypatch.setattr(solvers_module, "_helper", None)
-        monkeypatch.setattr(solvers_module, "_usable_cpus", lambda: 1)
-        posts = self.count_posts(monkeypatch)
-        before = {thread.ident for thread in threading.enumerate()}
-        matrices, rhs = self.stack(fig11_systems, 239)
-        BatchedDenseSolver().solve_batched(matrices, rhs)
-        assert posts == [] and solvers_module._helper is None
-        assert {thread.ident for thread in threading.enumerate()} <= before
-
-    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs os.fork")
-    def test_forks_carry_no_helper_thread(self):
-        completed = subprocess.run(
-            [sys.executable, "-c", _FORK_SCRIPT.format(src=SRC_DIR)],
-            capture_output=True,
-            text=True,
-            timeout=300,
-            env={
-                **os.environ,
-                "OPENBLAS_NUM_THREADS": "1",
-                "OMP_NUM_THREADS": "1",
-                "MKL_NUM_THREADS": "1",
-            },
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.strip().endswith("ok")
-
-
-@requires_scipy
 class TestSparseBackendParity:
     def test_xor3_lattice_dc_parity(self, switch_model):
         bench = build_lattice_circuit(
