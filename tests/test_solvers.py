@@ -246,6 +246,86 @@ class TestDenseSolveKernel:
             assert np.array_equal(DenseSolver().solve(np.eye(3), np.ones(3)), np.ones(3))
 
 
+class TestBatchedStackRows:
+    """A row of a batched dense stack has the same bits wherever it sits
+    and however tall the stack is.  The engine's forked row blocks rely on
+    this: each block solves a slice of the stack, and the merged result
+    must be the whole stack's bit for bit."""
+
+    @staticmethod
+    def stack(systems):
+        return np.stack([m for m, _ in systems]), np.stack([r for _, r in systems])
+
+    @pytest.mark.parametrize(
+        "start, stop", [(0, 31), (0, 32), (0, 33), (7, 40), (64, 128), (120, 239)]
+    )
+    def test_a_slice_solves_to_the_whole_stacks_bits(self, fig11_systems, start, stop):
+        matrices, rhs = self.stack(fig11_systems)
+        whole = BatchedDenseSolver().solve_batched(matrices, rhs)
+        part = BatchedDenseSolver().solve_batched(matrices[start:stop], rhs[start:stop])
+        serial = np.stack(
+            [np.linalg.solve(m, r) for m, r in zip(matrices[start:stop], rhs[start:stop])]
+        )
+        assert part.shape == (stop - start, rhs.shape[1])
+        assert part.tobytes() == whole[start:stop].tobytes() == serial.tobytes()
+
+    @pytest.mark.parametrize("row", [3, 60])
+    def test_a_singular_row_anywhere_in_the_stack_raises(self, row):
+        import warnings as warnings_module
+
+        rng = np.random.default_rng(11)
+        matrices = rng.normal(size=(64, 33, 33)) + 8.0 * np.eye(33)
+        matrices[row] = np.eye(33)
+        matrices[row, 5, 5] = 0.0
+        rhs = rng.normal(size=(64, 33))
+        with warnings_module.catch_warnings():
+            warnings_module.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                BatchedDenseSolver().solve_batched(matrices, rhs)
+            # The next stack solves cleanly.
+            matrices[row] = np.eye(33)
+            got = BatchedDenseSolver().solve_batched(matrices, rhs)
+        assert got.tobytes() == np.linalg.solve(matrices, rhs[..., np.newaxis])[..., 0].tobytes()
+
+    def test_concurrent_callers_get_the_same_bits(self, fig11_systems):
+        # More callers than CPUs, switching threads as often as possible:
+        # every caller gets the single-thread bits.
+        import threading
+
+        matrices, rhs = self.stack(fig11_systems[:128])
+        want = BatchedDenseSolver().solve_batched(matrices, rhs).tobytes()
+        callers = 4
+        barrier = threading.Barrier(callers)
+        results = [[] for _ in range(callers)]
+
+        def caller(slot):
+            barrier.wait()
+            for _ in range(20):
+                results[slot].append(BatchedDenseSolver().solve_batched(matrices, rhs).tobytes())
+
+        threads = [threading.Thread(target=caller, args=(slot,)) for slot in range(callers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[want] * 20] * callers
+
+    def test_a_batched_solve_starts_no_thread(self, fig11_systems):
+        import threading
+
+        before = {thread.ident for thread in threading.enumerate()}
+        matrices, rhs = self.stack(fig11_systems)
+        BatchedDenseSolver().solve_batched(matrices, rhs)
+        assert {thread.ident for thread in threading.enumerate()} <= before
+
+
+@requires_scipy
 class TestSparseBackendParity:
     def test_xor3_lattice_dc_parity(self, switch_model):
         bench = build_lattice_circuit(
