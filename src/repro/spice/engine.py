@@ -2118,8 +2118,9 @@ class AnalysisEngine:
         backend (each trial keeps its LU until its contraction stalls,
         exactly as a per-trial :meth:`solve_dc` run does).
 
-        On two or more usable CPUs, a stack with enough work (31 or more
-        trials at the XOR3 bench's n=33) runs as two row blocks at once,
+        On two or more usable CPUs, a stack with enough work (114 or more
+        trials at the XOR3 bench's n=33; no dense stack of 100 or more
+        unknowns) runs as two row blocks at once,
         the first half in a child forked before the first round, the
         second here, each through the same driver; the child writes its
         solutions into shared memory and sends its per-trial fields and
@@ -2155,8 +2156,7 @@ class AnalysisEngine:
 
         resolved = get_solver(solver)
 
-        def block(rows: slice, outs: List[np.ndarray]):
-            (block_solutions,) = outs
+        def block(rows: slice, block_solutions: np.ndarray):
             block_solutions[...] = solutions[rows]
             return self._solve_dc_stack(
                 block_solutions, {name: stack[rows] for name, stack in stacks.items()},
@@ -2165,7 +2165,7 @@ class AnalysisEngine:
                 damping_v=damping_v, time_s=time_s,
             )[1:]
 
-        (solutions,), blocks = self._run_blocks(resolved, count, (size,), 0, block)
+        solutions, blocks = self._run_blocks(resolved, count, (size,), 0, block)
         iterations, converged, residuals, strategies, counts = zip(*blocks)
         return BatchedOperatingPoints(
             circuit=circuit,
@@ -2188,11 +2188,11 @@ class AnalysisEngine:
         count: int,
         shape: Tuple[int, ...],
         steps: int,
-        block: Callable[[slice, List[np.ndarray]], tuple],
-    ) -> Tuple[List[np.ndarray], List[tuple]]:
+        block: Callable[[slice, np.ndarray], tuple],
+    ) -> Tuple[np.ndarray, List[tuple]]:
         """Run a stacked analysis's ``block`` over its ``count`` trials.
 
-        :func:`~repro.spice._rowblocks.run_blocks` with one ``(count,
+        :func:`~repro.spice._rowblocks.run_blocks` with its ``(count,
         *shape)`` output, split across a forked child when
         :func:`~repro.spice._rowblocks.split_point` says the stack (``steps``:
         a march's, zero for a DC stack) is worth it.  Only the built-in
@@ -2206,7 +2206,9 @@ class AnalysisEngine:
         backend = resolved.select(compiled, count)
         backend.bind(compiled)
         half = (
-            _rowblocks.split_point(count, compiled.size, steps)
+            _rowblocks.split_point(
+                count, compiled.size, steps, dense=isinstance(backend, DenseSolver)
+            )
             if type(backend) in _BUILTIN_BACKENDS
             else 0
         )
@@ -2216,7 +2218,7 @@ class AnalysisEngine:
             backend._count_factorizations(factorizations)
             backend._count_reuses(reuses)
 
-        return _rowblocks.run_blocks(count, half, (shape,), block, adopt)
+        return _rowblocks.run_blocks(count, half, shape, block, adopt)
 
     # ------------------------------------------------------------------ #
     # DC sweeps
@@ -2794,11 +2796,13 @@ class AnalysisEngine:
         does not converge keeps its last iterate and marches on, with
         ``converged`` false and the step's update in its worst residual.
 
-        On two or more usable CPUs, a stack with enough work (the 128-trial
-        XOR3 variability study; no small stack) runs as two row blocks at
-        once: a child forked before the first Newton round runs the first
-        half of the trials, DC warm start and march, while this process
-        runs the second; the child writes its rows of the waveforms into
+        On two or more usable CPUs, a stack whose march alone carries
+        enough work (``trials * n * steps`` of 60 000 or more, as in the
+        128-trial XOR3 variability study; no small stack, and no dense
+        stack of 100 or more unknowns) runs as two row blocks at once: a
+        child forked before the first Newton round runs the first half of
+        the trials, DC warm start and march, while this process runs the
+        second; the child writes its rows of the waveforms into
         memory shared with this process and its per-trial counts come back
         through a pipe (see :mod:`repro.spice._rowblocks`).  Every trial
         is bit-identical either way, and so are the result's counts and
@@ -2824,8 +2828,7 @@ class AnalysisEngine:
         want_reuse = _wants_newton_reuse(newton)
         steps = int(round(stop_time_s / timestep_s))
 
-        def block(rows: slice, outs: List[np.ndarray]):
-            (waveforms,) = outs
+        def block(rows: slice, waveforms: np.ndarray):
             sub = {name: stack[rows] for name, stack in stacks.items()}
             rows_count = rows.stop - rows.start
             counts_before = resolved.solver_stats()
@@ -2862,7 +2865,7 @@ class AnalysisEngine:
             counts = self._counts_delta(resolved.solver_stats(), counts_before)
             return times, newton_totals, converged, worst_residuals, counts
 
-        (waveforms,), blocks = self._run_blocks(
+        waveforms, blocks = self._run_blocks(
             resolved, count, (steps + 1, circuit.system_size), steps, block
         )
         times, newton_totals, converged, worst_residuals, counts = zip(*blocks)

@@ -416,8 +416,8 @@ class TestStackedFailuresMatchSerial:
         halves = []
         split_point = _rowblocks.split_point
 
-        def recorded(*args):
-            halves.append(split_point(*args))
+        def recorded(*args, **kwargs):
+            halves.append(split_point(*args, **kwargs))
             return halves[-1]
 
         monkeypatch.setattr(_rowblocks, "_usable_cpus", lambda: 2)

@@ -113,16 +113,29 @@ def assert_same_marches(split_run, whole):
 class TestSplitPoint:
     def test_small_stacks_never_split(self, monkeypatch):
         monkeypatch.setattr(_rowblocks, "_usable_cpus", lambda: 2)
-        # The XOR3 variability march (n=33, 120 steps) and its DC warm
-        # start split; a DC stack needs 31 trials at n=33; the 4-unknown
-        # divider of the stacked-failure tests never splits, nor does a
-        # stack of under 16 trials, whatever its work.
+        # A march counts its steps only: the XOR3 variability march (n=33,
+        # 120 steps) splits; 128 trials x 5 steps and 32 x 20 (1.24x and
+        # 1.47x slower split) do not, with or without a DC warm start.  A DC stack counts 16
+        # rounds: 114 trials at n=33.  The 4-unknown divider of the
+        # stacked-failure tests never splits, nor does a stack of under 16
+        # trials, whatever its work.
         assert _rowblocks.split_point(128, 33, 120) == 64
-        assert _rowblocks.split_point(31, 33) == 15
-        assert _rowblocks.split_point(30, 33) == 0
+        assert _rowblocks.split_point(128, 33, 5) == 0
+        assert _rowblocks.split_point(32, 33, 20) == 0
+        assert _rowblocks.split_point(32, 33, 57) == 16
+        assert _rowblocks.split_point(114, 33) == 57
+        assert _rowblocks.split_point(113, 33) == 0
         assert _rowblocks.split_point(64, 4) == 0
         assert _rowblocks.split_point(15, 1000, 1000) == 0
         assert _rowblocks.split_point(16, 1000, 1000) == 8
+
+    def test_dense_systems_of_100_unknowns_never_split(self, monkeypatch):
+        # OpenBLAS threads their factorizations; sparse stacks split.
+        monkeypatch.setattr(_rowblocks, "_usable_cpus", lambda: 2)
+        assert _rowblocks.split_point(32, 99, 20, dense=True) == 16
+        assert _rowblocks.split_point(32, 100, 20, dense=True) == 0
+        assert _rowblocks.split_point(32, 423, 5, dense=True) == 0
+        assert _rowblocks.split_point(32, 423, 5) == 16
 
     def test_one_cpu_a_block_a_worker_or_a_second_thread_never_splits(self, monkeypatch):
         monkeypatch.setattr(_rowblocks, "_usable_cpus", lambda: 1)
@@ -151,20 +164,18 @@ class TestSplitPoint:
 class TestRunBlocks:
     @staticmethod
     def block(warn_in):
-        def run(rows, outs):
+        def run(rows, out):
             if rows.start in warn_in:
                 warnings.warn(f"rows from {rows.start}", RuntimeWarning)
-            outs[0][...] = np.arange(rows.start, rows.stop)[:, np.newaxis]
+            out[...] = np.arange(rows.start, rows.stop)[:, np.newaxis]
             return (rows.start, os.getpid())
 
         return run
 
     def test_the_child_runs_the_first_block(self, forks):
         adopted = []
-        outs, summaries = _rowblocks.run_blocks(
-            32, 12, [(3,)], self.block(()), adopted.append
-        )
-        assert outs[0].tolist() == [[row] * 3 for row in range(32)]
+        out, summaries = _rowblocks.run_blocks(32, 12, (3,), self.block(()), adopted.append)
+        assert out.tolist() == [[row] * 3 for row in range(32)]
         assert len(forks) == 1
         assert_reaped(forks)
         assert summaries == [(0, forks[0]), (12, os.getpid())] == adopted + summaries[1:]
@@ -172,18 +183,107 @@ class TestRunBlocks:
     def test_a_warning_the_child_would_show_shows_here(self, forks):
         adopted = []
         with pytest.warns(RuntimeWarning, match="rows from 0"):
-            outs, summaries = _rowblocks.run_blocks(
-                32, 16, [(1,)], self.block((0,)), adopted.append
+            out, summaries = _rowblocks.run_blocks(
+                32, 16, (1,), self.block((0,)), adopted.append
             )
-        assert outs[0][:, 0].tolist() == list(range(32))
+        assert out[:, 0].tolist() == list(range(32))
         assert summaries == [(0, os.getpid()), (16, os.getpid())] and adopted == []
         assert_reaped(forks)
         # An ignored warning is not shown, so it fails no child.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _rowblocks.run_blocks(32, 16, [(1,)], self.block((0,)), adopted.append)
+            _rowblocks.run_blocks(32, 16, (1,), self.block((0,)), adopted.append)
         assert adopted == [(0, forks[1])]
         assert_reaped(forks)
+
+
+    def test_a_thread_alive_after_the_fork_undoes_it(self, forks, monkeypatch):
+        # Another OS thread outlived the fork: the child is killed at once
+        # and the whole stack runs here, as one block.
+        monkeypatch.setattr(_rowblocks, "_os_threads", lambda: 2)
+        adopted = []
+        out, summaries = _rowblocks.run_blocks(32, 16, (1,), self.block(()), adopted.append)
+        assert out[:, 0].tolist() == list(range(32))
+        assert summaries == [(0, os.getpid())] and adopted == []
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_a_fork_warning_made_an_error_leaves_no_child(self, forks, monkeypatch):
+        # Python 3.12+ warns in the parent once the child exists; raised,
+        # that warning would leave the child without a pid to reap.
+        fork = os.fork
+
+        def warns():
+            pid = fork()
+            if pid:
+                warnings.warn(
+                    "This process is multi-threaded, use of fork() may lead to "
+                    "deadlocks in the child.",
+                    DeprecationWarning,
+                )
+            return pid
+
+        monkeypatch.setattr(os, "fork", warns)
+        adopted = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, summaries = _rowblocks.run_blocks(
+                32, 16, (1,), self.block(()), adopted.append
+            )
+        assert out[:, 0].tolist() == list(range(32))
+        assert summaries == [(0, forks[0]), (16, os.getpid())] == adopted + summaries[1:]
+        assert_reaped(forks)
+
+
+#: Splits a stack with NumPy's BLAS at its default thread count, its pool
+#: started, and every DeprecationWarning an error.  OpenBLAS shuts its
+#: pool down for a fork, so the fork leaves one OS thread and the child's
+#: block stands.  Prints the OS threads before the fork.
+_BLAS_THREADS_SCRIPT = """
+import os, sys, warnings
+sys.path.insert(0, {src!r})
+warnings.simplefilter("error", DeprecationWarning)
+import numpy as np
+from repro.spice import _rowblocks
+
+_rowblocks._usable_cpus = lambda: 2
+np.linalg.solve(np.eye(300) + np.ones((300, 300)), np.ones(300))
+
+
+def block(rows, out):
+    out[...] = rows.start
+    return os.getpid()
+
+
+threads = _rowblocks._os_threads()
+out, (child, parent) = _rowblocks.run_blocks(32, 16, (1,), block, lambda summary: None)
+assert parent == os.getpid() != child, (parent, child)
+assert out[:16].sum() == 0 and (out[16:] == 16).all()
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print(threads)
+else:
+    sys.exit("a child process remains")
+"""
+
+
+def test_blas_threads_do_not_undo_the_fork():
+    env = {
+        name: value for name, value in os.environ.items()
+        if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    }
+    completed = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS_SCRIPT.format(src=SRC_DIR)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=env,
+    )
+    assert completed.returncode == 0, completed.stderr
+    # On two or more CPUs NumPy's OpenBLAS runs a pool thread beside this one.
+    if len(os.sched_getaffinity(0)) > 1:
+        assert int(completed.stdout) > 1
 
 
 class TestSplitMatchesWhole:
@@ -270,9 +370,9 @@ class TestSplitMatchesWhole:
         blocks = []
         run_here = _rowblocks._run_here
 
-        def recorded(block, rows, outs):
+        def recorded(block, rows, out):
             blocks.append((rows.start, rows.stop))
-            return run_here(block, rows, outs)
+            return run_here(block, rows, out)
 
         monkeypatch.setattr(_rowblocks, "_run_here", recorded)
         solver = BatchedDenseSolver()
@@ -361,31 +461,45 @@ def test_an_error_in_the_parent_block_leaves_no_child():
 
 #: Runs two batched Monte-Carlo studies here, then in two
 #: ``ProcessExecutor`` workers (forked or spawned) twice: as they are, and
-#: with the worker rule taken out (argv[1] == "split"), logging every split
-#: decision that forks.  BLAS is held to one thread, so a Python thread
-#: alive at a fork would be the only other thread: Python 3.12+ warns
-#: then, and the warning is an error.
+#: with the worker rule taken out (argv[1] == "split"), logging the pid
+#: that forked each child whose block stood (the child sent its summary).
+#: Every fork of this process counts its OS threads right after it, as
+#: Python 3.12+ does to warn that the child may deadlock, and the warning
+#: is an error in every version.
 _FORK_SCRIPT = """
 import hashlib, os, sys, warnings
 sys.path.insert(0, {src!r})
 warnings.filterwarnings("error", message=".*multi-threaded.*fork", category=DeprecationWarning)
+fork = os.fork
+
+
+def counted_fork():
+    pid = fork()
+    if pid and len(os.listdir("/proc/self/task")) > 1:
+        warnings.warn(
+            f"This process (pid={{os.getpid()}}) is multi-threaded, use of fork() "
+            "may lead to deadlocks in the child.",
+            DeprecationWarning,
+        )
+    return pid
+
+
+os.fork = counted_fork
 from repro.api import CircuitSpec, MonteCarlo, ProcessExecutor, Session, Transient
 from repro.spice import Gaussian, _rowblocks
 
 _rowblocks._usable_cpus = lambda: 2
 _rowblocks._MIN_WORK = 0
 log = os.open({log!r}, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-split_point = _rowblocks.split_point
+write_all = _rowblocks._write_all
 
 
-def logged(*args):
-    half = split_point(*args)
-    if half:
-        os.write(log, f"{{os.getpid()}} {{half}}\\n".encode())
-    return half
+def logged(fd, payload):
+    write_all(fd, payload)
+    os.write(log, f"{{os.getppid()}}\\n".encode())
 
 
-_rowblocks.split_point = logged
+_rowblocks._write_all = logged
 bench = CircuitSpec(
     "repro.experiments.variability_xor3:build_variability_bench",
     params={{"step_duration_s": 10e-9}},
@@ -412,8 +526,14 @@ print(os.getpid())
 def test_executor_workers(tmp_path, workers_split):
     # A worker's executor already spreads the specs over the CPUs, so a
     # worker runs its stacks whole; forced to split, it forks with no
-    # other thread alive.
+    # other thread alive.  The first run holds BLAS to one thread; the
+    # forced one leaves it at its default, its pool's threads alive
+    # before each fork.
     log = tmp_path / "splits.log"
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {name: value for name, value in os.environ.items() if name not in blas}
+    if not workers_split:
+        env.update(dict.fromkeys(blas, "1"))
     completed = subprocess.run(
         [
             sys.executable, "-c", _FORK_SCRIPT.format(src=SRC_DIR, log=str(log)),
@@ -422,19 +542,12 @@ def test_executor_workers(tmp_path, workers_split):
         capture_output=True,
         text=True,
         timeout=300,
-        env={
-            **os.environ,
-            "OPENBLAS_NUM_THREADS": "1",
-            "OMP_NUM_THREADS": "1",
-            "MKL_NUM_THREADS": "1",
-        },
+        env=env,
     )
     assert completed.returncode == 0, completed.stderr
     main = completed.stdout.strip()
-    splits = collections.Counter(tuple(line.split()) for line in log.read_text().splitlines())
+    splits = collections.Counter(log.read_text().split())
     # Each study's transient splits its 40 trials in two here (and in a
     # worker when forced); nothing inside a block splits again.
-    assert splits[main, "20"] == 2
-    in_workers = sum(count for (pid, half), count in splits.items() if pid != main)
-    assert in_workers == (2 if workers_split else 0)
-    assert {half for pid, half in splits} == {"20"}
+    assert splits[main] == 2
+    assert sum(splits.values()) - splits[main] == (2 if workers_split else 0)
