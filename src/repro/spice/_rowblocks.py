@@ -1,30 +1,38 @@
-"""A stacked analysis run as two row blocks, one of them in a forked child.
+"""Work run beside this process's own, in a forked child.
 
-The trials of a stacked analysis never read each other's rows: each trial
-takes the same float operations whether it runs in a stack of 128, a
-stack of 64 or alone.  So a stack with enough work is cut into two
-contiguous row blocks, and the two run at once on two CPUs:
-:func:`run_blocks` forks one child before the first Newton round, the
-child runs rows ``[0, half)`` and the parent rows ``[half, rows)``, each
-through the unchanged driver.  Processes, not threads: the assembly holds
-the GIL, so two threads could overlap only the LAPACK calls.
+One primitive, two users.  :func:`start` forks a child that runs a
+callable and sends back its picklable result; the parent goes on with its
+own work, then either *collects* the child (waits for it and reaps it: its
+result, or ``None`` on any failure, so the caller runs the work itself) or
+*cancels* it (kills and reaps it, for work it no longer needs).  Large
+outputs do not cross the pipe: the child writes them straight into a
+shared anonymous mapping (:func:`shared`) that the parent allocated before
+the fork.  Processes, not threads: the assembly holds the GIL, so two
+threads could overlap only the LAPACK and SuperLU calls.
 
-The child writes its rows of the large outputs (solutions, waveforms)
-straight into a shared anonymous mapping that the parent allocated before
-the fork, and the parent writes its rows of the same arrays in place, so
-nothing large is copied.  The per-trial summary of the child's block
-(iterations, flags, residuals, strategies, factorization counts) comes
-back pickled through a pipe.
+* **Row blocks.**  The trials of a stacked analysis never read each
+  other's rows: each trial takes the same float operations whether it
+  runs in a stack of 128, a stack of 64 or alone.  So a stack with enough
+  work (:func:`split_point`) is cut into two contiguous row blocks that
+  run at once on two CPUs: :func:`run_blocks` forks one child before the
+  first Newton round, the child runs rows ``[0, half)`` and the parent
+  rows ``[half, rows)``, each through the unchanged driver, and each
+  writes its rows of the solutions or waveforms in place.
+* **The DC fallback ladder.**  A serial sparse DC solve whose plain Newton
+  run reaches its stall window unconverged starts the fallback ladders in
+  a child (the ladders restart from the zero solution and never read the
+  plain run's iterate), and the plain run goes on here.  If the plain run
+  converges after all, the child is cancelled; if it fails, the child's
+  ladder outcome is collected (see ``AnalysisEngine._solve_dc_stack``).
 
 The child ends with ``os._exit`` whatever happens, so it never runs the
 parent's exit handlers or flushes stdio buffers it inherited, and a
-warning it would show fails it instead.  If the child fails, dies or
-sends nothing, the parent runs that block itself, so a warning or an
-error shows in the calling process exactly as it would without the
-split.  An exception in the parent's block kills and reaps the child
-before it propagates; no child outlives :func:`run_blocks`.  A fork that
-leaves another OS thread running in this process is undone: the child is
-killed at once and the stack runs whole here.
+warning it would show fails it instead.  A failed, dead or silent child
+is never trusted: its work runs again in the calling process, so a
+warning or an error shows there exactly as it would without the fork.
+Every child is collected or cancelled before the analysis that forked it
+returns or raises.  A fork that leaves another OS thread running in this
+process is undone: the child is killed at once and the work runs here.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import signal
 import sys
 import threading
 import warnings
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -68,8 +76,8 @@ _DENSE_SIZE_LIMIT = 100
 #: above, so an easy stack pays for its fork too.
 _DC_ROUNDS = 16
 
-#: True in a split child, and in the parent while it runs its block: a
-#: stacked analysis started there runs whole.
+#: True in a forked child, and in the parent while it runs its row block:
+#: nothing started there forks again.
 _in_block = False
 
 
@@ -88,6 +96,27 @@ def _in_worker() -> bool:
     return process is not None and process.parent_process() is not None
 
 
+def can_fork() -> bool:
+    """Whether this process may run work beside its own in a forked child.
+
+    Not with one usable CPU, without ``os.fork`` (only Linux forks here),
+    with a second Python thread alive (a fork copies only the calling
+    thread, whatever locks the others hold), inside a child or a row
+    block, or in a ``multiprocessing`` worker, whose executor already
+    spreads its specs over the CPUs (two ``ProcessExecutor`` workers on a
+    2-CPU host ran four 128-trial XOR3 studies about 26 % slower with the
+    row-block split).
+    """
+    return (
+        not _in_block
+        and sys.platform.startswith("linux")
+        and hasattr(os, "fork")
+        and threading.active_count() == 1
+        and _usable_cpus() >= 2
+        and not _in_worker()
+    )
+
+
 def split_point(rows: int, size: int, steps: int = 0, dense: bool = False) -> int:
     """The child's row count for a stack of ``rows`` ``size``-unknown systems.
 
@@ -98,32 +127,22 @@ def split_point(rows: int, size: int, steps: int = 0, dense: bool = False) -> in
     which an easy circuit ends in a few rounds; a DC stack counts
     :data:`_DC_ROUNDS`.  Zero means the stack runs whole: work under
     :data:`_MIN_WORK`, a block under :data:`_MIN_BLOCK_ROWS` trials, dense
-    systems of :data:`_DENSE_SIZE_LIMIT` unknowns or more, one usable CPU,
-    no ``os.fork`` (only Linux forks here), a second Python thread alive
-    (a fork copies only the calling thread, whatever locks the others
-    hold), a caller already inside a block, or a ``multiprocessing``
-    worker, whose executor already spreads its specs over the CPUs (two
-    ``ProcessExecutor`` workers on a 2-CPU host ran four 128-trial XOR3
-    studies about 26 % slower with the split).  Otherwise two blocks,
-    whatever the CPU count: more were never measured.
+    systems of :data:`_DENSE_SIZE_LIMIT` unknowns or more, or a process
+    that may not fork (:func:`can_fork`).  Otherwise two blocks, whatever
+    the CPU count: more were never measured.
     """
     if (
         rows < 2 * _MIN_BLOCK_ROWS
         or rows * size * (steps or _DC_ROUNDS) < _MIN_WORK
         or (dense and size >= _DENSE_SIZE_LIMIT)
-        or _in_block
-        or not sys.platform.startswith("linux")
-        or not hasattr(os, "fork")
-        or threading.active_count() != 1
-        or _usable_cpus() < 2
-        or _in_worker()
+        or not can_fork()
     ):
         return 0
     return rows // 2
 
 
-def _shared(shape: Tuple[int, ...]) -> np.ndarray:
-    """A float64 array in an anonymous mapping a forked child writes through."""
+def shared(shape: Tuple[int, ...]) -> np.ndarray:
+    """A zeroed float64 array in an anonymous mapping a forked child writes through."""
     count = int(np.prod(shape))
     buffer = mmap.mmap(-1, max(count, 1) * 8)  # MAP_SHARED | MAP_ANONYMOUS
     return np.frombuffer(buffer, dtype=np.float64, count=count).reshape(shape)
@@ -145,7 +164,7 @@ def _write_all(fd: int, payload: bytes) -> None:
 
 
 def _unpickle(payload: bytes) -> Any:
-    """The child's summary, or ``None`` for a payload cut short."""
+    """The child's result, or ``None`` for a payload cut short."""
     try:
         return pickle.loads(payload)
     except Exception:
@@ -178,8 +197,8 @@ def _fork() -> int:
     shuts its pool down before the fork (the pool starts again at the next
     BLAS call), so right after the fork this process runs one OS thread.
     Another library's native thread is counted here in every Python
-    version, and then the child is killed and reaped at once and the stack
-    runs whole.  The warning itself is ignored, as the count stands for it:
+    version, and then the child is killed and reaped at once and the work
+    runs here.  The warning itself is ignored, as the count stands for it:
     turned into an error, it would raise once the child already exists.
     """
     with warnings.catch_warnings():
@@ -194,25 +213,82 @@ def _fork() -> int:
 
 
 class _WarningToShow(BaseException):
-    """Raised in a split child where a warning would be shown."""
+    """Raised in a forked child where a warning would be shown."""
 
 
 def _refuse_to_show(*args, **kwargs) -> None:
     raise _WarningToShow
 
 
-def _run_child(block, rows: slice, out: np.ndarray, fd: int) -> None:
-    """The forked child: run its block, send the summary, ``os._exit``."""
+def _run_child(work: Callable[[], Any], fd: int) -> None:
+    """The forked child: run ``work``, send its result, ``os._exit``."""
     global _in_block
     status = 1
     try:
         _in_block = True
         warnings.showwarning = _refuse_to_show
-        summary = block(rows, out[rows])
-        _write_all(fd, pickle.dumps(summary, protocol=pickle.HIGHEST_PROTOCOL))
+        result = work()
+        _write_all(fd, pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
         status = 0
     finally:
         os._exit(status)
+
+
+class Child:
+    """A forked child running a callable; collect or cancel it, once."""
+
+    __slots__ = ("pid", "_read_fd")
+
+    def __init__(self, pid: int, read_fd: int):
+        self.pid = pid
+        self._read_fd = read_fd
+
+    def collect(self) -> Any:
+        """Wait for the child and reap it; its result, or ``None`` when it
+        failed, died or sent nothing."""
+        reaped = False
+        try:
+            payload = _read_all(self._read_fd)
+            try:
+                sent = os.waitpid(self.pid, 0)[1] == 0 and payload
+            except ChildProcessError:
+                # Reaped elsewhere (SIGCHLD ignored): only a whole result unpickles.
+                sent = payload
+            reaped = True
+        finally:
+            os.close(self._read_fd)
+            if not reaped:
+                _kill(self.pid)
+        return _unpickle(payload) if sent else None
+
+    def cancel(self) -> None:
+        """Kill and reap the child, whatever it was doing."""
+        os.close(self._read_fd)
+        _kill(self.pid)
+
+
+def start(work: Callable[[], Any]) -> Optional[Child]:
+    """Fork a child that runs ``work()`` and sends back its picklable result.
+
+    Returns the :class:`Child` to collect or cancel, or ``None`` when the
+    fork was undone (:func:`_fork`) and no child runs.  Call it only where
+    :func:`can_fork` holds.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = _fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # pragma: no cover - runs in the child, which never returns
+        os.close(read_fd)
+        _run_child(work, write_fd)
+    os.close(write_fd)
+    if pid < 0:
+        os.close(read_fd)
+        return None
+    return Child(pid, read_fd)
 
 
 def _run_here(block, rows: slice, out: np.ndarray) -> Any:
@@ -249,40 +325,20 @@ def run_blocks(
     if not half:
         out = np.zeros((rows, *shape))
         return out, [block(slice(0, rows), out)]
-    out = _shared((rows, *shape))
+    out = shared((rows, *shape))
     first, second = slice(0, half), slice(half, rows)
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = _fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:  # pragma: no cover - runs in the child, which never returns
-        os.close(read_fd)
-        _run_child(block, first, out, write_fd)
-    os.close(write_fd)
-    if pid < 0:
-        os.close(read_fd)
+    child = start(lambda: block(first, out[first]))
+    if child is None:
         return out, [_run_here(block, slice(0, rows), out)]
-    reaped = False
     try:
         summary = _run_here(block, second, out)
-        payload = _read_all(read_fd)
-        try:
-            sent = os.waitpid(pid, 0)[1] == 0 and payload
-        except ChildProcessError:
-            # Reaped elsewhere (SIGCHLD ignored): only a whole summary unpickles.
-            sent = payload
-        reaped = True
-    finally:
-        os.close(read_fd)
-        if not reaped:
-            _kill(pid)
-    child = _unpickle(payload) if sent else None
-    if child is None:
+    except BaseException:
+        child.cancel()
+        raise
+    result = child.collect()
+    if result is None:
         # The child failed, died or sent nothing: its block runs here.
-        child = _run_here(block, first, out)
+        result = _run_here(block, first, out)
     else:
-        adopt(child)
-    return out, [child, summary]
+        adopt(result)
+    return out, [result, summary]

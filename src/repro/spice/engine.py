@@ -95,10 +95,29 @@ GMIN_LADDER: Tuple[float, ...] = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 #: rungs and transient steps keep their full ``max_iterations`` budget.
 NEWTON_STALL_ROUNDS = 20
 
+#: Least system size whose serial sparse DC starts its fallback ladders in
+#: a forked child at the stall window (:meth:`AnalysisEngine._solve_dc_stack`).
+#: The fork, its copy-on-write faults and the kill or reap cost about 4 ms
+#: (2-CPU host); what it buys is the ladder rounds that overlap the plain
+#: run's.  Lattice DCs whose plain run fails at a 100-round budget, forked
+#: against whole (medians of 9 alternating pairs): 1.01 at n=105, 0.96 at
+#: n=135, 0.94 at n=207, 0.92 at n=295; at a 60-round budget 1.49 at n=25,
+#: 1.21 at n=57 and 1.12 at n=79.  The floor sits just under n=135.
+_LADDER_FORK_SIZE = 120
+
 #: The backends a stacked analysis may split across a forked child
 #: (:meth:`AnalysisEngine._run_blocks`): exact types, since a subclass may
 #: keep state of its own that a child's block would leave behind.
 _BUILTIN_BACKENDS = (DenseSolver, SparseSolver, BatchedDenseSolver, BatchedSparseSolver)
+
+
+def _credit_counts(backend: LinearSolver, counts: Tuple[int, int]) -> None:
+    """Credit ``(factorizations, reuses)`` a forked child's work made to
+    ``backend``, so its ``solver_stats()`` read as if the work ran here."""
+    factorizations, reuses = counts
+    backend._count_factorizations(factorizations)
+    backend._count_reuses(reuses)
+
 
 #: Signs of a resistor's four static stamps (a-a, b-b, a-b, b-a).
 _RESISTOR_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
@@ -1803,6 +1822,7 @@ class AnalysisEngine:
         source_levels: Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]] = None,
         reuse_states: Optional[List[_NewtonReuseState]] = None,
         stall_rounds: Optional[int] = None,
+        stall_hook: Optional[Callable[[], None]] = None,
     ) -> Tuple[np.ndarray, int, bool, float]:
         """:meth:`_newton_batched`'s rounds on a stack of one, as a row loop.
 
@@ -1811,7 +1831,10 @@ class AnalysisEngine:
         and a single solve, with the stall rule kept in Python scalars.
         Mutates ``solutions`` and returns ``(solutions, iterations,
         converged, max_update)``, the last three as Python scalars, so a
-        serial march pays no per-step stack handling.
+        serial march pays no per-step stack handling.  ``stall_hook`` is
+        called once, when a run under the stall rule ends its round
+        ``stall_rounds`` unconverged (:meth:`_solve_dc_stack` starts the
+        fallback ladders there).
 
         What is constant within the call is resolved once, before the first
         round: the backend's assembly and solve, the linear right-hand side,
@@ -1882,6 +1905,8 @@ class AnalysisEngine:
             if stall_rounds is not None:
                 if max_update < best_update:
                     best_update, best_round = max_update, iteration
+                if iteration == stall_rounds and stall_hook is not None:
+                    stall_hook()
                 if best_round <= iteration - stall_rounds:
                     break
         return solutions, iteration, converged, max_update
@@ -1915,6 +1940,16 @@ class AnalysisEngine:
         last rung's update.  ``controls`` are the iteration controls of
         :meth:`_newton_batched`.
 
+        A stack of one on a built-in pattern-assembly backend of at least
+        :data:`_LADDER_FORK_SIZE` unknowns starts its ladders in a forked
+        child once the plain run ends round :data:`NEWTON_STALL_ROUNDS`
+        unconverged (:mod:`repro.spice._rowblocks`), and the plain run goes
+        on here.  A plain run that converges cancels the child; one that
+        fails collects the child's outcome and credits its factorization
+        counts to the backend; a child that failed or died has its ladders
+        rerun here.  Every output bit, and ``solver_stats()``, is as
+        without the fork.
+
         Mutates ``solutions``; returns ``(solutions, iterations, converged,
         max_updates, strategies, (factorizations, reuses))``, each strategy
         ``"newton"``, a ladder's name or ``"failed"``.
@@ -1927,17 +1962,87 @@ class AnalysisEngine:
         controls["solver"] = backend = resolved.select(compiled, count if stacked else None)
         backend.bind(compiled)
         counts_before = resolved.solver_stats()
-        # The row loop returns scalars; the driver indexes trial arrays.
-        solutions, iterations, converged, max_updates = map(
-            np.atleast_1d,
-            self._newton_loop(count, params)(
-                solutions, params, gmin=gmin, reuse_states=reuse_states,
-                stall_rounds=NEWTON_STALL_ROUNDS, **controls,
-            ),
-        )
+        newton_loop = self._newton_loop(count, params)
+        plain_controls = controls
+        ladders = None  # the forked ladder child and the solution row it writes
+        if (
+            newton_loop == self._newton_row
+            and backend.wants_pattern_assembly
+            and type(backend) in _BUILTIN_BACKENDS
+            and compiled.size >= _LADDER_FORK_SIZE
+        ):
+
+            def fork_ladders() -> None:
+                nonlocal ladders
+                if _rowblocks.can_fork():
+                    row = _rowblocks.shared(solutions.shape)
+                    child = _rowblocks.start(
+                        lambda: self._ladder_outcome(row, gmin, backend, controls)
+                    )
+                    if child is not None:
+                        ladders = child, row
+
+            plain_controls = dict(controls, stall_hook=fork_ladders)
+        try:
+            # The row loop returns scalars; the driver indexes trial arrays.
+            solutions, iterations, converged, max_updates = map(
+                np.atleast_1d,
+                newton_loop(
+                    solutions, params, gmin=gmin, reuse_states=reuse_states,
+                    stall_rounds=NEWTON_STALL_ROUNDS, **plain_controls,
+                ),
+            )
+        except BaseException:
+            if ladders is not None:
+                ladders[0].cancel()
+            raise
         strategies = ["newton" if ok else "failed" for ok in converged.tolist()]
         pending = np.flatnonzero(~converged) if "failed" in strategies else None
-        for ladder, rungs in _fallback_ladders(gmin) if pending is not None else ():
+        if ladders is not None:
+            child, row = ladders
+            if pending is None:  # the plain run converged after all
+                child.cancel()
+            else:
+                outcome = child.collect()
+                if outcome is not None:
+                    strategy, used, ok, final_update, counts = outcome
+                    _credit_counts(backend, counts)
+                    iterations[0] += used
+                    max_updates[0] = final_update
+                    if ok:
+                        solutions[0] = row[0]
+                        converged[0] = True
+                        strategies[0] = strategy
+                    pending = None
+        if pending is not None:
+            self._run_ladders(
+                solutions, iterations, converged, max_updates, strategies, pending,
+                params, gmin, controls,
+            )
+        counts = self._counts_delta(resolved.solver_stats(), counts_before)
+        return solutions, iterations, converged, max_updates, strategies, counts
+
+    def _run_ladders(
+        self,
+        solutions: np.ndarray,
+        iterations: np.ndarray,
+        converged: np.ndarray,
+        max_updates: np.ndarray,
+        strategies: List[str],
+        pending: np.ndarray,
+        params: Mapping[str, np.ndarray],
+        gmin: float,
+        controls: Mapping[str, object],
+    ) -> None:
+        """Run the :func:`_fallback_ladders` over the trials ``pending``.
+
+        Each ladder runs the trials the ones before it left unconverged,
+        from the zero solution; a trial's iterations grow by every rung it
+        ran, its update is its last rung's, and a rescued trial takes the
+        ladder's solution, ``converged`` and the ladder's name in
+        ``strategies``.  Mutates the trial arrays of the stack.
+        """
+        for ladder, rungs in _fallback_ladders(gmin):
             sub = {name: stack[pending] for name, stack in params.items()}
             stepped = np.zeros((pending.size, solutions.shape[1]))
             newton = self._newton_loop(pending.size, sub)
@@ -1956,8 +2061,33 @@ class AnalysisEngine:
             pending = pending[~final_ok]
             if pending.size == 0:
                 break
-        counts = self._counts_delta(resolved.solver_stats(), counts_before)
-        return solutions, iterations, converged, max_updates, strategies, counts
+
+    def _ladder_outcome(
+        self,
+        solution: np.ndarray,
+        gmin: float,
+        backend: LinearSolver,
+        controls: Mapping[str, object],
+    ) -> Tuple[str, int, bool, float, Tuple[int, int]]:
+        """The ladders of a stack of one, run in a forked child.
+
+        Writes a rescued trial's solution into the ``(1, n)`` ``solution``
+        (shared with the parent) and returns what the parent's
+        :meth:`_solve_dc_stack` needs of the rest: ``(strategy, iterations,
+        converged, max_update, (factorizations, reuses))``, the counts
+        being the ones the ladders added to ``backend``.
+        """
+        before = backend.solver_stats()
+        iterations, converged, max_updates = np.zeros(1, int), np.zeros(1, bool), np.zeros(1)
+        strategies = ["failed"]
+        self._run_ladders(
+            solution, iterations, converged, max_updates, strategies,
+            np.zeros(1, np.intp), {}, gmin, controls,
+        )
+        return (
+            strategies[0], int(iterations[0]), bool(converged[0]), float(max_updates[0]),
+            self._counts_delta(backend.solver_stats(), before),
+        )
 
     def solve_dc(
         self,
@@ -1984,6 +2114,16 @@ class AnalysisEngine:
         returns the plain run's last iterate.  The policy lives in one
         driver shared with :meth:`solve_dc_batched`; this solve is its
         stack of one.
+
+        On two or more usable CPUs, a sparse solve of 120 or more unknowns
+        whose plain run ends round :data:`NEWTON_STALL_ROUNDS` unconverged
+        starts the fallback ladders in a forked child right then, since
+        they never read the plain run's iterate, and the plain run goes on
+        here (see :mod:`repro.spice._rowblocks`).  A plain run that then
+        converges kills the child; one that fails takes the child's answer
+        and counts (the n=399 scalability lattice: 66 plain rounds beside
+        220 ladder rounds).  The result and the solver's
+        ``solver_stats()`` are bit for bit those of the run in one process.
 
         ``refresh`` re-reads element parameter values before solving so
         in-place mutations are honoured; batch drivers that refresh once up
@@ -2213,12 +2353,9 @@ class AnalysisEngine:
             else 0
         )
 
-        def adopt(summary: tuple) -> None:
-            factorizations, reuses = summary[-1]
-            backend._count_factorizations(factorizations)
-            backend._count_reuses(reuses)
-
-        return _rowblocks.run_blocks(count, half, shape, block, adopt)
+        return _rowblocks.run_blocks(
+            count, half, shape, block, lambda summary: _credit_counts(backend, summary[-1])
+        )
 
     # ------------------------------------------------------------------ #
     # DC sweeps

@@ -36,6 +36,7 @@ from repro.experiments.variability_xor3 import (
     run_variability_xor3,
     variability_circuit_spec,
 )
+from repro.spice import _rowblocks
 from repro.spice.engine import CompiledCircuit, get_engine
 from repro.spice.montecarlo import Gaussian, MonteCarloEngine
 from repro.spice.solvers import DenseSolver, SparseSolver, scipy_available
@@ -432,6 +433,9 @@ class TestNewtonCallStory:
 
     @requires_scipy
     def test_lattice_dc(self, monkeypatch):
+        # On one usable CPU the gmin ladder runs in this process, not in a
+        # forked child, so all its rounds are counted here.
+        monkeypatch.setattr(_rowblocks, "_usable_cpus", lambda: 1)
         assemblies = count_calls(monkeypatch, CompiledCircuit, "assemble_sparse")
         dense = count_calls(monkeypatch, CompiledCircuit, "assemble")
         solves = count_calls(monkeypatch, SparseSolver, "solve_pattern")

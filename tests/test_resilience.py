@@ -254,6 +254,15 @@ class TestResilientStore:
         metrics = store.metrics()
         assert metrics["timeouts"] == 1
         assert metrics["degraded_gets"] == 1
+        # The abandoned call sleeps out its latency in its own thread; wait
+        # for it, so no later test starts with a second thread alive.
+        abandoned = [
+            thread for thread in threading.enumerate()
+            if thread.name == "repro-store-bounded-call"
+        ]
+        for thread in abandoned:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
 
     def test_every_operation_has_a_safe_fallback(self):
         faulty = FaultyStore(

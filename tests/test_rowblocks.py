@@ -1,9 +1,14 @@
-"""A stacked analysis split into two row blocks, one run by a forked child.
+"""Work run beside this process's own in a forked child.
 
-Every trial takes the same float operations in any stack, so a split run
+A stacked analysis split into two row blocks, one run by a forked child:
+every trial takes the same float operations in any stack, so a split run
 must return the whole stack's bytes: solutions, waveforms, per-trial
-counts and strategies, and the solver's counters.  No child may outlive
-the analysis, whatever the child or the parent's block does.
+counts and strategies, and the solver's counters.  A serial sparse DC
+whose plain Newton run reaches its stall window starts its fallback
+ladders in a forked child: the ladders never read the plain run's
+iterate, so the answer, its counts and the solver's counters are those of
+the run in one process.  No child may outlive the analysis, whatever the
+child or the parent does.
 """
 
 import collections
@@ -18,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.api import Session
+from repro.circuits import build_scalability_bench, build_series_chain
 from repro.experiments.variability_xor3 import (
     DEFAULT_SIGMA_BETA,
     DEFAULT_SIGMA_VTH_V,
@@ -31,8 +37,9 @@ from repro.spice import (
     _rowblocks,
     get_engine,
 )
+from repro.spice import engine as engine_module
 from repro.spice.engine import AnalysisEngine
-from repro.spice.solvers import scipy_available
+from repro.spice.solvers import SparseSolver, scipy_available
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -551,3 +558,213 @@ def test_executor_workers(tmp_path, workers_split):
     # worker when forced); nothing inside a block splits again.
     assert splits[main] == 2
     assert sum(splits.values()) - splits[main] == (2 if workers_split else 0)
+
+
+def ladder_fork(monkeypatch, on: bool) -> None:
+    """Two usable CPUs (``on``) or one, so the ladders fork or run here."""
+    monkeypatch.setattr(_rowblocks, "_usable_cpus", lambda: 2 if on else 1)
+
+
+def sparse_dc(circuit, **controls):
+    """A serial sparse DC on a fresh backend, with the backend's counters."""
+    solver = SparseSolver()
+    op = get_engine(circuit).solve_dc(solver=solver, **controls)
+    return op, solver.solver_stats()
+
+
+def assert_same_dc(got, whole):
+    (op, stats), (reference, reference_stats) = got, whole
+    assert op.solution.tobytes() == reference.solution.tobytes()
+    assert op.convergence_info == reference.convergence_info
+    assert (op.iterations, op.converged) == (reference.iterations, reference.converged)
+    assert np.float64(op.max_residual).tobytes() == np.float64(reference.max_residual).tobytes()
+    assert stats == reference_stats
+
+
+@pytest.mark.skipif(not scipy_available(), reason="needs the scipy optional extra")
+class TestLadderBesideThePlainRun:
+    @pytest.mark.parametrize(
+        "rows, strategy, iterations", [(8, "newton", 230), (14, "gmin-stepping", 286)]
+    )
+    def test_lattice_dc_matches_the_run_in_one_process(
+        self, monkeypatch, forks, rows, strategy, iterations
+    ):
+        # Row 8 (n=135) converges by plain Newton after the stall window,
+        # so its child is cancelled; row 14 (n=399) stalls, and its answer
+        # is the child's gmin ladder, 220 of its 286 rounds.
+        runs = {}
+        for on in (False, True):
+            ladder_fork(monkeypatch, on)
+            runs[on] = sparse_dc(build_scalability_bench(rows).circuit)
+        assert len(forks) == 1
+        assert_reaped(forks)
+        assert_same_dc(runs[True], runs[False])
+        info = runs[True][0].convergence_info
+        assert (info.strategy, info.iterations, info.factorizations) == (
+            strategy, iterations, iterations,
+        )
+        assert runs[True][1]["factorizations"] == iterations
+
+    def test_a_plain_run_that_converges_in_time_never_forks(self, monkeypatch):
+        # The 100-switch chain (n=303) converges in 10 rounds, before the
+        # stall window: no fork, no kill, no reap.
+        ladder_fork(monkeypatch, True)
+        forked = []
+        fork = _rowblocks._fork
+
+        def recorded():
+            forked.append(None)
+            return fork()
+
+        monkeypatch.setattr(_rowblocks, "_fork", recorded)
+        op, _ = sparse_dc(build_series_chain(100).circuit)
+        assert op.convergence_info.strategy == "newton"
+        assert op.iterations < engine_module.NEWTON_STALL_ROUNDS
+        assert op.circuit.system_size == 303
+        assert forked == []
+
+    @pytest.mark.parametrize(
+        "build, max_iterations, strategy, iterations",
+        [("weak_bias_chain", 10, "source-stepping", 81), ("runaway_node", 20, "failed", 240)],
+    )
+    def test_every_ladder_outcome_comes_back(
+        self, monkeypatch, forks, build, max_iterations, strategy, iterations
+    ):
+        # The ladder oracles' small circuits, with the size floor taken
+        # out.  Their plain runs end at their budget; with the stall window
+        # at the budget (a run cannot stall sooner) the ladders fork at
+        # the plain run's last round, and the story is the default one.
+        import test_solvers
+
+        monkeypatch.setattr(engine_module, "_LADDER_FORK_SIZE", 0)
+        monkeypatch.setattr(engine_module, "NEWTON_STALL_ROUNDS", max_iterations)
+        runs = {}
+        for on in (False, True):
+            ladder_fork(monkeypatch, on)
+            runs[on] = sparse_dc(getattr(test_solvers, build)(), max_iterations=max_iterations)
+        assert len(forks) == 1
+        assert_reaped(forks)
+        assert_same_dc(runs[True], runs[False])
+        op = runs[True][0]
+        assert (op.convergence_info.strategy, op.iterations) == (strategy, iterations)
+        assert op.converged == (strategy != "failed")
+
+    def test_a_killed_ladder_child_is_rerun_here(self, monkeypatch, forks):
+        ladder_fork(monkeypatch, False)
+        whole = sparse_dc(build_scalability_bench(14).circuit)
+        ladder_fork(monkeypatch, True)
+        parent = os.getpid()
+        row = AnalysisEngine._newton_row
+        rungs = []
+
+        def dies_in_the_child(self, *args, **kwargs):
+            if os.getpid() != parent:
+                rungs.append(None)
+                if len(rungs) == 3:  # mid-ladder
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return row(self, *args, **kwargs)
+
+        monkeypatch.setattr(AnalysisEngine, "_newton_row", dies_in_the_child)
+        ladders = []
+        run_ladders = AnalysisEngine._run_ladders
+
+        def recorded(self, *args, **kwargs):
+            ladders.append(os.getpid())
+            return run_ladders(self, *args, **kwargs)
+
+        monkeypatch.setattr(AnalysisEngine, "_run_ladders", recorded)
+        got = sparse_dc(build_scalability_bench(14).circuit)
+        assert ladders == [parent]
+        assert len(forks) == 1
+        assert_reaped(forks)
+        assert_same_dc(got, whole)
+
+    def test_a_plain_run_that_raises_kills_and_reaps_the_child(self):
+        # In a fresh process, whose only child can be the ladders' (a test
+        # process may hold other children, multiprocessing's resource
+        # tracker among them).
+        completed = subprocess.run(
+            [
+                sys.executable, "-c",
+                _RAISING_PLAIN_RUN_SCRIPT.format(src=SRC_DIR, tests=os.path.dirname(__file__)),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "ok"
+
+    def test_a_second_thread_means_no_fork(self, monkeypatch, forks):
+        import test_solvers
+
+        ladder_fork(monkeypatch, True)
+        monkeypatch.setattr(engine_module, "_LADDER_FORK_SIZE", 0)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            alone = sparse_dc(test_solvers.runaway_node(), max_iterations=20)
+        finally:
+            release.set()
+            thread.join()
+        assert forks == []
+        forked = sparse_dc(test_solvers.runaway_node(), max_iterations=20)
+        assert len(forks) == 1
+        assert_reaped(forks)
+        assert_same_dc(forked, alone)
+
+
+#: The ladder child sleeps instead of running its ladders, and the plain
+#: run raises right after the fork: the error reaches the caller at once,
+#: and no child process remains.
+_RAISING_PLAIN_RUN_SCRIPT = """
+import os, sys, time
+sys.path.insert(0, {src!r})
+sys.path.insert(0, {tests!r})
+from test_solvers import runaway_node
+from repro.spice import SparseSolver, _rowblocks, get_engine
+from repro.spice import engine as engine_module
+from repro.spice.engine import AnalysisEngine
+
+_rowblocks._usable_cpus = lambda: 2
+engine_module._LADDER_FORK_SIZE = 0
+AnalysisEngine._ladder_outcome = lambda self, *args: time.sleep(120)
+row = AnalysisEngine._newton_row
+fork = os.fork
+forks = []
+
+
+def recorded():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+
+def raises_after_the_fork(self, *args, stall_hook=None, **kwargs):
+    def hook():
+        stall_hook()
+        raise RuntimeError("the plain run failed")
+
+    return row(self, *args, stall_hook=stall_hook and hook, **kwargs)
+
+
+os.fork = recorded
+AnalysisEngine._newton_row = raises_after_the_fork
+start = time.monotonic()
+try:
+    get_engine(runaway_node()).solve_dc(solver=SparseSolver(), max_iterations=20)
+except RuntimeError as error:
+    assert str(error) == "the plain run failed", error
+else:
+    sys.exit("no error")
+assert time.monotonic() - start < 60.0
+assert len(forks) == 1, forks
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("ok")
+else:
+    sys.exit("a child process remains")
+"""

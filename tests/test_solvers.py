@@ -42,6 +42,7 @@ from repro.spice import (
     get_engine,
     get_solver,
 )
+from repro.spice import _rowblocks
 from repro.spice import solvers as solvers_module
 from repro.spice.netlist import AnalysisState
 from repro.spice.solvers import scipy_available
@@ -909,10 +910,12 @@ class TestColumnOrder:
     column order; the oracle in every case is plain ``splu`` on the same
     CSC data, and the answers must match it bit for bit."""
 
-    def test_lattice400_dc_matches_plain_splu_on_every_newton_matrix(self):
+    def test_lattice400_dc_matches_plain_splu_on_every_newton_matrix(self, monkeypatch):
         # The scalability DC's n=399 lattice with the default switch model:
         # 66 plain-Newton rounds until the stall rule stops them, then the
-        # whole gmin ladder.
+        # whole gmin ladder.  On one usable CPU the ladder runs here, so
+        # every one of its matrices is logged too.
+        monkeypatch.setattr(_rowblocks, "_usable_cpus", lambda: 1)
         bench = build_scalability_bench(14)
         engine = get_engine(bench.circuit)
         solver = SparseSolver()
@@ -926,16 +929,14 @@ class TestColumnOrder:
         assert splu_mismatches(engine.compiled.sparsity_pattern(), solves) == 0
 
     def test_topology_is_ordered_once(self, switch_model, monkeypatch):
-        import scipy.sparse.linalg
-
         specs = []
-        plain = scipy.sparse.linalg.splu
+        gstrf = solvers_module._superlu_gstrf()
 
-        def counting(matrix, **options):
-            specs.append(options.get("permc_spec"))
-            return plain(matrix, **options)
+        def counting(*args, options, **kwargs):
+            specs.append(options["ColPerm"])
+            return gstrf(*args, options=options, **kwargs)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+        monkeypatch.setattr(solvers_module, "_superlu_gstrf", lambda: counting)
         engine = get_engine(build_scalability_bench(6, model=switch_model).circuit)
         op = engine.solve_dc(solver="sparse")
         assert op.converged
@@ -1046,6 +1047,79 @@ class TestColumnOrder:
         assert solver.solver_stats()["factorizations"] == 2
         expected = [plain_splu_solve(pattern, d, r) for d, r in zip(stack[:2], rhs[:2])]
         assert np.array_equal(out, np.stack(expected))
+
+
+@pytest.fixture(scope="module")
+def lattice400_newton_matrices():
+    """The pattern and every logged ``(data, rhs, solution)`` of the n=399
+    lattice DC, all 286 rounds run in this process (one usable CPU)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_rowblocks, "_usable_cpus", lambda: 1)
+        engine = get_engine(build_scalability_bench(14).circuit)
+        solver = SparseSolver()
+        solves = record_sparse_solves(solver)
+        engine.solve_dc(solver=solver)
+    assert len(solves) == 286
+    return engine.compiled.sparsity_pattern(), solves
+
+
+def assert_same_lu(got, expected, rhs):
+    assert got.perm_r.tobytes() == expected.perm_r.tobytes()
+    assert got.perm_c.tobytes() == expected.perm_c.tobytes()
+    assert got.solve(rhs).tobytes() == expected.solve(rhs).tobytes()
+
+
+@requires_scipy
+class TestDirectSuperLU:
+    """``_splu`` hands the canonical CSC arrays straight to SciPy's SuperLU
+    binding with the options ``splu`` builds; its factors must be
+    ``splu``'s bit for bit, through the binding and through the fallback
+    route taken where the binding is missing."""
+
+    @pytest.mark.parametrize("binding", [True, False], ids=["gstrf", "splu-fallback"])
+    def test_every_lattice_newton_matrix(self, lattice400_newton_matrices, monkeypatch, binding):
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
+        assert solvers_module._superlu_gstrf() is not None
+        if not binding:
+            monkeypatch.setattr(solvers_module, "_superlu_gstrf", lambda: None)
+        pattern, solves = lattice400_newton_matrices
+        shape = (pattern.size, pattern.size)
+        order = None
+        for data, rhs, _ in solves:
+            # COLAMD on the pattern's CSC, as the pattern's first factorization.
+            system = csc_matrix((data, pattern.indices, pattern.indptr), shape=shape)
+            assert system.has_canonical_format
+            plain = splu(system)
+            direct = solvers_module._splu(pattern.size, data, pattern.indices, pattern.indptr)
+            assert_same_lu(direct, plain, rhs)
+            # NATURAL on the column-permuted CSC, as every later one.
+            if order is None:
+                order = solvers_module._ColumnOrder.of(pattern, plain.perm_c)
+            permuted = data[order.gather]
+            system = csc_matrix((permuted, order.indices, order.indptr), shape=shape)
+            assert system.has_canonical_format
+            natural = splu(system, permc_spec="NATURAL")
+            ordered = solvers_module._splu(
+                order.size, permuted, order.indices, order.indptr, "NATURAL"
+            )
+            assert_same_lu(ordered, natural, rhs)
+            assert order.factorize(data).solve(rhs).tobytes() == plain.solve(rhs).tobytes()
+
+    @pytest.mark.parametrize("binding", [True, False], ids=["gstrf", "splu-fallback"])
+    @pytest.mark.parametrize("permc_spec", [None, "NATURAL"])
+    def test_an_exactly_singular_matrix_raises_linalgerror(
+        self, monkeypatch, binding, permc_spec
+    ):
+        if not binding:
+            monkeypatch.setattr(solvers_module, "_superlu_gstrf", lambda: None)
+        # Column 1 holds one explicit zero.
+        data = np.array([1.0, 0.0])
+        indices = np.array([0, 1], dtype=np.int32)
+        indptr = np.array([0, 1, 2], dtype=np.int32)
+        with pytest.raises(np.linalg.LinAlgError):
+            solvers_module._splu(2, data, indices, indptr, permc_spec)
 
 
 # ---------------------------------------------------------------------- #
