@@ -6,7 +6,7 @@ and one closure per store operation.  The policy only pays its way if a
 *healthy* backend barely notices it, so this benchmark pins:
 
 * ``overhead_pct`` per backend — a warm ``get`` through the wrapper vs
-  the raw backend (reported for all four backends; the pin rides on the
+  the raw backend (reported for all three backends; the pin rides on the
   end-to-end figure below, where a real study spends its time);
 * ``session_overhead_pct`` — a warm ``Session.run`` cache hit (spec
   hashing + store read + deserialization) with and without the wrapper,
@@ -29,12 +29,7 @@ from _bench_utils import report, write_bench_json
 
 from repro.api import CircuitSpec, DCOp, ResilientStore, Session
 from repro.api.results import Result
-from repro.api.stores import (
-    JSONDirectoryStore,
-    MemoryStore,
-    SQLiteStore,
-    TieredStore,
-)
+from repro.api.stores import MemoryStore, SQLiteStore, resolve_store
 from repro.testing import FaultPlan, FaultyStore
 
 TRIALS = int(os.environ.get("STORE_BENCH_TRIALS", "64"))
@@ -79,11 +74,8 @@ def test_resilient_wrapper_overhead(tmp_path):
     def backends(root):
         return {
             "memory": MemoryStore(),
-            "jsondir": JSONDirectoryStore(str(root / "json")),
             "sqlite": SQLiteStore(str(root / "results.db")),
-            "tiered": TieredStore(
-                MemoryStore(), JSONDirectoryStore(str(root / "tiered"))
-            ),
+            "tiered": resolve_store(str(root / "tiered")),
         }
 
     payload = {"trials": TRIALS, "steps": STEPS, "backends": {}}

@@ -2,10 +2,10 @@
 
 The store seam's claim is that a cache hit is cheap relative to the solve
 it replaces, for every backend a Session can mount: the in-memory LRU
-(:class:`~repro.api.stores.MemoryStore`), the durable JSON directory
-(:class:`~repro.api.stores.JSONDirectoryStore`), the multi-process SQLite
+(:class:`~repro.api.stores.MemoryStore`), the durable multi-process SQLite
 database (:class:`~repro.api.stores.SQLiteStore`) and the memory-over-disk
-:class:`~repro.api.stores.TieredStore`.  This benchmark stores one
+:class:`~repro.api.stores.TieredStore` that a directory path mounts.  This
+benchmark stores one
 realistic result (a 64-trial Monte-Carlo transient payload) in each
 backend and measures:
 
@@ -32,12 +32,7 @@ from _bench_utils import report, write_bench_json
 
 from repro.api import Session
 from repro.api.results import Result
-from repro.api.stores import (
-    JSONDirectoryStore,
-    MemoryStore,
-    SQLiteStore,
-    TieredStore,
-)
+from repro.api.stores import MemoryStore, SQLiteStore, TieredStore, resolve_store
 
 #: Trials/steps of the synthetic stored payload (matches a 64-trial
 #: Fig. 11-class variability study: waveform + per-trial statistics).
@@ -78,11 +73,8 @@ def test_store_hit_latency(tmp_path):
     result = _payload()
     backends = {
         "memory": MemoryStore(),
-        "jsondir": JSONDirectoryStore(str(tmp_path / "json")),
         "sqlite": SQLiteStore(str(tmp_path / "results.db")),
-        "tiered": TieredStore(
-            MemoryStore(), JSONDirectoryStore(str(tmp_path / "tiered"))
-        ),
+        "tiered": resolve_store(str(tmp_path / "tiered")),
     }
     payload = {"trials": TRIALS, "steps": STEPS, "backends": {}}
     for name, store in backends.items():
@@ -102,7 +94,7 @@ def test_store_hit_latency(tmp_path):
 
     # A tiered cold hit (front empty, served + promoted from disk) vs the
     # warm front it leaves behind — the restart-then-replay scenario.
-    back = JSONDirectoryStore(str(tmp_path / "restart"))
+    back = SQLiteStore(str(tmp_path / "restart.db"))
     back.put("benchhash", result)
     def cold_read():
         tiered = TieredStore(MemoryStore(), back)

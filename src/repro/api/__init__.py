@@ -16,9 +16,9 @@ site.  This package replaces that wiring with a *declare, then run* model:
    uniform :class:`Result` records with provenance.
 3. **Stores** (:mod:`repro.api.stores`) — results live under the spec's
    content hash (:func:`spec_hash`) in a pluggable :class:`Store`:
-   in-memory LRU (:class:`MemoryStore`, the default), durable JSON files
-   (:class:`JSONDirectoryStore`), a multi-process SQLite database
-   (:class:`SQLiteStore`) or a memory-over-disk :class:`TieredStore`;
+   in-memory LRU (:class:`MemoryStore`, the default), a durable
+   multi-process SQLite database (:class:`SQLiteStore`) or a
+   memory-over-disk :class:`TieredStore` (what a directory path mounts);
    re-running a study recomputes only what changed, and the per-call
    ``cache="use"|"refresh"|"off"`` policy controls reads and writes.
 4. **Executors** (:mod:`repro.api.executors`) — the placement seam:
@@ -66,7 +66,6 @@ from repro.api.specs import (
     resolve_factory,
 )
 from repro.api.stores import (
-    JSONDirectoryStore,
     MemoryStore,
     ResilientStore,
     SQLiteStore,
@@ -89,7 +88,6 @@ __all__ = [
     "ResultSet",
     "Store",
     "MemoryStore",
-    "JSONDirectoryStore",
     "ResilientStore",
     "SQLiteStore",
     "TieredStore",

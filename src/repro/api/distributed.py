@@ -191,8 +191,8 @@ class StudyCoordinator:
     store:
         The shared store workers dedupe through and write results to.
         Must be multi-process shareable (``worker_view()`` non-``None``:
-        :class:`~repro.api.stores.SQLiteStore` or
-        :class:`~repro.api.stores.JSONDirectoryStore`).
+        a :class:`~repro.api.stores.SQLiteStore`, or a
+        :class:`~repro.api.stores.TieredStore` over one).
     max_task_retries:
         How many times one task may be requeued (worker death or error)
         before the run fails.
@@ -241,7 +241,7 @@ class StudyCoordinator:
         if store.worker_view() is None:
             raise ValueError(
                 "the distributed runner needs a multi-process shareable "
-                "store (SQLiteStore / JSONDirectoryStore); "
+                "store (a SQLiteStore, or a TieredStore over one); "
                 f"{type(store).__qualname__} is process-local"
             )
         if lease_timeout_s is not None and lease_timeout_s <= 0:
@@ -592,7 +592,7 @@ class DistributedExecutor(Executor):
     Store resolution, in order: an explicit ``store=`` here; the calling
     session's store (through
     :meth:`~repro.api.stores.Store.worker_view`, so a
-    ``Session(store="dir")`` tiered store shares its persistent back);
+    ``Session(store="dir")`` tiered store shares its ``dir/results.db``);
     otherwise a temporary :class:`~repro.api.stores.SQLiteStore` owned by
     this executor for the duration of the call.
 

@@ -16,8 +16,10 @@ Three executors ship:
   every worker through the pool initializer (the same
   pickled-compiled-circuit machinery the Monte-Carlo pool uses — workers
   skip netlist construction and compilation entirely), so fan-out pays
-  per-spec solve time only.  Specs are deterministic, so results are
-  bit-identical to a serial run whatever the worker count;
+  per-spec solve time only.  Workers start with the ``spawn`` method, as
+  the distributed runner's do: forking a parent whose BLAS threads are
+  alive is unsafe.  Specs are deterministic, so results are bit-identical
+  to a serial run whatever the worker count;
 * :class:`~repro.api.distributed.DistributedExecutor` (re-exported here)
   — a coordinator sharding specs to long-lived worker processes over a
   work queue, deduping through a shared :class:`~repro.api.stores.Store`
@@ -26,6 +28,7 @@ Three executors ship:
 
 from __future__ import annotations
 
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor as _PoolExecutor
 from typing import Any, Dict, List, Sequence
 
@@ -91,6 +94,7 @@ class ProcessExecutor(Executor):
         prebuilt = session.prepare_circuits(specs)
         with _PoolExecutor(
             max_workers=min(self.workers, len(specs)),
+            mp_context=multiprocessing.get_context("spawn"),
             initializer=_worker_init,
             initargs=(prebuilt,),
         ) as pool:

@@ -13,9 +13,9 @@ A :class:`Session` takes :mod:`repro.api.specs` specs and returns
 * **caching** — results are stored under the spec's content hash in the
   session's pluggable :class:`~repro.api.stores.Store`
   (:class:`~repro.api.stores.MemoryStore` by default; pass
-  ``store="some/dir"`` for memory over on-disk JSON, a
-  :class:`~repro.api.stores.SQLiteStore` for a multi-process shared
-  store, or ``store=None`` to disable); re-running an unchanged spec
+  ``store="some/dir"`` for memory over ``some/dir/results.db``, a
+  :class:`~repro.api.stores.SQLiteStore` instance for a database shared
+  elsewhere, or ``store=None`` to disable); re-running an unchanged spec
   performs zero Newton iterations (see :attr:`Session.last_stats`), and
   the per-call ``cache="use"|"refresh"|"off"`` policy controls reads and
   writes without manual eviction;
@@ -71,7 +71,7 @@ from repro.api.specs import (
     Transient,
     circuit_of,
 )
-from repro.api.stores import JSONDirectoryStore, MemoryStore, Store, TieredStore
+from repro.api.stores import MemoryStore, Store, resolve_store
 from repro.spice.elements.sources import VoltageSource
 from repro.spice.engine import get_engine
 from repro.spice.netlist import Circuit
@@ -214,11 +214,11 @@ class Session:
     store:
         Where results live, keyed by spec content hash: a
         :class:`~repro.api.stores.Store` instance (used as-is), a
-        directory path (memory in front of
-        :class:`~repro.api.stores.JSONDirectoryStore` — the durable
-        single-machine default), or ``None`` to disable caching.  Omitted
-        entirely, an in-memory :class:`~repro.api.stores.MemoryStore` is
-        used.
+        ``str`` or :class:`os.PathLike` directory path (memory in front of
+        ``<dir>/results.db``, a :class:`~repro.api.stores.SQLiteStore` —
+        see :func:`~repro.api.stores.resolve_store`), or ``None`` to
+        disable caching.  Omitted entirely, an in-memory
+        :class:`~repro.api.stores.MemoryStore` is used.
     executor:
         Default :class:`~repro.api.executors.Executor` for
         :meth:`run_many` (serial when omitted).
@@ -237,14 +237,7 @@ class Session:
             return MemoryStore()
         if store is None:
             return None
-        if isinstance(store, Store):
-            return store
-        if isinstance(store, (str, os.PathLike)):
-            return TieredStore(MemoryStore(), JSONDirectoryStore(store))
-        raise TypeError(
-            "store must be a repro.api.stores.Store, a directory path, or "
-            f"None to disable caching; got {type(store).__qualname__!r}"
-        )
+        return resolve_store(store)
 
     def last_stats_snapshot(self) -> RunStatsSnapshot:
         """A read-only copy of :attr:`last_stats`.

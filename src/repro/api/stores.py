@@ -5,21 +5,19 @@ directory of ``<hash>.json`` files) into one class.  This module cuts that
 into a :class:`Store` seam — ``get``/``put``/``delete``, key iteration and
 :meth:`~Store.query` over stored :class:`~repro.api.results.Result`
 records, TTL expiry and LRU eviction hooks, and provenance-aware
-invalidation — with three backends plus a composition:
+invalidation — with two backends plus a composition:
 
 * :class:`MemoryStore` — a process-local LRU-bounded dict (the session
   default; what ``Session()`` always gave you);
-* :class:`JSONDirectoryStore` — one ``<hash>.json`` per result, the exact
-  PR 4 on-disk serialization (bitwise round-trip preserved, so cache
-  directories written before this module existed stay valid).  Corrupt
-  files are quarantined as ``<hash>.json.corrupt`` on first detection
-  instead of being re-parsed on every later read;
 * :class:`SQLiteStore` — one SQLite database file, safe for concurrent
-  multi-process access (WAL journal, per-process connections); the shared
-  store of the distributed runner (:mod:`repro.api.distributed`);
+  multi-process access (WAL journal, per-process connections), the one
+  durable backend; the shared store of the distributed runner
+  (:mod:`repro.api.distributed`);
 * :class:`TieredStore` — a fast front (usually memory) over a persistent
   back, reads populating the front; ``Session(store="some/dir")`` builds
-  ``TieredStore(MemoryStore(), JSONDirectoryStore("some/dir"))``.
+  ``TieredStore(MemoryStore(), SQLiteStore("some/dir/results.db"))``
+  (:func:`resolve_store`), importing a directory of ``<hash>.json`` files
+  written by the removed JSON-file backend once.
 
 Every store keys on the spec content hash
 (:func:`repro.api.hashing.spec_hash`), so the dedupe guarantee of the
@@ -34,12 +32,10 @@ from __future__ import annotations
 import abc
 import collections
 import hashlib
-import json
 import os
 import random
 import re
 import sqlite3
-import tempfile
 import threading
 import time
 import warnings
@@ -131,17 +127,14 @@ class Store(abc.ABC):
     entry that a later ``get`` reads *partially* — readers see the old
     complete entry, the new complete entry, or a miss, even under
     concurrent writers or a crashed writer (torn entries found on disk are
-    quarantined/dropped as a miss, never returned).  How far "returned"
-    reaches is backend-specific: :class:`MemoryStore` entries die with the
-    process; :class:`JSONDirectoryStore` survives process death as soon as
-    ``put`` returns and, with the default ``fsync=True``, survives power
-    loss too (``fsync=False`` trades that for write latency — an
-    OS-buffered rename can land an empty or truncated file after a power
-    cut); :class:`SQLiteStore` inherits SQLite's WAL durability.  Callers
-    that must not die with their storage wrap any backend in
-    :class:`ResilientStore`, which converts backend exceptions into
-    degraded (miss/dropped) behaviour behind retries and a circuit
-    breaker.
+    dropped as a miss, never returned).  How far "returned" reaches is
+    backend-specific: :class:`MemoryStore` entries die with the process;
+    :class:`SQLiteStore` commits each ``put`` as one WAL transaction under
+    ``PRAGMA synchronous=FULL``, so it survives process death and power
+    loss as soon as ``put`` returns.  Callers that must not die with their
+    storage wrap any backend in :class:`ResilientStore`, which converts
+    backend exceptions into degraded (miss/dropped) behaviour behind
+    retries and a circuit breaker.
     """
 
     #: Seconds an entry stays servable; ``None`` means forever.
@@ -161,12 +154,12 @@ class Store(abc.ABC):
         """The stored result's canonical JSON text, or ``None`` on any miss.
 
         The text is :meth:`Result.to_json` of what :meth:`get` returns, and
-        this default computes exactly that.  Backends that keep the
-        canonical text (:class:`SQLiteStore`, :class:`JSONDirectoryStore`)
-        override it to return the stored text after the same validation
-        ``get`` runs, so a reader that only forwards the JSON skips the
-        re-encode; they parse a given payload once per process and serve
-        byte-identical re-reads on a matching SHA-256 digest.
+        this default computes exactly that.  :class:`SQLiteStore`, which
+        keeps the canonical text, overrides it to return the stored text
+        after the same validation ``get`` runs, so a reader that only
+        forwards the JSON skips the re-encode; it parses a given payload
+        once per process and serves byte-identical re-reads on a matching
+        SHA-256 digest.
         :class:`TieredStore` serves its back tier's text.
         """
         result = self.get(key)
@@ -390,201 +383,17 @@ class MemoryStore(Store):
             return before - len(self._entries)
 
 
-class JSONDirectoryStore(Store):
-    """One ``<hash>.json`` per result — the on-disk cache format.
-
-    The serialization is ``json.dump(result.to_jsonable(), sort_keys=True)``
-    — the :meth:`Result.to_json` text, which :meth:`get_json` serves —
-    behind an atomic ``os.replace``, unchanged since the first on-disk
-    cache, so existing cache directories keep working.  Atomic replacement
-    also makes concurrent writers safe: a reader sees either
-    the old complete file or the new complete file, never a torn mix.
-
-    A file that exists but does not parse is *quarantined* — renamed to
-    ``<hash>.json.corrupt`` — on first detection, with a one-time warning
-    naming the file, so later reads miss cheaply instead of re-parsing the
-    same broken bytes forever.
-
-    ``ttl_s`` reads entry age from the file mtime; :meth:`prune` drops
-    expired files and, with ``max_entries``, the oldest files beyond the
-    bound.
-
-    ``fsync=True`` (the default) flushes the temp file to stable storage
-    *before* the ``os.replace``: without it, a power loss shortly after
-    ``put`` returns can leave the rename on disk but not the data — a
-    present-looking ``<hash>.json`` that is empty or truncated, surfacing
-    much later as a quarantine.  Pass ``fsync=False`` to trade that
-    durability for put latency (a scratch cache that a re-run rebuilds
-    anyway loses nothing that matters).
-    """
-
-    def __init__(
-        self,
-        directory: str,
-        ttl_s: Optional[float] = None,
-        max_entries: Optional[int] = None,
-        fsync: bool = True,
-    ):
-        self.directory = os.fspath(directory)
-        self.ttl_s = ttl_s
-        self.max_entries = max_entries
-        self.fsync = fsync
-        os.makedirs(self.directory, exist_ok=True)
-        self._warned_corrupt = False
-        self._validated = _ValidatedDigests()
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{_check_key(key)}.json")
-
-    def get(self, key: str) -> Optional[Result]:
-        loaded = self._load(key, parse=True)
-        return None if loaded is None else loaded[1]
-
-    def get_json(self, key: str) -> Optional[str]:
-        """The file's text, once it has parsed into a valid :class:`Result`.
-
-        ``put`` writes the canonical :meth:`Result.to_json` text, so this
-        equals ``get(key).to_json()`` without the re-encode.  Expiry and
-        quarantine are those of :meth:`get` (one shared loader).  The
-        parse runs once per distinct text per process: a re-read whose
-        SHA-256 digest matches the text that last validated for the key
-        is served without parsing again, and a torn or rewritten file is
-        parsed (and, if broken, quarantined) as on first read.  A file
-        placed in the directory by other means is served as written once
-        it validates; only ``put`` guarantees the canonical form.
-        """
-        loaded = self._load(key, parse=False)
-        return None if loaded is None else loaded[0]
-
-    def _load(
-        self, key: str, parse: bool
-    ) -> Optional[Tuple[str, Optional[Result]]]:
-        """``(text, result)`` of a live, valid entry, else ``None``.
-
-        ``result`` is ``None`` when ``parse`` is false and these exact
-        bytes already validated in this process (see
-        :meth:`_ValidatedDigests.check`).
-        """
-        path = self._path(key)
-        try:
-            stat = os.stat(path)
-        except OSError:
-            return None
-        if self._expired(stat.st_mtime):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-            return text, self._validated.check(key, text, parse)
-        except OSError:
-            return None
-        except (ValueError, KeyError, TypeError):
-            self._quarantine(path)
-            return None
-
-    def _quarantine(self, path: str) -> None:
-        quarantined = path + ".corrupt"
-        try:
-            os.replace(path, quarantined)
-        except OSError:
-            return  # best effort; worst case the miss repeats next read
-        if not self._warned_corrupt:
-            self._warned_corrupt = True
-            warnings.warn(
-                f"corrupt result file quarantined as {quarantined!r}; "
-                "delete it (or restore a valid file) to reclaim the entry. "
-                "Further corrupt files in this store are quarantined "
-                "without a warning.",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-
-    def put(self, key: str, result: Result) -> None:
-        path = self._path(key)
-        # Atomic replace so a crashed writer never leaves a half-written
-        # JSON file that later reads would have to quarantine.
-        fd, temp_path = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(result.to_jsonable(), handle, sort_keys=True)
-                if self.fsync:
-                    # The data must be on stable storage before the rename
-                    # is: a power loss between an unsynced write and the
-                    # (journaled, often earlier-persisted) rename lands a
-                    # truncated or empty <hash>.json.
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
-
-    def delete(self, key: str) -> bool:
-        try:
-            os.unlink(self._path(key))
-        except OSError:
-            return False
-        return True
-
-    def keys(self) -> Iterator[str]:
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return iter(())
-        return iter(
-            sorted(
-                name[: -len(".json")]
-                for name in names
-                if name.endswith(".json") and not name.startswith(".tmp-")
-            )
-        )
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def prune(self) -> int:
-        aged = []
-        for key in list(self.keys()):
-            try:
-                mtime = os.stat(self._path(key)).st_mtime
-            except OSError:
-                continue
-            aged.append((mtime, key))
-        aged.sort()
-        dropped = 0
-        if self.ttl_s is not None:
-            for mtime, key in list(aged):
-                if self._expired(mtime):
-                    dropped += bool(self.delete(key))
-                    aged.remove((mtime, key))
-        if self.max_entries is not None:
-            while len(aged) > self.max_entries:
-                _, key = aged.pop(0)  # oldest first
-                dropped += bool(self.delete(key))
-        return dropped
-
-    def worker_view(self) -> "JSONDirectoryStore":
-        return self
-
-
 class SQLiteStore(Store):
     """Results in one SQLite database file, safe for concurrent processes.
 
     The payload column holds the exact :meth:`Result.to_json` text, so the
-    round trip is as bitwise-exact as the JSON directory layout.  The
-    database runs in WAL mode (readers never block the writer) with a busy
-    timeout, and every process/thread gets its own lazily opened
-    connection — the store object pickles freely to worker processes,
-    which is what the distributed runner relies on.
+    round trip is bitwise-exact.  The database runs in WAL mode (readers
+    never block the writer) with a busy timeout, and every process/thread
+    gets its own lazily opened connection — the store object pickles
+    freely to worker processes, which is what the distributed runner
+    relies on.  Every connection sets ``PRAGMA synchronous=FULL``: a
+    ``put`` that returned survives power loss, whatever default the
+    linked SQLite build gives WAL mode.
 
     ``ttl_s`` bounds entry age from the recorded creation time.  When
     ``max_entries`` is set, reads touch a last-access stamp and
@@ -632,6 +441,7 @@ class SQLiteStore(Store):
                 connection.execute("PRAGMA journal_mode=WAL")
             except sqlite3.OperationalError:
                 pass
+            connection.execute("PRAGMA synchronous=FULL")
             with connection:
                 connection.execute(self._SCHEMA)
             self._connections[ident] = connection
@@ -699,14 +509,9 @@ class SQLiteStore(Store):
         except (ValueError, KeyError, TypeError):
             with connection:
                 connection.execute("DELETE FROM results WHERE key = ?", (key,))
-            if not self._warned_corrupt:
-                self._warned_corrupt = True
-                warnings.warn(
-                    f"corrupt result row {key!r} dropped from {self.path!r}; "
-                    "further corrupt rows are dropped without a warning.",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
+            self._warn_corrupt(
+                f"corrupt result row {key!r} dropped from {self.path!r}"
+            )
             return None
         if self.max_entries is not None:
             # Track recency only when an LRU bound needs it: the touch is
@@ -718,6 +523,17 @@ class SQLiteStore(Store):
                     (time.time(), key),
                 )
         return payload, result
+
+    def _warn_corrupt(self, message: str) -> None:
+        """Warn of the first corrupt entry this store object meets."""
+        if not self._warned_corrupt:
+            self._warned_corrupt = True
+            warnings.warn(
+                f"{message}; further corrupt entries are dropped without a "
+                "warning.",
+                RuntimeWarning,
+                stacklevel=4,
+            )
 
     def put(self, key: str, result: Result) -> None:
         _check_key(key)
@@ -814,8 +630,9 @@ class TieredStore(Store):
     writes and deletes go to both.  :meth:`get_json` is the exception: it
     serves the back tier's stored text when the back holds the key, and
     re-encodes the front's result only otherwise.  ``TieredStore(MemoryStore(),
-    JSONDirectoryStore(dir))`` is what ``Session(store=dir)`` builds:
-    LRU-bounded memory over durable JSON files.
+    SQLiteStore(<dir>/results.db))`` is what ``Session(store=<dir>)``
+    builds (:func:`resolve_store`): LRU-bounded memory over one durable
+    database.
     """
 
     def __init__(self, front: Store, back: Optional[Store] = None):
@@ -883,6 +700,67 @@ class TieredStore(Store):
         if self.back is not None:
             return self.back.worker_view()
         return self.front.worker_view()
+
+
+def resolve_store(store: Any) -> Store:
+    """The store ``Session(store=...)`` and ``serve(store=...)`` mount.
+
+    A :class:`Store` is used as-is.  A directory path (``str`` or
+    :class:`os.PathLike`) mounts ``TieredStore(MemoryStore(),
+    SQLiteStore(<dir>/results.db))``; when this call creates the database
+    in a directory that holds ``<key>.json`` files (the layout of the
+    removed JSON-file backend), each of them is imported once.  Anything
+    else, a ``bytes`` path included, raises :class:`TypeError`.
+    """
+    if isinstance(store, Store):
+        return store
+    directory = (
+        os.fspath(store) if isinstance(store, (str, os.PathLike)) else None
+    )
+    if not isinstance(directory, str):
+        raise TypeError(
+            "store must be a repro.api.stores.Store, a str or os.PathLike "
+            f"directory path, or None; got {type(store).__qualname__!r}"
+        )
+    path = os.path.join(directory, "results.db")
+    created = not os.path.exists(path)
+    back = SQLiteStore(path)
+    if created:
+        _import_json_files(directory, back)
+    return TieredStore(MemoryStore(), back)
+
+
+def _import_json_files(directory: str, store: SQLiteStore) -> None:
+    """Put each ``<key>.json`` file of ``directory`` that parses into a
+    valid :class:`Result` into ``store`` under ``<key>``; skip any other
+    with the store's one-time warning.  Every file stays on disk."""
+    for name in sorted(os.listdir(directory)):
+        key = name[: -len(".json")]
+        if not name.endswith(".json") or key.startswith("."):
+            continue  # not an entry, or a crashed writer's temp file
+        path = os.path.join(directory, name)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                result = Result.from_json(handle.read())
+            store.put(key, result)
+        except (OSError, ValueError, KeyError, TypeError):
+            store._warn_corrupt(
+                f"corrupt result file {path!r} not imported into "
+                f"{store.path!r}"
+            )
+
+
+class JSONDirectoryStore:
+    """Removed: :class:`SQLiteStore` is the one durable backend, and
+    ``Session(store=<dir>)`` mounts ``<dir>/results.db``, importing the
+    directory's ``<key>.json`` files once (:func:`resolve_store`)."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError(
+            "JSONDirectoryStore was removed: use SQLiteStore(path), or "
+            "Session(store=<dir>), which mounts <dir>/results.db and "
+            "imports the directory's <key>.json files once"
+        )
 
 
 class ResilientStore(Store):

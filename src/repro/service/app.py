@@ -583,24 +583,9 @@ def serve(
     :class:`~repro.service.jobs.JobManager` (``job_timeout_s``,
     ``max_retries``, ``journal``, ...).
     """
-    from repro.api.stores import (
-        JSONDirectoryStore,
-        MemoryStore,
-        ResilientStore,
-        Store,
-        TieredStore,
-    )
+    from repro.api.stores import MemoryStore, ResilientStore, resolve_store
 
-    if store is None:
-        resolved: Store = MemoryStore()
-    elif isinstance(store, Store):
-        resolved = store
-    elif isinstance(store, (str, bytes)) or hasattr(store, "__fspath__"):
-        resolved = TieredStore(MemoryStore(), JSONDirectoryStore(store))
-    else:
-        raise TypeError(
-            "store must be a repro.api.stores.Store, a directory path, or None"
-        )
+    resolved = MemoryStore() if store is None else resolve_store(store)
     if resilient and not isinstance(resolved, ResilientStore):
         resolved = ResilientStore(resolved)
     manager = JobManager(store=resolved, workers=workers, **manager_kwargs)

@@ -19,8 +19,8 @@ store operation fails:
 * ``latency_s`` — injected delay before every covered operation (slow
   NFS, cold disks), for deadline tests;
 * ``torn_write_on`` — the Nth covered ``put`` *appears to succeed* but
-  leaves truncated bytes behind, which is what a power loss under a
-  non-fsynced writer looks like; later reads must quarantine, not crash.
+  leaves truncated bytes behind, the shape of a write that reached the
+  disk only in part; later reads must drop it as a miss, not crash.
 
 :class:`FaultyStore` applies a plan to any :class:`~repro.api.stores.
 Store`.  The worker-side chaos (hard kill, stall) that
@@ -118,10 +118,9 @@ class FaultyStore(Store):
     sequence that produced it.
 
     Torn writes are simulated against the wrapped backend's real
-    persistence: a :class:`~repro.api.stores.JSONDirectoryStore` entry is
-    truncated mid-file, a :class:`~repro.api.stores.SQLiteStore` row's
-    payload is cut in half, and any other backend simply loses the write —
-    in every case the ``put`` returns as if it succeeded.
+    persistence: a :class:`~repro.api.stores.SQLiteStore` row's payload
+    is cut in half, and any other backend simply loses the write — in
+    either case the ``put`` returns as if it succeeded.
 
     ``worker_view()`` returns the *inner* store's view: the plan's
     counters are process-local and do not follow the store across a
@@ -249,15 +248,6 @@ class FaultyStore(Store):
         if front is not None and back is not None:
             front.delete(key)
             inner = back
-        path_of = getattr(inner, "_path", None)
-        if callable(path_of):  # JSONDirectoryStore: truncate the file
-            path = path_of(key)
-            try:
-                with open(path, "rb+") as handle:
-                    handle.truncate(max(1, handle.seek(0, 2) // 2))
-            except OSError:
-                pass
-            return
         connection_of = getattr(inner, "_connection", None)
         if callable(connection_of):  # SQLiteStore: halve the payload text
             connection = connection_of()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import sqlite3
 
 import numpy as np
 import pytest
@@ -409,21 +410,45 @@ class TestSessionCaching:
             again.arrays["solution"], first.arrays["solution"]
         )
 
-    def test_corrupt_disk_entry_is_a_miss_and_quarantined(
+    def test_corrupt_disk_entry_is_a_miss_and_dropped(
         self, chain_spec, tmp_path
     ):
         directory = str(tmp_path / "store")
         spec = DCOp(circuit=chain_spec)
-        Session(store=directory).run(spec)
-        for name in os.listdir(directory):
-            with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
-                handle.write("{not json")
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            rerun = Session(store=directory).run(spec)
+        first = Session(store=directory).run(spec)
+        with sqlite3.connect(os.path.join(directory, "results.db")) as connection:
+            connection.execute("UPDATE results SET payload = '{not json'")
+        revived = Session(store=directory)
+        with pytest.warns(RuntimeWarning, match="dropped"):
+            rerun = revived.run(spec)
         assert not rerun.from_cache
-        assert any(
-            name.endswith(".json.corrupt") for name in os.listdir(directory)
-        )
+        assert revived.last_stats.newton_iterations > 0
+        assert rerun.to_json() == first.to_json()
+        # The recompute was stored again: the next session reads it.
+        assert Session(store=directory).run(spec).from_cache
+
+    def test_old_cache_directory_is_read_as_cache_hits(self, chain_spec, tmp_path):
+        # A directory written by the removed JSON-file backend: one
+        # <spec hash>.json per result, holding exactly Result.to_json().
+        directory = tmp_path / "store"
+        directory.mkdir()
+        spec = DCOp(circuit=chain_spec)
+        text = Session(store=None).run(spec).to_json()
+        path = directory / f"{spec_hash(spec)}.json"
+        path.write_text(text, encoding="utf-8")
+        (directory / "0000-truncated.json").write_text(text[:100], encoding="utf-8")
+        with pytest.warns(RuntimeWarning, match="not imported"):
+            session = Session(store=directory)
+        again = session.run(spec)
+        assert again.from_cache
+        assert session.last_stats.newton_iterations == 0
+        assert session.store.get_json(spec_hash(spec)) == text
+        assert again.to_json() == text
+        assert path.read_text(encoding="utf-8") == text
+
+    def test_bytes_store_path_is_rejected(self, tmp_path):
+        with pytest.raises(TypeError, match="directory path"):
+            Session(store=os.fsencode(str(tmp_path / "store")))
 
     def test_run_many_dedupes_identical_specs(self, chain_spec):
         session = Session()
@@ -488,7 +513,19 @@ class TestGridsAndExecutors:
         with pytest.raises(ValueError, match="no field"):
             expand_grid(DCOp(circuit=chain_spec), {"nonsense": (1,)})
 
-    def test_process_executor_matches_serial(self, switch_model):
+    def test_process_executor_matches_serial(self, switch_model, monkeypatch):
+        from repro.api import executors
+
+        # The workers are spawned, never forked from a parent whose BLAS
+        # threads may be alive.
+        contexts = []
+        pool = executors._PoolExecutor
+
+        def recording_pool(*args, **kwargs):
+            contexts.append(kwargs.get("mp_context"))
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(executors, "_PoolExecutor", recording_pool)
         template = DCOp(
             circuit=CircuitSpec(
                 CHAIN_FACTORY, params={"num_switches": 1, "model": switch_model}
@@ -499,9 +536,11 @@ class TestGridsAndExecutors:
         pooled = Session(store=None).run_many(
             specs, executor=ProcessExecutor(workers=2)
         )
+        assert [context.get_start_method() for context in contexts] == ["spawn"]
         for a, b in zip(serial, pooled):
             np.testing.assert_array_equal(a.arrays["solution"], b.arrays["solution"])
             assert a.scalars["iterations"] == b.scalars["iterations"]
+            assert a.to_json() == b.to_json()
 
     def test_single_worker_executor_degrades_to_serial(self, chain_spec):
         study = Session(store=None).run_many(

@@ -116,24 +116,16 @@ class TestFaultyStore:
         with pytest.raises(OSError):
             store.get("anything")
 
-    def test_torn_write_jsondir_reads_quarantine(self, tmp_path):
-        inner = build_store("jsondir", tmp_path)
-        store = FaultyStore(
-            inner, FaultPlan(ops=("put",), torn_write_on=(1,))
-        )
-        store.put("k", make_result(tag="torn"))        # "succeeds"
-        assert store.log == [("put", 1, "torn")]
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert inner.get("k") is None              # half a file on disk
-
     def test_torn_write_sqlite_drops_row(self, tmp_path):
         inner = build_store("sqlite", tmp_path)
         store = FaultyStore(
             inner, FaultPlan(ops=("put",), torn_write_on=(1,))
         )
-        store.put("k", make_result(tag="torn"))
+        store.put("k", make_result(tag="torn"))        # "succeeds"
+        assert store.log == [("put", 1, "torn")]
         with pytest.warns(RuntimeWarning, match="corrupt"):
-            assert inner.get("k") is None
+            assert inner.get("k") is None              # half a row on disk
+        assert len(inner) == 0                         # dropped, not kept
 
     def test_torn_write_tiered_does_not_hide_behind_front(self, tmp_path):
         inner = build_store("tiered", tmp_path)

@@ -467,12 +467,14 @@ def test_an_error_in_the_parent_block_leaves_no_child():
 
 
 #: Runs two batched Monte-Carlo studies here, then in two
-#: ``ProcessExecutor`` workers (forked or spawned) twice: as they are, and
-#: with the worker rule taken out (argv[1] == "split"), logging the pid
-#: that forked each child whose block stood (the child sent its summary).
-#: Every fork of this process counts its OS threads right after it, as
-#: Python 3.12+ does to warn that the child may deadlock, and the warning
-#: is an error in every version.
+#: ``ProcessExecutor`` workers twice: as they are, and with the worker
+#: rule taken out (argv[1] == "split"), logging the pid that forked each
+#: child whose block stood (the child sent its summary).  Every fork of
+#: this process counts its OS threads right after it, as Python 3.12+
+#: does to warn that the child may deadlock, and the warning is an error
+#: in every version.  The workers are spawned: each re-runs the module
+#: level, so the patches hold in them too, and only the main process runs
+#: the studies.
 _FORK_SCRIPT = """
 import hashlib, os, sys, warnings
 sys.path.insert(0, {src!r})
@@ -507,25 +509,26 @@ def logged(fd, payload):
 
 
 _rowblocks._write_all = logged
-bench = CircuitSpec(
-    "repro.experiments.variability_xor3:build_variability_bench",
-    params={{"step_duration_s": 10e-9}},
-)
-specs = [
-    MonteCarlo(
-        base=Transient(circuit=bench, timestep_s=1e-9),
-        perturbations={{"mos_vth": Gaussian(sigma=0.03)}},
-        trials=40, seed=seed, mode="batched", metric_node="out",
-    )
-    for seed in (1, 2)
-]
-serial = Session(store=None).run_many(specs)
-digest = lambda study: [hashlib.sha256(r.to_json().encode()).hexdigest() for r in study]
-if sys.argv[1] == "split":
+if sys.argv[1] == "split" and __name__ != "__main__":
     _rowblocks._in_worker = lambda: False
-pooled = Session(store=None).run_many(specs, executor=ProcessExecutor(workers=2))
-assert digest(pooled) == digest(serial)
-print(os.getpid())
+if __name__ == "__main__":
+    bench = CircuitSpec(
+        "repro.experiments.variability_xor3:build_variability_bench",
+        params={{"step_duration_s": 10e-9}},
+    )
+    specs = [
+        MonteCarlo(
+            base=Transient(circuit=bench, timestep_s=1e-9),
+            perturbations={{"mos_vth": Gaussian(sigma=0.03)}},
+            trials=40, seed=seed, mode="batched", metric_node="out",
+        )
+        for seed in (1, 2)
+    ]
+    serial = Session(store=None).run_many(specs)
+    digest = lambda study: [hashlib.sha256(r.to_json().encode()).hexdigest() for r in study]
+    pooled = Session(store=None).run_many(specs, executor=ProcessExecutor(workers=2))
+    assert digest(pooled) == digest(serial)
+    print(os.getpid())
 """
 
 
@@ -541,11 +544,10 @@ def test_executor_workers(tmp_path, workers_split):
     env = {name: value for name, value in os.environ.items() if name not in blas}
     if not workers_split:
         env.update(dict.fromkeys(blas, "1"))
+    script = tmp_path / "executor_workers.py"
+    script.write_text(_FORK_SCRIPT.format(src=SRC_DIR, log=str(log)))
     completed = subprocess.run(
-        [
-            sys.executable, "-c", _FORK_SCRIPT.format(src=SRC_DIR, log=str(log)),
-            "split" if workers_split else "whole",
-        ],
+        [sys.executable, str(script), "split" if workers_split else "whole"],
         capture_output=True,
         text=True,
         timeout=300,

@@ -754,8 +754,9 @@ class TestVerbatimResultRoute:
 def test_directory_store_result_route_serves_the_back_tier_text(
     tmp_path, monkeypatch
 ):
-    # serve(store=<dir>) is memory over JSON files: the route serves the
-    # file's validated text instead of re-encoding the memory tier's result.
+    # serve(store=<dir>) is memory over <dir>/results.db: the route serves
+    # the row's validated text instead of re-encoding the memory tier's
+    # result.
     from repro.api.results import Result
 
     spec = chain_spec(num_switches=3)
@@ -781,6 +782,25 @@ def test_directory_store_result_route_serves_the_back_tier_text(
     assert hashlib.sha256(first).hexdigest() == digest
     assert hashlib.sha256(second).hexdigest() == digest
     assert encodes == []
+
+
+@pytest.mark.parametrize("path", [b"cache", "cache"], ids=["bytes", "str"])
+def test_serve_store_path_is_checked_at_construction(path, tmp_path, monkeypatch):
+    # A bytes path used to be accepted here and fail on every later read
+    # ("Can't mix strings and bytes in path components"); Session and
+    # serve share one resolver, which rejects it before any listener.
+    monkeypatch.chdir(tmp_path)
+    if isinstance(path, bytes):
+        with pytest.raises(TypeError, match="directory path"):
+            serve(store=path, workers=1)
+        assert os.listdir(tmp_path) == []
+        return
+    with serve(store=path, workers=1) as server:
+        client = ServiceClient(server.url)
+        job_id = client.submit(chain_spec(num_switches=2))["id"]
+        client.wait(job_id, timeout_s=60)
+        assert client.result(job_id).kind == "dcop"
+    assert os.path.exists(tmp_path / "cache" / "results.db")
 
 
 def test_keep_alive_responses_do_not_stall():

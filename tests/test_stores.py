@@ -8,9 +8,10 @@ Covers the store redesign's acceptance criteria:
 * two processes writing and reading the same key concurrently never see
   a torn read (atomic writes), and the last writer wins;
 * TTL expiry and LRU eviction per backend, eagerly and via ``prune``;
-* a corrupt on-disk entry is quarantined as ``<hash>.json.corrupt`` on
-  first detection with a one-time warning (the SQLite equivalent drops
-  the row);
+* a corrupt SQLite row is dropped on first detection with a one-time
+  warning, and every connection runs ``PRAGMA synchronous=FULL``;
+* a directory path mounts memory over ``<dir>/results.db`` and imports
+  the ``<key>.json`` files of the removed JSON-file backend once;
 * provenance-aware invalidation keeps entries the current build would
   reproduce and drops the rest;
 * ``get_json`` returns exactly ``get(key).to_json()`` on every backend and
@@ -45,23 +46,20 @@ from repro.api.stores import (
     SQLiteStore,
     Store,
     TieredStore,
+    resolve_store,
 )
 from repro.testing.chaos import FaultPlan, FaultyStore
 
-BACKENDS = ("memory", "jsondir", "sqlite", "tiered")
+BACKENDS = ("memory", "sqlite", "tiered")
 
 
 def build_store(backend: str, root) -> Store:
     if backend == "memory":
         return MemoryStore()
-    if backend == "jsondir":
-        return JSONDirectoryStore(os.path.join(str(root), "json"))
     if backend == "sqlite":
         return SQLiteStore(os.path.join(str(root), "results.db"))
-    if backend == "tiered":
-        return TieredStore(
-            MemoryStore(), JSONDirectoryStore(os.path.join(str(root), "back"))
-        )
+    if backend == "tiered":  # what a directory path mounts
+        return resolve_store(os.path.join(str(root), "back"))
     raise ValueError(backend)
 
 
@@ -274,24 +272,6 @@ class TestEviction:
         assert store.get("k") is None
         assert len(store) == 0
 
-    def test_jsondir_ttl_reads_file_age(self, tmp_path):
-        store = JSONDirectoryStore(str(tmp_path), ttl_s=5.0)
-        store.put("k", make_result())
-        path = store._path("k")
-        past = time.time() - 10.0
-        os.utime(path, (past, past))
-        assert store.get("k") is None
-        assert not os.path.exists(path)  # expired file is dropped
-
-    def test_jsondir_prune_applies_both_bounds(self, tmp_path):
-        store = JSONDirectoryStore(str(tmp_path), ttl_s=5.0, max_entries=2)
-        for index in range(4):
-            store.put(f"k{index}", make_result(tag=str(index)))
-        past = time.time() - 10.0
-        os.utime(store._path("k0"), (past, past))  # expired
-        assert store.prune() == 2  # k0 by TTL, k1 as oldest beyond the bound
-        assert list(store.keys()) == ["k2", "k3"]
-
     def test_sqlite_ttl_expiry(self, tmp_path):
         store = SQLiteStore(os.path.join(str(tmp_path), "r.db"), ttl_s=5.0)
         store.put("k", make_result())
@@ -315,9 +295,20 @@ class TestEviction:
         assert store.get("b") is None  # least recently accessed
         assert store.get("a") is not None and store.get("c") is not None
 
+    def test_sqlite_prune_applies_both_bounds(self, tmp_path):
+        store = SQLiteStore(
+            os.path.join(str(tmp_path), "r.db"), ttl_s=5.0, max_entries=2
+        )
+        for index in range(4):
+            store.put(f"k{index}", make_result(tag=str(index)))
+            time.sleep(0.02)
+        backdate_entry(store, "k0", 10.0)  # expired
+        assert store.prune() == 2  # k0 by TTL, k1 as oldest beyond the bound
+        assert list(store.keys()) == ["k2", "k3"]
+
     def test_tiered_prune_reaches_both_layers(self, tmp_path):
         front = MemoryStore(max_entries=1)
-        back = JSONDirectoryStore(str(tmp_path), max_entries=2)
+        back = SQLiteStore(str(tmp_path / "r.db"), max_entries=2)
         store = TieredStore(front, back)
         for index in range(4):
             store.put(f"k{index}", make_result(tag=str(index)))
@@ -332,35 +323,6 @@ class TestEviction:
 
 
 class TestCorruption:
-    def test_jsondir_quarantines_corrupt_file_once(self, tmp_path):
-        store = JSONDirectoryStore(str(tmp_path))
-        store.put("k1", make_result(tag="a"))
-        store.put("k2", make_result(tag="b"))
-        for key in ("k1", "k2"):
-            with open(store._path(key), "w", encoding="utf-8") as handle:
-                handle.write("{torn")
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert store.get("k1") is None
-        assert os.path.exists(store._path("k1") + ".corrupt")
-        assert not os.path.exists(store._path("k1"))
-        # Second corrupt entry: quarantined silently (one-time warning).
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert store.get("k2") is None
-        assert os.path.exists(store._path("k2") + ".corrupt")
-        # Quarantined files are invisible to iteration and len.
-        assert len(store) == 0 and list(store.keys()) == []
-
-    def test_jsondir_recovers_after_quarantine(self, tmp_path):
-        store = JSONDirectoryStore(str(tmp_path))
-        store.put("k", make_result(tag="a"))
-        with open(store._path("k"), "w", encoding="utf-8") as handle:
-            handle.write("not json at all")
-        with pytest.warns(RuntimeWarning):
-            assert store.get("k") is None
-        store.put("k", make_result(tag="fresh"))
-        assert store.get("k").scalars["tag"] == "fresh"
-
     def test_sqlite_drops_corrupt_row_once(self, tmp_path):
         path = os.path.join(str(tmp_path), "r.db")
         store = SQLiteStore(path)
@@ -374,34 +336,6 @@ class TestCorruption:
             warnings.simplefilter("error")
             assert store.get("k2") is None
         assert len(store) == 0
-
-    def test_jsondir_get_json_quarantines_corrupt_file_once(self, tmp_path):
-        store = JSONDirectoryStore(str(tmp_path))
-        store.put("k1", make_result(tag="a"))
-        store.put("k2", make_result(tag="b"))
-        for key in ("k1", "k2"):
-            with open(store._path(key), "w", encoding="utf-8") as handle:
-                handle.write("{torn")
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert store.get_json("k1") is None
-        assert os.path.exists(store._path("k1") + ".corrupt")
-        assert not os.path.exists(store._path("k1"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert store.get_json("k2") is None
-        assert os.path.exists(store._path("k2") + ".corrupt")
-        assert len(store) == 0 and list(store.keys()) == []
-
-    def test_jsondir_get_json_rejects_valid_json_that_is_no_result(self, tmp_path):
-        # The text parses as JSON but fails Result validation (wrong
-        # schema version): it must be quarantined, not served.
-        store = JSONDirectoryStore(str(tmp_path))
-        store.put("k", make_result())
-        with open(store._path("k"), "w", encoding="utf-8") as handle:
-            handle.write('{"schema_version": -1}')
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert store.get_json("k") is None
-        assert os.path.exists(store._path("k") + ".corrupt")
 
     def test_sqlite_get_json_drops_corrupt_row_once(self, tmp_path):
         path = os.path.join(str(tmp_path), "r.db")
@@ -432,10 +366,30 @@ class TestCorruption:
             warnings.simplefilter("error")
             assert store.get("k2") is None
 
-    @pytest.mark.parametrize("backend", ["jsondir", "sqlite"])
-    def test_torn_write_is_never_served_as_text(self, backend, tmp_path):
+    def test_sqlite_recovers_after_a_dropped_row(self, tmp_path):
+        path = os.path.join(str(tmp_path), "r.db")
+        store = SQLiteStore(path)
+        store.put("k", make_result(tag="a"))
+        with sqlite3.connect(path) as connection:
+            connection.execute("UPDATE results SET payload = 'not json at all'")
+        with pytest.warns(RuntimeWarning, match="dropped"):
+            assert store.get("k") is None
+        store.put("k", make_result(tag="fresh"))
+        assert store.get("k").scalars["tag"] == "fresh"
+
+    def test_sqlite_get_json_rejects_valid_json_that_is_no_result(self, tmp_path):
+        # The text parses as JSON but fails Result validation (wrong
+        # schema version): it must be dropped, not served.
+        store = SQLiteStore(os.path.join(str(tmp_path), "r.db"))
+        store.put("k", make_result())
+        rewrite_entry(store, "k", '{"schema_version": -1}')
+        with pytest.warns(RuntimeWarning, match="corrupt result row"):
+            assert store.get_json("k") is None
+        assert len(store) == 0
+
+    def test_torn_write_is_never_served_as_text(self, tmp_path):
         store = FaultyStore(
-            build_store(backend, tmp_path),
+            build_store("sqlite", tmp_path),
             FaultPlan(ops=("put",), torn_write_on=(1,)),
         )
         store.put("k", make_result())
@@ -455,7 +409,7 @@ def build_get_json_store(backend: str, root) -> Store:
     if backend == "resilient":
         return ResilientStore(build_store("sqlite", root))
     if backend == "faulty":
-        return FaultyStore(build_store("jsondir", root), FaultPlan(ops=()))
+        return FaultyStore(build_store("sqlite", root), FaultPlan(ops=()))
     return build_store(backend, root)
 
 
@@ -488,14 +442,6 @@ class TestGetJsonExpiry:
         store._entries["k"] = (result, time.time() - 10.0)
         assert store.get_json("k") is None
         assert len(store) == 0
-
-    def test_jsondir(self, tmp_path):
-        store = JSONDirectoryStore(str(tmp_path), ttl_s=5.0)
-        store.put("k", make_result())
-        past = time.time() - 10.0
-        os.utime(store._path("k"), (past, past))
-        assert store.get_json("k") is None
-        assert not os.path.exists(store._path("k"))
 
     def test_sqlite(self, tmp_path):
         store = SQLiteStore(os.path.join(str(tmp_path), "r.db"), ttl_s=5.0)
@@ -561,33 +507,25 @@ def count_parses(monkeypatch) -> list:
     return parsed
 
 
-def rewrite_entry(store: Store, key: str, text: str) -> None:
+def rewrite_entry(store: SQLiteStore, key: str, text: str) -> None:
     """Overwrite a stored payload behind the store's back."""
-    if isinstance(store, SQLiteStore):
-        with sqlite3.connect(store.path) as connection:
-            connection.execute(
-                "UPDATE results SET payload = ? WHERE key = ?", (text, key)
-            )
-    else:
-        with open(store._path(key), "w", encoding="utf-8") as handle:
-            handle.write(text)
+    with sqlite3.connect(store.path) as connection:
+        connection.execute(
+            "UPDATE results SET payload = ? WHERE key = ?", (text, key)
+        )
 
 
-def backdate_entry(store: Store, key: str, age_s: float) -> None:
-    past = time.time() - age_s
-    if isinstance(store, SQLiteStore):
-        with sqlite3.connect(store.path) as connection:
-            connection.execute(
-                "UPDATE results SET created = ? WHERE key = ?", (past, key)
-            )
-    else:
-        os.utime(store._path(key), (past, past))
+def backdate_entry(store: SQLiteStore, key: str, age_s: float) -> None:
+    with sqlite3.connect(store.path) as connection:
+        connection.execute(
+            "UPDATE results SET created = ? WHERE key = ?",
+            (time.time() - age_s, key),
+        )
 
 
-@pytest.mark.parametrize("backend", ["jsondir", "sqlite"])
 class TestValidatedReadMemo:
-    def test_unchanged_entry_is_parsed_once(self, backend, tmp_path, monkeypatch):
-        store = build_store(backend, tmp_path)
+    def test_unchanged_entry_is_parsed_once(self, tmp_path, monkeypatch):
+        store = build_store("sqlite", tmp_path)
         result = make_result(kind="transient")
         store.put("k", result)
         parsed = count_parses(monkeypatch)
@@ -600,22 +538,16 @@ class TestValidatedReadMemo:
         assert len(parsed) == 2
 
     def test_entry_torn_after_a_validated_read_is_dropped(
-        self, backend, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch
     ):
-        store = build_store(backend, tmp_path)
+        store = build_store("sqlite", tmp_path)
         text = make_result().to_json()
         store.put("k", make_result())
         assert store.get_json("k") == text
-        if backend == "sqlite":
-            with sqlite3.connect(store.path) as connection:
-                connection.execute("UPDATE results SET payload = '{\"torn'")
-        else:
-            rewrite_entry(store, "k", text[: len(text) // 2])
+        rewrite_entry(store, "k", text[: len(text) // 2])
         with pytest.warns(RuntimeWarning, match="corrupt"):
             assert store.get_json("k") is None
         assert len(store) == 0
-        if backend == "jsondir":
-            assert os.path.exists(store._path("k") + ".corrupt")
         # The failure forgot the key: the same valid bytes, stored again,
         # are parsed again before they are served.
         store.put("k", make_result())
@@ -623,8 +555,8 @@ class TestValidatedReadMemo:
         assert store.get_json("k") == text
         assert len(parsed) == 1
 
-    def test_rewritten_entry_is_revalidated(self, backend, tmp_path, monkeypatch):
-        store = build_store(backend, tmp_path)
+    def test_rewritten_entry_is_revalidated(self, tmp_path, monkeypatch):
+        store = build_store("sqlite", tmp_path)
         store.put("k", make_result(tag="old"))
         assert store.get_json("k") is not None
         fresh = make_result(tag="new", value=-7.0).to_json()
@@ -635,8 +567,8 @@ class TestValidatedReadMemo:
         assert store.get_json("k") == fresh
         assert parsed == [fresh]
 
-    def test_ttl_expiry_applies_to_a_validated_entry(self, backend, tmp_path):
-        store = build_store(backend, tmp_path)
+    def test_ttl_expiry_applies_to_a_validated_entry(self, tmp_path):
+        store = build_store("sqlite", tmp_path)
         store.ttl_s = 5.0
         store.put("k", make_result())
         assert store.get_json("k") is not None
@@ -644,8 +576,8 @@ class TestValidatedReadMemo:
         assert store.get_json("k") is None
         assert len(store) == 0
 
-    def test_threads_reading_one_key_get_identical_text(self, backend, tmp_path):
-        store = build_store(backend, tmp_path)
+    def test_threads_reading_one_key_get_identical_text(self, tmp_path):
+        store = build_store("sqlite", tmp_path)
         result = make_result(kind="transient")
         store.put("k", result)
         texts = []
@@ -670,9 +602,9 @@ class TestValidatedReadMemo:
         assert len(texts) == 160
         assert set(texts) == {result.to_json()}
 
-    def test_memo_is_bounded(self, backend, tmp_path, monkeypatch):
+    def test_memo_is_bounded(self, tmp_path, monkeypatch):
         monkeypatch.setattr(stores, "_VALIDATED_DIGESTS_MAX", 2)
-        store = build_store(backend, tmp_path)
+        store = build_store("sqlite", tmp_path)
         for key in ("a", "b", "c"):
             store.put(key, make_result(tag=key))
             assert store.get_json(key) is not None
@@ -681,8 +613,8 @@ class TestValidatedReadMemo:
         assert store.get_json("a") is not None  # forgotten: parsed again
         assert len(parsed) == 1
 
-    def test_pickled_store_validates_afresh(self, backend, tmp_path, monkeypatch):
-        store = build_store(backend, tmp_path)
+    def test_pickled_store_validates_afresh(self, tmp_path, monkeypatch):
+        store = build_store("sqlite", tmp_path)
         text = make_result().to_json()
         store.put("k", make_result())
         assert store.get_json("k") == text
@@ -722,27 +654,16 @@ def test_sqlite_lru_touch_is_written_on_a_validated_read(tmp_path, monkeypatch):
 _HAMMER_ITERATIONS = 40
 
 
-def _hammer_jsondir(directory: str, key: str, writer_id: int) -> None:
-    store = JSONDirectoryStore(directory)
-    for index in range(_HAMMER_ITERATIONS):
-        store.put(key, make_result(tag="w", value=writer_id * 1000.0 + index))
-
-
 def _hammer_sqlite(path: str, key: str, writer_id: int) -> None:
     store = SQLiteStore(path)
     for index in range(_HAMMER_ITERATIONS):
         store.put(key, make_result(tag="w", value=writer_id * 1000.0 + index))
 
 
-@pytest.mark.parametrize("backend", ["jsondir", "sqlite"])
-def test_concurrent_writers_same_key_no_torn_reads(backend, tmp_path):
+def test_concurrent_writers_same_key_no_torn_reads(tmp_path):
     """Two processes hammering one key: every read is a complete record."""
-    if backend == "jsondir":
-        target, location = _hammer_jsondir, os.path.join(str(tmp_path), "d")
-        store = JSONDirectoryStore(location)
-    else:
-        target, location = _hammer_sqlite, os.path.join(str(tmp_path), "r.db")
-        store = SQLiteStore(location)
+    location = os.path.join(str(tmp_path), "r.db")
+    store = SQLiteStore(location)
     key = "contested"
     valid_values = {
         writer_id * 1000.0 + index
@@ -751,7 +672,7 @@ def test_concurrent_writers_same_key_no_torn_reads(backend, tmp_path):
     }
     context = multiprocessing.get_context("fork")
     writers = [
-        context.Process(target=target, args=(location, key, writer_id))
+        context.Process(target=_hammer_sqlite, args=(location, key, writer_id))
         for writer_id in (1, 2)
     ]
     for writer in writers:
@@ -760,8 +681,7 @@ def test_concurrent_writers_same_key_no_torn_reads(backend, tmp_path):
     while any(writer.is_alive() for writer in writers):
         result = store.get(key)
         if result is not None:
-            # A torn read would fail to parse (and, for the JSON store,
-            # quarantine the file — asserted against below).
+            # A torn read would fail to parse and drop the row.
             assert result.scalars["tag"] == "w"
             assert float(result.arrays["data"][0]) in valid_values
             observed += 1
@@ -776,10 +696,6 @@ def test_concurrent_writers_same_key_no_torn_reads(backend, tmp_path):
         1000.0 + _HAMMER_ITERATIONS - 1,
         2000.0 + _HAMMER_ITERATIONS - 1,
     }
-    if backend == "jsondir":
-        assert not any(
-            name.endswith(".corrupt") for name in os.listdir(location)
-        )
 
 
 def test_memory_store_is_thread_safe_under_contention():
@@ -832,7 +748,7 @@ def test_memory_store_is_thread_safe_under_contention():
 
 class TestComposition:
     def test_tiered_read_through_populates_front(self, tmp_path):
-        back = JSONDirectoryStore(str(tmp_path))
+        back = SQLiteStore(str(tmp_path / "r.db"))
         back.put("k", make_result(tag="deep"))
         store = TieredStore(MemoryStore(), back)
         assert len(store.front) == 0
@@ -841,12 +757,10 @@ class TestComposition:
 
     def test_worker_views(self, tmp_path):
         assert MemoryStore().worker_view() is None
-        json_store = JSONDirectoryStore(str(tmp_path / "j"))
-        assert json_store.worker_view() is json_store
         sqlite_store = SQLiteStore(str(tmp_path / "r.db"))
         assert sqlite_store.worker_view() is sqlite_store
-        tiered = TieredStore(MemoryStore(), json_store)
-        assert tiered.worker_view() is json_store
+        tiered = TieredStore(MemoryStore(), sqlite_store)
+        assert tiered.worker_view() is sqlite_store
         assert TieredStore(MemoryStore()).worker_view() is None
 
     def test_sqlite_store_pickles_without_connections(self, tmp_path):
@@ -859,7 +773,7 @@ class TestComposition:
         assert clone.get("k").scalars["tag"] == "x"
 
     def test_resultset_from_store_ordered_keys(self, tmp_path):
-        store = JSONDirectoryStore(str(tmp_path))
+        store = SQLiteStore(str(tmp_path / "r.db"))
         store.put("k1", make_result(kind="dcop", tag="a"))
         store.put("k2", make_result(kind="transient", tag="b"))
         study = ResultSet.from_store(store, keys=["k2", "k1"])
@@ -887,7 +801,7 @@ class TestFromStorePagination:
         return store
 
     def test_pages_follow_sorted_key_order(self, tmp_path):
-        store = self.fill(JSONDirectoryStore(str(tmp_path)))
+        store = self.fill(SQLiteStore(str(tmp_path / "r.db")))
         first = ResultSet.from_store(store, limit=3)
         second = ResultSet.from_store(store, limit=3, offset=3)
         third = ResultSet.from_store(store, limit=3, offset=6)
@@ -908,12 +822,12 @@ class TestFromStorePagination:
         assert [r.scalars["tag"] for r in page] == ["t2", "t4"]
 
     def test_offset_past_end_and_zero_limit(self, tmp_path):
-        store = self.fill(JSONDirectoryStore(str(tmp_path)))
+        store = self.fill(SQLiteStore(str(tmp_path / "r.db")))
         assert len(ResultSet.from_store(store, offset=100)) == 0
         assert len(ResultSet.from_store(store, limit=0)) == 0
 
     def test_explicit_keys_page_but_still_validate(self, tmp_path):
-        store = self.fill(JSONDirectoryStore(str(tmp_path)))
+        store = self.fill(SQLiteStore(str(tmp_path / "r.db")))
         page = ResultSet.from_store(
             store, keys=["k6", "k3", "k0"], limit=1, offset=1
         )
@@ -924,7 +838,7 @@ class TestFromStorePagination:
             ResultSet.from_store(store, keys=["k0", "k1", "missing"], limit=1)
 
     def test_negative_paging_rejected(self, tmp_path):
-        store = JSONDirectoryStore(str(tmp_path))
+        store = SQLiteStore(str(tmp_path / "r.db"))
         with pytest.raises(ValueError, match="limit"):
             ResultSet.from_store(store, limit=-1)
         with pytest.raises(ValueError, match="offset"):
@@ -932,30 +846,115 @@ class TestFromStorePagination:
 
 
 # ---------------------------------------------------------------------- #
-# durability knobs
+# durability and the directory mount
 # ---------------------------------------------------------------------- #
 
 
 class TestDurability:
-    def test_jsondir_fsyncs_before_replace_by_default(self, tmp_path, monkeypatch):
-        real_fsync = os.fsync
-        synced = []
+    def test_every_connection_runs_synchronous_full(self, tmp_path, monkeypatch):
+        # A build whose WAL default is NORMAL would not sync the log on
+        # commit; emulate one, so the store has to set FULL itself.
+        connect = sqlite3.connect
 
-        def spying_fsync(fd):
-            synced.append(fd)
-            real_fsync(fd)
+        def normal_by_default(*args, **kwargs):
+            connection = connect(*args, **kwargs)
+            connection.execute("PRAGMA synchronous=NORMAL")
+            return connection
 
-        monkeypatch.setattr(os, "fsync", spying_fsync)
-        durable = JSONDirectoryStore(os.path.join(str(tmp_path), "durable"))
-        assert durable.fsync is True
-        durable.put("k", make_result(tag="flushed"))
-        assert synced  # bytes reached stable storage before os.replace
+        monkeypatch.setattr(sqlite3, "connect", normal_by_default)
+        store = SQLiteStore(str(tmp_path / "r.db"))
+        store.put("k", make_result())
+        copy = pickle.loads(pickle.dumps(store))
+        assert copy._connections == {}
+        assert copy.get("k") is not None
+        for connection in (store._connection(), copy._connection()):
+            assert connection.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+            # 2 is FULL: each commit syncs the write-ahead log.
+            assert connection.execute("PRAGMA synchronous").fetchone() == (2,)
 
-        synced.clear()
-        relaxed = JSONDirectoryStore(
-            os.path.join(str(tmp_path), "relaxed"), fsync=False
+
+def write_parent_format(directory, results) -> dict:
+    """Write ``{key: result}`` as the removed JSON-file backend did: one
+    ``<key>.json`` holding exactly ``Result.to_json()``.  Returns the texts."""
+    os.makedirs(directory, exist_ok=True)
+    texts = {}
+    for key, result in results.items():
+        texts[key] = result.to_json()
+        with open(os.path.join(directory, f"{key}.json"), "w", encoding="utf-8") as handle:
+            handle.write(texts[key])
+    return texts
+
+
+class TestDirectoryMount:
+    def test_a_directory_mounts_memory_over_results_db(self, tmp_path):
+        for path in (str(tmp_path / "a"), tmp_path / "b"):
+            store = resolve_store(path)
+            assert isinstance(store, TieredStore)
+            assert isinstance(store.front, MemoryStore)
+            assert isinstance(store.back, SQLiteStore)
+            assert store.back.path == os.path.join(os.fspath(path), "results.db")
+            assert store.worker_view() is store.back
+        instance = MemoryStore()
+        assert resolve_store(instance) is instance
+
+    @pytest.mark.parametrize("bad", [b"cache", 3, ["cache"]], ids=["bytes", "int", "list"])
+    def test_anything_else_is_rejected(self, bad, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(TypeError, match="directory path"):
+            resolve_store(bad)
+        assert os.listdir(tmp_path) == []
+
+    def test_old_directory_is_imported_once(self, tmp_path):
+        directory = str(tmp_path / "cache")
+        texts = write_parent_format(
+            directory,
+            {
+                "k1": make_result(tag="a"),
+                "k2": make_result(kind="transient", tag="b", value=-2.5e-17),
+            },
         )
-        relaxed.put("k", make_result(tag="flushed"))
-        assert synced == []  # the knob trades durability for latency
-        # either way the round trip is bitwise-identical
-        assert relaxed.get("k").to_json() == durable.get("k").to_json()
+        # A crashed writer's temp file and a quarantined entry are no entries.
+        for name in (".tmp-x.json", "k3.json.corrupt"):
+            with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+                handle.write(texts["k1"])
+        before = sorted(os.listdir(directory))
+        store = resolve_store(directory)
+        assert "results.db" in os.listdir(directory)
+        assert list(store.keys()) == ["k1", "k2"]
+        for key, text in texts.items():
+            assert store.get_json(key) == text
+            assert store.get(key).to_json() == text
+        left = [name for name in os.listdir(directory) if not name.startswith("results.db")]
+        assert sorted(left) == before  # every file stays on disk
+        # The database exists now: a later mount imports nothing again.
+        store.delete("k1")
+        assert list(resolve_store(directory).keys()) == ["k2"]
+
+    def test_unreadable_files_are_skipped_with_one_warning(self, tmp_path):
+        directory = str(tmp_path / "cache")
+        texts = write_parent_format(
+            directory,
+            {key: make_result(tag=key) for key in ("bad1", "bad2", "good")},
+        )
+        for key in ("bad1", "bad2"):
+            with open(os.path.join(directory, f"{key}.json"), "w", encoding="utf-8") as handle:
+                handle.write(texts[key][: len(texts[key]) // 2])
+        with pytest.warns(RuntimeWarning, match="not imported") as caught:
+            store = resolve_store(directory)
+        assert len(caught) == 1
+        assert list(store.keys()) == ["good"]
+        assert store.get_json("good") == texts["good"]
+        with open(os.path.join(directory, "bad1.json"), encoding="utf-8") as handle:
+            assert handle.read() == texts["bad1"][: len(texts["bad1"]) // 2]
+
+    def test_the_json_directory_store_is_gone(self, tmp_path):
+        import repro.api
+
+        with pytest.raises(TypeError, match=r"SQLiteStore.*Session\(store=<dir>\)"):
+            JSONDirectoryStore(str(tmp_path))
+        with pytest.raises(TypeError, match="removed"):
+            JSONDirectoryStore(str(tmp_path), fsync=False)
+        assert not {"get", "put"} & set(vars(JSONDirectoryStore))
+        assert os.listdir(tmp_path) == []
+        assert "JSONDirectoryStore" not in repro.api.__all__
+        assert not hasattr(repro.api, "JSONDirectoryStore")
