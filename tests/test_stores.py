@@ -12,6 +12,9 @@ Covers the store redesign's acceptance criteria:
   warning, and every connection runs ``PRAGMA synchronous=FULL``;
 * a directory path mounts memory over ``<dir>/results.db`` and imports
   the ``<key>.json`` files of the removed JSON-file backend once;
+* the pickled ``worker_view()`` of that mount, which is what a spawned or
+  distributed worker holds, meets the same contract as the store it
+  came from;
 * provenance-aware invalidation keeps entries the current build would
   reproduce and drops the rest;
 * ``get_json`` returns exactly ``get(key).to_json()`` on every backend and
@@ -50,7 +53,7 @@ from repro.api.stores import (
 )
 from repro.testing.chaos import FaultPlan, FaultyStore
 
-BACKENDS = ("memory", "sqlite", "tiered")
+BACKENDS = ("memory", "sqlite", "tiered", "worker")
 
 
 def build_store(backend: str, root) -> Store:
@@ -60,6 +63,9 @@ def build_store(backend: str, root) -> Store:
         return SQLiteStore(os.path.join(str(root), "results.db"))
     if backend == "tiered":  # what a directory path mounts
         return resolve_store(os.path.join(str(root), "back"))
+    if backend == "worker":  # what a spawned worker receives of that mount
+        mount = resolve_store(os.path.join(str(root), "worker"))
+        return pickle.loads(pickle.dumps(mount.worker_view()))
     raise ValueError(backend)
 
 
@@ -523,9 +529,10 @@ def backdate_entry(store: SQLiteStore, key: str, age_s: float) -> None:
         )
 
 
+@pytest.mark.parametrize("backend", ["sqlite", "worker"])
 class TestValidatedReadMemo:
-    def test_unchanged_entry_is_parsed_once(self, tmp_path, monkeypatch):
-        store = build_store("sqlite", tmp_path)
+    def test_unchanged_entry_is_parsed_once(self, backend, tmp_path, monkeypatch):
+        store = build_store(backend, tmp_path)
         result = make_result(kind="transient")
         store.put("k", result)
         parsed = count_parses(monkeypatch)
@@ -538,9 +545,9 @@ class TestValidatedReadMemo:
         assert len(parsed) == 2
 
     def test_entry_torn_after_a_validated_read_is_dropped(
-        self, tmp_path, monkeypatch
+        self, backend, tmp_path, monkeypatch
     ):
-        store = build_store("sqlite", tmp_path)
+        store = build_store(backend, tmp_path)
         text = make_result().to_json()
         store.put("k", make_result())
         assert store.get_json("k") == text
@@ -555,8 +562,8 @@ class TestValidatedReadMemo:
         assert store.get_json("k") == text
         assert len(parsed) == 1
 
-    def test_rewritten_entry_is_revalidated(self, tmp_path, monkeypatch):
-        store = build_store("sqlite", tmp_path)
+    def test_rewritten_entry_is_revalidated(self, backend, tmp_path, monkeypatch):
+        store = build_store(backend, tmp_path)
         store.put("k", make_result(tag="old"))
         assert store.get_json("k") is not None
         fresh = make_result(tag="new", value=-7.0).to_json()
@@ -567,8 +574,8 @@ class TestValidatedReadMemo:
         assert store.get_json("k") == fresh
         assert parsed == [fresh]
 
-    def test_ttl_expiry_applies_to_a_validated_entry(self, tmp_path):
-        store = build_store("sqlite", tmp_path)
+    def test_ttl_expiry_applies_to_a_validated_entry(self, backend, tmp_path):
+        store = build_store(backend, tmp_path)
         store.ttl_s = 5.0
         store.put("k", make_result())
         assert store.get_json("k") is not None
@@ -576,8 +583,8 @@ class TestValidatedReadMemo:
         assert store.get_json("k") is None
         assert len(store) == 0
 
-    def test_threads_reading_one_key_get_identical_text(self, tmp_path):
-        store = build_store("sqlite", tmp_path)
+    def test_threads_reading_one_key_get_identical_text(self, backend, tmp_path):
+        store = build_store(backend, tmp_path)
         result = make_result(kind="transient")
         store.put("k", result)
         texts = []
@@ -602,9 +609,9 @@ class TestValidatedReadMemo:
         assert len(texts) == 160
         assert set(texts) == {result.to_json()}
 
-    def test_memo_is_bounded(self, tmp_path, monkeypatch):
+    def test_memo_is_bounded(self, backend, tmp_path, monkeypatch):
         monkeypatch.setattr(stores, "_VALIDATED_DIGESTS_MAX", 2)
-        store = build_store("sqlite", tmp_path)
+        store = build_store(backend, tmp_path)
         for key in ("a", "b", "c"):
             store.put(key, make_result(tag=key))
             assert store.get_json(key) is not None
@@ -613,8 +620,8 @@ class TestValidatedReadMemo:
         assert store.get_json("a") is not None  # forgotten: parsed again
         assert len(parsed) == 1
 
-    def test_pickled_store_validates_afresh(self, tmp_path, monkeypatch):
-        store = build_store("sqlite", tmp_path)
+    def test_pickled_store_validates_afresh(self, backend, tmp_path, monkeypatch):
+        store = build_store(backend, tmp_path)
         text = make_result().to_json()
         store.put("k", make_result())
         assert store.get_json("k") == text
