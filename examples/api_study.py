@@ -12,7 +12,7 @@ The session compiles every distinct circuit once, caches each result under
 its spec's content hash (in memory here; pass ``store="some/dir"`` for a
 persistent on-disk store, or any :mod:`repro.api.stores` backend), and
 fans independent specs out through the executor seam — the
-:class:`repro.api.ProcessExecutor` below runs the Monte-Carlo study on
+:class:`repro.api.DistributedExecutor` below runs the Monte-Carlo study on
 worker processes without changing a line of the spec.
 
 Run with ``PYTHONPATH=src python examples/api_study.py``.
@@ -25,8 +25,8 @@ from repro.api import (
     Corners,
     DCOp,
     DCSweep,
+    DistributedExecutor,
     MonteCarlo,
-    ProcessExecutor,
     ResultSet,
     Session,
     Transient,
@@ -72,7 +72,7 @@ def main() -> None:
 
     # --- Monte Carlo through the executor seam --------------------------
     # Two independent studies (two seeds) fan out across two worker
-    # processes; a single spec would short-circuit to the serial path.
+    # processes; a single spec is better run in-process by session.run.
     mc_specs = [
         MonteCarlo(
             circuit=chain,
@@ -82,7 +82,7 @@ def main() -> None:
         )
         for seed in (2019, 2020)
     ]
-    mc_results = session.run_many(mc_specs, executor=ProcessExecutor(workers=2))
+    mc_results = session.run_many(mc_specs, executor=DistributedExecutor(workers=2))
     for spec_mc, mc in zip(mc_specs, mc_results):
         currents = abs(mc.source_current("v_drive")) * 1e6
         print(

@@ -22,11 +22,11 @@ site.  This package replaces that wiring with a *declare, then run* model:
    re-running a study recomputes only what changed, and the per-call
    ``cache="use"|"refresh"|"off"`` policy controls reads and writes.
 4. **Executors** (:mod:`repro.api.executors`) — the placement seam:
-   :class:`SerialExecutor` (default), :class:`ProcessExecutor` (fans
-   independent specs across worker processes on pickled compiled
-   circuits), or the queue-based :class:`DistributedExecutor`
-   (:mod:`repro.api.distributed`) whose workers dedupe through a shared
-   store and survive worker death via requeue.
+   :class:`SerialExecutor` (default) or :class:`DistributedExecutor`
+   (:mod:`repro.api.distributed`), the one process fan-out: spawned
+   workers start from pickled compiled circuits, send results home over
+   their pipes, dedupe through a shared store when the run has one and
+   survive worker death via requeue.
 
 Quickstart::
 
@@ -49,7 +49,7 @@ see the README migration table.
 """
 
 from repro.api.codec import SpecDecodeError, spec_from_dict, spec_to_dict
-from repro.api.executors import Executor, ProcessExecutor, SerialExecutor
+from repro.api.executors import Executor, SerialExecutor
 from repro.api.hashing import canonical, canonical_json, content_hash, spec_hash
 from repro.api.results import Result, ResultSet
 from repro.api.session import RunStats, RunStatsSnapshot, Session, default_session
@@ -93,7 +93,6 @@ __all__ = [
     "TieredStore",
     "Executor",
     "SerialExecutor",
-    "ProcessExecutor",
     "DistributedExecutor",
     "RunStats",
     "RunStatsSnapshot",

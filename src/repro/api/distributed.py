@@ -1,13 +1,17 @@
-"""The distributed study runner: a coordinator, workers and a shared store.
+"""The process fan-out: a coordinator, worker processes, an optional store.
 
-This is the maggma-style manager/worker pattern grown onto the PR 4
-``Executor`` seam.  A :class:`StudyCoordinator` shards a ``run_many`` spec
-list to long-lived worker *processes* over per-worker task queues; each
-worker dedupes through a shared persistent :class:`~repro.api.stores.Store`
-(check before solving, write after), so N workers handed the same study
-never double-solve a spec; a worker that dies mid-task is detected by a
-liveness sweep, its in-flight task is requeued onto a surviving worker and
-a replacement process is spawned (bounded budgets on both).
+This is the maggma-style manager/worker pattern grown onto the
+``Executor`` seam.  A :class:`DistributedExecutor` shards a ``run_many``
+spec list to spawned worker *processes* over per-worker task queues, and
+each worker sends its result home in the ``done`` message on its private
+pipe.  Given a shared persistent :class:`~repro.api.stores.Store` (its
+own, or the session's), every worker also dedupes through it (check
+before solving, write after), so N workers handed the same study never
+double-solve a spec and a later run finds the results warm.  Without a
+shareable store the run simply has none.  A worker that dies mid-task is
+detected by a liveness sweep, its in-flight task is requeued onto a
+surviving worker and a replacement process is spawned (bounded budgets
+on both).
 
 The scheduling is free to be arbitrary because the *computation* is not:
 specs fix every seed, and per-trial ``SeedSequence`` substreams make each
@@ -20,14 +24,14 @@ Queue design: task assignment is recorded coordinator-side *before* the
 task is enqueued to the chosen worker, so a worker death can never lose a
 claim — anything assigned to a dead worker and not reported done is, by
 construction, requeueable.  Workers report back (``ready`` on startup,
-``done``/``error`` per task) over a private simplex pipe each, written by
-exactly one process: a shared multi-writer queue would serialize the
-writers through one lock, and a worker hard-killed at the wrong moment
-dies *holding* it, silencing every surviving worker forever (the
-documented kill-a-queue-user hazard).  With one pipe per worker a death
-can corrupt only its own channel — and the coordinator waits on the pipes
-*and* the process sentinels together, so a crash is noticed the moment it
-happens, not on the next timeout.
+``done`` with the result or ``error`` per task, and heartbeats) over a
+private simplex pipe each, written by exactly one process: a shared
+multi-writer queue would serialize the writers through one lock, and a
+worker hard-killed at the wrong moment dies *holding* it, silencing every
+surviving worker forever (the documented kill-a-queue-user hazard).  With
+one pipe per worker a death can corrupt only its own channel — and the
+coordinator waits on the pipes *and* the process sentinels together, so a
+crash is noticed the moment it happens, not on the next timeout.
 
 Typical use goes through the executor seam::
 
@@ -46,7 +50,6 @@ import multiprocessing as mp
 from multiprocessing import connection as mp_connection
 import os
 import pickle
-import tempfile
 import time
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -54,9 +57,9 @@ from repro.api.executors import Executor
 from repro.api.hashing import spec_hash
 from repro.api.results import Result
 from repro.api.specs import AnalysisSpec
-from repro.api.stores import SQLiteStore, Store
+from repro.api.stores import Store
 
-#: Message kinds a worker posts on the shared message queue.
+#: Message kinds a worker posts on its pipe.
 _READY, _DONE, _ERROR, _BEAT = "ready", "done", "error", "beat"
 
 #: Ceiling on one respawn-backoff sleep, however storm-y the deaths get.
@@ -65,7 +68,7 @@ _MAX_RESPAWN_BACKOFF_S = 5.0
 
 @dataclasses.dataclass
 class DistributedReport:
-    """What one distributed run actually did (attached to the executor).
+    """What one distributed run actually did (the executor's ``last_report``).
 
     ``computed`` + ``store_hits`` equals ``tasks``; ``requeued`` counts
     tasks re-dispatched after a worker death, ``worker_deaths``/
@@ -110,18 +113,17 @@ def _worker_main(
     message_conn: "mp_connection.Connection",
     store: Optional[Store],
     prebuilt_blob: bytes,
-    beat_s: float = 0.0,
+    beat_s: float,
 ) -> None:
     """One worker process: pull tasks, dedupe through the store, solve.
 
     The worker owns a cache-less private :class:`Session` seeded with the
-    coordinator's pre-compiled circuits, so it never recompiles.  The
-    shared ``store`` (already reopened post-pickle) is both its dedupe
-    check and its output channel: results travel to the coordinator by
-    content hash through the store, only control messages ride the
-    worker's private pipe.
+    coordinator's pre-compiled circuits, so it never recompiles.  Each
+    result — computed, or read from the shared ``store`` on a hit — goes
+    home in the ``done`` message on the worker's private pipe; the store
+    (``None`` for a run without one) only dedupes and persists.
 
-    With ``beat_s > 0`` a daemon thread heartbeats on the pipe.  The
+    A daemon thread heartbeats on the pipe every ``beat_s`` seconds.  The
     beats prove the *process* is alive; they deliberately say nothing
     about task progress — that is what the coordinator's per-task lease
     is for, and the combination is how a hung worker (beating, never
@@ -143,13 +145,12 @@ def _worker_main(
         except (BrokenPipeError, OSError):
             os._exit(0)
 
-    if beat_s and beat_s > 0:
-        def _beat() -> None:
-            while True:
-                time.sleep(beat_s)
-                send((_BEAT, worker_id, None, None))
+    def _beat() -> None:
+        while True:
+            time.sleep(beat_s)
+            send((_BEAT, worker_id, None, None))
 
-        threading.Thread(target=_beat, daemon=True).start()
+    threading.Thread(target=_beat, daemon=True).start()
 
     session = Session(store=None)
     session.adopt_circuits(pickle.loads(prebuilt_blob))
@@ -169,35 +170,39 @@ def _worker_main(
             # finishes — only a lease timeout can catch this.
             time.sleep(float(fault.get("stall_s", 3600.0)))
         try:
-            cached = store.get(content) if store is not None else None
-            if cached is not None:
-                send((_DONE, worker_id, task_id, True))
-                continue
-            result = session.compute(spec)
-            if store is not None:
-                store.put(content, result)
-            send((_DONE, worker_id, task_id, False))
+            result = store.get(content) if store is not None else None
+            from_store = result is not None
+            if not from_store:
+                result = session.compute(spec)
+                if store is not None:
+                    store.put(content, result)
+            send((_DONE, worker_id, task_id, (from_store, result)))
         except Exception as exc:  # surface, don't kill the worker
             send((_ERROR, worker_id, task_id, repr(exc)))
 
 
-class StudyCoordinator:
-    """Shard specs across worker processes through a shared store.
+class DistributedExecutor(Executor):
+    """Shard specs across spawned worker processes (the one process fan-out).
 
     Parameters
     ----------
     workers:
         Worker process count (>= 1).
     store:
-        The shared store workers dedupe through and write results to.
-        Must be multi-process shareable (``worker_view()`` non-``None``:
-        a :class:`~repro.api.stores.SQLiteStore`, or a
-        :class:`~repro.api.stores.TieredStore` over one).
+        A store the workers dedupe through and write results to, kept
+        across runs.  Must be multi-process shareable (``worker_view()``
+        non-``None``: a :class:`~repro.api.stores.SQLiteStore`, or a
+        :class:`~repro.api.stores.TieredStore` over one).  Omitted, the
+        calling session's store is used through its ``worker_view()``
+        (so a ``Session(store="dir")`` shares ``dir/results.db``); a
+        session with no shareable store — ``store=None`` or a
+        :class:`~repro.api.stores.MemoryStore` — runs with no store.
+        Results come home over the workers' pipes either way.
     max_task_retries:
         How many times one task may be requeued (worker death or error)
         before the run fails.
     heartbeat_s:
-        Fallback liveness-sweep period.  Deaths normally surface
+        Fallback liveness-sweep period (> 0).  Deaths normally surface
         immediately through the process sentinels the coordinator waits
         on; the sweep only catches a process that is gone without its
         sentinel firing.  Workers also heartbeat on their pipes at this
@@ -213,22 +218,25 @@ class StudyCoordinator:
         above your slowest spec before enabling.
     respawn_backoff_s:
         First respawn delay after a worker death, doubling per respawn
-        (capped at 5 s).  Default 0: immediate respawn, as before.  A
-        poisoned spec that crashes every worker it touches otherwise
-        burns the whole respawn budget in milliseconds.
+        (capped at 5 s).  Default 0: immediate respawn.  A poisoned spec
+        that crashes every worker it touches otherwise burns the whole
+        respawn budget in milliseconds.
     on_error:
         ``"raise"`` (default): a task that exhausts its retry budget
         fails the run.  ``"quarantine"``: the run *completes*, the
         poisoned spec gets a placeholder result
         (``meta["quarantined"]`` set, never cached) and the spec-hash ->
-        failure-message map lands in ``report.quarantined`` — one bad
-        spec no longer discards a million good solves.
+        failure-message map lands in ``last_report.quarantined`` — one
+        bad spec no longer discards a million good solves.
+
+    After each ``run_specs`` the :class:`DistributedReport` of the run is
+    available as :attr:`last_report`.
     """
 
     def __init__(
         self,
-        workers: int,
-        store: Store,
+        workers: int = 2,
+        store: Optional[Store] = None,
         max_task_retries: int = 2,
         heartbeat_s: float = 0.2,
         lease_timeout_s: Optional[float] = None,
@@ -238,12 +246,15 @@ class StudyCoordinator:
     ):
         if workers < 1:
             raise ValueError("at least one worker is required")
-        if store.worker_view() is None:
+        if store is not None and store.worker_view() is None:
             raise ValueError(
                 "the distributed runner needs a multi-process shareable "
                 "store (a SQLiteStore, or a TieredStore over one); "
                 f"{type(store).__qualname__} is process-local"
             )
+        if heartbeat_s <= 0:
+            # wait(timeout=0) returns at once: the coordinator would spin.
+            raise ValueError(f"heartbeat_s must be positive, got {heartbeat_s}")
         if lease_timeout_s is not None and lease_timeout_s <= 0:
             raise ValueError(
                 f"lease_timeout_s must be positive, got {lease_timeout_s}"
@@ -264,7 +275,14 @@ class StudyCoordinator:
         self.respawn_backoff_s = respawn_backoff_s
         self.on_error = on_error
         self._chaos = _chaos
-        self.report = DistributedReport()
+        self.last_report: Optional[DistributedReport] = None
+
+    def _shared_store(self, session) -> Optional[Store]:
+        """The store the workers dedupe through, or ``None`` for none."""
+        if self.store is not None:
+            return self.store.worker_view()
+        session_store = getattr(session, "store", None)
+        return None if session_store is None else session_store.worker_view()
 
     # -- worker lifecycle ---------------------------------------------- #
 
@@ -272,6 +290,7 @@ class StudyCoordinator:
         self,
         context,
         worker_id: int,
+        store: Optional[Store],
         prebuilt_blob: bytes,
     ) -> Tuple[Any, Any, Any]:
         task_queue = context.Queue()
@@ -282,7 +301,7 @@ class StudyCoordinator:
                 worker_id,
                 task_queue,
                 writer,
-                self.store.worker_view(),
+                store,
                 prebuilt_blob,
                 self.heartbeat_s,
             ),
@@ -296,12 +315,13 @@ class StudyCoordinator:
 
     # -- the run ------------------------------------------------------- #
 
-    def run(self, session, specs: Sequence[AnalysisSpec]) -> List[Result]:
+    def run_specs(self, session, specs: Sequence[AnalysisSpec]) -> List[Result]:
         """Compute one result per spec (order preserved); see class docs."""
         hashes = [spec_hash(spec) for spec in specs]
-        self.report = DistributedReport(tasks=len(specs))
+        report = self.last_report = DistributedReport(tasks=len(specs))
         if not specs:
             return []
+        store = self._shared_store(session)
 
         # fork would duplicate any open SQLite connection state into the
         # children; spawn gives each worker a clean process that reopens
@@ -309,7 +329,7 @@ class StudyCoordinator:
         context = mp.get_context("spawn")
         prebuilt_blob = pickle.dumps(session.prepare_circuits(specs))
 
-        # One task per *distinct* hash: duplicates resolve from the store.
+        # One task per *distinct* hash: duplicates share its result.
         tasks: Dict[int, Tuple[str, AnalysisSpec]] = {}
         seen: set = set()
         for content, spec in zip(hashes, specs):
@@ -325,7 +345,7 @@ class StudyCoordinator:
         leases: Dict[int, float] = {}  # task_id -> monotonic deadline
         last_beat: Dict[int, float] = {}  # worker_id -> monotonic timestamp
         pending: List[int] = list(tasks)
-        done: set = set()
+        done: Dict[int, Result] = {}  # task_id -> the result its worker sent
         quarantined_ids: set = set()
         idle: List[int] = []
         ready_workers: set = set()
@@ -346,9 +366,9 @@ class StudyCoordinator:
             if self.on_error == "quarantine":
                 content, _ = tasks[task_id]
                 quarantined_ids.add(task_id)
-                self.report.quarantined[content] = reason
+                report.quarantined[content] = reason
             else:
-                self.report.errors.append(reason)
+                report.errors.append(reason)
 
         def spawn_worker() -> None:
             nonlocal next_worker_id
@@ -356,7 +376,7 @@ class StudyCoordinator:
                 processes[next_worker_id],
                 task_queues[next_worker_id],
                 readers[next_worker_id],
-            ) = self._spawn(context, next_worker_id, prebuilt_blob)
+            ) = self._spawn(context, next_worker_id, store, prebuilt_blob)
             next_worker_id += 1
 
         for _ in range(width):
@@ -394,7 +414,7 @@ class StudyCoordinator:
                         )
                     else:
                         pending.insert(0, task_id)
-                        self.report.requeued += 1
+                        report.requeued += 1
 
         def handle_message(worker_id: int, message) -> None:
             kind, _, task_id, detail = message
@@ -406,11 +426,11 @@ class StudyCoordinator:
                     idle.append(worker_id)
             elif kind == _DONE:
                 if task_id not in done:
-                    done.add(task_id)
-                    if detail:  # served from the shared store
-                        self.report.store_hits += 1
+                    from_store, done[task_id] = detail
+                    if from_store:
+                        report.store_hits += 1
                     else:
-                        self.report.computed += 1
+                        report.computed += 1
                 assigned.pop(task_id, None)
                 leases.pop(task_id, None)
                 if worker_id in processes:
@@ -422,7 +442,7 @@ class StudyCoordinator:
                     exhaust(task_id, f"task {task_id} failed: {detail}")
                 else:
                     pending.insert(0, task_id)
-                    self.report.requeued += 1
+                    report.requeued += 1
                 if worker_id in processes:
                     idle.append(worker_id)
 
@@ -435,7 +455,7 @@ class StudyCoordinator:
             reader = readers.pop(worker_id)
             if worker_id in idle:
                 idle.remove(worker_id)
-            self.report.worker_deaths += 1
+            report.worker_deaths += 1
             # Drain whatever it sent before dying, so finished work is
             # not requeued, then give its remaining claims back.
             while True:
@@ -455,7 +475,7 @@ class StudyCoordinator:
             live_needed = bool(pending) or settled() < len(tasks)
             if live_needed and respawn_budget > 0 and len(processes) < width:
                 respawn_budget -= 1
-                self.report.respawned += 1
+                report.respawned += 1
                 if self.respawn_backoff_s > 0:
                     # Exponential: a spec that kills every worker it
                     # touches must not chew through the respawn budget at
@@ -464,7 +484,7 @@ class StudyCoordinator:
                         min(
                             _MAX_RESPAWN_BACKOFF_S,
                             self.respawn_backoff_s
-                            * (2.0 ** (self.report.respawned - 1)),
+                            * (2.0 ** (report.respawned - 1)),
                         )
                     )
                 spawn_worker()
@@ -485,13 +505,13 @@ class StudyCoordinator:
                 # Kill it — requeue and respawn ride the ordinary death
                 # path, so a lease expiry and a crash behave identically
                 # downstream.
-                self.report.hung_workers += 1
+                report.hung_workers += 1
                 processes[worker_id].kill()
                 handle_death(worker_id)
 
         try:
             while settled() < len(tasks):
-                if self.report.errors:
+                if report.errors:
                     break
                 # Hand work to every idle worker first.
                 while idle and pending:
@@ -506,7 +526,7 @@ class StudyCoordinator:
                             "the parent's __main__ module by path, which fails "
                             "when the script came from stdin or was deleted"
                         )
-                    self.report.errors.append(reason)
+                    report.errors.append(reason)
                     break
                 # One wait over every worker's message pipe AND process
                 # sentinel: a message and a crash wake the coordinator
@@ -562,109 +582,31 @@ class StudyCoordinator:
                 except OSError:
                     pass
 
-        if self.report.errors:
+        if report.errors:
             raise RuntimeError(
-                "distributed run failed: " + "; ".join(self.report.errors)
+                "distributed run failed: " + "; ".join(report.errors)
             )
 
-        # Results come home through the store, keyed by content hash;
-        # quarantined specs get their placeholder instead.
+        # Quarantined specs get their placeholder; a duplicate hash gets
+        # its own copy of the one result.
         results: Dict[str, Result] = {}
         for task_id, (content, spec) in tasks.items():
             if task_id in quarantined_ids:
                 results[content] = _quarantined_result(
-                    spec, content, self.report.quarantined[content]
+                    spec, content, report.quarantined[content]
                 )
-                continue
-            result = self.store.get(content)
-            if result is None:
-                raise RuntimeError(
-                    f"worker reported task done but the store has no "
-                    f"entry for {content!r}"
-                )
-            results[content] = result
-        return [results[content].copy() for content in hashes]
-
-
-class DistributedExecutor(Executor):
-    """The queue-based executor: coordinator + workers behind the seam.
-
-    Store resolution, in order: an explicit ``store=`` here; the calling
-    session's store (through
-    :meth:`~repro.api.stores.Store.worker_view`, so a
-    ``Session(store="dir")`` tiered store shares its ``dir/results.db``);
-    otherwise a temporary :class:`~repro.api.stores.SQLiteStore` owned by
-    this executor for the duration of the call.
-
-    After each ``run_specs`` the :class:`DistributedReport` of the run is
-    available as :attr:`last_report`.
-    """
-
-    def __init__(
-        self,
-        workers: int = 2,
-        store: Optional[Store] = None,
-        max_task_retries: int = 2,
-        heartbeat_s: float = 0.2,
-        lease_timeout_s: Optional[float] = None,
-        respawn_backoff_s: float = 0.0,
-        on_error: str = "raise",
-        _chaos: Optional[Mapping[str, Any]] = None,
-    ):
-        if workers < 1:
-            raise ValueError("at least one worker is required")
-        self.workers = workers
-        self.store = store
-        self.max_task_retries = max_task_retries
-        self.heartbeat_s = heartbeat_s
-        self.lease_timeout_s = lease_timeout_s
-        self.respawn_backoff_s = respawn_backoff_s
-        self.on_error = on_error
-        self._chaos = _chaos
-        self.last_report: Optional[DistributedReport] = None
-
-    def _resolve_store(self, session) -> Tuple[Store, Optional[str]]:
-        """The shared store plus a temp path to clean up (or ``None``)."""
-        if self.store is not None:
-            return self.store, None
-        session_store = getattr(session, "store", None)
-        if session_store is not None:
-            view = session_store.worker_view()
-            if view is not None:
-                return view, None
-        fd, path = tempfile.mkstemp(prefix="repro-distributed-", suffix=".db")
-        os.close(fd)
-        return SQLiteStore(path), path
-
-    def run_specs(self, session, specs: Sequence[AnalysisSpec]) -> List[Result]:
-        store, temp_path = self._resolve_store(session)
-        try:
-            coordinator = StudyCoordinator(
-                workers=self.workers,
-                store=store,
-                max_task_retries=self.max_task_retries,
-                heartbeat_s=self.heartbeat_s,
-                lease_timeout_s=self.lease_timeout_s,
-                respawn_backoff_s=self.respawn_backoff_s,
-                on_error=self.on_error,
-                _chaos=self._chaos,
-            )
-            results = coordinator.run(session, specs)
-            self.last_report = coordinator.report
-            return results
-        finally:
-            if temp_path is not None:
-                if isinstance(store, SQLiteStore):
-                    store.close()
-                for suffix in ("", "-wal", "-shm"):
-                    try:
-                        os.unlink(temp_path + suffix)
-                    except OSError:
-                        pass
+            else:
+                results[content] = done[task_id]
+        ordered: List[Result] = []
+        returned: set = set()
+        for content in hashes:
+            result = results[content]
+            ordered.append(result.copy() if content in returned else result)
+            returned.add(content)
+        return ordered
 
 
 __all__ = [
     "DistributedExecutor",
     "DistributedReport",
-    "StudyCoordinator",
 ]

@@ -21,11 +21,11 @@ A :class:`Session` takes :mod:`repro.api.specs` specs and returns
   writes without manual eviction;
 * **fan-out** — :meth:`Session.run_many` hands cache misses to the
   pluggable :class:`~repro.api.executors.Executor` seam
-  (:class:`~repro.api.executors.SerialExecutor`,
-  :class:`~repro.api.executors.ProcessExecutor`, or the queue-based
-  :class:`~repro.api.distributed.DistributedExecutor` deduping through a
-  shared store), so independent specs of *any* analysis kind parallelize
-  the same way Monte-Carlo sweeps always did.
+  (:class:`~repro.api.executors.SerialExecutor`, or the process fan-out
+  :class:`~repro.api.distributed.DistributedExecutor`, whose workers
+  dedupe through a shared store when there is one), so independent specs
+  of *any* analysis kind parallelize the same way Monte-Carlo sweeps
+  always did.
 
 Typical use::
 
@@ -291,7 +291,7 @@ class Session:
         return prebuilt
 
     def adopt_circuits(self, prebuilt: Mapping[str, Any]) -> None:
-        """Adopt circuits built elsewhere (used by process-pool workers)."""
+        """Adopt circuits built elsewhere (used by executor workers)."""
         self._built.update(prebuilt)
 
     # ------------------------------------------------------------------ #

@@ -103,9 +103,11 @@ def can_fork() -> bool:
     with a second Python thread alive (a fork copies only the calling
     thread, whatever locks the others hold), inside a child or a row
     block, or in a ``multiprocessing`` worker, whose executor already
-    spreads its specs over the CPUs (two ``ProcessExecutor`` workers on a
-    2-CPU host ran four 128-trial XOR3 studies about 26 % slower with the
-    row-block split).
+    spreads its specs over the CPUs (on a 2-CPU host, two spawned pool
+    workers ran four 128-trial XOR3 studies about 26 % slower with the
+    row-block split).  A
+    :class:`~repro.api.distributed.DistributedExecutor` worker runs its
+    heartbeat thread, so the thread rule alone keeps it from forking.
     """
     return (
         not _in_block

@@ -26,7 +26,6 @@ Parallelism
 :meth:`MonteCarloEngine.run` is a serial per-trial loop in this process.
 Process fan-out happens one level up: a ``MonteCarlo`` spec (or a grid of
 them) runs through :meth:`repro.api.Session.run_many` with a
-:class:`~repro.api.executors.ProcessExecutor` or
 :class:`~repro.api.distributed.DistributedExecutor`.
 
 Batched solves

@@ -32,7 +32,6 @@ from repro.api import (
     DCOp,
     DCSweep,
     MonteCarlo,
-    ProcessExecutor,
     Result,
     ResultSet,
     Session,
@@ -512,41 +511,6 @@ class TestGridsAndExecutors:
     def test_expand_grid_rejects_unknown_fields(self, chain_spec):
         with pytest.raises(ValueError, match="no field"):
             expand_grid(DCOp(circuit=chain_spec), {"nonsense": (1,)})
-
-    def test_process_executor_matches_serial(self, switch_model, monkeypatch):
-        from repro.api import executors
-
-        # The workers are spawned, never forked from a parent whose BLAS
-        # threads may be alive.
-        contexts = []
-        pool = executors._PoolExecutor
-
-        def recording_pool(*args, **kwargs):
-            contexts.append(kwargs.get("mp_context"))
-            return pool(*args, **kwargs)
-
-        monkeypatch.setattr(executors, "_PoolExecutor", recording_pool)
-        template = DCOp(
-            circuit=CircuitSpec(
-                CHAIN_FACTORY, params={"num_switches": 1, "model": switch_model}
-            )
-        )
-        specs = expand_grid(template, {"circuit.num_switches": (1, 2, 3)})
-        serial = Session(store=None).run_many(specs)
-        pooled = Session(store=None).run_many(
-            specs, executor=ProcessExecutor(workers=2)
-        )
-        assert [context.get_start_method() for context in contexts] == ["spawn"]
-        for a, b in zip(serial, pooled):
-            np.testing.assert_array_equal(a.arrays["solution"], b.arrays["solution"])
-            assert a.scalars["iterations"] == b.scalars["iterations"]
-            assert a.to_json() == b.to_json()
-
-    def test_single_worker_executor_degrades_to_serial(self, chain_spec):
-        study = Session(store=None).run_many(
-            [DCOp(circuit=chain_spec)], executor=ProcessExecutor(workers=4)
-        )
-        assert len(study) == 1 and study.all_converged
 
 
 # ---------------------------------------------------------------------- #

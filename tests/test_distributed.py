@@ -14,8 +14,13 @@ Covers the acceptance criteria of the distributed tentpole:
   instead of hanging the run;
 * workers that die during start-up (the parent's ``__main__`` cannot be
   re-imported) are named as such in the coordinator's error;
-* store resolution: an executor store, the session store's worker view,
-  or an executor-owned temporary SQLite store.
+* results come home over the workers' pipes: the parent reads nothing
+  back from the store, and a run with no shareable store (``store=None``
+  or a ``MemoryStore`` session) runs with none and leaves no file;
+* store resolution: an executor store or the session store's worker view;
+* the removed fan-out spellings (``ProcessExecutor``,
+  ``StudyCoordinator``) fail to import, and ``import repro.api`` loads no
+  process machinery.
 
 The runs here use the small variability bench (60 fixed steps) so each
 test stays in the seconds range; the spawn-based workers re-import the
@@ -24,6 +29,7 @@ library, never this test module.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import re
 import subprocess
@@ -43,11 +49,7 @@ from repro.api import (
     expand_grid,
     spec_hash,
 )
-from repro.api.distributed import (
-    DistributedExecutor,
-    DistributedReport,
-    StudyCoordinator,
-)
+from repro.api.distributed import DistributedExecutor, DistributedReport
 from repro.api.executors import SerialExecutor
 from repro.experiments.variability_xor3 import build_variability_bench
 from repro.spice import Gaussian
@@ -109,13 +111,24 @@ def assert_bitwise_equal(study_a, study_b):
 
 
 class TestDistributedParity:
-    def test_dc_grid_matches_serial(self, chain_grid, tmp_path):
+    def test_dc_grid_matches_serial(self, chain_grid, tmp_path, monkeypatch):
+        # The workers are spawned, never forked from a parent whose BLAS
+        # threads may be alive.
+        contexts = []
+        get_context = multiprocessing.get_context
+
+        def recording_get_context(*args, **kwargs):
+            contexts.append(get_context(*args, **kwargs))
+            return contexts[-1]
+
+        monkeypatch.setattr(multiprocessing, "get_context", recording_get_context)
         serial = Session(store=None).run_many(
             chain_grid, executor=SerialExecutor()
         )
         store = SQLiteStore(str(tmp_path / "shared.db"))
         executor = DistributedExecutor(workers=2, store=store)
         distributed = Session(store=None).run_many(chain_grid, executor=executor)
+        assert [context.get_start_method() for context in contexts] == ["spawn"]
         assert_bitwise_equal(serial, distributed)
         report = executor.last_report
         assert report.tasks == len(chain_grid)
@@ -202,14 +215,43 @@ class TestStoreDedupe:
         assert session.last_stats.newton_iterations == 0
         store.close()
 
-    def test_temporary_store_is_cleaned_up(self, chain_grid):
+    def test_parent_reads_no_result_from_the_store(
+        self, chain_grid, tmp_path, monkeypatch
+    ):
+        # Results ride the workers' pipes home.  The patch holds in this
+        # process only: the spawned workers import the real class.
+        reads = []
+        monkeypatch.setattr(
+            SQLiteStore, "get", lambda store, key: reads.append(key)
+        )
+        serial = Session(store=None).run_many(
+            chain_grid, executor=SerialExecutor()
+        )
+        store = SQLiteStore(str(tmp_path / "shared.db"))
+        executor = DistributedExecutor(workers=2, store=store)
+        study = Session(store=None).run_many(chain_grid, executor=executor)
+        assert reads == []
+        assert_bitwise_equal(serial, study)
+        assert len(store) == len(chain_grid)
+        store.close()
+
+    @pytest.mark.parametrize("session_store", ["none", "memory"])
+    def test_run_without_shareable_store_creates_no_file(
+        self, chain_grid, session_store
+    ):
         import tempfile
 
         temp_root = tempfile.gettempdir()
         before = set(os.listdir(temp_root))
+        serial = Session(store=None).run_many(
+            chain_grid, executor=SerialExecutor()
+        )
+        session = Session(store=None if session_store == "none" else MemoryStore())
         executor = DistributedExecutor(workers=2)
-        study = Session(store=None).run_many(chain_grid, executor=executor)
-        assert len(study) == len(chain_grid)
+        study = session.run_many(chain_grid, executor=executor)
+        assert_bitwise_equal(serial, study)
+        assert executor.last_report.computed == len(chain_grid)
+        assert executor.last_report.store_hits == 0
         leftovers = [
             name
             for name in os.listdir(temp_root)
@@ -255,7 +297,7 @@ class TestFailureModes:
 
     def test_memory_store_is_rejected(self):
         with pytest.raises(ValueError, match="process-local"):
-            StudyCoordinator(workers=2, store=MemoryStore())
+            DistributedExecutor(workers=2, store=MemoryStore())
 
     def test_worker_counts_are_validated(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -263,10 +305,39 @@ class TestFailureModes:
 
     def test_empty_spec_list(self, tmp_path):
         store = SQLiteStore(str(tmp_path / "shared.db"))
-        coordinator = StudyCoordinator(workers=2, store=store)
-        assert coordinator.run(Session(store=None), []) == []
-        assert coordinator.report == DistributedReport()
+        executor = DistributedExecutor(workers=2, store=store)
+        assert executor.run_specs(Session(store=None), []) == []
+        assert executor.last_report == DistributedReport()
         store.close()
+
+    def test_removed_fan_out_names_fail_to_import(self):
+        import repro.api
+        import repro.api.distributed
+
+        with pytest.raises(ImportError):
+            from repro.api import ProcessExecutor  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.api.executors import ProcessExecutor  # noqa: F401,F811
+        with pytest.raises(ImportError):
+            from repro.api.distributed import StudyCoordinator  # noqa: F401
+        assert "ProcessExecutor" not in repro.api.__all__
+        assert "StudyCoordinator" not in repro.api.distributed.__all__
+
+    def test_import_loads_no_process_machinery(self):
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; import repro.api; print(sorted(m for m in "
+                "('multiprocessing', 'concurrent.futures') if m in sys.modules))",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------- #
@@ -366,9 +437,14 @@ class TestFaultTolerance:
     def test_fault_knob_validation(self, tmp_path):
         store = SQLiteStore(str(tmp_path / "shared.db"))
         with pytest.raises(ValueError, match="lease_timeout_s"):
-            StudyCoordinator(workers=1, store=store, lease_timeout_s=0)
+            DistributedExecutor(workers=1, store=store, lease_timeout_s=0)
         with pytest.raises(ValueError, match="respawn_backoff_s"):
-            StudyCoordinator(workers=1, store=store, respawn_backoff_s=-1)
+            DistributedExecutor(workers=1, store=store, respawn_backoff_s=-1)
         with pytest.raises(ValueError, match="on_error"):
-            StudyCoordinator(workers=1, store=store, on_error="ignore")
+            DistributedExecutor(workers=1, store=store, on_error="ignore")
+        # A zero or negative sweep period would make the coordinator's
+        # wait return at once and spin on the CPU.
+        for heartbeat_s in (0, -1):
+            with pytest.raises(ValueError, match="heartbeat_s"):
+                DistributedExecutor(workers=1, store=store, heartbeat_s=heartbeat_s)
         store.close()

@@ -467,7 +467,7 @@ def test_an_error_in_the_parent_block_leaves_no_child():
 
 
 #: Runs two batched Monte-Carlo studies here, then in two
-#: ``ProcessExecutor`` workers twice: as they are, and with the worker
+#: ``DistributedExecutor`` workers twice: as they are, and with the worker
 #: rule taken out (argv[1] == "split"), logging the pid that forked each
 #: child whose block stood (the child sent its summary).  Every fork of
 #: this process counts its OS threads right after it, as Python 3.12+
@@ -494,7 +494,7 @@ def counted_fork():
 
 
 os.fork = counted_fork
-from repro.api import CircuitSpec, MonteCarlo, ProcessExecutor, Session, Transient
+from repro.api import CircuitSpec, DistributedExecutor, MonteCarlo, Session, Transient
 from repro.spice import Gaussian, _rowblocks
 
 _rowblocks._usable_cpus = lambda: 2
@@ -526,7 +526,7 @@ if __name__ == "__main__":
     ]
     serial = Session(store=None).run_many(specs)
     digest = lambda study: [hashlib.sha256(r.to_json().encode()).hexdigest() for r in study]
-    pooled = Session(store=None).run_many(specs, executor=ProcessExecutor(workers=2))
+    pooled = Session(store=None).run_many(specs, executor=DistributedExecutor(workers=2))
     assert digest(pooled) == digest(serial)
     print(os.getpid())
 """
@@ -535,10 +535,10 @@ if __name__ == "__main__":
 @pytest.mark.parametrize("workers_split", [False, True])
 def test_executor_workers(tmp_path, workers_split):
     # A worker's executor already spreads the specs over the CPUs, so a
-    # worker runs its stacks whole; forced to split, it forks with no
-    # other thread alive.  The first run holds BLAS to one thread; the
-    # forced one leaves it at its default, its pool's threads alive
-    # before each fork.
+    # worker runs its stacks whole.  With the worker rule taken out it
+    # still does: its heartbeat thread is alive, so it may not fork, and
+    # no fork warning is raised.  The first run holds BLAS to one thread;
+    # the second leaves it at its default, its pool's threads alive.
     log = tmp_path / "splits.log"
     blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     env = {name: value for name, value in os.environ.items() if name not in blas}
@@ -556,10 +556,10 @@ def test_executor_workers(tmp_path, workers_split):
     assert completed.returncode == 0, completed.stderr
     main = completed.stdout.strip()
     splits = collections.Counter(log.read_text().split())
-    # Each study's transient splits its 40 trials in two here (and in a
-    # worker when forced); nothing inside a block splits again.
+    # Each study's transient splits its 40 trials in two here, never in
+    # a worker; nothing inside a block splits again.
     assert splits[main] == 2
-    assert sum(splits.values()) - splits[main] == (2 if workers_split else 0)
+    assert sum(splits.values()) - splits[main] == 0
 
 
 def ladder_fork(monkeypatch, on: bool) -> None:
